@@ -36,16 +36,10 @@ from typing import Dict, List, Optional, Tuple
 from typing import Union
 
 from .checkpoint import CheckpointPolicy
-from .cluster import Cluster
-from .distributed import (
-    AllReduceModel,
-    ClusterMembership,
-    DistributedResult,
-    MembershipEvent,
-    run_elastic,
-)
+from .cluster import DEFAULT_LINK_LATENCY, Cluster
+from .distributed import ClusterMembership, DistributedResult, MembershipEvent
 from .scenarios import JobMix, JobSpec, MixResult
-from .workloads import CONFIG_A, CONFIG_B, make_workload
+from .workloads import CONFIG_A, CONFIG_B
 
 HARDWARE = {"config_a": CONFIG_A, "config_b": CONFIG_B}
 
@@ -88,7 +82,7 @@ class BenchScenario:
     workload: str = "speech_3s"
     hardware: str = "config_a"
     dataset_per_node: int = 96
-    #: override the ring-stage latency (None = AllReduceModel default).
+    #: override the ring-stage latency (None = the cluster's default).
     #: The overlap fast path requires bucket collectives to fit inside a
     #: backprop slice, so short-step workloads need a low-latency fabric
     allreduce_latency: Optional[float] = None
@@ -131,104 +125,55 @@ class BenchScenario:
     def run(
         self, collapse: bool, queue: Optional[str]
     ) -> Tuple[Union[DistributedResult, MixResult], float]:
-        """Execute the scenario once; returns (result, wall_seconds)."""
-        membership = ClusterMembership(self.nodes, list(self.events))
+        """Execute the scenario once; returns (result, wall_seconds).
+
+        ``jobs`` identical tenants on one explicit :class:`Cluster` (which
+        owns ``queue``); a single job runs alone, several as a
+        :class:`JobMix`."""
         loader_kwargs = {}
         if self.poll_interval is not None:
             loader_kwargs["poll_interval"] = self.poll_interval
         if self.workers_per_gpu is not None:
             loader_kwargs["workers_per_gpu"] = self.workers_per_gpu
+        specs = [
+            JobSpec(
+                job_id=f"tenant-{i}" if self.jobs > 1 else "job0",
+                loader="minato",
+                workload_name=self.workload,
+                dataset_size=self.dataset_per_node * self.nodes,
+                loader_kwargs=loader_kwargs or None,
+                total_steps=self.steps_per_gpu * self.ranks,
+                fabric="ring",
+                reshard=self.reshard,
+                overlap=self.overlap,
+                buckets=self.buckets,
+                collapse=collapse,
+                checkpoint=self.checkpoint,
+            )
+            for i in range(self.jobs)
+        ]
         # scenarios run back-to-back in one process; collect the previous
         # run's garbage outside the timed region so gen-2 sweeps over dead
         # event graphs don't tax whichever scenario happens to run next
         gc.collect()
-        if self.jobs > 1:
-            specs = [
-                JobSpec(
-                    job_id=f"tenant-{i}",
-                    loader="minato",
-                    workload_name=self.workload,
-                    dataset_size=self.dataset_per_node * self.nodes,
-                    loader_kwargs=loader_kwargs or None,
-                    total_steps=self.steps_per_gpu * self.ranks,
-                    fabric="ring",
-                    reshard=self.reshard,
-                    overlap=self.overlap,
-                    buckets=self.buckets,
-                    collapse=collapse,
-                    checkpoint=self.checkpoint,
-                )
-                for i in range(self.jobs)
-            ]
-            started = time.perf_counter()
-            mix = JobMix(
-                specs,
-                Cluster(
-                    membership,
-                    HARDWARE[self.hardware],
-                    gpus_per_node=self.gpus_per_node,
-                    cache_fraction=self.cache_fraction,
-                    topology=self.topology,
-                    link_latency=(
-                        self.allreduce_latency
-                        if self.allreduce_latency is not None
-                        else AllReduceModel().latency
-                    ),
-                    storage_over_nic=self.storage_over_nic,
-                    queue=queue,
-                ),
-            )
-            return mix.run(), time.perf_counter() - started
-        workload = make_workload(
-            self.workload, seed=0, dataset_size=self.dataset_per_node * self.nodes
-        )
-        allreduce = (
-            AllReduceModel(latency=self.allreduce_latency)
-            if self.allreduce_latency is not None
-            else None
-        )
-        cluster = None
-        if self.storage_over_nic:
-            # the remote-storage regime needs an explicit cluster (it owns
-            # the flag); the default path keeps the private construction so
-            # the classic scenarios stay byte-identical
-            cluster = Cluster(
-                membership,
-                HARDWARE[self.hardware],
-                gpus_per_node=self.gpus_per_node,
-                cache_fraction=self.cache_fraction,
-                topology=self.topology,
-                link_latency=(
-                    self.allreduce_latency
-                    if self.allreduce_latency is not None
-                    else AllReduceModel().latency
-                ),
-                storage_over_nic=True,
-                queue=queue,
-            )
-            allreduce, queue = None, None
         started = time.perf_counter()
-        result = run_elastic(
-            "minato",
-            workload,
+        cluster = Cluster(
+            ClusterMembership(self.nodes, list(self.events)),
             HARDWARE[self.hardware],
-            membership,
-            allreduce=allreduce,
-            loader_kwargs=loader_kwargs or None,
-            reshard=self.reshard,
             gpus_per_node=self.gpus_per_node,
-            fabric="ring",
-            topology=self.topology,
-            overlap=self.overlap,
-            buckets=self.buckets,
-            total_steps=self.steps_per_gpu * self.ranks,
             cache_fraction=self.cache_fraction,
-            collapse=collapse,
+            topology=self.topology,
+            link_latency=(
+                DEFAULT_LINK_LATENCY
+                if self.allreduce_latency is None
+                else self.allreduce_latency
+            ),
+            storage_over_nic=self.storage_over_nic,
             queue=queue,
-            cluster=cluster,
-            checkpoint=self.checkpoint,
         )
-        return result, time.perf_counter() - started
+        mix = JobMix(specs, cluster).run()
+        wall = time.perf_counter() - started
+        return (mix if self.jobs > 1 else mix.jobs[0]), wall
 
 
 def _churn(nodes: int) -> Tuple[MembershipEvent, ...]:

@@ -16,13 +16,14 @@ This module inverts the ownership:
   are keyed by the *cluster*, not by a run), and per-node
   :class:`NodeSite` bundles (storage pipe, page cache, CPU cores);
 * jobs (:func:`~repro.sim.distributed.run_elastic`,
-  :class:`~repro.sim.scenarios.JobMix`) are *submitted to* a cluster.  A job
-  constructed without one gets a fresh private cluster -- byte-identical to
-  the pre-refactor behaviour, pinned by the kernel-equivalence tests.
+  :class:`~repro.sim.scenarios.JobMix`) are *submitted to* a cluster; a
+  front door called without one builds a fresh private cluster from its
+  resource-shaped arguments first -- byte-identical to the pre-refactor
+  behaviour, pinned by the kernel-equivalence tests.
 
-Validation helpers shared by every entry point (``run_elastic``,
-``run_distributed``, ``JobMix``) also live here, so malformed configs fail
-with one message style at whichever door they knock on.
+:class:`Cluster` is where every resource-owned knob is declared, defaulted,
+documented and validated; the job-owned ones live on
+:class:`~repro.sim.distributed.JobSpec`.
 
 Nothing in this module may import :mod:`repro.sim.distributed` or
 :mod:`repro.sim.scenarios` (they import us); the fabric is reached through
@@ -49,17 +50,9 @@ __all__ = [
     "PartitionEvent",
     "NodeSite",
     "EVENT_KINDS",
-    "FABRICS",
     "DEFAULT_LINK_LATENCY",
     "DEFAULT_LINK_BANDWIDTH",
-    "resolve_gpus_per_node",
-    "validate_fabric",
-    "validate_step_loop_args",
-    "validate_budget_args",
-    "validate_job_mix",
 ]
-
-FABRICS = ("analytic", "ring")
 
 #: NIC-class link defaults shared by the cluster and the closed-form
 #: :class:`~repro.sim.distributed.AllReduceModel` (200 Gb/s interconnect)
@@ -275,102 +268,6 @@ class ClusterMembership:
 
 
 # ---------------------------------------------------------------------------
-# Shared entry-point validation
-# ---------------------------------------------------------------------------
-
-
-def validate_fabric(fabric: str) -> None:
-    if fabric not in FABRICS:
-        raise ConfigurationError(
-            f"fabric must be one of {FABRICS}, got {fabric!r}"
-        )
-
-
-def resolve_gpus_per_node(
-    gpus_per_node: Optional[int], hardware: HardwareConfig
-) -> int:
-    """Explicit argument > ``hardware.gpus_per_node`` > 1."""
-    if gpus_per_node is None:
-        gpus_per_node = (
-            hardware.gpus_per_node if hardware.gpus_per_node is not None else 1
-        )
-    return gpus_per_node
-
-
-def validate_step_loop_args(
-    gpus_per_node: int, buckets: int, topology: str
-) -> None:
-    """Reject malformed step-loop arguments at the entry point, with the
-    same explicit message style as the ``node_hardware`` length check --
-    a zero/negative count would otherwise surface as a divide-by-zero (or a
-    silently empty round) deep inside the round executor."""
-    if not isinstance(gpus_per_node, int) or gpus_per_node < 1:
-        raise ConfigurationError(
-            f"gpus_per_node must be a positive integer, got {gpus_per_node!r}"
-        )
-    if not isinstance(buckets, int) or buckets < 1:
-        raise ConfigurationError(
-            f"buckets must be a positive integer (gradient bucket count "
-            f"per step), got {buckets!r}"
-        )
-    if topology not in TOPOLOGIES:
-        raise ConfigurationError(
-            f"topology must be one of {TOPOLOGIES}, got {topology!r}"
-        )
-
-
-def validate_budget_args(
-    workload, epochs: Optional[int], total_steps: Optional[int]
-) -> None:
-    """The epoch-vs-iteration budget rules every job entry point shares."""
-    if epochs is not None and workload.iterations is not None:
-        raise ConfigurationError(
-            "epochs override requires an epoch-based workload; rebuild the "
-            "workload with epochs instead of iterations (loader tail "
-            "semantics differ between the two budgets)"
-        )
-    if total_steps is not None and epochs is not None:
-        raise ConfigurationError(
-            "total_steps fixes a cluster-wide step budget; it cannot be "
-            "combined with an epochs override"
-        )
-    if total_steps is not None and total_steps < 1:
-        raise ConfigurationError(
-            f"total_steps must be >= 1, got {total_steps!r}"
-        )
-
-
-def validate_job_mix(jobs: Sequence) -> None:
-    """Shared shape checks for a multi-tenant job mix.
-
-    ``jobs`` is any sequence of objects with ``job_id`` / ``priority`` /
-    ``arrival`` attributes (:class:`~repro.sim.scenarios.JobSpec` in
-    practice)."""
-    if not jobs:
-        raise ConfigurationError(
-            "job mix is empty; a JobMix needs at least one JobSpec"
-        )
-    seen: Set[str] = set()
-    for spec in jobs:
-        job_id = getattr(spec, "job_id", None)
-        if not isinstance(job_id, str) or not job_id:
-            raise ConfigurationError(
-                f"job_id must be a non-empty string, got {job_id!r}"
-            )
-        if job_id in seen:
-            raise ConfigurationError(f"duplicate job id {job_id!r} in mix")
-        seen.add(job_id)
-        if spec.priority < 0:
-            raise ConfigurationError(
-                f"job {job_id!r}: priority must be >= 0, got {spec.priority!r}"
-            )
-        if spec.arrival < 0:
-            raise ConfigurationError(
-                f"job {job_id!r}: arrival must be >= 0, got {spec.arrival!r}"
-            )
-
-
-# ---------------------------------------------------------------------------
 # Per-node shared resources
 # ---------------------------------------------------------------------------
 
@@ -417,11 +314,32 @@ class Cluster:
     jobs' collectives queue on the *same* NIC pipes; node sites are created
     lazily and persist across jobs (a second job arrives at a warm cache).
 
-    ``storage_over_nic=True`` routes every cache-miss sample read over the
-    owning node's inter-node link as well as its storage pipe, so loader
-    traffic and collective traffic contend on the same NIC -- the
-    remote-filesystem regime (Config A's Lustre).  Off by default: the
-    single-job equivalence pin covers the separate-worlds behaviour.
+    Every resource-owned knob is a parameter here, and only here:
+
+    * ``membership`` -- the join/leave/fail schedule and partition windows;
+    * ``hardware`` -- every node's config, unless ``node_hardware`` (node
+      id -> config, joining nodes included) lists the node: a node with
+      fewer cores or slower storage becomes a straggler whose tail latency
+      the per-step synchronization imposes on every other rank;
+    * ``gpus_per_node`` -- defaults to ``hardware.gpus_per_node``, else 1;
+    * ``cache_fraction`` -- sizes every node's page cache (fraction of its
+      hardware's memory); a node whose config sets its own
+      ``cache_fraction`` overrides it (heterogeneous cache sizes);
+    * ``topology`` -- the collective link layout: ``"flat"`` is one
+      world-wide NIC ring, ``"hierarchical"`` intra-node NVLink-class
+      rings (each node's ``intra_node_bandwidth`` / ``intra_node_latency``)
+      plus one inter-node NIC ring;
+    * ``link_latency`` / ``link_bandwidth`` -- the NIC-class links' per-hop
+      latency and bytes/s, shared by every job's collectives;
+    * ``storage_over_nic=True`` routes every cache-miss sample read over
+      the owning node's inter-node link as well as its storage pipe, so
+      loader traffic and collective traffic contend on the same NIC -- the
+      remote-filesystem regime (Config A's Lustre).  Off by default: the
+      single-job equivalence pin covers the separate-worlds behaviour;
+    * ``queue`` -- the kernel's event-queue implementation (see
+      :data:`repro.sim.kernel.QUEUE_KINDS`): ``None`` is the default
+      indexed queue, ``"heap"`` the exact binary-heap baseline.  Both
+      produce identical results; the benchmark suite measures the gap.
     """
 
     def __init__(
@@ -453,11 +371,23 @@ class Cluster:
             raise ConfigurationError(
                 f"link_latency must be >= 0, got {link_latency!r}"
             )
+        if gpus_per_node is None:
+            gpus_per_node = (
+                hardware.gpus_per_node
+                if hardware.gpus_per_node is not None
+                else 1
+            )
+        # a zero/negative count would otherwise surface as a divide-by-zero
+        # (or a silently empty round) deep inside the round executor
+        if not isinstance(gpus_per_node, int) or gpus_per_node < 1:
+            raise ConfigurationError(
+                f"gpus_per_node must be a positive integer, got {gpus_per_node!r}"
+            )
         self.env = Environment(queue=queue)
         self.membership = membership
         self.hardware = hardware
         self._hw_map: Dict[int, HardwareConfig] = dict(node_hardware or {})
-        self.gpus_per_node = resolve_gpus_per_node(gpus_per_node, hardware)
+        self.gpus_per_node = gpus_per_node
         self.cache_fraction = cache_fraction
         self.topology_name = topology
         self.link_latency = float(link_latency)
@@ -479,6 +409,28 @@ class Cluster:
     def shared(self) -> bool:
         """True once more than one job has attached to this cluster."""
         return self._attached_jobs > 1
+
+    def check_owned(self, **given) -> None:
+        """The one rule for a resource-owned knob repeated beside this
+        cluster: ``None`` or the cluster's own value is accepted, anything
+        else is a conflict -- never a silent overwrite."""
+        owned = {
+            "membership": self.membership,
+            "hardware": self.hardware,
+            "node_hardware": self._hw_map,
+            "gpus_per_node": self.gpus_per_node,
+            "cache_fraction": self.cache_fraction,
+            "topology": self.topology_name,
+            "link_latency": self.link_latency,
+            "link_bandwidth": self.link_bandwidth,
+        }
+        for knob, value in given.items():
+            if value is not None and value != owned[knob]:
+                raise ConfigurationError(
+                    f"{knob}={value!r} conflicts with the cluster's "
+                    f"{owned[knob]!r} ({knob} is cluster-owned; pass it to "
+                    f"Cluster(...))"
+                )
 
     # -- hardware ----------------------------------------------------------
 
@@ -526,12 +478,13 @@ class Cluster:
         return self._topology
 
     def make_fabric(
-        self, gradient_bytes: float, detection_timeout: float = 1.0
+        self, gradient_bytes: float, detection_timeout: float
     ) -> RingFabric:
         """A per-job ring fabric over the cluster's shared links.
 
-        Gradient size is the job's; latency/bandwidth and the link pipes
-        belong to the cluster, so concurrent jobs' collectives contend.
+        Gradient size and failure-detection timeout are the job's;
+        latency/bandwidth and the link pipes belong to the cluster, so
+        concurrent jobs' collectives contend.
         Partition windows on the membership are wired into the fabric's
         delivery path (cross-cut chunks stall until the window heals).
         """

@@ -40,10 +40,15 @@ bucketing over NCCL's hierarchical rings, in model form.
 Resource ownership lives one layer below, in :mod:`repro.sim.cluster`: a
 :class:`~repro.sim.cluster.Cluster` owns the kernel, the membership, the
 link topology and the per-node storage/cache/CPU sites.  A *job*
-(:class:`_ElasticJob`, the round executor behind :func:`run_elastic`) is
-submitted to a cluster; when none is passed, it builds a private one --
-byte-identical to the pre-refactor single-tenant behaviour (pinned by the
-kernel-equivalence tests).  Several jobs submitted to one shared cluster
+(:class:`_ElasticJob`, the round executor) is a :class:`JobSpec` submitted
+to a cluster -- those two records are the only configuration: every
+job-owned knob is a ``JobSpec`` field, every resource-owned one a
+``Cluster`` parameter, each declared, defaulted, documented and validated
+there and nowhere else.  :func:`run_elastic` / :func:`run_distributed` are
+conveniences that sort their keywords into the two (building a private
+cluster when none is passed -- byte-identical to the pre-refactor
+single-tenant behaviour, pinned by the kernel-equivalence tests).  Several
+jobs submitted to one shared cluster
 (:class:`~repro.sim.scenarios.JobMix`) contend for the same links, caches,
 storage pipes and cores.
 
@@ -67,9 +72,9 @@ change (measured per epoch per node via
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import ceil
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from ..data.samplers import ShardAssignment, ShardedSampler
 from ..data.storage import CacheSnapshot
@@ -79,16 +84,10 @@ from .checkpoint import CheckpointAccounting, CheckpointPolicy
 from .cluster import (
     DEFAULT_LINK_BANDWIDTH,
     DEFAULT_LINK_LATENCY,
-    EVENT_KINDS,
-    FABRICS,
     Cluster,
     ClusterMembership,
     MembershipEvent,
     PartitionEvent,
-    resolve_gpus_per_node,
-    validate_budget_args,
-    validate_fabric,
-    validate_step_loop_args,
 )
 from .fabric import RingFabric
 from .kernel import AllOf, Environment, Interrupt
@@ -103,17 +102,14 @@ __all__ = [
     "Cluster",
     "ClusterMembership",
     "DistributedResult",
+    "JobSpec",
     "MembershipEvent",
     "PartitionEvent",
     "run_distributed",
     "run_elastic",
 ]
 
-#: backwards-compatible aliases (the helpers moved to repro.sim.cluster so
-#: every job entry point -- run_elastic, run_distributed, JobMix -- shares
-#: one validation surface)
-_resolve_gpus_per_node = resolve_gpus_per_node
-_validate_step_loop_args = validate_step_loop_args
+FABRICS = ("analytic", "ring")
 
 
 @dataclass(frozen=True)
@@ -487,8 +483,178 @@ class DistributedResult:
 
 
 # ---------------------------------------------------------------------------
-# Static cluster: elastic with an empty event schedule
+# The job record and the two convenience front doors
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class JobSpec:
+    """One training job, as submitted to a :class:`~repro.sim.cluster.Cluster`.
+
+    Every *job-owned* knob is a field here, and only here; everything
+    resource-shaped (membership, topology, link parameters, per-node
+    hardware, caches, the kernel) belongs to the cluster the job runs on.
+    """
+
+    job_id: str
+    loader: str
+    workload_name: str
+    #: virtual seconds after t=0 at which the job starts its first round
+    arrival: float = 0.0
+    #: tie-break weight: at equal virtual timestamps, a higher-priority
+    #: job's processes are scheduled first (its link transfers win the
+    #: tie); must be >= 0
+    priority: int = 0
+    #: per-step gradient bytes this job synchronizes (the one
+    #: AllReduceModel knob a tenant may set; link params are cluster-owned)
+    gradient_bytes: float = AllReduceModel.gradient_bytes
+    #: dataset-size override for the synthetic workload (None: default)
+    dataset_size: Optional[int] = None
+    #: forwarded to the loader model's constructor
+    loader_kwargs: Optional[dict] = None
+    #: at most one of epochs / total_steps bounds the job (falling back to
+    #: the workload's own budget when both are None).  ``epochs`` overrides
+    #: an epoch-based workload's ``epochs``; ``total_steps`` fixes a
+    #: *cluster-wide* step budget (overriding ``workload.iterations``) that
+    #: every boundary re-splits across the current membership, so a
+    #: shrunken cluster runs more rounds rather than losing steps
+    epochs: Optional[int] = None
+    total_steps: Optional[int] = None
+    #: synchronization model: ``"ring"`` is the modelled per-link
+    #: :class:`~repro.sim.fabric.RingFabric` (a straggler delays its ring
+    #: neighbors; a dead rank stalls survivors at most
+    #: ``detection_timeout``), ``"analytic"`` the closed-form cost behind
+    #: a barrier
+    fabric: str = "ring"
+    detection_timeout: float = 1.0
+    #: ``"stride"``: rank slot = ``sorted(active)`` position, stride-sliced
+    #: shards; ``"locality"``: contiguous-block shards with the slot
+    #: assignment maximizing each survivor's overlap with its previous
+    #: shard, minimizing the re-shard's cache-warmup bytes
+    reshard: str = "stride"
+    #: ``buckets`` splits every step's gradient into that many slices, each
+    #: synchronized by its own collective; with ``overlap=True`` a bucket's
+    #: collective launches as soon as its slice of backward completes, so
+    #: only the non-overlapped remainder (``exposed_sync_seconds``) extends
+    #: the step.  ``overlap=False, buckets=1`` on a flat topology
+    #: reproduces the pre-refactor runner exactly (equivalence-pinned)
+    overlap: bool = False
+    buckets: int = 1
+    #: let the ring fabric serve homogeneous all-entered-together
+    #: collectives with one representative-rank schedule instead of ``W``
+    #: simulated ring processes -- timing-identical by construction, orders
+    #: of magnitude fewer kernel events.  The runner disables it for any
+    #: round with an armed fail event (mid-step failure needs per-rank
+    #: fidelity), whenever the cluster is shared by more than one job or
+    #: has partition windows (the collapsed path assumes idle links) and,
+    #: in overlap mode, for steps whose bucket collective may outlast a
+    #: backprop slice; it deactivates itself on heterogeneous links,
+    #: ragged arrivals, or churn
+    collapse: bool = True
+    #: periodic replica snapshots written through the nodes' storage pipes,
+    #: restore (from storage or a surviving peer) plus lost-step replay
+    #: after every fail event.  ``None``: state recovery stays free and
+    #: the run is byte-identical to a checkpoint-less build -- the policy
+    #: is strictly pay-as-you-go
+    checkpoint: Optional[CheckpointPolicy] = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.job_id, str) or not self.job_id:
+            raise ConfigurationError(
+                f"job_id must be a non-empty string, got {self.job_id!r}"
+            )
+        if self.priority < 0:
+            raise ConfigurationError(
+                f"job {self.job_id!r}: priority must be >= 0, "
+                f"got {self.priority!r}"
+            )
+        if self.arrival < 0:
+            raise ConfigurationError(
+                f"job {self.job_id!r}: arrival must be >= 0, "
+                f"got {self.arrival!r}"
+            )
+        if self.fabric not in FABRICS:
+            raise ConfigurationError(
+                f"fabric must be one of {FABRICS}, got {self.fabric!r}"
+            )
+        # a zero/negative count would otherwise surface as a
+        # divide-by-zero deep inside the round executor
+        if not isinstance(self.buckets, int) or self.buckets < 1:
+            raise ConfigurationError(
+                f"buckets must be a positive integer (gradient bucket count "
+                f"per step), got {self.buckets!r}"
+            )
+        if self.total_steps is not None and self.epochs is not None:
+            raise ConfigurationError(
+                "total_steps fixes a cluster-wide step budget; it cannot be "
+                "combined with an epochs override"
+            )
+        if self.total_steps is not None and self.total_steps < 1:
+            raise ConfigurationError(
+                f"total_steps must be >= 1, got {self.total_steps!r}"
+            )
+        if self.checkpoint is not None and not isinstance(
+            self.checkpoint, CheckpointPolicy
+        ):
+            raise ConfigurationError(
+                f"checkpoint must be a CheckpointPolicy, "
+                f"got {self.checkpoint!r}"
+            )
+
+
+#: keywords the front doors hand to ``JobSpec(...)``: every field except
+#: the identity ones they fill from their positional arguments, the
+#: mix-only ``arrival`` / ``priority``, and ``gradient_bytes`` (which
+#: arrives inside ``allreduce=``)
+_JOB_KNOBS = frozenset(f.name for f in fields(JobSpec)) - {
+    "job_id",
+    "loader",
+    "workload_name",
+    "dataset_size",
+    "arrival",
+    "priority",
+    "gradient_bytes",
+}
+#: keywords they hand to ``Cluster(...)`` (besides ``membership`` /
+#: ``hardware``, and the link parameters inside ``allreduce=``)
+_CLUSTER_KNOBS = (
+    "node_hardware",
+    "gpus_per_node",
+    "cache_fraction",
+    "topology",
+)
+
+
+def _front_door(door, hardware, membership, cluster, allreduce, knobs):
+    """Sort a front door's keywords by owner.
+
+    Returns the cluster the job runs on -- built from the resource-shaped
+    keywords when none was passed, otherwise checked against them (a knob
+    repeated beside a cluster must equal the cluster's value) -- and the
+    ``JobSpec`` keywords.  ``allreduce`` maps to the cluster's link
+    parameters plus ``JobSpec.gradient_bytes``.
+    """
+    for name in knobs:
+        if name not in _JOB_KNOBS and name not in _CLUSTER_KNOBS:
+            raise TypeError(
+                f"{door}() got an unexpected keyword argument {name!r}"
+            )
+    resources = {k: knobs.pop(k) for k in _CLUSTER_KNOBS if k in knobs}
+    if allreduce is not None:
+        resources["link_latency"] = allreduce.latency
+        resources["link_bandwidth"] = allreduce.bandwidth
+        knobs["gradient_bytes"] = allreduce.gradient_bytes
+    if cluster is not None:
+        cluster.check_owned(
+            membership=membership, hardware=hardware, **resources
+        )
+    elif membership is None:
+        raise ConfigurationError(
+            "a job needs a ClusterMembership or an explicit cluster"
+        )
+    else:
+        cluster = Cluster(membership, hardware, **resources)
+    return cluster, knobs
 
 
 def run_distributed(
@@ -496,21 +662,12 @@ def run_distributed(
     workload: WorkloadSpec,
     hardware: HardwareConfig,
     nodes: int,
-    gpus_per_node: Optional[int] = None,
-    allreduce: Optional[AllReduceModel] = None,
-    loader_kwargs: Optional[dict] = None,
+    *,
     steps_per_gpu: Optional[int] = None,
     node_hardware: Optional[Sequence[HardwareConfig]] = None,
-    fabric: str = "analytic",
-    reshard: str = "stride",
-    cache_fraction: float = 0.8,
-    topology: str = "flat",
-    overlap: bool = False,
-    buckets: int = 1,
-    collapse: bool = True,
-    queue: Optional[str] = None,
+    allreduce: Optional[AllReduceModel] = None,
     cluster: Optional[Cluster] = None,
-    checkpoint: Optional[CheckpointPolicy] = None,
+    **knobs,
 ) -> DistributedResult:
     """Simulate data-parallel training across ``nodes`` machines.
 
@@ -519,88 +676,60 @@ def run_distributed(
     dataset -- disjoint, equal-length slices of each epoch's global
     shuffle.  Training is synchronous: all GPUs in the cluster execute
     step ``k``, then synchronize gradients before step ``k+1`` -- DDP
-    semantics.  ``fabric`` selects the synchronization model: the analytic
-    closed form behind a barrier, or the modelled per-link ring
-    (:class:`~repro.sim.fabric.RingFabric`), under which a straggler delays
-    its ring neighbors instead of being averaged away.
-
-    ``node_hardware`` (one config per node) models heterogeneous clusters:
-    a node with fewer CPU cores or slower storage becomes a straggler whose
-    tail latency the per-step synchronization imposes on every other rank.
+    semantics.
 
     A static cluster is exactly an elastic one with an empty event
-    schedule, so this is a thin wrapper over :func:`run_elastic` -- the DDP
-    step loop, barrier and fabric wiring exist once.  ``steps_per_gpu``
-    (defaulting to the cluster-wide iteration budget split across ranks for
-    iteration workloads) becomes a cluster-wide ``total_steps`` budget that
-    the round executor consumes in shard-pass rounds.
-
-    Passing ``cluster`` submits this run as a job to an existing
-    :class:`~repro.sim.cluster.Cluster` (see :func:`run_elastic`); the
-    cluster then owns membership, kernel, topology and per-node resources,
-    and ``nodes`` must match its initial membership.
+    schedule, so this is :func:`run_elastic` with three translations:
+    ``nodes`` becomes ``ClusterMembership(nodes)`` (or must match
+    ``cluster``'s initial membership), list-style ``node_hardware`` (one
+    config per node) becomes the cluster's node-id map, and
+    ``steps_per_gpu`` (defaulting to the cluster-wide iteration budget
+    split across ranks for iteration workloads) becomes a cluster-wide
+    ``total_steps``.  Remaining keywords are :class:`JobSpec` fields or
+    :class:`~repro.sim.cluster.Cluster` parameters, exactly as in
+    :func:`run_elastic` -- except that ``fabric`` defaults to
+    ``"analytic"`` here.
     """
-    if cluster is not None:
-        if nodes != cluster.membership.initial_nodes:
-            raise ConfigurationError(
-                f"nodes={nodes!r} conflicts with the cluster's "
-                f"{cluster.membership.initial_nodes} initial nodes"
-            )
-        if node_hardware is not None:
-            raise ConfigurationError(
-                "node_hardware is cluster-owned; pass it to Cluster(...)"
-            )
-        gpus_per_node = (
-            cluster.gpus_per_node if gpus_per_node is None else gpus_per_node
+    if "total_steps" in knobs:
+        # this door spells the budget per GPU; never overwrite silently
+        raise TypeError(
+            "run_distributed() got an unexpected keyword argument "
+            "'total_steps' (pass steps_per_gpu)"
         )
-        topology = cluster.topology_name
-    else:
-        if nodes < 1:
-            raise ConfigurationError(f"nodes must be >= 1, got {nodes!r}")
-        if node_hardware is not None and len(node_hardware) != nodes:
+    knobs.setdefault("fabric", "analytic")
+    membership = None
+    if cluster is None:
+        membership = ClusterMembership(nodes)
+    elif nodes != cluster.membership.initial_nodes:
+        raise ConfigurationError(
+            f"nodes={nodes!r} conflicts with the cluster's "
+            f"{cluster.membership.initial_nodes} initial nodes"
+        )
+    if node_hardware is not None:
+        if len(node_hardware) != nodes:
             raise ConfigurationError(
                 f"node_hardware must list one config per node: "
                 f"got {len(node_hardware)} for {nodes} nodes"
             )
-        gpus_per_node = resolve_gpus_per_node(gpus_per_node, hardware)
-    validate_step_loop_args(gpus_per_node, buckets, topology)
-    world = nodes * gpus_per_node
-    total_steps: Optional[int] = None
+        node_hardware = dict(enumerate(node_hardware))
+    cluster, job_knobs = _front_door(
+        "run_distributed",
+        hardware,
+        membership,
+        cluster,
+        allreduce,
+        dict(knobs, node_hardware=node_hardware),
+    )
+    world = nodes * cluster.gpus_per_node
     if steps_per_gpu is not None:
-        total_steps = steps_per_gpu * world
+        job_knobs["total_steps"] = steps_per_gpu * world
     elif workload.epochs is None:
         # iteration budget is cluster-wide: split it across all ranks
-        total_steps = max(1, (workload.iterations + world - 1) // world) * world
-    return run_elastic(
-        loader_name,
-        workload,
-        hardware,
-        ClusterMembership(nodes) if cluster is None else None,
-        gpus_per_node=gpus_per_node,
-        allreduce=allreduce,
-        loader_kwargs=loader_kwargs,
-        node_hardware=(
-            {node: hw for node, hw in enumerate(node_hardware)}
-            if node_hardware is not None
-            else None
-        ),
-        fabric=fabric,
-        total_steps=total_steps,
-        reshard=reshard,
-        cache_fraction=cache_fraction,
-        topology=topology,
-        overlap=overlap,
-        buckets=buckets,
-        collapse=collapse,
-        queue=queue,
-        cluster=cluster,
-        checkpoint=checkpoint,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Elastic cluster
-# ---------------------------------------------------------------------------
+        job_knobs["total_steps"] = (
+            max(1, (workload.iterations + world - 1) // world) * world
+        )
+    spec = JobSpec("job0", loader_name, workload.name, **job_knobs)
+    return _ElasticJob(cluster, spec, workload).execute()
 
 
 def run_elastic(
@@ -608,38 +737,28 @@ def run_elastic(
     workload: WorkloadSpec,
     hardware: HardwareConfig,
     membership: Optional[ClusterMembership] = None,
-    gpus_per_node: Optional[int] = None,
+    *,
     allreduce: Optional[AllReduceModel] = None,
-    loader_kwargs: Optional[dict] = None,
-    epochs: Optional[int] = None,
-    node_hardware: Optional[Dict[int, HardwareConfig]] = None,
-    fabric: str = "ring",
-    detection_timeout: float = 1.0,
-    reshard: str = "stride",
-    total_steps: Optional[int] = None,
-    cache_fraction: float = 0.8,
-    topology: str = "flat",
-    overlap: bool = False,
-    buckets: int = 1,
-    collapse: bool = True,
-    queue: Optional[str] = None,
     cluster: Optional[Cluster] = None,
-    checkpoint: Optional[CheckpointPolicy] = None,
+    **knobs,
 ) -> DistributedResult:
     """Simulate elastic data-parallel training over a membership schedule.
 
-    This is *the* round executor's front door: static runs
-    (:func:`run_distributed`) are the degenerate case of an empty event
-    schedule, and multi-tenant mixes
-    (:class:`~repro.sim.scenarios.JobMix`) submit several of these jobs to
-    one shared :class:`~repro.sim.cluster.Cluster`.
+    One :class:`JobSpec` run alone on one
+    :class:`~repro.sim.cluster.Cluster`.  Each remaining keyword is either
+    a ``JobSpec`` field (``fabric``, ``total_steps``, ``overlap``,
+    ``buckets``, ``checkpoint``, ...) or a ``Cluster`` parameter
+    (``gpus_per_node``, ``node_hardware``, ``cache_fraction``,
+    ``topology``) -- documented, defaulted and validated there; anything
+    else is a ``TypeError``.  ``allreduce`` carries the cluster's link
+    latency/bandwidth plus the job's ``gradient_bytes``.  Without
+    ``cluster`` a private one is built from ``membership``, ``hardware``
+    and the resource-shaped keywords; with one, the cluster owns them, and
+    any repeated beside it must equal the cluster's value.
 
     Execution is epoch-wise.  At each epoch boundary the pending join/leave
     events are applied, a :class:`~repro.data.samplers.ShardAssignment`
-    maps the surviving membership to rank slots (``reshard="stride"``:
-    ``sorted(active)`` position, stride-sliced shards; ``"locality"``:
-    contiguous-block shards with the slot assignment maximizing each
-    survivor's overlap with its previous shard), and every member's
+    maps the surviving membership to rank slots, and every member's
     :class:`~repro.data.samplers.ShardedSampler` is re-derived for the new
     membership via ``reshard(world_size, rank)`` -- so each epoch the
     surviving cluster again covers the dataset with disjoint, equal-length
@@ -650,93 +769,17 @@ def run_elastic(
     halted, and the synchronization fabric is told to abort its ranks so
     the survivors stall at most ``detection_timeout``, never forever.
 
-    Epoch-based workloads run ``workload.epochs`` epochs (override with
-    ``epochs``).  Iteration-based workloads fix a *cluster-wide* step
-    budget (``total_steps`` overrides ``workload.iterations``): each
-    boundary re-splits the remaining budget across the current membership,
-    so a shrunken cluster runs more rounds rather than losing steps.
-
     Every round records, per node, the shard-overlap fraction with the
     node's previous round and the page-cache counter deltas
     (``epoch_shard_overlap`` / ``epoch_cache_deltas`` on the result): the
     miss bytes of the round after a membership change are the re-shard's
     cache-warmup cost, the quantity ``reshard="locality"`` minimizes.
-
-    ``node_hardware`` maps node id -> config (joining nodes included);
-    unlisted nodes run ``hardware``.  ``cache_fraction`` sizes every
-    node's page cache (fraction of its hardware's memory); a node whose
-    config sets its own ``cache_fraction`` overrides it (heterogeneous
-    cache sizes).
-
-    ``topology`` selects the collective link layout (``"flat"``: one
-    world-wide NIC ring; ``"hierarchical"``: intra-node NVLink-class rings
-    plus one inter-node NIC ring, using each node's
-    ``intra_node_bandwidth`` / ``intra_node_latency``).  ``buckets`` splits
-    every step's gradient into that many slices, each synchronized by its
-    own collective; with ``overlap=True`` a bucket's collective launches as
-    soon as its slice of backward completes, so only the non-overlapped
-    remainder (reported as ``exposed_sync_seconds``) extends the step.
-    ``topology="flat", overlap=False, buckets=1`` reproduces the
-    pre-refactor runner exactly (equivalence-pinned in tests).
-
-    ``collapse`` (default on) lets the ring fabric serve homogeneous
-    all-entered-together collectives with one representative-rank schedule
-    instead of ``W`` simulated ring processes -- timing-identical by
-    construction, orders of magnitude fewer kernel events.  The runner
-    disables it for any round with an armed fail event (mid-step failure
-    needs per-rank fidelity), whenever the cluster is shared by more than
-    one job or has partition windows (the collapsed path assumes idle
-    links) and, in overlap mode, for steps whose bucket collective may
-    outlast a backprop slice; it deactivates itself on heterogeneous
-    links, ragged arrivals, or churn.
-
-    ``queue`` selects the kernel's event-queue implementation (see
-    :data:`repro.sim.kernel.QUEUE_KINDS`); ``None`` uses the default
-    indexed queue, ``"heap"`` the exact binary-heap baseline -- both
-    produce identical results, the benchmark suite measures the gap.
-
-    ``cluster`` submits the run to an existing
-    :class:`~repro.sim.cluster.Cluster` instead of constructing a private
-    one.  The cluster owns the kernel, membership, link topology, per-node
-    caches/storage/cores and link parameters; ``queue`` / ``node_hardware``
-    / a conflicting ``membership`` are rejected, and the cluster's
-    ``topology`` / ``hardware`` / ``gpus_per_node`` / ``cache_fraction``
-    govern.  Without ``cluster`` a private one is built from these
-    arguments -- byte-identical to the pre-refactor behaviour.
-
-    ``checkpoint`` attaches a
-    :class:`~repro.sim.checkpoint.CheckpointPolicy`: periodic replica
-    snapshots written through the nodes' storage pipes, restore (from
-    storage or a surviving peer) plus lost-step replay after every fail
-    event, reported via ``checkpoint_write_seconds`` /
-    ``restore_seconds`` / ``lost_steps`` / ``checkpoint_bytes``.  With
-    ``checkpoint=None`` the run is byte-identical to a checkpoint-less
-    build -- the policy is strictly pay-as-you-go.
     """
-    job = _ElasticJob(
-        loader_name,
-        workload,
-        hardware,
-        membership,
-        cluster=cluster,
-        gpus_per_node=gpus_per_node,
-        allreduce=allreduce,
-        loader_kwargs=loader_kwargs,
-        epochs=epochs,
-        node_hardware=node_hardware,
-        fabric=fabric,
-        detection_timeout=detection_timeout,
-        reshard=reshard,
-        total_steps=total_steps,
-        cache_fraction=cache_fraction,
-        topology=topology,
-        overlap=overlap,
-        buckets=buckets,
-        collapse=collapse,
-        queue=queue,
-        checkpoint=checkpoint,
+    cluster, job_knobs = _front_door(
+        "run_elastic", hardware, membership, cluster, allreduce, knobs
     )
-    return job.execute()
+    spec = JobSpec("job0", loader_name, workload.name, **job_knobs)
+    return _ElasticJob(cluster, spec, workload).execute()
 
 
 class _RoundState:
@@ -768,117 +811,33 @@ class _RoundState:
 class _ElasticJob:
     """One elastic data-parallel training job submitted to a cluster.
 
-    The pre-refactor ``run_elastic`` body, restructured: configuration and
-    resource wiring in ``__init__`` (cluster-facing), the round loop as the
-    :meth:`run` generator (so a cluster can interleave many jobs in one
-    kernel), per-round planning/spawning/recording as methods.  A job built
-    without an explicit cluster constructs a private one and
-    :meth:`execute` drives the kernel itself -- the single-tenant path,
-    byte-identical to the old inline loop (the job process adds exactly one
-    initialization event, which shifts every event id uniformly and leaves
-    all virtual timestamps and orderings unchanged; pinned by the
-    kernel-equivalence suite).
+    ``__init__`` is where job meets cluster: the cross-checks that need
+    both records, then resource wiring.  The round loop is the :meth:`run`
+    generator (so a cluster can interleave many jobs in one kernel), with
+    per-round planning/spawning/recording as methods; :meth:`execute`
+    drives the cluster's kernel for a job running alone (the job process
+    adds exactly one initialization event over the pre-refactor inline
+    loop, which shifts every event id uniformly and leaves all virtual
+    timestamps and orderings unchanged; pinned by the kernel-equivalence
+    suite).  ``cache_namespace`` keys this job's page-cache entries apart
+    from other tenants' on a shared cluster.
     """
 
     def __init__(
         self,
-        loader_name: str,
+        cluster: Cluster,
+        spec: JobSpec,
         workload: WorkloadSpec,
-        hardware: HardwareConfig,
-        membership: Optional[ClusterMembership] = None,
-        *,
-        cluster: Optional[Cluster] = None,
-        gpus_per_node: Optional[int] = None,
-        allreduce: Optional[AllReduceModel] = None,
-        loader_kwargs: Optional[dict] = None,
-        epochs: Optional[int] = None,
-        node_hardware: Optional[Dict[int, HardwareConfig]] = None,
-        fabric: str = "ring",
-        detection_timeout: float = 1.0,
-        reshard: str = "stride",
-        total_steps: Optional[int] = None,
-        cache_fraction: float = 0.8,
-        topology: str = "flat",
-        overlap: bool = False,
-        buckets: int = 1,
-        collapse: bool = True,
-        queue: Optional[str] = None,
-        checkpoint: Optional[CheckpointPolicy] = None,
-        job_id: str = "job0",
-        arrival: float = 0.0,
         cache_namespace=None,
     ) -> None:
-        validate_fabric(fabric)
-        if arrival < 0:
-            raise ConfigurationError(f"arrival must be >= 0, got {arrival!r}")
-        if checkpoint is not None and not isinstance(
-            checkpoint, CheckpointPolicy
-        ):
-            raise ConfigurationError(
-                f"checkpoint must be a CheckpointPolicy, got {checkpoint!r}"
-            )
-        if cluster is None:
-            if membership is None:
-                raise ConfigurationError(
-                    "a job needs a ClusterMembership or an explicit cluster"
-                )
-            gpus_per_node = resolve_gpus_per_node(gpus_per_node, hardware)
-            allreduce = allreduce if allreduce is not None else AllReduceModel()
-            cluster = Cluster(
-                membership,
-                hardware,
-                node_hardware=node_hardware,
-                gpus_per_node=gpus_per_node,
-                cache_fraction=cache_fraction,
-                topology=topology,
-                link_latency=allreduce.latency,
-                link_bandwidth=allreduce.bandwidth,
-                queue=queue,
-            )
-        else:
-            if queue is not None:
-                raise ConfigurationError(
-                    "queue selects the kernel, which the cluster owns; pass "
-                    "queue= to Cluster(...) instead"
-                )
-            if node_hardware is not None:
-                raise ConfigurationError(
-                    "node_hardware is cluster-owned; pass it to Cluster(...)"
-                )
-            if membership is not None and membership is not cluster.membership:
-                raise ConfigurationError(
-                    "membership is cluster-owned; submit the job without one "
-                    "(or pass cluster.membership)"
-                )
-            if (
-                gpus_per_node is not None
-                and gpus_per_node != cluster.gpus_per_node
-            ):
-                raise ConfigurationError(
-                    f"gpus_per_node={gpus_per_node!r} conflicts with the "
-                    f"cluster's {cluster.gpus_per_node}"
-                )
-            gpus_per_node = cluster.gpus_per_node
-            hardware = cluster.hardware
-            topology = cluster.topology_name
-            if allreduce is None:
-                allreduce = AllReduceModel(
-                    latency=cluster.link_latency,
-                    bandwidth=cluster.link_bandwidth,
-                )
-            elif fabric == "ring" and (
-                allreduce.latency != cluster.link_latency
-                or allreduce.bandwidth != cluster.link_bandwidth
-            ):
-                raise ConfigurationError(
-                    "link latency/bandwidth are cluster-owned; a job's "
-                    "AllReduceModel may only override gradient_bytes on a "
-                    "shared cluster"
-                )
         membership = cluster.membership
-        validate_step_loop_args(gpus_per_node, buckets, topology)
-        validate_budget_args(workload, epochs, total_steps)
-        if membership.partitions and fabric != "ring":
+        if spec.epochs is not None and workload.iterations is not None:
+            raise ConfigurationError(
+                "epochs override requires an epoch-based workload; rebuild the "
+                "workload with epochs instead of iterations (loader tail "
+                "semantics differ between the two budgets)"
+            )
+        if membership.partitions and spec.fabric != "ring":
             raise ConfigurationError(
                 "network partitions stall ring deliveries; the analytic "
                 "barrier has no links to stall -- use fabric='ring'"
@@ -888,58 +847,65 @@ class _ElasticJob:
         self.cluster = cluster
         self.env = cluster.env
         self.membership = membership
-        self.loader_name = loader_name
+        self.spec = spec
         self.workload = workload
-        self.hardware = hardware
-        self.gpus_per_node = gpus_per_node
-        self.allreduce = allreduce
-        self.fabric_name = fabric
-        self.detection_timeout = detection_timeout
-        self.reshard = reshard
-        self.topology = topology
-        self.overlap = overlap
-        self.buckets = buckets
-        self.job_id = job_id
-        self.arrival = arrival
+        self.hardware = cluster.hardware
+        self.gpus_per_node = cluster.gpus_per_node
+        self.topology = cluster.topology_name
+        #: the closed-form costs and gradient size: the cluster's links,
+        #: this job's bytes
+        self.allreduce = AllReduceModel(
+            latency=cluster.link_latency,
+            gradient_bytes=spec.gradient_bytes,
+            bandwidth=cluster.link_bandwidth,
+        )
+        # read every step by the step loop: plain attributes, not spec hops
+        self.overlap = spec.overlap
+        self.buckets = spec.buckets
+        self.job_id = spec.job_id
+        self.checkpoint = spec.checkpoint
         self.cache_namespace = cache_namespace
-        self.checkpoint = checkpoint
         #: checkpoint bookkeeping; None exactly when no policy is attached
         #: (every hook below is guarded, so the no-checkpoint path issues
         #: zero extra kernel events -- equivalence-pinned)
         self.ckpt: Optional[CheckpointAccounting] = (
-            CheckpointAccounting() if checkpoint is not None else None
+            CheckpointAccounting() if spec.checkpoint is not None else None
         )
         #: partitions need per-rank fidelity for the rounds they stall, and
         #: their windows are time-anchored (any round may be hit)
-        self.collapse_requested = collapse and not membership.partitions
+        self.collapse_requested = spec.collapse and not membership.partitions
 
-        self.assignment = ShardAssignment(reshard)
-        base_kwargs = dict(loader_kwargs or {})
+        self.assignment = ShardAssignment(spec.reshard)
+        base_kwargs = dict(spec.loader_kwargs or {})
         for key in ("shard_rank", "shard_world_size", "total_batches_override"):
             base_kwargs.pop(key, None)
         self.seed = base_kwargs.get("seed", 0)
         self.n_samples = len(workload.dataset)
         self.batch_size = workload.batch_size
-        self.epoch_mode = total_steps is None and (
-            workload.epochs is not None or epochs is not None
+        self.epoch_mode = spec.total_steps is None and (
+            workload.epochs is not None or spec.epochs is not None
         )
-        self.total_epochs = epochs if epochs is not None else workload.epochs
+        self.total_epochs = (
+            spec.epochs if spec.epochs is not None else workload.epochs
+        )
         if self.epoch_mode:
             self.remaining_steps = None
         else:
             self.remaining_steps = (
-                total_steps if total_steps is not None else workload.iterations
+                spec.total_steps
+                if spec.total_steps is not None
+                else workload.iterations
             )
 
         self.ring: Optional[RingFabric] = None
-        if fabric == "ring":
+        if spec.fabric == "ring":
             self.ring = cluster.make_fabric(
-                allreduce.gradient_bytes, detection_timeout=detection_timeout
+                spec.gradient_bytes, detection_timeout=spec.detection_timeout
             )
 
         # one template loader: every per-(node, epoch) clone shares its
         # per-sample cost memos
-        self.template = make_sim_loader(loader_name, **base_kwargs)
+        self.template = make_sim_loader(spec.loader, **base_kwargs)
 
         #: this job's completion-attributed per-class link wait: the sink
         #: shared by its loader / checkpoint streams; merged with the ring
@@ -994,8 +960,8 @@ class _ElasticJob:
         """The job as a kernel process (a generator): round loop with a
         completion barrier per round.  A shared cluster runs many of these
         concurrently in one kernel."""
-        if self.arrival > 0:
-            yield self.env.timeout(self.arrival)
+        if self.spec.arrival > 0:
+            yield self.env.timeout(self.spec.arrival)
         self.started_at = self.env.now
         while True:
             if self.epoch_mode and self.round_index >= self.total_epochs:
@@ -1667,7 +1633,7 @@ class _ElasticJob:
                     )
                 )
         return DistributedResult(
-            loader=self.loader_name,
+            loader=self.spec.loader,
             workload=self.workload.name,
             nodes=self.membership.initial_nodes,
             gpus_per_node=self.gpus_per_node,
@@ -1695,7 +1661,7 @@ class _ElasticJob:
             node_hardware_names=[
                 self.cluster.hw_for(node).name for node in seen_nodes
             ],
-            fabric=self.fabric_name,
+            fabric=self.spec.fabric,
             node_ids=seen_nodes,
             per_node_active_seconds=[
                 max(0.0, windows[node][1] - windows[node][0])
@@ -1704,7 +1670,7 @@ class _ElasticJob:
             epoch_membership=self.epoch_membership,
             epoch_shard_sizes=self.epoch_shard_sizes,
             epoch_coverage=self.epoch_coverage,
-            reshard_policy=self.reshard,
+            reshard_policy=self.spec.reshard,
             epoch_shard_overlap=self.epoch_shard_overlap,
             epoch_cache_deltas=self.epoch_cache_deltas,
             epoch_stale_bytes=self.epoch_stale_bytes,

@@ -245,10 +245,6 @@ class SimContext:
             self.gpu_recorders[gpu].record(start, self.env.now, "preprocess")
 
 
-#: shared with the threaded engine (kept under the old name for importers)
-_deal_batch_plan = deal_batch_plan
-
-
 class BaseSimLoader:
     """Common surface: batch stores + per-GPU consumption generators.
 

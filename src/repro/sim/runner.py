@@ -136,7 +136,6 @@ def run_simulation(
     loader = make_sim_loader(loader_name, **(loader_kwargs or {}))
     loader.start(ctx)
 
-    per_gpu = workload.batches_per_gpu(num_gpus)
     total = workload.total_batches(num_gpus)
     # deal per-GPU step counts (sum == total)
     steps = [total // num_gpus] * num_gpus
@@ -219,5 +218,4 @@ def run_simulation(
         result.extras["profiler"] = loader.profiler.snapshot()
     if hasattr(loader, "auto_order_permutation"):
         result.extras["auto_order_permutation"] = loader.auto_order_permutation
-    del per_gpu
     return result

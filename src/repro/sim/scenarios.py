@@ -3,13 +3,14 @@
 A production cluster rarely runs one training job at a time.  The paper's
 contention story -- loaders, collectives and the page cache fighting over a
 node's data path -- compounds when *several* jobs share the machines: two
-jobs' collectives queue on the same NIC pipes, their loaders on the same
+jobs' collectives wait on the same NIC pipes, their loaders on the same
 storage device, their working sets in the same physical page cache.
 
 This module composes the pieces below it into that setting.  A
-:class:`JobSpec` describes one tenant's training job (everything
-job-owned: workload, loader, step budget, overlap/bucketing, arrival
-time); a :class:`JobMix` submits a set of them to one shared
+:class:`~repro.sim.distributed.JobSpec` describes one tenant's training
+job (everything job-owned: workload, loader, step budget,
+overlap/bucketing, arrival time); a :class:`JobMix` submits a set of them
+to one shared
 :class:`~repro.sim.cluster.Cluster` and drives the cluster's kernel until
 every job finishes, returning a :class:`MixResult` with per-tenant metrics
 (makespan, exposed sync, cache hit/miss bytes, link-contention seconds).
@@ -39,7 +40,7 @@ kernel-equivalence suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ConfigurationError
 from .checkpoint import CheckpointPolicy
@@ -48,9 +49,8 @@ from .cluster import (
     ClusterMembership,
     MembershipEvent,
     PartitionEvent,
-    validate_job_mix,
 )
-from .distributed import AllReduceModel, DistributedResult, _ElasticJob
+from .distributed import DistributedResult, JobSpec, _ElasticJob
 from .kernel import AllOf
 from .workloads import CONFIG_A, make_workload
 
@@ -63,51 +63,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class JobSpec:
-    """One tenant's training job, as submitted to a shared cluster.
-
-    Only *job-owned* knobs live here; everything resource-shaped
-    (membership, topology, link parameters, per-node hardware, caches)
-    belongs to the :class:`~repro.sim.cluster.Cluster` the mix runs on.
-    """
-
-    job_id: str
-    loader: str
-    workload_name: str
-    #: virtual seconds after t=0 at which the job starts its first round
-    arrival: float = 0.0
-    #: tie-break weight: at equal virtual timestamps, a higher-priority
-    #: job's processes are scheduled first (its link transfers win the
-    #: tie); must be >= 0
-    priority: int = 0
-    #: per-step gradient bytes this job synchronizes (the one
-    #: AllReduceModel knob a tenant may set; link params are cluster-owned)
-    gradient_bytes: float = 400e6
-    #: dataset-size override for the synthetic workload (None: default)
-    dataset_size: Optional[int] = None
-    loader_kwargs: Optional[dict] = None
-    #: exactly one of epochs / total_steps bounds the job (falling back to
-    #: the workload's own budget when both are None)
-    epochs: Optional[int] = None
-    total_steps: Optional[int] = None
-    fabric: str = "ring"
-    detection_timeout: float = 1.0
-    reshard: str = "stride"
-    overlap: bool = False
-    buckets: int = 1
-    collapse: bool = True
-    #: periodic state snapshots + failure restore/replay for this tenant
-    #: (None: state recovery stays free, the pre-checkpoint behaviour)
-    checkpoint: Optional[CheckpointPolicy] = None
-
-
 class JobMix:
     """A set of concurrent jobs submitted to one shared cluster.
 
-    Construction validates the mix shape (non-empty, unique non-empty job
-    ids, non-negative priorities and arrivals -- the same helper
-    :func:`~repro.sim.cluster.validate_job_mix` every entry point uses);
+    Construction validates the mix shape (non-empty, unique job ids; each
+    spec validated its own fields when it was built);
     :meth:`run` spawns each job as a kernel process (higher priority
     first, so priority decides equal-timestamp ties on the shared links),
     drives the cluster's kernel until all of them finish, and aggregates
@@ -122,7 +82,17 @@ class JobMix:
     """
 
     def __init__(self, jobs: Sequence[JobSpec], cluster: Cluster) -> None:
-        validate_job_mix(jobs)
+        if not jobs:
+            raise ConfigurationError(
+                "job mix is empty; a JobMix needs at least one JobSpec"
+            )
+        seen: Set[str] = set()
+        for spec in jobs:
+            if spec.job_id in seen:
+                raise ConfigurationError(
+                    f"duplicate job id {spec.job_id!r} in mix"
+                )
+            seen.add(spec.job_id)
         if not isinstance(cluster, Cluster):
             raise ConfigurationError(
                 f"a JobMix runs on a Cluster, got {cluster!r}"
@@ -143,31 +113,12 @@ class JobMix:
         procs = []
         for i in order:
             spec = self.jobs[i]
-            workload = make_workload(
-                spec.workload_name, dataset_size=spec.dataset_size
-            )
             job = _ElasticJob(
-                spec.loader,
-                workload,
-                cluster.hardware,
-                cluster=cluster,
-                allreduce=AllReduceModel(
-                    latency=cluster.link_latency,
-                    bandwidth=cluster.link_bandwidth,
-                    gradient_bytes=spec.gradient_bytes,
+                cluster,
+                spec,
+                make_workload(
+                    spec.workload_name, dataset_size=spec.dataset_size
                 ),
-                loader_kwargs=spec.loader_kwargs,
-                epochs=spec.epochs,
-                fabric=spec.fabric,
-                detection_timeout=spec.detection_timeout,
-                reshard=spec.reshard,
-                total_steps=spec.total_steps,
-                overlap=spec.overlap,
-                buckets=spec.buckets,
-                collapse=spec.collapse,
-                checkpoint=spec.checkpoint,
-                job_id=spec.job_id,
-                arrival=spec.arrival,
                 cache_namespace=spec.job_id if shared else None,
             )
             elastic[spec.job_id] = job
@@ -356,7 +307,7 @@ def preset_worker_failure(scale: float = 1.0) -> JobMix:
 def preset_checkpoint_heavy(scale: float = 1.0) -> JobMix:
     """``worker_failure`` with checkpoint economics: tenant-a snapshots
     its replica state every step through the shared per-node storage
-    pipes, so tenant-b's loader misses queue behind snapshot bursts --
+    pipes, so tenant-b's loader misses wait behind snapshot bursts --
     checkpoint traffic measurably slows a co-tenant that never asked for
     it.  When the node dies, tenant-a restores from storage and replays;
     tenant-b (no policy) re-shards for free, exactly as before.

@@ -5,9 +5,15 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 import numpy as np
+import pytest
 
 from repro.data.dataset import Dataset
 from repro.data.sample import Sample, SampleSpec
+from repro.errors import ConfigurationError
+from repro.sim.cluster import Cluster, ClusterMembership
+from repro.sim.distributed import JobSpec, run_distributed, run_elastic
+from repro.sim.scenarios import JobMix
+from repro.sim.workloads import CONFIG_A, make_workload
 from repro.transforms.base import Pipeline, PipelineState, SizeEffect, Transform, WorkContext
 
 
@@ -96,3 +102,62 @@ def mixed_cost_dataset(
     """Every ``slow_period``-th sample costs ``slow_cost``; others ``fast_cost``."""
     costs = [slow_cost if i % slow_period == 0 else fast_cost for i in range(n)]
     return StubDataset(costs)
+
+
+# ---------------------------------------------------------------------------
+# Every way to submit a simulated job (inputs to the validation tests)
+# ---------------------------------------------------------------------------
+
+_DOOR_NODES = 2
+
+
+def _door_workload():
+    return make_workload("speech_3s", dataset_size=120).scaled(0.02)
+
+
+def _via_run_distributed(total_steps=None, **knobs):
+    # this door spells the step budget per GPU
+    if total_steps is not None:
+        knobs["steps_per_gpu"] = total_steps // _DOOR_NODES
+    return run_distributed(
+        "minato", _door_workload(), CONFIG_A, nodes=_DOOR_NODES, **knobs
+    )
+
+
+def _via_run_elastic(**knobs):
+    return run_elastic(
+        "minato", _door_workload(), CONFIG_A, ClusterMembership(_DOOR_NODES),
+        **knobs,
+    )
+
+
+def _via_job_mix(**knobs):
+    resources = {
+        name: knobs.pop(name)
+        for name in ("gpus_per_node", "topology")
+        if name in knobs
+    }
+    spec = JobSpec(
+        job_id="job0", loader="minato", workload_name="speech_3s",
+        dataset_size=120, **knobs,
+    )
+    cluster = Cluster(ClusterMembership(_DOOR_NODES), CONFIG_A, **resources)
+    return JobMix([spec], cluster).run()
+
+
+#: name -> callable(**knobs) submitting one small speech job on two nodes;
+#: a knob rule holds at every door or it is not a rule
+FRONT_DOORS = {
+    "run_distributed": _via_run_distributed,
+    "run_elastic": _via_run_elastic,
+    "JobMix": _via_job_mix,
+}
+
+
+def assert_every_door_rejects(match, **knobs):
+    """``knobs`` must raise a ConfigurationError matching ``match`` at
+    each front door."""
+    for name, door in FRONT_DOORS.items():
+        with pytest.raises(ConfigurationError, match=match):
+            door(**knobs)
+            pytest.fail(f"{name} accepted {knobs!r}")

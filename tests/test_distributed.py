@@ -8,6 +8,7 @@ from repro.errors import ConfigurationError
 from repro.sim.distributed import AllReduceModel, run_distributed
 from repro.sim.runner import run_simulation
 from repro.sim.workloads import CONFIG_A, make_workload
+from tests.helpers import assert_every_door_rejects
 
 
 def tiny_speech(scale=0.02):
@@ -37,10 +38,7 @@ def test_allreduce_bandwidth_term_bounded():
 
 
 def test_run_distributed_validates_fabric():
-    import pytest as _pytest
-
-    with _pytest.raises(ConfigurationError):
-        run_distributed("minato", tiny_speech(), CONFIG_A, nodes=2, fabric="torus")
+    assert_every_door_rejects("fabric must be one of", fabric="torus")
 
 
 def test_ring_fabric_matches_analytic_on_homogeneous_cluster():

@@ -18,6 +18,7 @@ from repro.sim.distributed import (
     run_elastic,
 )
 from repro.sim.workloads import CONFIG_A, make_workload
+from tests.helpers import assert_every_door_rejects
 
 DEADLOCK_TIMEOUT = 60.0  # wall seconds; generous, the runs take ~1 s
 
@@ -102,9 +103,14 @@ def test_run_elastic_rejects_emptied_cluster():
 
 
 def test_run_elastic_rejects_epochs_override_on_iteration_workload():
-    wl = make_workload("speech_3s", dataset_size=96).scaled(0.02)
-    with pytest.raises(ConfigurationError):
-        run_elastic("minato", wl, CONFIG_A, ClusterMembership(2), epochs=2)
+    """The budget rules, at every front door (the doors' speech workload
+    is iteration-budgeted)."""
+    for knobs, message in (
+        (dict(epochs=2), "epochs"),
+        (dict(epochs=2, total_steps=8), "cannot be combined with an epochs"),
+        (dict(total_steps=0), "total_steps must be >= 1"),
+    ):
+        assert_every_door_rejects(message, **knobs)
 
 
 # ---------------------------------------------------------------------------

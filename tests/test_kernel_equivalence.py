@@ -59,23 +59,28 @@ def run(
         "image_segmentation", seed=0, dataset_size=6 * NODES
     )
     membership = ClusterMembership(NODES, list(events))
-    return run_elastic(
-        "minato",
-        workload,
-        CONFIG_A,
-        membership,
+    resources = dict(
+        node_hardware=node_hardware,
         gpus_per_node=GPUS,
-        fabric="ring",
+        cache_fraction=cache_fraction,
         topology=topology,
+    )
+    job = dict(
+        fabric="ring",
         overlap=overlap,
         buckets=2 if overlap else 1,
-        node_hardware=node_hardware,
         total_steps=STEPS_PER_GPU * NODES * GPUS,
-        cache_fraction=cache_fraction,
         collapse=collapse,
-        queue=queue,
         checkpoint=checkpoint,
     )
+    if queue is None:
+        # the front door builds the (default-kernel) cluster itself
+        return run_elastic(
+            "minato", workload, CONFIG_A, membership, **resources, **job
+        )
+    # the kernel's queue is a Cluster argument
+    cluster = Cluster(membership, CONFIG_A, queue=queue, **resources)
+    return run_elastic("minato", workload, CONFIG_A, cluster=cluster, **job)
 
 
 def comparable(result):

@@ -35,6 +35,7 @@ from repro.sim.distributed import (  # noqa: E402
 )
 from repro.sim.runner import run_simulation  # noqa: E402
 from repro.sim.workloads import CONFIG_A, make_workload  # noqa: E402
+from tests.helpers import assert_every_door_rejects  # noqa: E402
 
 DEADLOCK_TIMEOUT = 60.0
 
@@ -224,43 +225,16 @@ def test_mid_bucket_failure_never_deadlocks_hierarchical_fabric(overlap):
 
 @pytest.mark.parametrize("bad_buckets", [0, -2])
 def test_runners_reject_non_positive_buckets(bad_buckets):
-    wl = tiny_speech()
-    with pytest.raises(ConfigurationError, match="buckets"):
-        run_distributed(
-            "minato", wl, CONFIG_A, nodes=2, steps_per_gpu=2,
-            buckets=bad_buckets,
-        )
-    with pytest.raises(ConfigurationError, match="buckets"):
-        run_elastic(
-            "minato", wl, CONFIG_A, ClusterMembership(2), buckets=bad_buckets,
-        )
+    assert_every_door_rejects("buckets", buckets=bad_buckets)
 
 
 @pytest.mark.parametrize("bad_gpus", [0, -1])
 def test_runners_reject_non_positive_gpus_per_node(bad_gpus):
-    wl = tiny_speech()
-    with pytest.raises(ConfigurationError, match="gpus_per_node"):
-        run_distributed(
-            "minato", wl, CONFIG_A, nodes=2, gpus_per_node=bad_gpus,
-            steps_per_gpu=2,
-        )
-    with pytest.raises(ConfigurationError, match="gpus_per_node"):
-        run_elastic(
-            "minato", wl, CONFIG_A, ClusterMembership(2),
-            gpus_per_node=bad_gpus,
-        )
+    assert_every_door_rejects("gpus_per_node", gpus_per_node=bad_gpus)
 
 
 def test_runners_reject_unknown_topology():
-    wl = tiny_speech()
-    with pytest.raises(ConfigurationError, match="topology"):
-        run_distributed(
-            "minato", wl, CONFIG_A, nodes=2, steps_per_gpu=2, topology="torus"
-        )
-    with pytest.raises(ConfigurationError, match="topology"):
-        run_elastic(
-            "minato", wl, CONFIG_A, ClusterMembership(2), topology="torus"
-        )
+    assert_every_door_rejects("topology", topology="torus")
 
 
 def test_hardware_default_gpus_per_node_is_honored():

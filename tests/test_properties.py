@@ -12,8 +12,8 @@ from repro.data import PageCache, RandomSampler, BatchSampler
 from repro.data.sample import SampleSpec
 from repro.engine.accuracy import dice_score
 from repro.engine.metrics import IntervalRecorder, utilization_series
+from repro.policy import deal_batch_plan
 from repro.sim import Environment, Store
-from repro.sim.loaders import _deal_batch_plan
 from tests.helpers import StubDataset, stub_pipeline
 
 # ---------------------------------------------------------------------------
@@ -215,7 +215,7 @@ def test_u01_bounds_and_determinism(seed, salt, stream):
     gpus=st.integers(min_value=1, max_value=8),
 )
 def test_deal_batch_plan_conserves_samples(total, batch, gpus):
-    plan = _deal_batch_plan(total, batch, gpus)
+    plan = deal_batch_plan(total, batch, gpus)
     assert len(plan) == gpus
     assert sum(sum(sizes) for sizes in plan) == total
     for sizes in plan:

@@ -55,7 +55,7 @@ def _spec(job_id="job0", **overrides):
 
 
 # ---------------------------------------------------------------------------
-# Mix validation (the shared helper every entry point uses)
+# Mix validation (mix shape in JobMix, per-job values in JobSpec)
 # ---------------------------------------------------------------------------
 
 
@@ -100,7 +100,7 @@ def test_nonpositive_scale_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Cluster-owned argument validation (run_elastic / run_distributed share it)
+# Front-door keywords: each belongs to JobSpec or to Cluster, or is unknown
 # ---------------------------------------------------------------------------
 
 
@@ -108,11 +108,19 @@ def _workload():
     return make_workload("image_segmentation", dataset_size=6 * NODES)
 
 
-def test_run_elastic_rejects_queue_with_cluster():
-    with pytest.raises(ConfigurationError, match="queue"):
+@pytest.mark.parametrize("keyword", ["queue", "storage_over_nic", "bucket"])
+def test_front_doors_reject_unknown_keyword(keyword):
+    """Neither a JobSpec field nor a resource keyword the doors forward:
+    a TypeError naming it (the kernel's queue is a Cluster argument)."""
+    with pytest.raises(TypeError, match=f"run_elastic.*{keyword!r}"):
         run_elastic(
-            "minato", _workload(), CONFIG_A, cluster=_cluster(),
-            total_steps=NODES * GPUS, queue="heap",
+            "minato", _workload(), CONFIG_A, ClusterMembership(NODES),
+            total_steps=NODES * GPUS, **{keyword: 1},
+        )
+    with pytest.raises(TypeError, match=f"run_distributed.*{keyword!r}"):
+        run_distributed(
+            "minato", _workload(), CONFIG_A, nodes=NODES, steps_per_gpu=1,
+            **{keyword: 1},
         )
 
 
@@ -133,11 +141,27 @@ def test_run_elastic_rejects_foreign_membership_with_cluster():
 
 
 def test_run_elastic_rejects_conflicting_gpus_with_cluster():
-    with pytest.raises(ConfigurationError, match="gpus_per_node"):
-        run_elastic(
-            "minato", _workload(), CONFIG_A, cluster=_cluster(),
-            gpus_per_node=GPUS + 1, total_steps=NODES * GPUS,
-        )
+    """One rule for every resource-owned knob repeated beside a cluster:
+    a different value conflicts (never a silent overwrite), the cluster's
+    own value is accepted."""
+    for knob, value in (
+        ("gpus_per_node", GPUS + 1),
+        ("topology", "hierarchical"),
+        ("cache_fraction", 0.5),
+    ):
+        with pytest.raises(
+            ConfigurationError, match=f"{knob}=.* conflicts with the cluster's"
+        ):
+            run_elastic(
+                "minato", _workload(), CONFIG_A, cluster=_cluster(),
+                total_steps=NODES * GPUS, **{knob: value},
+            )
+    result = run_elastic(
+        "minato", _workload(), CONFIG_A, cluster=_cluster(),
+        total_steps=NODES * GPUS,
+        gpus_per_node=GPUS, topology="flat", cache_fraction=0.8,
+    )
+    assert result.steps == NODES * GPUS
 
 
 def test_run_elastic_rejects_foreign_link_params_on_shared_cluster():
@@ -368,8 +392,8 @@ def test_partition_outcome_independent_of_kernel_config():
         gpus_per_node=GPUS, fabric="ring", total_steps=2 * NODES * GPUS,
     )
     heap = run_elastic(
-        "minato", _workload(), CONFIG_A, _partition_membership(),
-        queue="heap", **kwargs,
+        "minato", _workload(), CONFIG_A,
+        cluster=_cluster(_partition_membership(), queue="heap"), **kwargs,
     )
     indexed = run_elastic(
         "minato", _workload(), CONFIG_A, _partition_membership(), **kwargs
