@@ -172,11 +172,11 @@ def _cmd_bench(args) -> int:
             scenario = bench.scenario_by_name(name)
             profile = cProfile.Profile()
             profile.enable()
-            result, wall = scenario.run(collapse=True, queue=None)
+            result, wall = scenario.run(collapse=True)
             profile.disable()
             print(
                 f"== {name}: {wall:.2f}s wall, {result.sim_events} events, "
-                f"{result.collapsed_collectives} collapsed collectives"
+                f"{bench.collapsed_collectives(result)} collapsed collectives"
             )
             stats = pstats.Stats(profile, stream=sys.stdout)
             stats.sort_stats("cumulative").print_stats(args.top)

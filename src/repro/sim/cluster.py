@@ -335,11 +335,7 @@ class Cluster:
       the owning node's inter-node link as well as its storage pipe, so
       loader traffic and collective traffic contend on the same NIC -- the
       remote-filesystem regime (Config A's Lustre).  Off by default: the
-      single-job equivalence pin covers the separate-worlds behaviour;
-    * ``queue`` -- the kernel's event-queue implementation (see
-      :data:`repro.sim.kernel.QUEUE_KINDS`): ``None`` is the default
-      indexed queue, ``"heap"`` the exact binary-heap baseline.  Both
-      produce identical results; the benchmark suite measures the gap.
+      single-job equivalence pin covers the separate-worlds behaviour.
     """
 
     def __init__(
@@ -353,7 +349,6 @@ class Cluster:
         link_latency: float = DEFAULT_LINK_LATENCY,
         link_bandwidth: float = DEFAULT_LINK_BANDWIDTH,
         storage_over_nic: bool = False,
-        queue: Optional[str] = None,
     ) -> None:
         if not isinstance(membership, ClusterMembership):
             raise ConfigurationError(
@@ -383,7 +378,7 @@ class Cluster:
             raise ConfigurationError(
                 f"gpus_per_node must be a positive integer, got {gpus_per_node!r}"
             )
-        self.env = Environment(queue=queue)
+        self.env = Environment()
         self.membership = membership
         self.hardware = hardware
         self._hw_map: Dict[int, HardwareConfig] = dict(node_hardware or {})

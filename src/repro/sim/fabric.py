@@ -72,6 +72,7 @@ from typing import Any, Dict, Generator, Hashable, Iterable, List, Optional, Tup
 
 from ..errors import ConfigurationError
 from .kernel import Environment, Event
+from .links import project
 from .topology import FlatRing, RingPhase, Topology
 
 __all__ = ["RingFabric", "RingCollective"]
@@ -514,22 +515,24 @@ class RingFabric:
             return
         entry.collapsed = True
         self.collapsed_collectives += 1
-        # one representative rank's lockstep timeline; ``avail`` replicates
-        # its per-scope stream drain watermark with the SharedLink engine's
-        # exact float arithmetic, so the resume instants match the
+        # one representative rank's lockstep timeline.  ``drained`` is its
+        # per-scope stream's drain watermark (a send starts at max(now,
+        # watermark), as on a live stream) and the link layer's closed
+        # form prices each stage, so the resume instants match the
         # simulation bit-for-bit.  Each stage also replays the engine's
         # completion-time per-class wait attribution: ``fanout`` member
         # transfers, each adding the same fair-sharing ``excess`` the live
         # path would have accumulated (in the same order, so float sums
         # agree exactly with the uncollapsed run).
-        avail: Dict[str, float] = {}
+        drained: Dict[str, float] = {}
         wait = self.link_wait_by_class
-        for stages, latency, stage_seconds, scope, fanout, excess in schedule:
+        for stages, scope, chunk, bandwidth, latency, streams, fanout in schedule:
             for _stage in range(stages):
                 now = self.env.now
-                start = max(now, avail.get(scope, now))
-                avail[scope] = start + stage_seconds
-                finish = start + latency + stage_seconds
+                drained[scope], finish, excess = project(
+                    max(now, drained.get(scope, now)),
+                    chunk, bandwidth, latency, streams,
+                )
                 if excess:
                     for _ in range(fanout):
                         wait["collective"] = wait.get("collective", 0.0) + excess

@@ -23,14 +23,13 @@ class in a loader/fabric simulation, where nearly every ``succeed()`` and
 process resumption is a zero-delay cascade -- live in two priority-indexed
 FIFO lanes with O(1) push/pop, while genuinely future events fall back to
 the exact binary heap.  The composite pop order is *identical* to a single
-``(time, priority, eid)`` heap (equivalence-pinned in tests), and
-``Environment(queue="heap")`` forces the plain-heap legacy path, which the
-benchmark suite uses as its measured baseline.  Two further kernel
-optimizations ride on the indexed mode: interrupted processes' stale wait
-targets are lazily cancelled (skipped at their fire time instead of being
-popped, walked and failure-checked), and the throwaway resume ``Event``
-that :meth:`Process._resume` allocates when yielding an already-processed
-event is recycled per process.
+``(time, priority, eid)`` heap: that heap is the kernel's specification,
+and ``tests/helpers.CheckedEnvironment`` checks every delivery and every
+skip against it.  Two further optimizations ride on the queue: interrupted
+processes' stale wait targets are lazily cancelled (skipped at their fire
+time instead of being popped, walked and failure-checked), and the
+throwaway resume ``Event`` that :meth:`Process._resume` allocates when
+yielding an already-processed event is recycled per process.
 """
 
 from __future__ import annotations
@@ -49,17 +48,9 @@ __all__ = [
     "Interrupt",
     "AnyOf",
     "AllOf",
-    "QUEUE_KINDS",
-    "DEFAULT_QUEUE",
 ]
 
 _PENDING = object()
-
-#: available event-queue implementations: "indexed" (current-instant FIFO
-#: lanes + exact-heap fallback, the default) or "heap" (the legacy single
-#: binary heap, kept as the equivalence/benchmark baseline)
-QUEUE_KINDS = ("indexed", "heap")
-DEFAULT_QUEUE = "indexed"
 
 #: Event scheduling priorities. Urgent events (process resumptions) run before
 #: normal events scheduled for the same instant, mirroring SimPy's behaviour.
@@ -203,8 +194,14 @@ class Process(Event):
         interrupt_event._ok = False
         interrupt_event._value = Interrupt(cause)
         interrupt_event._defused = True
-        interrupt_event.callbacks.append(self._resume)
+        interrupt_event.callbacks.append(self._interrupted)
         self.env._schedule(interrupt_event, URGENT, 0.0)
+
+    def _interrupted(self, event: Event) -> None:
+        # the process may have ended on its own between interrupt() and
+        # this delivery, later in the same instant: nothing left to throw into
+        if self._ok is None:
+            self._resume(event)
 
     def _resume(self, event: Event) -> None:
         # Drop the subscription on the event we were waiting for (if we are
@@ -217,7 +214,7 @@ class Process(Event):
                 except ValueError:
                     pass
                 else:
-                    if not target.callbacks and self.env._indexed:
+                    if not target.callbacks:
                         # last subscriber gone: let the queue skip the
                         # stale event at its fire time instead of walking
                         # its (empty) callbacks and failure-checking it
@@ -259,12 +256,7 @@ class Process(Event):
             # recycled event is always re-armed successful, so the queue's
             # unhandled-failure check after its callbacks stays valid).
             resume = self._resume_cache
-            if (
-                next_event._ok
-                and resume is not None
-                and resume.callbacks is None
-                and self.env._indexed
-            ):
+            if next_event._ok and resume is not None and resume.callbacks is None:
                 resume._ok = True
                 resume._value = next_event._value
                 resume._defused = False
@@ -344,44 +336,28 @@ class AllOf(_Condition):
 class Environment:
     """Coordinates processes and advances virtual time.
 
-    ``queue`` selects the scheduling structure:
-
-    * ``"indexed"`` (default) -- events fired at the *current instant*
-      (zero-delay ``succeed()`` cascades and process resumptions, the vast
-      majority of a simulation's traffic) are appended to two FIFO lanes
-      indexed by priority (urgent / normal) with O(1) push and pop; only
-      genuinely future events pay the binary heap.  The pop order is
-      exactly the single-heap ``(time, priority, eid)`` order: lane
-      entries carry their scheduling id, every entry in a lane is at the
-      current time (lanes always drain before the clock advances), and
-      each step takes the minimum of the three head keys.  Indexed mode
-      also enables lazy cancellation of dead events and resume-event
-      recycling (see :class:`Event` / :class:`Process`).
-    * ``"heap"`` -- the legacy single binary heap with none of the above;
-      kept as the measured baseline for the kernel benchmarks and the
-      equivalence sweep.
+    Events fired at the *current instant* (zero-delay ``succeed()``
+    cascades and process resumptions, the vast majority of a simulation's
+    traffic) are appended to two FIFO lanes indexed by priority (urgent /
+    normal) with O(1) push and pop; only genuinely future events pay the
+    binary heap.  The pop order is exactly the single-heap ``(time,
+    priority, eid)`` order: lane entries carry their scheduling id, every
+    entry in a lane is at the current time (lanes always drain before the
+    clock advances), and each step takes the minimum of the three head
+    keys.
 
     ``events_processed`` / ``events_skipped`` count delivered and
     lazily-cancelled events; the benchmark layer reports events/sec from
     them.
     """
 
-    def __init__(
-        self, initial_time: float = 0.0, queue: Optional[str] = None
-    ) -> None:
-        kind = DEFAULT_QUEUE if queue is None else queue
-        if kind not in QUEUE_KINDS:
-            raise ValueError(
-                f"queue must be one of {QUEUE_KINDS}, got {queue!r}"
-            )
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         self._queue: list = []
         self._urgent: deque = deque()
         self._normal: deque = deque()
         self._eid = 0
         self._active: Optional[Process] = None
-        self._indexed = kind == "indexed"
-        self.queue_kind = kind
         #: events actually delivered (callbacks walked)
         self.events_processed = 0
         #: dead events discarded at their fire time without delivery
@@ -416,7 +392,7 @@ class Environment:
 
     def _schedule(self, event: Event, priority: int, delay: float) -> None:
         self._eid += 1
-        if self._indexed and delay == 0.0:
+        if delay == 0.0:
             # current-instant lane: O(1), no tuple, exact order preserved
             # via the carried eid (lanes only ever hold events at _now)
             event._eid = self._eid
@@ -429,72 +405,64 @@ class Environment:
                 self._queue, (self._now + delay, priority, self._eid, event)
             )
 
-    def _discard_dead(self) -> None:
-        """Drop lazily-cancelled events from every queue head.
+    def _head(self):
+        """The queue -- heap or lane -- whose head is the next event in
+        ``(time, priority, eid)`` order, or ``None`` if nothing is pending.
 
-        An event is discarded only at its own fire time (it can only reach
-        a head then), only while successful and unobserved; discarding
-        marks it processed so a late ``yield`` still takes the
-        already-processed fast path with the value it would have had.
+        Lazily-cancelled events are discarded on the way.  One is dropped
+        only once it *is* the next event (nothing can run before its fire
+        time any more, so nothing can still re-subscribe to it), and only
+        while successful and unobserved; dropping marks it processed so a
+        late ``yield`` still takes the already-processed fast path with
+        the value it would have had.
         """
-        for lane in (self._urgent, self._normal):
-            while lane:
-                head = lane[0]
-                if head._dead and head._ok and not head.callbacks:
-                    lane.popleft()
-                    head.callbacks = None
-                    self.events_skipped += 1
-                else:
-                    break
         heap = self._queue
-        while heap:
-            head = heap[0][3]
-            if head._dead and head._ok and not head.callbacks:
+        urgent = self._urgent
+        normal = self._normal
+        while True:
+            source = None
+            if heap:
+                when, prio, eid, event = heap[0]
+                best_key = (when, prio, eid)
+                source = heap
+            if urgent:
+                head = urgent[0]
+                if source is None or (self._now, URGENT, head._eid) < best_key:
+                    source = urgent
+                    event = head
+            elif normal:
+                head = normal[0]
+                if source is None or (self._now, NORMAL, head._eid) < best_key:
+                    source = normal
+                    event = head
+            if source is None or not (
+                event._dead and event._ok and not event.callbacks
+            ):
+                return source
+            if source is heap:
                 heapq.heappop(heap)
-                head.callbacks = None
-                self.events_skipped += 1
             else:
-                break
+                source.popleft()
+            event.callbacks = None
+            self.events_skipped += 1
 
     def _pop_next(self) -> Optional[Event]:
         """Pop the next live event (advancing ``now``), or ``None``."""
-        self._discard_dead()
-        heap = self._queue
-        urgent = self._urgent
-        best_key = None
-        source = 0
-        if heap:
-            when, prio, eid, _event = heap[0]
-            best_key = (when, prio, eid)
-            source = 0
-        if urgent:
-            key = (self._now, URGENT, urgent[0]._eid)
-            if best_key is None or key < best_key:
-                best_key = key
-                source = 1
-        else:
-            normal = self._normal
-            if normal:
-                key = (self._now, NORMAL, normal[0]._eid)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    source = 2
-        if best_key is None:
+        source = self._head()
+        if source is None:
             return None
-        if source == 0:
-            when, _prio, _eid, event = heapq.heappop(heap)
+        if source is self._queue:
+            when, _prio, _eid, event = heapq.heappop(source)
             self._now = when
             return event
-        if source == 1:
-            return urgent.popleft()
-        return self._normal.popleft()
+        return source.popleft()
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        self._discard_dead()
-        if self._urgent or self._normal:
-            return self._now
-        return self._queue[0][0] if self._queue else float("inf")
+        source = self._head()
+        if source is None:
+            return float("inf")
+        return source[0][0] if source is self._queue else self._now
 
     def step(self) -> None:
         """Process the next event.  Raises :class:`EmptySchedule` if none."""
@@ -509,37 +477,29 @@ class Environment:
             # Unhandled failure: surface it to the caller of run()/step().
             raise event._value
 
-    def _pending(self) -> bool:
-        return bool(self._queue or self._urgent or self._normal)
-
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
 
         ``until`` may be ``None`` (run until the schedule drains), a number
         (run until virtual time reaches it), or an :class:`Event` (run until
-        it is processed, returning its value).
+        it is processed, returning its value or raising its exception).
         """
         if until is None:
-            while self._pending():
-                self._discard_dead()
-                if not self._pending():
-                    break
+            while self._head() is not None:
                 self.step()
             return None
 
         if isinstance(until, Event):
             sentinel = until
-            if sentinel.callbacks is None:
-                return sentinel._value
-            done = []
-            sentinel.callbacks.append(lambda event: done.append(event))
-            while not done:
-                self._discard_dead()
-                if not self._pending():
-                    raise EmptySchedule(
-                        "schedule drained before the target event triggered"
-                    )
-                self.step()
+            if sentinel.callbacks is not None:
+                done = []
+                sentinel.callbacks.append(done.append)
+                while not done:
+                    if self._head() is None:
+                        raise EmptySchedule(
+                            "schedule drained before the target event triggered"
+                        )
+                    self.step()
             if sentinel._ok:
                 return sentinel._value
             sentinel._defused = True

@@ -24,8 +24,8 @@ equivalence grid):
   equal chunks at the same instant all finish at ``start + latency +
   chunk / (bandwidth / G)`` -- exactly the steady-state fair share the
   hierarchical topology used to bake into per-member pipe bandwidth, and
-  exactly what ``Topology.collapse_schedule`` still uses for the
-  homogeneous-rank fast path.
+  exactly what the homogeneous-rank fast path gets from :func:`project`
+  for the link parameters ``Topology.collapse_schedule`` hands it.
 
 The fluid revision trick: a transfer's completion timer is scheduled the
 moment its finish time is projectable, and *re-projected* when the fair
@@ -51,11 +51,31 @@ fabric / job-level ``link_wait_by_class`` aggregator).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Hashable, List, Optional
+from typing import Deque, Dict, Hashable, List, Optional, Tuple
 
 from .kernel import Environment, Event, Timeout
 
-__all__ = ["SharedLink", "Stream"]
+__all__ = ["SharedLink", "Stream", "project"]
+
+
+def project(
+    anchor: float, nbytes: float, bandwidth: float, latency: float, streams: int = 1
+) -> Tuple[float, float, float]:
+    """The link model's closed form, written once: ``(drain, finish, excess)``
+    of ``nbytes`` draining from ``anchor`` on a link of ``bandwidth`` split
+    equally among ``streams`` busy streams.
+
+    ``drain`` frees the stream for its next transfer, ``finish`` adds the
+    latency tail, ``excess`` is the fair-sharing slowdown versus an idle
+    link (exactly ``0.0`` for one stream: ``bandwidth / 1 == bandwidth``).
+    The engine below and the collapsed collective fast path
+    (:meth:`~repro.sim.fabric.RingFabric._collapse_decider`) both call it,
+    so their floats agree by construction; the operand order is pinned by
+    the single-stream == ``BandwidthPipe`` equivalence.
+    """
+    share = bandwidth / streams
+    seconds = nbytes / share
+    return anchor + seconds, anchor + latency + seconds, seconds - nbytes / bandwidth
 
 
 class _Transfer:
@@ -68,7 +88,7 @@ class _Transfer:
         "anchor",
         "start",
         "submitted",
-        "share",
+        "streams",
         "drain",
         "finish",
         "timer",
@@ -87,7 +107,8 @@ class _Transfer:
         self.anchor = now
         self.start = now
         self.submitted = now
-        self.share = 0.0
+        #: busy streams sharing the link as of the last projection
+        self.streams = 1
         self.drain = now
         self.finish = now
         self.timer: Optional[Timeout] = None
@@ -245,14 +266,12 @@ class SharedLink:
             # same-stream FIFO append: nobody's fair share changed, so only
             # the new tail needs projecting -- chained at the predecessor's
             # projected drain with the legacy watermark arithmetic
-            share = self.bandwidth / n_after
             if len(chain) > 1:
-                prev = chain[-2]
-                t.anchor = max(now, prev.drain)
-                t.start = t.anchor
-            t.share = share
-            t.drain = t.anchor + t.remaining / share
-            finish = t.anchor + self.latency + t.remaining / share
+                t.anchor = t.start = max(now, chain[-2].drain)
+            t.streams = n_after
+            t.drain, finish, _ = project(
+                t.anchor, t.remaining, self.bandwidth, self.latency, n_after
+            )
             self._set_timer(t, finish, now)
         return t.timer
 
@@ -276,8 +295,9 @@ class SharedLink:
             if chain:
                 head = chain[0]
                 if now > head.anchor:
+                    share = self.bandwidth / head.streams
                     head.remaining = max(
-                        0.0, head.remaining - (now - head.anchor) * head.share
+                        0.0, head.remaining - (now - head.anchor) * share
                     )
                     head.anchor = now
             else:
@@ -300,7 +320,6 @@ class SharedLink:
         n = self._active
         if n == 0:
             return
-        share = self.bandwidth / n
         defer = n > 1
         dirty = False
         for s in self._streams.values():
@@ -313,11 +332,11 @@ class SharedLink:
                         prev = t
                         continue
                 else:
-                    t.anchor = max(now, prev.drain)
-                    t.start = t.anchor
-                t.share = share
-                t.drain = t.anchor + t.remaining / share
-                finish = t.anchor + self.latency + t.remaining / share
+                    t.anchor = t.start = max(now, prev.drain)
+                t.streams = n
+                t.drain, finish, _ = project(
+                    t.anchor, t.remaining, self.bandwidth, self.latency, n
+                )
                 if finish != t.finish or t.timer is None:
                     if defer:
                         t.finish = finish
@@ -390,9 +409,9 @@ class SharedLink:
             return
         t.done = True
         stream = t.stream
-        excess = (t.start - t.submitted) + (
-            t.nbytes / t.share - t.nbytes / self.bandwidth
-        )
+        excess = (t.start - t.submitted) + project(
+            t.start, t.nbytes, self.bandwidth, self.latency, t.streams
+        )[2]
         stream.wait_seconds += excess
         self.wait_by_class[stream.cls] = (
             self.wait_by_class.get(stream.cls, 0.0) + excess

@@ -40,7 +40,7 @@ from ..core.profiler import TimeoutProfiler
 from ..core.scheduler import SchedulerDecision, WorkerScheduler
 from ..data.sample import SampleSpec
 from ..data.samplers import BatchSampler, RandomSampler, ShardedSampler
-from ..data.storage import DRAM_BANDWIDTH, PageCache
+from ..data.storage import DRAM_BANDWIDTH
 from ..engine.metrics import IntervalRecorder, ThroughputMeter
 from ..errors import ConfigurationError
 from ..policy import (
@@ -53,8 +53,9 @@ from ..policy import (
     deal_batch_plan,
     index_stream,
 )
+from .cluster import NodeSite
 from .kernel import AllOf, Environment
-from .resources import BandwidthPipe, Resource
+from .resources import Resource
 from .stores import PriorityStore, Store
 from .workloads import HardwareConfig, WorkloadSpec
 
@@ -114,27 +115,18 @@ class SimContext:
         self.workload = workload
         self.hardware = hardware
         self.num_gpus = num_gpus
-        if site is not None:
-            # multi-tenant path: the node's storage pipe, page cache and
-            # CPU cores belong to the cluster's NodeSite -- every job on
-            # the node contends here instead of owning private copies
-            self.disk = site.disk
-            self.cache = site.cache
-            self.cores = site.cores
-        else:
-            # record_transfers=False keeps the disk pipe's per-transfer log
-            # off (the multi-node runner only consumes aggregate totals; at
-            # benchmark scale the log is millions of tuples)
-            self.disk = BandwidthPipe(
-                env,
-                hardware.storage.bandwidth,
-                hardware.storage.latency,
-                record=record_transfers,
-            )
-            self.cache = PageCache(hardware.memory_bytes * cache_fraction)
-            #: physical CPU cores: all CPU-side work queues here, so no
-            #: loader can use more parallelism than the machine has
-            self.cores = Resource(env, capacity=hardware.cpu_cores)
+        if site is None:
+            # a private single-node site.  record_transfers=False keeps the
+            # disk pipe's per-transfer log off (the multi-node runner only
+            # consumes aggregate totals; at benchmark scale the log is
+            # millions of tuples)
+            site = NodeSite(env, hardware, cache_fraction, record_transfers)
+        # the node's storage pipe, page cache and physical CPU cores: every
+        # job on the node contends here (all CPU-side work queues on the
+        # cores, so no loader can use more parallelism than the machine has)
+        self.disk = site.disk
+        self.cache = site.cache
+        self.cores = site.cores
         #: remote-storage NIC pipe (Cluster.storage_over_nic): cache-miss
         #: reads also traverse it, queueing with collective traffic
         self.nic = nic
@@ -154,40 +146,6 @@ class SimContext:
         #: event kernel is single-threaded, so no lock)
         self.stats = LoaderStatsCore()
         self.cpu_busy_by_tag: dict = {}
-
-    # -- counters (attribute compatibility over the shared stats core) -------------
-
-    @property
-    def cpu_busy_seconds(self) -> float:
-        return self.stats.busy_seconds
-
-    @cpu_busy_seconds.setter
-    def cpu_busy_seconds(self, value: float) -> None:
-        self.stats.busy_seconds = value
-
-    @property
-    def samples_preprocessed(self) -> int:
-        return self.stats.samples_preprocessed
-
-    @samples_preprocessed.setter
-    def samples_preprocessed(self, value: int) -> None:
-        self.stats.samples_preprocessed = value
-
-    @property
-    def samples_slow(self) -> int:
-        return self.stats.samples_timed_out
-
-    @samples_slow.setter
-    def samples_slow(self, value: int) -> None:
-        self.stats.samples_timed_out = value
-
-    @property
-    def batches_built(self) -> int:
-        return self.stats.batches_built
-
-    @batches_built.setter
-    def batches_built(self, value: int) -> None:
-        self.stats.batches_built = value
 
     # -- storage -----------------------------------------------------------------
 
@@ -224,7 +182,7 @@ class SimContext:
             start = self.env.now
             yield self.env.timeout(seconds)
             self.cpu_recorder.record(start, self.env.now, tag)
-            self.cpu_busy_seconds += seconds
+            self.stats.busy_seconds += seconds
             self.cpu_busy_by_tag[tag] = self.cpu_busy_by_tag.get(tag, 0.0) + seconds
 
     # -- training-side hooks ------------------------------------------------------------
@@ -522,7 +480,7 @@ class SimTorchLoader(BaseSimLoader):
                     )
                 gpu = delivered % ctx.num_gpus
                 batch.gpu = gpu
-                ctx.batches_built += 1
+                ctx.stats.batches_built += 1
                 yield self.batch_stores[gpu].put(batch)
                 permits[seq % workers].try_put(1)
                 delivered += 1
@@ -542,7 +500,7 @@ class SimTorchLoader(BaseSimLoader):
                 cost = self.total_cost(spec)
                 yield from ctx.cpu_busy(cost)
                 nbytes += self.output_nbytes(spec)
-                ctx.samples_preprocessed += 1
+                ctx.stats.samples_preprocessed += 1
             events[seq].succeed(
                 SimBatch(specs=specs, nbytes=nbytes, built_at=ctx.env.now)
             )
@@ -672,8 +630,8 @@ class SimDALILoader(BaseSimLoader):
             gpu_cost = sum(self.total_cost(s) for s in specs) / self.gpu_speedup
             yield from ctx.gpu_preprocess(gpu, gpu_cost)
             nbytes = sum(self.output_nbytes(s) for s in specs)
-            ctx.samples_preprocessed += len(specs)
-            ctx.batches_built += 1
+            ctx.stats.samples_preprocessed += len(specs)
+            ctx.stats.batches_built += 1
             yield self.batch_stores[gpu].put(
                 SimBatch(specs=specs, nbytes=nbytes, built_at=ctx.env.now, gpu=gpu)
             )
@@ -927,13 +885,13 @@ class SimMinatoLoader(BaseSimLoader):
                     # background; predicted-fast run inline with no timeout,
                     # so a misprediction stalls this worker's fast path.
                     if self.size_router.is_slow(spec.raw_nbytes):
-                        ctx.samples_slow += 1
+                        ctx.stats.samples_timed_out += 1
                         yield self._temp_store.put((spec, 0, profile, seq))
                     else:
                         for cost in profile:
                             yield from ctx.cpu_busy(cost)
                         self.profiler.record(sum(profile), flagged_slow=False)
-                        ctx.samples_preprocessed += 1
+                        ctx.stats.samples_preprocessed += 1
                         event = self._emit_ready(seq, spec, False)
                         if event is not None:
                             yield event
@@ -942,7 +900,7 @@ class SimMinatoLoader(BaseSimLoader):
                 for chunk in decision.inline_chunks:
                     yield from ctx.cpu_busy(chunk)
                 if decision.handoff_index is not None:
-                    ctx.samples_slow += 1
+                    ctx.stats.samples_timed_out += 1
                     yield self._temp_store.put(
                         (spec, decision.handoff_index, profile, seq)
                     )
@@ -951,8 +909,8 @@ class SimMinatoLoader(BaseSimLoader):
                         decision.total_seconds, flagged_slow=decision.flagged_slow
                     )
                     if decision.flagged_slow:
-                        ctx.samples_slow += 1
-                    ctx.samples_preprocessed += 1
+                        ctx.stats.samples_timed_out += 1
+                    ctx.stats.samples_preprocessed += 1
                     event = self._emit_ready(seq, spec, decision.flagged_slow)
                     if event is not None:
                         yield event
@@ -981,7 +939,7 @@ class SimMinatoLoader(BaseSimLoader):
                 for cost in profile[resume_at:]:
                     yield from ctx.cpu_busy(cost, tag="slow")
                 self.profiler.record(sum(profile), flagged_slow=True)
-                ctx.samples_preprocessed += 1
+                ctx.stats.samples_preprocessed += 1
                 event = self._emit_ready(seq, spec, True)
                 if event is not None:
                     yield event
@@ -1016,7 +974,7 @@ class SimMinatoLoader(BaseSimLoader):
                 specs.append(spec)
                 slow_flags.append(bool(was_slow))
                 nbytes += self.output_nbytes(spec)
-            ctx.batches_built += 1
+            ctx.stats.batches_built += 1
             yield self.batch_stores[gpu].put(
                 SimBatch(
                     specs=specs,
@@ -1048,7 +1006,7 @@ class SimMinatoLoader(BaseSimLoader):
             ) / len(self.batch_stores)
             action = self.scaling.observe(
                 now=env.now,
-                busy_seconds=ctx.cpu_busy_seconds,
+                busy_seconds=ctx.stats.busy_seconds,
                 queue_fill=queue_fill,
                 workers=max(1, self._loading_target + self._slow_target),
                 background_busy_seconds=ctx.cpu_busy_by_tag.get("slow", 0.0),

@@ -32,7 +32,7 @@ node's loader-miss and checkpoint streams under
 ``Cluster(storage_over_nic=True)``.  Capacity is divided max-min fair
 among whichever streams have queued work, so ``G`` symmetric collective
 streams each see exactly the old steady-state ``bandwidth / G`` share
-(the closed form :meth:`collapse_schedule` still uses), while asymmetric
+(what :meth:`collapse_schedule` reports as ``streams=G``), while asymmetric
 or cross-class traffic gets the fluid interleaving the old fixed-share
 constant could not represent.
 """
@@ -49,6 +49,10 @@ from .links import SharedLink, Stream
 __all__ = ["Topology", "FlatRing", "Hierarchical", "RingPhase", "TOPOLOGIES"]
 
 TOPOLOGIES = ("flat", "hierarchical")
+
+#: one ring phase of a collapsed all-reduce, as link parameters:
+#: (stages, scope, chunk bytes, bandwidth, latency, streams, fanout)
+CollapsePhase = Tuple[int, str, float, float, float, int, int]
 
 
 @dataclass(frozen=True)
@@ -139,28 +143,25 @@ class Topology:
 
     def collapse_schedule(
         self, ring: Sequence[Hashable], nbytes: float
-    ) -> Optional[List[Tuple[int, float, float, str, int, float]]]:
-        """Stage schedule of a *collapsed* all-reduce, or ``None``.
+    ) -> Optional[List[CollapsePhase]]:
+        """Link parameters of a *collapsed* all-reduce, or ``None``.
 
         When every member of ``ring`` sees identical link parameters and
         identical phase structure (a homogeneous snapshot), a lockstep
         all-reduce advances every rank through the same per-stage timing:
         one representative rank's schedule is the whole collective.  The
-        return value is one ``(stages, latency, stage_seconds, scope,
-        fanout, excess_seconds)`` tuple per ring phase, where
-        ``stage_seconds`` is the chunk's link occupancy at the stream's
-        fair share (``chunk / share``) computed with *exactly* the
-        arithmetic the live :class:`~repro.sim.links.SharedLink` engine
-        uses, so the fast path reproduces the simulated timestamps
-        bit-for-bit.  ``fanout`` is the number of member transfers each
-        stage performs across the whole collective and ``excess_seconds``
-        the per-transfer fair-sharing slowdown versus an idle link
-        (``chunk / share - chunk / bandwidth``; zero for exclusive
-        stages) -- the fast path replays both into the per-class wait
-        accounting the live engine would have produced.  ``None`` means
-        the snapshot is not collapsible (heterogeneous links or
-        asymmetric groups) and the caller must simulate the full
-        per-rank ring.
+        return value is one ``(stages, scope, chunk, bandwidth, latency,
+        streams, fanout)`` tuple per ring phase: each of the ``stages``
+        sends ``chunk`` bytes on a ``scope`` link of ``bandwidth`` /
+        ``latency`` that ``streams`` symmetric collective streams keep
+        busy together, and ``fanout`` member transfers happen per stage
+        across the whole collective (the fast path replays that many
+        wait attributions).  Numbers only -- the timing is
+        :func:`repro.sim.links.project`'s to compute, and no link is
+        created here (the order of ``_links`` decides which busy stream
+        the quiescence probe meets first).  ``None`` means the snapshot
+        is not collapsible (heterogeneous links or asymmetric groups)
+        and the caller must simulate the full per-rank ring.
         """
         return None
 
@@ -197,15 +198,17 @@ class FlatRing(Topology):
 
     def collapse_schedule(
         self, ring: Sequence[Hashable], nbytes: float
-    ) -> Optional[List[Tuple[int, float, float, str, int, float]]]:
+    ) -> Optional[List[CollapsePhase]]:
         # every member owns an identical NIC-class link, so a flat ring is
         # always homogeneous: 2(W-1) stages of bytes/W chunks, one
         # exclusive stream per link (no sharing slowdown)
         world = len(ring)
         if world <= 1:
             return []
-        chunk = nbytes / world
-        stage = (world - 1, self.latency, chunk / self.bandwidth, "inter", world, 0.0)
+        stage = (
+            world - 1, "inter", nbytes / world, self.bandwidth, self.latency,
+            1, world,
+        )
         return [stage, stage]
 
 
@@ -349,7 +352,7 @@ class Hierarchical(Topology):
 
     def collapse_schedule(
         self, ring: Sequence[Hashable], nbytes: float
-    ) -> Optional[List[Tuple[int, float, float, str, int, float]]]:
+    ) -> Optional[List[CollapsePhase]]:
         groups = self._groups(ring)
         sizes = {len(group) for group in groups.values()}
         if len(sizes) != 1:
@@ -369,34 +372,21 @@ class Hierarchical(Topology):
         intra_latency, intra_bandwidth = params.pop()
         n_nodes = len(groups)
         world = len(ring)
-        schedule: List[Tuple[int, float, float, str, int, float]] = []
+        schedule: List[CollapsePhase] = []
         if group_size > 1:
-            intra_chunk = nbytes / group_size
             intra_stage = (
-                group_size - 1,
-                intra_latency,
-                intra_chunk / intra_bandwidth,
-                "intra",
-                world,
-                0.0,
+                group_size - 1, "intra", nbytes / group_size,
+                intra_bandwidth, intra_latency, 1, world,
             )
             schedule.append(intra_stage)  # rs-intra
         shard = nbytes / max(group_size, 1)
         if n_nodes > 1:
-            inter_chunk = shard / n_nodes
             # a symmetric snapshot keeps all G of a node's collective
             # streams busy through every inter stage, so the live engine
-            # gives each exactly share = bandwidth / G; the excess term is
-            # the per-transfer slowdown it attributes versus an idle link
-            share = self.bandwidth / group_size
-            stage_seconds = inter_chunk / share
+            # splits the NIC G ways for each of them
             inter_stage = (
-                n_nodes - 1,
-                self.latency,
-                stage_seconds,
-                "inter",
-                world,
-                stage_seconds - inter_chunk / self.bandwidth,
+                n_nodes - 1, "inter", shard / n_nodes,
+                self.bandwidth, self.latency, group_size, world,
             )
             schedule.append(inter_stage)  # rs-inter
             schedule.append(inter_stage)  # ag-inter

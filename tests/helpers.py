@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -12,6 +13,7 @@ from repro.data.sample import Sample, SampleSpec
 from repro.errors import ConfigurationError
 from repro.sim.cluster import Cluster, ClusterMembership
 from repro.sim.distributed import JobSpec, run_distributed, run_elastic
+from repro.sim.kernel import Environment
 from repro.sim.scenarios import JobMix
 from repro.sim.workloads import CONFIG_A, make_workload
 from repro.transforms.base import Pipeline, PipelineState, SizeEffect, Transform, WorkContext
@@ -102,6 +104,78 @@ def mixed_cost_dataset(
     """Every ``slow_period``-th sample costs ``slow_cost``; others ``fast_cost``."""
     costs = [slow_cost if i % slow_period == 0 else fast_cost for i in range(n)]
     return StubDataset(costs)
+
+
+# ---------------------------------------------------------------------------
+# The kernel's specification, checked at every transition
+# ---------------------------------------------------------------------------
+
+
+class CheckedEnvironment(Environment):
+    """An :class:`Environment` refereed by the abstract machine it refines:
+    one plain ``(time, priority, eid)`` binary heap.
+
+    Every ``_schedule`` is shadowed into that heap, and the kernel must
+    agree with it transition by transition: it delivers exactly the
+    shadow's next entry; it lazily drops an event exactly when that event
+    *is* the shadow's next entry (its own fire time, never earlier) and
+    is dead-marked, successful and unobserved; virtual time never runs
+    backwards; and no event object is ever pending twice (what the
+    per-process resume recycling must guarantee).
+    :func:`on_checked_kernel` substitutes it into whole simulated runs.
+    """
+
+    def __init__(self, initial_time: float = 0.0) -> None:
+        super().__init__(initial_time)
+        self._shadow: list = []
+        self._queued: set = set()
+
+    def _schedule(self, event, priority, delay) -> None:
+        assert id(event) not in self._queued, f"{event!r} is pending twice"
+        self._queued.add(id(event))
+        super()._schedule(event, priority, delay)
+        heapq.heappush(
+            self._shadow, (self._now + delay, priority, self._eid, event)
+        )
+
+    def _take(self):
+        when, _priority, _eid, event = heapq.heappop(self._shadow)
+        self._queued.discard(id(event))
+        return when, event
+
+    def _head(self):
+        due = []
+        while self._shadow:
+            event = self._shadow[0][3]
+            if not (event._dead and event._ok and not event.callbacks):
+                break
+            due.append(self._take()[1])
+        skipped = self.events_skipped
+        source = super()._head()
+        assert self.events_skipped - skipped == len(due) and all(
+            event.callbacks is None for event in due
+        ), f"lazy cancellation out of turn (the specification drops {due})"
+        return source
+
+    def _pop_next(self):
+        before = self._now
+        event = super()._pop_next()
+        if event is None:
+            assert not self._shadow, "empty schedule with events still due"
+            return None
+        when, expected = self._take()
+        assert expected is event, f"delivered {event!r}, next is {expected!r}"
+        assert before <= when == self._now, "virtual time ran backwards"
+        return event
+
+
+def on_checked_kernel(monkeypatch, run, *args, **kwargs):
+    """``run(*args, **kwargs)`` with every kernel it builds -- a
+    ``Cluster``'s or ``run_simulation``'s -- a :class:`CheckedEnvironment`."""
+    with monkeypatch.context() as patch:
+        patch.setattr("repro.sim.cluster.Environment", CheckedEnvironment)
+        patch.setattr("repro.sim.runner.Environment", CheckedEnvironment)
+        return run(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------

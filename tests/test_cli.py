@@ -1,10 +1,12 @@
 """Tests for the command-line interface (python -m repro)."""
 
+import dataclasses
 import os
 
 import pytest
 
 from repro.__main__ import main
+from repro.sim import bench
 
 
 def test_cli_list(capsys):
@@ -196,6 +198,20 @@ def test_cli_distributed_elastic_saves_report(tmp_path, capsys):
         == 0
     )
     assert os.path.exists(tmp_path / "distributed_elastic.txt")
+
+
+def test_cli_bench_profile_handles_a_job_mix(monkeypatch, capsys):
+    """``--profile`` on a multi-tenant row: a MixResult has no
+    ``collapsed_collectives`` of its own, the bench's helper sums the jobs'."""
+    name = "mix-two-job-64"
+    small = dataclasses.replace(
+        bench.scenario_by_name(name), nodes=2, gpus_per_node=2, steps_per_gpu=2
+    )
+    assert small.jobs == 2
+    monkeypatch.setattr(bench, "SCENARIOS", (small,))
+    assert main(["bench", "--profile", "--scenario", name, "--top", "3"]) == 0
+    out = capsys.readouterr().out
+    assert f"== {name}:" in out and "0 collapsed collectives" in out
 
 
 def test_cli_run_unknown_experiment(capsys):

@@ -1,13 +1,16 @@
-"""Optimized-kernel equivalence: the indexed event queue and the
-homogeneous-rank collapse must be *invisible* in simulation results.
+"""Kernel equivalence: the homogeneous-rank collapse must be *invisible*
+in simulation results, and the event queue must agree with its
+specification at every transition.
 
 Every cell of the topology x overlap x churn sweep runs the same scenario
-under four kernel configurations -- {exact heap, indexed queue} x
-{per-rank fabric, collapse enabled} -- and requires bit-identical
-:class:`DistributedResult` fields (only the observability counters
-``collapsed_collectives`` / ``sim_events`` may differ).  The collapse is
-not an approximation: it replicates the per-stage transfer arithmetic of
-the exact ring, so even float timing must agree exactly.
+under both configurations -- per-rank fabric, collapse enabled -- and
+requires bit-identical :class:`DistributedResult` fields (only the
+observability counters ``collapsed_collectives`` / ``sim_events`` may
+differ).  The collapse is not an approximation: it prices each stage with
+the link layer's own closed form, so even float timing must agree
+exactly.  The per-rank reference run of every cell executes on
+:class:`tests.helpers.CheckedEnvironment`, which referees each delivery
+and each lazy skip against a plain ``(time, priority, eid)`` heap.
 
 The deactivation tests pin the other half of the contract: the fast path
 must *refuse* to engage when its preconditions fail (heterogeneous
@@ -31,6 +34,8 @@ from repro.sim.distributed import (
 from repro.sim.scenarios import JobMix, JobSpec
 from repro.sim.workloads import CONFIG_A, make_workload
 
+from .helpers import CheckedEnvironment, on_checked_kernel
+
 NODES = 4
 GPUS = 2
 STEPS_PER_GPU = 4
@@ -50,7 +55,6 @@ def run(
     overlap,
     events=(),
     collapse=True,
-    queue=None,
     node_hardware=None,
     cache_fraction=1.0,
     checkpoint=None,
@@ -58,14 +62,15 @@ def run(
     workload = make_workload(
         "image_segmentation", seed=0, dataset_size=6 * NODES
     )
-    membership = ClusterMembership(NODES, list(events))
-    resources = dict(
+    return run_elastic(
+        "minato",
+        workload,
+        CONFIG_A,
+        ClusterMembership(NODES, list(events)),
         node_hardware=node_hardware,
         gpus_per_node=GPUS,
         cache_fraction=cache_fraction,
         topology=topology,
-    )
-    job = dict(
         fabric="ring",
         overlap=overlap,
         buckets=2 if overlap else 1,
@@ -73,20 +78,12 @@ def run(
         collapse=collapse,
         checkpoint=checkpoint,
     )
-    if queue is None:
-        # the front door builds the (default-kernel) cluster itself
-        return run_elastic(
-            "minato", workload, CONFIG_A, membership, **resources, **job
-        )
-    # the kernel's queue is a Cluster argument
-    cluster = Cluster(membership, CONFIG_A, queue=queue, **resources)
-    return run_elastic("minato", workload, CONFIG_A, cluster=cluster, **job)
 
 
 def comparable(result):
     """All result fields except the optimization-observability counters
     (``collapse_cross_vetoes`` counts collapse *attempts* vetoed by
-    foreign link traffic, and the baseline never attempts)."""
+    foreign link traffic, and the per-rank run never attempts)."""
     fields = dict(vars(result))
     for name in ("collapsed_collectives", "sim_events", "collapse_cross_vetoes"):
         fields.pop(name)
@@ -96,20 +93,16 @@ def comparable(result):
 @pytest.mark.parametrize("churn", sorted(CHURN))
 @pytest.mark.parametrize("overlap", [False, True], ids=["serial", "overlap"])
 @pytest.mark.parametrize("topology", ["flat", "hierarchical"])
-def test_kernel_configurations_agree(topology, overlap, churn):
+def test_kernel_configurations_agree(topology, overlap, churn, monkeypatch):
     events = CHURN[churn]
-    legacy = run(topology, overlap, events, collapse=False, queue="heap")
-    reference = comparable(legacy)
-    for collapse, queue in (
-        (True, None),  # the default kernel: indexed queue + collapse
-        (True, "heap"),
-        (False, None),
-    ):
-        candidate = run(topology, overlap, events, collapse=collapse, queue=queue)
-        assert comparable(candidate) == reference, (
-            f"{topology}/{'overlap' if overlap else 'serial'}/{churn}: "
-            f"collapse={collapse} queue={queue} diverged from exact heap"
-        )
+    per_rank = on_checked_kernel(
+        monkeypatch, run, topology, overlap, events, collapse=False
+    )
+    collapsed = run(topology, overlap, events)
+    assert comparable(collapsed) == comparable(per_rank), (
+        f"{topology}/{'overlap' if overlap else 'serial'}/{churn}: "
+        f"the collapse diverged from the per-rank fabric"
+    )
 
 
 @pytest.mark.parametrize("churn", sorted(CHURN))
@@ -148,9 +141,11 @@ def test_single_job_mix_matches_run_elastic(topology, overlap, churn):
     assert mix.makespan == direct.training_time
 
 
-@pytest.mark.parametrize("queue", [None, "heap"], ids=["indexed", "heap"])
+@pytest.mark.parametrize("kernel", ["indexed", "checked"])
 @pytest.mark.parametrize("churn", ["static", "churn"])
-def test_dormant_checkpoint_policy_adds_zero_kernel_events(churn, queue):
+def test_dormant_checkpoint_policy_adds_zero_kernel_events(
+    churn, kernel, monkeypatch
+):
     """``checkpoint=None`` and a never-firing policy must be
     indistinguishable to the kernel: identical results INCLUDING
     ``sim_events`` -- the pay-as-you-go guarantee that the checkpoint
@@ -158,17 +153,17 @@ def test_dormant_checkpoint_policy_adds_zero_kernel_events(churn, queue):
     actually happens.  (Fail cells are excluded by design: a node death
     triggers a restore pass, which is the subsystem *working*.)"""
     events = CHURN[churn]
-    plain = run("flat", False, events, queue=queue)
+    if kernel == "checked":
+        monkeypatch.setattr("repro.sim.cluster.Environment", CheckedEnvironment)
+    plain = run("flat", False, events)
     dormant = run(
         "flat",
         False,
         events,
-        queue=queue,
         checkpoint=CheckpointPolicy(interval_steps=10**9),
     )
     assert vars(dormant) == vars(plain), (
-        f"{churn}/queue={queue}: a dormant checkpoint policy perturbed "
-        f"the run"
+        f"{churn}/{kernel}: a dormant checkpoint policy perturbed the run"
     )
     assert plain.checkpoint_write_seconds == 0.0
     assert plain.restore_seconds == 0.0
@@ -177,29 +172,25 @@ def test_dormant_checkpoint_policy_adds_zero_kernel_events(churn, queue):
 
 
 @pytest.mark.parametrize("churn", sorted(CHURN))
-def test_kernel_configurations_agree_with_active_checkpoint(churn):
+def test_kernel_configurations_agree_with_active_checkpoint(churn, monkeypatch):
     """Snapshot writes and failure restores ride the same pipes as every
     other transfer, so an *active* checkpoint run must also be
     bit-identical across kernel configurations."""
     policy = CheckpointPolicy(interval_steps=2, state_scale=8.0)
     events = CHURN[churn]
-    legacy = run(
-        "flat", False, events, collapse=False, queue="heap", checkpoint=policy
+    per_rank = on_checked_kernel(
+        monkeypatch, run, "flat", False, events,
+        collapse=False, checkpoint=policy,
     )
-    reference = comparable(legacy)
-    assert legacy.checkpoint_write_seconds > 0.0
-    for collapse, queue in ((True, None), (True, "heap"), (False, None)):
-        candidate = run(
-            "flat", False, events,
-            collapse=collapse, queue=queue, checkpoint=policy,
-        )
-        assert comparable(candidate) == reference, (
-            f"{churn}: collapse={collapse} queue={queue} diverged from "
-            f"exact heap with checkpointing active"
-        )
+    assert per_rank.checkpoint_write_seconds > 0.0
+    collapsed = run("flat", False, events, checkpoint=policy)
+    assert comparable(collapsed) == comparable(per_rank), (
+        f"{churn}: the collapse diverged from the per-rank fabric with "
+        f"checkpointing active"
+    )
 
 
-def run_contended(collapse=True, queue=None, checkpoint=None):
+def run_contended(collapse=True, checkpoint=None):
     """A cross-class contention cell: hierarchical overlap with remote
     storage, so loader misses (and checkpoint writes, when a policy is
     armed) share each node's NIC link with the bucket collectives."""
@@ -213,7 +204,6 @@ def run_contended(collapse=True, queue=None, checkpoint=None):
         cache_fraction=0.6,
         topology="hierarchical",
         storage_over_nic=True,
-        queue=queue,
     )
     return run_elastic(
         "minato",
@@ -230,28 +220,72 @@ def run_contended(collapse=True, queue=None, checkpoint=None):
     )
 
 
-def test_kernel_configurations_agree_under_cross_class_contention():
+def test_kernel_configurations_agree_under_cross_class_contention(monkeypatch):
     """The shared-link flow engine under genuine cross-class traffic --
     loader misses and checkpoint writes contending with collectives on
     every node's NIC -- must still be bit-identical across kernel
     configurations, including the per-class wait attribution."""
     policy = CheckpointPolicy(interval_steps=2, state_scale=8.0)
-    legacy = run_contended(collapse=False, queue="heap", checkpoint=policy)
-    reference = comparable(legacy)
+    per_rank = on_checked_kernel(
+        monkeypatch, run_contended, collapse=False, checkpoint=policy
+    )
     # all three traffic classes flowed on the shared links, and the
     # collectives measurably paid for the company
-    assert set(legacy.link_wait_by_class) == {
+    assert set(per_rank.link_wait_by_class) == {
         "collective", "loader", "checkpoint",
     }
-    assert legacy.link_wait_by_class["collective"] > 0.0
-    for collapse, queue in ((True, None), (True, "heap"), (False, None)):
-        candidate = run_contended(
-            collapse=collapse, queue=queue, checkpoint=policy
+    assert per_rank.link_wait_by_class["collective"] > 0.0
+    collapsed = run_contended(checkpoint=policy)
+    assert comparable(collapsed) == comparable(per_rank), (
+        "the collapse diverged from the per-rank fabric under cross-class "
+        "NIC contention"
+    )
+
+
+def run_two_tenants():
+    """Two tenants on one cluster with everything on the NIC and a node
+    dying mid-run: collapse is off (shared cluster), every ring stage runs
+    per rank, and collective, loader, checkpoint and restore bytes of both
+    jobs re-project each other's transfers on the shared links."""
+    cluster = Cluster(
+        ClusterMembership(
+            NODES, [MembershipEvent("fail", node=1, time=2.0)]
+        ),
+        CONFIG_A,
+        gpus_per_node=GPUS,
+        cache_fraction=0.6,
+        topology="hierarchical",
+        storage_over_nic=True,
+    )
+    specs = [
+        JobSpec(
+            job_id=job_id,
+            loader="minato",
+            workload_name="image_segmentation",
+            dataset_size=6 * NODES,
+            total_steps=STEPS_PER_GPU * NODES * GPUS,
+            fabric="ring",
+            overlap=True,
+            buckets=2,
+            checkpoint=CheckpointPolicy(interval_steps=2, state_scale=8.0),
         )
-        assert comparable(candidate) == reference, (
-            f"collapse={collapse} queue={queue} diverged from exact heap "
-            f"under cross-class NIC contention"
-        )
+        for job_id in ("tenant-a", "tenant-b")
+    ]
+    return JobMix(specs, cluster).run()
+
+
+def test_two_tenant_contended_mix_passes_the_kernel_referee(monkeypatch):
+    refereed = on_checked_kernel(monkeypatch, run_two_tenants)
+    assert all(job.lost_steps > 0 for job in refereed.jobs)
+    assert all(
+        set(job.link_wait_by_class) == {"collective", "loader", "checkpoint"}
+        for job in refereed.jobs
+    )
+    plain = run_two_tenants()
+    assert [vars(job) for job in refereed.jobs] == [
+        vars(job) for job in plain.jobs
+    ]
+    assert refereed.sim_events == plain.sim_events
 
 
 def test_collapse_vetoed_while_foreign_traffic_in_flight():
@@ -328,13 +362,13 @@ def test_equivalence_over_random_churn_schedules(
     topology, overlap, events, cache_fraction
 ):
     """Hypothesis sweep: whatever the membership schedule throws at the
-    run, the optimized kernel's results match the exact kernel's."""
-    legacy = run(
+    run, the collapsed results match the per-rank fabric's."""
+    per_rank = run(
         topology, overlap, events,
-        collapse=False, queue="heap", cache_fraction=cache_fraction,
+        collapse=False, cache_fraction=cache_fraction,
     )
     fast = run(topology, overlap, events, cache_fraction=cache_fraction)
-    assert comparable(fast) == comparable(legacy)
+    assert comparable(fast) == comparable(per_rank)
 
 
 @pytest.mark.parametrize("topology", ["flat", "hierarchical"])
@@ -349,13 +383,12 @@ def test_collapse_deactivates_under_heterogeneity():
     slow = dataclasses.replace(
         CONFIG_A, name="config_a_slow_nvlink", intra_node_bandwidth=150e9
     )
-    legacy = run(
-        "hierarchical", False, collapse=False, queue="heap",
-        node_hardware={0: slow},
+    per_rank = run(
+        "hierarchical", False, collapse=False, node_hardware={0: slow}
     )
     fast = run("hierarchical", False, node_hardware={0: slow})
     assert fast.collapsed_collectives == 0
-    assert comparable(fast) == comparable(legacy)
+    assert comparable(fast) == comparable(per_rank)
 
 
 def test_collapse_deactivates_when_failure_armed(monkeypatch):
@@ -376,9 +409,9 @@ def test_collapse_deactivates_when_failure_armed(monkeypatch):
     monkeypatch.setattr(fabric_mod.RingFabric, "_collapse_decider", spy)
     fail_after = 0.3
     events = (MembershipEvent("fail", node=1, epoch=0, after=fail_after),)
-    legacy = run("flat", False, events, collapse=False, queue="heap")
+    per_rank = run("flat", False, events, collapse=False)
     fast = run("flat", False, events)
-    assert comparable(fast) == comparable(legacy)
+    assert comparable(fast) == comparable(per_rank)
     # the armed round never even registers a collapse attempt: the runner
     # clears ring.collapse before its first step, so any recorded entry
     # must postdate the death
@@ -389,8 +422,8 @@ def test_collapse_deactivates_when_failure_armed(monkeypatch):
 
 def test_collapse_counter_reported():
     """The observability counters surface in the result and differ between
-    kernels exactly as designed."""
+    the configurations exactly as designed."""
     fast = run("flat", False)
-    legacy = run("flat", False, collapse=False, queue="heap")
-    assert legacy.collapsed_collectives == 0
-    assert fast.sim_events < legacy.sim_events
+    per_rank = run("flat", False, collapse=False)
+    assert per_rank.collapsed_collectives == 0
+    assert fast.sim_events < per_rank.sim_events

@@ -28,6 +28,8 @@ from repro.sim.scenarios import (
 )
 from repro.sim.workloads import CONFIG_A, make_workload
 
+from .helpers import on_checked_kernel
+
 NODES = 4
 GPUS = 2
 
@@ -111,7 +113,7 @@ def _workload():
 @pytest.mark.parametrize("keyword", ["queue", "storage_over_nic", "bucket"])
 def test_front_doors_reject_unknown_keyword(keyword):
     """Neither a JobSpec field nor a resource keyword the doors forward:
-    a TypeError naming it (the kernel's queue is a Cluster argument)."""
+    a TypeError naming it (there is one kernel; nothing selects it)."""
     with pytest.raises(TypeError, match=f"run_elastic.*{keyword!r}"):
         run_elastic(
             "minato", _workload(), CONFIG_A, ClusterMembership(NODES),
@@ -385,25 +387,25 @@ def test_no_shard_double_coverage_across_partition():
     assert all(c == n for c in result.epoch_coverage)
 
 
-def test_partition_outcome_independent_of_kernel_config():
-    """Partition stalls are modelled timing, not scheduling accidents:
-    exact-heap and indexed-queue kernels agree bit-for-bit."""
-    kwargs = dict(
-        gpus_per_node=GPUS, fabric="ring", total_steps=2 * NODES * GPUS,
-    )
-    heap = run_elastic(
-        "minato", _workload(), CONFIG_A,
-        cluster=_cluster(_partition_membership(), queue="heap"), **kwargs,
-    )
-    indexed = run_elastic(
-        "minato", _workload(), CONFIG_A, _partition_membership(), **kwargs
-    )
-    fields_heap = dict(vars(heap))
-    fields_indexed = dict(vars(indexed))
-    for name in ("collapsed_collectives", "sim_events"):
-        fields_heap.pop(name)
-        fields_indexed.pop(name)
-    assert fields_heap == fields_indexed
+def test_partition_outcome_independent_of_kernel_config(monkeypatch):
+    """Partition stalls are modelled timing, not scheduling accidents: the
+    run passes the kernel referee transition by transition, and the
+    referee changes nothing -- not even the event count."""
+
+    def go():
+        return run_elastic(
+            "minato", _workload(), CONFIG_A, _partition_membership(),
+            gpus_per_node=GPUS, fabric="ring", total_steps=2 * NODES * GPUS,
+        )
+
+    refereed = on_checked_kernel(monkeypatch, go)
+    assert refereed.partition_stall_seconds > 0
+    assert vars(refereed) == vars(go())
+
+
+def test_cluster_has_no_queue_option():
+    with pytest.raises(TypeError, match="queue"):
+        _cluster(queue="heap")
 
 
 # ---------------------------------------------------------------------------

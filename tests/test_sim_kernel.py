@@ -1,9 +1,21 @@
 """Tests for the discrete-event simulation kernel."""
 
+import heapq
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import EmptySchedule, SimulationError
 from repro.sim import AllOf, AnyOf, Environment, Interrupt
+from repro.sim.stores import Store
+
+from .helpers import CheckedEnvironment
+
+
+def test_the_event_queue_is_not_selectable():
+    with pytest.raises(TypeError, match="queue"):
+        Environment(queue="heap")
 
 
 def test_timeout_advances_clock():
@@ -94,6 +106,22 @@ def test_run_until_event_returns_value():
     value = env.run(until=env.process(proc()))
     assert value == "done"
     assert env.now == 2
+
+
+def test_run_until_failed_event_raises_processed_or_not():
+    env = Environment()
+
+    def proc():
+        yield env.timeout(2)
+        raise ValueError("boom")
+
+    failing = env.process(proc())
+    with pytest.raises(ValueError, match="boom"):
+        env.run(until=failing)
+    assert failing.processed
+    # already processed: still raised, never handed back as a value
+    with pytest.raises(ValueError, match="boom"):
+        env.run(until=failing)
 
 
 def test_run_until_time_stops_and_sets_now():
@@ -289,6 +317,24 @@ def test_interrupting_a_waiter_on_the_active_process():
     assert log == [("interrupted-by", "busy-proc", 3.0)]
 
 
+def test_interrupt_delivered_after_its_target_ended_is_dropped():
+    """``interrupt()`` on a live process whose own resumption is already
+    queued ahead of the interrupt and runs it to completion: by delivery
+    there is nothing left to throw into, and the result stands."""
+    env = CheckedEnvironment()
+
+    def quick():
+        return "done"
+        yield
+
+    def parent():
+        child = env.process(quick())
+        child.interrupt("too late")
+        assert (yield child) == "done"
+
+    env.run(until=env.process(parent()))
+
+
 def test_interrupted_process_can_continue():
     env = Environment()
     log = []
@@ -377,3 +423,217 @@ def test_many_processes_scale():
         env.process(proc(i % 17))
     env.run()
     assert len(counter) == 1000
+
+
+# ---------------------------------------------------------------------------
+# Lazy cancellation and resume recycling
+# ---------------------------------------------------------------------------
+
+
+def interrupted_sleeper(env, log, after_interrupt):
+    """A process cut out of ``timeout(5, "late")`` at t=1; what it does
+    next is ``after_interrupt(stale)``, a generator over the stale wait."""
+
+    def sleeper():
+        stale = env.timeout(5, value="late")
+        try:
+            yield stale
+        except Interrupt:
+            pass
+        yield from after_interrupt(stale)
+        log.append(env.now)
+
+    def interrupter(victim):
+        yield env.timeout(1)
+        victim.interrupt()
+
+    env.process(interrupter(env.process(sleeper())))
+
+
+def test_stale_timeout_of_interrupted_waiter_is_skipped_not_processed():
+    env = CheckedEnvironment()
+    log = []
+    interrupted_sleeper(env, log, lambda stale: iter(()))
+    env.run()
+    assert log == [1.0]
+    assert env.events_skipped == 1
+    # 2 process starts, the 1 s timeout, the interrupt, 2 process ends
+    assert env.events_processed == 6
+
+
+@pytest.mark.parametrize("pause", [0, 2], ids=["same-instant", "later"])
+def test_resubscribing_before_fire_time_revives_a_dead_event(pause):
+    """The waiter comes back to its stale timeout before t=5 -- after a
+    zero-delay hop (the stale event is then the only entry left in the
+    heap) or after a real delay: it is delivered at its own time."""
+    env = CheckedEnvironment()
+    log = []
+
+    def back_to_it(stale):
+        yield env.timeout(pause)
+        log.append((yield stale))
+
+    interrupted_sleeper(env, log, back_to_it)
+    env.run()
+    assert log == ["late", 5.0]
+    assert env.events_skipped == 0
+
+
+def test_late_yield_on_skipped_event_resumes_at_once_with_its_value():
+    env = CheckedEnvironment()
+    log = []
+
+    def long_after(stale):
+        yield env.timeout(10)
+        assert stale.processed
+        log.append((yield stale))
+
+    interrupted_sleeper(env, log, long_after)
+    env.run()
+    assert log == ["late", 11.0]
+    assert env.events_skipped == 1
+
+
+def test_resume_recycling_never_leaks_a_stale_value_or_a_failure():
+    env = CheckedEnvironment()
+    seen = []
+
+    def failing():
+        yield env.timeout(1)
+        raise ValueError("boom")
+
+    def watcher(bad):
+        try:
+            yield bad
+        except ValueError:
+            pass
+
+    def proc(bad):
+        a, b, c = (env.timeout(1, value=v) for v in "abc")
+        yield env.timeout(2)
+        for event in (a, b, c, a):  # processed long ago, back to back
+            seen.append((yield event))
+        try:
+            yield bad
+        except ValueError:
+            seen.append("raised")
+        seen.append((yield b))  # the failure did not poison the recycled slot
+        seen.append(env.now)
+
+    bad = env.process(failing())
+    env.process(watcher(bad))
+    env.process(proc(bad))
+    env.run()
+    assert seen == ["a", "b", "c", "a", "raised", "b", 2.0]
+
+
+# -- random process programs under the checking environment -------------------
+
+OPS = st.one_of(
+    st.tuples(st.just("sleep"), st.sampled_from([0, 0, 0.5, 1, 2])),
+    st.tuples(st.just("put"), st.integers(0, 3)),
+    st.tuples(st.just("get"), st.none()),
+    st.tuples(st.just("race"), st.sampled_from([0, 1, 3])),
+    st.tuples(st.just("interrupt"), st.integers(0, 3)),
+    st.tuples(st.just("again"), st.none()),
+    st.tuples(st.just("old"), st.none()),
+)
+PROGRAMS = st.lists(st.lists(OPS, max_size=8), min_size=2, max_size=4)
+
+
+def drive(env, programs):
+    """Run one list of ops per process; returns the (time, pid, op, value)
+    trace.  ``again`` re-yields the wait the last interrupt cut short (dead
+    event revival, or a late yield once it was skipped); ``old`` re-yields
+    the last finished sleep (the recycled already-processed passthrough)."""
+    store = Store(env, capacity=2)
+    trace = []
+    procs = []
+
+    def body(pid, ops):
+        stale = old = None
+        for n, (op, arg) in enumerate(ops):
+            if op == "interrupt":
+                victim = procs[arg % len(procs)]
+                if victim.is_alive and victim is not env.active_process:
+                    victim.interrupt(n)
+                continue
+            event = {
+                "sleep": lambda: env.timeout(arg, value=n),
+                "put": lambda: store.put(arg),
+                "get": store.get,
+                "race": lambda: env.any_of([store.get(), env.timeout(arg)]),
+                "again": lambda: stale,
+                "old": lambda: old,
+            }[op]()
+            if event is None:
+                continue
+            try:
+                value = yield event
+                if op == "sleep":
+                    old = event
+            except Interrupt as interrupt:
+                stale, value = event, ("interrupted", interrupt.cause)
+            if isinstance(value, dict):
+                value = len(value)
+            trace.append((env.now, pid, n, value))
+
+    for pid, ops in enumerate(programs):
+        procs.append(env.process(body(pid, ops)))
+    env.run(until=1.5)  # a horizon stop (peek) in the middle of the run
+    env.run()
+    return trace, env.events_processed, env.events_skipped
+
+
+@settings(max_examples=300, deadline=None)
+@given(programs=PROGRAMS)
+def test_random_programs_agree_with_the_reference_heap(programs):
+    """The referee raises on the first transition that departs from the
+    ``(time, priority, eid)`` heap; and it only watches -- the unchecked
+    kernel produces the same trace and the same event counts."""
+    assert drive(CheckedEnvironment(), programs) == drive(Environment(), programs)
+
+
+class SwappedLanes(Environment):
+    """Mutant: URGENT and NORMAL current-instant events land in each
+    other's lane."""
+
+    def _schedule(self, event, priority, delay):
+        super()._schedule(event, 1 - priority if delay == 0.0 else priority, delay)
+
+
+class EarlySkip(Environment):
+    """Mutant: a dead event at the head of the heap is dropped at once,
+    whether or not current-instant events are still due before it."""
+
+    def _head(self):
+        heap = self._queue
+        while heap and heap[0][3]._dead and not heap[0][3].callbacks:
+            heapq.heappop(heap)[3].callbacks = None
+            self.events_skipped += 1
+        return super()._head()
+
+
+@pytest.mark.parametrize(
+    "mutant, programs",
+    [
+        # process starts are URGENT, the zero-delay timeout NORMAL
+        (SwappedLanes, [[("sleep", 0)], [("sleep", 0)]]),
+        # interrupted at t=1, one zero-delay hop, then back to the stale wait
+        (
+            EarlySkip,
+            [
+                [("sleep", 5), ("sleep", 0), ("again", None)],
+                [("sleep", 1), ("interrupt", 0)],
+            ],
+        ),
+    ],
+    ids=["swapped-lanes", "early-skip"],
+)
+def test_the_referee_bites(mutant, programs):
+    class Refereed(CheckedEnvironment, mutant):
+        pass
+
+    drive(CheckedEnvironment(), programs)  # the real kernel passes
+    with pytest.raises(AssertionError):
+        drive(Refereed(), programs)

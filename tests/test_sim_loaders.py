@@ -22,6 +22,8 @@ from repro.sim.workloads import (
     make_workload,
 )
 
+from .helpers import on_checked_kernel
+
 
 def tiny_workload(name="speech_3s", n=60, **kwargs):
     wl = make_workload(name, dataset_size=n, **kwargs)
@@ -294,6 +296,24 @@ def test_sim_minato_flags_heavy_samples_slow():
     # the natural rate, Fig. 11c: 0.17 vs 0.15, 0.24 vs 0.23).
     natural = result.samples / 5
     assert natural * 0.8 <= slow_delivered <= natural * 2.2
+
+
+def test_sim_minato_run_passes_the_kernel_referee(monkeypatch):
+    """The same run -- profiler timeouts firing, slow samples interrupted
+    mid-transform, their stale timers lazily cancelled -- on the checking
+    kernel: every transition agrees with the reference heap, and the
+    referee changes nothing."""
+    wl = tiny_workload("speech_3s", n=240)
+
+    def go():
+        return run_simulation("minato", wl, CONFIG_A, 1, keep_batch_log=True)
+
+    refereed = on_checked_kernel(monkeypatch, go)
+    assert sum(b[4] for b in refereed.batch_log) > 0
+    plain = go()
+    assert refereed.training_time == plain.training_time
+    assert refereed.batch_log == plain.batch_log
+    assert refereed.gpu_utilization == plain.gpu_utilization
 
 
 def test_sim_minato_beats_torch_on_every_workload():
