@@ -1,6 +1,6 @@
 """Baseline loaders: PyTorch DataLoader, DALI and Pecan semantics."""
 
-from .common import BaseConcurrentLoader, BaselineStats
+from ..core.loader import BaseConcurrentLoader, BaselineStats
 from .dali_loader import DALIConfig, DALIStyleLoader
 from .heuristics import SizeHeuristicLoader
 from .pecan import PecanLoader

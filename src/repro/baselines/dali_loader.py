@@ -21,17 +21,16 @@ import threading
 from dataclasses import dataclass
 from typing import List, Optional
 
-import numpy as np
-
 from ..clock import Clock
 from ..core.batching import Batch
+from ..core.loader import BaseConcurrentLoader
+from ..core.queues import WorkQueue
 from ..data.dataset import Dataset
 from ..data.samplers import ShardedSampler
 from ..data.storage import StorageModel
 from ..engine.device import SimulatedGPU
 from ..errors import ConfigurationError
-from ..transforms.base import Pipeline, WorkContext
-from .common import BaseConcurrentLoader
+from ..transforms.base import Pipeline
 
 __all__ = ["DALIConfig", "DALIStyleLoader"]
 
@@ -94,8 +93,6 @@ class DALIStyleLoader(BaseConcurrentLoader):
                 f"got {len(devices)} devices for {cfg.num_gpus} GPUs"
             )
         self.devices = devices
-        from ..core.queues import WorkQueue
-
         raw_capacity = cfg.prefetch_queue_depth * cfg.batch_size
         self._raw_queues = [
             WorkQueue(raw_capacity, name=f"dali-raw-{g}") for g in range(cfg.num_gpus)
@@ -129,7 +126,7 @@ class DALIStyleLoader(BaseConcurrentLoader):
                 if self.storage is not None:
                     io_seconds = self.storage.read_seconds(sample.spec)
                     self.clock.advance(io_seconds)
-                    self._stats.add(io_seconds=io_seconds)
+                    self._counters.add(io_seconds=io_seconds)
                 if not self._raw_queues[gpu].put((epoch, sample), stop=self._stop):
                     return
         finally:
@@ -160,26 +157,20 @@ class DALIStyleLoader(BaseConcurrentLoader):
                 for epoch, sample in entries:
                     # Run the numpy work uncharged; the modelled cost executes
                     # on the device below at the GPU discount.
-                    ctx = WorkContext(
-                        clock=self.clock,
-                        rng=np.random.default_rng(
-                            (sample.spec.seed + 7_919 * epoch) & 0x7FFFFFFF
-                        ),
-                        cost_scale=0.0,
-                    )
+                    _, ctx = self._begin_sample(epoch, sample=sample, cost_scale=0.0)
                     gpu_cost += self.pipeline.total_cost(sample.spec) / cfg.gpu_speedup
                     self.pipeline.apply_all(sample, ctx)
                     samples.append(sample)
-                    self._stats.add(samples_preprocessed=1)
+                    self._counters.add(samples_preprocessed=1)
                 if self.devices is not None:
                     self.devices[gpu].execute(gpu_cost, tag="preprocess")
                 else:
                     self.clock.advance(gpu_cost)
-                self._stats.add(busy_seconds=gpu_cost)
+                self._counters.add(busy_seconds=gpu_cost)
                 batch = Batch(
                     samples=samples, gpu_index=gpu, built_at=self.clock.now()
                 )
-                self._stats.add(batches_built=1)
+                self._counters.add(batches_built=1)
                 if not self._batch_queues[gpu].put(batch, stop=self._stop):
                     return
         finally:

@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-import numpy as np
-
 from ..clock import Clock
 from ..core.config import MinatoConfig
 from ..core.loader import MinatoLoader
@@ -30,7 +28,7 @@ from ..data.dataset import Dataset
 from ..data.samplers import RandomSampler
 from ..data.storage import StorageModel
 from ..policy import SizeRouter
-from ..transforms.base import Pipeline, WorkContext
+from ..transforms.base import Pipeline
 
 __all__ = ["SizeHeuristicLoader"]
 
@@ -69,16 +67,7 @@ class SizeHeuristicLoader(MinatoLoader):
         return self.size_router.threshold_bytes
 
     def _process_one(self, epoch: int, seq: int, index: int) -> None:
-        sample = self._load_with_retries(index)
-        ctx = WorkContext(
-            clock=self.clock,
-            rng=np.random.default_rng((sample.spec.seed + 7_919 * epoch) & 0x7FFFFFFF),
-        )
-        if self.storage is not None:
-            io_seconds = self.storage.read_seconds(sample.spec)
-            ctx.charge(io_seconds)
-            self._counters.add(io_seconds=io_seconds)
-
+        sample, ctx = self._begin_sample(epoch, index=index)
         if self.size_router.is_slow(sample.spec.raw_nbytes):
             # Predicted slow: defer the *entire* pipeline to the background.
             self._counters.add(samples_timed_out=1)

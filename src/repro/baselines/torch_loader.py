@@ -26,17 +26,15 @@ import threading
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from ..clock import Clock
 from ..core.batching import Batch
+from ..core.loader import BaseConcurrentLoader
 from ..data.dataset import Dataset
 from ..data.samplers import BatchSampler, RandomSampler
 from ..data.storage import StorageModel
 from ..errors import ConfigurationError
 from ..policy import ReorderBuffer
-from ..transforms.base import Pipeline, WorkContext
-from .common import BaseConcurrentLoader
+from ..transforms.base import Pipeline
 
 __all__ = ["TorchLoaderConfig", "TorchStyleLoader"]
 
@@ -135,17 +133,17 @@ class TorchStyleLoader(BaseConcurrentLoader):
         semaphores = [threading.Semaphore(cfg.prefetch_factor) for _ in range(workers)]
         # fresh buffer per round: batch sequence numbers restart at zero
         self._results = ReorderBuffer(lock_factory=threading.Lock)
-        threads = []
-        for w in range(workers):
-            assigned = [(seq, batches[seq]) for seq in range(w, len(batches), workers)]
-            thread = threading.Thread(
-                target=self._worker,
-                args=(w, assigned, semaphores[w], epoch_hint),
-                name=f"torch-worker-{w}",
-                daemon=True,
+        threads = [
+            self._spawn(
+                self._worker,
+                f"torch-worker-{w}",
+                w,
+                [(seq, batches[seq]) for seq in range(w, len(batches), workers)],
+                semaphores[w],
+                epoch_hint,
             )
-            threads.append(thread)
-            thread.start()
+            for w in range(workers)
+        ]
 
         # In-order delivery with single-threaded collation: the reorder
         # buffer releases finished batches only in sequence order, so a slow
@@ -162,12 +160,12 @@ class TorchStyleLoader(BaseConcurrentLoader):
             if cfg.pin_memory_bandwidth is not None:
                 collate = batch.nbytes / cfg.pin_memory_bandwidth
                 self.clock.advance(collate)
-                self._stats.add(collate_seconds=collate)
+                self._counters.add(collate_seconds=collate)
             gpu = seq % self.num_gpus
             batch.gpu_index = gpu
             batch.sequence = seq
             batch.epoch_hint = epoch_hint
-            self._stats.add(batches_built=1)
+            self._counters.add(batches_built=1)
             delivered = self._batch_queues[gpu].put(batch, stop=self._stop)
             semaphores[producer].release()
             if not delivered:
@@ -185,32 +183,19 @@ class TorchStyleLoader(BaseConcurrentLoader):
         semaphore: threading.Semaphore,
         epoch_hint: int,
     ) -> None:
-        try:
-            for seq, indices in assigned:
-                while not semaphore.acquire(timeout=0.05):
-                    if self._stop.is_set():
-                        return
+        for seq, indices in assigned:
+            while not semaphore.acquire(timeout=0.05):
                 if self._stop.is_set():
                     return
-                samples = []
-                for index in indices:
-                    sample = self.dataset.load(index)
-                    ctx = WorkContext(
-                        clock=self.clock,
-                        rng=np.random.default_rng(
-                            (sample.spec.seed + 7_919 * epoch_hint) & 0x7FFFFFFF
-                        ),
-                    )
-                    if self.storage is not None:
-                        io_seconds = self.storage.read_seconds(sample.spec)
-                        ctx.charge(io_seconds)
-                        self._stats.add(io_seconds=io_seconds)
-                    self.pipeline.apply_all(sample, ctx)
-                    self._stats.add(
-                        samples_preprocessed=1, busy_seconds=ctx.charged_seconds
-                    )
-                    samples.append(sample)
-                batch = Batch(samples=samples, built_at=self.clock.now())
-                self._results.put(seq, (worker_id, batch))
-        except Exception as exc:
-            self._record_error(exc)
+            if self._stop.is_set():
+                return
+            samples = []
+            for index in indices:
+                sample, ctx = self._begin_sample(epoch_hint, index=index)
+                self.pipeline.apply_all(sample, ctx)
+                self._counters.add(
+                    samples_preprocessed=1, busy_seconds=ctx.charged_seconds
+                )
+                samples.append(sample)
+            batch = Batch(samples=samples, built_at=self.clock.now())
+            self._results.put(seq, (worker_id, batch))

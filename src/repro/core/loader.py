@@ -1,6 +1,15 @@
-"""MinatoLoader: the paper's sample-aware data loader (paper §4).
+"""The threaded chassis and MinatoLoader, the paper's sample-aware loader (§4).
 
-Architecture (paper Fig. 5), implemented with real threads:
+:class:`BaseConcurrentLoader` is the one chassis every threaded loader
+(MinatoLoader here, the PyTorch / DALI / Pecan / size-heuristic models in
+:mod:`repro.baselines`) is built on.  It owns what they all need and none
+should write twice: start/shutdown lifecycle, the guarded thread spawn,
+error surfacing to the consumer, the idle wait, the per-sample prologue
+(load, rng, storage charge) and the consumption API
+(:class:`~repro.engine.trainer.BatchSource`: ``next_batch`` / ``batches`` /
+``__iter__``).  A subclass supplies ``_launch`` and its own stages.
+
+:class:`MinatoLoader`'s stages (paper Fig. 5), as real threads:
 
 * a **feeder** streams shuffled sample indices (identical sampling semantics
   to the PyTorch DataLoader);
@@ -19,11 +28,11 @@ Architecture (paper Fig. 5), implemented with real threads:
 * a **profiler** learns the fast/slow timeout (P75, fallback P90) during an
   optimistic warm-up and keeps adjusting it online.
 
-This class is the *threaded substrate*: every scheduling decision -- fast/
-slow routing, batch construction order, strict-order release, worker-pool
-scaling -- is delegated to the substrate-neutral components in
-:mod:`repro.policy`, which the discrete-event model in
-:mod:`repro.sim.loaders` drives identically (see DESIGN.md).
+Every scheduling decision -- fast/slow routing, batch construction order,
+strict-order release, worker-pool scaling -- is delegated to the
+substrate-neutral components in :mod:`repro.policy`, which the
+discrete-event model in :mod:`repro.sim.loaders` drives identically (see
+DESIGN.md).
 
 Deviation from the paper noted in DESIGN.md: queues are shared MPMC rather
 than per-worker, and `threading` replaces `torch.multiprocessing` (modelled
@@ -36,12 +45,13 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from ..clock import Clock, ThreadLocalClock
 from ..data.dataset import Dataset
+from ..data.sample import Sample
 from ..data.samplers import RandomSampler
 from ..data.storage import StorageModel
 from ..errors import LoaderStateError
@@ -49,7 +59,6 @@ from ..policy import (
     BatchConstructionPolicy,
     LoaderStatsCore,
     ScalingPolicy,
-    ThreadSubstrate,
     deal_quota,
     index_stream,
 )
@@ -61,9 +70,20 @@ from .profiler import ProfilerSnapshot, TimeoutProfiler
 from .queues import WorkQueue
 from .scheduler import SchedulerDecision, WorkerScheduler
 
-__all__ = ["MinatoLoader", "LoaderStats"]
+__all__ = ["BaseConcurrentLoader", "BaselineStats", "MinatoLoader", "LoaderStats"]
 
 _IDLE_WALL_SLEEP = 0.0005  # wall-clock poll when the clock has no shared timeline
+
+
+@dataclass
+class BaselineStats:
+    """Counters shared by the baseline loaders."""
+
+    samples_processed: int = 0
+    batches_built: int = 0
+    busy_seconds: float = 0.0
+    io_seconds: float = 0.0
+    collate_seconds: float = 0.0
 
 
 @dataclass
@@ -88,6 +108,235 @@ class LoaderStats:
         return self.samples_timed_out / done if done else 0.0
 
 
+class BaseConcurrentLoader:
+    """Lifecycle, guarded threads and consumption API of every threaded loader.
+
+    Subclasses implement :meth:`_launch` (start their stages with
+    :meth:`_spawn`) and fill ``self._batch_queues``.
+    """
+
+    #: clock seconds an idle stage sleeps between polls (Algorithm 1: 10 ms)
+    poll_interval = 0.010
+    #: transient ``dataset.load`` failures tolerated per sample
+    load_retries = 0
+
+    def __init__(
+        self,
+        dataset: Dataset,
+        pipeline: Pipeline,
+        batch_size: int,
+        num_gpus: int,
+        queue_capacity: int,
+        drop_last: bool,
+        epochs: int = 1,
+        clock: Optional[Clock] = None,
+        storage: Optional[StorageModel] = None,
+        sampler: Optional[RandomSampler] = None,
+        seed: int = 0,
+    ) -> None:
+        if epochs < 1:
+            raise LoaderStateError(f"epochs must be >= 1, got {epochs!r}")
+        if batch_size < 1:
+            raise LoaderStateError(f"batch_size must be >= 1, got {batch_size!r}")
+        if num_gpus < 1:
+            raise LoaderStateError(f"num_gpus must be >= 1, got {num_gpus!r}")
+        self.dataset = dataset
+        self.pipeline = pipeline
+        self.batch_size = batch_size
+        self.num_gpus = num_gpus
+        self.drop_last = drop_last
+        self.epochs = epochs
+        self.clock = clock if clock is not None else ThreadLocalClock()
+        self.storage = storage
+        self.sampler = sampler if sampler is not None else RandomSampler(len(dataset), seed=seed)
+
+        self._batch_queues = [
+            WorkQueue(queue_capacity, name=f"batch-{g}") for g in range(num_gpus)
+        ]
+        self._counters = LoaderStatsCore(lock=threading.Lock())
+        self._stop = threading.Event()
+        self._threads: List[threading.Thread] = []
+        self._threads_lock = threading.Lock()
+        self._errors: List[BaseException] = []
+        self._errors_lock = threading.Lock()
+        self._started = False
+        self._start_lock = threading.Lock()
+        self._shut_down = False
+        self._epochs_consumed = 0
+        self._delivered_to_user = 0
+
+    # -- lifecycle ------------------------------------------------------------
+
+    def start(self) -> None:
+        """Start the background machinery (idempotent)."""
+        with self._start_lock:
+            if self._shut_down:
+                raise LoaderStateError("loader was shut down; create a new instance")
+            if self._started:
+                return
+            self._started = True
+        self._launch()
+
+    def _launch(self) -> None:
+        raise NotImplementedError
+
+    def _spawn(self, target: Callable[..., None], name: str, *args) -> threading.Thread:
+        """Start ``target(*args)`` on a daemon thread whose failure stops the
+        loader and reaches the consumer (:meth:`_raise_errors`)."""
+
+        def run() -> None:
+            try:
+                target(*args)
+            except Exception as exc:
+                self._record_error(exc)
+
+        thread = threading.Thread(target=run, name=name, daemon=True)
+        # stages spawn while shutdown() joins (the scheduler resizing the pool)
+        with self._threads_lock:
+            self._threads.append(thread)
+        thread.start()
+        return thread
+
+    def shutdown(self, timeout: float = 5.0) -> None:
+        """Stop all threads and release resources (idempotent); waits at most
+        ``timeout`` seconds in total."""
+        if self._shut_down:
+            return
+        self._shut_down = True
+        self._stop.set()
+        deadline = time.monotonic() + timeout
+        with self._threads_lock:
+            threads = list(self._threads)
+        for thread in threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+
+    def __enter__(self):
+        self.start()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.shutdown()
+
+    def _record_error(self, exc: BaseException) -> None:
+        with self._errors_lock:
+            self._errors.append(exc)
+        self._stop.set()
+
+    def _raise_errors(self) -> None:
+        with self._errors_lock:
+            if self._errors:
+                raise LoaderStateError(
+                    f"loader thread failed: {self._errors[0]!r}"
+                ) from self._errors[0]
+
+    def _idle_wait(self) -> None:
+        if self.clock.shared_timeline:
+            self.clock.sleep(self.poll_interval)
+        else:
+            time.sleep(_IDLE_WALL_SLEEP)
+
+    # -- per-sample prologue ----------------------------------------------------
+
+    def _begin_sample(
+        self,
+        epoch: int,
+        index: Optional[int] = None,
+        sample: Optional[Sample] = None,
+        cost_scale: float = 1.0,
+    ) -> Tuple[Sample, WorkContext]:
+        """A sample and the context its transforms run in.
+
+        Pass ``index`` to fetch the sample here (tolerating ``load_retries``
+        transient failures, its storage read charged to the context), or
+        ``sample`` when an earlier stage already fetched it.  The rng derives
+        from (sample seed, epoch) alone, so every stage that touches the
+        sample -- inline, resumed in the background, on any loader -- draws
+        the same augmentations, and fresh ones each epoch.
+        """
+        if sample is None:
+            for attempt in range(self.load_retries + 1):
+                try:
+                    sample = self.dataset.load(index)
+                    break
+                except Exception:
+                    self._counters.add(load_retries=1)
+                    if attempt == self.load_retries:
+                        raise
+        ctx = WorkContext(
+            clock=self.clock,
+            rng=np.random.default_rng((sample.spec.seed + 7_919 * epoch) & 0x7FFFFFFF),
+            cost_scale=cost_scale,
+        )
+        if index is not None and self.storage is not None:
+            io_seconds = self.storage.read_seconds(sample.spec)
+            ctx.charge(io_seconds)
+            self._counters.add(io_seconds=io_seconds)
+        return sample, ctx
+
+    # -- stats ------------------------------------------------------------------
+
+    def stats(self) -> BaselineStats:
+        counters = self._counters.snapshot()
+        return BaselineStats(
+            samples_processed=counters["samples_preprocessed"],
+            batches_built=counters["batches_built"],
+            busy_seconds=counters["busy_seconds"],
+            io_seconds=counters["io_seconds"],
+            collate_seconds=counters["collate_seconds"],
+        )
+
+    # -- consumption API ----------------------------------------------------------
+
+    @property
+    def total_samples(self) -> int:
+        # sampler-derived, not dataset-derived: a sharded sampler yields only
+        # its rank's slice, and quotas sized from the dataset would leave the
+        # consumer waiting forever on samples that are never fed
+        return self.epochs * len(self.sampler)
+
+    def next_batch(self, gpu: int = 0) -> Optional[Batch]:
+        """Blocking fetch of the next batch for one GPU (None at stream end)."""
+        if not 0 <= gpu < self.num_gpus:
+            raise LoaderStateError(f"gpu {gpu} out of range")
+        self.start()
+        self._raise_errors()
+        batch = self._batch_queues[gpu].get(stop=self._stop)
+        self._raise_errors()
+        return batch
+
+    def batches(self, gpu: int = 0) -> Iterator[Batch]:
+        """Iterate all batches destined for one GPU."""
+        while True:
+            batch = self.next_batch(gpu)
+            if batch is None:
+                return
+            yield batch
+
+    def __iter__(self) -> Iterator[Batch]:
+        """Iterate one epoch's worth of batches (single-GPU convenience)."""
+        if self.num_gpus != 1:
+            raise LoaderStateError(
+                "__iter__ supports num_gpus=1; multi-GPU trainers should use "
+                "next_batch(gpu)/batches(gpu)"
+            )
+        self.start()
+        epoch = self._epochs_consumed
+        self._epochs_consumed += 1
+        target = min((epoch + 1) * len(self.sampler), self.total_samples)
+        while self._delivered_to_user < target:
+            batch = self.next_batch(0)
+            if batch is None:
+                return
+            self._delivered_to_user += len(batch)
+            yield batch
+
+    def __len__(self) -> int:
+        """Total number of batches across all epochs."""
+        if self.drop_last:
+            return self.total_samples // self.batch_size
+        return (self.total_samples + self.batch_size - 1) // self.batch_size
+
+
 class _WorkerPool:
     """Dynamic pool of loading-worker threads."""
 
@@ -97,7 +346,6 @@ class _WorkerPool:
         self._next_id = 0
         self._active = 0
         self._retire_tokens = 0
-        self._threads: List[threading.Thread] = []
 
     @property
     def active_count(self) -> int:
@@ -110,18 +358,11 @@ class _WorkerPool:
                 worker_id = self._next_id
                 self._next_id += 1
                 self._active += 1
-            thread = threading.Thread(
-                target=self._run, args=(worker_id,), name=f"minato-worker-{worker_id}",
-                daemon=True,
-            )
-            self._threads.append(thread)
-            thread.start()
+            self._loader._spawn(self._run, f"minato-worker-{worker_id}", worker_id)
 
     def _run(self, worker_id: int) -> None:
         try:
             self._loader._worker_loop(worker_id)
-        except Exception as exc:  # pragma: no cover - defensive
-            self._loader._record_error(exc)
         finally:
             with self._lock:
                 self._active -= 1
@@ -148,14 +389,8 @@ class _WorkerPool:
                 return True
             return False
 
-    def join_all(self, timeout: float = 5.0) -> None:
-        deadline = time.monotonic() + timeout
-        for thread in self._threads:
-            remaining = max(0.0, deadline - time.monotonic())
-            thread.join(timeout=remaining)
 
-
-class MinatoLoader:
+class MinatoLoader(BaseConcurrentLoader):
     """Drop-in, sample-aware replacement for the PyTorch DataLoader.
 
     Example::
@@ -179,20 +414,23 @@ class MinatoLoader:
         storage: Optional[StorageModel] = None,
         sampler: Optional[RandomSampler] = None,
     ) -> None:
-        if epochs < 1:
-            raise LoaderStateError(f"epochs must be >= 1, got {epochs!r}")
-        self.dataset = dataset
-        self.pipeline = pipeline
-        self.config = config if config is not None else MinatoConfig()
-        self.epochs = epochs
-        self.clock = clock if clock is not None else ThreadLocalClock()
-        self.storage = storage
-        self.sampler = (
-            sampler if sampler is not None else RandomSampler(len(dataset), seed=self.config.seed)
+        self.config = cfg = config if config is not None else MinatoConfig()
+        super().__init__(
+            dataset=dataset,
+            pipeline=pipeline,
+            batch_size=cfg.batch_size,
+            num_gpus=cfg.num_gpus,
+            queue_capacity=cfg.queue_capacity,
+            drop_last=cfg.drop_last,
+            epochs=epochs,
+            clock=clock,
+            storage=storage,
+            sampler=sampler,
+            seed=cfg.seed,
         )
+        self.poll_interval = cfg.poll_interval
+        self.load_retries = cfg.load_retries
 
-        cfg = self.config
-        self.substrate = ThreadSubstrate(self.clock)
         self.profiler = TimeoutProfiler(
             percentile=cfg.timeout_percentile,
             fallback_percentile=cfg.fallback_percentile,
@@ -214,59 +452,27 @@ class MinatoLoader:
         )
         self.scheduler = self.scaling.scheduler
         self.construction = BatchConstructionPolicy(
-            strict_order=not cfg.reorder, lock_factory=self.substrate.make_lock
+            strict_order=not cfg.reorder, lock_factory=threading.Lock
         )
 
         self._index_queue = WorkQueue(cfg.queue_capacity, name="index")
         self._fast_queue = WorkQueue(cfg.queue_capacity, name="fast")
         self._slow_queue = WorkQueue(cfg.queue_capacity, name="slow")
         self._temp_queue = WorkQueue(cfg.queue_capacity, name="temp")
-        self._batch_queues = [
-            WorkQueue(cfg.queue_capacity, name=f"batch-{g}") for g in range(cfg.num_gpus)
-        ]
-
-        self._counters = LoaderStatsCore(lock=self.substrate.make_lock())
-        self._stop = threading.Event()
         self._feeding_done = threading.Event()
-        self._in_flight = 0
-        self._in_flight_lock = threading.Lock()
 
-        # quotas derive from the *sampler*, not the dataset: a sharded
-        # sampler feeds only its rank's slice, and sizing the stream from
-        # the dataset would leave builders waiting forever on samples the
-        # feeder never emits
-        self._total_expected = epochs * len(self.sampler)
         self._remaining_per_gpu = deal_quota(
-            self._total_expected, cfg.batch_size, cfg.num_gpus
+            self.total_samples, cfg.batch_size, cfg.num_gpus
         )
         self._claim_lock = threading.Lock()
         self._batch_seq = 0
         self._batch_seq_lock = threading.Lock()
         self._builders_active = [0] * cfg.num_gpus
         self._builders_lock = threading.Lock()
-
-        self._errors: List[BaseException] = []
-        self._errors_lock = threading.Lock()
-        self._threads: List[threading.Thread] = []
         self._pool = _WorkerPool(self)
-        self._started = False
-        self._start_lock = threading.Lock()
-        self._shut_down = False
-        self._epochs_consumed = 0
-        self._delivered_to_user = 0
 
-    # -- lifecycle -----------------------------------------------------------
-
-    def start(self) -> None:
-        """Start the background machinery (idempotent)."""
-        with self._start_lock:
-            if self._shut_down:
-                raise LoaderStateError("loader was shut down; create a new instance")
-            if self._started:
-                return
-            self._started = True
+    def _launch(self) -> None:
         cfg = self.config
-
         self._spawn(self._feeder_loop, "minato-feeder")
         self._pool.spawn(cfg.total_initial_workers)
         for i in range(cfg.slow_workers):
@@ -275,54 +481,9 @@ class MinatoLoader:
             with self._builders_lock:
                 self._builders_active[gpu] = cfg.batch_builders
             for b in range(cfg.batch_builders):
-                self._spawn(
-                    lambda g=gpu: self._builder_loop(g), f"minato-builder-{gpu}-{b}"
-                )
-        if cfg.adaptive_workers and self.substrate.shared_timeline:
+                self._spawn(self._builder_loop, f"minato-builder-{gpu}-{b}", gpu)
+        if cfg.adaptive_workers and self.clock.shared_timeline:
             self._spawn(self._scheduler_loop, "minato-scheduler")
-
-    def _spawn(self, target, name: str) -> None:
-        thread = self.substrate.spawn(target, name=name, on_error=self._record_error)
-        self._threads.append(thread)
-
-    def shutdown(self, timeout: float = 5.0) -> None:
-        """Stop all threads and release resources (idempotent)."""
-        if self._shut_down:
-            return
-        self._shut_down = True
-        self._stop.set()
-        if self._started:
-            self._pool.join_all(timeout)
-            deadline = time.monotonic() + timeout
-            for thread in self._threads:
-                thread.join(timeout=max(0.0, deadline - time.monotonic()))
-
-    def __enter__(self) -> "MinatoLoader":
-        self.start()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.shutdown()
-
-    def _record_error(self, exc: BaseException) -> None:
-        with self._errors_lock:
-            self._errors.append(exc)
-        self._stop.set()
-
-    def _raise_errors(self) -> None:
-        with self._errors_lock:
-            if self._errors:
-                raise LoaderStateError(
-                    f"loader thread failed: {self._errors[0]!r}"
-                ) from self._errors[0]
-
-    # -- idle waiting ----------------------------------------------------------
-
-    def _idle_wait(self) -> None:
-        if self.substrate.shared_timeline:
-            self.clock.sleep(self.config.poll_interval)
-        else:
-            time.sleep(_IDLE_WALL_SLEEP)
 
     # -- feeder ----------------------------------------------------------------
 
@@ -347,37 +508,10 @@ class MinatoLoader:
                     return
                 self._idle_wait()
                 continue
-            epoch, seq, index = item
-            with self._in_flight_lock:
-                self._in_flight += 1
-            try:
-                self._process_one(epoch, seq, index)
-            finally:
-                with self._in_flight_lock:
-                    self._in_flight -= 1
-
-    def _load_with_retries(self, index: int):
-        """Fetch a sample, tolerating transient failures (config.load_retries)."""
-        attempts = self.config.load_retries + 1
-        for attempt in range(attempts):
-            try:
-                return self.dataset.load(index)
-            except Exception:
-                self._counters.add(load_retries=1)
-                if attempt == attempts - 1:
-                    raise
-        raise AssertionError("unreachable")  # pragma: no cover
+            self._process_one(*item)
 
     def _process_one(self, epoch: int, seq: int, index: int) -> None:
-        sample = self._load_with_retries(index)
-        ctx = WorkContext(
-            clock=self.clock,
-            rng=np.random.default_rng((sample.spec.seed + 7_919 * epoch) & 0x7FFFFFFF),
-        )
-        if self.storage is not None:
-            io_seconds = self.storage.read_seconds(sample.spec)
-            ctx.charge(io_seconds)
-            self._counters.add(io_seconds=io_seconds)
+        sample, ctx = self._begin_sample(epoch, index=index)
         outcome = self.balancer.process(sample, ctx, self.profiler.timeout())
         self._counters.add(busy_seconds=ctx.charged_seconds)
         if outcome.timed_out:
@@ -402,27 +536,28 @@ class MinatoLoader:
 
     # -- slow-task workers ---------------------------------------------------------
 
-    def _loaders_drained(self) -> bool:
-        if not self._feeding_done.is_set() or len(self._index_queue) != 0:
-            return False
-        with self._in_flight_lock:
-            return self._in_flight == 0
+    def _all_preprocessed(self) -> bool:
+        """Whether no sample can still reach the temp queue.  Both counters
+        are bumped *after* the work they describe (the index is queued; the
+        sample is fully transformed) and ``samples_fed`` is final once
+        feeding is done, so equality cannot be observed while a sample is
+        anywhere between the index queue and the temp queue."""
+        counters = self._counters
+        return (
+            self._feeding_done.is_set()
+            and counters.samples_preprocessed == counters.samples_fed
+        )
 
     def _slow_worker_loop(self) -> None:
         while not self._stop.is_set():
             item = self._temp_queue.try_get()
             if item is None:
-                if self._loaders_drained() and len(self._temp_queue) == 0:
+                if self._all_preprocessed():
                     return
                 self._idle_wait()
                 continue
             sample, resume_index, epoch, seq = item
-            # same (seed, epoch) derivation as _process_one: slow samples
-            # must draw fresh augmentations each epoch like fast ones do
-            ctx = WorkContext(
-                clock=self.clock,
-                rng=np.random.default_rng((sample.spec.seed + 7_919 * epoch) & 0x7FFFFFFF),
-            )
+            sample, ctx = self._begin_sample(epoch, sample=sample)
             sample = self.balancer.resume(sample, resume_index, ctx)
             self._counters.add(
                 busy_seconds=ctx.charged_seconds,
@@ -512,51 +647,6 @@ class MinatoLoader:
                 continue
             if action.total_workers != action.decision.previous_workers:
                 self._pool.resize(action.total_workers)
-
-    # -- consumption API ----------------------------------------------------------
-
-    def next_batch(self, gpu: int = 0) -> Optional[Batch]:
-        """Blocking fetch of the next batch for one GPU (None at stream end)."""
-        if not 0 <= gpu < self.config.num_gpus:
-            raise LoaderStateError(f"gpu {gpu} out of range")
-        self.start()
-        self._raise_errors()
-        batch = self._batch_queues[gpu].get(stop=self._stop)
-        self._raise_errors()
-        return batch
-
-    def batches(self, gpu: int = 0) -> Iterator[Batch]:
-        """Iterate all batches destined for one GPU."""
-        while True:
-            batch = self.next_batch(gpu)
-            if batch is None:
-                return
-            yield batch
-
-    def __iter__(self) -> Iterator[Batch]:
-        """Iterate one epoch's worth of batches (single-GPU convenience)."""
-        if self.config.num_gpus != 1:
-            raise LoaderStateError(
-                "__iter__ supports num_gpus=1; multi-GPU trainers should use "
-                "next_batch(gpu)/batches(gpu)"
-            )
-        self.start()
-        epoch = self._epochs_consumed
-        self._epochs_consumed += 1
-        target = min((epoch + 1) * len(self.sampler), self._total_expected)
-        while self._delivered_to_user < target:
-            batch = self.next_batch(0)
-            if batch is None:
-                return
-            self._delivered_to_user += len(batch)
-            yield batch
-
-    def __len__(self) -> int:
-        """Total number of batches across all epochs."""
-        batch_size = self.config.batch_size
-        if self.config.drop_last:
-            return self._total_expected // batch_size
-        return (self._total_expected + batch_size - 1) // batch_size
 
     # -- stats ----------------------------------------------------------------------
 

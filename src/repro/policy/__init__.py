@@ -14,14 +14,15 @@ the discrete-event models (:mod:`repro.sim.loaders`) and the baselines
 * :class:`ScalingPolicy` -- the Formula 1-2 worker control loop wrapping
   :class:`~repro.core.scheduler.WorkerScheduler` and
   :class:`~repro.core.profiler.TimeoutProfiler`;
-* :class:`LoaderStatsCore` -- the counters every loader reports;
-* :class:`Substrate` -- the thin protocol (clock, lock, spawn) policies are
-  driven through, with :class:`ThreadSubstrate` / :class:`SimSubstrate`
-  implementations.
+* :class:`LoaderStatsCore` -- the counters every loader reports.
 
 Everything here is deterministic and free of I/O, threads and virtual-time
 machinery, which is what makes "one policy change, both substrates agree"
 an invariant (see tests/test_cross_substrate.py) rather than a convention.
+What a policy needs from its caller -- the time, a lock factory, put/get
+callbacks -- it takes as a plain argument; starting threads or processes is
+the loaders' business (:class:`repro.core.loader.BaseConcurrentLoader`,
+``env.process``).
 """
 
 from .construction import (
@@ -44,7 +45,6 @@ from .routing import (
 )
 from .scaling import ScalingAction, ScalingPolicy
 from .stats import LoaderStatsCore, NullLock
-from .substrate import SimSubstrate, Substrate, ThreadSubstrate
 
 __all__ = [
     "BatchConstructionPolicy",
@@ -65,7 +65,4 @@ __all__ = [
     "ScalingAction",
     "LoaderStatsCore",
     "NullLock",
-    "Substrate",
-    "ThreadSubstrate",
-    "SimSubstrate",
 ]

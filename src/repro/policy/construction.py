@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
+from .stats import NullLock
+
 __all__ = [
     "BatchConstructionPolicy",
     "ReorderBuffer",
@@ -49,8 +51,6 @@ class ReorderBuffer:
     """
 
     def __init__(self, lock_factory: Optional[Callable[[], Any]] = None) -> None:
-        from .stats import NullLock
-
         self._lock = lock_factory() if lock_factory is not None else NullLock()
         self._items: Dict[int, Any] = {}
         self._next = 0

@@ -48,7 +48,6 @@ from ..policy import (
     LoaderStatsCore,
     RoutingPolicy,
     ScalingPolicy,
-    SimSubstrate,
     SizeRouter,
     deal_batch_plan,
     index_stream,
@@ -720,7 +719,6 @@ class SimMinatoLoader(BaseSimLoader):
         env = ctx.env
         workload = ctx.workload
         self.sampler = self.make_sampler(len(workload.dataset))
-        self.substrate = SimSubstrate(env)
         self.pipeline = workload.pipeline
         cap = self.queue_capacity
         self.batch_stores = [Store(env, capacity=cap) for _ in range(ctx.num_gpus)]
@@ -797,12 +795,12 @@ class SimMinatoLoader(BaseSimLoader):
         self._slow_target = self.slow_workers_effective
         self._builders_done = 0
 
-        self.substrate.spawn(self._feeder())
+        env.process(self._feeder())
         self._fill_pools()
         for gpu in range(ctx.num_gpus):
-            self.substrate.spawn(self._builder(gpu, plan[gpu]))
+            env.process(self._builder(gpu, plan[gpu]))
         if self.adaptive_workers:
-            self.substrate.spawn(self._scheduler_proc())
+            env.process(self._scheduler_proc())
 
     # -- sizing ------------------------------------------------------------------
 
@@ -832,10 +830,10 @@ class SimMinatoLoader(BaseSimLoader):
         )
         while stream_active and self._active_workers < self._loading_target:
             self._active_workers += 1
-            self.substrate.spawn(self._loading_worker())
+            self.ctx.env.process(self._loading_worker())
         while self._active_slow < self._slow_target:
             self._active_slow += 1
-            self.substrate.spawn(self._slow_worker())
+            self.ctx.env.process(self._slow_worker())
 
     # -- processes --------------------------------------------------------------------
 

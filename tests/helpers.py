@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Sequence
+import threading
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 import numpy as np
 import pytest
@@ -104,6 +105,52 @@ def mixed_cost_dataset(
     """Every ``slow_period``-th sample costs ``slow_cost``; others ``fast_cost``."""
     costs = [slow_cost if i % slow_period == 0 else fast_cost for i in range(n)]
     return StubDataset(costs)
+
+
+# ---------------------------------------------------------------------------
+# Watchdog: a hang fails the test instead of stalling the suite
+# ---------------------------------------------------------------------------
+
+T = TypeVar("T")
+
+#: name prefixes of the threads the threaded loaders start
+LOADER_THREAD_PREFIXES = ("minato-", "torch-", "dali-")
+
+
+def live_loader_threads(ignore=()) -> List[str]:
+    """Names of the live loader threads that are not in ``ignore``."""
+    return sorted(
+        t.name
+        for t in threading.enumerate()
+        if t not in ignore and t.name.startswith(LOADER_THREAD_PREFIXES)
+    )
+
+
+def run_with_watchdog(fn: Callable[[], T], seconds: float) -> T:
+    """Run ``fn()`` on a daemon thread and return its result (or re-raise
+    what it raised); if it is still running after ``seconds`` of wall time,
+    fail the test naming the loader threads that are still alive.  The local
+    tier-1 command has no per-test timeout, so this is what keeps a deadlock
+    from hanging the whole run."""
+    outcome = {}
+
+    def target() -> None:
+        try:
+            outcome["result"] = fn()
+        except BaseException as exc:  # surfaced on the calling thread
+            outcome["error"] = exc
+
+    worker = threading.Thread(target=target, name="watchdog-subject", daemon=True)
+    worker.start()
+    worker.join(timeout=seconds)
+    if worker.is_alive():
+        pytest.fail(
+            f"still running after {seconds} s (deadlock?); "
+            f"live loader threads: {live_loader_threads()}"
+        )
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["result"]
 
 
 # ---------------------------------------------------------------------------

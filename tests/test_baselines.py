@@ -155,6 +155,9 @@ def test_torch_len():
 
 
 def test_torch_worker_error_surfaces():
+    """The `__iter__` path; `next_batch`, the other fault sites and the other
+    loaders are the matrix in tests/test_loader_chassis.py."""
+
     class Exploding(StubDataset):
         def _materialize(self, spec):
             raise RuntimeError("bad decode")

@@ -1,12 +1,11 @@
 """Elastic cluster membership: re-sharding, fault injection, reporting.
 
-Fault-injection regressions reuse ``tests/test_sharding.py``'s watchdog
-pattern: the scenario runs on a daemon thread with a generous wall-clock
-timeout so a synchronization deadlock (a dead rank never releasing the
-barrier / ring) fails the test instead of hanging the suite.
+Fault-injection regressions run under ``tests/helpers.run_with_watchdog``
+with a generous wall-clock timeout, so a synchronization deadlock (a dead
+rank never releasing the barrier / ring) fails the test instead of hanging
+the suite.
 """
 
-import threading
 from dataclasses import replace
 
 import pytest
@@ -18,7 +17,7 @@ from repro.sim.distributed import (
     run_elastic,
 )
 from repro.sim.workloads import CONFIG_A, make_workload
-from tests.helpers import assert_every_door_rejects
+from tests.helpers import assert_every_door_rejects, run_with_watchdog
 
 DEADLOCK_TIMEOUT = 60.0  # wall seconds; generous, the runs take ~1 s
 
@@ -29,25 +28,8 @@ def epoch_workload(n_samples=96, epochs=2):
 
 
 def run_guarded(*args, **kwargs):
-    """Run run_elastic on a watchdog thread; fail instead of hang."""
-    outcome = {}
-
-    def target():
-        try:
-            outcome["result"] = run_elastic(*args, **kwargs)
-        except BaseException as exc:  # surfaced on the main thread
-            outcome["error"] = exc
-
-    worker = threading.Thread(target=target, daemon=True)
-    worker.start()
-    worker.join(timeout=DEADLOCK_TIMEOUT)
-    if worker.is_alive():
-        pytest.fail(
-            f"run_elastic deadlocked: args={args!r} kwargs={kwargs!r}"
-        )
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["result"]
+    """Run run_elastic under the watchdog; fail instead of hang."""
+    return run_with_watchdog(lambda: run_elastic(*args, **kwargs), DEADLOCK_TIMEOUT)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,319 @@
+"""The threaded chassis (`repro.core.loader.BaseConcurrentLoader`).
+
+One chassis carries all five threaded loaders, so its promises are tested
+once, for all of them: a fault in any loader thread reaches the consumer as
+a `LoaderStateError` chaining the cause, `shutdown()` wakes a blocked
+consumer and honours one deadline, a slow consumer behind the tightest
+queues still gets the whole stream, and no loader thread outlives
+`shutdown()`.  Every cell runs under `helpers.run_with_watchdog`: a hang is
+a failure, not a stalled suite.
+"""
+
+import functools
+import itertools
+import os
+import sys
+import threading
+import time
+
+import pytest
+
+import repro.baselines
+import repro.core.loader
+from repro.baselines import (
+    DALIConfig,
+    DALIStyleLoader,
+    PecanLoader,
+    SizeHeuristicLoader,
+    TorchLoaderConfig,
+    TorchStyleLoader,
+)
+from repro.clock import RealClock, ThreadLocalClock
+from repro.core import MinatoConfig, MinatoLoader
+from repro.errors import LoaderStateError
+from repro.transforms.base import Pipeline
+
+from .helpers import (
+    StubDataset,
+    StubTransform,
+    live_loader_threads,
+    run_with_watchdog,
+    stub_pipeline,
+)
+
+CELL_SECONDS = 2.0  # bound on every cell's consumption, wall seconds
+
+
+def test_one_chassis_for_every_threaded_loader():
+    chassis = repro.core.loader.BaseConcurrentLoader
+    assert repro.baselines.BaseConcurrentLoader is chassis
+    for loader in (MinatoLoader, SizeHeuristicLoader, TorchStyleLoader,
+                   PecanLoader, DALIStyleLoader):
+        assert issubclass(loader, chassis)
+
+
+# ---------------------------------------------------------------------------
+# Stage completion and shutdown (regressions)
+# ---------------------------------------------------------------------------
+
+
+def test_slow_worker_outlives_a_sample_still_on_its_way():
+    """Regression (hang): the loading worker popped the last index and only
+    then counted it in flight; a slow-task worker polling in between saw
+    "feeding done, nothing queued, nothing in flight" and left, so when that
+    sample timed out nobody finished it and `next_batch` blocked forever.
+    The sleep below is a thread switch at exactly that line."""
+    config = MinatoConfig(
+        batch_size=4, num_workers=1, slow_workers=1, timeout_override=0.1,
+        adaptive_workers=False,
+    )
+    loader = MinatoLoader(
+        StubDataset([1.0] * 8), stub_pipeline(3), config, clock=ThreadLocalClock()
+    )
+    try_get = loader._index_queue.try_get
+    popped = itertools.count(1)
+
+    def try_get_then_switch():
+        item = try_get()
+        if item is not None and next(popped) == 8:
+            time.sleep(0.2)
+        return item
+
+    loader._index_queue.try_get = try_get_then_switch
+    try:
+        batches = run_with_watchdog(lambda: list(loader), 5.0)
+    finally:
+        loader.shutdown(timeout=1.0)
+    assert sorted(i for b in batches for i in b.indices) == list(range(8))
+    assert loader.stats().samples_timed_out == 8
+
+
+def test_stage_completion_survives_thread_switch_stress():
+    """More workers than cores, a thread switch every 10 us, every other
+    sample finished in the background: each sample still arrives exactly
+    once and every stage ends (a slow-task worker that left early, or a
+    thread list corrupted by the pool spawning, would hang or lose one)."""
+    n = 400
+    config = MinatoConfig(
+        batch_size=8, num_workers=4 * (os.cpu_count() or 1), slow_workers=4,
+        timeout_override=0.1, adaptive_workers=False, queue_capacity=4,
+    )
+    loader = MinatoLoader(
+        StubDataset([1.0 if i % 2 else 0.01 for i in range(n)]), stub_pipeline(3),
+        config, clock=ThreadLocalClock(),
+    )
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        batches = run_with_watchdog(lambda: list(loader), 30.0)
+    finally:
+        sys.setswitchinterval(interval)
+        loader.shutdown(timeout=1.0)
+    assert sorted(i for b in batches for i in b.indices) == list(range(n))
+    stats = loader.stats()
+    assert stats.samples_preprocessed == stats.samples_fed == n
+    assert stats.samples_timed_out == n // 2
+
+
+class _Flagging(StubTransform):
+    """Stub stage that reports when a thread enters it."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.entered = threading.Event()
+
+    def _operate(self, sample, ctx):
+        self.entered.set()
+        return sample.data
+
+
+def test_shutdown_honours_one_deadline():
+    """Regression: the pool's threads and the other stages each got a fresh
+    `timeout`, so `shutdown(timeout)` could block for twice that.  Here a
+    loading worker and a slow-task worker both sit in a long wall-clock
+    charge when shutdown is called."""
+    second_stage = _Flagging(label="Second", fraction=0.5)
+    pipeline = Pipeline([StubTransform(label="First", fraction=0.5), second_stage])
+    config = MinatoConfig(
+        batch_size=2, num_workers=1, slow_workers=1, timeout_override=0.01,
+        adaptive_workers=False,
+    )
+    loader = MinatoLoader(StubDataset([1.2] * 4), pipeline, config, clock=RealClock())
+    loader.start()
+    # the slow worker just began 0.6 s on sample 0; the loading worker is
+    # part-way through 0.6 s on sample 1
+    assert second_stage.entered.wait(5.0)
+    began = time.monotonic()
+    loader.shutdown(timeout=0.2)
+    assert time.monotonic() - began < 0.35
+
+
+# ---------------------------------------------------------------------------
+# Fault-injection matrix: 5 loaders x 5 situations
+# ---------------------------------------------------------------------------
+
+LOADERS = ("minato", "size-heuristic", "torch", "pecan", "dali")
+N_SAMPLES = 16
+
+
+class _Exploding(StubTransform):
+    """Stub stage that raises, remembering the thread it raised on."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.raised_on = []
+
+    def _operate(self, sample, ctx):
+        self.raised_on.append(threading.current_thread().name)
+        raise RuntimeError("transform exploded")
+
+
+class _UnreadableDataset(StubDataset):
+    def _materialize(self, spec):
+        raise RuntimeError("disk on fire")
+
+
+class _GatedDataset(StubDataset):
+    """Loads block until the test opens the gate."""
+
+    def __init__(self, costs):
+        super().__init__(costs)
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+
+    def _materialize(self, spec):
+        self.entered.set()
+        self.gate.wait(10.0)
+        return super()._materialize(spec)
+
+
+def build(kind, dataset, pipeline, background=False, tight=False):
+    """One of the five loaders.  ``background`` sends every sample down the
+    resume path (timeout / size threshold below every sample); ``tight``
+    shrinks every queue and prefetch depth to one."""
+    clock = ThreadLocalClock()
+    capacity = 1 if tight else 100
+    if kind in ("minato", "size-heuristic"):
+        config = MinatoConfig(
+            batch_size=4, num_workers=2, slow_workers=1, adaptive_workers=False,
+            timeout_override=0.001 if background else 100.0, queue_capacity=capacity,
+        )
+        if kind == "minato":
+            return MinatoLoader(dataset, pipeline, config, clock=clock)
+        return SizeHeuristicLoader(
+            dataset, pipeline, config, clock=clock,
+            size_threshold_bytes=0 if background else 1e12,
+        )
+    if kind in ("torch", "pecan"):
+        config = TorchLoaderConfig(
+            batch_size=4, num_workers=2, pin_memory_bandwidth=None,
+            queue_capacity=capacity, prefetch_factor=1 if tight else 2,
+        )
+        cls = TorchStyleLoader if kind == "torch" else PecanLoader
+        return cls(dataset, pipeline, config, clock=clock)
+    config = DALIConfig(
+        batch_size=4, num_threads=2, prefetch_queue_depth=1 if tight else 2
+    )
+    return DALIStyleLoader(dataset, pipeline, config, clock=clock)
+
+
+def expect_fault(loader, message):
+    """Consume until the injected fault surfaces; it must, as the cause of a
+    `LoaderStateError`, and then keep surfacing."""
+
+    def consume():
+        while loader.next_batch(0) is not None:
+            pass
+
+    with pytest.raises(LoaderStateError, match=message) as caught:
+        run_with_watchdog(consume, CELL_SECONDS)
+    assert isinstance(caught.value.__cause__, RuntimeError)
+    assert message in str(caught.value.__cause__)
+    with pytest.raises(LoaderStateError, match=message):
+        loader.next_batch(0)
+
+
+def cell_load_raises(kind):
+    loader = build(kind, _UnreadableDataset([0.01] * N_SAMPLES), stub_pipeline(2))
+    expect_fault(loader, "disk on fire")
+    return loader
+
+
+#: the thread that runs a sample's transforms when nothing defers them
+INLINE_THREAD = {
+    "minato": "minato-worker", "size-heuristic": "minato-worker",
+    "torch": "torch-worker", "pecan": "torch-worker", "dali": "dali-gpu",
+}
+
+
+def cell_transform_raises(kind, background=False):
+    bad = _Exploding(label="Bad", fraction=0.5)
+    pipeline = Pipeline([StubTransform(label="Good", fraction=0.5), bad])
+    loader = build(kind, StubDataset([0.01] * N_SAMPLES), pipeline, background=background)
+    expect_fault(loader, "transform exploded")
+    where = "minato-slow" if background else INLINE_THREAD[kind]
+    assert bad.raised_on and all(name.startswith(where) for name in bad.raised_on)
+    return loader
+
+
+def cell_shutdown_unblocks_consumer(kind):
+    dataset = _GatedDataset([0.01] * N_SAMPLES)
+    loader = build(kind, dataset, stub_pipeline(2))
+    got = []
+    consumer = threading.Thread(
+        target=lambda: got.append(loader.next_batch(0)), daemon=True
+    )
+    consumer.start()
+    assert dataset.entered.wait(CELL_SECONDS)  # started, and nothing can arrive
+    began = time.monotonic()
+    loader.shutdown(timeout=0.1)  # the loads are still blocked: joins time out
+    consumer.join(CELL_SECONDS)
+    assert not consumer.is_alive(), "consumer still blocked after shutdown()"
+    assert got == [None]
+    assert time.monotonic() - began < CELL_SECONDS
+    dataset.gate.set()
+    return loader
+
+
+def cell_slow_consumer_gets_everything(kind):
+    loader = build(kind, StubDataset([0.01] * N_SAMPLES), stub_pipeline(2), tight=True)
+
+    def consume():
+        indices = []
+        for batch in loader.batches(0):
+            time.sleep(0.005)
+            indices.extend(batch.indices)
+        return indices
+
+    assert sorted(run_with_watchdog(consume, CELL_SECONDS)) == list(range(N_SAMPLES))
+    return loader
+
+
+CELLS = {
+    "load-raises": cell_load_raises,
+    "inline-transform-raises": cell_transform_raises,
+    "background-transform-raises": functools.partial(cell_transform_raises, background=True),
+    "shutdown-unblocks-consumer": cell_shutdown_unblocks_consumer,
+    "slow-consumer": cell_slow_consumer_gets_everything,
+}
+
+
+#: only MinatoLoader's stages (and its size-heuristic variant) resume samples
+#: in the background; the other three have no such path to break
+MATRIX = [
+    (situation, kind)
+    for situation in CELLS
+    for kind in LOADERS
+    if situation != "background-transform-raises" or kind in ("minato", "size-heuristic")
+]
+
+
+@pytest.mark.parametrize("situation,kind", MATRIX)
+def test_fault_matrix(situation, kind):
+    before = set(threading.enumerate())
+    loader = CELLS[situation](kind)
+    loader.shutdown(timeout=CELL_SECONDS)
+    deadline = time.monotonic() + CELL_SECONDS
+    while live_loader_threads(ignore=before) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert live_loader_threads(ignore=before) == []

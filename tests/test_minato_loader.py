@@ -257,6 +257,9 @@ def test_storage_io_accounted():
 
 
 def test_worker_exception_surfaces_to_consumer():
+    """The `__iter__` path; `next_batch`, the other fault sites and the other
+    loaders are the matrix in tests/test_loader_chassis.py."""
+
     class ExplodingDataset(StubDataset):
         def _materialize(self, spec):
             raise RuntimeError("disk on fire")

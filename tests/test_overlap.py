@@ -15,7 +15,6 @@ Covers the PR's step-loop layer and its satellites:
   (invalidation pressure) accounting.
 """
 
-import threading
 from dataclasses import replace
 
 import pytest
@@ -35,7 +34,7 @@ from repro.sim.distributed import (  # noqa: E402
 )
 from repro.sim.runner import run_simulation  # noqa: E402
 from repro.sim.workloads import CONFIG_A, make_workload  # noqa: E402
-from tests.helpers import assert_every_door_rejects  # noqa: E402
+from tests.helpers import assert_every_door_rejects, run_with_watchdog  # noqa: E402
 
 DEADLOCK_TIMEOUT = 60.0
 
@@ -50,23 +49,8 @@ def epoch_workload(n_samples=96, epochs=2):
 
 
 def run_guarded(runner, *args, **kwargs):
-    """Run on a watchdog thread; fail instead of hang (deadlock guard)."""
-    outcome = {}
-
-    def target():
-        try:
-            outcome["result"] = runner(*args, **kwargs)
-        except BaseException as exc:
-            outcome["error"] = exc
-
-    worker = threading.Thread(target=target, daemon=True)
-    worker.start()
-    worker.join(timeout=DEADLOCK_TIMEOUT)
-    if worker.is_alive():
-        pytest.fail(f"deadlocked: args={args!r} kwargs={kwargs!r}")
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["result"]
+    """Run under the watchdog; fail instead of hang (deadlock guard)."""
+    return run_with_watchdog(lambda: runner(*args, **kwargs), DEADLOCK_TIMEOUT)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from repro.clock import ScaledClock, ThreadLocalClock
 from repro.core.profiler import TimeoutProfiler
 from repro.core.scheduler import WorkerScheduler
 from repro.policy import (
@@ -16,7 +15,6 @@ from repro.policy import (
     RoutingPolicy,
     ScalingPolicy,
     SizeRouter,
-    ThreadSubstrate,
     deal_batch_plan,
     deal_quota,
     index_stream,
@@ -414,14 +412,3 @@ def test_size_router_threshold_from_dataset():
     assert router.threshold_bytes == 1024.0
     assert not router.is_slow(1024)  # boundary is exclusive
     assert router.is_slow(1025)
-
-
-def test_thread_substrate_reports_timeline_sharing():
-    assert not ThreadSubstrate(ThreadLocalClock()).shared_timeline
-    assert ThreadSubstrate(ScaledClock(0.5)).shared_timeline
-
-
-def test_thread_substrate_lock_is_real():
-    lock = ThreadSubstrate(ThreadLocalClock()).make_lock()
-    with lock:
-        assert not lock.acquire(blocking=False)

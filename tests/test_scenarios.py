@@ -1,8 +1,6 @@
 """Multi-tenant scenario engine: mix validation, preset behaviour,
 cross-tenant contention, and partition stall-and-heal semantics."""
 
-import threading
-
 import pytest
 
 from repro.errors import ConfigurationError
@@ -28,7 +26,7 @@ from repro.sim.scenarios import (
 )
 from repro.sim.workloads import CONFIG_A, make_workload
 
-from .helpers import on_checked_kernel
+from .helpers import on_checked_kernel, run_with_watchdog
 
 NODES = 4
 GPUS = 2
@@ -342,21 +340,9 @@ def test_partition_then_heal_never_deadlocks():
     """Watchdog-guarded: the partitioned mix must finish, not hang.  A
     stalled delivery is released at the window's heal time, so the run
     completes in bounded virtual (and wall) time."""
-    outcome = {}
-
-    def target():
-        try:
-            outcome["result"] = run_preset("network_partition", scale=0.25)
-        except BaseException as exc:  # noqa: BLE001 - report into the test
-            outcome["error"] = exc
-
-    thread = threading.Thread(target=target, daemon=True)
-    thread.start()
-    thread.join(timeout=60)
-    if thread.is_alive():
-        pytest.fail("network_partition mix did not finish within 60s")
-    assert "error" not in outcome, outcome.get("error")
-    mix_result = outcome["result"]
+    mix_result = run_with_watchdog(
+        lambda: run_preset("network_partition", scale=0.25), 60
+    )
     assert sum(r.partition_stall_seconds for r in mix_result.jobs) > 0
     for res in mix_result.jobs:
         assert res.steps > 0

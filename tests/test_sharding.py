@@ -8,7 +8,6 @@ while the feeder only fed the shard), and multi-rank agreement between the
 threaded engine and the discrete-event simulator.
 """
 
-import threading
 
 import pytest
 
@@ -20,7 +19,7 @@ from repro.sim.kernel import Environment
 from repro.sim.loaders import SimContext, SimMinatoLoader
 from repro.sim.workloads import CONFIG_A, WorkloadSpec, make_workload
 
-from .helpers import StubDataset, stub_pipeline
+from .helpers import StubDataset, run_with_watchdog, stub_pipeline
 
 DEADLOCK_TIMEOUT = 30.0  # wall seconds; generous, the runs take < 1 s
 
@@ -242,7 +241,7 @@ def test_sim_loaders_honor_shard_layout():
 
 
 def _run_sharded_loader(rank, world, n_samples, epochs=2, batch_size=4):
-    """Consume a sharded loader on a watchdog thread; fail instead of hang."""
+    """Consume a sharded loader under the watchdog; fail instead of hang."""
     dataset = StubDataset([0.01] * n_samples)
     sampler = ShardedSampler(n_samples, rank=rank, world_size=world, seed=2)
     cfg = MinatoConfig(
@@ -260,24 +259,15 @@ def _run_sharded_loader(rank, world, n_samples, epochs=2, batch_size=4):
         clock=ThreadLocalClock(),
         sampler=sampler,
     )
-    result = {}
-
     def consume():
         with loader:
-            result["indices"] = [
-                s.spec.index for batch in loader.batches(0) for s in batch.samples
-            ]
+            return [s.spec.index for batch in loader.batches(0) for s in batch.samples]
 
-    worker = threading.Thread(target=consume, daemon=True)
-    worker.start()
-    worker.join(timeout=DEADLOCK_TIMEOUT)
-    if worker.is_alive():
+    try:
+        indices = run_with_watchdog(consume, DEADLOCK_TIMEOUT)
+    finally:
         loader.shutdown(timeout=1.0)
-        pytest.fail(
-            f"MinatoLoader deadlocked with ShardedSampler(rank={rank}, "
-            f"world_size={world}, n={n_samples})"
-        )
-    return result["indices"], sampler
+    return indices, sampler
 
 
 @pytest.mark.parametrize("n_samples", [23, 24])
