@@ -1,6 +1,6 @@
 """Baseline loaders: PyTorch DataLoader, DALI and Pecan semantics."""
 
-from ..core.loader import BaseConcurrentLoader, BaselineStats
+from ..core.loader import BaseConcurrentLoader
 from .dali_loader import DALIConfig, DALIStyleLoader
 from .heuristics import SizeHeuristicLoader
 from .pecan import PecanLoader
@@ -8,7 +8,6 @@ from .torch_loader import TorchLoaderConfig, TorchStyleLoader
 
 __all__ = [
     "BaseConcurrentLoader",
-    "BaselineStats",
     "TorchStyleLoader",
     "TorchLoaderConfig",
     "DALIStyleLoader",

@@ -126,7 +126,7 @@ class DALIStyleLoader(BaseConcurrentLoader):
                 if self.storage is not None:
                     io_seconds = self.storage.read_seconds(sample.spec)
                     self.clock.advance(io_seconds)
-                    self._counters.add(io_seconds=io_seconds)
+                    self._count(io_seconds=io_seconds)
                 if not self._raw_queues[gpu].put((epoch, sample), stop=self._stop):
                     return
         finally:
@@ -161,16 +161,16 @@ class DALIStyleLoader(BaseConcurrentLoader):
                     gpu_cost += self.pipeline.total_cost(sample.spec) / cfg.gpu_speedup
                     self.pipeline.apply_all(sample, ctx)
                     samples.append(sample)
-                    self._counters.add(samples_preprocessed=1)
+                    self._count(samples_preprocessed=1)
                 if self.devices is not None:
                     self.devices[gpu].execute(gpu_cost, tag="preprocess")
                 else:
                     self.clock.advance(gpu_cost)
-                self._counters.add(busy_seconds=gpu_cost)
+                self._count(busy_seconds=gpu_cost)
                 batch = Batch(
                     samples=samples, gpu_index=gpu, built_at=self.clock.now()
                 )
-                self._counters.add(batches_built=1)
+                self._count(batches_built=1)
                 if not self._batch_queues[gpu].put(batch, stop=self._stop):
                     return
         finally:

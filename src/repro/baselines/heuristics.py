@@ -70,13 +70,15 @@ class SizeHeuristicLoader(MinatoLoader):
         sample, ctx = self._begin_sample(epoch, index=index)
         if self.size_router.is_slow(sample.spec.raw_nbytes):
             # Predicted slow: defer the *entire* pipeline to the background.
-            self._counters.add(samples_timed_out=1)
+            self._count(samples_timed_out=1)
             self._temp_queue.put((sample, 0, epoch, seq), stop=self._stop)
             return
 
         # Predicted fast: process inline, no timeout -- a misprediction
         # (small-but-slow sample) stalls this worker's fast path.
         outcome = self.balancer.process(sample, ctx, math.inf)
-        self._counters.add(busy_seconds=ctx.charged_seconds, samples_fast=1)
-        self.scaling.record_sample(outcome.elapsed_seconds, flagged_slow=False)
-        self._route_ready(outcome.sample, epoch, seq, slow=False)
+        self.profiler.record(outcome.elapsed_seconds, flagged_slow=False)
+        self._count(
+            busy_seconds=ctx.charged_seconds, samples_fast=1, samples_preprocessed=1
+        )
+        self._route_ready(outcome.sample, seq, slow=False)

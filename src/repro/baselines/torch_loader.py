@@ -160,12 +160,12 @@ class TorchStyleLoader(BaseConcurrentLoader):
             if cfg.pin_memory_bandwidth is not None:
                 collate = batch.nbytes / cfg.pin_memory_bandwidth
                 self.clock.advance(collate)
-                self._counters.add(collate_seconds=collate)
+                self._count(collate_seconds=collate)
             gpu = seq % self.num_gpus
             batch.gpu_index = gpu
             batch.sequence = seq
             batch.epoch_hint = epoch_hint
-            self._counters.add(batches_built=1)
+            self._count(batches_built=1)
             delivered = self._batch_queues[gpu].put(batch, stop=self._stop)
             semaphores[producer].release()
             if not delivered:
@@ -193,7 +193,7 @@ class TorchStyleLoader(BaseConcurrentLoader):
             for index in indices:
                 sample, ctx = self._begin_sample(epoch_hint, index=index)
                 self.pipeline.apply_all(sample, ctx)
-                self._counters.add(
+                self._count(
                     samples_preprocessed=1, busy_seconds=ctx.charged_seconds
                 )
                 samples.append(sample)

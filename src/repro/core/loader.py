@@ -11,12 +11,12 @@ error surfacing to the consumer, the idle wait, the per-sample prologue
 
 :class:`MinatoLoader`'s stages (paper Fig. 5), as real threads:
 
-* a **feeder** streams shuffled sample indices (identical sampling semantics
-  to the PyTorch DataLoader);
-* a dynamic pool of **loading workers** fetches samples from storage, runs
-  the transform pipeline under the :class:`~repro.core.balancer.LoadBalancer`
-  timeout, and routes results to the *fast* queue or -- partially processed --
-  to the *temp* queue;
+* a dynamic pool of **loading workers** draws the next shuffled sample index
+  from the one index stream (identical sampling semantics to the PyTorch
+  DataLoader), fetches the sample from storage, runs the transform pipeline
+  under the :class:`~repro.core.balancer.LoadBalancer` timeout, and routes
+  the result to the *fast* queue or -- partially processed -- to the *temp*
+  queue;
 * **slow-task workers** finish temp-queue samples off the critical path and
   enqueue them on the *slow* queue;
 * per-GPU **batch builders** assemble batches preferring fast samples but
@@ -42,9 +42,10 @@ serialize it).
 
 from __future__ import annotations
 
+import copy
+import functools
 import threading
 import time
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -57,7 +58,7 @@ from ..data.storage import StorageModel
 from ..errors import LoaderStateError
 from ..policy import (
     BatchConstructionPolicy,
-    LoaderStatsCore,
+    LoaderStats,
     ScalingPolicy,
     deal_quota,
     index_stream,
@@ -66,46 +67,13 @@ from ..transforms.base import Pipeline, WorkContext
 from .balancer import LoadBalancer
 from .batching import Batch
 from .config import MinatoConfig
-from .profiler import ProfilerSnapshot, TimeoutProfiler
+from .profiler import TimeoutProfiler
 from .queues import WorkQueue
-from .scheduler import SchedulerDecision, WorkerScheduler
+from .scheduler import WorkerScheduler
 
-__all__ = ["BaseConcurrentLoader", "BaselineStats", "MinatoLoader", "LoaderStats"]
+__all__ = ["BaseConcurrentLoader", "MinatoLoader", "LoaderStats"]
 
 _IDLE_WALL_SLEEP = 0.0005  # wall-clock poll when the clock has no shared timeline
-
-
-@dataclass
-class BaselineStats:
-    """Counters shared by the baseline loaders."""
-
-    samples_processed: int = 0
-    batches_built: int = 0
-    busy_seconds: float = 0.0
-    io_seconds: float = 0.0
-    collate_seconds: float = 0.0
-
-
-@dataclass
-class LoaderStats:
-    """Counters exposed for experiments and tests."""
-
-    samples_fed: int = 0
-    samples_fast: int = 0
-    samples_timed_out: int = 0
-    samples_preprocessed: int = 0
-    batches_built: int = 0
-    busy_seconds: float = 0.0
-    io_seconds: float = 0.0
-    load_retries: int = 0
-    profiler: Optional[ProfilerSnapshot] = None
-    worker_history: List[SchedulerDecision] = field(default_factory=list)
-    current_workers: int = 0
-
-    @property
-    def slow_fraction(self) -> float:
-        done = self.samples_preprocessed
-        return self.samples_timed_out / done if done else 0.0
 
 
 class BaseConcurrentLoader:
@@ -149,11 +117,16 @@ class BaseConcurrentLoader:
         self.clock = clock if clock is not None else ThreadLocalClock()
         self.storage = storage
         self.sampler = sampler if sampler is not None else RandomSampler(len(dataset), seed=seed)
+        # sampler-derived, not dataset-derived: a sharded sampler yields only
+        # its rank's slice, and quotas sized from the dataset would leave the
+        # consumer waiting forever on samples that never come
+        self.total_samples = epochs * len(self.sampler)
 
         self._batch_queues = [
             WorkQueue(queue_capacity, name=f"batch-{g}") for g in range(num_gpus)
         ]
-        self._counters = LoaderStatsCore(lock=threading.Lock())
+        self._stats = LoaderStats()
+        self._stats_lock = threading.Lock()
         self._stop = threading.Event()
         self._threads: List[threading.Thread] = []
         self._threads_lock = threading.Lock()
@@ -187,7 +160,10 @@ class BaseConcurrentLoader:
         def run() -> None:
             try:
                 target(*args)
-            except Exception as exc:
+            except BaseException as exc:
+                # SystemExit too (a stray sys.exit() in user code): threading
+                # swallows it, and the consumer would wait forever on a stage
+                # that is gone.  Nothing is above this frame to re-raise to.
                 self._record_error(exc)
 
         thread = threading.Thread(target=run, name=name, daemon=True)
@@ -235,6 +211,11 @@ class BaseConcurrentLoader:
         else:
             time.sleep(_IDLE_WALL_SLEEP)
 
+    def _count(self, **deltas: float) -> None:
+        """Add ``deltas`` to the live stats record, under its one lock."""
+        with self._stats_lock:
+            self._stats.add(**deltas)
+
     # -- per-sample prologue ----------------------------------------------------
 
     def _begin_sample(
@@ -259,7 +240,7 @@ class BaseConcurrentLoader:
                     sample = self.dataset.load(index)
                     break
                 except Exception:
-                    self._counters.add(load_retries=1)
+                    self._count(load_retries=1)
                     if attempt == self.load_retries:
                         raise
         ctx = WorkContext(
@@ -270,29 +251,17 @@ class BaseConcurrentLoader:
         if index is not None and self.storage is not None:
             io_seconds = self.storage.read_seconds(sample.spec)
             ctx.charge(io_seconds)
-            self._counters.add(io_seconds=io_seconds)
+            self._count(io_seconds=io_seconds)
         return sample, ctx
 
     # -- stats ------------------------------------------------------------------
 
-    def stats(self) -> BaselineStats:
-        counters = self._counters.snapshot()
-        return BaselineStats(
-            samples_processed=counters["samples_preprocessed"],
-            batches_built=counters["batches_built"],
-            busy_seconds=counters["busy_seconds"],
-            io_seconds=counters["io_seconds"],
-            collate_seconds=counters["collate_seconds"],
-        )
+    def stats(self) -> LoaderStats:
+        """A copy of the stats record; changing it does not touch the loader."""
+        with self._stats_lock:
+            return copy.deepcopy(self._stats)
 
     # -- consumption API ----------------------------------------------------------
-
-    @property
-    def total_samples(self) -> int:
-        # sampler-derived, not dataset-derived: a sharded sampler yields only
-        # its rank's slice, and quotas sized from the dataset would leave the
-        # consumer waiting forever on samples that are never fed
-        return self.epochs * len(self.sampler)
 
     def next_batch(self, gpu: int = 0) -> Optional[Batch]:
         """Blocking fetch of the next batch for one GPU (None at stream end)."""
@@ -447,33 +416,32 @@ class MinatoLoader(BaseConcurrentLoader):
                 delta_clip=cfg.delta_clip,
                 min_workers=cfg.min_workers,
                 max_workers=cfg.max_workers,
-            ),
-            profiler=self.profiler,
+            )
         )
-        self.scheduler = self.scaling.scheduler
         self.construction = BatchConstructionPolicy(
             strict_order=not cfg.reorder, lock_factory=threading.Lock
         )
 
-        self._index_queue = WorkQueue(cfg.queue_capacity, name="index")
+        #: the one ``(epoch, seq, index)`` stream every loading worker draws from
+        self._indices = index_stream(self.sampler, self.epochs)
+        self._indices_lock = threading.Lock()
         self._fast_queue = WorkQueue(cfg.queue_capacity, name="fast")
         self._slow_queue = WorkQueue(cfg.queue_capacity, name="slow")
         self._temp_queue = WorkQueue(cfg.queue_capacity, name="temp")
-        self._feeding_done = threading.Event()
+        self._put_fast = functools.partial(self._fast_queue.put, stop=self._stop)
+        self._put_slow = functools.partial(self._slow_queue.put, stop=self._stop)
 
         self._remaining_per_gpu = deal_quota(
             self.total_samples, cfg.batch_size, cfg.num_gpus
         )
         self._claim_lock = threading.Lock()
         self._batch_seq = 0
-        self._batch_seq_lock = threading.Lock()
         self._builders_active = [0] * cfg.num_gpus
         self._builders_lock = threading.Lock()
         self._pool = _WorkerPool(self)
 
     def _launch(self) -> None:
         cfg = self.config
-        self._spawn(self._feeder_loop, "minato-feeder")
         self._pool.spawn(cfg.total_initial_workers)
         for i in range(cfg.slow_workers):
             self._spawn(self._slow_worker_loop, f"minato-slow-{i}")
@@ -485,101 +453,84 @@ class MinatoLoader(BaseConcurrentLoader):
         if cfg.adaptive_workers and self.clock.shared_timeline:
             self._spawn(self._scheduler_loop, "minato-scheduler")
 
-    # -- feeder ----------------------------------------------------------------
-
-    def _feeder_loop(self) -> None:
-        for epoch, seq, index in index_stream(self.sampler, self.epochs):
-            if self._stop.is_set():
-                return
-            if not self._index_queue.put((epoch, seq, index), stop=self._stop):
-                return
-            self._counters.add(samples_fed=1)
-        self._feeding_done.set()
-
     # -- loading workers ---------------------------------------------------------
+
+    def _next_index(self) -> Optional[Tuple[int, int, int]]:
+        """The next ``(epoch, seq, index)`` to load; None once the stream is
+        exhausted."""
+        with self._indices_lock:
+            return next(self._indices, None)
 
     def _worker_loop(self, worker_id: int) -> None:
         while not self._stop.is_set():
             if self._pool.should_retire():
                 return
-            item = self._index_queue.try_get()
+            item = self._next_index()
             if item is None:
-                if self._feeding_done.is_set() and len(self._index_queue) == 0:
-                    return
-                self._idle_wait()
-                continue
+                return
             self._process_one(*item)
 
     def _process_one(self, epoch: int, seq: int, index: int) -> None:
         sample, ctx = self._begin_sample(epoch, index=index)
         outcome = self.balancer.process(sample, ctx, self.profiler.timeout())
-        self._counters.add(busy_seconds=ctx.charged_seconds)
         if outcome.timed_out:
-            self._counters.add(samples_timed_out=1)
+            self._count(busy_seconds=ctx.charged_seconds, samples_timed_out=1)
             self._temp_queue.put(
                 (outcome.sample, outcome.resume_index, epoch, seq), stop=self._stop
             )
         else:
-            self.scaling.record_sample(outcome.elapsed_seconds, flagged_slow=False)
-            self._counters.add(samples_fast=1)
-            self._route_ready(outcome.sample, epoch, seq, slow=False)
+            self.profiler.record(outcome.elapsed_seconds, flagged_slow=False)
+            self._count(
+                busy_seconds=ctx.charged_seconds, samples_fast=1, samples_preprocessed=1
+            )
+            self._route_ready(outcome.sample, seq, slow=False)
 
-    def _route_ready(self, sample, epoch: int, seq: int, slow: bool) -> None:
-        self._counters.add(samples_preprocessed=1)
+    def _route_ready(self, sample: Sample, seq: int, slow: bool) -> None:
         self.construction.route_ready(
-            seq,
-            sample,
-            flagged_slow=slow,
-            put_fast=lambda s: self._fast_queue.put(s, stop=self._stop),
-            put_slow=lambda s: self._slow_queue.put(s, stop=self._stop),
+            seq, sample, flagged_slow=slow, put_fast=self._put_fast, put_slow=self._put_slow
         )
 
     # -- slow-task workers ---------------------------------------------------------
-
-    def _all_preprocessed(self) -> bool:
-        """Whether no sample can still reach the temp queue.  Both counters
-        are bumped *after* the work they describe (the index is queued; the
-        sample is fully transformed) and ``samples_fed`` is final once
-        feeding is done, so equality cannot be observed while a sample is
-        anywhere between the index queue and the temp queue."""
-        counters = self._counters
-        return (
-            self._feeding_done.is_set()
-            and counters.samples_preprocessed == counters.samples_fed
-        )
 
     def _slow_worker_loop(self) -> None:
         while not self._stop.is_set():
             item = self._temp_queue.try_get()
             if item is None:
-                if self._all_preprocessed():
+                # a sample is counted only once fully transformed, so at
+                # equality none is left that could still reach the temp queue
+                if self._stats.samples_preprocessed == self.total_samples:
                     return
                 self._idle_wait()
                 continue
             sample, resume_index, epoch, seq = item
             sample, ctx = self._begin_sample(epoch, sample=sample)
             sample = self.balancer.resume(sample, resume_index, ctx)
-            self._counters.add(
+            self.profiler.record(sample.preprocess_seconds, flagged_slow=True)
+            self._count(
                 busy_seconds=ctx.charged_seconds,
                 background_busy_seconds=ctx.charged_seconds,
+                samples_preprocessed=1,
             )
-            self.scaling.record_sample(sample.preprocess_seconds, flagged_slow=True)
-            self._route_ready(sample, epoch, seq, slow=True)
+            self._route_ready(sample, seq, slow=True)
 
     # -- batch builders ----------------------------------------------------------
 
-    def _claim(self, gpu: int) -> int:
+    def _claim(self, gpu: int) -> Optional[Tuple[int, int]]:
+        """``(size, sequence number)`` of the next batch to build for
+        ``gpu``; None when its quota is used up."""
         batch_size = self.config.batch_size
         with self._claim_lock:
             remaining = self._remaining_per_gpu[gpu]
             if remaining <= 0:
-                return 0
+                return None
             if self.config.drop_last and remaining < batch_size:
                 self._remaining_per_gpu[gpu] = 0
-                return 0
+                return None
             take = min(batch_size, remaining)
             self._remaining_per_gpu[gpu] = remaining - take
-            return take
+            seq = self._batch_seq
+            self._batch_seq += 1
+            return take, seq
 
     def _stream_finished(self) -> bool:
         with self._claim_lock:
@@ -588,9 +539,10 @@ class MinatoLoader(BaseConcurrentLoader):
     def _builder_loop(self, gpu: int) -> None:
         try:
             while not self._stop.is_set():
-                take = self._claim(gpu)
-                if take == 0:
+                claim = self._claim(gpu)
+                if claim is None:
                     return
+                take, seq = claim
                 samples = []
                 while len(samples) < take and not self._stop.is_set():
                     sample = self.construction.next_ready(
@@ -602,16 +554,13 @@ class MinatoLoader(BaseConcurrentLoader):
                     samples.append(sample)
                 if len(samples) < take:
                     return  # stopped mid-collection
-                with self._batch_seq_lock:
-                    seq = self._batch_seq
-                    self._batch_seq += 1
                 batch = Batch(
                     samples=samples,
                     gpu_index=gpu,
                     built_at=self.clock.now(),
                     sequence=seq,
                 )
-                self._counters.add(batches_built=1)
+                self._count(batches_built=1)
                 if not self._batch_queues[gpu].put(batch, stop=self._stop):
                     return
         finally:
@@ -639,7 +588,7 @@ class MinatoLoader(BaseConcurrentLoader):
             )
             action = self.scaling.observe(
                 now=self.clock.now(),
-                busy_seconds=self._counters.snapshot()["busy_seconds"],
+                busy_seconds=self._stats.busy_seconds,
                 queue_fill=queue_fill,
                 workers=self._pool.active_count,
             )
@@ -651,17 +600,7 @@ class MinatoLoader(BaseConcurrentLoader):
     # -- stats ----------------------------------------------------------------------
 
     def stats(self) -> LoaderStats:
-        counters = self._counters.snapshot()
-        stats = LoaderStats(
-            samples_fed=counters["samples_fed"],
-            samples_fast=counters["samples_fast"],
-            samples_timed_out=counters["samples_timed_out"],
-            samples_preprocessed=counters["samples_preprocessed"],
-            batches_built=counters["batches_built"],
-            busy_seconds=counters["busy_seconds"],
-            io_seconds=counters["io_seconds"],
-            load_retries=counters["load_retries"],
-        )
+        stats = super().stats()
         stats.profiler = self.profiler.snapshot()
         stats.worker_history = list(self.scaling.history)
         stats.current_workers = self._pool.active_count

@@ -2,8 +2,8 @@
 
 A thin layer over :class:`queue.Queue` adding the operations loader threads
 need: non-blocking ``try_get``/``try_put``, interruptible blocking variants
-driven by a stop event, close semantics, and peak-occupancy stats for the
-worker scheduler.
+driven by a stop event, close semantics, and the occupancy fraction the
+worker scheduler feeds on.
 """
 
 from __future__ import annotations
@@ -49,10 +49,6 @@ class WorkQueue:
         self.name = name
         self._soft_capacity = soft_capacity
         self._closed = threading.Event()
-        self._lock = threading.Lock()
-        self.peak_size = 0
-        self.total_put = 0
-        self.total_got = 0
 
     # -- introspection -------------------------------------------------------
 
@@ -85,13 +81,6 @@ class WorkQueue:
 
     # -- operations -----------------------------------------------------------
 
-    def _record_put(self) -> None:
-        with self._lock:
-            self.total_put += 1
-            size = self._q.qsize()
-            if size > self.peak_size:
-                self.peak_size = size
-
     def try_put(self, item: Any) -> bool:
         if self._closed.is_set():
             raise QueueClosed(f"{self.name} is closed")
@@ -99,7 +88,6 @@ class WorkQueue:
             self._q.put_nowait(item)
         except queue.Full:
             return False
-        self._record_put()
         return True
 
     def put(self, item: Any, stop: Optional[threading.Event] = None) -> bool:
@@ -113,17 +101,13 @@ class WorkQueue:
                 self._q.put(item, timeout=self._POLL_SLICE)
             except queue.Full:
                 continue
-            self._record_put()
             return True
 
     def try_get(self) -> Any:
         try:
-            item = self._q.get_nowait()
+            return self._q.get_nowait()
         except queue.Empty:
             return None
-        with self._lock:
-            self.total_got += 1
-        return item
 
     def get(self, stop: Optional[threading.Event] = None) -> Any:
         """Blocking get; returns None if interrupted or closed-and-drained."""
@@ -131,11 +115,7 @@ class WorkQueue:
             if stop is not None and stop.is_set():
                 return None
             try:
-                item = self._q.get(timeout=self._POLL_SLICE)
+                return self._q.get(timeout=self._POLL_SLICE)
             except queue.Empty:
                 if self._closed.is_set() and self._q.empty():
                     return None
-                continue
-            with self._lock:
-                self.total_got += 1
-            return item

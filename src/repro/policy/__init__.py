@@ -11,10 +11,9 @@ the discrete-event models (:mod:`repro.sim.loaders`) and the baselines
 * :class:`BatchConstructionPolicy` -- Algorithm 1's fast-preferring,
   slow-draining construction loop plus the strict-order
   :class:`ReorderBuffer` (paper §6);
-* :class:`ScalingPolicy` -- the Formula 1-2 worker control loop wrapping
-  :class:`~repro.core.scheduler.WorkerScheduler` and
-  :class:`~repro.core.profiler.TimeoutProfiler`;
-* :class:`LoaderStatsCore` -- the counters every loader reports.
+* :class:`ScalingPolicy` -- the Formula 1-2 worker control loop around
+  :class:`~repro.core.scheduler.WorkerScheduler`;
+* :class:`LoaderStats` -- the one stats record every loader reports.
 
 Everything here is deterministic and free of I/O, threads and virtual-time
 machinery, which is what makes "one policy change, both substrates agree"
@@ -44,7 +43,7 @@ from .routing import (
     SizeRouter,
 )
 from .scaling import ScalingAction, ScalingPolicy
-from .stats import LoaderStatsCore, NullLock
+from .stats import LoaderStats
 
 __all__ = [
     "BatchConstructionPolicy",
@@ -63,6 +62,5 @@ __all__ = [
     "HANDOFF",
     "ScalingPolicy",
     "ScalingAction",
-    "LoaderStatsCore",
-    "NullLock",
+    "LoaderStats",
 ]

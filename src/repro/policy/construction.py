@@ -13,7 +13,8 @@ substrates route every decision through this module:
   expresses fast-before-slow in virtual time without polling.
 
 The module also owns the sample-stream plumbing both substrates share:
-:func:`index_stream` (the feeder's ``(epoch, seq, index)`` stream) and
+:func:`index_stream` (the ``(epoch, seq, index)`` stream the threaded
+loading workers draw from and the simulator's feeder copies) and
 :func:`deal_batch_plan` / :func:`deal_quota` (round-robin dealing of the
 stream to GPUs in batch-size chunks, so every GPU gets a near-equal share of
 batches regardless of how fast individual builders run).
@@ -21,9 +22,8 @@ batches regardless of how fast individual builders run).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
-
-from .stats import NullLock
 
 __all__ = [
     "BatchConstructionPolicy",
@@ -43,7 +43,7 @@ SLOW_KEY = 1
 class ReorderBuffer:
     """Reorder buffer for the strict-order mode (paper §6).
 
-    Items arrive keyed by their feed sequence number and are released only
+    Items arrive keyed by their stream sequence number and are released only
     in sequence order; a gap (an in-flight earlier sample) blocks release of
     everything behind it.  The lock is pluggable so the threaded engine can
     pass ``threading.Lock`` while the single-threaded simulator pays no
@@ -51,7 +51,7 @@ class ReorderBuffer:
     """
 
     def __init__(self, lock_factory: Optional[Callable[[], Any]] = None) -> None:
-        self._lock = lock_factory() if lock_factory is not None else NullLock()
+        self._lock = lock_factory() if lock_factory is not None else nullcontext()
         self._items: Dict[int, Any] = {}
         self._next = 0
 
@@ -163,7 +163,7 @@ def deal_quota(total_samples: int, batch_size: int, num_gpus: int) -> List[int]:
 def index_stream(
     sampler, epochs: Optional[int] = None
 ) -> Iterator[Tuple[int, int, int]]:
-    """The feeder's ``(epoch, seq, index)`` stream over shuffled epochs.
+    """The ``(epoch, seq, index)`` stream over shuffled epochs.
 
     ``seq`` increases globally across epochs (it keys the strict-order
     reorder buffer).  ``epochs=None`` cycles forever (the simulator's

@@ -1,19 +1,13 @@
 """Substrate-neutral worker-pool control loop (paper §4.2-§4.3).
 
-:class:`ScalingPolicy` bundles the two learned controllers behind one
-interface so the threaded engine and the discrete-event simulator run the
-identical control law:
-
-* the :class:`~repro.core.profiler.TimeoutProfiler` (warm-up P75 timeout
-  with the P90 fallback) -- exposed through :meth:`timeout` /
-  :meth:`record_sample`;
-* the :class:`~repro.core.scheduler.WorkerScheduler` (Formulas 1-2) -- the
-  policy owns the interval bookkeeping around it: CPU-usage is derived from
-  busy-second deltas, decisions are appended to :attr:`history`, and (when
-  ``split_background`` is on) the new total is split between loading workers
-  and background slow-task workers by each path's observed share of CPU work
-  over the last interval, so heavy slow paths (e.g. Speech-10s) get a
-  proportionally larger background pool.
+:class:`ScalingPolicy` owns Formulas 1-2 and nothing else, so the threaded
+engine and the discrete-event simulator run the identical control law around
+the :class:`~repro.core.scheduler.WorkerScheduler`: CPU-usage is derived
+from busy-second deltas, decisions are appended to :attr:`history`, and
+(when ``split_background`` is on) the new total is split between loading
+workers and background slow-task workers by each path's observed share of
+CPU work over the last interval, so heavy slow paths (e.g. Speech-10s) get a
+proportionally larger background pool.
 
 The substrate supplies only clock readings and counter values; everything
 that constitutes a *decision* lives here.
@@ -24,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..core.profiler import TimeoutProfiler
 from ..core.scheduler import SchedulerDecision, WorkerScheduler
 
 __all__ = ["ScalingPolicy", "ScalingAction"]
@@ -42,18 +35,16 @@ class ScalingAction:
 
 
 class ScalingPolicy:
-    """Interval-driven wrapper around the profiler and worker scheduler."""
+    """Interval-driven wrapper around the worker scheduler."""
 
     def __init__(
         self,
         scheduler: WorkerScheduler,
-        profiler: Optional[TimeoutProfiler] = None,
         split_background: bool = False,
         min_background: int = 2,
         default_background_share: float = 0.25,
     ) -> None:
         self.scheduler = scheduler
-        self.profiler = profiler
         self.split_background = split_background
         self.min_background = min_background
         self.default_background_share = default_background_share
@@ -61,18 +52,6 @@ class ScalingPolicy:
         self._prev_busy = 0.0
         self._prev_background_busy = 0.0
         self._prev_time: Optional[float] = None
-
-    # -- profiler surface -------------------------------------------------------
-
-    def timeout(self) -> float:
-        """Current fast/slow timeout budget in seconds."""
-        if self.profiler is None:
-            raise RuntimeError("ScalingPolicy built without a profiler")
-        return self.profiler.timeout()
-
-    def record_sample(self, seconds: float, flagged_slow: bool = False) -> None:
-        if self.profiler is not None:
-            self.profiler.record(seconds, flagged_slow=flagged_slow)
 
     # -- control loop -----------------------------------------------------------
 

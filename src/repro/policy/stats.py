@@ -1,69 +1,53 @@
-"""Shared loader counters (`LoaderStatsCore`).
+"""The one stats record every loader reports (`LoaderStats`).
 
 Every loader -- the threaded engine, the discrete-event models and the
-baselines -- tracks the same family of counters.  :class:`LoaderStatsCore`
-holds them behind a pluggable lock so one implementation serves both
-substrates: the threaded engine passes a real :class:`threading.Lock`, the
-simulator (single-threaded by construction) passes nothing and gets the
-no-op :class:`NullLock`.
+baselines -- counts the same family of things, so there is one record for
+all of them; each loader uses the fields it needs.  The record itself takes
+no lock: the threaded chassis
+(:class:`repro.core.loader.BaseConcurrentLoader`) keeps its live instance
+behind one lock and hands out copies, and the simulator (single-threaded by
+construction) updates a plain instance in place.
 """
 
 from __future__ import annotations
 
-from typing import ContextManager, Dict, Optional
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, List, Optional
 
-__all__ = ["LoaderStatsCore", "NullLock"]
+if TYPE_CHECKING:  # annotations only: repro.core imports this package
+    from ..core.profiler import ProfilerSnapshot
+    from ..core.scheduler import SchedulerDecision
 
-
-class NullLock:
-    """Context-manager lock that does nothing (single-threaded substrates)."""
-
-    def __enter__(self) -> "NullLock":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        return None
+__all__ = ["LoaderStats"]
 
 
-class LoaderStatsCore:
-    """Counter block shared by all loader implementations.
+@dataclass
+class LoaderStats:
+    """Counters and scheduler/profiler state exposed for experiments and tests."""
 
-    Fields cover the union of what the loaders report; each loader uses the
-    subset it needs.  All mutation goes through :meth:`add`, which takes the
-    lock once per call regardless of how many fields change.
-    """
-
-    FIELDS = (
-        "samples_fed",
-        "samples_fast",
-        "samples_timed_out",
-        "samples_preprocessed",
-        "batches_built",
-        "busy_seconds",
-        "background_busy_seconds",
-        "io_seconds",
-        "collate_seconds",
-        "load_retries",
-    )
-
-    def __init__(self, lock: Optional[ContextManager] = None) -> None:
-        self.lock = lock if lock is not None else NullLock()
-        for name in self.FIELDS:
-            setattr(self, name, 0 if not name.endswith("_seconds") else 0.0)
+    samples_fast: int = 0
+    samples_timed_out: int = 0
+    samples_preprocessed: int = 0
+    batches_built: int = 0
+    busy_seconds: float = 0.0
+    background_busy_seconds: float = 0.0
+    io_seconds: float = 0.0
+    collate_seconds: float = 0.0
+    load_retries: int = 0
+    profiler: Optional[ProfilerSnapshot] = None
+    worker_history: List[SchedulerDecision] = field(default_factory=list)
+    current_workers: int = 0
 
     def add(self, **deltas: float) -> None:
-        """Atomically add the given deltas to their counters."""
-        unknown = set(deltas) - set(self.FIELDS)
-        if unknown:
-            raise ValueError(f"unknown counter(s): {sorted(unknown)}")
-        with self.lock:
-            for name, delta in deltas.items():
-                setattr(self, name, getattr(self, name) + delta)
-
-    def snapshot(self) -> Dict[str, float]:
-        """Consistent point-in-time copy of every counter."""
-        with self.lock:
-            return {name: getattr(self, name) for name in self.FIELDS}
+        """Add each delta to its counter; an unknown name raises before any
+        counter moves."""
+        counters = vars(self)
+        if not deltas.keys() <= counters.keys():
+            raise ValueError(
+                f"unknown counter(s): {sorted(deltas.keys() - counters.keys())}"
+            )
+        for name, delta in deltas.items():
+            counters[name] += delta
 
     @property
     def slow_fraction(self) -> float:

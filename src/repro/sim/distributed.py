@@ -876,10 +876,8 @@ class _ElasticJob:
         self.collapse_requested = spec.collapse and not membership.partitions
 
         self.assignment = ShardAssignment(spec.reshard)
-        base_kwargs = dict(spec.loader_kwargs or {})
-        for key in ("shard_rank", "shard_world_size", "total_batches_override"):
-            base_kwargs.pop(key, None)
-        self.seed = base_kwargs.get("seed", 0)
+        loader_kwargs = spec.loader_kwargs or {}
+        self.seed = loader_kwargs.get("seed", 0)
         self.n_samples = len(workload.dataset)
         self.batch_size = workload.batch_size
         self.epoch_mode = spec.total_steps is None and (
@@ -905,7 +903,7 @@ class _ElasticJob:
 
         # one template loader: every per-(node, epoch) clone shares its
         # per-sample cost memos
-        self.template = make_sim_loader(spec.loader, **base_kwargs)
+        self.template = make_sim_loader(spec.loader, **loader_kwargs)
 
         #: this job's completion-attributed per-class link wait: the sink
         #: shared by its loader / checkpoint streams; merged with the ring

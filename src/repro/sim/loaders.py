@@ -45,7 +45,7 @@ from ..engine.metrics import IntervalRecorder, ThroughputMeter
 from ..errors import ConfigurationError
 from ..policy import (
     BatchConstructionPolicy,
-    LoaderStatsCore,
+    LoaderStats,
     RoutingPolicy,
     ScalingPolicy,
     SizeRouter,
@@ -141,9 +141,9 @@ class SimContext:
         self.gpu_recorders = [IntervalRecorder(f"gpu{g}") for g in range(num_gpus)]
         self.cpu_recorder = IntervalRecorder("cpu")
         self.meter = ThroughputMeter()
-        #: shared counter block (same class the threaded engine uses; the
-        #: event kernel is single-threaded, so no lock)
-        self.stats = LoaderStatsCore()
+        #: the stats record (same class the threaded engine reports; the
+        #: event kernel is single-threaded, so it is updated in place)
+        self.stats = LoaderStats()
         self.cpu_busy_by_tag: dict = {}
 
     # -- storage -----------------------------------------------------------------
@@ -205,14 +205,11 @@ class SimContext:
 class BaseSimLoader:
     """Common surface: batch stores + per-GPU consumption generators.
 
-    Subclasses may set ``shard_rank`` / ``shard_world_size`` (from their
-    constructors) to run as one data-parallel rank: the loader then samples
-    only its rank's shard and sizes its stream from the *sampler* length.
-    ``total_batches_override`` pins the delivered-batch budget explicitly
-    (the distributed runner uses it to keep lockstep ranks in agreement).
-
-    Elastic re-sharding uses :meth:`rebind_shard` to clone a loader onto a
-    re-derived sampler at an epoch boundary, and :meth:`halt` to retire a
+    A loader as constructed samples the whole dataset.  It runs as one
+    data-parallel rank iff it was rebound: :meth:`rebind_shard` clones it
+    onto a rank's :class:`~repro.data.samplers.ShardedSampler` (the elastic
+    executor does so at every epoch boundary) and pins the delivered-batch
+    budget that keeps lockstep ranks in agreement.  :meth:`halt` retires a
     failed node's polling workers instead of letting them spin in virtual
     time forever.
     """
@@ -224,24 +221,13 @@ class BaseSimLoader:
     #: round-robin batch deal would starve the tail of some GPU's stream
     per_gpu_sharding = False
 
-    def __init__(
-        self,
-        shard_rank: Optional[int] = None,
-        shard_world_size: int = 1,
-        total_batches_override: Optional[int] = None,
-        shard_layout: str = "stride",
-    ) -> None:
+    def __init__(self) -> None:
         self.batch_stores: List[Store] = []
         self.ctx: Optional[SimContext] = None
-        self.shard_rank = shard_rank
-        self.shard_world_size = shard_world_size
-        self.total_batches_override = total_batches_override
-        #: shard slicing layout ("stride" | "block"); block keeps a rank's
-        #: index set fixed across epochs so its page cache stays warm
-        self.shard_layout = shard_layout
-        #: exact sampler to use instead of building one from the shard
-        #: fields (set by rebind_shard; carries elastic epoch offsets)
+        #: this rank's shard and delivered-batch budget (set by rebind_shard;
+        #: the sampler carries layout, seed and elastic epoch offsets)
         self._sampler_override: Optional[ShardedSampler] = None
+        self.total_batches_override: Optional[int] = None
         #: exact sample budget for sample-granular loaders (Minato); lets a
         #: one-epoch elastic round end after precisely one shard pass
         #: instead of rounding up to whole batches
@@ -287,64 +273,27 @@ class BaseSimLoader:
         clone.batch_stores = []
         clone._halted = False
         clone._sampler_override = sampler
-        clone.shard_rank = sampler.rank
-        clone.shard_world_size = sampler.world_size
         clone.total_batches_override = total_batches_override
         clone.total_samples_override = total_samples_override
         return clone
 
-    def node_rank(self) -> int:
-        """This loader's data-parallel rank; fails fast on half-configured
-        sharding (a forgotten rank would silently duplicate rank 0's shard)."""
-        if self.shard_world_size > 1 and self.shard_rank is None:
-            raise ConfigurationError(
-                f"shard_rank is required when shard_world_size > 1 "
-                f"(got shard_world_size={self.shard_world_size})"
-            )
-        return self.shard_rank if self.shard_rank is not None else 0
-
     def make_sampler(self, n: int):
-        """This rank's sampler: a shard when data-parallel, else the full shuffle."""
-        if self._sampler_override is not None:
-            if self._sampler_override.dataset_size != n:
-                raise ConfigurationError(
-                    f"rebound sampler covers {self._sampler_override.dataset_size} "
-                    f"samples but the workload's dataset has {n}"
-                )
-            return self._sampler_override
-        if self.shard_world_size > 1:
-            return ShardedSampler(
-                n,
-                rank=self.node_rank(),
-                world_size=self.shard_world_size,
-                seed=self.seed,
-                layout=self.shard_layout,
+        """This rank's sampler: its rebound shard, else the full shuffle."""
+        if self._sampler_override is None:
+            return RandomSampler(n, seed=self.seed)
+        if self._sampler_override.dataset_size != n:
+            raise ConfigurationError(
+                f"rebound sampler covers {self._sampler_override.dataset_size} "
+                f"samples but the workload's dataset has {n}"
             )
-        return RandomSampler(n, seed=self.seed)
+        return self._sampler_override
 
-    def batch_budget(self, ctx: SimContext, sampler) -> int:
-        """Total batches this loader instance must deliver.
-
-        Derives from the sampler (the rank's shard), not the dataset: an
-        epoch here is one pass over the shard.  Iteration-budgeted
-        workloads fix cluster-wide steps instead, so sharded ranks must
-        pass ``total_batches_override``.
-        """
+    def batch_budget(self, ctx: SimContext) -> int:
+        """Total batches this loader instance must deliver: the budget it
+        was rebound with, else the whole workload's."""
         if self.total_batches_override is not None:
             return self.total_batches_override
-        workload = ctx.workload
-        if workload.epochs is not None and self.shard_world_size > 1:
-            per_epoch = (
-                len(sampler) + workload.batch_size - 1
-            ) // workload.batch_size
-            return workload.epochs * per_epoch
-        if self.shard_world_size > 1:
-            raise ConfigurationError(
-                "iteration-budgeted workloads fix cluster-wide steps; a "
-                "sharded rank must pass total_batches_override (its slice "
-                "of the budget) or every rank redundantly runs all of it"
-            )
-        return workload.total_batches(ctx.num_gpus)
+        return ctx.workload.total_batches(ctx.num_gpus)
 
     def total_cost(self, spec: SampleSpec) -> float:
         value = self._cost_cache.get(spec.index)
@@ -395,17 +344,8 @@ class SimTorchLoader(BaseSimLoader):
         queue_capacity: int = 100,
         pipeline_override=None,
         seed: int = 0,
-        shard_rank: Optional[int] = None,
-        shard_world_size: int = 1,
-        total_batches_override: Optional[int] = None,
-        shard_layout: str = "stride",
     ) -> None:
-        super().__init__(
-            shard_rank=shard_rank,
-            shard_world_size=shard_world_size,
-            total_batches_override=total_batches_override,
-            shard_layout=shard_layout,
-        )
+        super().__init__()
         self.num_workers = num_workers
         self.prefetch_factor = prefetch_factor
         self.persistent_workers = persistent_workers
@@ -427,7 +367,7 @@ class SimTorchLoader(BaseSimLoader):
             Store(env, capacity=self.queue_capacity) for _ in range(ctx.num_gpus)
         ]
         self.sampler = self.make_sampler(len(ctx.workload.dataset))
-        self.total_batches = self.batch_budget(ctx, self.sampler)
+        self.total_batches = self.batch_budget(ctx)
         env.process(self._orchestrator())
 
     def _orchestrator(self) -> Generator:
@@ -539,17 +479,8 @@ class SimDALILoader(BaseSimLoader):
         gpu_speedup: float = 10.0,
         cpu_decode_bandwidth: float = 2.0 * 1024**3,
         seed: int = 0,
-        shard_rank: Optional[int] = None,
-        shard_world_size: int = 1,
-        total_batches_override: Optional[int] = None,
-        shard_layout: str = "stride",
     ) -> None:
-        super().__init__(
-            shard_rank=shard_rank,
-            shard_world_size=shard_world_size,
-            total_batches_override=total_batches_override,
-            shard_layout=shard_layout,
-        )
+        super().__init__()
         self.num_threads_per_gpu = num_threads_per_gpu
         self.prefetch_queue_depth = prefetch_queue_depth
         self.gpu_speedup = gpu_speedup
@@ -587,7 +518,7 @@ class SimDALILoader(BaseSimLoader):
         # with the node-level shard into one flat (node, gpu) rank space
         if self._sampler_override is not None:
             # rebound node-level shard: subdivide it per GPU, preserving the
-            # override's seed / tail policy / elastic epoch offset
+            # override's seed / layout / tail policy / elastic epoch offset
             sampler = self._sampler_override.reshard(
                 world_size=self._sampler_override.world_size * self.ctx.num_gpus,
                 rank=self._sampler_override.rank * self.ctx.num_gpus + gpu,
@@ -595,10 +526,9 @@ class SimDALILoader(BaseSimLoader):
         else:
             sampler = ShardedSampler(
                 len(self.ctx.workload.dataset),
-                rank=self.node_rank() * self.ctx.num_gpus + gpu,
-                world_size=self.shard_world_size * self.ctx.num_gpus,
+                rank=gpu,
+                world_size=self.ctx.num_gpus,
                 seed=self.seed,
-                layout=self.shard_layout,
             )
         epoch = 0
         while True:
@@ -671,17 +601,8 @@ class SimMinatoLoader(BaseSimLoader):
         size_percentile: float = 75.0,
         reorder: bool = True,
         seed: int = 0,
-        shard_rank: Optional[int] = None,
-        shard_world_size: int = 1,
-        total_batches_override: Optional[int] = None,
-        shard_layout: str = "stride",
     ) -> None:
-        super().__init__(
-            shard_rank=shard_rank,
-            shard_world_size=shard_world_size,
-            total_batches_override=total_batches_override,
-            shard_layout=shard_layout,
-        )
+        super().__init__()
         if classifier not in ("timeout", "size"):
             raise ConfigurationError(
                 f"classifier must be 'timeout' or 'size', got {classifier!r}"
@@ -767,11 +688,9 @@ class SimMinatoLoader(BaseSimLoader):
                 min_workers=self.min_workers,
                 max_workers=self.max_workers_effective,
             ),
-            profiler=self.profiler,
             split_background=True,
             min_background=2,
         )
-        self.scheduler = self.scaling.scheduler
         self.worker_history = self.scaling.history
 
         if self.classifier == "size":
@@ -812,7 +731,7 @@ class SimMinatoLoader(BaseSimLoader):
             # sampler length, not dataset length: a sharded rank feeds only
             # its (padded) slice per epoch
             return workload.epochs * len(self.sampler)
-        return self.batch_budget(self.ctx, self.sampler) * workload.batch_size
+        return self.batch_budget(self.ctx) * workload.batch_size
 
     # -- worker pool --------------------------------------------------------------
 

@@ -20,6 +20,7 @@ import pytest
 
 import repro.baselines
 import repro.core.loader
+import repro.policy
 from repro.baselines import (
     DALIConfig,
     DALIStyleLoader,
@@ -57,35 +58,76 @@ def test_one_chassis_for_every_threaded_loader():
 # ---------------------------------------------------------------------------
 
 
-def test_slow_worker_outlives_a_sample_still_on_its_way():
-    """Regression (hang): the loading worker popped the last index and only
-    then counted it in flight; a slow-task worker polling in between saw
-    "feeding done, nothing queued, nothing in flight" and left, so when that
-    sample timed out nobody finished it and `next_batch` blocked forever.
-    The sleep below is a thread switch at exactly that line."""
+def consume_with_last_index_delayed(epochs):
+    """Every sample takes the background path; the loading worker that draws
+    the very last index of the stream is switched out for 0.2 s right after,
+    while the other one finds the stream exhausted and leaves."""
+    n = 8
     config = MinatoConfig(
-        batch_size=4, num_workers=1, slow_workers=1, timeout_override=0.1,
+        batch_size=4, num_workers=2, slow_workers=1, timeout_override=0.1,
         adaptive_workers=False,
     )
     loader = MinatoLoader(
-        StubDataset([1.0] * 8), stub_pipeline(3), config, clock=ThreadLocalClock()
+        StubDataset([1.0] * n), stub_pipeline(3), config, epochs=epochs,
+        clock=ThreadLocalClock(),
     )
-    try_get = loader._index_queue.try_get
-    popped = itertools.count(1)
+    next_index = loader._next_index
+    drawn = itertools.count(1)
 
-    def try_get_then_switch():
-        item = try_get()
-        if item is not None and next(popped) == 8:
+    def next_index_then_switch():
+        item = next_index()
+        if item is not None and next(drawn) == epochs * n:
             time.sleep(0.2)
         return item
 
-    loader._index_queue.try_get = try_get_then_switch
+    loader._next_index = next_index_then_switch
     try:
-        batches = run_with_watchdog(lambda: list(loader), 5.0)
+        batches = run_with_watchdog(lambda: list(loader.batches(0)), 5.0)
     finally:
         loader.shutdown(timeout=1.0)
-    assert sorted(i for b in batches for i in b.indices) == list(range(8))
-    assert loader.stats().samples_timed_out == 8
+    assert sorted(i for b in batches for i in b.indices) == sorted(epochs * list(range(n)))
+    assert loader.stats().samples_timed_out == epochs * n
+
+
+def test_slow_worker_outlives_a_sample_still_on_its_way():
+    """Regression (hang): with the index stream exhausted and nothing queued
+    or counted in flight, a slow-task worker polling while the last sample
+    was still with its loading worker left; when that sample timed out
+    nobody finished it and `next_batch` blocked forever.  Slow-task workers
+    now leave on `samples_preprocessed == total_samples` alone."""
+    consume_with_last_index_delayed(epochs=1)
+
+
+def test_slow_worker_outlives_the_last_sample_of_the_second_epoch():
+    """`total_samples` spans every epoch: the end of the first one is not
+    the end of the stream, and the last index of the second still is."""
+    consume_with_last_index_delayed(epochs=2)
+
+
+@pytest.mark.parametrize("clock", [ThreadLocalClock, RealClock])
+def test_started_threads_are_the_four_stages(clock):
+    """Loading workers, slow-task workers, per-GPU builders and -- on a
+    shared timeline -- the scheduler: nothing else runs, no feeder."""
+    config = MinatoConfig(
+        batch_size=2, num_workers=3, slow_workers=2, num_gpus=2, batch_builders=2
+    )
+    dataset = _GatedDataset([0.01] * 16)  # loads block: every stage stays up
+    loader = MinatoLoader(dataset, stub_pipeline(2), config, clock=clock())
+    before = set(threading.enumerate())
+    loader.start()
+    try:
+        assert dataset.entered.wait(CELL_SECONDS)
+        names = live_loader_threads(ignore=before)
+    finally:
+        loader.shutdown(timeout=0.1)
+        dataset.gate.set()
+    expected = (
+        [f"minato-worker-{w}" for w in range(config.total_initial_workers)]
+        + [f"minato-slow-{i}" for i in range(2)]
+        + [f"minato-builder-{g}-{b}" for g in range(2) for b in range(2)]
+        + (["minato-scheduler"] if clock is RealClock else [])
+    )
+    assert names == sorted(expected)
 
 
 def test_stage_completion_survives_thread_switch_stress():
@@ -111,7 +153,7 @@ def test_stage_completion_survives_thread_switch_stress():
         loader.shutdown(timeout=1.0)
     assert sorted(i for b in batches for i in b.indices) == list(range(n))
     stats = loader.stats()
-    assert stats.samples_preprocessed == stats.samples_fed == n
+    assert stats.samples_preprocessed == n
     assert stats.samples_timed_out == n // 2
 
 
@@ -149,7 +191,7 @@ def test_shutdown_honours_one_deadline():
 
 
 # ---------------------------------------------------------------------------
-# Fault-injection matrix: 5 loaders x 5 situations
+# Fault-injection matrix: 5 loaders x 7 situations
 # ---------------------------------------------------------------------------
 
 LOADERS = ("minato", "size-heuristic", "torch", "pecan", "dali")
@@ -157,15 +199,16 @@ N_SAMPLES = 16
 
 
 class _Exploding(StubTransform):
-    """Stub stage that raises, remembering the thread it raised on."""
+    """Stub stage that raises an ``error``, remembering the thread it raised on."""
 
-    def __init__(self, **kwargs):
+    def __init__(self, error, **kwargs):
         super().__init__(**kwargs)
+        self.error = error
         self.raised_on = []
 
     def _operate(self, sample, ctx):
         self.raised_on.append(threading.current_thread().name)
-        raise RuntimeError("transform exploded")
+        raise self.error("transform exploded")
 
 
 class _UnreadableDataset(StubDataset):
@@ -217,7 +260,7 @@ def build(kind, dataset, pipeline, background=False, tight=False):
     return DALIStyleLoader(dataset, pipeline, config, clock=clock)
 
 
-def expect_fault(loader, message):
+def expect_fault(loader, message, cause=RuntimeError):
     """Consume until the injected fault surfaces; it must, as the cause of a
     `LoaderStateError`, and then keep surfacing."""
 
@@ -227,7 +270,7 @@ def expect_fault(loader, message):
 
     with pytest.raises(LoaderStateError, match=message) as caught:
         run_with_watchdog(consume, CELL_SECONDS)
-    assert isinstance(caught.value.__cause__, RuntimeError)
+    assert isinstance(caught.value.__cause__, cause)
     assert message in str(caught.value.__cause__)
     with pytest.raises(LoaderStateError, match=message):
         loader.next_batch(0)
@@ -246,11 +289,11 @@ INLINE_THREAD = {
 }
 
 
-def cell_transform_raises(kind, background=False):
-    bad = _Exploding(label="Bad", fraction=0.5)
+def cell_transform_raises(kind, background=False, error=RuntimeError):
+    bad = _Exploding(error, label="Bad", fraction=0.5)
     pipeline = Pipeline([StubTransform(label="Good", fraction=0.5), bad])
     loader = build(kind, StubDataset([0.01] * N_SAMPLES), pipeline, background=background)
-    expect_fault(loader, "transform exploded")
+    expect_fault(loader, "transform exploded", cause=error)
     where = "minato-slow" if background else INLINE_THREAD[kind]
     assert bad.raised_on and all(name.startswith(where) for name in bad.raised_on)
     return loader
@@ -293,6 +336,12 @@ CELLS = {
     "load-raises": cell_load_raises,
     "inline-transform-raises": cell_transform_raises,
     "background-transform-raises": functools.partial(cell_transform_raises, background=True),
+    # a stray sys.exit() in user code: threading swallows SystemExit, so an
+    # unguarded stage dies in silence and the consumer waits forever
+    "inline-transform-exits": functools.partial(cell_transform_raises, error=SystemExit),
+    "background-transform-exits": functools.partial(
+        cell_transform_raises, background=True, error=SystemExit
+    ),
     "shutdown-unblocks-consumer": cell_shutdown_unblocks_consumer,
     "slow-consumer": cell_slow_consumer_gets_everything,
 }
@@ -304,7 +353,7 @@ MATRIX = [
     (situation, kind)
     for situation in CELLS
     for kind in LOADERS
-    if situation != "background-transform-raises" or kind in ("minato", "size-heuristic")
+    if not situation.startswith("background-") or kind in ("minato", "size-heuristic")
 ]
 
 
@@ -317,3 +366,27 @@ def test_fault_matrix(situation, kind):
     while live_loader_threads(ignore=before) and time.monotonic() < deadline:
         time.sleep(0.01)
     assert live_loader_threads(ignore=before) == []
+
+
+# ---------------------------------------------------------------------------
+# One stats record
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+def test_every_loader_reports_the_one_stats_record(kind):
+    loader = build(kind, StubDataset([0.01] * N_SAMPLES), stub_pipeline(2))
+    try:
+        delivered = run_with_watchdog(
+            lambda: sum(len(batch) for batch in loader.batches(0)), CELL_SECONDS
+        )
+    finally:
+        loader.shutdown(timeout=CELL_SECONDS)
+    stats = loader.stats()
+    assert type(stats) is repro.policy.LoaderStats is repro.core.LoaderStats
+    assert stats.samples_preprocessed == delivered == N_SAMPLES
+    stats.samples_preprocessed = 0  # a copy: the loader's record is untouched
+    stats.worker_history.append("scribble")
+    again = loader.stats()
+    assert again.samples_preprocessed == N_SAMPLES
+    assert "scribble" not in again.worker_history

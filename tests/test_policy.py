@@ -4,13 +4,12 @@ import math
 
 import pytest
 
-from repro.core.profiler import TimeoutProfiler
 from repro.core.scheduler import WorkerScheduler
 from repro.policy import (
     FAST_KEY,
     SLOW_KEY,
     BatchConstructionPolicy,
-    LoaderStatsCore,
+    LoaderStats,
     ReorderBuffer,
     RoutingPolicy,
     ScalingPolicy,
@@ -372,38 +371,25 @@ def test_scaling_split_loading_target_positive_across_pool_sizes():
             )
 
 
-def test_scaling_profiler_surface():
-    profiler = TimeoutProfiler(warmup_samples=2, override=0.25)
-    policy = make_scaling(profiler=profiler)
-    policy.record_sample(0.1)
-    policy.record_sample(0.3, flagged_slow=True)
-    assert profiler.observations == 2
-    assert policy.timeout() == 0.25
-
-
-def test_scaling_without_profiler_rejects_timeout():
-    with pytest.raises(RuntimeError):
-        make_scaling().timeout()
-
-
 # ---------------------------------------------------------------------------
-# LoaderStatsCore / SizeRouter / substrates
+# LoaderStats / SizeRouter / substrates
 # ---------------------------------------------------------------------------
 
 
 def test_stats_core_add_and_snapshot():
-    stats = LoaderStatsCore()
+    stats = LoaderStats()
     stats.add(samples_fast=2, busy_seconds=0.5)
     stats.add(samples_timed_out=1, samples_preprocessed=3)
-    snap = stats.snapshot()
-    assert snap["samples_fast"] == 2
-    assert snap["busy_seconds"] == pytest.approx(0.5)
+    assert stats.samples_fast == 2
+    assert stats.busy_seconds == pytest.approx(0.5)
     assert stats.slow_fraction == pytest.approx(1 / 3)
 
 
 def test_stats_core_rejects_unknown_counter():
-    with pytest.raises(ValueError):
-        LoaderStatsCore().add(bogus=1)
+    stats = LoaderStats()
+    with pytest.raises(ValueError, match="bogus"):
+        stats.add(samples_fast=1, bogus=1)
+    assert stats.samples_fast == 0  # rejected before any counter moved
 
 
 def test_size_router_threshold_from_dataset():

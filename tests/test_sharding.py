@@ -14,7 +14,8 @@ import pytest
 from repro.clock import ThreadLocalClock
 from repro.core import MinatoConfig, MinatoLoader
 from repro.data.samplers import ShardedSampler
-from repro.sim.distributed import run_distributed
+from repro.sim.cluster import ClusterMembership
+from repro.sim.distributed import run_distributed, run_elastic
 from repro.sim.kernel import Environment
 from repro.sim.loaders import SimContext, SimMinatoLoader
 from repro.sim.workloads import CONFIG_A, WorkloadSpec, make_workload
@@ -206,17 +207,17 @@ def test_shard_assignment_rejects_unknown_policy():
 
 
 def test_sim_loaders_honor_shard_layout():
-    """Standalone sharded sim loaders (no elastic executor injecting a
-    sampler) build their own shard from `shard_layout`; DALI's per-GPU
-    subdivision keeps the layout so GPU streams are sub-blocks."""
+    """A sim loader rebound onto a block-layout shard samples exactly that
+    shard; DALI's per-GPU subdivision keeps the layout so GPU streams are
+    sub-blocks."""
     from repro.sim.loaders import SimDALILoader
     from repro.sim.runner import make_sim_loader
 
     workload = make_workload("speech_3s", dataset_size=96).scaled(0.02)
     env = Environment()
     ctx = SimContext(env, workload, CONFIG_A, 1)
-    loader = make_sim_loader(
-        "minato", shard_rank=1, shard_world_size=2, shard_layout="block",
+    loader = make_sim_loader("minato").rebind_shard(
+        ShardedSampler(96, rank=1, world_size=2, layout="block"),
         total_batches_override=1,
     )
     loader.start(ctx)
@@ -225,9 +226,11 @@ def test_sim_loaders_honor_shard_layout():
         96, rank=1, world_size=2, layout="block"
     ).shard_indices()
 
-    dali = SimDALILoader(shard_rank=0, shard_world_size=2, shard_layout="block")
+    dali = SimDALILoader().rebind_shard(
+        ShardedSampler(96, rank=0, world_size=2, layout="block"),
+        total_batches_override=2,
+    )
     dali.ctx = SimContext(Environment(), workload, CONFIG_A, 2)
-    dali.total_batches_override = 2
     node_block = ShardedSampler(96, rank=0, world_size=2, layout="block").shard_indices()
     for gpu in range(2):
         stream = dali._shard_stream(gpu)
@@ -326,10 +329,7 @@ def _sim_rank_indices(rank, world, costs, batch_size=4):
         slow_workers=1,
         timeout_override=0.05,
         adaptive_workers=False,
-        seed=2,
-        shard_rank=rank,
-        shard_world_size=world,
-    )
+    ).rebind_shard(ShardedSampler(len(costs), rank=rank, world_size=world, seed=2))
     loader.start(ctx)
     got = []
 
@@ -378,38 +378,17 @@ def test_run_distributed_ranks_get_disjoint_equal_shards():
     assert result.shard_sizes[0] == len(ShardedSampler(120, rank=0, world_size=3))
 
 
-def test_sim_loader_rejects_world_without_rank():
-    """shard_world_size without shard_rank must fail fast, not silently
-    duplicate rank 0's shard on every node."""
-    from repro.errors import ConfigurationError
-
-    env = Environment()
-    workload = WorkloadSpec(
-        name="half-configured",
-        dataset=StubDataset([0.01] * 8),
-        pipeline=stub_pipeline(),
-        model=None,
-        batch_size=4,
-        epochs=1,
-    )
-    ctx = SimContext(env, workload, CONFIG_A, num_gpus=1)
-    loader = SimMinatoLoader(shard_world_size=2)
-    with pytest.raises(ConfigurationError):
-        loader.start(ctx)
-
-
-def test_sim_loader_rejects_sharded_iteration_budget_without_override():
-    """Iteration budgets are cluster-wide: a sharded rank that omits
-    total_batches_override would redundantly run the whole budget, so it
-    must fail fast instead."""
-    from repro.errors import ConfigurationError
-
+def test_run_elastic_rejects_shard_keys_in_loader_kwargs():
+    """A sim loader is sharded by `rebind_shard` alone: a shard key in
+    `loader_kwargs` is the same TypeError as any unknown keyword (it used
+    to be dropped in silence)."""
     wl = make_workload("speech_3s", dataset_size=120).scaled(0.02)
-    env = Environment()
-    ctx = SimContext(env, wl, CONFIG_A, num_gpus=1)
-    loader = SimMinatoLoader(shard_rank=0, shard_world_size=2)
-    with pytest.raises(ConfigurationError):
-        loader.start(ctx)
+    for loader in ("pytorch", "dali", "minato"):
+        with pytest.raises(TypeError, match="shard_rank"):
+            run_elastic(
+                loader, wl, CONFIG_A, ClusterMembership(2),
+                loader_kwargs={"shard_rank": 0},
+            )
 
 
 def test_torch_sim_rejects_shard_smaller_than_one_batch():
