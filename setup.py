@@ -20,6 +20,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.9",
-    install_requires=["numpy"],
+    # 1.22: the first release whose percentile API carries the ``linear``
+    # method's _lerp formula that core/profiler.py reproduces bit for bit
+    install_requires=["numpy>=1.22"],
     entry_points={"console_scripts": ["repro = repro.__main__:main"]},
 )

@@ -24,7 +24,6 @@ from typing import List, Optional
 from ..clock import Clock
 from ..core.batching import Batch
 from ..core.loader import BaseConcurrentLoader
-from ..core.queues import WorkQueue
 from ..data.dataset import Dataset
 from ..data.samplers import ShardedSampler
 from ..data.storage import StorageModel
@@ -95,7 +94,7 @@ class DALIStyleLoader(BaseConcurrentLoader):
         self.devices = devices
         raw_capacity = cfg.prefetch_queue_depth * cfg.batch_size
         self._raw_queues = [
-            WorkQueue(raw_capacity, name=f"dali-raw-{g}") for g in range(cfg.num_gpus)
+            self._new_queue(f"dali-raw-{g}", raw_capacity) for g in range(cfg.num_gpus)
         ]
         self._shards = [
             ShardedSampler(len(dataset), rank=g, world_size=cfg.num_gpus, seed=cfg.seed)
@@ -127,7 +126,7 @@ class DALIStyleLoader(BaseConcurrentLoader):
                     io_seconds = self.storage.read_seconds(sample.spec)
                     self.clock.advance(io_seconds)
                     self._count(io_seconds=io_seconds)
-                if not self._raw_queues[gpu].put((epoch, sample), stop=self._stop):
+                if not self._raw_queues[gpu].put((epoch, sample)):
                     return
         finally:
             self._loaders_done[gpu].set()
@@ -171,7 +170,7 @@ class DALIStyleLoader(BaseConcurrentLoader):
                     samples=samples, gpu_index=gpu, built_at=self.clock.now()
                 )
                 self._count(batches_built=1)
-                if not self._batch_queues[gpu].put(batch, stop=self._stop):
+                if not self._batch_queues[gpu].put(batch):
                     return
         finally:
             self._batch_queues[gpu].close()

@@ -71,7 +71,7 @@ class SizeHeuristicLoader(MinatoLoader):
         if self.size_router.is_slow(sample.spec.raw_nbytes):
             # Predicted slow: defer the *entire* pipeline to the background.
             self._count(samples_timed_out=1)
-            self._temp_queue.put((sample, 0, epoch, seq), stop=self._stop)
+            self._temp_queue.put((sample, 0, epoch, seq))
             return
 
         # Predicted fast: process inline, no timeout -- a misprediction

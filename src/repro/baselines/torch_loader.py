@@ -166,7 +166,7 @@ class TorchStyleLoader(BaseConcurrentLoader):
             batch.sequence = seq
             batch.epoch_hint = epoch_hint
             self._count(batches_built=1)
-            delivered = self._batch_queues[gpu].put(batch, stop=self._stop)
+            delivered = self._batch_queues[gpu].put(batch)
             semaphores[producer].release()
             if not delivered:
                 break

@@ -56,6 +56,16 @@ class Clock(ABC):
         """
         self.advance(seconds)
 
+    def wait(self, event: threading.Event, seconds: float) -> bool:
+        """Idle until ``event`` is set or ``seconds`` have passed on this
+        clock, whichever is first; True when the event is set.
+
+        The default sleeps the whole interval (all a logical clock can do);
+        wall-backed clocks block on the event so that setting it wakes them.
+        """
+        self.sleep(seconds)
+        return event.is_set()
+
 
 class RealClock(Clock):
     """Wall-clock time based on :func:`time.monotonic`."""
@@ -66,6 +76,9 @@ class RealClock(Clock):
     def advance(self, seconds: float) -> None:
         if seconds > 0:
             time.sleep(seconds)
+
+    def wait(self, event: threading.Event, seconds: float) -> bool:
+        return event.wait(seconds)
 
 
 class ScaledClock(Clock):
@@ -93,6 +106,9 @@ class ScaledClock(Clock):
     def advance(self, seconds: float) -> None:
         if seconds > 0:
             time.sleep(seconds * self._scale)
+
+    def wait(self, event: threading.Event, seconds: float) -> bool:
+        return event.wait(seconds * self._scale)
 
 
 class ThreadLocalClock(Clock):

@@ -43,12 +43,9 @@ serialize it).
 from __future__ import annotations
 
 import copy
-import functools
 import threading
 import time
 from typing import Callable, Iterator, List, Optional, Tuple
-
-import numpy as np
 
 from ..clock import Clock, ThreadLocalClock
 from ..data.dataset import Dataset
@@ -80,7 +77,8 @@ class BaseConcurrentLoader:
     """Lifecycle, guarded threads and consumption API of every threaded loader.
 
     Subclasses implement :meth:`_launch` (start their stages with
-    :meth:`_spawn`) and fill ``self._batch_queues``.
+    :meth:`_spawn`), fill ``self._batch_queues`` and create every queue of
+    their own with :meth:`_new_queue`, so that :meth:`_halt` reaches it.
     """
 
     #: clock seconds an idle stage sleeps between polls (Algorithm 1: 10 ms)
@@ -122,12 +120,14 @@ class BaseConcurrentLoader:
         # consumer waiting forever on samples that never come
         self.total_samples = epochs * len(self.sampler)
 
+        self._stop = threading.Event()
+        #: every queue a stage or the consumer can block on (see ``_halt``)
+        self._queues: List[WorkQueue] = []
         self._batch_queues = [
-            WorkQueue(queue_capacity, name=f"batch-{g}") for g in range(num_gpus)
+            self._new_queue(f"batch-{g}", queue_capacity) for g in range(num_gpus)
         ]
         self._stats = LoaderStats()
         self._stats_lock = threading.Lock()
-        self._stop = threading.Event()
         self._threads: List[threading.Thread] = []
         self._threads_lock = threading.Lock()
         self._errors: List[BaseException] = []
@@ -152,6 +152,21 @@ class BaseConcurrentLoader:
 
     def _launch(self) -> None:
         raise NotImplementedError
+
+    def _new_queue(
+        self, name: str, capacity: int, low_water: Optional[int] = None
+    ) -> WorkQueue:
+        """A queue that :meth:`_halt` will abort (call from ``__init__``)."""
+        queue = WorkQueue(capacity, name=name, low_water=low_water)
+        self._queues.append(queue)
+        return queue
+
+    def _halt(self) -> None:
+        """Stop every stage and release every caller blocked on a queue
+        (:meth:`WorkQueue.abort` says why that wake-up cannot be lost)."""
+        self._stop.set()
+        for queue in self._queues:
+            queue.abort()
 
     def _spawn(self, target: Callable[..., None], name: str, *args) -> threading.Thread:
         """Start ``target(*args)`` on a daemon thread whose failure stops the
@@ -179,7 +194,7 @@ class BaseConcurrentLoader:
         if self._shut_down:
             return
         self._shut_down = True
-        self._stop.set()
+        self._halt()
         deadline = time.monotonic() + timeout
         with self._threads_lock:
             threads = list(self._threads)
@@ -196,7 +211,7 @@ class BaseConcurrentLoader:
     def _record_error(self, exc: BaseException) -> None:
         with self._errors_lock:
             self._errors.append(exc)
-        self._stop.set()
+        self._halt()
 
     def _raise_errors(self) -> None:
         with self._errors_lock:
@@ -229,10 +244,10 @@ class BaseConcurrentLoader:
 
         Pass ``index`` to fetch the sample here (tolerating ``load_retries``
         transient failures, its storage read charged to the context), or
-        ``sample`` when an earlier stage already fetched it.  The rng derives
-        from (sample seed, epoch) alone, so every stage that touches the
-        sample -- inline, resumed in the background, on any loader -- draws
-        the same augmentations, and fresh ones each epoch.
+        ``sample`` when an earlier stage already fetched it.  The rng seed
+        derives from (sample seed, epoch) alone, so every stage that touches
+        the sample -- inline, resumed in the background, on any loader --
+        draws the same augmentations, and fresh ones each epoch.
         """
         if sample is None:
             for attempt in range(self.load_retries + 1):
@@ -245,8 +260,8 @@ class BaseConcurrentLoader:
                         raise
         ctx = WorkContext(
             clock=self.clock,
-            rng=np.random.default_rng((sample.spec.seed + 7_919 * epoch) & 0x7FFFFFFF),
             cost_scale=cost_scale,
+            seed=(sample.spec.seed + 7_919 * epoch) & 0x7FFFFFFF,
         )
         if index is not None and self.storage is not None:
             io_seconds = self.storage.read_seconds(sample.spec)
@@ -269,7 +284,7 @@ class BaseConcurrentLoader:
             raise LoaderStateError(f"gpu {gpu} out of range")
         self.start()
         self._raise_errors()
-        batch = self._batch_queues[gpu].get(stop=self._stop)
+        batch = self._batch_queues[gpu].get()
         self._raise_errors()
         return batch
 
@@ -425,11 +440,14 @@ class MinatoLoader(BaseConcurrentLoader):
         #: the one ``(epoch, seq, index)`` stream every loading worker draws from
         self._indices = index_stream(self.sampler, self.epochs)
         self._indices_lock = threading.Lock()
-        self._fast_queue = WorkQueue(cfg.queue_capacity, name="fast")
-        self._slow_queue = WorkQueue(cfg.queue_capacity, name="slow")
-        self._temp_queue = WorkQueue(cfg.queue_capacity, name="temp")
-        self._put_fast = functools.partial(self._fast_queue.put, stop=self._stop)
-        self._put_slow = functools.partial(self._slow_queue.put, stop=self._stop)
+        # Nothing reads the sample queues' occupancy, so they release parked
+        # producers half-way down: a worker that ran ahead of the builders
+        # wakes to refill half a queue, not one slot.  The batch queues keep
+        # the default (release on every get): their fill is Formula 2's input.
+        low_water = cfg.queue_capacity // 2
+        self._fast_queue = self._new_queue("fast", cfg.queue_capacity, low_water)
+        self._slow_queue = self._new_queue("slow", cfg.queue_capacity, low_water)
+        self._temp_queue = self._new_queue("temp", cfg.queue_capacity, low_water)
 
         self._remaining_per_gpu = deal_quota(
             self.total_samples, cfg.batch_size, cfg.num_gpus
@@ -475,9 +493,7 @@ class MinatoLoader(BaseConcurrentLoader):
         outcome = self.balancer.process(sample, ctx, self.profiler.timeout())
         if outcome.timed_out:
             self._count(busy_seconds=ctx.charged_seconds, samples_timed_out=1)
-            self._temp_queue.put(
-                (outcome.sample, outcome.resume_index, epoch, seq), stop=self._stop
-            )
+            self._temp_queue.put((outcome.sample, outcome.resume_index, epoch, seq))
         else:
             self.profiler.record(outcome.elapsed_seconds, flagged_slow=False)
             self._count(
@@ -487,7 +503,8 @@ class MinatoLoader(BaseConcurrentLoader):
 
     def _route_ready(self, sample: Sample, seq: int, slow: bool) -> None:
         self.construction.route_ready(
-            seq, sample, flagged_slow=slow, put_fast=self._put_fast, put_slow=self._put_slow
+            seq, sample, flagged_slow=slow,
+            put_fast=self._fast_queue.put, put_slow=self._slow_queue.put,
         )
 
     # -- slow-task workers ---------------------------------------------------------
@@ -561,7 +578,7 @@ class MinatoLoader(BaseConcurrentLoader):
                     sequence=seq,
                 )
                 self._count(batches_built=1)
-                if not self._batch_queues[gpu].put(batch, stop=self._stop):
+                if not self._batch_queues[gpu].put(batch):
                     return
         finally:
             close_queue = False
@@ -577,10 +594,9 @@ class MinatoLoader(BaseConcurrentLoader):
     def _scheduler_loop(self) -> None:
         cfg = self.config
         self.scaling.reset(self.clock.now())
-        while not self._stop.is_set():
-            self.clock.sleep(cfg.scheduler_interval)
-            if self._stop.is_set():
-                return
+        # waits on the stop event, in clock seconds: shutdown() does not sit
+        # out the rest of an interval
+        while not self.clock.wait(self._stop, cfg.scheduler_interval):
             if self._stream_finished():
                 return
             queue_fill = sum(q.fill_fraction() for q in self._batch_queues) / len(

@@ -8,15 +8,26 @@ queue").  Profiling continues in the background over a sliding window, so the
 threshold tracks workload drift; if too many recent samples get flagged slow
 (a skewed distribution), the profiler automatically falls back to the higher
 percentile (P90 by default).
+
+The window's order statistics are kept incrementally: beside the arrival-order
+deque the same durations live in a sorted list (``insort`` on record,
+``bisect_left`` + ``del`` on eviction) with a running count of slow flags, so
+recomputing the timeout reads two neighbours and interpolates.  The value is
+pinned to ``numpy.percentile(window, q)`` bit for bit -- :func:`_percentile` is
+numpy's own ``linear`` method, carried by its ``method=`` API since 1.22 --
+because :mod:`repro.sim.loaders` runs this class too and every simulated
+digest depends on the timeout sequence (``tests/test_profiler_exactness.py``
+holds the numpy-calling body as the specification).
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -35,6 +46,19 @@ class ProfilerSnapshot:
     mean_seconds: float
     p75_seconds: float
     p90_seconds: float
+
+
+def _percentile(ordered: List[float], q: float) -> float:
+    """``numpy.percentile(ordered, q)`` of an ascending, non-empty list: numpy's
+    ``linear`` method, operation for operation."""
+    last = len(ordered) - 1
+    virtual_index = last * (q / 100)
+    below = math.floor(virtual_index)
+    if below >= last:
+        return ordered[-1]
+    a, b = ordered[below], ordered[below + 1]
+    t = virtual_index - below
+    return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
 
 
 class TimeoutProfiler:
@@ -58,6 +82,9 @@ class TimeoutProfiler:
         self._override = override
         self._times: deque = deque(maxlen=window)
         self._flags: deque = deque(maxlen=window)
+        #: the durations in ``_times``, ascending; slow flags set in ``_flags``
+        self._ordered: List[float] = []
+        self._slow_count = 0
         self._count = 0
         self._lock = threading.Lock()
         self._cached_timeout = math.inf
@@ -82,11 +109,20 @@ class TimeoutProfiler:
 
     def record(self, seconds: float, flagged_slow: bool = False) -> None:
         """Record one completed sample's total preprocessing time."""
-        if seconds < 0:
-            raise ValueError(f"negative duration: {seconds!r}")
+        # a NaN would break the sorted window's ordering, an inf its interpolation
+        if not 0 <= seconds < math.inf:
+            raise ValueError(f"negative or non-finite duration: {seconds!r}")
+        seconds = float(seconds)
+        flagged_slow = bool(flagged_slow)
         with self._lock:
-            self._times.append(seconds)
-            self._flags.append(bool(flagged_slow))
+            times, ordered = self._times, self._ordered
+            if len(times) == times.maxlen:  # full: the appends below evict
+                del ordered[bisect_left(ordered, times[0])]
+                self._slow_count -= self._flags[0]
+            times.append(seconds)
+            self._flags.append(flagged_slow)
+            insort(ordered, seconds)
+            self._slow_count += flagged_slow
             self._count += 1
             self._records_since_recompute += 1
             if (
@@ -97,9 +133,10 @@ class TimeoutProfiler:
 
     def recent_slow_fraction(self) -> float:
         with self._lock:
-            if not self._flags:
-                return 0.0
-            return sum(self._flags) / len(self._flags)
+            return self._slow_fraction_locked()
+
+    def _slow_fraction_locked(self) -> float:
+        return self._slow_count / len(self._flags) if self._flags else 0.0
 
     def timeout(self) -> float:
         """Current slow-sample timeout in seconds (inf during warm-up)."""
@@ -113,10 +150,7 @@ class TimeoutProfiler:
             return self._cached_timeout
 
     def _recompute_locked(self) -> None:
-        times = np.fromiter(self._times, dtype=float)
-        slow_fraction = (
-            sum(self._flags) / len(self._flags) if self._flags else 0.0
-        )
+        slow_fraction = self._slow_fraction_locked()
         # Fall back to the higher percentile if the current threshold is
         # flagging too much of the stream as slow (paper §4.2); recover once
         # the flagged fraction drops well below the limit.
@@ -125,16 +159,14 @@ class TimeoutProfiler:
         elif slow_fraction < self._max_slow_fraction / 2:
             self._using_fallback = False
         percentile = self._fallback if self._using_fallback else self._percentile
-        self._cached_timeout = float(np.percentile(times, percentile))
+        self._cached_timeout = _percentile(self._ordered, percentile)
         self._dirty = False
         self._records_since_recompute = 0
 
     def snapshot(self) -> ProfilerSnapshot:
         with self._lock:
             times = np.fromiter(self._times, dtype=float) if self._times else None
-            slow_fraction = (
-                sum(self._flags) / len(self._flags) if self._flags else 0.0
-            )
+            slow_fraction = self._slow_fraction_locked()
             in_warmup = self._count < self._warmup_samples
             if times is None or in_warmup and self._override is None:
                 timeout = self._override if self._override is not None else math.inf

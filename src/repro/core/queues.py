@@ -1,15 +1,30 @@
-"""Thread-safe bounded queues for the concurrent engine.
+"""The bounded queue between the stages of the concurrent engine.
 
-A thin layer over :class:`queue.Queue` adding the operations loader threads
-need: non-blocking ``try_get``/``try_put``, interruptible blocking variants
-driven by a stop event, close semantics, and the occupancy fraction the
-worker scheduler feeds on.
+:class:`WorkQueue` is its own queue -- a ``collections.deque``, one
+``threading.Lock`` and two ``Condition`` objects on it -- and the only queue
+class of the threaded engine.  Its blocking behaviour is an interface
+contract, stated here and checked in ``tests/test_core_components.py``:
+
+* **No blocking call depends on a timeout.**  ``put`` on a full queue and
+  ``get`` on an empty one wait on a condition until an item moves, the queue
+  is closed or it is aborted; nothing wakes up just to look.
+* **A producer parked on a full queue is released by the low-water
+  crossing.**  A ``put`` that finds the queue full parks; every parked
+  producer is released together by the ``get`` / ``try_get`` that drains the
+  occupancy to ``low_water``.  With the default mark, ``capacity - 1``, that
+  is the first ``get`` (the classic bounded queue).  With a lower mark a
+  woken producer refills a run of free slots per wake-up where it would have
+  filled one, which is what keeps a loader that runs ahead of its consumer
+  cheap: one thread wake-up per burst, not per sample.
+* **A consumer is notified only when one is waiting**, one per item.
+* ``close()`` and ``abort()`` release every blocked caller, and that
+  wake-up cannot be lost (see :meth:`WorkQueue.abort`).
 """
 
 from __future__ import annotations
 
-import queue
 import threading
+from collections import deque
 from typing import Any, Optional
 
 from ..errors import LoaderStateError
@@ -26,42 +41,61 @@ class QueueClosed(LoaderStateError):
 
 
 class WorkQueue:
-    """Bounded MPMC FIFO with close semantics.
+    """Bounded MPMC FIFO with close and abort semantics (``capacity=0``:
+    unbounded).
 
-    ``get``/``put`` poll in small slices so a stop event can interrupt them;
-    the poll slice is wall-clock and short, it does not affect virtual-time
-    accounting (waiting threads are idle by definition).
+    ``low_water`` is the occupancy at which producers parked on a full queue
+    are released, ``capacity - 1`` unless given.  Occupancy never exceeds
+    ``capacity``.  Liveness holds for every capacity >= 1 and every mark in
+    ``[0, capacity)``: producers park only at occupancy ``capacity``, above
+    the mark, and a consumer can find the queue empty only at occupancy
+    0 <= ``low_water``, which the ``get`` that released them had to cross --
+    no consumer waits or polls while a producer is still parked.
     """
-
-    _POLL_SLICE = 0.005  # wall seconds
 
     def __init__(
         self,
         capacity: int = 0,
         name: str = "queue",
         soft_capacity: int = DEFAULT_SOFT_CAPACITY,
+        low_water: Optional[int] = None,
     ) -> None:
         if soft_capacity < 1:
             raise LoaderStateError(
                 f"soft_capacity must be >= 1, got {soft_capacity!r}"
             )
-        self._q: "queue.Queue" = queue.Queue(maxsize=capacity)
+        if low_water is None:
+            low_water = max(capacity - 1, 0)
+        elif capacity > 0 and not 0 <= low_water < capacity:
+            raise LoaderStateError(
+                f"low_water must be in [0, {capacity}), got {low_water!r}"
+            )
         self.name = name
+        self._capacity = capacity
         self._soft_capacity = soft_capacity
-        self._closed = threading.Event()
+        self._low_water = low_water
+        self._items: deque = deque()
+        self._lock = threading.Lock()
+        self._not_full = threading.Condition(self._lock)
+        self._not_empty = threading.Condition(self._lock)
+        #: blocked callers not yet notified (whoever notifies them resets it)
+        self._parked_producers = 0
+        self._waiting_consumers = 0
+        self._closed = False
+        self._aborted = False
 
     # -- introspection -------------------------------------------------------
 
     @property
     def capacity(self) -> int:
-        return self._q.maxsize
+        return self._capacity
 
     @property
     def closed(self) -> bool:
-        return self._closed.is_set()
+        return self._closed
 
     def __len__(self) -> int:
-        return self._q.qsize()
+        return len(self._items)
 
     def fill_fraction(self) -> float:
         """Occupancy in [0, 1] for scheduler feedback.
@@ -70,52 +104,89 @@ class WorkQueue:
         would make the worker scheduler read a backlogged queue as
         permanently empty and scale up without bound.
         """
-        reference = self._q.maxsize if self._q.maxsize > 0 else self._soft_capacity
-        return min(1.0, self._q.qsize() / reference)
+        reference = self._capacity if self._capacity > 0 else self._soft_capacity
+        return min(1.0, len(self._items) / reference)
 
     # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
         """Mark the queue closed; pending items can still be drained."""
-        self._closed.set()
+        with self._lock:
+            self._closed = True
+            self._release_all()
+
+    def abort(self) -> None:
+        """Release every blocked caller, now and from here on: ``put`` returns
+        False and ``get`` returns None.  The non-blocking calls still work.
+
+        A blocked caller reads this flag holding the lock and lets go of the
+        lock only inside ``wait()``, and the flag is set holding the same
+        lock: the abort runs either before the read or after the caller is a
+        registered waiter, so the wake-up cannot be lost.  (Same for close.)
+        """
+        with self._lock:
+            self._aborted = True
+            self._release_all()
+
+    def _release_all(self) -> None:
+        self._parked_producers = self._waiting_consumers = 0
+        self._not_full.notify_all()
+        self._not_empty.notify_all()
 
     # -- operations -----------------------------------------------------------
 
-    def try_put(self, item: Any) -> bool:
-        if self._closed.is_set():
-            raise QueueClosed(f"{self.name} is closed")
-        try:
-            self._q.put_nowait(item)
-        except queue.Full:
-            return False
-        return True
+    def _append(self, item: Any) -> None:
+        self._items.append(item)
+        if self._waiting_consumers:
+            self._waiting_consumers -= 1
+            self._not_empty.notify()
 
-    def put(self, item: Any, stop: Optional[threading.Event] = None) -> bool:
-        """Blocking put; returns False if interrupted by ``stop`` or close."""
-        while True:
-            if stop is not None and stop.is_set():
-                return False
-            if self._closed.is_set():
+    def _pop(self) -> Any:
+        item = self._items.popleft()
+        if self._parked_producers and len(self._items) <= self._low_water:
+            self._parked_producers = 0
+            self._not_full.notify_all()
+        return item
+
+    def _full(self) -> bool:
+        return 0 < self._capacity <= len(self._items)
+
+    def try_put(self, item: Any) -> bool:
+        with self._lock:
+            if self._closed:
                 raise QueueClosed(f"{self.name} is closed")
-            try:
-                self._q.put(item, timeout=self._POLL_SLICE)
-            except queue.Full:
-                continue
+            if self._full():
+                return False
+            self._append(item)
             return True
 
-    def try_get(self) -> Any:
-        try:
-            return self._q.get_nowait()
-        except queue.Empty:
-            return None
+    def put(self, item: Any) -> bool:
+        """Blocking put; returns False if aborted, raises if closed."""
+        with self._lock:
+            while True:
+                if self._aborted:
+                    return False
+                if self._closed:
+                    raise QueueClosed(f"{self.name} is closed")
+                if not self._full():
+                    self._append(item)
+                    return True
+                self._parked_producers += 1
+                self._not_full.wait()
 
-    def get(self, stop: Optional[threading.Event] = None) -> Any:
-        """Blocking get; returns None if interrupted or closed-and-drained."""
-        while True:
-            if stop is not None and stop.is_set():
-                return None
-            try:
-                return self._q.get(timeout=self._POLL_SLICE)
-            except queue.Empty:
-                if self._closed.is_set() and self._q.empty():
+    def try_get(self) -> Any:
+        with self._lock:
+            return self._pop() if self._items else None
+
+    def get(self) -> Any:
+        """Blocking get; returns None if aborted or closed-and-drained."""
+        with self._lock:
+            while True:
+                if self._aborted:
                     return None
+                if self._items:
+                    return self._pop()
+                if self._closed:
+                    return None
+                self._waiting_consumers += 1
+                self._not_empty.wait()

@@ -11,7 +11,10 @@ Each :class:`Transform` does two things:
    two substrates agree sample-by-sample.
 
 Costs are deterministic per (sample, transform): randomness is drawn from the
-sample's seed, never from global state.
+sample's seed, never from global state.  :attr:`WorkContext.rng`, the
+augmentation generator, is lazy: a loader hands each sample's context a
+*seed*, and the ``Generator`` is built when a transform first reads it --
+same seed, same stream, and a pipeline that never draws never pays for one.
 
 The ``size_effect`` classification (inflationary / deflationary / varies) is
 what Pecan's AutoOrder policy consumes (paper §2.1), and ``barrier`` marks
@@ -52,7 +55,9 @@ class WorkContext:
     """Execution context handed to transforms by a loader worker.
 
     Carries the clock used to charge modelled compute and an RNG for
-    content-level randomness (augmentation draws that do not affect cost).
+    content-level randomness (augmentation draws that do not affect cost):
+    ``rng`` if one is passed, else ``np.random.default_rng(seed)`` built on
+    first use.
     """
 
     def __init__(
@@ -60,13 +65,21 @@ class WorkContext:
         clock: Optional[Clock] = None,
         rng: Optional[np.random.Generator] = None,
         cost_scale: float = 1.0,
+        seed: int = 0,
     ) -> None:
         if cost_scale < 0:
             raise ValueError(f"cost_scale must be >= 0, got {cost_scale!r}")
         self.clock = clock if clock is not None else ThreadLocalClock()
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+        self._rng = rng
+        self._seed = seed
         self.cost_scale = cost_scale
         self.charged_seconds = 0.0
+
+    @property
+    def rng(self) -> np.random.Generator:
+        if self._rng is None:
+            self._rng = np.random.default_rng(self._seed)
+        return self._rng
 
     def charge(self, seconds: float) -> None:
         """Consume ``seconds * cost_scale`` of modelled compute on the clock.

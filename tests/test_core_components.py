@@ -2,6 +2,10 @@
 queues, batch records and configuration validation."""
 
 import math
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -20,7 +24,7 @@ from repro.data.sample import Sample
 from repro.errors import ConfigurationError, LoaderStateError
 from repro.transforms.base import WorkContext
 
-from .helpers import StubDataset, stub_pipeline
+from .helpers import StubDataset, run_with_watchdog, stub_pipeline
 
 # ---------------------------------------------------------------------------
 # MinatoConfig
@@ -133,6 +137,17 @@ def test_profiler_rejects_negative_times():
     profiler = TimeoutProfiler()
     with pytest.raises(ValueError):
         profiler.record(-1.0)
+
+
+@pytest.mark.parametrize("seconds", [math.nan, math.inf])
+def test_profiler_rejects_non_finite_times(seconds):
+    """What `seconds < 0` let through: a NaN has no place in a sorted window
+    (the eviction would delete the wrong element), an inf none in an
+    interpolation (inf - inf)."""
+    profiler = TimeoutProfiler()
+    with pytest.raises(ValueError):
+        profiler.record(seconds)
+    assert profiler.observations == 0
 
 
 def test_profiler_snapshot_fields():
@@ -275,13 +290,193 @@ def test_workqueue_get_returns_none_when_closed_and_drained():
 
 
 def test_workqueue_get_interruptible_by_stop():
-    import threading
-
+    """The stop signal is `abort()` (the chassis' `_halt` sends it to every
+    queue); it wins over queued items and over close, and it lasts."""
     q = WorkQueue(capacity=2)
-    stop = threading.Event()
-    stop.set()
-    assert q.get(stop=stop) is None
-    assert q.put("x", stop=stop) is False
+    q.try_put("queued")
+    q.abort()
+    assert q.get() is None
+    assert q.put("x") is False
+    assert q.try_get() == "queued"  # the non-blocking calls still work
+
+
+def test_workqueue_rejects_bad_low_water():
+    for low_water in (-1, 4, 5):
+        with pytest.raises(LoaderStateError):
+            WorkQueue(capacity=4, low_water=low_water)
+    assert WorkQueue(capacity=1, low_water=0).capacity == 1
+
+
+# The blocking contract (see the module docstring of repro.core.queues).
+# Every cell runs under the watchdog: a lost wake-up is a failure, not a hang.
+
+CONTRACT_SECONDS = 2.0
+#: a caller counts as blocked once it has stayed blocked this long
+SETTLE_SECONDS = 0.05
+
+
+class _Blocked:
+    """``call()`` on a thread of its own: is it still blocked, what came back."""
+
+    def __init__(self, call):
+        self.outcome = []
+
+        def target():
+            try:
+                self.outcome.append(call())
+            except QueueClosed as exc:
+                self.outcome.append(exc)
+
+        self._thread = threading.Thread(target=target, daemon=True)
+        self._thread.start()
+
+    def still_blocked(self) -> bool:
+        self._thread.join(SETTLE_SECONDS)
+        return self._thread.is_alive()
+
+    def result(self):
+        run_with_watchdog(self._thread.join, CONTRACT_SECONDS)
+        return self.outcome[0]
+
+
+def full_queue(capacity, **kwargs):
+    q = WorkQueue(capacity=capacity, **kwargs)
+    for item in range(capacity):
+        assert q.try_put(item)
+    return q
+
+
+def test_workqueue_parked_producer_released_at_low_water_not_above():
+    q = full_queue(8, low_water=4)
+    producer = _Blocked(lambda: q.put("late"))
+    assert producer.still_blocked()
+    for expected_len in (7, 6, 5):  # above the mark: room, but nobody is woken
+        q.try_get()
+        assert len(q) == expected_len and producer.still_blocked()
+    q.try_get()  # occupancy 4: the crossing
+    assert producer.result() is True
+    assert len(q) == 5
+
+
+def test_workqueue_low_water_releases_every_parked_producer_together():
+    q = full_queue(8, low_water=4)
+    producers = [_Blocked(lambda i=i: q.put(f"late-{i}")) for i in range(3)]
+    assert all(p.still_blocked() for p in producers)
+    for _ in range(4):
+        q.get()
+    assert [p.result() for p in producers] == [True] * 3
+    assert len(q) == 7
+
+
+def test_workqueue_default_mark_releases_on_the_first_get():
+    q = full_queue(8)
+    producer = _Blocked(lambda: q.put("late"))
+    assert producer.still_blocked()
+    assert q.get() == 0
+    assert producer.result() is True
+    assert len(q) == 8
+
+
+def test_workqueue_blocked_get_woken_by_put():
+    for put in (WorkQueue.put, WorkQueue.try_put):
+        q = WorkQueue(capacity=2)
+        consumer = _Blocked(q.get)
+        assert consumer.still_blocked()
+        assert put(q, "item")
+        assert consumer.result() == "item"
+
+
+def test_workqueue_close_wakes_blocked_get_and_parked_put():
+    empty = WorkQueue(capacity=2)
+    consumer = _Blocked(empty.get)
+    full = full_queue(2, low_water=0)
+    producer = _Blocked(lambda: full.put("late"))
+    assert consumer.still_blocked() and producer.still_blocked()
+    empty.close()
+    full.close()
+    assert consumer.result() is None
+    assert isinstance(producer.result(), QueueClosed)
+    assert len(full) == 2
+
+
+def test_workqueue_abort_returns_blocked_callers_without_a_poll_slice():
+    empty = WorkQueue(capacity=2)
+    consumer = _Blocked(empty.get)
+    full = full_queue(2)
+    producer = _Blocked(lambda: full.put("late"))
+    assert consumer.still_blocked() and producer.still_blocked()
+    began = time.monotonic()
+    empty.abort()
+    full.abort()
+    assert consumer.result() is None
+    assert producer.result() is False
+    assert time.monotonic() - began < 0.05
+    assert len(full) == 2
+
+
+def test_workqueue_has_no_timeouts():
+    """No poll slice, no timed wait, no second queue class underneath."""
+    import repro.core.queues
+
+    with open(repro.core.queues.__file__) as handle:
+        source = handle.read()
+    assert "_POLL_SLICE" not in source and "timeout=" not in source
+    assert "import queue" not in source
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 3, 100])
+@pytest.mark.parametrize("mark", ["default", "half"])
+def test_workqueue_stress_delivers_every_item_exactly_once(capacity, mark):
+    """More producers and consumers than cores, a thread switch every 10 us,
+    blocking and non-blocking callers mixed: nothing lost, nothing twice,
+    occupancy never above capacity, everybody comes home."""
+    low_water = capacity // 2 if mark == "half" else None
+    q = WorkQueue(capacity=capacity, low_water=low_water)
+    producers = 2 * (os.cpu_count() or 1) + 1
+    consumers = 2 * (os.cpu_count() or 1)
+    per_producer = 400
+    received = [[] for _ in range(consumers)]
+    peak = [0] * consumers
+
+    def produce(p):
+        for i in range(per_producer):
+            item = p * per_producer + i
+            if i % 2:
+                while not q.try_put(item):
+                    time.sleep(0)
+            else:
+                assert q.put(item)
+
+    def consume(c):
+        while True:
+            peak[c] = max(peak[c], len(q))
+            item = q.get() if c % 2 else q.try_get()
+            if item is not None:
+                received[c].append(item)
+            elif q.closed and len(q) == 0:
+                return
+            else:
+                time.sleep(0)
+
+    def run():
+        threads = [threading.Thread(target=produce, args=(p,), daemon=True) for p in range(producers)]
+        drains = [threading.Thread(target=consume, args=(c,), daemon=True) for c in range(consumers)]
+        for thread in threads + drains:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        q.close()
+        for thread in drains:
+            thread.join()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        run_with_watchdog(run, 30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(i for got in received for i in got) == list(range(producers * per_producer))
+    assert max(peak) <= capacity
 
 
 # ---------------------------------------------------------------------------

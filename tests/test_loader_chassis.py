@@ -7,6 +7,11 @@ consumer and honours one deadline, a slow consumer behind the tightest
 queues still gets the whole stream, and no loader thread outlives
 `shutdown()`.  Every cell runs under `helpers.run_with_watchdog`: a hang is
 a failure, not a stalled suite.
+
+Also here, because the chassis' per-sample path promises them: a loader that
+runs ahead of its consumer wakes its parked workers per burst, not per
+sample; `shutdown()` does not sit out the scheduler's interval; and the
+augmentation rng is built only for samples whose transforms draw from it.
 """
 
 import functools
@@ -16,6 +21,7 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 import repro.baselines
@@ -32,7 +38,7 @@ from repro.baselines import (
 from repro.clock import RealClock, ThreadLocalClock
 from repro.core import MinatoConfig, MinatoLoader
 from repro.errors import LoaderStateError
-from repro.transforms.base import Pipeline
+from repro.transforms.base import Pipeline, WorkContext
 
 from .helpers import (
     StubDataset,
@@ -190,8 +196,143 @@ def test_shutdown_honours_one_deadline():
     assert time.monotonic() - began < 0.35
 
 
+def test_shutdown_does_not_wait_out_the_scheduler_interval():
+    """Regression: the scheduler slept `clock.sleep(scheduler_interval)`, so on
+    a wall clock `shutdown()` joined for up to a full second.  It now waits
+    on the stop event through `Clock.wait`."""
+    config = MinatoConfig(batch_size=4, num_workers=2, slow_workers=1, adaptive_workers=True)
+    loader = MinatoLoader(StubDataset([0.0] * 64), stub_pipeline(2), config, clock=RealClock())
+    before = set(threading.enumerate())
+    loader.start()
+    assert "minato-scheduler" in live_loader_threads(ignore=before)
+    began = time.monotonic()
+    loader.shutdown(timeout=CELL_SECONDS)
+    assert time.monotonic() - began < 0.2
+    assert live_loader_threads(ignore=before) == []
+
+
+def test_parked_workers_wake_per_burst_not_per_sample():
+    """The wake-up budget.  A loader ahead of its consumer keeps its fast
+    queue full, and a queue that released a parked producer on every `get`
+    woke one worker per sample to produce one sample (1.2 context switches
+    and 8-20 us of system time each).  Released at the low-water mark, four
+    workers wake once per half queue: about 0.08 wake-ups per sample."""
+    n = 2000
+    config = MinatoConfig(
+        batch_size=8, num_workers=4, slow_workers=1, queue_capacity=100,
+        adaptive_workers=False,
+    )
+    loader = MinatoLoader(StubDataset([0.0] * n), stub_pipeline(3), config, clock=ThreadLocalClock())
+    not_full = loader._fast_queue._not_full
+    wait, wakeups = not_full.wait, itertools.count()
+
+    def counted_wait():
+        wait()
+        next(wakeups)
+
+    not_full.wait = counted_wait
+
+    def consume():
+        delivered = 0
+        for batch in loader.batches(0):
+            delivered += len(batch)
+            time.sleep(0.002)  # 4000 samples/s asked for: the loader runs ahead
+        return delivered
+
+    try:
+        assert run_with_watchdog(consume, 30.0) == n
+    finally:
+        loader.shutdown(timeout=CELL_SECONDS)
+    assert 0 < next(wakeups) <= n / 5
+
+
 # ---------------------------------------------------------------------------
-# Fault-injection matrix: 5 loaders x 7 situations
+# The augmentation rng: same stream as ever, built only when drawn from
+# ---------------------------------------------------------------------------
+
+
+class _Drawing(StubTransform):
+    """Stub stage whose output is four draws from the context's rng."""
+
+    def _operate(self, sample, ctx):
+        return ctx.rng.random(4)
+
+
+def sample_seed(spec, epoch):
+    return (spec.seed + 7_919 * epoch) & 0x7FFFFFFF
+
+
+@pytest.fixture
+def generator_seeds(monkeypatch):
+    """The seed of every `np.random.default_rng` call made from here on."""
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def recording(seed=None):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    return seeds
+
+
+@pytest.mark.parametrize("path", ["inline", "resumed"])
+def test_lazy_rng_draws_what_the_eager_one_drew(path, generator_seeds):
+    """Bit for bit, on the loading worker's context and on the one a
+    slow-task worker resumes with, fresh each epoch -- and one Generator per
+    (sample, epoch) that draws."""
+    n, epochs = 12, 2
+    dataset = StubDataset([1.0] * n, seed=5)  # spec seeds far from the sampler's
+    pipeline = Pipeline(
+        [StubTransform(label="First", fraction=0.5), _Drawing(label="Draw", fraction=0.5)]
+    )
+    config = MinatoConfig(
+        batch_size=4, num_workers=2, slow_workers=1, adaptive_workers=False,
+        # 0.5 charged after First: over the timeout, Draw runs in the background
+        timeout_override=0.1 if path == "resumed" else 100.0,
+    )
+    loader = MinatoLoader(dataset, pipeline, config, epochs=epochs, clock=ThreadLocalClock())
+    try:
+        batches = run_with_watchdog(lambda: list(loader.batches(0)), CELL_SECONDS)
+    finally:
+        loader.shutdown(timeout=CELL_SECONDS)
+    assert loader.stats().samples_timed_out == (epochs * n if path == "resumed" else 0)
+    drawn = sorted((s.spec.index, s.data.tobytes()) for b in batches for s in b.samples)
+    eager = sorted(
+        (i, np.random.default_rng(sample_seed(dataset.spec(i), epoch)).random(4).tobytes())
+        for i in range(n) for epoch in range(epochs)
+    )
+    assert drawn == eager
+    wanted = [sample_seed(dataset.spec(i), epoch) for i in range(n) for epoch in range(epochs)]
+    # each once by a context, once more by the line above
+    assert sorted(seed for seed in generator_seeds if seed in wanted) == sorted(2 * wanted)
+
+
+@pytest.mark.parametrize("kind", ["minato", "size-heuristic", "torch", "pecan", "dali"])
+def test_pipeline_that_never_draws_builds_no_generator(kind, generator_seeds):
+    dataset = StubDataset([0.01] * N_SAMPLES, seed=5)
+    loader = build(kind, dataset, stub_pipeline(2))
+    try:
+        delivered = run_with_watchdog(
+            lambda: sum(len(batch) for batch in loader.batches(0)), CELL_SECONDS
+        )
+    finally:
+        loader.shutdown(timeout=CELL_SECONDS)
+    assert delivered == N_SAMPLES
+    per_sample = {sample_seed(dataset.spec(i), 0) for i in range(N_SAMPLES)}
+    assert not per_sample & set(generator_seeds)
+
+
+def test_explicit_rng_still_wins_over_the_seed():
+    rng = np.random.default_rng(42)
+    assert WorkContext(rng=rng, seed=7).rng is rng
+    ctx = WorkContext(seed=7)
+    assert ctx.rng is ctx.rng
+    assert ctx.rng.random() == np.random.default_rng(7).random() != WorkContext().rng.random()
+
+
+# ---------------------------------------------------------------------------
+# Fault-injection matrix: 5 loaders x 8 situations
 # ---------------------------------------------------------------------------
 
 LOADERS = ("minato", "size-heuristic", "torch", "pecan", "dali")
@@ -332,6 +473,28 @@ def cell_slow_consumer_gets_everything(kind):
     return loader
 
 
+def cell_shutdown_releases_parked_producers(kind):
+    """Nobody consumes, every queue is one deep: the stream backs up until
+    every producing stage (on MinatoLoader: both loading workers, on the full
+    fast queue) is parked in a blocking `put`.  Nothing there polls, so only
+    `shutdown()` reaching every queue brings them home."""
+    loader = build(kind, StubDataset([0.01] * N_SAMPLES), stub_pipeline(2), tight=True)
+    loader.start()
+    backed_up = [loader._batch_queues[0]]
+    if kind in ("minato", "size-heuristic"):
+        backed_up.append(loader._fast_queue)
+    deadline = time.monotonic() + CELL_SECONDS
+    while any(len(q) < q.capacity for q in backed_up) and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert all(len(q) == q.capacity for q in backed_up)
+    time.sleep(0.05)  # whoever still held an item has reached its put
+    began = time.monotonic()
+    loader.shutdown(timeout=CELL_SECONDS)
+    assert time.monotonic() - began < 0.3
+    assert not any(thread.is_alive() for thread in loader._threads)
+    return loader
+
+
 CELLS = {
     "load-raises": cell_load_raises,
     "inline-transform-raises": cell_transform_raises,
@@ -343,6 +506,7 @@ CELLS = {
         cell_transform_raises, background=True, error=SystemExit
     ),
     "shutdown-unblocks-consumer": cell_shutdown_unblocks_consumer,
+    "shutdown-releases-parked-producers": cell_shutdown_releases_parked_producers,
     "slow-consumer": cell_slow_consumer_gets_everything,
 }
 
