@@ -143,7 +143,9 @@ def _cmd_bench(args) -> int:
 
     ``--profile`` wraps the optimized run of each selected scenario in
     cProfile and prints the top cumulative-time entries -- the entry point
-    for "where do the kernel's cycles actually go" questions."""
+    for "where do the kernel's cycles actually go" questions; ``--census``
+    answers "which events are they": delivered events by event type and
+    waiting generator, with shares."""
     from .sim import bench
 
     if args.list:
@@ -164,6 +166,15 @@ def _cmd_bench(args) -> int:
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
+    if args.census:
+        for name in names or [s.name for s in bench.SCENARIOS]:
+            print(f"== {name}")
+            print(
+                bench.render_census(
+                    bench.census(bench.scenario_by_name(name)), args.top
+                )
+            )
+        return 0
     if args.profile:
         import cProfile
         import pstats
@@ -339,10 +350,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="cProfile the optimized run of each scenario (skips baselines)",
     )
     bench_parser.add_argument(
+        "--census",
+        action="store_true",
+        help=(
+            "count each scenario's delivered kernel events by event type "
+            "and waiting generator (name:line), with shares"
+        ),
+    )
+    bench_parser.add_argument(
         "--top",
         type=int,
         default=25,
-        help="rows of profile output per scenario (with --profile)",
+        help="rows of output per scenario (with --profile / --census)",
     )
     bench_parser.add_argument(
         "--output",

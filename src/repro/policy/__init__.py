@@ -31,6 +31,7 @@ from .construction import (
     ReorderBuffer,
     deal_batch_plan,
     deal_quota,
+    first_tick,
     index_stream,
 )
 from .routing import (
@@ -50,6 +51,7 @@ __all__ = [
     "ReorderBuffer",
     "deal_batch_plan",
     "deal_quota",
+    "first_tick",
     "index_stream",
     "FAST_KEY",
     "SLOW_KEY",

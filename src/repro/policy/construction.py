@@ -18,6 +18,11 @@ loading workers draw from and the simulator's feeder copies) and
 :func:`deal_batch_plan` / :func:`deal_quota` (round-robin dealing of the
 stream to GPUs in batch-size chunks, so every GPU gets a near-equal share of
 batches regardless of how fast individual builders run).
+
+Algorithm 1's idle rule -- a stage that finds nothing sleeps one poll
+interval and looks again -- is :func:`first_tick`: the instants at which a
+stage *would* poll are a grid anchored at its last empty poll, and a waiter
+that sleeps through the empty ones must still resume on that grid.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ __all__ = [
     "deal_batch_plan",
     "deal_quota",
     "index_stream",
+    "first_tick",
     "FAST_KEY",
     "SLOW_KEY",
 ]
@@ -133,6 +139,30 @@ class BatchConstructionPolicy:
         if item is None:
             item = try_slow()
         return item
+
+
+def first_tick(
+    last_poll: float, interval: float, now: float
+) -> Tuple[float, float]:
+    """The first poll instant at or after ``now`` of a stage whose poll at
+    ``last_poll`` found nothing and that polls every ``interval`` since,
+    and the poll before it: ``(tick, previous)``.
+
+    The grid is built the way a sleeping poller builds it, by repeated
+    addition ``t = t + interval`` -- never ``last_poll + k * interval``,
+    which rounds differently in the last bit and would move a pick-up off
+    the instant the poll loop picks it up at.  ``previous`` is when the
+    sleeping poller would have gone to sleep for ``tick``: of two stages
+    due at the same ``tick``, the one with the earlier ``previous`` polls
+    first (grids anchored an exact multiple of ``interval`` apart differ in
+    their last bits until a rounding merges them).
+    """
+    if not interval > 0:
+        raise ValueError(f"poll interval must be positive, got {interval!r}")
+    previous, tick = last_poll, last_poll + interval
+    while tick < now:
+        previous, tick = tick, tick + interval
+    return tick, previous
 
 
 def deal_batch_plan(

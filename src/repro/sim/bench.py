@@ -31,12 +31,15 @@ from __future__ import annotations
 import gc
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
+from . import cluster as cluster_module
 from .checkpoint import CheckpointPolicy
 from .cluster import DEFAULT_LINK_LATENCY, Cluster
 from .distributed import ClusterMembership, DistributedResult, MembershipEvent
+from .kernel import Environment, Event, Process
 from .scenarios import JobMix, JobSpec, MixResult
 from .workloads import CONFIG_A, CONFIG_B
 
@@ -45,6 +48,8 @@ HARDWARE = {"config_a": CONFIG_A, "config_b": CONFIG_B}
 __all__ = [
     "BenchScenario",
     "SCENARIOS",
+    "census",
+    "render_census",
     "run_scenario",
     "run_benchmarks",
     "scenario_by_name",
@@ -74,10 +79,9 @@ class BenchScenario:
     gpus_per_node: int = 4
     buckets: int = 2
     steps_per_gpu: int = 4
-    #: which Table 1 workload drives the compute side.  The short-step
-    #: object_detection workload makes the fabric the dominant event source
-    #: (the loaders' 10 ms poll ticks scale with virtual time, so long
-    #:  speech steps drown the collective in loader events)
+    #: which Table 1 workload drives the compute side.  A short-step
+    #: workload makes the fabric the dominant event source (per-sample
+    #: loader events otherwise drown the collective)
     workload: str = "speech_3s"
     hardware: str = "config_a"
     dataset_per_node: int = 96
@@ -86,9 +90,9 @@ class BenchScenario:
     #: backprop slice, so short-step workloads need a low-latency fabric
     allreduce_latency: Optional[float] = None
     reshard: str = "stride"
-    #: loader knobs (None = model defaults).  The 1000-rank scenario trims
-    #: the idle-poll event volume -- 10 ms ticks across 1000 ranks of
-    #: polling workers dominate the event count once collectives collapse
+    #: loader knobs (None = model defaults).  The 1000-rank scenario was
+    #: sized when idle stages still cost an event per poll tick; its
+    #: coarser tick and smaller pool are part of its committed results now
     poll_interval: Optional[float] = None
     workers_per_gpu: Optional[int] = None
     #: 1.0 = steady-state cache-warm regime (the compute-bound DDP common
@@ -346,6 +350,55 @@ def run_benchmarks(
         "scenarios": [run_scenario(s) for s in chosen],
     }
     return report
+
+
+def _waiter(event: Event) -> str:
+    """Who is waiting on ``event``: the innermost generator of the first
+    subscribed process as ``name:line``, else the first callback's name."""
+    for callback in event.callbacks:
+        owner = getattr(callback, "__self__", None)
+        if not isinstance(owner, Process):
+            return getattr(callback, "__qualname__", repr(callback))
+        generator = owner._generator
+        while getattr(generator.gi_yieldfrom, "gi_frame", None) is not None:
+            generator = generator.gi_yieldfrom
+        return f"{generator.gi_code.co_name}:{generator.gi_frame.f_lineno}"
+    return "(nobody)"
+
+
+def census(scenario: BenchScenario, collapse: bool = True) -> Counter:
+    """Run ``scenario`` once on a counting kernel and return its delivered
+    events by ``(event type, waiter)`` -- the table an event-diet change
+    starts from.  The counting :class:`Environment` subclass is substituted
+    for the run only; the kernel's own hot path carries nothing for it."""
+    counts: Counter = Counter()
+
+    class CountingEnvironment(Environment):
+        def _pop_next(self):
+            event = super()._pop_next()
+            if event is not None:
+                counts[type(event).__name__, _waiter(event)] += 1
+            return event
+
+    plain = cluster_module.Environment
+    cluster_module.Environment = CountingEnvironment
+    try:
+        scenario.run(collapse)
+    finally:
+        cluster_module.Environment = plain
+    return counts
+
+
+def render_census(counts: Counter, top: int = 25) -> str:
+    total = sum(counts.values())
+    lines = [f"{total:9d}  100.0 %  delivered events"]
+    listed = counts.most_common(top)
+    for (kind, waiter), n in listed:
+        lines.append(f"{n:9d}  {100.0 * n / total:5.1f} %  {kind:12s} {waiter}")
+    rest = total - sum(n for _key, n in listed)
+    if rest:
+        lines.append(f"{rest:9d}  {100.0 * rest / total:5.1f} %  (other)")
+    return "\n".join(lines)
 
 
 def write_report(report: Dict[str, object], path: str) -> None:

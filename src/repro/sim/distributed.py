@@ -91,7 +91,7 @@ from .cluster import (
 )
 from .fabric import RingFabric
 from .kernel import AllOf, Environment, Interrupt
-from .loaders import SimContext
+from .loaders import SimContext, run_until
 from .runner import make_sim_loader
 from .topology import Topology
 from .workloads import HardwareConfig, WorkloadSpec
@@ -951,8 +951,16 @@ class _ElasticJob:
         """Single-tenant path: drive the private cluster's kernel to this
         job's completion and return its result."""
         proc = self.env.process(self.run())
-        self.env.run(until=proc)
+        run_until(self.env, proc, self.live_loaders)
         return self.result()
+
+    def live_loaders(self):
+        """``(label, loader)`` for the current round's loaders."""
+        loaders = self._round.loaders if self._round is not None else {}
+        return [
+            (f"{self.job_id}/node{node}", loader)
+            for node, loader in loaders.items()
+        ]
 
     def run(self):
         """The job as a kernel process (a generator): round loop with a

@@ -390,7 +390,17 @@ class Environment:
 
     # -- scheduling --------------------------------------------------------
 
-    def _schedule(self, event: Event, priority: int, delay: float) -> None:
+    def _schedule(
+        self,
+        event: Event,
+        priority: int,
+        delay: Optional[float],
+        at: Optional[float] = None,
+    ) -> None:
+        """Queue ``event`` ``delay`` seconds from now, or -- ``delay=None``
+        -- at the absolute instant ``at`` (:meth:`succeed_at`; it always
+        takes the heap, which orders an entry at ``now`` against the lanes
+        by its id like any other)."""
         self._eid += 1
         if delay == 0.0:
             # current-instant lane: O(1), no tuple, exact order preserved
@@ -402,8 +412,35 @@ class Environment:
                 self._normal.append(event)
         else:
             heapq.heappush(
-                self._queue, (self._now + delay, priority, self._eid, event)
+                self._queue,
+                (
+                    self._now + delay if at is None else at,
+                    priority,
+                    self._eid,
+                    event,
+                ),
             )
+
+    def succeed_at(self, event: Event, when: float, value: Any = None) -> Event:
+        """Succeed ``event`` at the *absolute* virtual instant ``when``.
+
+        The event counts as triggered from now on (like a :class:`Timeout`
+        from its creation) and is delivered at ``when`` -- after everything
+        already queued for that instant.  A delay cannot say this: in
+        floats ``now + (when - now)`` need not be ``when``, and a waiter
+        that must resume on a grid of instants computed elsewhere (the
+        loaders' poll ticks) could land one bit off it.
+        """
+        if event._ok is not None:
+            raise SimulationError(f"{event!r} has already been triggered")
+        if not when >= self._now:
+            raise ValueError(
+                f"cannot schedule in the past: at={when!r} < now={self._now!r}"
+            )
+        event._ok = True
+        event._value = value
+        self._schedule(event, NORMAL, None, when)
+        return event
 
     def _head(self):
         """The queue -- heap or lane -- whose head is the next event in
@@ -484,22 +521,33 @@ class Environment:
         (run until virtual time reaches it), or an :class:`Event` (run until
         it is processed, returning its value or raising its exception).
         """
+        # the two open-ended branches loop on step() alone -- one queue scan
+        # per delivered event -- and read "nothing left" off its
+        # EmptySchedule (with events still queued it is a process's own
+        # failure surfacing, and propagates as such)
         if until is None:
-            while self._head() is not None:
-                self.step()
-            return None
+            try:
+                while True:
+                    self.step()
+            except EmptySchedule:
+                if self._head() is not None:
+                    raise
+                return None
 
         if isinstance(until, Event):
             sentinel = until
             if sentinel.callbacks is not None:
                 done = []
                 sentinel.callbacks.append(done.append)
-                while not done:
-                    if self._head() is None:
-                        raise EmptySchedule(
-                            "schedule drained before the target event triggered"
-                        )
-                    self.step()
+                try:
+                    while not done:
+                        self.step()
+                except EmptySchedule:
+                    if self._head() is not None:
+                        raise
+                    raise EmptySchedule(
+                        "schedule drained before the target event triggered"
+                    ) from None
             if sentinel._ok:
                 return sentinel._value
             sentinel._defused = True

@@ -28,13 +28,32 @@ every scheduling decision -- fast/slow routing (preemptive accounting),
 batch construction order, strict-order release, worker-pool scaling -- is
 delegated to the same substrate-neutral components in :mod:`repro.policy`
 that drive the threaded engine in :mod:`repro.core.loader` (see DESIGN.md).
+
+No stage polls, and idle is free.  Algorithm 1's 10 ms sleep decides *when*
+an idle stage notices new work -- on its own poll tick -- and the model
+keeps exactly that: a stage that finds nothing parks (:class:`_IdleSite`)
+and is woken on the tick its poll loop would have found the change at, with
+no kernel event in between.  Likewise a core or GPU that is free is taken
+without an event (:meth:`SimContext._occupy`).  The poll loop itself lives
+on as the specification in ``tests/helpers.PollingMinatoLoader``.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Generator, Iterator, List, Optional
+from functools import cmp_to_key
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Generator,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
 from ..core.profiler import TimeoutProfiler
 from ..core.scheduler import SchedulerDecision, WorkerScheduler
@@ -42,7 +61,7 @@ from ..data.sample import SampleSpec
 from ..data.samplers import BatchSampler, RandomSampler, ShardedSampler
 from ..data.storage import DRAM_BANDWIDTH
 from ..engine.metrics import IntervalRecorder, ThroughputMeter
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, EmptySchedule, SimulationError
 from ..policy import (
     BatchConstructionPolicy,
     LoaderStats,
@@ -50,10 +69,11 @@ from ..policy import (
     ScalingPolicy,
     SizeRouter,
     deal_batch_plan,
+    first_tick,
     index_stream,
 )
 from .cluster import NodeSite
-from .kernel import AllOf, Environment
+from .kernel import AllOf, Environment, Event
 from .resources import Resource
 from .stores import PriorityStore, Store
 from .workloads import HardwareConfig, WorkloadSpec
@@ -66,6 +86,7 @@ __all__ = [
     "SimDALILoader",
     "SimMinatoLoader",
     "END",
+    "run_until",
 ]
 
 #: end-of-stream sentinel on batch stores
@@ -172,34 +193,41 @@ class SimContext:
 
     # -- CPU accounting -------------------------------------------------------------
 
+    def _occupy(
+        self, resource: Resource, seconds: float, recorder: IntervalRecorder, tag: str
+    ) -> Generator:
+        """Hold one slot of ``resource`` for ``seconds`` and record the
+        interval.  A free slot is taken on the spot; the request is yielded
+        -- a kernel event -- only when it actually queued."""
+        request = resource.try_request()
+        queued = request is None
+        if queued:
+            request = resource.request()
+        with request:
+            if queued:
+                yield request
+            start = self.env.now
+            yield self.env.timeout(seconds)
+            recorder.record(start, self.env.now, tag)
+
     def cpu_busy(self, seconds: float, tag: str = "preprocess") -> Generator:
         """Consume CPU time on one core (queueing if all cores are busy)."""
         if seconds <= 0:
             return
-        with self.cores.request() as req:
-            yield req
-            start = self.env.now
-            yield self.env.timeout(seconds)
-            self.cpu_recorder.record(start, self.env.now, tag)
-            self.stats.busy_seconds += seconds
-            self.cpu_busy_by_tag[tag] = self.cpu_busy_by_tag.get(tag, 0.0) + seconds
+        yield from self._occupy(self.cores, seconds, self.cpu_recorder, tag)
+        self.stats.busy_seconds += seconds
+        self.cpu_busy_by_tag[tag] = self.cpu_busy_by_tag.get(tag, 0.0) + seconds
 
     # -- training-side hooks ------------------------------------------------------------
 
     def train_step(self, gpu: int, seconds: float) -> Generator:
         """Execute one training step on a GPU (contends with DALI preprocess)."""
-        with self.gpus[gpu].request() as req:
-            yield req
-            start = self.env.now
-            yield self.env.timeout(seconds)
-            self.gpu_recorders[gpu].record(start, self.env.now, "train")
+        return self._occupy(self.gpus[gpu], seconds, self.gpu_recorders[gpu], "train")
 
     def gpu_preprocess(self, gpu: int, seconds: float) -> Generator:
-        with self.gpus[gpu].request() as req:
-            yield req
-            start = self.env.now
-            yield self.env.timeout(seconds)
-            self.gpu_recorders[gpu].record(start, self.env.now, "preprocess")
+        return self._occupy(
+            self.gpus[gpu], seconds, self.gpu_recorders[gpu], "preprocess"
+        )
 
 
 class BaseSimLoader:
@@ -210,8 +238,7 @@ class BaseSimLoader:
     onto a rank's :class:`~repro.data.samplers.ShardedSampler` (the elastic
     executor does so at every epoch boundary) and pins the delivered-batch
     budget that keeps lockstep ranks in agreement.  :meth:`halt` retires a
-    failed node's polling workers instead of letting them spin in virtual
-    time forever.
+    failed node's stages.
     """
 
     name = "base"
@@ -243,14 +270,24 @@ class BaseSimLoader:
         raise NotImplementedError
 
     def halt(self) -> None:
-        """Stop this loader's polling workers (elastic node failure).
+        """Retire this loader's stages (elastic node failure).
 
         Blocked producers/consumers park on untriggered events and cost the
-        kernel nothing, but Minato's workers poll on timeouts; after a node
-        dies mid-epoch they would keep scheduling wake-ups for the rest of
-        the simulation.  ``halt()`` makes them retire at their next wake-up.
+        kernel nothing, and so do Minato's idle stages -- but those owe the
+        model a last poll: ``halt()`` kicks them, each retires at its own
+        next poll tick, and a busy one retires when it next reaches its
+        loop top.  A loader that has not started has nothing to retire, and
+        one already halted stays halted: both calls are no-ops.
         """
-        self._halted = True
+        if self.ctx is not None:
+            self._halted = True
+
+    @property
+    def stranded(self) -> Dict[str, int]:
+        """Idle site -> stages parked behind a non-empty watched store,
+        i.e. stranded by a state change that did not kick them (see
+        :func:`run_until`).  Only Minato parks stages."""
+        return {}
 
     def rebind_shard(
         self,
@@ -572,8 +609,150 @@ class SimDALILoader(BaseSimLoader):
 # ---------------------------------------------------------------------------
 
 
+class _IdleSite:
+    """The stages of one kind whose poll found nothing: parked, not polling.
+
+    Algorithm 1 sleeps ``interval`` when a stage finds nothing to do and
+    looks again.  Only the poll that finally *finds* something is model
+    behaviour; the empty ones in between are not, so a stage that polls and
+    finds nothing parks here on a plain event, remembering the instant of
+    that empty poll, and costs the kernel nothing until somebody *kicks*
+    the site.  A kick schedules every parked stage at **its own first poll
+    tick at or after now** (:func:`repro.policy.first_tick`: the grid the
+    sleeping poller would have walked, built by the same repeated
+    addition), where it re-runs its loop top exactly as the poll would have
+    -- retire, pick up, exit, or park again from that tick.
+
+    Stages whose polls came up empty at the same instant walk the same grid
+    from then on, so they share one wake event and resume from it in park
+    order.  Every kick wakes *all* of the site, so stages that share a grid
+    re-park together and keep their order; groups that meet on a tick for
+    the first time (grids an exact multiple of ``interval`` apart differ in
+    their last bits until a rounding merges them) wake in the order of
+    their previous polls.  Either way stages poll in the order their poll
+    timeouts would have been armed in, tick after tick.
+
+    The contract: **every state change a stage's poll could observe kicks
+    its site** (:meth:`SimMinatoLoader.start` lists them).  A kick too many
+    is harmless -- the woken stage polls at an instant the poll loop polled
+    at anyway; a kick too few strands work behind parked stages, which
+    :func:`run_until` turns into a typed error.
+
+    The one thing a parked stage cannot reproduce is an exact tie.  When a
+    kick lands *on* a parked stage's tick, whether it would have polled
+    before or after the kicking event was an event-id comparison between
+    that event and a timeout armed one tick earlier, which no longer
+    exists.  Where the answer is known it is given: a kick made from a
+    zero-delay hop (the feeder, resumed by its own ``put``) is ``late`` in
+    its instant -- the kernel delivers such a hop behind everything armed
+    earlier, so the poll came first and the stage is due one tick later.
+    Otherwise the rule is: the stage polls at that instant, **after** the
+    kicking event.  ``ties`` counts how often the rule was needed; it is
+    right when the kicking event was armed more than a tick ago (a
+    scheduler tick, a failure, the end of a long transform), with
+    continuous costs it is hardly ever needed, and the benchmark-shaped
+    runs pin the count to zero.
+    """
+
+    def __init__(self, env: Environment, interval: float, watched) -> None:
+        self.env = env
+        self.interval = interval
+        #: what the stages poll; ``len(watched) > 0`` with stages parked is
+        #: a lost wake-up
+        self.watched = watched
+        #: (wake event, instant of its stages' empty polls), in park order
+        self.parked: List[Tuple[Event, float]] = []
+        self.ties = 0
+
+    def __len__(self) -> int:
+        """Stages parked here."""
+        return sum(len(wake.callbacks) for wake, _at in self.parked)
+
+    def park(self) -> Event:
+        """The event to yield after a poll that found nothing: it fires at
+        the caller's first tick after the next kick."""
+        now = self.env.now
+        if self.parked and self.parked[-1][1] == now:
+            return self.parked[-1][0]
+        wake = Event(self.env)
+        self.parked.append((wake, now))
+        return wake
+
+    def kick(self, late: bool = False) -> None:
+        """Something these stages poll for changed -- ``late`` in this
+        instant if a zero-delay hop brought the change."""
+        if not self.parked:
+            return
+        env = self.env
+        now = env.now
+        parked, self.parked = self.parked, []
+        due = []
+        for _wake, at in parked:
+            tick = first_tick(at, self.interval, now)[0]
+            if tick == now:
+                if late:  # the stage has polled at this instant already
+                    tick = first_tick(now, self.interval, now)[0]
+                else:
+                    self.ties += 1
+            due.append(tick)
+
+        def by_arming(i: int, j: int) -> int:
+            if due[i] != due[j]:
+                return -1 if due[i] < due[j] else 1
+            older, newer = min(i, j), max(i, j)
+            first = self._armed_first(parked[older][1], parked[newer][1], due[i])
+            return -1 if (i == older) == first else 1
+
+        for i in sorted(range(len(due)), key=cmp_to_key(by_arming)):
+            env.succeed_at(parked[i][0], due[i])
+
+    def _armed_first(self, older: float, newer: float, tick: float) -> bool:
+        """Two groups, parked at ``older`` and (after it) at ``newer``, are
+        due at the same ``tick``: would the poll timeout of the older one
+        have been armed first?  By their previous polls -- and where those
+        coincide too, the ones before, back to the newer group's park,
+        where the older group polled on its tick first."""
+        while True:
+            before_older = first_tick(older, self.interval, tick)[1]
+            before_newer = first_tick(newer, self.interval, tick)[1]
+            if before_older != before_newer or before_newer == newer:
+                return before_older <= before_newer
+            tick = before_older
+
+
+def run_until(
+    env: Environment,
+    done: Event,
+    loaders: Callable[[], Iterable[Tuple[str, "BaseSimLoader"]]],
+) -> Any:
+    """``env.run(until=done)`` for a driver.  A schedule that drains first
+    is an :class:`EmptySchedule` as ever -- unless one of the ``(label,
+    loader)`` pairs ``loaders()`` names has stages parked behind a
+    non-empty store: then the run did not deadlock, a state change failed
+    to kick them, and the error says where."""
+    try:
+        return env.run(until=done)
+    except EmptySchedule:
+        lost = [
+            f"{label}: {loader.stranded}"
+            for label, loader in loaders()
+            if loader.stranded
+        ]
+        if not lost:
+            raise
+        raise SimulationError(
+            "lost wake-up: stages still parked behind a non-empty store "
+            f"(idle site -> parked stages) -- {'; '.join(lost)}"
+        ) from None
+
+
 class SimMinatoLoader(BaseSimLoader):
-    """Algorithm 1 + adaptive worker scheduling, with preemptive accounting."""
+    """Algorithm 1 + adaptive worker scheduling, with preemptive accounting.
+
+    No stage polls: a loading worker, slow-task worker or strict-order
+    builder that finds nothing parks on its :class:`_IdleSite` and is woken
+    on the poll tick the paper's 10 ms sleep loop would have found work at.
+    """
 
     name = "minato"
 
@@ -634,6 +813,7 @@ class SimMinatoLoader(BaseSimLoader):
         self.delta_clip = delta_clip
         self.seed = seed
         self.worker_history: List[SchedulerDecision] = []
+        self._idle: Dict[str, _IdleSite] = {}
 
     def start(self, ctx: SimContext) -> None:
         self.ctx = ctx
@@ -655,6 +835,28 @@ class SimMinatoLoader(BaseSimLoader):
             grace_rel=self.preempt_grace_rel,
         )
         self.construction = BatchConstructionPolicy(strict_order=not self.reorder)
+        # Where idle stages park, and the kick sites -- everything a poll
+        # could have observed.  A new state change that a stage's loop top
+        # reads must kick that stage's site:
+        #   loading  <- a put on the index store, _feeding_done,
+        #               a _loading_target change, halt()
+        #   slow     <- a put on the temp store, _feeding_done, a loading
+        #               worker's exit, a _slow_target change, halt()
+        #   builder  <- (strict order only) a sample entering the reorder
+        #               buffer, a release from it, halt()
+        watched = {
+            "loading": self._index_store,
+            "slow": self._temp_store,
+            "builder": () if self.reorder else self.construction.buffer,
+        }
+        self._idle = {
+            name: _IdleSite(env, self.poll_interval, polled)
+            for name, polled in watched.items()
+        }
+        loading, slow = self._idle["loading"], self._idle["slow"]
+        # only the feeder puts indices, resumed by its previous put: late
+        self._index_store.on_change = lambda _now, _size: loading.kick(late=True)
+        self._temp_store.on_change = lambda _now, _size: slow.kick()
         self.profiler = TimeoutProfiler(
             percentile=self.timeout_percentile,
             fallback_percentile=self.fallback_percentile,
@@ -721,6 +923,36 @@ class SimMinatoLoader(BaseSimLoader):
         if self.adaptive_workers:
             env.process(self._scheduler_proc())
 
+    # -- idle stages ------------------------------------------------------------
+
+    def _kick(self, *sites: str, late: bool = False) -> None:
+        for name in sites:
+            self._idle[name].kick(late)
+
+    def halt(self) -> None:
+        if self.ctx is not None:  # else _idle is whatever a clone inherited
+            super().halt()
+            self._kick(*self._idle)
+
+    @property
+    def parked(self) -> Dict[str, int]:
+        """Idle site -> stages currently parked there."""
+        return {name: len(site) for name, site in self._idle.items()}
+
+    @property
+    def stranded(self) -> Dict[str, int]:
+        return {
+            name: len(site)
+            for name, site in self._idle.items()
+            if site.parked and len(site.watched) > 0
+        }
+
+    @property
+    def tick_ties(self) -> int:
+        """Kicks that landed exactly on a parked stage's tick (see
+        :class:`_IdleSite`)."""
+        return sum(site.ties for site in self._idle.values())
+
     # -- sizing ------------------------------------------------------------------
 
     def _total_samples(self) -> int:
@@ -762,6 +994,7 @@ class SimMinatoLoader(BaseSimLoader):
             epoch, seq, index = next(stream)
             yield self._index_store.put((epoch, seq, index))
         self._feeding_done = True
+        self._kick("loading", "slow", late=True)
 
     def _emit_ready(self, seq: int, spec: SampleSpec, flagged_slow: bool):
         """Route one preprocessed sample through the construction policy.
@@ -771,17 +1004,19 @@ class SimMinatoLoader(BaseSimLoader):
         """
         item = (spec, flagged_slow)
         key = self.construction.priority_key
-        return self.construction.route_ready(
+        event = self.construction.route_ready(
             seq,
             item,
             flagged_slow,
             put_fast=lambda it: self._ready_store.put((key(False), it)),
             put_slow=lambda it: self._ready_store.put((key(True), it)),
         )
+        if event is None:
+            self._kick("builder")
+        return event
 
     def _loading_worker(self) -> Generator:
         ctx = self.ctx
-        env = ctx.env
         try:
             while True:
                 if self._halted or self._active_workers > self._loading_target:
@@ -790,7 +1025,7 @@ class SimMinatoLoader(BaseSimLoader):
                 if item is None:
                     if self._feeding_done and len(self._index_store) == 0:
                         return
-                    yield env.timeout(self.poll_interval)
+                    yield self._idle["loading"].park()
                     continue
                 _epoch, seq, index = item
                 spec = ctx.workload.dataset.spec(index)
@@ -833,10 +1068,10 @@ class SimMinatoLoader(BaseSimLoader):
                         yield event
         finally:
             self._active_workers -= 1
+            self._kick("slow")
 
     def _slow_worker(self) -> Generator:
         ctx = self.ctx
-        env = ctx.env
         try:
             while True:
                 if self._halted or self._active_slow > self._slow_target:
@@ -850,7 +1085,7 @@ class SimMinatoLoader(BaseSimLoader):
                         and len(self._temp_store) == 0
                     ):
                         return
-                    yield env.timeout(self.poll_interval)
+                    yield self._idle["slow"].park()
                     continue
                 spec, resume_at, profile, seq = item
                 for cost in profile[resume_at:]:
@@ -866,16 +1101,16 @@ class SimMinatoLoader(BaseSimLoader):
     def _next_ready(self) -> Generator:
         """Fetch the next ready sample per the construction policy."""
         if self.construction.strict_order:
-            env = self.ctx.env
             while True:
                 got = self.construction.next_ready(lambda: None, lambda: None)
                 if got is not None:
+                    # a release: the next sequence number may be buffered
+                    self._kick("builder")
                     return got
                 if self._halted:
-                    # dead node: park on a never-triggered event instead of
-                    # polling in virtual time for the rest of the simulation
-                    yield env.event()
-                yield env.timeout(self.poll_interval)
+                    # dead node: this was the builder's last poll
+                    yield self.ctx.env.event()
+                yield self._idle["builder"].park()
         else:
             _key, item = yield self._ready_store.get()
             return item
@@ -933,4 +1168,5 @@ class SimMinatoLoader(BaseSimLoader):
                 continue
             self._loading_target = action.loading_target
             self._slow_target = action.background_target
+            self._kick("loading", "slow")
             self._fill_pools()

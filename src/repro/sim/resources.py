@@ -3,7 +3,11 @@
 * :class:`Resource` -- SimPy-style capacity resource.  GPUs are modelled as
   ``Resource(env, capacity=1)``: training steps and (for DALI) GPU-side
   preprocessing jobs contend for it in FIFO order, which is exactly the
-  contention story of paper §3.5.
+  contention story of paper §3.5.  ``request()`` always answers with an
+  event to yield; ``try_request()`` takes a slot that is free without one
+  (the loaders' ``cpu_busy`` / ``train_step`` yield a request only when it
+  actually queued), and both share the users list, the ``on_change``
+  notification and the FIFO hand-over on ``release``.
 * :class:`BandwidthPipe` -- analytic FIFO bandwidth server used for disks and
   shared-filesystem links.  A transfer of ``n`` bytes occupies the pipe for
   ``n / bandwidth`` seconds after everything queued before it drains, and
@@ -81,6 +85,23 @@ class Resource:
             self._notify()
         else:
             self.queue.append(event)
+        return event
+
+    def try_request(self) -> Optional[Request]:
+        """Non-blocking request: take a free slot *now* and return the
+        granted :class:`Request` (to be released like any other), or
+        ``None`` when every slot is busy.
+
+        The grant is synchronous -- the request is never scheduled, so the
+        caller pays no kernel event to learn what it can already see.  A
+        slot is only ever free with no live waiter (``release`` hands slots
+        over before it returns), so this cannot overtake the FIFO queue.
+        """
+        if len(self.users) >= self.capacity:
+            return None
+        event = Request(self)
+        self.users.append(event)
+        self._notify()
         return event
 
     def release(self, request: Request) -> None:

@@ -16,6 +16,7 @@ from .loaders import (
     SimMinatoLoader,
     SimPecanLoader,
     SimTorchLoader,
+    run_until,
 )
 from .workloads import HardwareConfig, WorkloadSpec
 
@@ -164,7 +165,7 @@ def run_simulation(
                 batch_log.append((now, gpu, batch.size, batch.nbytes, batch.slow_count))
 
     procs = [env.process(gpu_proc(g, steps[g])) for g in range(num_gpus)]
-    env.run(until=AllOf(env, procs))
+    run_until(env, AllOf(env, procs), lambda: [(loader_name, loader)])
     duration = env.now
 
     bucket = series_bucket

@@ -52,6 +52,7 @@ from .cluster import (
 )
 from .distributed import DistributedResult, JobSpec, _ElasticJob
 from .kernel import AllOf
+from .loaders import run_until
 from .workloads import CONFIG_A, make_workload
 
 __all__ = [
@@ -123,12 +124,14 @@ class JobMix:
             )
             elastic[spec.job_id] = job
             procs.append(cluster.env.process(job.run()))
-        if len(procs) == 1:
-            # the degenerate mix matches run_elastic's drive loop exactly
-            # (an AllOf wrapper would process one extra kernel event)
-            cluster.env.run(until=procs[0])
-        else:
-            cluster.env.run(until=AllOf(cluster.env, procs))
+        # the degenerate mix matches run_elastic's drive loop exactly (an
+        # AllOf wrapper would process one extra kernel event)
+        done = procs[0] if len(procs) == 1 else AllOf(cluster.env, procs)
+        run_until(
+            cluster.env,
+            done,
+            lambda: [pair for job in elastic.values() for pair in job.live_loaders()],
+        )
         results = [elastic[spec.job_id].result() for spec in self.jobs]
         return MixResult(
             jobs=results,

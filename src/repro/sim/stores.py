@@ -1,11 +1,13 @@
 """Queues for the simulation kernel.
 
 :class:`Store` is a bounded FIFO with blocking ``put``/``get`` events plus
-non-blocking ``try_put``/``try_get``.  The MinatoLoader model uses the
-non-blocking variants for its batch-construction polling loop (the paper's
-Algorithm 1 sleeps 10 ms when both the fast and slow queues are empty), which
-also sidesteps the classic pitfall of abandoned ``get`` events consuming
-items.
+non-blocking ``try_put``/``try_get``.  The MinatoLoader model's stages look
+for work with ``try_get`` -- at the instants Algorithm 1's 10 ms sleep loop
+would look, without sleeping through the empty ones: a stage that finds
+nothing parks, and the store's ``on_change`` callback is what tells the
+loader to wake it on its next poll tick (see ``sim/loaders.py``).  Looking
+instead of waiting also sidesteps the classic pitfall of abandoned ``get``
+events consuming items.
 
 :class:`PriorityStore` orders retrieval by a key, used by models that need
 deadline- or size-ordered queues (e.g. the ablation benchmarks).
@@ -91,9 +93,9 @@ class Store:
     # the public operations fast-path the waiter-free common case (after
     # every dispatch, pending getters imply an empty store and pending
     # putters imply a full one, so a lone put/get with no opposing waiter
-    # can never unblock more than one queue scan) -- the loaders' polling
-    # loops hit try_get/try_put once per poll tick, which made the
-    # unconditional double scan a kernel hot spot
+    # can never unblock more than one queue scan) -- the loaders hit
+    # try_get/try_put once per look for work, which made the unconditional
+    # double scan a kernel hot spot
 
     def put(self, item: Any) -> StorePut:
         """Blocking put; the returned event fires once the item is enqueued."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import threading
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, TypeVar
 
 import numpy as np
@@ -14,9 +15,10 @@ from repro.data.sample import Sample, SampleSpec
 from repro.errors import ConfigurationError
 from repro.sim.cluster import Cluster, ClusterMembership
 from repro.sim.distributed import JobSpec, run_distributed, run_elastic
-from repro.sim.kernel import Environment
+from repro.sim.kernel import AllOf, Environment
+from repro.sim.loaders import SimContext, SimMinatoLoader
 from repro.sim.scenarios import JobMix
-from repro.sim.workloads import CONFIG_A, make_workload
+from repro.sim.workloads import CONFIG_A, WorkloadSpec, make_workload
 from repro.transforms.base import Pipeline, PipelineState, SizeEffect, Transform, WorkContext
 
 
@@ -162,7 +164,8 @@ class CheckedEnvironment(Environment):
     """An :class:`Environment` refereed by the abstract machine it refines:
     one plain ``(time, priority, eid)`` binary heap.
 
-    Every ``_schedule`` is shadowed into that heap, and the kernel must
+    Every ``_schedule`` -- by delay or, for ``succeed_at``, at an absolute
+    instant -- is shadowed into that heap, and the kernel must
     agree with it transition by transition: it delivers exactly the
     shadow's next entry; it lazily drops an event exactly when that event
     *is* the shadow's next entry (its own fire time, never earlier) and
@@ -177,13 +180,14 @@ class CheckedEnvironment(Environment):
         self._shadow: list = []
         self._queued: set = set()
 
-    def _schedule(self, event, priority, delay) -> None:
+    def _schedule(self, event, priority, delay, at=None) -> None:
         assert id(event) not in self._queued, f"{event!r} is pending twice"
         self._queued.add(id(event))
-        super()._schedule(event, priority, delay)
-        heapq.heappush(
-            self._shadow, (self._now + delay, priority, self._eid, event)
-        )
+        super()._schedule(event, priority, delay, at)
+        # the absolute-time entry (delay=None) is shadowed like a delay
+        when = self._now + delay if at is None else at
+        assert when >= self._now, f"{event!r} scheduled in the past ({when})"
+        heapq.heappush(self._shadow, (when, priority, self._eid, event))
 
     def _take(self):
         when, _priority, _eid, event = heapq.heappop(self._shadow)
@@ -223,6 +227,160 @@ def on_checked_kernel(monkeypatch, run, *args, **kwargs):
         patch.setattr("repro.sim.cluster.Environment", CheckedEnvironment)
         patch.setattr("repro.sim.runner.Environment", CheckedEnvironment)
         return run(*args, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# The idle wait's specification: Algorithm 1's poll loop, literally
+# ---------------------------------------------------------------------------
+
+
+class _PollingSite:
+    """Stands in for ``repro.sim.loaders._IdleSite``: a stage that found
+    nothing sleeps one poll interval and looks again, and nobody needs to
+    tell it anything.  This is the abstract machine the parked wait refines
+    -- every pick-up, retire and exit of the refinement must happen at the
+    instant, and by the stage, this loop chooses; only its empty polls may
+    go."""
+
+    parked = ()
+    watched = ()
+    ties = 0
+
+    def __init__(self, env, interval) -> None:
+        self.env = env
+        self.interval = interval
+
+    def __len__(self) -> int:
+        return 0
+
+    def park(self):
+        return self.env.timeout(self.interval)
+
+    def kick(self, late=False) -> None:
+        pass
+
+
+class PollingMinatoLoader(SimMinatoLoader):
+    """``SimMinatoLoader`` with the three poll loops it had before its idle
+    stages parked (``_loading_worker`` on the index store, ``_slow_worker``
+    on the temp store, strict-order ``_next_ready``): the same loop tops,
+    with ``yield env.timeout(self.poll_interval)`` as the idle wait."""
+
+    def start(self, ctx) -> None:
+        super().start(ctx)
+        # no stage has run yet: a process starts at its first kernel event
+        self._idle = {
+            name: _PollingSite(ctx.env, self.poll_interval) for name in self._idle
+        }
+
+
+@dataclass
+class MinatoObservation:
+    """What one observed run of a Minato model did, and when."""
+
+    #: (instant, sample index, stage kind) per successful poll, in order
+    pickups: list
+    #: (instant, gpu, sample indices, slow flags) per delivered batch
+    batches: list
+    worker_history: list
+    events: int
+    loader: SimMinatoLoader
+    env: Environment
+
+    @property
+    def transitions(self):
+        """Everything the refinement must reproduce, bit for bit: when each
+        kind of stage picked up which sample, which GPU got which batch
+        when, and every scheduler decision.  Pick-ups compare per kind (the
+        three kinds poll different things, so their polls within one instant
+        commute) and do not say which stage of the kind it was (they are
+        interchangeable; builders are told apart by their GPU)."""
+        by_kind = {
+            kind: [(at, index) for at, index, k in self.pickups if k == kind]
+            for kind in ("loading", "slow", "builder")
+        }
+        return by_kind, self.batches, self.worker_history
+
+
+def observe_minato(
+    loader_cls,
+    costs: Sequence[float],
+    batch_size: int = 3,
+    gpus: int = 1,
+    cores: int = 128,
+    epochs: int = 1,
+    step: float = 0.02,
+    stall: Optional[tuple] = None,
+    halt_at: Optional[float] = None,
+    horizon: Optional[float] = None,
+    raw_nbytes: int = 1024,
+    n_stages: int = 3,
+    env_cls=Environment,
+    **loader_kwargs,
+) -> MinatoObservation:
+    """Run ``loader_cls`` over a stub dataset with the given per-sample
+    ``costs`` and log every pick-up and every batch.  Consumers train
+    ``step`` seconds per batch; ``stall=(batch_number, seconds)`` makes GPU
+    0 pause once; ``halt_at`` halts the loader at that instant, after which
+    nothing ends the stream, so the run goes to ``horizon`` instead."""
+    env = env_cls()
+    workload = WorkloadSpec(
+        name="observed",
+        dataset=StubDataset(costs, raw_nbytes=raw_nbytes),
+        pipeline=stub_pipeline(n_stages),
+        model=None,
+        batch_size=batch_size,
+        epochs=epochs,
+    )
+    ctx = SimContext(env, workload, replace(CONFIG_A, cpu_cores=cores), gpus)
+    loader = loader_cls(**loader_kwargs)
+    loader.start(ctx)
+    pickups: list = []
+    batches: list = []
+
+    def tap(owner, method, kind, index_of) -> None:
+        inner = getattr(owner, method)
+
+        def tapped():
+            item = inner()
+            if item is not None:
+                pickups.append((env.now, index_of(item), kind))
+            return item
+
+        setattr(owner, method, tapped)
+
+    tap(loader._index_store, "try_get", "loading", lambda item: item[2])
+    tap(loader._temp_store, "try_get", "slow", lambda item: item[0].index)
+    if loader.construction.strict_order:
+        tap(
+            loader.construction.buffer, "try_next", "builder",
+            lambda item: item[0].index,
+        )
+
+    def consumer(gpu: int):
+        while True:
+            batch = yield from loader.get_batch(gpu)
+            if batch is None:
+                return
+            batches.append(
+                (env.now, gpu, [s.index for s in batch.specs], list(batch.slow_flags))
+            )
+            if stall is not None and gpu == 0 and len(batches) == stall[0]:
+                yield env.timeout(stall[1])
+            yield from ctx.train_step(gpu, step)
+
+    def killer():
+        yield env.timeout(halt_at)
+        loader.halt()
+
+    consumers = [env.process(consumer(gpu)) for gpu in range(gpus)]
+    if halt_at is not None:
+        env.process(killer())
+    env.run(until=AllOf(env, consumers) if horizon is None else horizon)
+    return MinatoObservation(
+        pickups, batches, list(loader.worker_history), env.events_processed,
+        loader, env,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,37 @@ def test_cli_bench_profile_handles_a_job_mix(monkeypatch, capsys):
     assert f"== {name}:" in out and "0 collapsed collectives" in out
 
 
+def test_cli_bench_census_counts_every_delivered_event(monkeypatch, capsys):
+    """``--census``: delivered events by (event type, waiting generator
+    ``name:line``) with shares; the counts add up to the run's event total,
+    and the counting kernel is gone again afterwards."""
+    from repro.sim import cluster as cluster_module
+    from repro.sim.kernel import Environment
+
+    name = "flat-serial-static-64"
+    small = dataclasses.replace(
+        bench.scenario_by_name(name), nodes=2, gpus_per_node=2, steps_per_gpu=2
+    )
+    monkeypatch.setattr(bench, "SCENARIOS", (small,))
+    counts = bench.census(small)
+    result, _wall = small.run(collapse=True)
+    assert sum(counts.values()) == result.sim_events
+    assert cluster_module.Environment is Environment
+    kinds = {kind for kind, _waiter in counts}
+    assert {"Timeout", "StorePut", "_Initialize"} <= kinds
+    assert any(waiter.startswith("_occupy:") for _kind, waiter in counts)
+    # nobody is woken 100 times a second any more
+    assert not any(
+        kind == "Timeout" and waiter.startswith(("_slow_worker", "_loading_worker"))
+        for kind, waiter in counts
+    )
+    assert main(["bench", "--census", "--scenario", name, "--top", "5"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"== {name}"
+    assert out[1].split() == [str(result.sim_events), "100.0", "%", "delivered", "events"]
+    assert len(out) == 2 + 5 + 1 and out[-1].endswith("(other)")
+
+
 def test_cli_run_unknown_experiment(capsys):
     assert main(["run", "fig99"]) == 2
     err = capsys.readouterr().err

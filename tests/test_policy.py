@@ -16,6 +16,7 @@ from repro.policy import (
     SizeRouter,
     deal_batch_plan,
     deal_quota,
+    first_tick,
     index_stream,
 )
 from repro.policy.routing import CONTINUE, FINISH_FAST, FINISH_SLOW, HANDOFF
@@ -398,3 +399,37 @@ def test_size_router_threshold_from_dataset():
     assert router.threshold_bytes == 1024.0
     assert not router.is_slow(1024)  # boundary is exclusive
     assert router.is_slow(1025)
+
+
+# ---------------------------------------------------------------------------
+# first_tick: the grid a sleeping poller walks
+# ---------------------------------------------------------------------------
+
+
+def test_first_tick_walks_the_grid_by_repeated_addition():
+    """The tick is the value the poll loop's own ``t = t + interval`` reaches,
+    bit for bit -- which ``last_poll + k * interval`` is not."""
+    last_poll, interval = 0.0137, 0.01
+    grid = [last_poll]
+    for _ in range(400):
+        grid.append(grid[-1] + interval)
+    multiplied = [last_poll + k * interval for k in range(401)]
+    assert grid != multiplied  # why the rule is spelled the way it is
+    for k in (1, 2, 57, 400):
+        between = (grid[k - 1] + grid[k]) / 2
+        assert first_tick(last_poll, interval, between) == (grid[k], grid[k - 1])
+        # a look exactly on a tick is answered with that tick
+        assert first_tick(last_poll, interval, grid[k]) == (grid[k], grid[k - 1])
+
+
+def test_first_tick_is_never_the_empty_poll_itself():
+    """The stage has polled at ``last_poll``; a change in that same instant
+    is seen one interval later."""
+    assert first_tick(2.5, 0.25, 2.5) == (2.75, 2.5)
+    assert first_tick(2.5, 0.25, 0.0) == (2.75, 2.5)
+
+
+@pytest.mark.parametrize("interval", [0.0, -0.01, float("nan")])
+def test_first_tick_rejects_an_interval_that_never_advances(interval):
+    with pytest.raises(ValueError, match="poll interval must be positive"):
+        first_tick(0.0, interval, 1.0)

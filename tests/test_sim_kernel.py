@@ -534,6 +534,7 @@ OPS = st.one_of(
     st.tuples(st.just("put"), st.integers(0, 3)),
     st.tuples(st.just("get"), st.none()),
     st.tuples(st.just("race"), st.sampled_from([0, 1, 3])),
+    st.tuples(st.just("at"), st.sampled_from([0, 0.5, 1])),
     st.tuples(st.just("interrupt"), st.integers(0, 3)),
     st.tuples(st.just("again"), st.none()),
     st.tuples(st.just("old"), st.none()),
@@ -545,7 +546,8 @@ def drive(env, programs):
     """Run one list of ops per process; returns the (time, pid, op, value)
     trace.  ``again`` re-yields the wait the last interrupt cut short (dead
     event revival, or a late yield once it was skipped); ``old`` re-yields
-    the last finished sleep (the recycled already-processed passthrough)."""
+    the last finished sleep (the recycled already-processed passthrough);
+    ``at`` waits on a plain event succeeded at an absolute instant."""
     store = Store(env, capacity=2)
     trace = []
     procs = []
@@ -563,6 +565,7 @@ def drive(env, programs):
                 "put": lambda: store.put(arg),
                 "get": store.get,
                 "race": lambda: env.any_of([store.get(), env.timeout(arg)]),
+                "at": lambda: env.succeed_at(env.event(), env.now + arg, n),
                 "again": lambda: stale,
                 "old": lambda: old,
             }[op]()
@@ -598,8 +601,10 @@ class SwappedLanes(Environment):
     """Mutant: URGENT and NORMAL current-instant events land in each
     other's lane."""
 
-    def _schedule(self, event, priority, delay):
-        super()._schedule(event, 1 - priority if delay == 0.0 else priority, delay)
+    def _schedule(self, event, priority, delay, at=None):
+        super()._schedule(
+            event, 1 - priority if delay == 0.0 else priority, delay, at
+        )
 
 
 class EarlySkip(Environment):
@@ -614,11 +619,35 @@ class EarlySkip(Environment):
         return super()._head()
 
 
+class UnshadowedAbsolute(Environment):
+    """Mutant: the absolute-time entry pushes onto the heap itself instead
+    of going through ``_schedule``, so nothing that watches the hook (the
+    referee, a census) ever sees the event."""
+
+    def succeed_at(self, event, when, value=None):
+        event._ok, event._value = True, value
+        self._eid += 1
+        heapq.heappush(self._queue, (when, 1, self._eid, event))
+        return event
+
+
+class BackdatedAbsolute(Environment):
+    """Mutant: the absolute-time entry lost its guard and its aim -- the
+    event lands one second before the instant asked for, in the past."""
+
+    def succeed_at(self, event, when, value=None):
+        event._ok, event._value = True, value
+        self._schedule(event, 1, None, when - 1.0)
+        return event
+
+
 @pytest.mark.parametrize(
     "mutant, programs",
     [
         # process starts are URGENT, the zero-delay timeout NORMAL
         (SwappedLanes, [[("sleep", 0)], [("sleep", 0)]]),
+        (UnshadowedAbsolute, [[("at", 0.5)], [("sleep", 1)]]),
+        (BackdatedAbsolute, [[("sleep", 2), ("at", 0.5)], [("sleep", 1)]]),
         # interrupted at t=1, one zero-delay hop, then back to the stale wait
         (
             EarlySkip,
@@ -628,7 +657,7 @@ class EarlySkip(Environment):
             ],
         ),
     ],
-    ids=["swapped-lanes", "early-skip"],
+    ids=["swapped-lanes", "unshadowed-absolute", "backdated-absolute", "early-skip"],
 )
 def test_the_referee_bites(mutant, programs):
     class Refereed(CheckedEnvironment, mutant):
@@ -637,3 +666,77 @@ def test_the_referee_bites(mutant, programs):
     drive(CheckedEnvironment(), programs)  # the real kernel passes
     with pytest.raises(AssertionError):
         drive(Refereed(), programs)
+
+
+# -- scheduling at an absolute instant ------------------------------------------
+
+
+def test_succeed_at_delivers_at_the_very_instant_asked_for():
+    """A delay cannot name an instant computed elsewhere: in floats
+    ``now + (when - now)`` need not be ``when``."""
+    env = CheckedEnvironment()
+    when = 0.0
+    for _ in range(6):
+        when += 0.003  # a poll grid, built by repeated addition
+    seen = []
+
+    def waiter(event):
+        seen.append(((yield event), env.now))
+
+    def kicker(event):
+        yield env.timeout(0.0021149793983923307)
+        assert env.now + (when - env.now) != when
+        assert env.succeed_at(event, when, "tick") is event
+        assert event.triggered and not event.processed
+
+    wake = env.event()
+    env.process(waiter(wake))
+    env.process(kicker(wake))
+    env.run()
+    assert seen == [("tick", when)]
+
+
+def test_succeed_at_now_is_delivered_after_what_is_already_queued():
+    env = CheckedEnvironment()
+    order = []
+
+    def proc():
+        yield env.timeout(1)
+        first = env.timeout(0, value="queued first")
+        late = env.succeed_at(env.event(), env.now, "at now")
+        for event in (late, first):
+            event.callbacks.append(lambda e: order.append(e.value))
+        yield env.timeout(0)
+
+    env.process(proc())
+    env.run()
+    assert order == ["queued first", "at now"] and env.now == 1.0
+
+
+def test_succeed_at_rejects_the_past_and_a_triggered_event():
+    env = Environment()
+    env.run(until=5)
+    with pytest.raises(ValueError, match="in the past"):
+        env.succeed_at(env.event(), 4.999)
+    with pytest.raises(ValueError, match="in the past"):
+        env.succeed_at(env.event(), float("nan"))
+    done = env.event().succeed()
+    with pytest.raises(SimulationError, match="already been triggered"):
+        env.succeed_at(done, 6.0)
+
+
+def test_an_empty_schedule_raised_by_a_process_is_not_taken_for_the_drain():
+    """``run`` reads 'nothing left' off ``step()``'s EmptySchedule; one that
+    a process raised with events still queued is that process's failure."""
+
+    def nested():
+        yield env.timeout(1)
+        Environment().step()  # an inner kernel with nothing to do
+
+    for until in (None, "event"):
+        env = Environment()
+        env.process(nested())
+        later = env.timeout(10)
+        with pytest.raises(EmptySchedule, match="no more events"):
+            env.run(until=later if until else None)
+        assert env.now == 1.0 and not later.processed

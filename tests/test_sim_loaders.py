@@ -407,3 +407,54 @@ def test_sim_memory_pressure_forces_disk_reads():
     assert pressured.bytes_from_disk > 2.5 * roomy.bytes_from_disk
     assert pressured.cache_hit_rate < 0.1
     assert roomy.cache_hit_rate > 0.5
+
+
+# ---------------------------------------------------------------------------
+# halt(): a dead node's stages retire on their own ticks, then nothing
+# ---------------------------------------------------------------------------
+
+
+def stalled_minato(**kwargs):
+    """A Minato loader nobody consumes from: with two-deep queues the
+    pipeline fills and every busy stage blocks on a full store; nothing is
+    ever slow (no warm-up completes), so the slow-task workers idle from
+    t = 0."""
+    env = Environment()
+    ctx = SimContext(env, tiny_workload(n=24), CONFIG_A, num_gpus=1)
+    loader = SimMinatoLoader(
+        adaptive_workers=False, queue_capacity=2, warmup_samples=10**6, **kwargs
+    )
+    return env, ctx, loader
+
+
+def test_sim_minato_halt_before_start_and_twice_are_noops():
+    env, ctx, loader = stalled_minato()
+    loader.halt()  # not started: nothing to retire, and it stays startable
+    assert not loader._halted
+    loader.start(ctx)
+    env.run(until=0.105)
+    loader.halt()
+    pending = len(env._queue)
+    loader.halt()  # already halted: schedules nothing more
+    assert loader._halted and len(env._queue) == pending
+
+
+def test_sim_minato_halted_idle_stages_retire_on_their_own_ticks():
+    """Halt at a non-tick instant: every idle stage leaves at its *own* next
+    poll tick -- the instant its poll loop would have noticed -- not at the
+    halt instant, and one poll interval later the kernel holds no event of
+    the loader at all."""
+    env, ctx, loader = stalled_minato(slow_workers=3, workers_per_gpu=4)
+    loader.start(ctx)
+    env.run(until=60.0137)
+    assert not env._queue  # stalled: the idle stages cost nothing
+    assert loader.parked["slow"] == 3 and loader._active_slow == 3
+    loader.halt()
+    assert loader.parked == {"loading": 0, "slow": 0, "builder": 0}
+    assert loader._active_slow == 3  # kicked, not gone: they owe a poll
+    env.run(until=60.0199)
+    assert loader._active_slow == 3
+    env.run(until=60.0201)  # their grid: 0.0, 0.01, ... (60.02 and a few ulps)
+    assert loader._active_slow == 0
+    env.run(until=60.0137 + loader.poll_interval)
+    assert not env._queue and not env._urgent and not env._normal

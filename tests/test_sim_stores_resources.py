@@ -1,8 +1,12 @@
 """Tests for simulation stores, resources and bandwidth pipes."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.sim import BandwidthPipe, Environment, PriorityStore, Resource, Store
+from repro.sim.loaders import SimContext
+from repro.sim.workloads import CONFIG_A, make_workload
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +299,91 @@ def test_resource_double_release_is_tracked_noop():
     res.release(req_b)
     assert res.count == 0
     assert res.double_releases == 1
+
+
+def test_resource_try_request_takes_a_free_slot_without_an_event():
+    env = Environment()
+    res = Resource(env, capacity=2)
+    seen = []
+    res.on_change = lambda now, in_use: seen.append((now, in_use))
+    first = res.try_request()
+    second = res.try_request()
+    assert res.users == [first, second] and seen == [(0.0, 1), (0.0, 2)]
+    assert res.try_request() is None  # full: the caller must queue
+    assert not env._queue and not env._normal and not env._urgent
+    waiter = res.request()
+    assert not waiter.triggered
+    res.release(first)  # FIFO hand-over, exactly as for a yielded request
+    assert res.users == [second, waiter] and waiter.triggered
+    with second:
+        pass
+    assert res.users == [waiter]
+    res.release(second)
+    assert res.double_releases == 1
+
+
+def occupancy_runs(claim):
+    """Five claimants on two cores, arriving staggered and holding for
+    different times; ``claim(ctx, seconds)`` is how each takes its core.
+    Returns (grant log, on_change series, kernel events)."""
+    env = Environment()
+    ctx = SimContext(
+        env, make_workload("speech_3s", dataset_size=8),
+        replace(CONFIG_A, cpu_cores=2), num_gpus=1,
+    )
+    series = []
+    ctx.cores.on_change = lambda now, in_use: series.append((now, in_use))
+    grants = []
+
+    def claimant(tag, arrive, hold):
+        yield env.timeout(arrive)
+        yield from claim(ctx, hold)
+        interval = ctx.cpu_recorder.intervals[-1]
+        grants.append((tag, interval.start, interval.end))
+
+    for tag, (arrive, hold) in enumerate(
+        [(0.0, 1.0), (0.1, 0.5), (0.2, 0.7), (0.2, 0.1), (1.0, 0.3)]
+    ):
+        env.process(claimant(tag, arrive, hold))
+    env.run()
+    return grants, series, env.events_processed
+
+
+def yielded_request(ctx, seconds):
+    """``cpu_busy`` as it was: request, yield it whatever happened, hold."""
+    with ctx.cores.request() as req:
+        yield req
+        start = ctx.env.now
+        yield ctx.env.timeout(seconds)
+        ctx.cpu_recorder.record(start, ctx.env.now, "preprocess")
+
+
+def test_occupying_a_core_grants_like_a_yielded_request_for_fewer_events():
+    """Under contention the occupy-helper grants in the same order, at the
+    same instants, with the same occupancy series as request-and-yield; it
+    only skips the event that told a claimant its free slot was free."""
+    grants, series, events = occupancy_runs(lambda ctx, s: ctx.cpu_busy(s))
+    ref_grants, ref_series, ref_events = occupancy_runs(yielded_request)
+    assert grants == ref_grants
+    assert series == ref_series
+    # claimants 0 and 1 found a free core; 2, 3 and 4 queued
+    assert ref_events - events == 2
+    assert [(tag, start) for tag, start, _end in sorted(grants)] == [
+        (0, 0.0), (1, 0.1), (2, 0.6), (3, 1.0), (4, 1.1),
+    ]
+
+
+def test_occupying_a_free_gpu_takes_no_event_beyond_the_hold():
+    env = Environment()
+    ctx = SimContext(
+        env, make_workload("speech_3s", dataset_size=8), CONFIG_A, num_gpus=1
+    )
+    env.run(until=env.process(ctx.train_step(0, 2.0)))
+    # the process start, the 2 s hold, the process end: no grant event
+    assert env.events_processed == 3 and env.now == 2.0
+    (interval,) = ctx.gpu_recorders[0].intervals
+    assert (interval.start, interval.end, interval.tag) == (0.0, 2.0, "train")
+    assert ctx.gpus[0].count == 0
 
 
 # ---------------------------------------------------------------------------
