@@ -116,6 +116,10 @@ class MinatoConfig:
             raise ConfigurationError(
                 f"poll_interval must be positive, got {self.poll_interval}"
             )
+        if self.scheduler_interval <= 0:
+            raise ConfigurationError(
+                f"scheduler_interval must be positive, got {self.scheduler_interval}"
+            )
         if self.timing not in ("charged", "wall"):
             raise ConfigurationError(
                 f"timing must be 'charged' or 'wall', got {self.timing!r}"

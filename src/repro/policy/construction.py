@@ -13,8 +13,8 @@ substrates route every decision through this module:
   expresses fast-before-slow in virtual time without polling.
 
 The module also owns the sample-stream plumbing both substrates share:
-:func:`index_stream` (the ``(epoch, seq, index)`` stream the threaded
-loading workers draw from and the simulator's feeder copies) and
+:func:`index_stream` (the ``(epoch, seq, index)`` stream the loading
+workers of both substrates draw from) and
 :func:`deal_batch_plan` / :func:`deal_quota` (round-robin dealing of the
 stream to GPUs in batch-size chunks, so every GPU gets a near-equal share of
 batches regardless of how fast individual builders run).

@@ -237,3 +237,16 @@ class SizeRouter:
 
     def is_slow(self, raw_nbytes: float) -> bool:
         return raw_nbytes > self.threshold_bytes
+
+    def plan(self, profile: Sequence[float], raw_nbytes: float) -> RoutingDecision:
+        """Route one sample from its raw size alone: predicted slow, the
+        whole pipeline is handed off before any of it runs; predicted fast,
+        all of it runs inline with no timeout."""
+        slow = self.is_slow(raw_nbytes)
+        return RoutingDecision(
+            status=HANDOFF if slow else FINISH_FAST,
+            flagged_slow=slow,
+            handoff_index=0 if slow else None,
+            inline_chunks=() if slow else tuple(profile),
+            total_seconds=float(sum(profile)),
+        )

@@ -108,18 +108,22 @@ class ScalingPolicy:
             share = min(0.9, max(0.1, share))
             if draining:
                 # only background work remains: give it the whole budget
-                background = total
+                background, loading = total, 0
             else:
                 # clamp *after* applying the floor: min_background may not
                 # starve the loading path while loading work remains (at
                 # total <= min_background the old order produced a negative
-                # loading target), so loading always keeps >= 1 worker
+                # loading target), and neither path may lose its last
+                # worker -- a hand-off blocked on a full temp queue waits
+                # for a background worker forever.  The two floors meet at
+                # total == 1, the one place the pools sum to total + 1.
                 background = max(self.min_background, round(total * share))
-                background = min(background, max(0, total - 1))
+                background = max(1, min(background, total - 1))
+                loading = max(1, total - background)
             action = ScalingAction(
                 decision=decision,
                 total_workers=total,
-                loading_target=total - background,
+                loading_target=loading,
                 background_target=background,
             )
 

@@ -24,18 +24,21 @@ sample-by-sample.
   Formula 1-2 worker scheduler resizing the loading-worker pool.
 
 The Minato model is the *discrete-event substrate* of the paper's loader:
-every scheduling decision -- fast/slow routing (preemptive accounting),
-batch construction order, strict-order release, worker-pool scaling -- is
-delegated to the same substrate-neutral components in :mod:`repro.policy`
-that drive the threaded engine in :mod:`repro.core.loader` (see DESIGN.md).
+it runs the four roles the threaded engine in :mod:`repro.core.loader` runs
+(Fig. 5: loading workers drawing from the sampler, slow-task workers, batch
+builders, the worker scheduler), and every scheduling decision -- fast/slow
+routing (preemptive accounting), batch construction order, strict-order
+release, worker-pool scaling -- is delegated to the same substrate-neutral
+components in :mod:`repro.policy` (see DESIGN.md).
 
 No stage polls, and idle is free.  Algorithm 1's 10 ms sleep decides *when*
 an idle stage notices new work -- on its own poll tick -- and the model
-keeps exactly that: a stage that finds nothing parks (:class:`_IdleSite`)
-and is woken on the tick its poll loop would have found the change at, with
-no kernel event in between.  Likewise a core or GPU that is free is taken
-without an event (:meth:`SimContext._occupy`).  The poll loop itself lives
-on as the specification in ``tests/helpers.PollingMinatoLoader``.
+keeps exactly that: a slow-task worker or strict-order builder that finds
+nothing parks (:class:`_IdleSite`) and is woken on the tick its poll loop
+would have found the change at, with no kernel event in between.  Likewise
+a core or GPU that is free is taken without an event
+(:meth:`SimContext._occupy`).  The poll loop itself lives on as the
+specification in ``tests/helpers.PollingMinatoLoader``.
 """
 
 from __future__ import annotations
@@ -625,12 +628,10 @@ class _IdleSite:
 
     Stages whose polls came up empty at the same instant walk the same grid
     from then on, so they share one wake event and resume from it in park
-    order.  Every kick wakes *all* of the site, so stages that share a grid
-    re-park together and keep their order; groups that meet on a tick for
-    the first time (grids an exact multiple of ``interval`` apart differ in
-    their last bits until a rounding merges them) wake in the order of
-    their previous polls.  Either way stages poll in the order their poll
-    timeouts would have been armed in, tick after tick.
+    order.  Every kick wakes *all* of the site, so they re-park together and
+    keep their order; groups that meet on a tick for the first time wake in
+    the order of their previous polls (:meth:`_armed_first`).  Either way
+    stages poll in the order their poll timeouts would have been armed in.
 
     The contract: **every state change a stage's poll could observe kicks
     its site** (:meth:`SimMinatoLoader.start` lists them).  A kick too many
@@ -638,20 +639,12 @@ class _IdleSite:
     at anyway; a kick too few strands work behind parked stages, which
     :func:`run_until` turns into a typed error.
 
-    The one thing a parked stage cannot reproduce is an exact tie.  When a
-    kick lands *on* a parked stage's tick, whether it would have polled
-    before or after the kicking event was an event-id comparison between
-    that event and a timeout armed one tick earlier, which no longer
-    exists.  Where the answer is known it is given: a kick made from a
-    zero-delay hop (the feeder, resumed by its own ``put``) is ``late`` in
-    its instant -- the kernel delivers such a hop behind everything armed
-    earlier, so the poll came first and the stage is due one tick later.
-    Otherwise the rule is: the stage polls at that instant, **after** the
-    kicking event.  ``ties`` counts how often the rule was needed; it is
-    right when the kicking event was armed more than a tick ago (a
-    scheduler tick, a failure, the end of a long transform), with
-    continuous costs it is hardly ever needed, and the benchmark-shaped
-    runs pin the count to zero.
+    The tie rule: a stage kicked exactly *on* its tick polls at that
+    instant, **after** the kicking event (the poll timeout that decided it
+    by event id no longer exists).  That is right whenever the kicking
+    event was armed more than a tick ago -- a scheduler tick, a failure,
+    the end of a long transform; ``ties`` counts the uses, and the
+    benchmark-shaped runs pin the count to zero.
     """
 
     def __init__(self, env: Environment, interval: float, watched) -> None:
@@ -678,23 +671,15 @@ class _IdleSite:
         self.parked.append((wake, now))
         return wake
 
-    def kick(self, late: bool = False) -> None:
-        """Something these stages poll for changed -- ``late`` in this
-        instant if a zero-delay hop brought the change."""
+    def kick(self) -> None:
+        """Something these stages poll for changed."""
         if not self.parked:
             return
         env = self.env
         now = env.now
         parked, self.parked = self.parked, []
-        due = []
-        for _wake, at in parked:
-            tick = first_tick(at, self.interval, now)[0]
-            if tick == now:
-                if late:  # the stage has polled at this instant already
-                    tick = first_tick(now, self.interval, now)[0]
-                else:
-                    self.ties += 1
-            due.append(tick)
+        due = [first_tick(at, self.interval, now)[0] for _wake, at in parked]
+        self.ties += due.count(now)
 
         def by_arming(i: int, j: int) -> int:
             if due[i] != due[j]:
@@ -747,12 +732,8 @@ def run_until(
 
 
 class SimMinatoLoader(BaseSimLoader):
-    """Algorithm 1 + adaptive worker scheduling, with preemptive accounting.
-
-    No stage polls: a loading worker, slow-task worker or strict-order
-    builder that finds nothing parks on its :class:`_IdleSite` and is woken
-    on the poll tick the paper's 10 ms sleep loop would have found work at.
-    """
+    """Algorithm 1 + adaptive worker scheduling, with preemptive accounting;
+    an idle stage parks on its :class:`_IdleSite` instead of polling."""
 
     name = "minato"
 
@@ -785,6 +766,16 @@ class SimMinatoLoader(BaseSimLoader):
         if classifier not in ("timeout", "size"):
             raise ConfigurationError(
                 f"classifier must be 'timeout' or 'size', got {classifier!r}"
+            )
+        if scheduler_interval <= 0 or poll_interval <= 0:
+            raise ConfigurationError(
+                "scheduler_interval and poll_interval must be positive, got "
+                f"{scheduler_interval!r} and {poll_interval!r}"
+            )
+        if queue_capacity < 1 or workers_per_gpu < 1 or min_workers < 1:
+            raise ConfigurationError(
+                "queue_capacity, workers_per_gpu and min_workers must be >= 1, "
+                f"got {queue_capacity!r}, {workers_per_gpu!r} and {min_workers!r}"
             )
         self.workers_per_gpu = workers_per_gpu
         #: None -> scale with the loading pool (a third), min 2
@@ -823,7 +814,6 @@ class SimMinatoLoader(BaseSimLoader):
         self.pipeline = workload.pipeline
         cap = self.queue_capacity
         self.batch_stores = [Store(env, capacity=cap) for _ in range(ctx.num_gpus)]
-        self._index_store = Store(env, capacity=cap)
         self._temp_store = Store(env, capacity=cap)
         # fast-before-slow retrieval (Algorithm 1's preference) without
         # polling: one priority store keyed by the construction policy's
@@ -838,14 +828,11 @@ class SimMinatoLoader(BaseSimLoader):
         # Where idle stages park, and the kick sites -- everything a poll
         # could have observed.  A new state change that a stage's loop top
         # reads must kick that stage's site:
-        #   loading  <- a put on the index store, _feeding_done,
-        #               a _loading_target change, halt()
-        #   slow     <- a put on the temp store, _feeding_done, a loading
-        #               worker's exit, a _slow_target change, halt()
+        #   slow     <- a put on the temp store, a loading worker's exit,
+        #               a _slow_target change, halt()
         #   builder  <- (strict order only) a sample entering the reorder
         #               buffer, a release from it, halt()
         watched = {
-            "loading": self._index_store,
             "slow": self._temp_store,
             "builder": () if self.reorder else self.construction.buffer,
         }
@@ -853,9 +840,8 @@ class SimMinatoLoader(BaseSimLoader):
             name: _IdleSite(env, self.poll_interval, polled)
             for name, polled in watched.items()
         }
-        loading, slow = self._idle["loading"], self._idle["slow"]
-        # only the feeder puts indices, resumed by its previous put: late
-        self._index_store.on_change = lambda _now, _size: loading.kick(late=True)
+        # holds the site, not self: a loader in a reference cycle outlives its run
+        slow = self._idle["slow"]
         self._temp_store.on_change = lambda _now, _size: slow.kick()
         self.profiler = TimeoutProfiler(
             percentile=self.timeout_percentile,
@@ -895,28 +881,23 @@ class SimMinatoLoader(BaseSimLoader):
         )
         self.worker_history = self.scaling.history
 
-        if self.classifier == "size":
-            self.size_router = SizeRouter.from_dataset(
-                workload.dataset, self.size_percentile
-            )
-            self.size_threshold_bytes = self.size_router.threshold_bytes
-        else:
-            self.size_router = None
-            self.size_threshold_bytes = None
-
-        plan = deal_batch_plan(
-            self._total_samples(), workload.batch_size, ctx.num_gpus
+        self.size_router = (
+            SizeRouter.from_dataset(workload.dataset, self.size_percentile)
+            if self.classifier == "size"
+            else None
         )
-        self._feeding_done = False
-        self._classified = 0
-        self._total_fed = self._total_samples()
+
+        #: the one ``(epoch, seq, index)`` stream every loading worker draws
+        #: from, and how much of the sample budget is still to be drawn
+        self._indices = index_stream(self.sampler)
+        self._undrawn = self._total_samples()
+        plan = deal_batch_plan(self._undrawn, workload.batch_size, ctx.num_gpus)
         self._active_workers = 0
         self._active_slow = 0
         self._loading_target = min(initial, self.max_workers_effective)
         self._slow_target = self.slow_workers_effective
         self._builders_done = 0
 
-        env.process(self._feeder())
         self._fill_pools()
         for gpu in range(ctx.num_gpus):
             env.process(self._builder(gpu, plan[gpu]))
@@ -925,9 +906,9 @@ class SimMinatoLoader(BaseSimLoader):
 
     # -- idle stages ------------------------------------------------------------
 
-    def _kick(self, *sites: str, late: bool = False) -> None:
+    def _kick(self, *sites: str) -> None:
         for name in sites:
-            self._idle[name].kick(late)
+            self._idle[name].kick()
 
     def halt(self) -> None:
         if self.ctx is not None:  # else _idle is whatever a clone inherited
@@ -976,10 +957,7 @@ class SimMinatoLoader(BaseSimLoader):
         """
         if self._halted:
             return
-        stream_active = not (
-            self._feeding_done and len(self._index_store) == 0
-        )
-        while stream_active and self._active_workers < self._loading_target:
+        while self._undrawn and self._active_workers < self._loading_target:
             self._active_workers += 1
             self.ctx.env.process(self._loading_worker())
         while self._active_slow < self._slow_target:
@@ -988,20 +966,16 @@ class SimMinatoLoader(BaseSimLoader):
 
     # -- processes --------------------------------------------------------------------
 
-    def _feeder(self) -> Generator:
-        stream = index_stream(self.sampler)
-        for _ in range(self._total_fed):
-            epoch, seq, index = next(stream)
-            yield self._index_store.put((epoch, seq, index))
-        self._feeding_done = True
-        self._kick("loading", "slow", late=True)
+    def _next_index(self) -> Optional[Tuple[int, int, int]]:
+        """The next ``(epoch, seq, index)``; None once the budget is drawn."""
+        if not self._undrawn:
+            return None
+        self._undrawn -= 1
+        return next(self._indices)
 
-    def _emit_ready(self, seq: int, spec: SampleSpec, flagged_slow: bool):
-        """Route one preprocessed sample through the construction policy.
-
-        Returns a store event to yield on, or None when the strict-order
-        buffer absorbed the sample.
-        """
+    def _emit_ready(self, seq: int, spec: SampleSpec, flagged_slow: bool) -> Generator:
+        """Route one preprocessed sample through the construction policy:
+        onto the ready store, or into the strict-order buffer."""
         item = (spec, flagged_slow)
         key = self.construction.priority_key
         event = self.construction.route_ready(
@@ -1013,7 +987,8 @@ class SimMinatoLoader(BaseSimLoader):
         )
         if event is None:
             self._kick("builder")
-        return event
+        else:
+            yield event
 
     def _loading_worker(self) -> Generator:
         ctx = self.ctx
@@ -1021,34 +996,18 @@ class SimMinatoLoader(BaseSimLoader):
             while True:
                 if self._halted or self._active_workers > self._loading_target:
                     return
-                item = self._index_store.try_get()
+                item = self._next_index()
                 if item is None:
-                    if self._feeding_done and len(self._index_store) == 0:
-                        return
-                    yield self._idle["loading"].park()
-                    continue
+                    return
                 _epoch, seq, index = item
                 spec = ctx.workload.dataset.spec(index)
                 yield from ctx.read_sample(spec)
                 profile = self.cost_profile(spec)
                 if self.size_router is not None:
-                    # §3.2 heuristic: predict from raw size, no measurement.
-                    # Predicted-slow samples defer the whole pipeline to the
-                    # background; predicted-fast run inline with no timeout,
-                    # so a misprediction stalls this worker's fast path.
-                    if self.size_router.is_slow(spec.raw_nbytes):
-                        ctx.stats.samples_timed_out += 1
-                        yield self._temp_store.put((spec, 0, profile, seq))
-                    else:
-                        for cost in profile:
-                            yield from ctx.cpu_busy(cost)
-                        self.profiler.record(sum(profile), flagged_slow=False)
-                        ctx.stats.samples_preprocessed += 1
-                        event = self._emit_ready(seq, spec, False)
-                        if event is not None:
-                            yield event
-                    continue
-                decision = self.routing.plan(profile, self.profiler.timeout())
+                    # §3.2 heuristic: predict from raw size, no measurement
+                    decision = self.size_router.plan(profile, spec.raw_nbytes)
+                else:
+                    decision = self.routing.plan(profile, self.profiler.timeout())
                 for chunk in decision.inline_chunks:
                     yield from ctx.cpu_busy(chunk)
                 if decision.handoff_index is not None:
@@ -1063,9 +1022,7 @@ class SimMinatoLoader(BaseSimLoader):
                     if decision.flagged_slow:
                         ctx.stats.samples_timed_out += 1
                     ctx.stats.samples_preprocessed += 1
-                    event = self._emit_ready(seq, spec, decision.flagged_slow)
-                    if event is not None:
-                        yield event
+                    yield from self._emit_ready(seq, spec, decision.flagged_slow)
         finally:
             self._active_workers -= 1
             self._kick("slow")
@@ -1078,12 +1035,7 @@ class SimMinatoLoader(BaseSimLoader):
                     return
                 item = self._temp_store.try_get()
                 if item is None:
-                    if (
-                        self._feeding_done
-                        and len(self._index_store) == 0
-                        and self._active_workers == 0
-                        and len(self._temp_store) == 0
-                    ):
+                    if not self._undrawn and self._active_workers == 0:
                         return
                     yield self._idle["slow"].park()
                     continue
@@ -1092,9 +1044,7 @@ class SimMinatoLoader(BaseSimLoader):
                     yield from ctx.cpu_busy(cost, tag="slow")
                 self.profiler.record(sum(profile), flagged_slow=True)
                 ctx.stats.samples_preprocessed += 1
-                event = self._emit_ready(seq, spec, True)
-                if event is not None:
-                    yield event
+                yield from self._emit_ready(seq, spec, True)
         finally:
             self._active_slow -= 1
 
@@ -1162,11 +1112,11 @@ class SimMinatoLoader(BaseSimLoader):
                 queue_fill=queue_fill,
                 workers=max(1, self._loading_target + self._slow_target),
                 background_busy_seconds=ctx.cpu_busy_by_tag.get("slow", 0.0),
-                draining=self._feeding_done and len(self._index_store) == 0,
+                draining=not self._undrawn,
             )
             if action is None:
                 continue
             self._loading_target = action.loading_target
             self._slow_target = action.background_target
-            self._kick("loading", "slow")
+            self._kick("slow")
             self._fill_pools()

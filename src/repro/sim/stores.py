@@ -1,13 +1,13 @@
 """Queues for the simulation kernel.
 
 :class:`Store` is a bounded FIFO with blocking ``put``/``get`` events plus
-non-blocking ``try_put``/``try_get``.  The MinatoLoader model's stages look
-for work with ``try_get`` -- at the instants Algorithm 1's 10 ms sleep loop
-would look, without sleeping through the empty ones: a stage that finds
-nothing parks, and the store's ``on_change`` callback is what tells the
-loader to wake it on its next poll tick (see ``sim/loaders.py``).  Looking
-instead of waiting also sidesteps the classic pitfall of abandoned ``get``
-events consuming items.
+non-blocking ``try_put``/``try_get``.  The MinatoLoader model's slow-task
+workers look for work with ``try_get`` -- at the instants Algorithm 1's
+10 ms sleep loop would look, without sleeping through the empty ones: a
+worker that finds nothing parks, and the store's ``on_change`` callback is
+what tells the loader to wake it on its next poll tick (see
+``sim/loaders.py``).  Looking instead of waiting also sidesteps the classic
+pitfall of abandoned ``get`` events consuming items.
 
 :class:`PriorityStore` orders retrieval by a key, used by models that need
 deadline- or size-ordered queues (e.g. the ablation benchmarks).

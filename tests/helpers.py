@@ -256,15 +256,16 @@ class _PollingSite:
     def park(self):
         return self.env.timeout(self.interval)
 
-    def kick(self, late=False) -> None:
+    def kick(self) -> None:
         pass
 
 
 class PollingMinatoLoader(SimMinatoLoader):
-    """``SimMinatoLoader`` with the three poll loops it had before its idle
-    stages parked (``_loading_worker`` on the index store, ``_slow_worker``
-    on the temp store, strict-order ``_next_ready``): the same loop tops,
-    with ``yield env.timeout(self.poll_interval)`` as the idle wait."""
+    """``SimMinatoLoader`` with the poll loops it had before its idle stages
+    parked (``_slow_worker`` on the temp store, strict-order
+    ``_next_ready``): the same loop tops, with ``yield
+    env.timeout(self.poll_interval)`` as the idle wait.  (Loading workers
+    draw from the sampler and have no idle wait on either.)"""
 
     def start(self, ctx) -> None:
         super().start(ctx)
@@ -292,9 +293,9 @@ class MinatoObservation:
         """Everything the refinement must reproduce, bit for bit: when each
         kind of stage picked up which sample, which GPU got which batch
         when, and every scheduler decision.  Pick-ups compare per kind (the
-        three kinds poll different things, so their polls within one instant
-        commute) and do not say which stage of the kind it was (they are
-        interchangeable; builders are told apart by their GPU)."""
+        three kinds take from different things, so their pick-ups within
+        one instant commute) and do not say which stage of the kind it was
+        (they are interchangeable; builders are told apart by their GPU)."""
         by_kind = {
             kind: [(at, index) for at, index, k in self.pickups if k == kind]
             for kind in ("loading", "slow", "builder")
@@ -349,7 +350,7 @@ def observe_minato(
 
         setattr(owner, method, tapped)
 
-    tap(loader._index_store, "try_get", "loading", lambda item: item[2])
+    tap(loader, "_next_index", "loading", lambda item: item[2])
     tap(loader._temp_store, "try_get", "slow", lambda item: item[0].index)
     if loader.construction.strict_order:
         tap(

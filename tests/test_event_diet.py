@@ -8,6 +8,9 @@ once per delivery.  None of that may move a simulated bit:
   Algorithm 1's poll loop as the idle wait, and on random scenarios the
   parked loader must make every pick-up, deliver every batch and take every
   scheduler decision at the instant the polling one does, for fewer events;
+* **no feeder** -- loading workers draw from the sampler: all start at
+  t = 0, none ever waits a tick for an index, and a one-worker budget still
+  ends;
 * the **tie rule** on a grid-aligned cell, and **mutants** of the tick rule
   that the oracle must catch;
 * **idle costs nothing**, an **event budget** on three small
@@ -18,6 +21,7 @@ once per delivery.  None of that may move a simulated bit:
 """
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +42,7 @@ from .helpers import (
     PollingMinatoLoader,
     StubDataset,
     observe_minato,
+    run_with_watchdog,
     stub_pipeline,
 )
 
@@ -145,9 +150,55 @@ def test_a_finished_run_leaves_nothing_parked_and_nobody_alive():
     assert parked.transitions == polling.transitions
     assert parked.events < polling.events
     loader = parked.loader
-    assert loader.parked == {"loading": 0, "slow": 0, "builder": 0}
+    assert loader.parked == {"slow": 0, "builder": 0}
     assert loader._active_workers == loader._active_slow == 0
     assert not loader.stranded
+
+
+# ---------------------------------------------------------------------------
+# no feeder: a loading worker draws from the sampler and never waits a tick
+# ---------------------------------------------------------------------------
+
+
+def test_loading_workers_all_start_at_t0_and_never_wait_for_an_index():
+    """Four loading workers, twelve 7 ms samples, one-deep queues, a consumer
+    that never stalls: all four pick up at t = 0 (with a feeder in front,
+    three of them found its store empty and started at the first tick), and
+    each draws its next index the instant it finished the last one -- three
+    rounds 7 ms apart, none of them on the 10 ms poll grid."""
+    run = observe_minato(
+        SimMinatoLoader, [0.007] * 12, batch_size=1, n_stages=1, raw_nbytes=0,
+        step=0.0, workers_per_gpu=4, slow_workers=1, queue_capacity=1,
+        adaptive_workers=False, seed=0,
+    )
+    by_kind, batches, _history = run.transitions
+    pickups = Counter(at for at, _index in by_kind["loading"])
+    assert pickups == {0.0: 4, 0.007: 4, 0.014: 4}
+    assert run.env.now == 0.021 and len(batches) == 12
+    assert run.loader.parked == {"slow": 0, "builder": 0}  # no "loading" site
+
+
+def test_a_one_worker_budget_keeps_a_slow_task_worker_and_the_run_ends():
+    """Six cores for two GPUs and four slow-task workers cap the whole pool
+    at one worker.  The split used to hand that one to the loading path and
+    retire every slow-task worker while a hand-off sat blocked on the full
+    temp store: the run never ended (the scheduler kept the schedule
+    alive)."""
+    rng = random.Random(3)
+    costs = [
+        rng.uniform(0.05, 0.4) if rng.random() < 0.5 else rng.uniform(0.001, 0.05)
+        for _ in range(40)
+    ]
+    run = run_with_watchdog(
+        lambda: observe_minato(
+            SimMinatoLoader, costs, cores=6, gpus=2, slow_workers=4,
+            workers_per_gpu=4, queue_capacity=1, warmup_samples=8,
+        ),
+        2.0,
+    )
+    assert sorted(i for batch in run.batches for i in batch[2]) == list(range(40))
+    assert {d.new_workers for d in run.worker_history} == {1}
+    assert run.loader._slow_target == 1
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +341,13 @@ def contended_mix():
     return JobMix(jobs, cluster).run()
 
 
-#: kernel events each run delivered when its poll loops and grant hops left
-#: (at the commit before: 10 563, 29 993 and 72 958)
+#: kernel events each run delivers now that the feeder's index-store hops
+#: are gone too (with the feeder: 5 779, 7 942 and 20 333; before the poll
+#: loops and grant hops left: 10 563, 29 993 and 72 958)
 MEASURED_EVENTS = {
-    single_node: 5_779,
-    quiet_elastic: 7_942,
-    contended_mix: 20_333,
+    single_node: 5_295,
+    quiet_elastic: 7_759,
+    contended_mix: 19_934,
 }
 
 

@@ -351,3 +351,12 @@ def test_load_retries_config_validation():
 
     with pytest.raises(ConfigurationError):
         MinatoConfig(load_retries=-1)
+
+
+@pytest.mark.parametrize("interval", [0, -1.0])
+def test_scheduler_interval_must_be_positive(interval):
+    """A zero interval made the scheduler thread spin without sleeping."""
+    from repro.errors import ConfigurationError
+
+    with pytest.raises(ConfigurationError, match="scheduler_interval"):
+        MinatoConfig(scheduler_interval=interval)

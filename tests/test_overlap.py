@@ -63,7 +63,11 @@ def run_guarded(runner, *args, **kwargs):
     [
         # recorded from the pre-refactor runner on this exact config
         ("analytic", 9.936, 0.660),
-        ("ring", 9.936, 0.698),
+        # sync re-recorded (was 0.698) when the simulated MinatoLoader lost
+        # its feeder: every rank's workers 2..N start loading at t = 0, not
+        # one poll tick later, and the ring's sync counter includes waits on
+        # neighbours, which shift with it; training_time did not move
+        ("ring", 9.936, 0.691),
     ],
 )
 def test_flat_serial_defaults_match_pre_refactor_runner(

@@ -344,14 +344,15 @@ def test_scaling_split_never_starves_loading_path():
         background_busy_seconds=0.0,
     )
     assert action.total_workers == 1
-    assert action.loading_target >= 1
-    assert action.background_target >= 0
-    assert action.loading_target + action.background_target == action.total_workers
+    # ... nor may the background path lose its last worker (a blocked
+    # hand-off would wait forever): at total == 1 both floors hold and the
+    # pools sum to total + 1, the only place they do
+    assert (action.loading_target, action.background_target) == (1, 1)
 
 
 def test_scaling_split_loading_target_positive_across_pool_sizes():
-    """Whenever loading work remains, loading keeps >= 1 worker at every
-    reachable pool size and background share."""
+    """Whenever loading work remains, loading *and* background keep >= 1
+    worker at every reachable pool size and background share."""
     for workers in (1, 2, 3, 5, 10):
         for background_busy in (0.0, 0.5, 1.0):
             policy = make_scaling(split_background=True, min_background=2)
@@ -365,10 +366,10 @@ def test_scaling_split_loading_target_positive_across_pool_sizes():
                 background_busy_seconds=busy * background_busy,
             )
             assert action.loading_target >= 1, (workers, background_busy)
-            assert action.background_target >= 0
+            assert action.background_target >= 1, (workers, background_busy)
             assert (
                 action.loading_target + action.background_target
-                == action.total_workers
+                == max(2, action.total_workers)
             )
 
 
@@ -399,6 +400,21 @@ def test_size_router_threshold_from_dataset():
     assert router.threshold_bytes == 1024.0
     assert not router.is_slow(1024)  # boundary is exclusive
     assert router.is_slow(1025)
+
+
+def test_size_router_plan_defers_everything_or_nothing():
+    """Predicted slow: handed off at transform 0 with nothing run inline.
+    Predicted fast: the whole profile inline, never flagged, whatever it
+    costs (the misprediction Fig. 3a shows)."""
+    router = SizeRouter(1024)
+    profile = [0.5, 2.0, 0.25]
+    slow = router.plan(profile, 1025)
+    assert (slow.status, slow.handoff_index, slow.inline_chunks) == (HANDOFF, 0, ())
+    assert slow.flagged_slow and slow.background_seconds == 2.75
+    fast = router.plan(profile, 1024)
+    assert (fast.status, fast.handoff_index) == (FINISH_FAST, None)
+    assert fast.inline_chunks == (0.5, 2.0, 0.25) and not fast.flagged_slow
+    assert fast.total_seconds == 2.75 and fast.background_seconds == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -410,6 +410,28 @@ def test_sim_memory_pressure_forces_disk_reads():
 
 
 # ---------------------------------------------------------------------------
+# Degenerate knobs are refused at construction, not mid-run
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [
+        ("scheduler_interval", 0),  # live-locked on env.timeout(0)
+        ("scheduler_interval", -1.0),
+        ("poll_interval", 0),  # ValueError from inside a generator's finally
+        ("poll_interval", -0.01),
+        ("queue_capacity", 0),  # ValueError from Store, at start()
+        ("workers_per_gpu", 0),
+        ("min_workers", 0),
+    ],
+)
+def test_sim_minato_rejects_degenerate_knobs_at_construction(name, value):
+    with pytest.raises(ConfigurationError, match=name):
+        SimMinatoLoader(**{name: value})
+
+
+# ---------------------------------------------------------------------------
 # halt(): a dead node's stages retire on their own ticks, then nothing
 # ---------------------------------------------------------------------------
 
@@ -450,7 +472,7 @@ def test_sim_minato_halted_idle_stages_retire_on_their_own_ticks():
     assert not env._queue  # stalled: the idle stages cost nothing
     assert loader.parked["slow"] == 3 and loader._active_slow == 3
     loader.halt()
-    assert loader.parked == {"loading": 0, "slow": 0, "builder": 0}
+    assert loader.parked == {"slow": 0, "builder": 0}
     assert loader._active_slow == 3  # kicked, not gone: they owe a poll
     env.run(until=60.0199)
     assert loader._active_slow == 3
