@@ -73,7 +73,6 @@ def _run_one(
         CONFIG_A,
         ClusterMembership(_NODES, events) if cluster is None else None,
         gpus_per_node=_GPUS,
-        fabric="ring",
         total_steps=steps_per_rank * _NODES * _GPUS,
         checkpoint=policy,
         cluster=cluster,

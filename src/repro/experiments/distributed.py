@@ -109,10 +109,20 @@ def run(
                         f"{result.training_time:.1f}",
                         f"{result.gpu_utilization * 100:.1f}",
                         f"{result.sync_seconds_total / max(result.steps, 1) * 1000:.1f}",
+                        f"{allreduce.step_cost(result.world_size) * 1000:.1f}",
                     )
                 )
     report.body = render_table(
-        ["loader", "nodes", "arm", "world", "time (s)", "GPU %", "sync ms/step"],
+        [
+            "loader",
+            "nodes",
+            "arm",
+            "world",
+            "time (s)",
+            "GPU %",
+            "sync + neighbor wait ms/step",
+            "closed form ms/step",
+        ],
         rows,
         title=f"Speech-3s, {gpus_per_node} GPUs/node, {steps_per_gpu} steps/GPU:",
     )
@@ -218,7 +228,7 @@ def run_elastic_experiment(
     reshard: str = "stride",
 ) -> ExperimentReport:
     """Elastic distributed training: churn/failure x {minato, pytorch} on
-    the modelled ring fabric, fabric-vs-analytic cross-checks, and a
+    the modelled ring fabric, ring-vs-closed-form cross-checks, and a
     re-shard-policy arm comparing ``stride`` vs ``locality`` cache warmup.
 
     ``reshard`` selects the policy for the scenario matrix (the
@@ -265,7 +275,6 @@ def run_elastic_experiment(
                 membership,
                 gpus_per_node=gpus_per_node,
                 allreduce=allreduce,
-                fabric="ring",
                 reshard=reshard,
             )
             results[(loader, arm)] = result
@@ -376,7 +385,6 @@ def run_elastic_experiment(
             churn_membership,
             gpus_per_node=gpus_per_node,
             allreduce=allreduce,
-            fabric="ring",
             reshard=policy,
             cache_fraction=cache_fraction,
         )
@@ -428,15 +436,19 @@ def run_elastic_experiment(
         f"coverage {locality_run.epoch_coverage} of {n_samples}",
     )
 
-    # -- fabric-vs-analytic cross-checks ----------------------------------
+    # -- ring-vs-closed-form cross-checks --------------------------------
     iter_workload = make_workload("speech_3s", dataset_size=n_samples).scaled(
         max(scale, 0.03)
     )
     steps_per_gpu = max(
         4, iter_workload.iterations // (nodes * gpus_per_node)
     )
+    arms = {
+        "uniform": None,
+        "straggler": [CONFIG_A] * (nodes - 1) + [straggler_config(CONFIG_A)],
+    }
     fabric_runs = {
-        fabric: run_distributed(
+        arm: run_distributed(
             "minato",
             iter_workload,
             CONFIG_A,
@@ -444,52 +456,34 @@ def run_elastic_experiment(
             gpus_per_node=gpus_per_node,
             allreduce=allreduce,
             steps_per_gpu=steps_per_gpu,
-            fabric=fabric,
+            node_hardware=node_hardware,
         )
-        for fabric in ("analytic", "ring")
+        for arm, node_hardware in arms.items()
     }
     report.data["fabric_runs"] = fabric_runs
-    ratio = (
-        fabric_runs["ring"].training_time
-        / fabric_runs["analytic"].training_time
-    )
-    report.check(
-        "modelled ring fabric matches the analytic ring model on a "
-        "homogeneous static cluster (within 5%)",
-        abs(ratio - 1.0) <= 0.05,
-        f"ring/analytic training time = {ratio:.3f}",
-    )
-    straggler_hw = [CONFIG_A] * (nodes - 1) + [straggler_config(CONFIG_A)]
-    straggler_runs = {
-        fabric: run_distributed(
-            "minato",
-            iter_workload,
-            CONFIG_A,
-            nodes=nodes,
-            gpus_per_node=gpus_per_node,
-            allreduce=allreduce,
-            steps_per_gpu=steps_per_gpu,
-            node_hardware=straggler_hw,
-            fabric=fabric,
-        )
-        for fabric in ("analytic", "ring")
-    }
-    report.data["straggler_runs"] = straggler_runs
     closed_form = allreduce.step_cost(nodes * gpus_per_node)
-    analytic_sync = (
-        straggler_runs["analytic"].sync_seconds_total
-        / straggler_runs["analytic"].steps
+    uniform_sync, straggler_sync = (
+        result.sync_seconds_total / result.steps
+        for result in fabric_runs.values()
     )
-    ring_sync = (
-        straggler_runs["ring"].sync_seconds_total / straggler_runs["ring"].steps
+    # the measured sync includes waits on neighbors whose batch landed
+    # later (pipeline warm-up dominates short runs), so the closed form --
+    # every rank entering together -- bounds it from below, not both sides
+    report.check(
+        "on a homogeneous static cluster the closed-form ring model is "
+        "the floor of the modelled ring's per-step sync (the excess is "
+        "waits on late neighbors)",
+        uniform_sync >= closed_form * (1.0 - 1e-9),
+        f"ring {uniform_sync * 1000:.1f} ms/step vs closed form "
+        f"{closed_form * 1000:.1f} ms/step",
     )
     report.check(
         "under a straggler the modelled fabric shows neighbor-delay "
-        "(per-step sync wait far above the closed form), which the "
-        "analytic model cannot express",
-        ring_sync > 2.0 * closed_form
-        and abs(analytic_sync - closed_form) < 1e-9,
-        f"ring {ring_sync * 1000:.1f} ms/step vs closed form "
+        "(per-step sync wait far above the homogeneous run and the closed "
+        "form, which averages it away)",
+        straggler_sync > 2.0 * max(uniform_sync, closed_form),
+        f"ring {straggler_sync * 1000:.1f} ms/step vs homogeneous "
+        f"{uniform_sync * 1000:.1f} and closed form "
         f"{closed_form * 1000:.1f} ms/step",
     )
     return report
@@ -519,11 +513,12 @@ def run_overlap_experiment(
     the CLI asked for (``repro distributed --fabric hierarchical
     --overlap``).
 
-    Checks: the modelled hierarchical fabric matches its analytic closed
-    form on a homogeneous cluster (the PR-3 cross-check, hierarchical
-    edition); hierarchical+overlap strictly beats flat+serial on exposed
-    sync; overlap helps within each topology; bucketing re-slices but never
-    changes the gradient bytes; exposed <= total sync everywhere.
+    Checks: the hierarchical closed form is the floor of the modelled
+    hierarchical fabric's per-step sync on a homogeneous cluster (the PR-3
+    cross-check, hierarchical edition); hierarchical+overlap strictly beats
+    flat+serial on exposed sync; overlap helps within each topology;
+    bucketing re-slices but never changes the gradient bytes; exposed <=
+    total sync everywhere.
     """
     scale = scale if scale is not None else default_scale()
     report = ExperimentReport(
@@ -565,7 +560,6 @@ def run_overlap_experiment(
             gpus_per_node=gpus_per_node,
             allreduce=allreduce,
             steps_per_gpu=steps_per_gpu,
-            fabric="ring",
             **kwargs,
         )
         results[(topo, mode)] = result
@@ -600,37 +594,22 @@ def run_overlap_experiment(
     report.data["featured"] = featured
 
     # -- hierarchical fabric vs its closed form (PR-3 cross-check) --------
-    # the modelled side is exactly the (hierarchical, serial) arm above
-    hier_runs = {
-        "analytic": run_distributed(
-            "minato",
-            workload,
-            CONFIG_A,
-            nodes=nodes,
-            gpus_per_node=gpus_per_node,
-            allreduce=allreduce,
-            steps_per_gpu=steps_per_gpu,
-            fabric="analytic",
-            topology="hierarchical",
-        ),
-        "ring": results[("hierarchical", "serial")],
-    }
-    report.data["hier_runs"] = hier_runs
-    ratio = (
-        hier_runs["ring"].training_time / hier_runs["analytic"].training_time
-    )
-    report.check(
-        "modelled hierarchical fabric matches the hierarchical analytic "
-        "closed form on a homogeneous static cluster (within 5%)",
-        abs(ratio - 1.0) <= 0.05,
-        f"ring/analytic training time = {ratio:.3f}",
-    )
     flat_cf = allreduce.step_cost(world)
     hier_cf = allreduce.hierarchical_step_cost(
         nodes,
         gpus_per_node,
         CONFIG_A.intra_node_latency,
         CONFIG_A.intra_node_bandwidth,
+    )
+    hier_serial = results[("hierarchical", "serial")]
+    hier_sync = hier_serial.sync_seconds_total / hier_serial.steps
+    report.check(
+        "on a homogeneous static cluster the hierarchical closed form is "
+        "the floor of the modelled hierarchical fabric's per-step sync "
+        "(the excess is waits on late neighbors)",
+        hier_sync >= hier_cf * (1.0 - 1e-9),
+        f"ring {hier_sync * 1000:.1f} ms/step vs closed form "
+        f"{hier_cf * 1000:.1f} ms/step",
     )
     report.check(
         "hierarchical closed form beats the flat ring when nodes have "
@@ -660,7 +639,6 @@ def run_overlap_experiment(
             f"overlap {overlapped.exposed_sync_seconds:.2f}s vs "
             f"serial {serial.exposed_sync_seconds:.2f}s",
         )
-    hier_serial = results[("hierarchical", "serial")]
     report.check(
         "hierarchical topology alone cuts measured per-step sync vs the "
         "flat ring (serial mode)",
@@ -719,7 +697,6 @@ def run_overlap_experiment(
             "minato",
             workload,
             CONFIG_A,
-            fabric="ring",
             topology="hierarchical",
             overlap=True,
             buckets=buckets,

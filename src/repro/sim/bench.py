@@ -145,7 +145,6 @@ class BenchScenario:
                 dataset_size=self.dataset_per_node * self.nodes,
                 loader_kwargs=loader_kwargs or None,
                 total_steps=self.steps_per_gpu * self.ranks,
-                fabric="ring",
                 reshard=self.reshard,
                 overlap=self.overlap,
                 buckets=self.buckets,

@@ -131,8 +131,6 @@ class PartitionEvent:
     cluster (links *within* each side keep working).  Unlike a fail event
     nothing dies: ring deliveries crossing the cut stall until the window
     closes and then resume -- the fabric recovers instead of aborting.
-    Partitions require the ring fabric (the analytic barrier has no links
-    to stall).
     """
 
     nodes: Tuple[int, ...]

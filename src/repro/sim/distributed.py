@@ -8,15 +8,14 @@ over unchanged, with gradient synchronization coupling the nodes per step.
 This module simulates that setting: ``nodes`` machines (identical by
 default, optionally heterogeneous via ``node_hardware``), each with its own
 storage, CPU pool and GPUs, plus per-step gradient synchronization across
-the cluster.  Synchronization comes in two fidelities:
-
-* ``fabric="analytic"`` -- a per-step barrier plus the closed-form ring
-  all-reduce cost (:meth:`AllReduceModel.step_cost`), identical for every
-  rank; cheap, but stragglers and failures are averaged away;
-* ``fabric="ring"`` -- the modelled :class:`~repro.sim.fabric.RingFabric`:
-  per-link simulated transfers over 2(W-1) ring stages, so a late rank
-  delays its ring *neighbors* first and a mid-step failure stalls the ring
-  only until the failure detector fires.
+the cluster.  Every collective runs on the modelled
+:class:`~repro.sim.fabric.RingFabric`: per-link simulated transfers over
+2(W-1) ring stages, so a late rank delays its ring *neighbors* first and a
+mid-step failure stalls the ring only until the failure detector fires.
+The closed forms (:meth:`AllReduceModel.step_cost` /
+:meth:`AllReduceModel.hierarchical_step_cost`) are what the ring converges
+to on a homogeneous cluster -- the reference the tests hold it to and the
+overlap collapse gate, never a way to run a job.
 
 The dataset is *sharded* across nodes with
 :class:`~repro.data.samplers.ShardedSampler` semantics: each node's loader
@@ -58,8 +57,7 @@ surviving node's sampler is re-derived via ``ShardedSampler.reshard``) and,
 for iteration-budgeted workloads, re-splits the remaining cluster-wide step
 budget across the surviving membership.  :func:`run_distributed` is a thin
 wrapper over it -- a static cluster is elastic with an empty event schedule
--- so the DDP step loop, the barrier and the fabric wiring exist exactly
-once.
+-- so the DDP step loop and the fabric wiring exist exactly once.
 
 Re-sharding is *locality-aware* when ``reshard="locality"``: shards use
 :class:`~repro.data.samplers.ShardedSampler`'s contiguous-block layout and a
@@ -74,6 +72,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from math import ceil
+from numbers import Real
 from typing import Dict, List, Optional, Sequence, Set
 
 from ..data.samplers import ShardAssignment, ShardedSampler
@@ -109,7 +108,11 @@ __all__ = [
     "run_elastic",
 ]
 
-FABRICS = ("analytic", "ring")
+#: ``JobSpec.fabric`` has one legal value: the field survives only because
+#: ``perfbench/workloads.py`` passes ``fabric="ring"`` to :func:`run_elastic`
+#: and ``perfbench/`` changes in ``benchmark`` PRs alone -- the next one
+#: drops that keyword, and the field and this tuple go with it (ROADMAP)
+FABRICS = ("ring",)
 
 
 @dataclass(frozen=True)
@@ -213,47 +216,6 @@ class AllReduceModel:
 
 
 # ---------------------------------------------------------------------------
-# Synchronization helpers
-# ---------------------------------------------------------------------------
-
-
-class _MemberBarrier:
-    """Per-step barrier over an explicit member set (analytic fabric).
-
-    Arrivals are tracked per member, so removing a member -- failure,
-    under-delivery, or graceful early exit -- releases exactly the barriers
-    its absence now satisfies and never double-counts a dead rank's past
-    arrival: a removed rank can stall survivors, never deadlock them.
-    """
-
-    def __init__(self, env: Environment) -> None:
-        self.env = env
-        self._members: Set = set()
-        self._state: Dict = {}
-
-    def set_members(self, members) -> None:
-        self._members = set(members)
-
-    def arrive(self, key, member):
-        entry = self._state.get(key)
-        if entry is None:
-            entry = [self.env.event(), set()]
-            self._state[key] = entry
-        entry[1].add(member)
-        if self._members <= entry[1]:
-            entry[0].succeed()
-            self._state.pop(key, None)
-        return entry[0]
-
-    def remove(self, member) -> None:
-        self._members.discard(member)
-        for key, entry in list(self._state.items()):
-            if self._members <= entry[1]:
-                entry[0].succeed()
-                self._state.pop(key, None)
-
-
-# ---------------------------------------------------------------------------
 # Results
 # ---------------------------------------------------------------------------
 
@@ -281,10 +243,9 @@ class DistributedResult:
     gpu_utilization: float
     #: mean CPU utilization across nodes
     cpu_utilization: float
-    #: total seconds ranks spent synchronizing gradients; in ring-fabric
-    #: mode this includes time waiting on late ring neighbors (that wait is
-    #: the coupling the fabric models), in analytic serial mode it is
-    #: steps x the closed-form cost.  With ``overlap=True`` this counts
+    #: total seconds ranks spent inside gradient collectives, entry to
+    #: completion, waits on late ring neighbors included (that wait is the
+    #: coupling the fabric models).  With ``overlap=True`` this counts
     #: every bucket collective's full duration even while it runs under
     #: backprop -- compare ``exposed_sync_seconds`` for the part that
     #: actually extended the step.
@@ -311,8 +272,6 @@ class DistributedResult:
     per_node_cpu_utilization: List[float] = field(default_factory=list)
     #: per-node hardware config names (heterogeneous-cluster runs)
     node_hardware_names: List[str] = field(default_factory=list)
-    #: which synchronization fabric the run used ("analytic" or "ring")
-    fabric: str = "analytic"
     #: every node id that ever participated (aligned with per-node lists)
     node_ids: List[int] = field(default_factory=list)
     #: seconds each node was part of the cluster (aligned with node_ids)
@@ -451,7 +410,7 @@ class DistributedResult:
         touched = self.cache_hit_bytes + self.cache_miss_bytes
         line = (
             f"{self.job_id}: {self.loader}/{self.workload} "
-            f"[{self.fabric}/{self.topology}"
+            f"[{self.topology}"
             f"{'/overlap' if self.overlap else ''}] "
             f"{self.nodes}x{self.gpus_per_node} ranks | "
             f"{self.steps} steps, {self.samples} samples, "
@@ -520,12 +479,10 @@ class JobSpec:
     #: shrunken cluster runs more rounds rather than losing steps
     epochs: Optional[int] = None
     total_steps: Optional[int] = None
-    #: synchronization model: ``"ring"`` is the modelled per-link
-    #: :class:`~repro.sim.fabric.RingFabric` (a straggler delays its ring
-    #: neighbors; a dead rank stalls survivors at most
-    #: ``detection_timeout``), ``"analytic"`` the closed-form cost behind
-    #: a barrier
+    #: every job synchronizes on the modelled ring (see ``FABRICS``)
     fabric: str = "ring"
+    #: seconds the ring's failure detector takes to declare a silent rank
+    #: dead -- the most a failure can stall its survivors; must be >= 0
     detection_timeout: float = 1.0
     #: ``"stride"``: rank slot = ``sorted(active)`` position, stride-sliced
     #: shards; ``"locality"``: contiguous-block shards with the slot
@@ -575,7 +532,17 @@ class JobSpec:
             )
         if self.fabric not in FABRICS:
             raise ConfigurationError(
-                f"fabric must be one of {FABRICS}, got {self.fabric!r}"
+                f"fabric must be one of {FABRICS}, got {self.fabric!r} (the "
+                f"analytic mode was removed: AllReduceModel.step_cost is the "
+                f"closed form to compare a ring run's sync per step against)"
+            )
+        if not (
+            isinstance(self.detection_timeout, Real)
+            and self.detection_timeout >= 0
+        ):
+            raise ConfigurationError(
+                f"job {self.job_id!r}: detection_timeout must be a real "
+                f"number >= 0, got {self.detection_timeout!r}"
             )
         # a zero/negative count would otherwise surface as a
         # divide-by-zero deep inside the round executor
@@ -687,8 +654,7 @@ def run_distributed(
     split across ranks for iteration workloads) becomes a cluster-wide
     ``total_steps``.  Remaining keywords are :class:`JobSpec` fields or
     :class:`~repro.sim.cluster.Cluster` parameters, exactly as in
-    :func:`run_elastic` -- except that ``fabric`` defaults to
-    ``"analytic"`` here.
+    :func:`run_elastic`, defaults included.
     """
     if "total_steps" in knobs:
         # this door spells the budget per GPU; never overwrite silently
@@ -696,7 +662,6 @@ def run_distributed(
             "run_distributed() got an unexpected keyword argument "
             "'total_steps' (pass steps_per_gpu)"
         )
-    knobs.setdefault("fabric", "analytic")
     membership = None
     if cluster is None:
         membership = ClusterMembership(nodes)
@@ -746,7 +711,7 @@ def run_elastic(
 
     One :class:`JobSpec` run alone on one
     :class:`~repro.sim.cluster.Cluster`.  Each remaining keyword is either
-    a ``JobSpec`` field (``fabric``, ``total_steps``, ``overlap``,
+    a ``JobSpec`` field (``reshard``, ``total_steps``, ``overlap``,
     ``buckets``, ``checkpoint``, ...) or a ``Cluster`` parameter
     (``gpus_per_node``, ``node_hardware``, ``cache_fraction``,
     ``topology``) -- documented, defaulted and validated there; anything
@@ -837,11 +802,6 @@ class _ElasticJob:
                 "workload with epochs instead of iterations (loader tail "
                 "semantics differ between the two budgets)"
             )
-        if membership.partitions and spec.fabric != "ring":
-            raise ConfigurationError(
-                "network partitions stall ring deliveries; the analytic "
-                "barrier has no links to stall -- use fabric='ring'"
-            )
         cluster.attach_job()
 
         self.cluster = cluster
@@ -895,11 +855,9 @@ class _ElasticJob:
                 else workload.iterations
             )
 
-        self.ring: Optional[RingFabric] = None
-        if spec.fabric == "ring":
-            self.ring = cluster.make_fabric(
-                spec.gradient_bytes, detection_timeout=spec.detection_timeout
-            )
+        self.ring: RingFabric = cluster.make_fabric(
+            spec.gradient_bytes, detection_timeout=spec.detection_timeout
+        )
 
         # one template loader: every per-(node, epoch) clone shares its
         # per-sample cost memos
@@ -932,10 +890,6 @@ class _ElasticJob:
         #: each node's shard index set from the round before (locality
         #: input and overlap-reporting baseline)
         self.prev_shards: Dict[int, frozenset] = {}
-
-        # analytic fabric: a removal-aware barrier (a failed or
-        # early-exiting rank must release the survivors, not deadlock them)
-        self.barrier = _MemberBarrier(self.env)
 
         self.round_index = 0
         # monotonically increasing generation: stale fail-killers from
@@ -1191,7 +1145,7 @@ class _ElasticJob:
             rnd.samples_budget = None
 
     def _spawn_round(self, rnd: _RoundState) -> None:
-        """Fabric/barrier round setup, loader rebind, process spawn, fail
+        """Fabric round setup, loader rebind, process spawn, fail
         controllers, cache snapshots."""
         round_ranks = [
             (node, gpu)
@@ -1199,33 +1153,31 @@ class _ElasticJob:
             for gpu in range(self.gpus_per_node)
         ]
         membership = self.membership
-        if self.ring is not None:
-            self.ring.set_ring(round_ranks)
-            # homogeneous-rank collapse only in rounds that cannot see a
-            # mid-step failure: mirror the fail-controller scheduling
-            # condition below, so any fail that could fire this round
-            # forces full per-rank fidelity.  A shared cluster forces it
-            # off entirely -- the quiescence probe cannot see another
-            # job's not-yet-issued link traffic.
-            fail_armed = any(
-                idx not in self.consumed
-                and event.kind == "fail"
-                and event.node in rnd.nodes
-                and (
-                    (event.epoch is not None and event.epoch == rnd.index)
-                    or event.time is not None
-                )
-                for idx, event in enumerate(membership.events)
+        self.ring.set_ring(round_ranks)
+        # homogeneous-rank collapse only in rounds that cannot see a
+        # mid-step failure: mirror the fail-controller scheduling
+        # condition below, so any fail that could fire this round
+        # forces full per-rank fidelity.  A shared cluster forces it
+        # off entirely -- the quiescence probe cannot see another
+        # job's not-yet-issued link traffic.
+        fail_armed = any(
+            idx not in self.consumed
+            and event.kind == "fail"
+            and event.node in rnd.nodes
+            and (
+                (event.epoch is not None and event.epoch == rnd.index)
+                or event.time is not None
             )
-            self.ring.collapse = (
-                self.collapse_requested
-                and not fail_armed
-                and not self.cluster.shared
-            )
-        self.barrier.set_members(round_ranks)
-        # one collective per gradient bucket: each moves bucket_bytes and,
-        # on the analytic fabric, costs the closed form for that slice
-        # (hierarchical when the topology says so)
+            for idx, event in enumerate(membership.events)
+        )
+        self.ring.collapse = (
+            self.collapse_requested
+            and not fail_armed
+            and not self.cluster.shared
+        )
+        # one collective per gradient bucket: each moves bucket_bytes;
+        # bucket_cost is the closed form for that slice (hierarchical when
+        # the topology says so), the overlap path's collapse gate
         rnd.bucket_bytes = self.allreduce.gradient_bytes / self.buckets
         if self.topology == "hierarchical":
             rnd.bucket_cost = self.allreduce.hierarchical_step_cost(
@@ -1309,39 +1261,16 @@ class _ElasticJob:
 
     # -- per-rank processes ------------------------------------------------
 
-    def _leave_sync(self, member) -> None:
-        """Graceful exit from this round's sync (budget done early or
-        loader under-delivered): survivors stop waiting for us."""
-        if self.ring is not None:
-            self.ring.leave(member)
-        else:
-            self.barrier.remove(member)
-
-    def _sync_bucket(self, member, key, serial: bool, collapse_ok: bool = True):
-        """One bucket's collective as ``member`` (a generator).
-
-        Ring fabric: the measured duration (neighbor waits included)
-        accrues to the sync counter.  Analytic fabric: serial mode
-        charges exactly the closed-form cost (the barrier wait is
-        straggler coupling, not sync -- preserving the pre-refactor
-        accounting the tests pin); overlapped mode measures wall
-        duration like the ring, since the launch-to-done window is
-        what overlap hides.
-        """
+    def _sync_bucket(self, member, key, collapse_ok: bool = True):
+        """One bucket's collective as ``member`` (a generator): its
+        measured duration, neighbor waits included, accrues to the sync
+        counter."""
         rnd = self._round
         entered = self.env.now
-        if self.ring is not None:
-            yield from self.ring.allreduce(
-                key, member, nbytes=rnd.bucket_bytes, collapse_ok=collapse_ok
-            )
-            self.counters["sync"] += self.env.now - entered
-        else:
-            yield self.barrier.arrive(key, member)
-            if rnd.bucket_cost > 0:
-                yield self.env.timeout(rnd.bucket_cost)
-            self.counters["sync"] += (
-                rnd.bucket_cost if serial else self.env.now - entered
-            )
+        yield from self.ring.allreduce(
+            key, member, nbytes=rnd.bucket_bytes, collapse_ok=collapse_ok
+        )
+        self.counters["sync"] += self.env.now - entered
         self.counters["grad_bytes"] += rnd.bucket_bytes
 
     def _overlapped_bucket(self, member, key, collapse_ok):
@@ -1349,9 +1278,7 @@ class _ElasticJob:
         interrupt (node failure) abandons it quietly -- the fabric's
         abort fills in its undelivered chunks for the survivors."""
         try:
-            yield from self._sync_bucket(
-                member, key, serial=False, collapse_ok=collapse_ok
-            )
+            yield from self._sync_bucket(member, key, collapse_ok)
         except Interrupt:
             return
 
@@ -1364,7 +1291,8 @@ class _ElasticJob:
             for step_index in range(steps):
                 batch = yield from loader.get_batch(gpu)
                 if batch is None:
-                    self._leave_sync(member)
+                    # under-delivery: survivors stop waiting for us
+                    self.ring.leave(member)
                     return
                 for spec in batch.specs:
                     rnd.coverage.add(spec.index)
@@ -1417,25 +1345,17 @@ class _ElasticJob:
                     self.counters["samples"] += batch.size
                     rnd.steps += 1
                     if rnd.world_ranks > 1:
-                        exposed_start = self.env.now
+                        compute_end = self.env.now
                         for k in range(self.buckets):
                             yield from self._sync_bucket(
                                 member,
                                 (self.job_id, rnd.index, step_index, k),
-                                serial=True,
                             )
-                        if self.ring is not None:
-                            self.counters["exposed"] += (
-                                self.env.now - exposed_start
-                            )
-                        else:
-                            self.counters["exposed"] += (
-                                self.buckets * rnd.bucket_cost
-                            )
+                        self.counters["exposed"] += self.env.now - compute_end
                 if self.checkpoint is not None and gpu == 0:
                     yield from self._maybe_snapshot(node)
             # ranks with a one-shorter budget must not stall the rest
-            self._leave_sync(member)
+            self.ring.leave(member)
         except Interrupt:
             return
 
@@ -1566,10 +1486,7 @@ class _ElasticJob:
             if child.is_alive:
                 child.interrupt("node-failure")
         for gpu in range(self.gpus_per_node):
-            if self.ring is not None:
-                self.ring.abort((node, gpu))
-            else:
-                self.barrier.remove((node, gpu))
+            self.ring.abort((node, gpu))
 
     def _fail_controller(
         self,
@@ -1595,12 +1512,9 @@ class _ElasticJob:
     def _merged_link_wait(self) -> Dict[str, float]:
         """This job's per-class link wait: the ring fabric's collective
         sink merged with the loader/checkpoint sink the job's own streams
-        fill (keys are disjoint by construction; copy so the result is
+        fill (keys are disjoint by construction; a copy, so the result is
         detached from live accumulators)."""
-        merged = dict(self.link_wait_by_class)
-        if self.ring is not None:
-            merged.update(self.ring.link_wait_by_class)
-        return merged
+        return {**self.link_wait_by_class, **self.ring.link_wait_by_class}
 
     def result(self) -> DistributedResult:
         duration = (
@@ -1667,7 +1581,6 @@ class _ElasticJob:
             node_hardware_names=[
                 self.cluster.hw_for(node).name for node in seen_nodes
             ],
-            fabric=self.spec.fabric,
             node_ids=seen_nodes,
             per_node_active_seconds=[
                 max(0.0, windows[node][1] - windows[node][0])
@@ -1683,9 +1596,7 @@ class _ElasticJob:
             per_node_cache_bytes=[
                 self.contexts[node].cache.capacity_bytes for node in seen_nodes
             ],
-            collapsed_collectives=(
-                self.ring.collapsed_collectives if self.ring is not None else 0
-            ),
+            collapsed_collectives=self.ring.collapsed_collectives,
             sim_events=self.env.events_processed,
             job_id=self.job_id,
             cache_hit_bytes=float(
@@ -1697,18 +1608,10 @@ class _ElasticJob:
             storage_wait_seconds=sum(
                 self.contexts[n].storage_wait_seconds for n in seen_nodes
             ),
-            link_wait_seconds=(
-                self.ring.link_wait_seconds if self.ring is not None else 0.0
-            ),
+            link_wait_seconds=self.ring.link_wait_seconds,
             link_wait_by_class=self._merged_link_wait(),
-            collapse_cross_vetoes=(
-                self.ring.collapse_cross_vetoes if self.ring is not None else 0
-            ),
-            partition_stall_seconds=(
-                self.ring.partition_stall_seconds
-                if self.ring is not None
-                else 0.0
-            ),
+            collapse_cross_vetoes=self.ring.collapse_cross_vetoes,
+            partition_stall_seconds=self.ring.partition_stall_seconds,
             checkpoint_write_seconds=(
                 self.ckpt.write_seconds if self.ckpt is not None else 0.0
             ),

@@ -31,7 +31,7 @@ cannot express:
 
 * on a homogeneous cluster where every rank enters together, the flat
   collective takes exactly ``2(W-1) * (latency + nbytes / (W * bandwidth))``
-  -- the analytic :meth:`AllReduceModel.step_cost` -- and the hierarchical
+  -- the closed-form :meth:`AllReduceModel.step_cost` -- and the hierarchical
   one exactly :meth:`AllReduceModel.hierarchical_step_cost`; tests
   cross-check both;
 * a rank that enters late delays its *successor* first, and the delay

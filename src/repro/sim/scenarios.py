@@ -251,7 +251,6 @@ def _job(job_id: str, loader: str, scale: float, **overrides) -> JobSpec:
         workload_name="image_segmentation",
         dataset_size=_DATASET,
         total_steps=_steps(scale),
-        fabric="ring",
     )
     kwargs.update(overrides)
     return JobSpec(**kwargs)

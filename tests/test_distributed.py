@@ -39,74 +39,67 @@ def test_allreduce_bandwidth_term_bounded():
 
 def test_run_distributed_validates_fabric():
     assert_every_door_rejects("fabric must be one of", fabric="torus")
+    # the removed run mode says where its closed form went
+    assert_every_door_rejects(
+        "analytic mode was removed.*AllReduceModel.step_cost",
+        fabric="analytic",
+    )
+
+
+@pytest.mark.parametrize("bad", [-1.0, "x", None, float("nan")])
+def test_detection_timeout_is_validated_with_the_job(bad):
+    """A job-owned knob is rejected when the ``JobSpec`` is built, naming
+    the job -- not later, as the fabric's three-knob message (or a bare
+    ``TypeError``) once the job meets its cluster."""
+    assert_every_door_rejects(
+        "job 'job0': detection_timeout must be a real number >= 0",
+        detection_timeout=bad,
+    )
+
+
+def ring_sync_per_step(**kwargs):
+    ring = run_distributed(
+        "minato", tiny_speech(), CONFIG_A, nodes=2, gpus_per_node=2,
+        steps_per_gpu=5, **kwargs,
+    )
+    assert ring.steps == 4 * 5
+    return ring.sync_seconds_total / ring.steps
 
 
 def test_ring_fabric_matches_analytic_on_homogeneous_cluster():
-    """Cross-check: the modelled per-link ring and the closed form agree on
-    a uniform static cluster (the only regime the closed form covers)."""
-    wl = tiny_speech()
-    analytic = run_distributed(
-        "minato", wl, CONFIG_A, nodes=2, gpus_per_node=2, steps_per_gpu=5,
-        fabric="analytic",
-    )
-    ring = run_distributed(
-        "minato", wl, CONFIG_A, nodes=2, gpus_per_node=2, steps_per_gpu=5,
-        fabric="ring",
-    )
-    assert ring.fabric == "ring" and analytic.fabric == "analytic"
-    assert ring.steps == analytic.steps
-    assert ring.training_time == pytest.approx(analytic.training_time, rel=0.05)
+    """Cross-check: the modelled per-link ring's measured per-step sync and
+    the closed form agree on a uniform static cluster (the only regime the
+    closed form covers); the few percent above it are waits on neighbors
+    whose batch landed later."""
+    closed_form = AllReduceModel().step_cost(4)
+    assert closed_form <= ring_sync_per_step() <= 1.05 * closed_form
 
 
 def test_hierarchical_ring_fabric_matches_hierarchical_analytic():
     """The runner-level edition of the topology cross-check: with
-    ``topology="hierarchical"`` the modelled fabric and the hierarchical
-    closed form agree on a homogeneous static cluster, and the analytic
-    run charges exactly the hierarchical closed form per step."""
-    wl = tiny_speech()
+    ``topology="hierarchical"`` the modelled fabric's per-step sync sits on
+    the hierarchical closed form plus the same ~1.5 ms of neighbor wait
+    the flat ring shows (a larger share of a smaller cost)."""
     model = AllReduceModel()
-    kwargs = dict(
-        nodes=2,
-        gpus_per_node=2,
-        steps_per_gpu=5,
-        allreduce=model,
-        topology="hierarchical",
-    )
-    analytic = run_distributed("minato", wl, CONFIG_A, fabric="analytic", **kwargs)
-    ring = run_distributed("minato", wl, CONFIG_A, fabric="ring", **kwargs)
     closed_form = model.hierarchical_step_cost(
         2, 2, CONFIG_A.intra_node_latency, CONFIG_A.intra_node_bandwidth
     )
-    assert analytic.sync_seconds_total / analytic.steps == pytest.approx(
-        closed_form
-    )
-    assert ring.training_time == pytest.approx(analytic.training_time, rel=0.05)
+    measured = ring_sync_per_step(allreduce=model, topology="hierarchical")
+    assert closed_form <= measured <= 1.1 * closed_form
     # both topologies run the same closed-form family: hierarchical < flat
-    assert closed_form < model.step_cost(4)
+    assert measured < model.step_cost(4)
 
 
 def test_ring_fabric_exposes_straggler_neighbor_delay():
     """Under a hardware straggler the measured per-step sync wait on the
-    ring fabric far exceeds the closed form, which stays constant by
-    construction -- the property the analytic model cannot express."""
+    ring fabric far exceeds the closed form, which is constant by
+    construction -- the property a closed form cannot express."""
     from repro.experiments.distributed import straggler_config
 
-    wl = tiny_speech()
-    model = AllReduceModel()
-    kwargs = dict(
-        nodes=2,
-        gpus_per_node=2,
-        steps_per_gpu=5,
-        allreduce=model,
-        node_hardware=[CONFIG_A, straggler_config(CONFIG_A)],
+    measured = ring_sync_per_step(
+        node_hardware=[CONFIG_A, straggler_config(CONFIG_A)]
     )
-    analytic = run_distributed("minato", wl, CONFIG_A, fabric="analytic", **kwargs)
-    ring = run_distributed("minato", wl, CONFIG_A, fabric="ring", **kwargs)
-    closed_form = model.step_cost(4)
-    assert analytic.sync_seconds_total / analytic.steps == pytest.approx(
-        closed_form
-    )
-    assert ring.sync_seconds_total / ring.steps > 1.5 * closed_form
+    assert measured > 1.5 * AllReduceModel().step_cost(4)
 
 
 # ---------------------------------------------------------------------------
@@ -147,25 +140,23 @@ def test_distributed_step_and_sample_accounting():
 
 
 def test_distributed_sync_cost_accumulates():
+    """Link cost lands in ``sync_seconds_total`` on top of the neighbor
+    waits the ring counts even over free links: the closed form is the
+    floor of what a run with priced links reports, and more than free
+    links ever accumulate."""
     wl = tiny_speech()
-    cheap = run_distributed(
-        "minato",
-        wl,
-        CONFIG_A,
-        nodes=2,
-        steps_per_gpu=5,
-        allreduce=AllReduceModel(latency=0.0, gradient_bytes=0.0),
+    # one byte: a zero-byte transfer skips the link, latency included
+    free = AllReduceModel(latency=0.0, gradient_bytes=1.0)
+    priced = AllReduceModel(latency=0.1, gradient_bytes=1.0)
+    cheap, expensive = (
+        run_distributed(
+            "minato", wl, CONFIG_A, nodes=2, steps_per_gpu=5, allreduce=model
+        )
+        for model in (free, priced)
     )
-    expensive = run_distributed(
-        "minato",
-        wl,
-        CONFIG_A,
-        nodes=2,
-        steps_per_gpu=5,
-        allreduce=AllReduceModel(latency=0.1, gradient_bytes=0.0),
-    )
-    assert cheap.sync_seconds_total == 0.0
-    assert expensive.sync_seconds_total > 0
+    floor = expensive.steps * priced.step_cost(expensive.world_size)
+    assert 0.0 < cheap.sync_seconds_total < floor
+    assert floor <= expensive.sync_seconds_total
     assert expensive.training_time > cheap.training_time
 
 

@@ -162,12 +162,12 @@ def test_iteration_budget_resplits_across_survivors():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("fabric", ["ring", "analytic"])
+@pytest.mark.parametrize("fabric", ["ring"])  # leaves with JobSpec.fabric
 @pytest.mark.parametrize("loader", ["minato", "pytorch"])
 def test_mid_epoch_failure_never_deadlocks(fabric, loader):
-    """A node dying mid-epoch leaves its ring chunks / barrier arrivals
-    unsent; the survivors must complete the epoch via the failure detector
-    (ring) or barrier shrink (analytic) instead of waiting forever."""
+    """A node dying mid-epoch leaves its ring chunks unsent; the survivors
+    must complete the epoch via the failure detector instead of waiting
+    forever."""
     membership = ClusterMembership(
         3, [MembershipEvent("fail", 2, epoch=0, after=0.5)]
     )
@@ -187,12 +187,11 @@ def test_mid_epoch_failure_never_deadlocks(fabric, loader):
 
 @pytest.mark.parametrize("after", [0.6, 2.5])
 def test_failure_while_ranks_wait_at_the_barrier_never_deadlocks(after):
-    """Regression: the analytic barrier must track arrivals per member.  A
-    straggler survivor holds every step's barrier open for seconds, so the
-    fast dead node's ranks are killed while already arrived-and-waiting; a
-    count-based barrier double-counted those arrivals, released early, and
-    left the straggler's late arrivals waiting on a barrier nobody else
-    would ever join."""
+    """A straggler survivor enters every collective seconds late, so the
+    fast dead node's ranks are killed mid-collective, their chunks sent and
+    the straggler's still awaited: the abort must fill in for the dead
+    ranks in the collectives they already joined (and only those), or the
+    straggler's late entries wait on a ring nobody else will ever turn."""
     from repro.experiments.distributed import straggler_config
 
     workload = epoch_workload(n_samples=144, epochs=2)
@@ -205,7 +204,6 @@ def test_failure_while_ranks_wait_at_the_barrier_never_deadlocks(after):
         CONFIG_A,
         membership,
         gpus_per_node=2,
-        fabric="analytic",
         node_hardware={1: straggler_config(CONFIG_A)},
     )
     assert result.epoch_membership == [[0, 1, 2], [0, 1]]

@@ -61,9 +61,8 @@ def run_guarded(runner, *args, **kwargs):
 @pytest.mark.parametrize(
     "fabric,pinned_time,pinned_sync",
     [
-        # recorded from the pre-refactor runner on this exact config
-        ("analytic", 9.936, 0.660),
-        # sync re-recorded (was 0.698) when the simulated MinatoLoader lost
+        # recorded from the pre-refactor runner on this exact config; sync
+        # re-recorded (was 0.698) when the simulated MinatoLoader lost
         # its feeder: every rank's workers 2..N start loading at t = 0, not
         # one poll tick later, and the ring's sync counter includes waits on
         # neighbours, which shift with it; training_time did not move
@@ -231,13 +230,12 @@ def test_hardware_default_gpus_per_node_is_honored():
     wl = tiny_speech()
     hw = replace(CONFIG_A, gpus_per_node=2)
     from_hw = run_distributed(
-        "minato", wl, hw, nodes=2, steps_per_gpu=3, fabric="analytic"
+        "minato", wl, hw, nodes=2, steps_per_gpu=3
     )
     assert from_hw.gpus_per_node == 2
     assert from_hw.world_size == 4
     explicit = run_distributed(
-        "minato", wl, hw, nodes=2, gpus_per_node=1, steps_per_gpu=3,
-        fabric="analytic",
+        "minato", wl, hw, nodes=2, gpus_per_node=1, steps_per_gpu=3
     )
     assert explicit.gpus_per_node == 1
 
@@ -257,7 +255,6 @@ def test_per_node_cache_fraction_override():
         wl,
         CONFIG_A,
         ClusterMembership(2),
-        fabric="analytic",
         reshard="locality",  # fixed per-rank blocks: epoch 2 can be warm
         node_hardware={1: starved},
     )
@@ -296,7 +293,6 @@ def stale_run(reshard):
         wl,
         CONFIG_A,
         membership,
-        fabric="analytic",
         reshard=reshard,
     )
 

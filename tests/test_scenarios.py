@@ -12,11 +12,9 @@ from repro.sim.cluster import (
 )
 from repro.sim.distributed import (
     AllReduceModel,
-    _MemberBarrier,
     run_distributed,
     run_elastic,
 )
-from repro.sim.kernel import Environment
 from repro.sim.scenarios import (
     PRESETS,
     JobMix,
@@ -183,17 +181,6 @@ def test_run_distributed_rejects_mismatched_nodes_with_cluster():
         run_distributed(
             "minato", _workload(), CONFIG_A, nodes=NODES + 1,
             cluster=_cluster(), steps_per_gpu=1,
-        )
-
-
-def test_partitions_require_ring_fabric():
-    membership = ClusterMembership(
-        NODES, partitions=(PartitionEvent(nodes=(0,), time=0.1, duration=0.5),)
-    )
-    with pytest.raises(ConfigurationError, match="ring"):
-        run_elastic(
-            "minato", _workload(), CONFIG_A, membership,
-            gpus_per_node=GPUS, fabric="analytic", total_steps=NODES * GPUS,
         )
 
 
@@ -392,57 +379,6 @@ def test_partition_outcome_independent_of_kernel_config(monkeypatch):
 def test_cluster_has_no_queue_option():
     with pytest.raises(TypeError, match="queue"):
         _cluster(queue="heap")
-
-
-# ---------------------------------------------------------------------------
-# Barrier arrival accounting (a removed rank's past arrival must not count)
-# ---------------------------------------------------------------------------
-
-
-def test_barrier_removed_member_past_arrival_not_double_counted():
-    env = Environment()
-    barrier = _MemberBarrier(env)
-    barrier.set_members({"a", "b"})
-    done = []
-
-    def proc():
-        event = barrier.arrive("step0", "a")
-        barrier.remove("a")
-        # a's past arrival released step0 (b alone remains and has not
-        # arrived, but the member set no longer includes a)
-        assert not event.triggered
-        barrier.set_members({"a", "b"})
-        # re-adding a must NOT reuse its old arrival: a fresh key needs
-        # both members again
-        second = barrier.arrive("step1", "b")
-        assert not second.triggered
-        final = barrier.arrive("step1", "a")
-        assert final.triggered
-        done.append(True)
-        yield env.timeout(0)
-
-    env.process(proc())
-    env.run()
-    assert done
-
-
-def test_barrier_remove_releases_now_satisfied_steps():
-    env = Environment()
-    barrier = _MemberBarrier(env)
-    barrier.set_members({"a", "b"})
-    done = []
-
-    def proc():
-        event = barrier.arrive("step0", "a")
-        assert not event.triggered
-        barrier.remove("b")
-        assert event.triggered
-        done.append(True)
-        yield env.timeout(0)
-
-    env.process(proc())
-    env.run()
-    assert done
 
 
 # ---------------------------------------------------------------------------

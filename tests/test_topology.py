@@ -11,10 +11,13 @@ fires, never forever.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.sim.distributed import AllReduceModel
 from repro.sim.kernel import AllOf, Environment, Interrupt
+from repro.sim.links import project
 from repro.sim.topology import FlatRing, Hierarchical
 
 INTRA_LATENCY = 3e-6
@@ -126,6 +129,55 @@ def test_hierarchical_beats_flat_on_multi_gpu_nodes():
     _sync, end, _ = run_hier_collective(model, 2, 4)
     assert end == pytest.approx(hier, rel=0.05)
     assert end < flat
+
+
+def priced(schedule):
+    """Seconds a collapse schedule takes from idle links, each stage priced
+    by the link layer's closed form as ``RingFabric._collapse_decider``
+    walks it (a stage's send never queues behind its own stream: the
+    previous stage drained no later than it finished)."""
+    now = 0.0
+    for stages, _scope, chunk, bandwidth, latency, streams, _fanout in schedule:
+        for _ in range(stages):
+            _drain, now, _excess = project(
+                now, chunk, bandwidth, latency, streams
+            )
+    return now
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    nodes=st.integers(1, 6),
+    gpus=st.integers(1, 6),
+    latency=st.floats(0.0, 1e-2),
+    bandwidth=st.floats(1e6, 1e12),
+    intra_latency=st.floats(0.0, 1e-3),
+    intra_bandwidth=st.floats(1e6, 1e13),
+    nbytes=st.floats(1.0, 1e10),
+)
+def test_collapse_schedules_price_to_the_closed_forms(
+    nodes, gpus, latency, bandwidth, intra_latency, intra_bandwidth, nbytes
+):
+    """``collapse_schedule`` priced by ``links.project`` *is* the closed
+    form: ``step_cost`` on a flat ring, ``hierarchical_step_cost`` on a
+    two-level one -- the identity that lets the duplicate closed forms in
+    ``AllReduceModel`` be folded into it without guessing."""
+    model = AllReduceModel(latency=latency, bandwidth=bandwidth)
+    env = Environment()
+    members = [(n, g) for n in range(nodes) for g in range(gpus)]
+    flat = FlatRing(env, latency, bandwidth)
+    assert priced(flat.collapse_schedule(members, nbytes)) == pytest.approx(
+        model.step_cost(len(members), nbytes), rel=1e-12
+    )
+    hier = Hierarchical(
+        env, latency, bandwidth, intra_latency, intra_bandwidth, gpus
+    )
+    assert priced(hier.collapse_schedule(members, nbytes)) == pytest.approx(
+        model.hierarchical_step_cost(
+            nodes, gpus, intra_latency, intra_bandwidth, nbytes
+        ),
+        rel=1e-12,
+    )
 
 
 # ---------------------------------------------------------------------------
