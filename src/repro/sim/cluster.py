@@ -26,8 +26,8 @@ documented and validated; the job-owned ones live on
 :class:`~repro.sim.distributed.JobSpec`.
 
 Nothing in this module may import :mod:`repro.sim.distributed` or
-:mod:`repro.sim.scenarios` (they import us); the fabric is reached through
-:class:`~repro.sim.fabric.RingFabric` only.
+:mod:`repro.sim.scenarios` (they import us); each job wires its own
+:class:`~repro.sim.fabric.RingFabric` over :attr:`Cluster.topology`.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..data.storage import PageCache
 from ..errors import ConfigurationError
-from .fabric import RingFabric
 from .kernel import Environment
 from .resources import BandwidthPipe, Resource
 from .topology import TOPOLOGIES, FlatRing, Hierarchical, Topology
@@ -449,7 +448,8 @@ class Cluster:
     @property
     def topology(self) -> Topology:
         """The shared link topology (one instance per cluster; every
-        fabric created by :meth:`make_fabric` routes through it)."""
+        job's fabric routes through it, so concurrent jobs' collectives
+        contend)."""
         if self._topology is None:
             if self.topology_name == "hierarchical":
                 self._topology = Hierarchical(
@@ -469,29 +469,6 @@ class Cluster:
                     self.env, self.link_latency, self.link_bandwidth
                 )
         return self._topology
-
-    def make_fabric(
-        self, gradient_bytes: float, detection_timeout: float
-    ) -> RingFabric:
-        """A per-job ring fabric over the cluster's shared links.
-
-        Gradient size and failure-detection timeout are the job's;
-        latency/bandwidth and the link pipes belong to the cluster, so
-        concurrent jobs' collectives contend.
-        Partition windows on the membership are wired into the fabric's
-        delivery path (cross-cut chunks stall until the window heals).
-        """
-        return RingFabric(
-            self.env,
-            latency=self.link_latency,
-            bandwidth=self.link_bandwidth,
-            gradient_bytes=gradient_bytes,
-            detection_timeout=detection_timeout,
-            topology=self.topology,
-            partitions=(
-                self.membership if self.membership.partitions else None
-            ),
-        )
 
     def loader_nic(self, node: int, tenant=None, sink=None):
         """The loader-class stream a node's cache misses traverse when

@@ -14,8 +14,9 @@ the cluster.  Every collective runs on the modelled
 mid-step failure stalls the ring only until the failure detector fires.
 The closed forms (:meth:`AllReduceModel.step_cost` /
 :meth:`AllReduceModel.hierarchical_step_cost`) are what the ring converges
-to on a homogeneous cluster -- the reference the tests hold it to and the
-overlap collapse gate, never a way to run a job.
+to on a homogeneous cluster -- the reference the tests hold it to, never
+production input: the overlap collapse gate prices the ring's own plan
+(:meth:`~repro.sim.fabric.RingFabric.collapse_seconds`).
 
 The dataset is *sharded* across nodes with
 :class:`~repro.data.samplers.ShardedSampler` semantics: each node's loader
@@ -89,10 +90,9 @@ from .cluster import (
     PartitionEvent,
 )
 from .fabric import RingFabric
-from .kernel import AllOf, Environment, Interrupt
+from .kernel import AllOf, Interrupt
 from .loaders import SimContext, run_until
 from .runner import make_sim_loader
-from .topology import Topology
 from .workloads import HardwareConfig, WorkloadSpec
 
 __all__ = [
@@ -190,29 +190,6 @@ class AllReduceModel:
                 self.latency + nbytes / (nodes * self.bandwidth)
             )
         return intra + inter
-
-    def make_fabric(
-        self,
-        env: Environment,
-        detection_timeout: float = 1.0,
-        topology: Optional[Topology] = None,
-        collapse: bool = False,
-    ) -> RingFabric:
-        """A modelled fabric with this model's link parameters.
-
-        ``topology`` defaults to the flat world-wide ring.  Jobs running on
-        a :class:`~repro.sim.cluster.Cluster` use
-        :meth:`~repro.sim.cluster.Cluster.make_fabric` instead, which keys
-        the links by the cluster so concurrent jobs contend."""
-        return RingFabric(
-            env,
-            latency=self.latency,
-            bandwidth=self.bandwidth,
-            gradient_bytes=self.gradient_bytes,
-            detection_timeout=detection_timeout,
-            topology=topology,
-            collapse=collapse,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -812,13 +789,6 @@ class _ElasticJob:
         self.hardware = cluster.hardware
         self.gpus_per_node = cluster.gpus_per_node
         self.topology = cluster.topology_name
-        #: the closed-form costs and gradient size: the cluster's links,
-        #: this job's bytes
-        self.allreduce = AllReduceModel(
-            latency=cluster.link_latency,
-            gradient_bytes=spec.gradient_bytes,
-            bandwidth=cluster.link_bandwidth,
-        )
         # read every step by the step loop: plain attributes, not spec hops
         self.overlap = spec.overlap
         self.buckets = spec.buckets
@@ -855,8 +825,17 @@ class _ElasticJob:
                 else workload.iterations
             )
 
-        self.ring: RingFabric = cluster.make_fabric(
-            spec.gradient_bytes, detection_timeout=spec.detection_timeout
+        # the job's bytes and detector over the cluster's shared links (so
+        # concurrent jobs' collectives contend); partition windows stall
+        # cross-cut deliveries until they heal
+        self.ring = RingFabric(
+            self.env,
+            latency=cluster.link_latency,
+            bandwidth=cluster.link_bandwidth,
+            gradient_bytes=spec.gradient_bytes,
+            detection_timeout=spec.detection_timeout,
+            topology=cluster.topology,
+            partitions=membership if membership.partitions else None,
         )
 
         # one template loader: every per-(node, epoch) clone shares its
@@ -1176,21 +1155,10 @@ class _ElasticJob:
             and not self.cluster.shared
         )
         # one collective per gradient bucket: each moves bucket_bytes;
-        # bucket_cost is the closed form for that slice (hierarchical when
-        # the topology says so), the overlap path's collapse gate
-        rnd.bucket_bytes = self.allreduce.gradient_bytes / self.buckets
-        if self.topology == "hierarchical":
-            rnd.bucket_cost = self.allreduce.hierarchical_step_cost(
-                rnd.world_nodes,
-                self.gpus_per_node,
-                self.hardware.intra_node_latency,
-                self.hardware.intra_node_bandwidth,
-                nbytes=rnd.bucket_bytes,
-            )
-        else:
-            rnd.bucket_cost = self.allreduce.step_cost(
-                rnd.world_ranks, nbytes=rnd.bucket_bytes
-            )
+        # bucket_cost is what the ring's own plan for that slice costs from
+        # idle links (inf: not collapsible), the overlap path's collapse gate
+        rnd.bucket_bytes = self.spec.gradient_bytes / self.buckets
+        rnd.bucket_cost = self.ring.collapse_seconds(rnd.bucket_bytes)
         for node in rnd.nodes:
             loader = self.template.rebind_shard(
                 self.samplers[node],
@@ -1306,9 +1274,9 @@ class _ElasticJob:
                     # concurrently with the remaining slices.  Collapse
                     # is only safe when bucket k's collective finishes
                     # before bucket k+1 launches (the collapsed path
-                    # assumes idle links): gate it on the closed-form
-                    # cost fitting in one backprop slice, with margin
-                    # for the closed form's float rounding
+                    # assumes idle links): gate it on the plan's
+                    # idle-link cost fitting in one backprop slice, with
+                    # margin for float rounding
                     collapse_ok = (
                         rnd.bucket_cost * (1.0 + 1e-9) + 1e-12
                         <= step / self.buckets
@@ -1385,7 +1353,7 @@ class _ElasticJob:
         if not self.checkpoint.due(clock - last_step, self.env.now - last_time):
             return
         shard = self.checkpoint.state_bytes(
-            self.allreduce.gradient_bytes
+            self.spec.gradient_bytes
         ) / max(self._round.world_nodes, 1)
         ctx = self.contexts[node]
         entered = self.env.now
@@ -1434,7 +1402,7 @@ class _ElasticJob:
         if not survivors:
             return
         entered = self.env.now
-        state = self.checkpoint.state_bytes(self.allreduce.gradient_bytes)
+        state = self.checkpoint.state_bytes(self.spec.gradient_bytes)
         if self.checkpoint.restore == "storage":
             shard = state / len(survivors)
             procs = [

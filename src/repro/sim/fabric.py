@@ -60,9 +60,10 @@ entrant, decides at the entry instant (a zero-delay decision event fires
 after all same-instant arrivals), and either walks the representative
 schedule once (``O(stages)`` events instead of ``O(W x stages)`` simulated
 transfers) or releases every entrant, still at the entry instant, into the
-exact per-rank path.  Fallback triggers on ragged arrival, heterogeneous
-links, churn (any dead member), concurrent simulated collectives, busy
-links, or an entrant that was told overlap may bleed into the next
+exact per-rank path.  Fallback triggers on ragged arrival, members whose
+ring passes differ (heterogeneous links, ragged groups), a zero-byte
+collective, churn (any dead member), concurrent simulated collectives,
+busy links, or an entrant that was told overlap may bleed into the next
 collective (``collapse_ok=False``).
 """
 
@@ -73,7 +74,7 @@ from typing import Any, Dict, Generator, Hashable, Iterable, List, Optional, Tup
 from ..errors import ConfigurationError
 from .kernel import Environment, Event
 from .links import project
-from .topology import FlatRing, RingPhase, Topology
+from .topology import CollapsePhase, FlatRing, RingPhase, Topology
 
 __all__ = ["RingFabric", "RingCollective"]
 
@@ -187,6 +188,12 @@ class RingFabric:
         self.collapsed_collectives = 0
         #: key -> registration entry of a not-yet-completed fast-path try
         self._pending_collapse: Dict[Any, _CollapseEntry] = {}
+        #: (collective bytes, ring length) -> the ring's collapse plan, so
+        #: the O(W^2) derivation runs once per ring, not per collective.
+        #: Safe to keep: ``set_ring`` empties it, and the only other way
+        #: the ring changes (``_remove``) makes ``dead`` non-empty, which
+        #: vetoes every collapse until the next ``set_ring``
+        self._plans: Dict[Tuple[float, int], Optional[List[CollapsePhase]]] = {}
         #: partition schedule (an object answering
         #: ``partition_release(now, node_a, node_b)`` -- in practice the
         #: cluster's :class:`~repro.sim.cluster.ClusterMembership`); a
@@ -227,6 +234,7 @@ class RingFabric:
         self.dead = {}
         self._fill_delay = {}
         self._ring = list(members)
+        self._plans = {}
 
     def abort(self, member: Hashable) -> None:
         """Remove ``member`` on failure without deadlocking any ring.
@@ -471,6 +479,27 @@ class RingFabric:
                 return False
         return True
 
+    def _collapse_plan(
+        self, ring: List[Hashable], nbytes: float
+    ) -> Optional[List[CollapsePhase]]:
+        key = (nbytes, len(ring))
+        if key not in self._plans:
+            self._plans[key] = self.topology.collapse_schedule(ring, nbytes)
+        return self._plans[key]
+
+    def collapse_seconds(self, nbytes: float) -> float:
+        """Seconds one all-reduce of ``nbytes`` over the installed ring takes
+        when every rank enters together on idle links -- its collapse plan,
+        each pass priced by :func:`~repro.sim.links.project` -- or ``inf``
+        when the ring is not collapsible."""
+        plan = self._collapse_plan(self._ring, nbytes)
+        if plan is None:
+            return float("inf")
+        return sum(
+            stages * project(0.0, chunk, bandwidth, latency, streams)[1]
+            for stages, _scope, chunk, bandwidth, latency, streams, _fanout in plan
+        )
+
     def _collapsed_allreduce(
         self,
         key: Any,
@@ -505,7 +534,7 @@ class RingFabric:
             and len(entry.waiters) == len(entry.ring)
             and self._collapse_quiescent()
         ):
-            schedule = self.topology.collapse_schedule(entry.ring, entry.nbytes)
+            schedule = self._collapse_plan(entry.ring, entry.nbytes)
         if schedule is None:
             # ragged arrival / heterogeneity / churn: release every entrant
             # into the exact per-rank path, still at the entry instant

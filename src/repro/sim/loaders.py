@@ -31,6 +31,11 @@ routing (preemptive accounting), batch construction order, strict-order
 release, worker-pool scaling -- is delegated to the same substrate-neutral
 components in :mod:`repro.policy` (see DESIGN.md).
 
+Every model runs as one data-parallel rank (paper §6): ``start(ctx)`` begins
+with :meth:`BaseSimLoader.bind`, which makes a loader nobody rebound onto a
+shard a world of one over the workload's own budget.  Constructors run the
+threaded configs' checks over the knobs the two substrates share.
+
 No stage polls, and idle is free.  Algorithm 1's 10 ms sleep decides *when*
 an idle stage notices new work -- on its own poll tick -- and the model
 keeps exactly that: a slow-task worker or strict-order builder that finds
@@ -44,7 +49,7 @@ specification in ``tests/helpers.PollingMinatoLoader``.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cmp_to_key
 from typing import (
     Any,
@@ -58,10 +63,12 @@ from typing import (
     Tuple,
 )
 
+from ..baselines import DALIConfig, TorchLoaderConfig
+from ..core.config import MinatoConfig
 from ..core.profiler import TimeoutProfiler
 from ..core.scheduler import SchedulerDecision, WorkerScheduler
 from ..data.sample import SampleSpec
-from ..data.samplers import BatchSampler, RandomSampler, ShardedSampler
+from ..data.samplers import BatchSampler, ShardedSampler
 from ..data.storage import DRAM_BANDWIDTH
 from ..engine.metrics import IntervalRecorder, ThroughputMeter
 from ..errors import ConfigurationError, EmptySchedule, SimulationError
@@ -168,7 +175,6 @@ class SimContext:
         #: the stats record (same class the threaded engine reports; the
         #: event kernel is single-threaded, so it is updated in place)
         self.stats = LoaderStats()
-        self.cpu_busy_by_tag: dict = {}
 
     # -- storage -----------------------------------------------------------------
 
@@ -219,7 +225,6 @@ class SimContext:
             return
         yield from self._occupy(self.cores, seconds, self.cpu_recorder, tag)
         self.stats.busy_seconds += seconds
-        self.cpu_busy_by_tag[tag] = self.cpu_busy_by_tag.get(tag, 0.0) + seconds
 
     # -- training-side hooks ------------------------------------------------------------
 
@@ -236,12 +241,12 @@ class SimContext:
 class BaseSimLoader:
     """Common surface: batch stores + per-GPU consumption generators.
 
-    A loader as constructed samples the whole dataset.  It runs as one
-    data-parallel rank iff it was rebound: :meth:`rebind_shard` clones it
-    onto a rank's :class:`~repro.data.samplers.ShardedSampler` (the elastic
-    executor does so at every epoch boundary) and pins the delivered-batch
-    budget that keeps lockstep ranks in agreement.  :meth:`halt` retires a
-    failed node's stages.
+    A loader runs as one data-parallel rank.  :meth:`rebind_shard` clones
+    it onto a rank's :class:`~repro.data.samplers.ShardedSampler` (the
+    elastic executor does so at every epoch boundary) and pins the
+    delivered-batch budget that keeps lockstep ranks in agreement; what it
+    was not rebound with, :meth:`bind` takes from the workload as a world
+    of one.  :meth:`halt` retires a failed node's stages.
     """
 
     name = "base"
@@ -254,14 +259,15 @@ class BaseSimLoader:
     def __init__(self) -> None:
         self.batch_stores: List[Store] = []
         self.ctx: Optional[SimContext] = None
-        #: this rank's shard and delivered-batch budget (set by rebind_shard;
-        #: the sampler carries layout, seed and elastic epoch offsets)
-        self._sampler_override: Optional[ShardedSampler] = None
-        self.total_batches_override: Optional[int] = None
+        #: this rank's shard and delivered-batch budget (rebind_shard sets
+        #: them, bind fills what it left None; the sampler carries layout,
+        #: seed and elastic epoch offsets)
+        self.sampler: Optional[ShardedSampler] = None
+        self.total_batches: Optional[int] = None
         #: exact sample budget for sample-granular loaders (Minato); lets a
         #: one-epoch elastic round end after precisely one shard pass
         #: instead of rounding up to whole batches
-        self.total_samples_override: Optional[int] = None
+        self.total_samples: Optional[int] = None
         self._halted = False
         # cost-model results are deterministic per sample: memoize them
         # (sims revisit samples every epoch)
@@ -269,8 +275,38 @@ class BaseSimLoader:
         self._bytes_cache: dict = {}
         self._profile_cache: dict = {}
 
+    def _check_shared_knobs(self, config_cls) -> None:
+        """Refuse what the threaded loader refuses, by its own checks: build
+        its config from the keywords the two share.  A ``None`` here means
+        "derive from the machine" (or "off") and is left out."""
+        shared = {f.name: getattr(self, f.name, None) for f in fields(config_cls)}
+        config_cls(**{k: v for k, v in shared.items() if v is not None})
+
     def start(self, ctx: SimContext) -> None:
         raise NotImplementedError
+
+    def bind(self, ctx: SimContext) -> None:
+        """Attach to ``ctx`` as one rank: the shard and budgets this loader
+        was not rebound with are the workload's own, a world of one --
+        ``ShardedSampler(n, 0, 1, seed)`` is the full seeded shuffle."""
+        self.ctx = ctx
+        workload = ctx.workload
+        n = len(workload.dataset)
+        if self.sampler is None:
+            self.sampler = ShardedSampler(n, rank=0, world_size=1, seed=self.seed)
+        elif self.sampler.dataset_size != n:
+            raise ConfigurationError(
+                f"rebound sampler covers {self.sampler.dataset_size} "
+                f"samples but the workload's dataset has {n}"
+            )
+        if self.total_batches is None:
+            self.total_batches = workload.total_batches(ctx.num_gpus)
+            if self.total_samples is None and workload.epochs is not None:
+                # sampler length, not dataset length: a sharded rank feeds
+                # only its (padded) slice per epoch
+                self.total_samples = workload.epochs * len(self.sampler)
+        if self.total_samples is None:
+            self.total_samples = self.total_batches * workload.batch_size
 
     def halt(self) -> None:
         """Retire this loader's stages (elastic node failure).
@@ -312,28 +348,10 @@ class BaseSimLoader:
         clone.ctx = None
         clone.batch_stores = []
         clone._halted = False
-        clone._sampler_override = sampler
-        clone.total_batches_override = total_batches_override
-        clone.total_samples_override = total_samples_override
+        clone.sampler = sampler
+        clone.total_batches = total_batches_override
+        clone.total_samples = total_samples_override
         return clone
-
-    def make_sampler(self, n: int):
-        """This rank's sampler: its rebound shard, else the full shuffle."""
-        if self._sampler_override is None:
-            return RandomSampler(n, seed=self.seed)
-        if self._sampler_override.dataset_size != n:
-            raise ConfigurationError(
-                f"rebound sampler covers {self._sampler_override.dataset_size} "
-                f"samples but the workload's dataset has {n}"
-            )
-        return self._sampler_override
-
-    def batch_budget(self, ctx: SimContext) -> int:
-        """Total batches this loader instance must deliver: the budget it
-        was rebound with, else the whole workload's."""
-        if self.total_batches_override is not None:
-            return self.total_batches_override
-        return ctx.workload.total_batches(ctx.num_gpus)
 
     def total_cost(self, spec: SampleSpec) -> float:
         value = self._cost_cache.get(spec.index)
@@ -394,9 +412,10 @@ class SimTorchLoader(BaseSimLoader):
         self.queue_capacity = queue_capacity
         self.pipeline_override = pipeline_override
         self.seed = seed
+        self._check_shared_knobs(TorchLoaderConfig)
 
     def start(self, ctx: SimContext) -> None:
-        self.ctx = ctx
+        self.bind(ctx)
         env = ctx.env
         self.pipeline = (
             self.pipeline_override
@@ -406,8 +425,6 @@ class SimTorchLoader(BaseSimLoader):
         self.batch_stores = [
             Store(env, capacity=self.queue_capacity) for _ in range(ctx.num_gpus)
         ]
-        self.sampler = self.make_sampler(len(ctx.workload.dataset))
-        self.total_batches = self.batch_budget(ctx)
         env.process(self._orchestrator())
 
     def _orchestrator(self) -> Generator:
@@ -526,9 +543,10 @@ class SimDALILoader(BaseSimLoader):
         self.gpu_speedup = gpu_speedup
         self.cpu_decode_bandwidth = cpu_decode_bandwidth
         self.seed = seed
+        self._check_shared_knobs(DALIConfig)
 
     def start(self, ctx: SimContext) -> None:
-        self.ctx = ctx
+        self.bind(ctx)
         env = ctx.env
         self.pipeline = ctx.workload.pipeline
         depth = self.prefetch_queue_depth
@@ -537,12 +555,7 @@ class SimDALILoader(BaseSimLoader):
         self._raw_stores = [
             Store(env, capacity=depth * batch) for _ in range(ctx.num_gpus)
         ]
-        if self.total_batches_override is not None:
-            per_gpu = (
-                self.total_batches_override + ctx.num_gpus - 1
-            ) // ctx.num_gpus
-        else:
-            per_gpu = ctx.workload.batches_per_gpu(ctx.num_gpus)
+        per_gpu = (self.total_batches + ctx.num_gpus - 1) // ctx.num_gpus
         for gpu in range(ctx.num_gpus):
             needed = per_gpu * batch
             per_thread = needed // self.num_threads_per_gpu
@@ -554,22 +567,13 @@ class SimDALILoader(BaseSimLoader):
             env.process(self._gpu_stage(gpu, per_gpu))
 
     def _shard_stream(self, gpu: int) -> Iterator[int]:
-        # DALI always shards per GPU; under data parallelism that composes
-        # with the node-level shard into one flat (node, gpu) rank space
-        if self._sampler_override is not None:
-            # rebound node-level shard: subdivide it per GPU, preserving the
-            # override's seed / layout / tail policy / elastic epoch offset
-            sampler = self._sampler_override.reshard(
-                world_size=self._sampler_override.world_size * self.ctx.num_gpus,
-                rank=self._sampler_override.rank * self.ctx.num_gpus + gpu,
-            )
-        else:
-            sampler = ShardedSampler(
-                len(self.ctx.workload.dataset),
-                rank=gpu,
-                world_size=self.ctx.num_gpus,
-                seed=self.seed,
-            )
+        # DALI always shards per GPU: the node-level shard is subdivided
+        # into one flat (node, gpu) rank space, keeping its seed / layout /
+        # tail policy / elastic epoch offset
+        sampler = self.sampler.reshard(
+            world_size=self.sampler.world_size * self.ctx.num_gpus,
+            rank=self.sampler.rank * self.ctx.num_gpus + gpu,
+        )
         epoch = 0
         while True:
             for index in sampler.epoch(epoch):
@@ -767,15 +771,9 @@ class SimMinatoLoader(BaseSimLoader):
             raise ConfigurationError(
                 f"classifier must be 'timeout' or 'size', got {classifier!r}"
             )
-        if scheduler_interval <= 0 or poll_interval <= 0:
+        if workers_per_gpu < 1:
             raise ConfigurationError(
-                "scheduler_interval and poll_interval must be positive, got "
-                f"{scheduler_interval!r} and {poll_interval!r}"
-            )
-        if queue_capacity < 1 or workers_per_gpu < 1 or min_workers < 1:
-            raise ConfigurationError(
-                "queue_capacity, workers_per_gpu and min_workers must be >= 1, "
-                f"got {queue_capacity!r}, {workers_per_gpu!r} and {min_workers!r}"
+                f"workers_per_gpu must be >= 1, got {workers_per_gpu!r}"
             )
         self.workers_per_gpu = workers_per_gpu
         #: None -> scale with the loading pool (a third), min 2
@@ -803,14 +801,14 @@ class SimMinatoLoader(BaseSimLoader):
         self.cpu_threshold = cpu_threshold
         self.delta_clip = delta_clip
         self.seed = seed
+        self._check_shared_knobs(MinatoConfig)
         self.worker_history: List[SchedulerDecision] = []
         self._idle: Dict[str, _IdleSite] = {}
 
     def start(self, ctx: SimContext) -> None:
-        self.ctx = ctx
+        self.bind(ctx)
         env = ctx.env
         workload = ctx.workload
-        self.sampler = self.make_sampler(len(workload.dataset))
         self.pipeline = workload.pipeline
         cap = self.queue_capacity
         self.batch_stores = [Store(env, capacity=cap) for _ in range(ctx.num_gpus)]
@@ -890,7 +888,7 @@ class SimMinatoLoader(BaseSimLoader):
         #: the one ``(epoch, seq, index)`` stream every loading worker draws
         #: from, and how much of the sample budget is still to be drawn
         self._indices = index_stream(self.sampler)
-        self._undrawn = self._total_samples()
+        self._undrawn = self.total_samples
         plan = deal_batch_plan(self._undrawn, workload.batch_size, ctx.num_gpus)
         self._active_workers = 0
         self._active_slow = 0
@@ -933,18 +931,6 @@ class SimMinatoLoader(BaseSimLoader):
         """Kicks that landed exactly on a parked stage's tick (see
         :class:`_IdleSite`)."""
         return sum(site.ties for site in self._idle.values())
-
-    # -- sizing ------------------------------------------------------------------
-
-    def _total_samples(self) -> int:
-        workload = self.ctx.workload
-        if self.total_samples_override is not None:
-            return self.total_samples_override
-        if self.total_batches_override is None and workload.epochs is not None:
-            # sampler length, not dataset length: a sharded rank feeds only
-            # its (padded) slice per epoch
-            return workload.epochs * len(self.sampler)
-        return self.batch_budget(self.ctx) * workload.batch_size
 
     # -- worker pool --------------------------------------------------------------
 
@@ -1042,6 +1028,7 @@ class SimMinatoLoader(BaseSimLoader):
                 spec, resume_at, profile, seq = item
                 for cost in profile[resume_at:]:
                     yield from ctx.cpu_busy(cost, tag="slow")
+                    ctx.stats.background_busy_seconds += cost
                 self.profiler.record(sum(profile), flagged_slow=True)
                 ctx.stats.samples_preprocessed += 1
                 yield from self._emit_ready(seq, spec, True)
@@ -1111,7 +1098,7 @@ class SimMinatoLoader(BaseSimLoader):
                 busy_seconds=ctx.stats.busy_seconds,
                 queue_fill=queue_fill,
                 workers=max(1, self._loading_target + self._slow_target),
-                background_busy_seconds=ctx.cpu_busy_by_tag.get("slow", 0.0),
+                background_busy_seconds=ctx.stats.background_busy_seconds,
                 draining=not self._undrawn,
             )
             if action is None:

@@ -7,7 +7,9 @@ membership snapshot onto the sequence of *ring phases* one all-reduce
 traverses.  The collective layer (:class:`~repro.sim.fabric.RingFabric`)
 executes those phases with ring ``reduce_scatter`` / ``all_gather``
 primitives; the step loop (:mod:`repro.sim.distributed`) never sees links
-at all.
+at all.  A topology writes its plan once, in :meth:`Topology.phases`: the
+collapsed fast path's schedule (:meth:`Topology.collapse_schedule`) is read
+off it, so collapse and per-rank ring cannot disagree about the plan.
 
 Two topologies are provided:
 
@@ -39,6 +41,7 @@ constant could not represent.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -146,24 +149,55 @@ class Topology:
     ) -> Optional[List[CollapsePhase]]:
         """Link parameters of a *collapsed* all-reduce, or ``None``.
 
-        When every member of ``ring`` sees identical link parameters and
-        identical phase structure (a homogeneous snapshot), a lockstep
-        all-reduce advances every rank through the same per-stage timing:
-        one representative rank's schedule is the whole collective.  The
-        return value is one ``(stages, scope, chunk, bandwidth, latency,
-        streams, fanout)`` tuple per ring phase: each of the ``stages``
-        sends ``chunk`` bytes on a ``scope`` link of ``bandwidth`` /
-        ``latency`` that ``streams`` symmetric collective streams keep
-        busy together, and ``fanout`` member transfers happen per stage
-        across the whole collective (the fast path replays that many
-        wait attributions).  Numbers only -- the timing is
+        Read off :meth:`phases`: when every member of ``ring`` performs
+        passes of the same shape (stages, scope, chunk, link parameters,
+        streams sharing its link), a lockstep all-reduce advances every
+        rank through the same per-stage timing and one rank's schedule is
+        the whole collective.  The return value is one ``(stages, scope,
+        chunk, bandwidth, latency, streams, fanout)`` tuple per ring pass:
+        each of the ``stages`` sends ``chunk`` bytes on a ``scope`` link of
+        ``bandwidth`` / ``latency`` that ``streams`` symmetric collective
+        streams keep busy together, and ``fanout`` member transfers happen
+        per stage across the whole collective (the fast path replays that
+        many wait attributions).  Numbers only -- the timing is
         :func:`repro.sim.links.project`'s to compute, and no link is
         created here (the order of ``_links`` decides which busy stream
-        the quiescence probe meets first).  ``None`` means the snapshot
-        is not collapsible (heterogeneous links or asymmetric groups)
-        and the caller must simulate the full per-rank ring.
+        the quiescence probe meets first).  ``None`` means the caller must
+        simulate the per-rank ring: members' passes differ (ragged groups,
+        heterogeneous links under a pass), or there are no bytes to move
+        (the link layer skips a 0-byte transfer, latency included, so the
+        per-rank ring is free and there is nothing to walk).
         """
-        return None
+        if not nbytes:
+            return None
+        #: scope -> link key -> members of ``ring`` whose sends ride it: in
+        #: lockstep they keep it busy through every stage of a pass, so the
+        #: live engine splits the link that many ways
+        sharing: Dict[str, Counter] = {}
+
+        def streams(member: Hashable, scope: str) -> int:
+            if scope not in sharing:
+                sharing[scope] = Counter(self.link_key(m, scope) for m in ring)
+            return sharing[scope][self.link_key(member, scope)]
+
+        shape = None
+        for member in ring:
+            passes = [
+                (
+                    len(phase.ring) - 1,
+                    phase.scope,
+                    phase.nbytes / len(phase.ring),
+                    *self.link_params(member, phase.scope),
+                    streams(member, phase.scope),
+                    len(ring),
+                )
+                for phase in self.phases(ring, member, nbytes)
+            ]
+            if shape is None:
+                shape = passes
+            elif passes != shape:
+                return None
+        return shape
 
 
 class FlatRing(Topology):
@@ -195,21 +229,6 @@ class FlatRing(Topology):
             RingPhase("rs", full, "reduce_scatter", nbytes, "inter"),
             RingPhase("ag", full, "all_gather", nbytes, "inter"),
         ]
-
-    def collapse_schedule(
-        self, ring: Sequence[Hashable], nbytes: float
-    ) -> Optional[List[CollapsePhase]]:
-        # every member owns an identical NIC-class link, so a flat ring is
-        # always homogeneous: 2(W-1) stages of bytes/W chunks, one
-        # exclusive stream per link (no sharing slowdown)
-        world = len(ring)
-        if world <= 1:
-            return []
-        stage = (
-            world - 1, "inter", nbytes / world, self.bandwidth, self.latency,
-            1, world,
-        )
-        return [stage, stage]
 
 
 class Hierarchical(Topology):
@@ -349,47 +368,3 @@ class Hierarchical(Topology):
                 )
             )
         return plan
-
-    def collapse_schedule(
-        self, ring: Sequence[Hashable], nbytes: float
-    ) -> Optional[List[CollapsePhase]]:
-        groups = self._groups(ring)
-        sizes = {len(group) for group in groups.values()}
-        if len(sizes) != 1:
-            # ragged groups: inter-node rings at high intra positions span
-            # fewer nodes, so ranks see different plans
-            return None
-        group_size = sizes.pop()
-        params = {
-            self._intra_params.get(
-                node, (self.intra_latency, self.intra_bandwidth)
-            )
-            for node in groups
-        }
-        if len(params) != 1:
-            # per-node intra link overrides: nodes advance at different rates
-            return None
-        intra_latency, intra_bandwidth = params.pop()
-        n_nodes = len(groups)
-        world = len(ring)
-        schedule: List[CollapsePhase] = []
-        if group_size > 1:
-            intra_stage = (
-                group_size - 1, "intra", nbytes / group_size,
-                intra_bandwidth, intra_latency, 1, world,
-            )
-            schedule.append(intra_stage)  # rs-intra
-        shard = nbytes / max(group_size, 1)
-        if n_nodes > 1:
-            # a symmetric snapshot keeps all G of a node's collective
-            # streams busy through every inter stage, so the live engine
-            # splits the NIC G ways for each of them
-            inter_stage = (
-                n_nodes - 1, "inter", shard / n_nodes,
-                self.bandwidth, self.latency, group_size, world,
-            )
-            schedule.append(inter_stage)  # rs-inter
-            schedule.append(inter_stage)  # ag-inter
-        if group_size > 1:
-            schedule.append(intra_stage)  # ag-intra
-        return schedule

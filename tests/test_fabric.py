@@ -23,7 +23,13 @@ def run_collective(model, world, delays=None, detection_timeout=1.0, kill=None):
     interrupts that member and aborts it mid-collective at its entry time.
     """
     env = Environment()
-    fabric = model.make_fabric(env, detection_timeout=detection_timeout)
+    fabric = RingFabric(
+        env,
+        latency=model.latency,
+        bandwidth=model.bandwidth,
+        gradient_bytes=model.gradient_bytes,
+        detection_timeout=detection_timeout,
+    )
     members = list(range(world))
     fabric.set_ring(members)
     delays = delays or {}
@@ -124,7 +130,12 @@ def test_aborted_member_stalls_the_ring_only_until_detection():
 def test_collectives_created_after_abort_exclude_the_dead_member():
     model = AllReduceModel()
     env = Environment()
-    fabric = model.make_fabric(env)
+    fabric = RingFabric(
+        env,
+        latency=model.latency,
+        bandwidth=model.bandwidth,
+        gradient_bytes=model.gradient_bytes,
+    )
     fabric.set_ring([0, 1, 2])
     fabric.abort(1)
     assert fabric.ring == [0, 2]

@@ -186,3 +186,24 @@ def test_epoch_offset_shifts_the_global_shuffle(n, world, seed, offset, epoch):
         for i in base.reshard(world, rank, epoch_offset=offset).epoch(epoch)
     ]
     assert set(combined) == set(RandomSampler(n, seed=seed).epoch(epoch + offset))
+
+
+@SETTINGS
+@given(
+    n=st.integers(min_value=0, max_value=300),
+    seed=st.integers(min_value=0, max_value=2**16),
+    epoch=st.integers(min_value=0, max_value=10),
+    gpus=st.integers(min_value=1, max_value=8),
+)
+def test_a_world_of_one_is_the_full_shuffle(n, seed, epoch, gpus):
+    """The two equalities ``BaseSimLoader.bind`` rests on: a loader that was
+    not rebound samples ``ShardedSampler(n, 0, 1, seed)``, which is the full
+    seeded shuffle, and DALI's per-GPU subdivision of it is the per-GPU
+    shard it used to build by hand."""
+    one = ShardedSampler(n, rank=0, world_size=1, seed=seed)
+    assert len(one) == n
+    assert one.epoch(epoch) == RandomSampler(n, seed=seed).epoch(epoch)
+    for gpu in range(gpus):
+        assert one.reshard(gpus, gpu).epoch(epoch) == ShardedSampler(
+            n, rank=gpu, world_size=gpus, seed=seed
+        ).epoch(epoch)

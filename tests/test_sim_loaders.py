@@ -377,12 +377,35 @@ def test_sim_minato_preemption_discards_partial_work():
                 return
 
     env.run(until=env.process(consumer()))
-    slow_busy = ctx.cpu_busy_by_tag.get("slow", 0.0)
+    slow_busy = ctx.stats.background_busy_seconds
     heavy = sum(
         1 for s in wl.dataset.specs() if s.attr("heavy")
     ) * (wl.total_batches(1) * wl.batch_size // len(wl.dataset) + 1)
     # each heavy sample re-runs HeavyStep (~2.5 s) in the background
     assert slow_busy > 0
+
+
+def test_sim_minato_background_cpu_lives_in_the_stats_record(monkeypatch):
+    """Slow-path CPU is counted where the threaded engine counts it,
+    ``LoaderStats.background_busy_seconds`` (it read 0.0 on this substrate
+    while a private per-tag dict fed the scheduler), and the scheduler's
+    decisions did not move with the counter."""
+    contexts = []
+
+    class Spy(SimContext):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            contexts.append(self)
+
+    monkeypatch.setattr("repro.sim.runner.SimContext", Spy)
+    result = run_simulation("minato", tiny_workload("speech_3s", n=240), CONFIG_A, 2)
+    (ctx,) = contexts
+    slow = [i.end - i.start for i in ctx.cpu_recorder.intervals if i.tag == "slow"]
+    assert 0 < ctx.stats.background_busy_seconds < ctx.stats.busy_seconds
+    assert ctx.stats.background_busy_seconds == pytest.approx(sum(slow))
+    assert [d.new_workers for d in result.extras["worker_history"]] == [
+        33, 35, 36, 38, 40, 42, 44, 46, 48, 50, 51, 53, 54, 56, 57,
+    ]
 
 
 def test_sim_minato_respects_core_capacity():
@@ -429,6 +452,62 @@ def test_sim_memory_pressure_forces_disk_reads():
 def test_sim_minato_rejects_degenerate_knobs_at_construction(name, value):
     with pytest.raises(ConfigurationError, match=name):
         SimMinatoLoader(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "loader,knob,value",
+    [
+        # ran to completion
+        ("minato", "timeout_percentile", 150),
+        ("minato", "fallback_percentile", 10),
+        ("minato", "timeout_override", -1.0),
+        # a bare IndexError inside the profiler
+        ("minato", "warmup_samples", 0),
+        # a ValueError once the run had started
+        ("minato", "delta_clip", 0),
+        ("minato", "max_workers", 0),
+        # EmptySchedule: read as a deadlock
+        ("pytorch", "num_workers", 0),
+        ("pytorch", "prefetch_factor", 0),
+        # silently disabled collation
+        ("pytorch", "pin_memory_bandwidth", -1.0),
+    ],
+)
+def test_sim_loaders_refuse_what_the_threaded_configs_refuse(
+    loader, knob, value, monkeypatch
+):
+    """The simulated loaders validate through ``MinatoConfig`` /
+    ``TorchLoaderConfig`` / ``DALIConfig`` themselves, so a knob value the
+    threaded loader refuses is refused here too -- at construction, before
+    any kernel event."""
+
+    def started(self, generator):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(Environment, "process", started)
+    with pytest.raises(ConfigurationError, match=knob):
+        run_simulation(
+            loader, tiny_workload(n=24), CONFIG_A, 1, loader_kwargs={knob: value}
+        )
+
+
+def test_rebound_loader_refuses_a_sampler_over_another_dataset():
+    """``bind`` keeps the one check the rebound mode had: a shard cut from
+    a different dataset size cannot index this workload.  Every loader now
+    makes it (DALI cut its per-GPU shards without asking)."""
+    from repro.data.samplers import ShardedSampler
+
+    ctx = SimContext(Environment(), tiny_workload(n=24), CONFIG_A, num_gpus=1)
+    for name in LOADER_NAMES:
+        loader = make_sim_loader(name).rebind_shard(
+            ShardedSampler(48, rank=0, world_size=2), total_batches_override=1
+        )
+        with pytest.raises(
+            ConfigurationError,
+            match="rebound sampler covers 48 samples but the workload's "
+            "dataset has 24",
+        ):
+            loader.start(ctx)
 
 
 # ---------------------------------------------------------------------------

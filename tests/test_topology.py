@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.sim.distributed import AllReduceModel
+from repro.sim.fabric import RingFabric
 from repro.sim.kernel import AllOf, Environment, Interrupt
 from repro.sim.links import project
 from repro.sim.topology import FlatRing, Hierarchical
@@ -35,8 +36,13 @@ def hier_fabric(model, env, nodes_gpus, detection_timeout=1.0, **topo_kwargs):
         gpus_per_node=gpus,
         **topo_kwargs,
     )
-    return model.make_fabric(
-        env, detection_timeout=detection_timeout, topology=topo
+    return RingFabric(
+        env,
+        latency=model.latency,
+        bandwidth=model.bandwidth,
+        gradient_bytes=model.gradient_bytes,
+        detection_timeout=detection_timeout,
+        topology=topo,
     )
 
 
@@ -180,6 +186,71 @@ def test_collapse_schedules_price_to_the_closed_forms(
     )
 
 
+SLOW_NVLINK = {1: (1e-5, 1e9)}  # node 1's own (latency, bandwidth)
+
+
+@pytest.mark.parametrize(
+    "members,intra_params,nbytes,collapsible",
+    [
+        ([(n, g) for n in range(3) for g in range(2)], None, 1e6, True),
+        # ragged groups: node 2's rank has no intra pass, and the inter
+        # ring at intra position 1 spans fewer nodes
+        ([(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)], None, 1e6, False),
+        # a per-node intra link class that some pass rides
+        ([(n, g) for n in range(2) for g in range(2)], SLOW_NVLINK, 1e6, False),
+        # ... and one that none does: with one GPU per node no rank has an
+        # intra pass, so the override is never read and the snapshot is
+        # homogeneous (the hand-written schedule declined it)
+        ([(0, 0), (1, 0), (2, 0)], SLOW_NVLINK, 1e6, True),
+        # nothing to move: the link layer skips 0-byte transfers
+        ([(n, g) for n in range(3) for g in range(2)], None, 0.0, False),
+    ],
+    ids=["homogeneous", "ragged", "intra-override", "unused-override", "zero-bytes"],
+)
+def test_collapse_is_read_off_the_ring_plan(
+    members, intra_params, nbytes, collapsible
+):
+    """One derivation from ``phases``: a snapshot collapses exactly when
+    every member's passes have the same shape, and then the schedule *is*
+    one member's plan, with the streams sharing its link counted."""
+    gpus = max(g for _n, g in members) + 1
+    model = AllReduceModel()
+
+    def drive(collapse):
+        env = Environment()
+        topo = Hierarchical(
+            env, model.latency, model.bandwidth, INTRA_LATENCY,
+            INTRA_BANDWIDTH, gpus, intra_params=intra_params,
+        )
+        fabric = RingFabric(
+            env, model.latency, model.bandwidth, nbytes,
+            topology=topo, collapse=collapse,
+        )
+        fabric.set_ring(members)
+        procs = [env.process(fabric.allreduce("k", m)) for m in members]
+        env.run(until=AllOf(env, procs))
+        return topo, fabric, env
+
+    topo, fast, fast_env = drive(collapse=True)
+    _topo, per_rank, per_rank_env = drive(collapse=False)
+    schedule = topo.collapse_schedule(members, nbytes)
+    assert (schedule is not None) == collapsible
+    assert fast.collapsed_collectives == int(collapsible)
+    assert fast_env.now == per_rank_env.now
+    assert fast.link_wait_by_class == per_rank.link_wait_by_class
+    if collapsible:
+        assert fast_env.events_processed < per_rank_env.events_processed
+        first = members[0]
+        assert [(stages, scope, chunk) for stages, scope, chunk, *_ in schedule] == [
+            (len(p.ring) - 1, p.scope, p.nbytes / len(p.ring))
+            for p in topo.phases(members, first, nbytes)
+        ]
+        # G ranks of a node share its one NIC; every other link is private
+        assert [streams for *_, streams, _fanout in schedule] == [
+            gpus if scope == "inter" else 1 for _s, scope, *_ in schedule
+        ]
+
+
 # ---------------------------------------------------------------------------
 # Composable primitives
 # ---------------------------------------------------------------------------
@@ -196,7 +267,12 @@ def test_reduce_scatter_and_all_gather_compose_into_allreduce():
 
     def run_primitives(ops):
         env = Environment()
-        fabric = model.make_fabric(env)
+        fabric = RingFabric(
+            env,
+            latency=model.latency,
+            bandwidth=model.bandwidth,
+            gradient_bytes=model.gradient_bytes,
+        )
         fabric.set_ring(list(range(world)))
 
         def participant(member):
@@ -219,7 +295,12 @@ def test_allreduce_nbytes_override_scales_the_chunks():
     model = AllReduceModel()
     world = 4
     env = Environment()
-    fabric = model.make_fabric(env)
+    fabric = RingFabric(
+        env,
+        latency=model.latency,
+        bandwidth=model.bandwidth,
+        gradient_bytes=model.gradient_bytes,
+    )
     fabric.set_ring(list(range(world)))
 
     def participant(member):
