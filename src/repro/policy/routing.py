@@ -121,6 +121,8 @@ class RoutingPolicy:
     def plan(self, profile: Sequence[float], budget: float) -> RoutingDecision:
         """Route one sample given its per-transform cost profile."""
         total = float(sum(profile))
+        if total != total:  # every `<= budget` below is false for a NaN cost
+            raise ValueError(f"NaN cost in profile {list(profile)!r}")
         if self.preemptive:
             return self._plan_preemptive(profile, budget, total)
         return self._plan_cooperative(profile, budget, total)

@@ -137,8 +137,8 @@ class Timeout(Event):
     """An event that fires ``delay`` virtual seconds after creation."""
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay!r}")
+        if not delay >= 0:  # a NaN delay would poison env.now for good
+            raise ValueError(f"negative or NaN delay: {delay!r}")
         super().__init__(env)
         self.delay = delay
         self._ok = True

@@ -19,7 +19,10 @@ sample-by-sample.
 * :class:`SimMinatoLoader` -- Algorithm 1 with the paper's *preemptive*
   accounting: when the timeout fires mid-transform, the in-flight transform's
   partial work is discarded and it re-executes fully in a background
-  slow-task worker.  Fast/slow routing uses a priority store (fast first),
+  slow-task worker.  A sample's run of transforms, inline or background, is
+  one core hold, as in the other models (DESIGN.md, "One hold per run"; the
+  per-transform walk it replaced is ``tests/helpers.PerChunkMinatoLoader``).
+  Fast/slow routing uses a priority store (fast first),
   per-GPU batch queues, warm-up profiling with P75/P90 thresholds, and the
   Formula 1-2 worker scheduler resizing the loading-worker pool.
 
@@ -994,8 +997,8 @@ class SimMinatoLoader(BaseSimLoader):
                     decision = self.size_router.plan(profile, spec.raw_nbytes)
                 else:
                     decision = self.routing.plan(profile, self.profiler.timeout())
-                for chunk in decision.inline_chunks:
-                    yield from ctx.cpu_busy(chunk)
+                # one hold per run: the core is kept across transform boundaries
+                yield from ctx.cpu_busy(decision.inline_seconds)
                 if decision.handoff_index is not None:
                     ctx.stats.samples_timed_out += 1
                     yield self._temp_store.put(
@@ -1026,9 +1029,9 @@ class SimMinatoLoader(BaseSimLoader):
                     yield self._idle["slow"].park()
                     continue
                 spec, resume_at, profile, seq = item
-                for cost in profile[resume_at:]:
-                    yield from ctx.cpu_busy(cost, tag="slow")
-                    ctx.stats.background_busy_seconds += cost
+                background = sum(profile[resume_at:])
+                yield from ctx.cpu_busy(background, tag="slow")
+                ctx.stats.background_busy_seconds += background
                 self.profiler.record(sum(profile), flagged_slow=True)
                 ctx.stats.samples_preprocessed += 1
                 yield from self._emit_ready(seq, spec, True)

@@ -275,6 +275,67 @@ class PollingMinatoLoader(SimMinatoLoader):
         }
 
 
+# ---------------------------------------------------------------------------
+# The core hold's specification: one hold per transform, core given back between
+# ---------------------------------------------------------------------------
+
+
+class _PerChunkContext:
+    """Stands in for the loader's ``SimContext``: ``cpu_busy`` charges the
+    run it was told about transform by transform -- release the core at each
+    boundary, queue for it again -- where ``SimMinatoLoader`` now holds it
+    for the whole run.  Everything else is the real context's."""
+
+    def __init__(self, ctx) -> None:
+        self._ctx = ctx
+        #: the per-transform charges of the run about to be charged
+        self.run: Sequence[float] = ()
+
+    def __getattr__(self, name):
+        return getattr(self._ctx, name)
+
+    def cpu_busy(self, seconds: float, tag: str = "preprocess"):
+        chunks, self.run = self.run, ()
+        assert sum(chunks) == seconds, "charged a run nobody announced"
+        for chunk in chunks:
+            yield from self._ctx.cpu_busy(chunk, tag)
+
+
+class PerChunkMinatoLoader(SimMinatoLoader):
+    """``SimMinatoLoader`` with the core discipline it had before a run was
+    one hold: the inline run walks ``decision.inline_chunks`` and the
+    background run ``profile[resume_at:]``, one ``cpu_busy`` each.  A plan
+    and a temp-store pick-up are each followed by their charge with no
+    kernel event in between, so remembering the last one names the run."""
+
+    def start(self, ctx) -> None:
+        super().start(ctx)
+        # no stage has run yet: a process starts at its first kernel event
+        walk = self.ctx = _PerChunkContext(ctx)
+
+        def announcing(plan):
+            def planned(*args):
+                decision = plan(*args)
+                walk.run = decision.inline_chunks
+                return decision
+
+            return planned
+
+        self.routing.plan = announcing(self.routing.plan)
+        if self.size_router is not None:
+            self.size_router.plan = announcing(self.size_router.plan)
+        take = self._temp_store.try_get
+
+        def try_get():
+            item = take()
+            if item is not None:
+                _spec, resume_at, profile, _seq = item
+                walk.run = profile[resume_at:]
+            return item
+
+        self._temp_store.try_get = try_get
+
+
 @dataclass
 class MinatoObservation:
     """What one observed run of a Minato model did, and when."""

@@ -2,7 +2,9 @@
 
 ``SimMinatoLoader``'s idle stages park instead of polling, a free core or GPU
 is granted without a kernel event, and ``Environment.run`` scans its queue
-once per delivery.  None of that may move a simulated bit:
+once per delivery.  None of that may move a simulated bit; a sample's run of
+transforms is one core hold, which is a model decision and is held to the
+per-transform walk it replaced:
 
 * the **refinement oracle** -- ``tests/helpers.PollingMinatoLoader`` keeps
   Algorithm 1's poll loop as the idle wait, and on random scenarios the
@@ -15,9 +17,13 @@ once per delivery.  None of that may move a simulated bit:
   that the oracle must catch;
 * **idle costs nothing**, an **event budget** on three small
   benchmark-shaped runs (counts repeat exactly, so the gate is
-  machine-independent: a reintroduced poll loop or grant hop trips it), with
-  no tick tie and nothing left parked on them;
-* a **lost wake-up** is a typed error, not a bare ``EmptySchedule``.
+  machine-independent: a reintroduced poll loop, grant hop or per-transform
+  hold trips it), with no tick tie and nothing left parked on them;
+* a **lost wake-up** is a typed error, not a bare ``EmptySchedule``;
+* **one hold per run** -- ``tests/helpers.PerChunkMinatoLoader`` keeps the
+  walk that gave the core back at every transform boundary: where nobody
+  queues for a core the fused run is the same run for fewer events, and on
+  an oversubscribed pool it conserves samples and CPU and keeps the makespan.
 """
 
 import random
@@ -39,6 +45,7 @@ from repro.sim.scenarios import JobMix
 from repro.sim.workloads import CONFIG_A, WorkloadSpec, make_workload
 
 from .helpers import (
+    PerChunkMinatoLoader,
     PollingMinatoLoader,
     StubDataset,
     observe_minato,
@@ -73,6 +80,10 @@ KNOBS = {
     "seed": range(6),
     "cost_seed": range(1_000_000),
 }
+
+ANY_KNOBS = st.fixed_dictionaries(
+    {name: st.sampled_from(list(values)) for name, values in KNOBS.items()}
+)
 
 
 def observed(loader_cls, knobs):
@@ -115,9 +126,7 @@ def refines(knobs, ties_allowed=True) -> bool:
 
 
 @settings(max_examples=60, deadline=None)
-@given(knobs=st.fixed_dictionaries(
-    {name: st.sampled_from(list(values)) for name, values in KNOBS.items()}
-))
+@given(knobs=ANY_KNOBS)
 def test_parked_stages_refine_the_poll_loop(knobs):
     """Same pick-ups (instant, sample, kind of stage), same batches on the
     same GPUs, same scheduler history as the polling reference -- and never
@@ -341,13 +350,14 @@ def contended_mix():
     return JobMix(jobs, cluster).run()
 
 
-#: kernel events each run delivers now that the feeder's index-store hops
-#: are gone too (with the feeder: 5 779, 7 942 and 20 333; before the poll
-#: loops and grant hops left: 10 563, 29 993 and 72 958)
+#: kernel events each run delivers now that a sample's run is one core hold
+#: (one hold per transform: 5 295, 7 759 and 19 934; with the feeder: 5 779,
+#: 7 942 and 20 333; before the poll loops and grant hops left: 10 563,
+#: 29 993 and 72 958)
 MEASURED_EVENTS = {
-    single_node: 5_295,
-    quiet_elastic: 7_759,
-    contended_mix: 19_934,
+    single_node: 2_816,
+    quiet_elastic: 6_991,
+    contended_mix: 18_638,
 }
 
 
@@ -379,6 +389,112 @@ def test_event_budget_no_tie_and_nothing_left_parked(monkeypatch, scenario):
         if loader._builders_done == loader.ctx.num_gpus:  # it finished
             assert set(loader.parked.values()) == {0}
             assert loader._active_workers == loader._active_slow == 0
+
+
+# ---------------------------------------------------------------------------
+# (v) one hold per run, against the per-transform walk it replaced
+# ---------------------------------------------------------------------------
+
+
+def same_to_the_last_bits(ours, theirs) -> bool:
+    """Two logs of ``(instant, *what)``: the same things in the same order,
+    at instants equal to 1e-12 relative (``now + (a + b)`` against
+    ``(now + a) + b``)."""
+    return [entry[1:] for entry in ours] == [entry[1:] for entry in theirs] and all(
+        a[0] == pytest.approx(b[0], rel=1e-12, abs=1e-12) for a, b in zip(ours, theirs)
+    )
+
+
+def fuses_exactly_where_nobody_queues(knobs) -> int:
+    """128 cores for at most 12 loading and 4 slow-task workers, scheduler
+    off (it reads ``busy_seconds``, which a run now enters when it ends),
+    hand-offs on: a transform boundary where the core comes straight back is
+    a stuttering step, so both walks are one run.  Returns the hand-offs."""
+    knobs = dict(
+        knobs, cores=128, adaptive_workers=False, halts=False,
+        slow_fraction=knobs["slow_fraction"] or 0.3,
+    )
+    fused = observed(SimMinatoLoader, knobs)
+    walked = observed(PerChunkMinatoLoader, knobs)
+    kinds, batches, _history = fused.transitions
+    walked_kinds, walked_batches, _history = walked.transitions
+    for kind in kinds:
+        assert same_to_the_last_bits(kinds[kind], walked_kinds[kind]), kind
+    assert same_to_the_last_bits(batches, walked_batches)
+    assert fused.env.now == pytest.approx(walked.env.now, rel=1e-12)
+    assert fused.events <= walked.events
+    return fused.loader.ctx.stats.samples_timed_out
+
+
+def oversubscribed(loader_cls, knobs):
+    """800 samples on 2-4 cores behind 4-12 loading workers (``min_workers``
+    lifts the pool over the hardware cap) and 4 slow-task workers; a 50 ms
+    timeout hands exactly the designated slow samples off, so both
+    disciplines charge every sample the same CPU and only the order in
+    which the pool serves them differs."""
+    rng = random.Random(knobs["cost_seed"])
+    costs = [
+        rng.uniform(0.05, 0.15)
+        if rng.random() < max(0.1, min(knobs["slow_fraction"], 0.3))
+        else rng.uniform(0.001, 0.05)
+        for _ in range(800)
+    ]
+    per_gpu = max(4, knobs["workers_per_gpu"])
+    return observe_minato(
+        loader_cls, costs, step=0.001, cores=2 + knobs["seed"] % 3,
+        workers_per_gpu=per_gpu, min_workers=per_gpu * knobs["gpus"],
+        slow_workers=4, timeout_override=0.05, adaptive_workers=False,
+        warmup_samples=4,
+        **{
+            name: knobs[name]
+            for name in ("batch_size", "gpus", "queue_capacity", "poll_interval", "seed")
+        },
+    )
+
+
+def conserves_on_an_oversubscribed_pool(knobs) -> None:
+    """Past the point where cores queue the two disciplines are different
+    schedulers, so no instant is compared: every sample is delivered once
+    and charged its whole pipeline either way, and the makespan of a run
+    800 holds long stays within 1 % (measured over 300 seeded scenarios: at
+    most 0.37 %).  The bound leans on the background stage not being the
+    bottleneck -- see DESIGN.md, "One hold per run", for the corners where
+    the disciplines split the pool differently."""
+    fused = oversubscribed(SimMinatoLoader, knobs)
+    walked = oversubscribed(PerChunkMinatoLoader, knobs)
+    ctx = fused.loader.ctx
+    stats, walked_stats = ctx.stats, walked.loader.ctx.stats
+    assert stats.busy_seconds > 0.9 * ctx.hardware.cpu_cores * fused.env.now  # saturated
+    for run in (fused, walked):
+        assert sorted(i for batch in run.batches for i in batch[2]) == list(range(800))
+    assert stats.samples_preprocessed == walked_stats.samples_preprocessed == 800
+    assert stats.samples_timed_out == walked_stats.samples_timed_out > 0
+    costs = sum(spec.attr("cost") for spec in ctx.workload.dataset.specs())
+    assert stats.busy_seconds == pytest.approx(walked_stats.busy_seconds, rel=1e-9)
+    assert stats.busy_seconds >= (1 - 1e-9) * costs
+    assert fused.env.now == pytest.approx(walked.env.now, rel=0.01)
+
+
+@settings(max_examples=40, deadline=None)
+@given(knobs=ANY_KNOBS)
+def test_one_hold_per_run_is_the_walk_where_nobody_queues(knobs):
+    fuses_exactly_where_nobody_queues(knobs)
+
+
+@settings(max_examples=10, deadline=None)
+@given(knobs=ANY_KNOBS)
+def test_one_hold_per_run_conserves_on_an_oversubscribed_pool(knobs):
+    conserves_on_an_oversubscribed_pool(knobs)
+
+
+def test_one_hold_per_run_against_the_walk_on_seeded_scenarios():
+    """The two properties' deterministic twin."""
+    handoffs = sum(
+        fuses_exactly_where_nobody_queues(seeded_knobs(trial)) for trial in range(100)
+    )
+    assert handoffs > 500
+    for trial in range(20):
+        conserves_on_an_oversubscribed_pool(seeded_knobs(trial))
 
 
 # ---------------------------------------------------------------------------

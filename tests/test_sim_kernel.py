@@ -50,6 +50,34 @@ def test_negative_timeout_rejected():
         env.timeout(-1)
 
 
+def test_nan_timeout_rejected():
+    """``nan < 0`` is false: a NaN delay used to sit in the heap, turn
+    ``env.now`` into NaN when popped and poison every later ``now + delay``."""
+    env = Environment()
+    with pytest.raises(ValueError, match="NaN delay"):
+        env.timeout(float("nan"))
+    assert env.peek() == float("inf") and env.now == 0.0
+
+
+def test_a_nan_delay_cannot_poison_the_clock():
+    """Four sleepers, one of them asked for NaN seconds: it dies of a
+    ``ValueError`` at its own yield, the others wake on time and the run
+    ends at the infinite one, not at NaN."""
+    env = Environment()
+    log = []
+
+    def sleeper(delay):
+        yield env.timeout(delay)
+        log.append((delay, env.now))
+
+    procs = [env.process(sleeper(d)) for d in (1.0, float("nan"), 2.0, float("inf"))]
+    with pytest.raises(ValueError, match="NaN"):
+        env.run()
+    env.run()
+    assert log == [(1.0, 1.0), (2.0, 2.0), (float("inf"), float("inf"))]
+    assert not procs[1].ok
+
+
 def test_events_fire_in_time_order():
     env = Environment()
     order = []

@@ -1,7 +1,10 @@
 """Tests for the discrete-event loader models and the experiment runner."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.engine import MODELS
 from repro.errors import ConfigurationError
 from repro.sim.kernel import AllOf, Environment
 from repro.sim.loaders import (
@@ -22,7 +25,7 @@ from repro.sim.workloads import (
     make_workload,
 )
 
-from .helpers import on_checked_kernel
+from .helpers import StubDataset, on_checked_kernel, run_with_watchdog, stub_pipeline
 
 
 def tiny_workload(name="speech_3s", n=60, **kwargs):
@@ -415,6 +418,144 @@ def test_sim_minato_respects_core_capacity():
     assert result.cpu_utilization <= 1.0
     for _t, frac in result.cpu_series:
         assert frac <= 1.0 + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# CPU accounting: one core discipline for all four models
+# ---------------------------------------------------------------------------
+
+#: twelve or more CPU-side stages per model on a four-core machine
+SMALL_POOL_LOADERS = {
+    "pytorch": SimTorchLoader,
+    "pecan": SimPecanLoader,
+    "dali": lambda: SimDALILoader(num_threads_per_gpu=6),
+    # min_workers lifts the pool over the hardware cap: 10 loading workers
+    # and 2 slow-task workers; the 0.51 s budget hands every heavy sample off
+    "minato": lambda timeout=0.51: SimMinatoLoader(
+        workers_per_gpu=5, min_workers=10, timeout_override=timeout,
+        adaptive_workers=False,
+    ),
+}
+
+
+def run_on_a_small_pool(loader, cores=4, gpus=2):
+    """Drain ``loader`` on a ``cores``-core CONFIG_A; returns the context
+    and every delivered spec."""
+    env = Environment()
+    ctx = SimContext(
+        env, tiny_workload("speech_3s", n=120), replace(CONFIG_A, cpu_cores=cores), gpus
+    )
+    loader.start(ctx)
+    delivered = []
+
+    def consumer(gpu):
+        while True:
+            batch = yield from loader.get_batch(gpu)
+            if batch is None:
+                return
+            delivered.extend(batch.specs)
+            yield from ctx.train_step(gpu, 0.05)
+
+    env.run(until=AllOf(env, [env.process(consumer(g)) for g in range(gpus)]))
+    return ctx, delivered
+
+
+@pytest.mark.parametrize("name", SMALL_POOL_LOADERS)
+def test_cpu_intervals_add_up_to_the_counters_on_an_oversubscribed_pool(name):
+    """Every hold is recorded once and counted once: the recorder's
+    intervals sum to ``busy_seconds``, the ``"slow"`` ones to
+    ``background_busy_seconds`` (zero off Minato)."""
+    ctx, delivered = run_on_a_small_pool(SMALL_POOL_LOADERS[name]())
+    intervals = ctx.cpu_recorder.intervals
+    assert delivered and ctx.stats.busy_seconds > 0
+    if name != "dali":  # its preprocessing runs on the GPUs
+        assert ctx.cpu_recorder.busy_seconds() > 2 * ctx.env.now  # cores did queue
+    assert sum(i.duration for i in intervals) == pytest.approx(
+        ctx.stats.busy_seconds, rel=1e-9
+    )
+    assert sum(i.duration for i in intervals if i.tag == "slow") == pytest.approx(
+        ctx.stats.background_busy_seconds, rel=1e-9
+    )
+    assert (ctx.stats.background_busy_seconds > 0) == (name == "minato")
+
+
+def test_sim_minato_records_one_interval_per_run():
+    """One ``"preprocess"`` interval per inline run and one ``"slow"``
+    interval per background run (of positive cost: a zero-cost hold is
+    skipped) -- not one per transform."""
+    loader = SMALL_POOL_LOADERS["minato"]()
+    ctx, delivered = run_on_a_small_pool(loader)
+    profiles = [loader.cost_profile(s) for s in delivered]
+    plans = [loader.routing.plan(profile, 0.51) for profile in profiles]
+    background = [
+        sum(profile[plan.handoff_index:])
+        for profile, plan in zip(profiles, plans)
+        if plan.handoff_index is not None
+    ]
+    tags = [i.tag for i in ctx.cpu_recorder.intervals]
+    assert len(background) == ctx.stats.samples_timed_out
+    assert 0 < tags.count("slow") == sum(cost > 0 for cost in background)
+    assert tags.count("preprocess") == sum(plan.inline_seconds > 0 for plan in plans)
+    assert len(tags) < 2 * len(delivered) < sum(map(len, profiles))
+
+
+def test_minato_and_pytorch_hold_a_core_equally_long_for_the_same_sample():
+    """With the timeout at infinity nothing is handed off, and both models
+    hold a core for ``total_cost(spec)`` per sample: Fig. 7/9 compare the
+    loaders under one core discipline."""
+    held = {}
+    for name, loader in (
+        ("minato", SMALL_POOL_LOADERS["minato"](timeout=float("inf"))),
+        ("pytorch", SimTorchLoader()),
+    ):
+        ctx, delivered = run_on_a_small_pool(loader)
+        holds = sorted(
+            i.duration for i in ctx.cpu_recorder.intervals if i.tag == "preprocess"
+        )
+        held[name] = {s.index: loader.total_cost(s) for s in delivered}
+        assert holds == pytest.approx(
+            sorted(loader.total_cost(s) for s in delivered), rel=1e-9
+        )
+    shared = held["minato"].keys() & held["pytorch"].keys()
+    assert len(shared) > 100
+    assert all(held["minato"][i] == held["pytorch"][i] for i in shared)
+
+
+def test_a_nan_cost_raises_at_the_hold_and_gives_the_slot_back():
+    """``nan <= 0`` is false too, so a NaN cost gets past ``cpu_busy``'s
+    early return; it must raise at the ``Timeout`` with the core released,
+    not be dropped and not poison the clock.  Same for a GPU step."""
+    env = Environment()
+    ctx = SimContext(env, tiny_workload(), replace(CONFIG_A, cpu_cores=1), num_gpus=1)
+
+    for bad, good, pool in (
+        (ctx.cpu_busy(float("nan")), ctx.cpu_busy(0.5), ctx.cores),
+        (ctx.train_step(0, float("nan")), ctx.train_step(0, 0.5), ctx.gpus[0]),
+    ):
+        start = env.now
+        failed, fine = env.process(bad), env.process(good)
+        with pytest.raises(ValueError, match="NaN delay"):
+            env.run()
+        env.run()
+        assert not failed.ok and fine.ok
+        assert env.now == start + 0.5 and pool.count == 0 and not pool.queue
+    assert ctx.stats.busy_seconds == 0.5
+    assert [i.duration for i in ctx.cpu_recorder.intervals] == [0.5]
+
+
+def test_a_transform_whose_cost_is_nan_fails_the_run():
+    """A user-defined ``Transform.cost`` returning NaN used to be charged as
+    a hold that turned virtual time into NaN -- or, by Minato's routing plan
+    during warm-up (every ``<= inf`` false), as a hold that never ends."""
+    workload = WorkloadSpec(
+        name="nan", dataset=StubDataset([0.01, float("nan"), 0.01, 0.01]),
+        pipeline=stub_pipeline(2), model=MODELS["unet3d"], batch_size=2, epochs=1,
+    )
+    for loader in ("pytorch", "minato"):
+        with pytest.raises(ValueError, match="NaN"):
+            run_with_watchdog(
+                lambda: run_simulation(loader, workload, CONFIG_A, 1), 10.0
+            )
 
 
 # ---------------------------------------------------------------------------
