@@ -90,7 +90,7 @@ from .cluster import (
     PartitionEvent,
 )
 from .fabric import RingFabric
-from .kernel import AllOf, Interrupt
+from .kernel import AllOf, Event, Interrupt
 from .loaders import SimContext, run_until
 from .runner import make_sim_loader
 from .workloads import HardwareConfig, WorkloadSpec
@@ -739,8 +739,6 @@ class _RoundState:
         self.bucket_cost = 0.0
         self.loaders: Dict[int, object] = {}
         self.procs: Dict[int, List] = {}
-        #: in-flight overlapped bucket collectives per node (killed with it)
-        self.bucket_children: Dict[int, List] = {}
         self.coverage: Set[int] = set()
         self.steps = 0
         self.shards: Dict[int, frozenset] = {}
@@ -1229,26 +1227,22 @@ class _ElasticJob:
 
     # -- per-rank processes ------------------------------------------------
 
-    def _sync_bucket(self, member, key, collapse_ok: bool = True):
-        """One bucket's collective as ``member`` (a generator): its
-        measured duration, neighbor waits included, accrues to the sync
-        counter."""
-        rnd = self._round
+    def _sync_bucket(self, member, key, collapse_ok: bool = True) -> Event:
+        """Start one bucket's collective as ``member``; returns the event
+        of its completion, at which its measured duration, neighbor waits
+        included, accrues to the sync counter.  A node failure cancels the
+        run (``_kill_node``): it never completes and counts nothing."""
+        nbytes = self._round.bucket_bytes
         entered = self.env.now
-        yield from self.ring.allreduce(
-            key, member, nbytes=rnd.bucket_bytes, collapse_ok=collapse_ok
-        )
-        self.counters["sync"] += self.env.now - entered
-        self.counters["grad_bytes"] += rnd.bucket_bytes
+        counters = self.counters
 
-    def _overlapped_bucket(self, member, key, collapse_ok):
-        """Bucket collective launched during backprop (a process): an
-        interrupt (node failure) abandons it quietly -- the fabric's
-        abort fills in its undelivered chunks for the survivors."""
-        try:
-            yield from self._sync_bucket(member, key, collapse_ok)
-        except Interrupt:
-            return
+        def synced(_event) -> None:
+            counters["sync"] += self.env.now - entered
+            counters["grad_bytes"] += nbytes
+
+        done = self.ring.start(key, member, nbytes, collapse_ok)
+        done.callbacks.append(synced)
+        return done
 
     def _gpu_proc(self, node: int, gpu: int, loader, steps: int):
         rnd = self._round
@@ -1281,32 +1275,24 @@ class _ElasticJob:
                         rnd.bucket_cost * (1.0 + 1e-9) + 1e-12
                         <= step / self.buckets
                     )
-                    children = []
+                    launched = []
                     for k in range(self.buckets):
                         yield from ctx.train_step(gpu, step / self.buckets)
-                        child = self.env.process(
-                            self._overlapped_bucket(
+                        launched.append(
+                            self._sync_bucket(
                                 member,
                                 (self.job_id, rnd.index, step_index, k),
                                 collapse_ok,
                             )
                         )
-                        children.append(child)
-                        rnd.bucket_children.setdefault(node, []).append(child)
                     self.counters["steps"] += 1
                     self.counters["samples"] += batch.size
                     rnd.steps += 1
                     compute_end = self.env.now
-                    yield AllOf(self.env, children)
+                    yield AllOf(self.env, launched)
                     # only the wait past the end of backprop extends
                     # the step: the exposed (non-overlapped) sync
                     self.counters["exposed"] += self.env.now - compute_end
-                    # this step's children are done: drop them so the
-                    # kill list stays bounded by in-flight buckets,
-                    # not by the round's total step count
-                    node_children = rnd.bucket_children[node]
-                    for child in children:
-                        node_children.remove(child)
                 else:
                     yield from ctx.train_step(gpu, step)
                     self.counters["steps"] += 1
@@ -1315,7 +1301,7 @@ class _ElasticJob:
                     if rnd.world_ranks > 1:
                         compute_end = self.env.now
                         for k in range(self.buckets):
-                            yield from self._sync_bucket(
+                            yield self._sync_bucket(
                                 member,
                                 (self.job_id, rnd.index, step_index, k),
                             )
@@ -1447,13 +1433,10 @@ class _ElasticJob:
         for proc in rnd.procs.get(node, []):
             if proc.is_alive:
                 proc.interrupt("node-failure")
-        # overlapped bucket collectives launched by the dead node's
-        # ranks must die with them (a ghost sender would keep feeding
-        # the ring after its node is gone)
-        for child in rnd.bucket_children.get(node, []):
-            if child.is_alive:
-                child.interrupt("node-failure")
+        # the dead ranks' bucket collectives stop with them (a ghost
+        # sender would keep feeding the ring after its node is gone)
         for gpu in range(self.gpus_per_node):
+            self.ring.cancel((node, gpu))
             self.ring.abort((node, gpu))
 
     def _fail_controller(

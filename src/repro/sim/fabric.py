@@ -11,23 +11,25 @@ The stack has three layers:
 * **topology** (:mod:`repro.sim.topology`): owns the
   :class:`~repro.sim.links.SharedLink` s and plans which ring
   phases one all-reduce traverses (:class:`~repro.sim.topology.FlatRing`:
-  one world-wide ring; :class:`~repro.sim.topology.Hierarchical`:
-  intra-node reduce -> inter-node ring all-reduce -> intra-node broadcast);
-  each fabric member sends on its own collective-class
-  :class:`~repro.sim.links.Stream`, contending max-min fair with whatever
-  other streams (other members, other tenants, loader misses, checkpoint
-  writes) share the physical link;
-* **collectives** (this module): composable ring primitives --
-  :meth:`RingFabric.reduce_scatter` and :meth:`RingFabric.all_gather`, each
-  ``W - 1`` ring stages of ``nbytes / W`` chunks -- with
-  :meth:`RingFabric.allreduce` executing the topology's phase plan;
-* **step loop** (:mod:`repro.sim.distributed`): spawns one collective per
+  one world-wide ring, reduce-scatter then all-gather;
+  :class:`~repro.sim.topology.Hierarchical`: intra-node reduce ->
+  inter-node ring all-reduce -> intra-node broadcast); each fabric member
+  sends on its own collective-class :class:`~repro.sim.links.Stream`,
+  contending max-min fair with whatever other streams (other members, other
+  tenants, loader misses, checkpoint writes) share the physical link;
+* **collectives** (this module): :meth:`RingFabric.start` drives one
+  member through the topology's phase plan and returns the event that
+  fires when it is done; each ring pass is a :class:`RingCollective`
+  (``W - 1`` stages of ``nbytes / W`` chunks), and
+  :meth:`RingFabric.reduce_scatter` / :meth:`RingFabric.all_gather` run
+  one such pass on their own;
+* **step loop** (:mod:`repro.sim.distributed`): starts one collective per
   gradient bucket, optionally overlapping them with backprop.
 
-At ring stage ``s`` each rank sends one chunk to its ring successor and
-cannot enter stage ``s+1`` until it has both finished its own send and
-received its predecessor's stage-``s`` chunk.  Consequences the closed form
-cannot express:
+At ring stage ``s`` each rank sends one ``nbytes / W`` chunk to its ring
+successor and cannot enter stage ``s+1`` until it has both finished its own
+send and received its predecessor's stage-``s`` chunk.  Consequences the
+closed form cannot express:
 
 * on a homogeneous cluster where every rank enters together, the flat
   collective takes exactly ``2(W-1) * (latency + nbytes / (W * bandwidth))``
@@ -40,9 +42,22 @@ cannot express:
   detector fires (``detection_timeout``), after which its undelivered chunks
   are filled in -- the surviving ring re-forms instead of deadlocking, and
   collectives created after the abort exclude the dead rank entirely.  The
-  detector fill-in, :meth:`RingFabric.abort` and the sweep apply *per
+  fill-in, :meth:`RingFabric.abort` and the sweep apply *per
   sub-collective*, so a hierarchical all-reduce's intra and inter rings each
   unblock independently.
+
+**Collectives as state machines.**  No process runs a ring pass.  A
+:class:`RingCollective` holds, per member, the stage it is in, the chunks
+that have landed at their receivers and whether it is waiting for its
+predecessor's chunk.  A member's next send is submitted from the
+link-completion callback of its previous one; a receiver that is waiting
+when the chunk it needs lands is woken through one zero-delay event (the
+event the waiting process used to resume on, so same-instant order is
+kept); the fill-in of a dead sender's chunks and a partition-stalled
+delivery are timer callbacks.  Every transfer is submitted at the same
+virtual instant, on the same stream, as by the per-rank generators this
+replaces (``tests/helpers.GeneratorRingFabric``, the specification the
+state machine is held to), so no virtual time moves.
 
 Members are opaque hashables; the distributed runner uses ``(node, gpu)``
 tuples (the hierarchical topology requires them).  Collectives are keyed by
@@ -59,8 +74,8 @@ float arithmetic, is the whole collective.  The fast path registers every
 entrant, decides at the entry instant (a zero-delay decision event fires
 after all same-instant arrivals), and either walks the representative
 schedule once (``O(stages)`` events instead of ``O(W x stages)`` simulated
-transfers) or releases every entrant, still at the entry instant, into the
-exact per-rank path.  Fallback triggers on ragged arrival, members whose
+transfers) or starts every entrant's per-rank run, still at the entry
+instant.  Fallback triggers on ragged arrival, members whose
 ring passes differ (heterogeneous links, ragged groups), a zero-byte
 collective, churn (any dead member), concurrent simulated collectives,
 busy links, or an entrant that was told overlap may bleed into the next
@@ -69,67 +84,332 @@ collective (``collapse_ok=False``).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Hashable, Iterable, List, Optional, Tuple
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Generator,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..errors import ConfigurationError
-from .kernel import Environment, Event
+from .kernel import Environment, Event, Interrupt, Timeout
 from .links import project
 from .topology import CollapsePhase, FlatRing, RingPhase, Topology
 
 __all__ = ["RingFabric", "RingCollective"]
 
 
-class RingCollective:
-    """One in-flight ring pass: delivery events per (stage, sender).
+class _Snapshot:
+    """The membership one collective was created with, and who finished it.
 
-    A flat all-reduce is two of these (reduce-scatter + all-gather over the
-    world ring); a hierarchical one adds intra-node and inter-node
-    sub-rings, each with its own ``RingCollective``.
+    Every phase of one collective derives its sub-rings from the same
+    snapshot even if membership mutates while ranks are mid-collective."""
+
+    __slots__ = ("ring", "members", "finished")
+
+    def __init__(self, ring: Tuple[Hashable, ...], members: FrozenSet) -> None:
+        self.ring = ring
+        self.members = members
+        self.finished: set = set()
+
+    def finish(self, member: Hashable, dead: Dict[Hashable, float]) -> bool:
+        """Mark ``member`` done; True once every survivor is (O(1) while
+        nobody is dead)."""
+        if member in self.members:
+            self.finished.add(member)
+        return _complete(self.ring, self.finished, dead)
+
+
+def _complete(ring: Sequence[Hashable], finished: set, dead: Dict) -> bool:
+    """Has every survivor of ``ring`` finished?  ``finished`` only ever
+    holds members of ``ring``, so with nobody dead a count decides."""
+    if not dead:
+        return len(finished) == len(ring)
+    return all(m in finished or m in dead for m in ring)
+
+
+class _Run:
+    """One member's way through one collective: the topology's phase plan,
+    the ring pass it is in and its stage there, and the event its caller
+    waits on."""
+
+    __slots__ = (
+        "fabric", "key", "member", "snapshot", "nbytes", "done", "cancelled",
+        "plan", "phase", "collective", "predecessor", "stream", "chunk",
+        "stage", "last",
+    )
+
+    def __init__(
+        self, fabric: "RingFabric", key: Any, member: Hashable,
+        snapshot: _Snapshot, nbytes: float,
+    ) -> None:
+        self.fabric = fabric
+        self.key = key
+        self.member = member
+        self.snapshot = snapshot
+        self.nbytes = nbytes
+        self.done = Event(fabric.env)
+        self.cancelled = False
+        self.plan: Sequence = ()
+        self.phase = -1
+        self.collective: Optional[RingCollective] = None
+        self.stage = -1
+
+    def begin(self) -> None:
+        """Start the per-rank run: the first send of the first ring pass is
+        submitted before this returns."""
+        self.plan = self.fabric.topology.phases(
+            self.snapshot.ring, self.member, self.nbytes
+        )
+        self.next_phase()
+
+    def finish(self) -> None:
+        self.fabric._finish(self.key, self.snapshot, self.member)
+        self.done.succeed()
+
+    def cancel(self) -> None:
+        """Stop: no further send, no further delivery.  A send in flight
+        still drains on its link."""
+        self.cancelled = True
+        collective = self.collective
+        if collective is not None:
+            waiting = collective.waiting
+            if waiting.get(self.predecessor) is self:
+                del waiting[self.predecessor]
+
+    def next_phase(self) -> None:
+        """Enter the next ring pass of the plan (skipping those this member
+        has no stage in), or finish."""
+        fabric = self.fabric
+        member = self.member
+        while True:
+            self.phase += 1
+            if self.phase == len(self.plan):
+                self.collective = None
+                self.finish()
+                return
+            phase = self.plan[self.phase]
+            collective = fabric._collective((self.key, phase.tag), phase.ring)
+            ring = collective.ring
+            position = collective.position.get(member)
+            if len(ring) <= 1 or position is None:
+                collective.retire(member)
+                continue
+            self.collective = collective
+            self.predecessor = ring[position - 1]
+            self.chunk = phase.nbytes / len(ring)
+            self.last = len(ring) - 2
+            self.stream = fabric.topology.stream(
+                member,
+                phase.scope,
+                cls="collective",
+                tenant=fabric,
+                sink=fabric.link_wait_by_class,
+            )
+            self.stage = 0
+            collective.runs[member] = self
+            self.send()
+            return
+
+    def send(self) -> None:
+        """Enter the current stage: submit this member's chunk."""
+        fabric = self.fabric
+        stream = self.stream
+        backlog = stream.backlog
+        if backlog > 0:
+            fabric.link_wait_seconds += backlog
+        sent = stream.transfer(self.chunk)
+        if fabric.dead:
+            self.collective.ask_dead(self)
+        sent.callbacks.append(self._sent)
+
+    def _sent(self, _event: Event) -> None:
+        """Link completion of this stage's send: land the chunk, then move
+        on if the predecessor's chunk is in, else wait for it."""
+        if self.cancelled:
+            return
+        collective = self.collective
+        stage = self.stage
+        self.fabric._deliver(collective, stage, self.member)
+        if collective.has(stage, self.predecessor):
+            self.advance()
+        else:
+            collective.waiting[self.predecessor] = self
+
+    def _woken(self, _event: Event) -> None:
+        if not self.cancelled:
+            self.advance()
+
+    def advance(self) -> None:
+        if self.stage < self.last:
+            self.stage += 1
+            self.send()
+        else:
+            self.collective.retire(self.member)
+            self.next_phase()
+
+
+class RingCollective:
+    """One ring pass of one collective, as a labelled transition system.
+
+    Per member: its run (and through it the stage it is in), how many of
+    its chunks have landed at its successor, and -- keyed by the sender it
+    waits on -- whether it is blocked on its predecessor's chunk.  A flat
+    all-reduce is two of these (reduce-scatter + all-gather over the world
+    ring); a hierarchical one adds intra-node and inter-node sub-rings,
+    each with its own ``RingCollective``.
     """
 
-    def __init__(self, fabric: "RingFabric", ring: Iterable[Hashable]) -> None:
+    __slots__ = (
+        "fabric", "ckey", "ring", "position", "runs", "landed", "early",
+        "waiting", "finished",
+    )
+
+    def __init__(
+        self, fabric: "RingFabric", ckey: Any, ring: Iterable[Hashable]
+    ) -> None:
         self.fabric = fabric
+        self.ckey = ckey
         #: ring order snapshotted at creation; every participant of this
         #: collective derives its predecessor from the same snapshot
-        self.ring = list(ring)
-        self._deliveries: Dict[Tuple[int, Hashable], Event] = {}
-        self._finished: set = set()
+        self.ring = tuple(ring)
+        self.position = {m: i for i, m in enumerate(self.ring)}
+        #: member -> its run, kept after the run moves on (see entered)
+        self.runs: Dict[Hashable, _Run] = {}
+        #: sender -> number of its chunks landed, stages 0.. in order
+        self.landed: Dict[Hashable, int] = {}
+        #: (stage, sender) landed ahead of an earlier stage of the same
+        #: sender (fill-in and partition timers need not fire in order)
+        self.early: set = set()
+        #: sender -> the run blocked on that sender's chunk of its stage
+        self.waiting: Dict[Hashable, _Run] = {}
+        self.finished: set = set()
 
-    def delivery(self, stage: int, sender: Hashable) -> Event:
-        """The event 'sender's stage-``stage`` chunk reached its successor'.
+    # -- chunks ------------------------------------------------------------
 
-        Created lazily; if the sender is already dead the event resolves via
-        the fabric's failure detector instead of a transfer.
-        """
-        event = self._deliveries.get((stage, sender))
-        if event is None:
-            event = self.fabric.env.event()
-            self._deliveries[(stage, sender)] = event
-            death = self.fabric.dead.get(sender)
-            if death is not None:
-                self.fabric._fill_in(
-                    event, death, self.fabric._fill_delay.get(sender, 0.0)
-                )
-        return event
+    def has(self, stage: int, sender: Hashable) -> bool:
+        """Has ``sender``'s stage-``stage`` chunk reached its successor?"""
+        return stage < self.landed.get(sender, 0) or (
+            bool(self.early) and (stage, sender) in self.early
+        )
 
-    @property
-    def survivors(self) -> set:
-        return {m for m in self.ring if m not in self.fabric.dead}
+    def land(self, stage: int, sender: Hashable) -> None:
+        """``sender``'s stage-``stage`` chunk reaches its successor (once);
+        a successor blocked on exactly it is woken by one zero-delay
+        event."""
+        count = self.landed.get(sender, 0)
+        if stage < count:
+            return
+        if stage == count:
+            count += 1
+            early = self.early
+            while early and (count, sender) in early:
+                early.discard((count, sender))
+                count += 1
+            self.landed[sender] = count
+        elif (stage, sender) in self.early:
+            return
+        else:
+            self.early.add((stage, sender))
+        run = self.waiting.get(sender)
+        if run is not None and run.stage == stage:
+            del self.waiting[sender]
+            wake = Event(self.fabric.env)
+            wake.callbacks.append(run._woken)
+            wake.succeed()
+
+    def _released(self, timer: Timeout) -> None:
+        """A partition-stalled delivery's window healed."""
+        self.land(*timer._value)
+
+    # -- dead senders ------------------------------------------------------
+
+    def entered(self, member: Hashable) -> int:
+        """The last stage ``member`` entered in this pass (-1: none)."""
+        run = self.runs.get(member)
+        if run is None:
+            return -1
+        return run.stage if run.collective is self else len(self.ring) - 2
+
+    def successor(self, member: Hashable) -> Hashable:
+        return self.ring[(self.position[member] + 1) % len(self.ring)]
+
+    def ask_dead(self, run: _Run) -> None:
+        """``run`` entered a stage: a delivery it is the first to need
+        from a dead sender -- its own, or its predecessor's -- is filled in
+        once that sender's fill-in window closes."""
+        fabric = self.fabric
+        stage = run.stage
+        for sender, other in (
+            (run.member, self.successor(run.member)),
+            (run.predecessor, run.predecessor),
+        ):
+            death = fabric.dead.get(sender)
+            if death is not None and self.entered(other) < stage:
+                self.fill(sender, (stage,), death, fabric._fill_delay[sender])
+
+    def fill_pending(
+        self, sender: Hashable, death: float, fill_delay: float
+    ) -> None:
+        """``sender`` just died: every chunk of it somebody has needed
+        and that has not landed is filled in after ``fill_delay``."""
+        if sender not in self.position:
+            return
+        # asked for by the sender itself, or by its successor, at stage entry
+        asked = 1 + max(
+            self.entered(sender), self.entered(self.successor(sender))
+        )
+        stages = tuple(s for s in range(asked) if not self.has(s, sender))
+        if stages:
+            self.fill(sender, stages, death, fill_delay)
+
+    def fill(
+        self, sender: Hashable, stages: Tuple[int, ...], death: float,
+        fill_delay: float,
+    ) -> None:
+        delay = max(0.0, death + fill_delay - self.fabric.env.now)
+        if delay > 0:
+            timer = Timeout(self.fabric.env, delay, (sender, stages))
+            timer.callbacks.append(self._filled)
+            return
+        for stage in stages:
+            self.land(stage, sender)
+
+    def _filled(self, timer: Timeout) -> None:
+        sender, stages = timer._value
+        for stage in stages:
+            self.land(stage, sender)
+
+    # -- retirement --------------------------------------------------------
+
+    def retire(self, member: Hashable) -> None:
+        if member in self.position:
+            self.finished.add(member)
+        if self.complete():
+            self.fabric._collectives.pop(self.ckey, None)
+
+    def complete(self) -> bool:
+        return _complete(self.ring, self.finished, self.fabric.dead)
 
 
 class _CollapseEntry:
     """Registration state of one potentially-collapsed collective."""
 
-    __slots__ = ("t0", "ring", "nbytes", "waiters", "allowed", "collapsed")
+    __slots__ = ("t0", "ring", "nbytes", "runs", "allowed", "collapsed")
 
-    def __init__(self, t0: float, ring: List[Hashable], nbytes: float) -> None:
+    def __init__(self, t0: float, ring: Tuple[Hashable, ...], nbytes: float) -> None:
         self.t0 = t0
         self.ring = ring
         self.nbytes = nbytes
-        #: member -> the event its entrant blocks on; succeeds with True
-        #: (collapsed, resume at the collective's end) or False (fall back
-        #: to the per-rank path, resume still at t0)
-        self.waiters: Dict[Hashable, Event] = {}
+        #: member -> its run, in registration order: finished at the
+        #: collective's end (collapsed) or begun at t0 (fallback)
+        self.runs: Dict[Hashable, _Run] = {}
         self.allowed = True
         self.collapsed = False
 
@@ -172,14 +452,15 @@ class RingFabric:
         #: dead member -> how long after death its chunks fill in
         #: (detection_timeout for failures, 0 for graceful exits)
         self._fill_delay: Dict[Hashable, float] = {}
-        self._ring: List[Hashable] = []
+        #: the installed ring, replaced (never mutated) on every change so
+        #: collectives created between two changes share one snapshot
+        self._ring: Tuple[Hashable, ...] = ()
+        self._members: FrozenSet = frozenset()
         #: (key, phase tag) -> in-flight ring pass
         self._collectives: Dict[Any, RingCollective] = {}
-        #: key -> (membership snapshot, members finished with the whole
-        #: collective): all phases of one collective must derive their
-        #: sub-rings from the same snapshot even if membership mutates
-        #: while ranks are mid-collective
-        self._snapshots: Dict[Any, Tuple[List[Hashable], set]] = {}
+        #: key -> membership snapshot of a collective not every survivor
+        #: has finished yet
+        self._snapshots: Dict[Any, _Snapshot] = {}
         #: homogeneous-rank collapse enabled (the elastic runner toggles
         #: this per round: off whenever a fail event is armed)
         self.collapse = bool(collapse)
@@ -224,6 +505,10 @@ class RingFabric:
     def ring(self) -> List[Hashable]:
         return list(self._ring)
 
+    def _install(self, members: Iterable[Hashable]) -> None:
+        self._ring = tuple(members)
+        self._members = frozenset(self._ring)
+
     def set_ring(self, members: Iterable[Hashable]) -> None:
         """Install the ring for subsequently created collectives.
 
@@ -233,7 +518,7 @@ class RingFabric:
         rejoin, failed nodes are simply not listed)."""
         self.dead = {}
         self._fill_delay = {}
-        self._ring = list(members)
+        self._install(members)
         self._plans = {}
 
     def abort(self, member: Hashable) -> None:
@@ -242,15 +527,31 @@ class RingFabric:
         Collectives created afterwards exclude it; its undelivered chunks in
         in-flight collectives are filled in once the failure detector fires
         (``detection_timeout`` after the abort), so ring neighbors stall for
-        the detection window -- not forever.
+        the detection window -- not forever.  A rank that died also stops
+        sending: :meth:`cancel` it first.
         """
         self._remove(member, self.detection_timeout)
 
     def leave(self, member: Hashable) -> None:
         """Remove ``member`` gracefully (budget exhausted / early exit): its
         undelivered chunks fill in immediately, so neighbors only ever wait
-        for work that is actually outstanding."""
+        for work that is actually outstanding.  Collectives it already
+        started it keeps running."""
         self._remove(member, 0.0)
+
+    def cancel(self, member: Hashable) -> None:
+        """Stop every run of ``member`` (a dead rank): it sends nothing
+        more and its completion events never fire; sends already on a link
+        still drain there.  Its chunks reach nobody until :meth:`abort`
+        fills them in."""
+        for collective in self._collectives.values():
+            run = collective.runs.get(member)
+            if run is not None and run.collective is collective:
+                run.cancel()
+        for entry in self._pending_collapse.values():
+            run = entry.runs.get(member)
+            if run is not None:
+                run.cancel()
 
     def _remove(self, member: Hashable, fill_delay: float) -> None:
         if member in self.dead:
@@ -258,26 +559,10 @@ class RingFabric:
         death = self.env.now
         self.dead[member] = death
         self._fill_delay[member] = fill_delay
-        self._ring = [m for m in self._ring if m != member]
+        self._install(m for m in self._ring if m != member)
         for collective in list(self._collectives.values()):
-            for (_stage, sender), event in collective._deliveries.items():
-                if sender == member and not event.triggered:
-                    self._fill_in(event, death, fill_delay)
+            collective.fill_pending(member, death, fill_delay)
         self._sweep()
-
-    def _fill_in(
-        self, event: Event, death_time: float, fill_delay: float
-    ) -> None:
-        """Resolve a dead sender's delivery after its fill-in window."""
-        delay = max(0.0, death_time + fill_delay - self.env.now)
-
-        def detector() -> Generator:
-            if delay > 0:
-                yield self.env.timeout(delay)
-            if not event.triggered:
-                event.succeed()
-
-        self.env.process(detector())
 
     # -- delivery (partition-aware) ----------------------------------------
 
@@ -290,38 +575,30 @@ class RingFabric:
         return member
 
     def _deliver(
-        self, event: Event, sender: Hashable, receiver: Hashable
+        self, collective: RingCollective, stage: int, sender: Hashable
     ) -> None:
-        """Land ``sender``'s finished chunk at ``receiver``.
+        """Land ``sender``'s finished stage-``stage`` chunk at its successor.
 
-        Without partitions this succeeds the delivery inline -- no extra
-        kernel event, byte-identical to the pre-partition fabric.  A
-        delivery crossing an active partition window stalls until the
-        window heals: the receiver waits, nothing aborts, and once healed
-        the ring resumes where it stopped.
+        Without partitions this lands inline -- no kernel event.  A delivery
+        crossing an active partition window stalls until the window heals:
+        the receiver waits, nothing aborts, and once healed the ring resumes
+        where it stopped.  A chunk already filled in is not delivered again.
         """
-        if self.partitions is None:
-            event.succeed()
+        if collective.has(stage, sender):
             return
-        release = self.partitions.partition_release(
-            self.env.now,
-            self._member_node(sender),
-            self._member_node(receiver),
-        )
-        if release <= self.env.now:
-            event.succeed()
-            return
-        self.partition_stall_seconds += release - self.env.now
-        delay = release - self.env.now
-
-        def stalled() -> Generator:
-            yield self.env.timeout(delay)
-            # a failure-detector fill-in may have landed the chunk while
-            # the cut was open; a delivery only ever succeeds once
-            if not event.triggered:
-                event.succeed()
-
-        self.env.process(stalled())
+        if self.partitions is not None:
+            now = self.env.now
+            release = self.partitions.partition_release(
+                now,
+                self._member_node(sender),
+                self._member_node(collective.successor(sender)),
+            )
+            if release > now:
+                self.partition_stall_seconds += release - now
+                timer = Timeout(self.env, release - now, (stage, sender))
+                timer.callbacks.append(collective._released)
+                return
+        collective.land(stage, sender)
 
     # -- links -------------------------------------------------------------
 
@@ -329,92 +606,61 @@ class RingFabric:
         """``member``'s outgoing link (owned by the topology)."""
         return self.topology.link(member, scope)
 
-    # -- ring primitives ---------------------------------------------------
+    # -- the collective ----------------------------------------------------
 
-    def _snapshot(self, key: Any) -> Tuple[List[Hashable], set]:
-        entry = self._snapshots.get(key)
-        if entry is None:
-            entry = (list(self._ring), set())
-            self._snapshots[key] = entry
-        return entry
+    def _snapshot(self, key: Any) -> _Snapshot:
+        snapshot = self._snapshots.get(key)
+        if snapshot is None:
+            snapshot = self._snapshots[key] = _Snapshot(self._ring, self._members)
+        return snapshot
 
-    def _ring_pass(
-        self, key: Any, phase: RingPhase, member: Hashable
-    ) -> Generator:
-        """Run ``member``'s sends/receives of one ring pass (a process).
-
-        ``W - 1`` stages; at each stage the member sends one
-        ``nbytes / W`` chunk on its ``phase.scope`` link and waits for its
-        ring predecessor's chunk before entering the next stage.
-        """
-        ckey = (key, phase.tag)
+    def _collective(self, ckey: Any, ring: Sequence[Hashable]) -> RingCollective:
         collective = self._collectives.get(ckey)
         if collective is None:
-            collective = RingCollective(self, phase.ring)
-            self._collectives[ckey] = collective
-        ring = collective.ring
-        world = len(ring)
-        if world <= 1 or member not in ring:
-            self._retire(ckey, collective, member)
-            return
-        position = ring.index(member)
-        predecessor = ring[position - 1]
-        successor = ring[(position + 1) % world]
-        chunk = phase.nbytes / world
-        stream = self.topology.stream(
-            member,
-            phase.scope,
-            cls="collective",
-            tenant=self,
-            sink=self.link_wait_by_class,
-        )
-        for stage in range(world - 1):
-            backlog = stream.backlog
-            if backlog > 0:
-                self.link_wait_seconds += backlog
-            send_done = stream.transfer(chunk)
-            mine = collective.delivery(stage, member)
-            recv = collective.delivery(stage, predecessor)
-            yield send_done
-            if not mine.triggered:
-                self._deliver(mine, member, successor)
-            if not recv.triggered:
-                yield recv
-        self._retire(ckey, collective, member)
+            collective = self._collectives[ckey] = RingCollective(self, ckey, ring)
+        return collective
 
-    def reduce_scatter(
-        self, key: Any, member: Hashable, nbytes: Optional[float] = None
-    ) -> Generator:
-        """One ring reduce-scatter over the current membership (a process).
+    def start(
+        self,
+        key: Any,
+        member: Hashable,
+        nbytes: Optional[float] = None,
+        collapse_ok: bool = True,
+    ) -> Event:
+        """Join the all-reduce ``key`` as ``member``; returns the event that
+        fires when this member has completed every stage of every phase.
 
-        ``W - 1`` stages; afterwards each rank holds one reduced
-        ``nbytes / W`` shard.  Composable: ``allreduce`` is reduce-scatter
-        followed by all-gather over the same snapshot.
+        All ranks starting the same ``key`` join one collective whose
+        membership is snapshotted from :meth:`set_ring` at first entry; the
+        topology maps that snapshot to this member's ring phases (flat: one
+        world ring, reduce-scatter + all-gather; hierarchical: intra-node
+        reduce -> inter-node ring all-reduce -> intra-node broadcast).
+        ``nbytes`` overrides the fabric's full ``gradient_bytes`` (the step
+        loop passes one bucket's slice).  No process is involved: the run
+        advances on link-completion callbacks.
+
+        With :attr:`collapse` on, a homogeneous all-entered-together
+        collective is served by one representative-rank schedule instead of
+        ``W`` simulated runs (see the module docstring);
+        ``collapse_ok=False`` vetoes the fast path for this collective (the
+        step loop passes it when a bucket's collective may still be in
+        flight when the next one launches -- the collapsed path assumes
+        idle links, so such overlap must run the exact path).
         """
-        ring, finished = self._snapshot(key)
+        return self._start(key, member, nbytes, collapse_ok).done
+
+    def _start(
+        self, key: Any, member: Hashable, nbytes: Optional[float], collapse_ok: bool
+    ) -> _Run:
+        snapshot = self._snapshot(key)
         nbytes = self.gradient_bytes if nbytes is None else float(nbytes)
-        yield from self._ring_pass(
-            key, RingPhase("rs", tuple(ring), "reduce_scatter", nbytes, "inter"),
-            member,
-        )
-        self._finish(key, ring, finished, member)
-
-    def all_gather(
-        self, key: Any, member: Hashable, nbytes: Optional[float] = None
-    ) -> Generator:
-        """One ring all-gather over the current membership (a process).
-
-        ``W - 1`` stages re-replicating ``nbytes / W`` shards to every
-        rank."""
-        ring, finished = self._snapshot(key)
-        nbytes = self.gradient_bytes if nbytes is None else float(nbytes)
-        yield from self._ring_pass(
-            key, RingPhase("ag", tuple(ring), "all_gather", nbytes, "inter"),
-            member,
-        )
-        self._finish(key, ring, finished, member)
-
-    # -- the collective ----------------------------------------------------
+        run = _Run(self, key, member, snapshot, nbytes)
+        if len(snapshot.ring) > 1 and member in snapshot.members:
+            if not (self.collapse and self._register_collapse(run, collapse_ok)):
+                run.begin()
+        else:
+            run.finish()
+        return run
 
     def allreduce(
         self,
@@ -423,37 +669,46 @@ class RingFabric:
         nbytes: Optional[float] = None,
         collapse_ok: bool = True,
     ) -> Generator:
-        """Participate in the all-reduce ``key`` as ``member`` (a process).
+        """:meth:`start` as a generator to ``yield from`` in a process; an
+        interrupt of that process cancels this member's run."""
+        yield from self._await(self._start(key, member, nbytes, collapse_ok))
 
-        All ranks calling with the same ``key`` join one collective whose
-        membership is snapshotted from :meth:`set_ring` at first entry; the
-        topology maps that snapshot to this member's ring phases (flat: one
-        world ring, reduce-scatter + all-gather; hierarchical: intra-node
-        reduce -> inter-node ring all-reduce -> intra-node broadcast).
-        ``nbytes`` overrides the fabric's full ``gradient_bytes`` (the step
-        loop passes one bucket's slice).  Returns when this rank has
-        completed every stage of every phase.
+    def reduce_scatter(
+        self, key: Any, member: Hashable, nbytes: Optional[float] = None
+    ) -> Generator:
+        """One ring reduce-scatter over the current membership (a generator
+        like :meth:`allreduce`): ``W - 1`` stages, after which each rank
+        holds one reduced ``nbytes / W`` shard.  Composable: a flat
+        all-reduce is reduce-scatter then all-gather over one snapshot."""
+        run = self._one_pass(key, member, nbytes, "rs", "reduce_scatter")
+        yield from self._await(run)
 
-        With :attr:`collapse` on, a homogeneous all-entered-together
-        collective is served by one representative-rank schedule instead of
-        ``W`` simulated ring processes (see the module docstring);
-        ``collapse_ok=False`` vetoes the fast path for this collective (the
-        step loop passes it when a bucket's collective may still be in
-        flight when the next one launches -- the collapsed path assumes
-        idle links, so such overlap must run the exact path).
-        """
-        ring, finished = self._snapshot(key)
+    def all_gather(
+        self, key: Any, member: Hashable, nbytes: Optional[float] = None
+    ) -> Generator:
+        """One ring all-gather over the current membership (a generator):
+        ``W - 1`` stages re-replicating ``nbytes / W`` shards to every
+        rank."""
+        run = self._one_pass(key, member, nbytes, "ag", "all_gather")
+        yield from self._await(run)
+
+    def _one_pass(
+        self, key: Any, member: Hashable, nbytes: Optional[float], tag: str, op: str
+    ) -> _Run:
+        snapshot = self._snapshot(key)
         nbytes = self.gradient_bytes if nbytes is None else float(nbytes)
-        if len(ring) > 1 and member in ring:
-            served = False
-            if self.collapse:
-                served = yield from self._collapsed_allreduce(
-                    key, ring, member, nbytes, collapse_ok
-                )
-            if not served:
-                for phase in self.topology.phases(ring, member, nbytes):
-                    yield from self._ring_pass(key, phase, member)
-        self._finish(key, ring, finished, member)
+        run = _Run(self, key, member, snapshot, nbytes)
+        run.plan = [RingPhase(tag, snapshot.ring, op, nbytes, "inter")]
+        run.next_phase()
+        return run
+
+    @staticmethod
+    def _await(run: _Run) -> Generator:
+        try:
+            yield run.done
+        except Interrupt:
+            run.cancel()
+            raise
 
     # -- homogeneous-rank collapse -----------------------------------------
 
@@ -480,7 +735,7 @@ class RingFabric:
         return True
 
     def _collapse_plan(
-        self, ring: List[Hashable], nbytes: float
+        self, ring: Sequence[Hashable], nbytes: float
     ) -> Optional[List[CollapsePhase]]:
         key = (nbytes, len(ring))
         if key not in self._plans:
@@ -500,28 +755,20 @@ class RingFabric:
             for stages, _scope, chunk, bandwidth, latency, streams, _fanout in plan
         )
 
-    def _collapsed_allreduce(
-        self,
-        key: Any,
-        ring: List[Hashable],
-        member: Hashable,
-        nbytes: float,
-        collapse_ok: bool,
-    ) -> Generator:
-        """Try the fast path; returns True iff it served this member."""
+    def _register_collapse(self, run: _Run, collapse_ok: bool) -> bool:
+        """Hand ``run`` to the fast path's decider; False: not tried."""
+        key = run.key
         entry = self._pending_collapse.get(key)
         if entry is None:
             if self._pending_collapse or not self._collapse_quiescent():
                 return False
-            entry = _CollapseEntry(self.env.now, list(ring), nbytes)
+            entry = _CollapseEntry(self.env.now, run.snapshot.ring, run.nbytes)
             self._pending_collapse[key] = entry
             self.env.process(self._collapse_decider(key, entry))
-        if not collapse_ok or nbytes != entry.nbytes:
+        if not collapse_ok or run.nbytes != entry.nbytes:
             entry.allowed = False
-        wait = self.env.event()
-        entry.waiters[member] = wait
-        outcome = yield wait
-        return bool(outcome)
+        entry.runs[run.member] = run
+        return True
 
     def _collapse_decider(self, key: Any, entry: _CollapseEntry) -> Generator:
         # a zero-delay NORMAL event: every entrant arriving at the same
@@ -531,16 +778,17 @@ class RingFabric:
         schedule = None
         if (
             entry.allowed
-            and len(entry.waiters) == len(entry.ring)
+            and len(entry.runs) == len(entry.ring)
             and self._collapse_quiescent()
         ):
             schedule = self._collapse_plan(entry.ring, entry.nbytes)
         if schedule is None:
-            # ragged arrival / heterogeneity / churn: release every entrant
-            # into the exact per-rank path, still at the entry instant
+            # ragged arrival / heterogeneity / churn: every entrant runs the
+            # exact per-rank path, still at the entry instant
             self._pending_collapse.pop(key, None)
-            for wait in entry.waiters.values():
-                wait.succeed(False)
+            for run in entry.runs.values():
+                if not run.cancelled:
+                    run.begin()
             return
         entry.collapsed = True
         self.collapsed_collectives += 1
@@ -562,13 +810,13 @@ class RingFabric:
                     max(now, drained.get(scope, now)),
                     chunk, bandwidth, latency, streams,
                 )
+                # zero excess still creates the key the live engine's
+                # completion hook would have written
+                total = wait.get("collective", 0.0)
                 if excess:
                     for _ in range(fanout):
-                        wait["collective"] = wait.get("collective", 0.0) + excess
-                else:
-                    # zero excess still creates the key the live engine's
-                    # completion hook would have written
-                    wait["collective"] = wait.get("collective", 0.0)
+                        total += excess
+                wait["collective"] = total
                 yield self.env.timeout(finish - now)
         # defense in depth: a member removed mid-flight would have stalled
         # the simulated ring until its chunks filled in; never complete
@@ -586,42 +834,26 @@ class RingFabric:
                 break
             yield self.env.timeout(horizon - self.env.now)
         self._pending_collapse.pop(key, None)
-        for wait in entry.waiters.values():
-            if not wait.triggered:
-                wait.succeed(True)
+        for run in entry.runs.values():
+            if not run.cancelled:
+                run.finish()
 
     # -- retirement --------------------------------------------------------
 
-    def _finish(
-        self, key: Any, ring: List[Hashable], finished: set, member: Hashable
-    ) -> None:
+    def _finish(self, key: Any, snapshot: _Snapshot, member: Hashable) -> None:
         """Mark ``member`` done with collective ``key``; drop the snapshot
         once every survivor of it has finished."""
-        finished.add(member)
-        survivors = {m for m in ring if m not in self.dead}
-        if survivors <= finished:
+        if snapshot.finish(member, self.dead):
             self._snapshots.pop(key, None)
-
-    def _retire(self, ckey: Any, collective: RingCollective, member: Hashable) -> None:
-        collective._finished.add(member)
-        if collective.survivors <= collective._finished:
-            self._collectives.pop(ckey, None)
 
     def _sweep(self) -> None:
         """Drop collectives/snapshots whose survivors have all finished."""
-        done = [
-            ckey
-            for ckey, col in self._collectives.items()
-            if col.survivors <= col._finished
-        ]
-        for ckey in done:
+        for ckey in [c for c, col in self._collectives.items() if col.complete()]:
             self._collectives.pop(ckey, None)
-        stale = [
-            key
-            for key, (ring, finished) in self._snapshots.items()
-            if {m for m in ring if m not in self.dead} <= finished
-        ]
-        for key in stale:
+        for key in [
+            k for k, s in self._snapshots.items()
+            if _complete(s.ring, s.finished, self.dead)
+        ]:
             self._snapshots.pop(key, None)
 
     @property

@@ -5,8 +5,8 @@ This is the bottom layer of the synchronization stack: a
 :class:`~repro.sim.links.SharedLink` per physical link) and maps a
 membership snapshot onto the sequence of *ring phases* one all-reduce
 traverses.  The collective layer (:class:`~repro.sim.fabric.RingFabric`)
-executes those phases with ring ``reduce_scatter`` / ``all_gather``
-primitives; the step loop (:mod:`repro.sim.distributed`) never sees links
+executes those phases, one ring pass each; the step loop
+(:mod:`repro.sim.distributed`) never sees links
 at all.  A topology writes its plan once, in :meth:`Topology.phases`: the
 collapsed fast path's schedule (:meth:`Topology.collapse_schedule`) is read
 off it, so collapse and per-rank ring cannot disagree about the plan.
@@ -289,6 +289,9 @@ class Hierarchical(Topology):
         self.intra_bandwidth = float(intra_bandwidth)
         self.gpus_per_node = int(gpus_per_node)
         self._intra_params = dict(intra_params or {})
+        #: the last membership snapshot grouped, and its groups: every
+        #: member of one collective plans from the same snapshot tuple
+        self._grouped: Tuple[Optional[tuple], Dict] = (None, {})
 
     def link_params(self, member: Hashable, scope: str) -> Tuple[float, float]:
         node = self._node_of(member)
@@ -323,9 +326,16 @@ class Hierarchical(Topology):
     def _groups(
         self, ring: Sequence[Hashable]
     ) -> "Dict[Hashable, List[Hashable]]":
-        groups: Dict[Hashable, List[Hashable]] = {}
-        for member in ring:  # snapshot order within each node
+        """Members per node, in snapshot order; derived once per snapshot
+        tuple (a list may change under us, so it is grouped every time)."""
+        snapshot, groups = self._grouped
+        if ring is snapshot:
+            return groups
+        groups = {}
+        for member in ring:
             groups.setdefault(self._node_of(member), []).append(member)
+        if isinstance(ring, tuple):
+            self._grouped = (ring, groups)
         return groups
 
     def phases(

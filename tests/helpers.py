@@ -15,6 +15,7 @@ from repro.data.sample import Sample, SampleSpec
 from repro.errors import ConfigurationError
 from repro.sim.cluster import Cluster, ClusterMembership
 from repro.sim.distributed import JobSpec, run_distributed, run_elastic
+from repro.sim.fabric import RingFabric
 from repro.sim.kernel import AllOf, Environment
 from repro.sim.loaders import SimContext, SimMinatoLoader
 from repro.sim.scenarios import JobMix
@@ -334,6 +335,136 @@ class PerChunkMinatoLoader(SimMinatoLoader):
             return item
 
         self._temp_store.try_get = try_get
+
+
+# ---------------------------------------------------------------------------
+# The ring collective's specification: one generator per member and ring pass
+# ---------------------------------------------------------------------------
+
+
+class _DeliveryRing:
+    """One ring pass as it was before it became a state machine: a kernel
+    event per (stage, sender) delivery, created by whoever needs it first."""
+
+    def __init__(self, fabric, ring) -> None:
+        self.fabric = fabric
+        self.ring = list(ring)
+        self.deliveries = {}
+        self.finished = set()
+
+    def delivery(self, stage, sender):
+        """The event 'sender's stage-``stage`` chunk reached its successor';
+        a dead sender's resolves through the failure detector instead."""
+        event = self.deliveries.get((stage, sender))
+        if event is None:
+            event = self.deliveries[(stage, sender)] = self.fabric.env.event()
+            death = self.fabric.dead.get(sender)
+            if death is not None:
+                self.fabric._fill_in(event, death, self.fabric._fill_delay[sender])
+        return event
+
+    def complete(self) -> bool:
+        return all(m in self.finished or m in self.fabric.dead for m in self.ring)
+
+
+class GeneratorRingFabric(RingFabric):
+    """``RingFabric`` with the per-rank path it had before its collectives
+    became state machines: ``allreduce`` walks the topology's phases in the
+    caller's process, each ring pass a loop of send / wait-for-predecessor
+    with one delivery event per chunk; a dead sender's chunks are filled in
+    by a detector process each, and a partition-stalled delivery is a
+    process too.  A process interrupted mid-pass simply stops.  The
+    collapse is not modelled here (it is held to the per-rank path by the
+    kernel equivalence grid)."""
+
+    def allreduce(self, key, member, nbytes=None, collapse_ok=True):
+        snapshot = self._snapshot(key)
+        nbytes = self.gradient_bytes if nbytes is None else float(nbytes)
+        if len(snapshot.ring) > 1 and member in snapshot.members:
+            for phase in self.topology.phases(snapshot.ring, member, nbytes):
+                yield from self._ring_pass(key, phase, member)
+        self._finish(key, snapshot, member)
+
+    def _ring_pass(self, key, phase, member):
+        ckey = (key, phase.tag)
+        collective = self._collectives.get(ckey)
+        if collective is None:
+            collective = self._collectives[ckey] = _DeliveryRing(self, phase.ring)
+        ring = collective.ring
+        world = len(ring)
+        if world <= 1 or member not in ring:
+            self._retire(ckey, collective, member)
+            return
+        position = ring.index(member)
+        predecessor = ring[position - 1]
+        successor = ring[(position + 1) % world]
+        chunk = phase.nbytes / world
+        stream = self.topology.stream(
+            member, phase.scope, cls="collective", tenant=self,
+            sink=self.link_wait_by_class,
+        )
+        for stage in range(world - 1):
+            backlog = stream.backlog
+            if backlog > 0:
+                self.link_wait_seconds += backlog
+            send_done = stream.transfer(chunk)
+            mine = collective.delivery(stage, member)
+            recv = collective.delivery(stage, predecessor)
+            yield send_done
+            if not mine.triggered:
+                self._deliver_event(mine, member, successor)
+            if not recv.triggered:
+                yield recv
+        self._retire(ckey, collective, member)
+
+    def _retire(self, ckey, collective, member) -> None:
+        collective.finished.add(member)
+        if collective.complete():
+            self._collectives.pop(ckey, None)
+
+    def _remove(self, member, fill_delay) -> None:
+        if member in self.dead:
+            return
+        death = self.env.now
+        self.dead[member] = death
+        self._fill_delay[member] = fill_delay
+        self._install(m for m in self._ring if m != member)
+        for collective in list(self._collectives.values()):
+            for (_stage, sender), event in collective.deliveries.items():
+                if sender == member and not event.triggered:
+                    self._fill_in(event, death, fill_delay)
+        self._sweep()
+
+    def _fill_in(self, event, death_time, fill_delay) -> None:
+        delay = max(0.0, death_time + fill_delay - self.env.now)
+
+        def detector():
+            if delay > 0:
+                yield self.env.timeout(delay)
+            if not event.triggered:
+                event.succeed()
+
+        self.env.process(detector())
+
+    def _deliver_event(self, event, sender, receiver) -> None:
+        if self.partitions is None:
+            event.succeed()
+            return
+        release = self.partitions.partition_release(
+            self.env.now, self._member_node(sender), self._member_node(receiver)
+        )
+        if release <= self.env.now:
+            event.succeed()
+            return
+        self.partition_stall_seconds += release - self.env.now
+        delay = release - self.env.now
+
+        def stalled():
+            yield self.env.timeout(delay)
+            if not event.triggered:
+                event.succeed()
+
+        self.env.process(stalled())
 
 
 @dataclass

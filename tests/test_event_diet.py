@@ -17,8 +17,9 @@ per-transform walk it replaced:
   that the oracle must catch;
 * **idle costs nothing**, an **event budget** on three small
   benchmark-shaped runs (counts repeat exactly, so the gate is
-  machine-independent: a reintroduced poll loop, grant hop or per-transform
-  hold trips it), with no tick tie and nothing left parked on them;
+  machine-independent: a reintroduced poll loop, grant hop, per-transform
+  hold, bucket process or per-chunk delivery event trips it), with no tick
+  tie and nothing left parked on them;
 * a **lost wake-up** is a typed error, not a bare ``EmptySchedule``;
 * **one hold per run** -- ``tests/helpers.PerChunkMinatoLoader`` keeps the
   walk that gave the core back at every transform boundary: where nobody
@@ -350,14 +351,16 @@ def contended_mix():
     return JobMix(jobs, cluster).run()
 
 
-#: kernel events each run delivers now that a sample's run is one core hold
-#: (one hold per transform: 5 295, 7 759 and 19 934; with the feeder: 5 779,
-#: 7 942 and 20 333; before the poll loops and grant hops left: 10 563,
-#: 29 993 and 72 958)
+#: kernel events each run delivers now that ring collectives are state
+#: machines and bucket all-reduces launch without a process (with a process
+#: per bucket and an event per chunk delivery: 6 991 and 18 638 for the two
+#: cluster runs); a sample's run is one core hold (one hold per transform:
+#: 5 295, 7 759 and 19 934; with the feeder: 5 779, 7 942 and 20 333;
+#: before the poll loops and grant hops left: 10 563, 29 993 and 72 958)
 MEASURED_EVENTS = {
     single_node: 2_816,
-    quiet_elastic: 6_991,
-    contended_mix: 18_638,
+    quiet_elastic: 5_591,
+    contended_mix: 15_326,
 }
 
 
