@@ -11,6 +11,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -395,17 +396,26 @@ def main(argv: Optional[List[str]] = None) -> int:
     report_parser.add_argument("--output", default="EXPERIMENTS.md")
 
     args = parser.parse_args(argv)
-    if args.command == "list":
-        return _cmd_list(args)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "distributed":
-        return _cmd_distributed(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    if args.command == "scenarios":
-        return _cmd_scenarios(args)
-    return _cmd_report(args)
+    commands = {
+        "list": _cmd_list,
+        "run": _cmd_run,
+        "distributed": _cmd_distributed,
+        "bench": _cmd_bench,
+        "scenarios": _cmd_scenarios,
+        "report": _cmd_report,
+    }
+    try:
+        status = commands[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (``repro bench --census | head``): point
+        # stdout at devnull so the interpreter's exit flush cannot fail
+        # again, and end without a traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return status
 
 
 if __name__ == "__main__":

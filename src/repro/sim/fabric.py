@@ -73,9 +73,10 @@ so one representative rank's timeline, replicated by the topology's
 float arithmetic, is the whole collective.  The fast path registers every
 entrant, decides at the entry instant (a zero-delay decision event fires
 after all same-instant arrivals), and either walks the representative
-schedule once (``O(stages)`` events instead of ``O(W x stages)`` simulated
-transfers) or starts every entrant's per-rank run, still at the entry
-instant.  Fallback triggers on ragged arrival, members whose
+schedule once -- priced in a local loop and waited out with one kernel
+timer, instead of ``O(W x stages)`` simulated transfers -- or starts every
+entrant's per-rank run, still at the entry instant.  Fallback triggers on
+ragged arrival, members whose
 ring passes differ (heterogeneous links, ragged groups), a zero-byte
 collective, churn (any dead member), concurrent simulated collectives,
 busy links, or an entrant that was told overlap may bleed into the next
@@ -792,20 +793,23 @@ class RingFabric:
             return
         entry.collapsed = True
         self.collapsed_collectives += 1
-        # one representative rank's lockstep timeline.  ``drained`` is its
-        # per-scope stream's drain watermark (a send starts at max(now,
-        # watermark), as on a live stream) and the link layer's closed
-        # form prices each stage, so the resume instants match the
-        # simulation bit-for-bit.  Each stage also replays the engine's
-        # completion-time per-class wait attribution: ``fanout`` member
-        # transfers, each adding the same fair-sharing ``excess`` the live
-        # path would have accumulated (in the same order, so float sums
-        # agree exactly with the uncollapsed run).
+        # one representative rank's lockstep timeline, priced in a local
+        # loop and waited out with one timer.  ``drained`` is its per-scope
+        # stream's drain watermark (a send starts at max(now, watermark),
+        # as on a live stream) and the link layer's closed form prices each
+        # stage; ``now`` advances as ``now + (finish - now)``, the very
+        # instant a per-stage timeout of ``finish - now`` would land on, so
+        # the end instant matches the simulation bit-for-bit.  Each stage
+        # also replays the engine's completion-time per-class wait
+        # attribution: ``fanout`` member transfers, each adding the same
+        # fair-sharing ``excess`` the live path would have accumulated (in
+        # the same order, so float sums agree exactly with the uncollapsed
+        # run).
         drained: Dict[str, float] = {}
         wait = self.link_wait_by_class
+        now = self.env.now
         for stages, scope, chunk, bandwidth, latency, streams, fanout in schedule:
             for _stage in range(stages):
-                now = self.env.now
                 drained[scope], finish, excess = project(
                     max(now, drained.get(scope, now)),
                     chunk, bandwidth, latency, streams,
@@ -817,7 +821,8 @@ class RingFabric:
                     for _ in range(fanout):
                         total += excess
                 wait["collective"] = total
-                yield self.env.timeout(finish - now)
+                now = now + (finish - now)
+        yield self.env.succeed_at(self.env.event(), now)
         # defense in depth: a member removed mid-flight would have stalled
         # the simulated ring until its chunks filled in; never complete
         # before the latest fill-in window (unreachable under the runner's

@@ -30,12 +30,16 @@ processes' stale wait targets are lazily cancelled (skipped at their fire
 time instead of being popped, walked and failure-checked), and the
 throwaway resume ``Event`` that :meth:`Process._resume` allocates when
 yielding an already-processed event is recycled per process.
+
+Per delivered event ``run`` makes one :meth:`Environment.step` call, which
+pops through ``_pop_next`` -> ``_head``; the arbitration builds no key
+tuples, and every event class is slotted.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..errors import EmptySchedule, SimulationError
@@ -70,8 +74,11 @@ class Event:
     """An event that may eventually *succeed* or *fail*.
 
     Callbacks are invoked with the event as their only argument when the
-    environment processes the event.
+    environment processes the event.  Events are slotted (no instance
+    ``__dict__``): a simulation allocates one per delivery.
     """
+
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused", "_dead", "_eid")
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
@@ -136,18 +143,27 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` virtual seconds after creation."""
 
+    __slots__ = ("delay",)
+
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if not delay >= 0:  # a NaN delay would poison env.now for good
             raise ValueError(f"negative or NaN delay: {delay!r}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        # Event.__init__'s fields, set here directly: the commonest event
+        self.env = env
+        self.callbacks = []
         self._value = value
+        self._ok = True
+        self._defused = False
+        self._dead = False
+        self._eid = 0
+        self.delay = delay
         env._schedule(self, NORMAL, delay)
 
 
 class _Initialize(Event):
     """Immediate event that starts a freshly created process."""
+
+    __slots__ = ()
 
     def __init__(self, env: "Environment", process: "Process") -> None:
         super().__init__(env)
@@ -163,6 +179,8 @@ class Process(Event):
     The process itself is an event that triggers when the generator returns
     (value = the generator's return value) or raises (failure).
     """
+
+    __slots__ = ("_generator", "_target", "_resume_cache")
 
     def __init__(self, env: "Environment", generator: Generator) -> None:
         if not hasattr(generator, "throw"):
@@ -220,29 +238,30 @@ class Process(Event):
                         # its (empty) callbacks and failure-checking it
                         target._dead = True
         self._target = None
-        self.env._active = self
+        env = self.env
+        env._active = self
 
+        # every way out of the generator resets ``_active`` itself (cheaper
+        # than a ``finally`` on the path every resumption takes)
         try:
             if event._ok:
                 next_event = self._generator.send(event._value)
             else:
                 event._defused = True
-                exc = event._value
-                next_event = self._generator.throw(exc)
+                next_event = self._generator.throw(event._value)
         except StopIteration as stop:
+            env._active = None
             self._ok = True
             self._value = stop.value
-            self.env._schedule(self, URGENT, 0.0)
-            self.env._active = None
+            env._schedule(self, URGENT, 0.0)
             return
         except BaseException as exc:
+            env._active = None
             self._ok = False
             self._value = exc
-            self.env._schedule(self, URGENT, 0.0)
-            self.env._active = None
+            env._schedule(self, URGENT, 0.0)
             return
-        finally:
-            self.env._active = None
+        env._active = None
 
         if not isinstance(next_event, Event):
             raise SimulationError(
@@ -283,6 +302,8 @@ class Process(Event):
 class _Condition(Event):
     """Base for :class:`AnyOf` / :class:`AllOf`."""
 
+    __slots__ = ("_events", "_done")
+
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)
         self._events = list(events)
@@ -322,12 +343,16 @@ class _Condition(Event):
 class AnyOf(_Condition):
     """Triggers as soon as one of the events triggers."""
 
+    __slots__ = ()
+
     def _satisfied(self) -> bool:
         return self._done >= 1
 
 
 class AllOf(_Condition):
     """Triggers once all events have triggered."""
+
+    __slots__ = ()
 
     def _satisfied(self) -> bool:
         return self._done >= len(self._events)
@@ -343,8 +368,8 @@ class Environment:
     binary heap.  The pop order is exactly the single-heap ``(time,
     priority, eid)`` order: lane entries carry their scheduling id, every
     entry in a lane is at the current time (lanes always drain before the
-    clock advances), and each step takes the minimum of the three head
-    keys.
+    clock advances), the heap holds nothing earlier, and each step takes
+    the least of the heads (see :meth:`_head`).
 
     ``events_processed`` / ``events_skipped`` count delivered and
     lazily-cancelled events; the benchmark layer reports events/sec from
@@ -411,7 +436,7 @@ class Environment:
             else:
                 self._normal.append(event)
         else:
-            heapq.heappush(
+            heappush(
                 self._queue,
                 (
                     self._now + delay if at is None else at,
@@ -452,32 +477,41 @@ class Environment:
         while successful and unobserved; dropping marks it processed so a
         late ``yield`` still takes the already-processed fast path with
         the value it would have had.
+
+        The arbitration builds no key tuples.  Every lane entry is at
+        ``now`` and the heap holds nothing earlier, so in ``(time,
+        priority, eid)`` order the urgent lane's head precedes the normal
+        lane's, and a lane head loses only to a heap entry *at* ``now``
+        with a smaller ``(priority, eid)``.
         """
         heap = self._queue
         urgent = self._urgent
         normal = self._normal
         while True:
-            source = None
-            if heap:
-                when, prio, eid, event = heap[0]
-                best_key = (when, prio, eid)
-                source = heap
-            if urgent:
-                head = urgent[0]
-                if source is None or (self._now, URGENT, head._eid) < best_key:
+            if urgent or normal:
+                if urgent:
                     source = urgent
-                    event = head
-            elif normal:
-                head = normal[0]
-                if source is None or (self._now, NORMAL, head._eid) < best_key:
+                    prio = URGENT
+                else:
                     source = normal
-                    event = head
-            if source is None or not (
-                event._dead and event._ok and not event.callbacks
-            ):
+                    prio = NORMAL
+                event = source[0]
+                if heap:
+                    entry = heap[0]
+                    if entry[0] == self._now and (
+                        entry[1] < prio or (entry[1] == prio and entry[2] < event._eid)
+                    ):
+                        source = heap
+                        event = entry[3]
+            elif heap:
+                source = heap
+                event = heap[0][3]
+            else:
+                return None
+            if not event._dead or not event._ok or event.callbacks:
                 return source
             if source is heap:
-                heapq.heappop(heap)
+                heappop(heap)
             else:
                 source.popleft()
             event.callbacks = None
@@ -489,7 +523,7 @@ class Environment:
         if source is None:
             return None
         if source is self._queue:
-            when, _prio, _eid, event = heapq.heappop(source)
+            when, _prio, _eid, event = heappop(source)
             self._now = when
             return event
         return source.popleft()
@@ -502,7 +536,14 @@ class Environment:
         return source[0][0] if source is self._queue else self._now
 
     def step(self) -> None:
-        """Process the next event.  Raises :class:`EmptySchedule` if none."""
+        """Process the next event.  Raises :class:`EmptySchedule` if none.
+
+        The one delivery body, called once per delivered event by every
+        form of :meth:`run` (so counting its calls counts the events): one
+        ``_pop_next`` (the hook the referee and the census watch), the
+        count, the callbacks swapped out and called, the unhandled-failure
+        check.
+        """
         event = self._pop_next()
         if event is None:
             raise EmptySchedule("no more events scheduled")
@@ -521,14 +562,14 @@ class Environment:
         (run until virtual time reaches it), or an :class:`Event` (run until
         it is processed, returning its value or raising its exception).
         """
-        # the two open-ended branches loop on step() alone -- one queue scan
-        # per delivered event -- and read "nothing left" off its
-        # EmptySchedule (with events still queued it is a process's own
-        # failure surfacing, and propagates as such)
+        # the two open-ended forms loop on step() alone and read "nothing
+        # left" off its EmptySchedule (with events still queued it is a
+        # process's own failure surfacing, and propagates as such)
+        step = self.step
         if until is None:
             try:
                 while True:
-                    self.step()
+                    step()
             except EmptySchedule:
                 if self._head() is not None:
                     raise
@@ -541,7 +582,7 @@ class Environment:
                 sentinel.callbacks.append(done.append)
                 try:
                     while not done:
-                        self.step()
+                        step()
                 except EmptySchedule:
                     if self._head() is not None:
                         raise
@@ -559,6 +600,6 @@ class Environment:
                 f"cannot run backwards: until={horizon} < now={self._now}"
             )
         while self.peek() <= horizon:
-            self.step()
+            step()
         self._now = horizon
         return None

@@ -949,9 +949,17 @@ class SimMinatoLoader(BaseSimLoader):
         while self._undrawn and self._active_workers < self._loading_target:
             self._active_workers += 1
             self.ctx.env.process(self._loading_worker())
+        if self._background_exhausted():
+            # a slow-task worker would exit at its first look
+            return
         while self._active_slow < self._slow_target:
             self._active_slow += 1
             self.ctx.env.process(self._slow_worker())
+
+    def _background_exhausted(self) -> bool:
+        """Nothing in the temp store and nobody left to put anything there:
+        the slow-task pool has no work now or later."""
+        return not (self._temp_store.items or self._undrawn or self._active_workers)
 
     # -- processes --------------------------------------------------------------------
 
@@ -1024,7 +1032,7 @@ class SimMinatoLoader(BaseSimLoader):
                     return
                 item = self._temp_store.try_get()
                 if item is None:
-                    if not self._undrawn and self._active_workers == 0:
+                    if self._background_exhausted():
                         return
                     yield self._idle["slow"].park()
                     continue

@@ -37,6 +37,8 @@ class Request(Event):
             yield env.timeout(step_time)
     """
 
+    __slots__ = ("resource", "released")
+
     def __init__(self, resource: "Resource") -> None:
         super().__init__(resource.env)
         self.resource = resource

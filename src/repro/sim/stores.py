@@ -25,13 +25,15 @@ __all__ = ["Store", "PriorityStore"]
 
 
 class StorePut(Event):
+    __slots__ = ("item",)
+
     def __init__(self, env: Environment, item: Any) -> None:
         super().__init__(env)
         self.item = item
 
 
 class StoreGet(Event):
-    pass
+    __slots__ = ()
 
 
 class Store:

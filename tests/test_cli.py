@@ -245,6 +245,31 @@ def test_cli_bench_census_counts_every_delivered_event(monkeypatch, capsys):
     assert len(out) == 2 + 5 + 1 and out[-1].endswith("(other)")
 
 
+def test_cli_output_cut_short_by_a_closed_pipe_ends_without_a_traceback():
+    """``repro bench --census ... | head``: the reader has gone away before
+    the output is written.  The command exits 1, quietly -- no
+    ``BrokenPipeError`` traceback, no 'Exception ignored' at exit."""
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "bench", "--list"],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert b"BrokenPipe" not in proc.stderr and b"Traceback" not in proc.stderr
+
+
 def test_cli_run_unknown_experiment(capsys):
     assert main(["run", "fig99"]) == 2
     err = capsys.readouterr().err

@@ -19,7 +19,8 @@ per-transform walk it replaced:
   benchmark-shaped runs (counts repeat exactly, so the gate is
   machine-independent: a reintroduced poll loop, grant hop, per-transform
   hold, bucket process or per-chunk delivery event trips it), with no tick
-  tie and nothing left parked on them;
+  tie and nothing left parked on them, and no slow-task worker spawned
+  only to exit;
 * a **lost wake-up** is a typed error, not a bare ``EmptySchedule``;
 * **one hold per run** -- ``tests/helpers.PerChunkMinatoLoader`` keeps the
   walk that gave the core back at every transform boundary: where nobody
@@ -351,16 +352,18 @@ def contended_mix():
     return JobMix(jobs, cluster).run()
 
 
-#: kernel events each run delivers now that ring collectives are state
-#: machines and bucket all-reduces launch without a process (with a process
-#: per bucket and an event per chunk delivery: 6 991 and 18 638 for the two
-#: cluster runs); a sample's run is one core hold (one hold per transform:
-#: 5 295, 7 759 and 19 934; with the feeder: 5 779, 7 942 and 20 333;
-#: before the poll loops and grant hops left: 10 563, 29 993 and 72 958)
+#: kernel events each run delivers now that no slow-task worker is spawned
+#: only to exit and a collapsed collective's walk is one timer (before:
+#: 2 816, 5 591 and 15 326); ring collectives are state machines and bucket
+#: all-reduces launch without a process (with a process per bucket and an
+#: event per chunk delivery: 6 991 and 18 638 for the two cluster runs); a
+#: sample's run is one core hold (one hold per transform: 5 295, 7 759 and
+#: 19 934; with the feeder: 5 779, 7 942 and 20 333; before the poll loops
+#: and grant hops left: 10 563, 29 993 and 72 958)
 MEASURED_EVENTS = {
-    single_node: 2_816,
-    quiet_elastic: 5_591,
-    contended_mix: 15_326,
+    single_node: 2_436,
+    quiet_elastic: 4_975,
+    contended_mix: 13_228,
 }
 
 
@@ -392,6 +395,44 @@ def test_event_budget_no_tie_and_nothing_left_parked(monkeypatch, scenario):
         if loader._builders_done == loader.ctx.num_gpus:  # it finished
             assert set(loader.parked.values()) == {0}
             assert loader._active_workers == loader._active_slow == 0
+
+
+class _CountedYields:
+    """Stands in for a process's generator and counts what it yields
+    (``Process`` drives it only through ``send`` and ``throw``)."""
+
+    def __init__(self, generator) -> None:
+        self._generator = generator
+        self.yields = 0
+
+    def send(self, value):
+        event = self._generator.send(value)
+        self.yields += 1
+        return event
+
+    def throw(self, exc):
+        event = self._generator.throw(exc)
+        self.yields += 1
+        return event
+
+
+@pytest.mark.parametrize("scenario", list(MEASURED_EVENTS), ids=lambda f: f.__name__)
+def test_no_slow_task_worker_is_spawned_only_to_exit(monkeypatch, scenario):
+    """A slow-task worker spawned with the temp store empty, nothing left
+    to draw and no loading worker alive would exit at its first look: it
+    cost a start and an end event and nobody saw it.  ``_fill_pools`` does
+    not spawn one, so every worker that ends has yielded at least once."""
+    workers = []
+    slow_worker = SimMinatoLoader._slow_worker
+
+    def counted(self):
+        workers.append(_CountedYields(slow_worker(self)))
+        return workers[-1]
+
+    monkeypatch.setattr(SimMinatoLoader, "_slow_worker", counted)
+    scenario()
+    assert workers
+    assert all(worker.yields for worker in workers)
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,23 @@ collective together, the modelled fabric converges to the analytic closed
 form (``AllReduceModel.step_cost``); under a straggler it strictly exceeds
 it and the excess lands on the straggler's ring *neighbors* -- the property
 a per-step constant cannot express; and an aborted (failed) member stalls
-the ring only until the failure detector fires, never forever.
+the ring only until the failure detector fires, never forever.  The
+collapsed fast path, one representative walk waited out with one timer,
+completes every member at the per-rank run's instants.
 """
 
+from collections import Counter
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.sim.bench import _waiter
 from repro.sim.distributed import AllReduceModel
 from repro.sim.fabric import RingFabric
 from repro.sim.kernel import AllOf, Environment, Interrupt
+from repro.sim.topology import Hierarchical
 
 
 def run_collective(model, world, delays=None, detection_timeout=1.0, kill=None):
@@ -173,3 +181,153 @@ def test_allreduce_closed_form_is_the_true_ring_cost():
     expected = 2 * (world - 1) * (0.002 + 1e9 / (world * 1e10))
     assert model.step_cost(world) == pytest.approx(expected)
     assert model.step_cost(1) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# The collapsed walk: priced in a loop, waited out with one timer
+# ---------------------------------------------------------------------------
+
+
+class DeciderCensus(Environment):
+    """Counts, by event type, the deliveries a collapse decider waits on
+    (the waiter as the event census names it)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.decider = Counter()
+
+    def _pop_next(self):
+        event = super()._pop_next()
+        if event is not None and _waiter(event).startswith("_collapse_decider:"):
+            self.decider[type(event).__name__] += 1
+        return event
+
+
+def run_buckets(
+    collapse, topology, nodes, gpus, latency, bandwidth, buckets, t0, kill=None
+):
+    """Every rank sleeps ``t0``, then runs one all-reduce per entry of
+    ``buckets`` (its bytes) back to back.  Returns the instant each
+    ``(member, bucket)`` completed, the fabric and the kernel.  ``kill =
+    (member, at)`` cancels and aborts that member at ``at``."""
+    env = DeciderCensus()
+    topo = (
+        Hierarchical(env, latency, bandwidth, 3e-6, 300e9, gpus)
+        if topology == "hierarchical"
+        else None
+    )
+    fabric = RingFabric(
+        env, latency, bandwidth, 1.0, detection_timeout=1.0, topology=topo,
+        collapse=collapse,
+    )
+    members = [(n, g) for n in range(nodes) for g in range(gpus)]
+    fabric.set_ring(members)
+    done = {}
+
+    def rank(member):
+        yield env.timeout(t0)
+        try:
+            for k, nbytes in enumerate(buckets):
+                yield from fabric.allreduce(k, member, nbytes)
+                done[member, k] = env.now
+        except Interrupt:
+            return
+
+    procs = {m: env.process(rank(m)) for m in members}
+    if kill is not None:
+        victim, at = kill
+
+        def killer():
+            yield env.timeout(at)
+            procs[victim].interrupt("fail")
+            fabric.abort(victim)
+
+        env.process(killer())
+    env.run(until=AllOf(env, list(procs.values())))
+    return done, fabric, env
+
+
+#: (topology, nodes, gpus per node) with the NIC latency drawn for it.  A
+#: hierarchical node's NIC carries its G inter-node streams, and there the
+#: NIC latency is 0: a ``SharedLink`` re-projects a transfer that is in its
+#: latency tail with a fresh tail whenever the link's busy-stream count
+#: changes, which the per-rank run hits when a stage lands one ulp short of
+#: its projected finish and the lockstep walk does not model (its intra
+#: links, one stream each, keep their 3 us latency)
+SHAPES_AND_LATENCIES = st.one_of(
+    st.tuples(
+        st.sampled_from([("flat", 2, 1), ("flat", 3, 1), ("flat", 2, 3)]),
+        st.one_of(st.just(0.0), st.floats(1e-7, 1e-2)),
+    ),
+    st.tuples(
+        st.sampled_from([("hierarchical", 2, 2), ("hierarchical", 3, 2),
+                         ("hierarchical", 2, 3)]),
+        st.just(0.0),
+    ),
+)
+
+
+@settings(max_examples=80, deadline=None)
+# a walk whose stage instant ``now + (finish - now)`` differs from
+# ``finish`` in the last bit (about one draw in 600 has such a stage)
+@example(
+    shape_and_latency=(("flat", 2, 1), 8.625233659293897e-05),
+    bandwidth=276340987.72846717,
+    buckets=[163614767.65432185, 9612966.624819333], t0=0.1,
+)
+@given(
+    shape_and_latency=SHAPES_AND_LATENCIES,
+    bandwidth=st.floats(1e6, 1e11),
+    buckets=st.lists(st.floats(1.0, 1e9), min_size=1, max_size=3),
+    # entry instants with no exact binary form
+    t0=st.sampled_from([0.0, 0.1, 1 / 3, 2.7182818284590455, 1234.567]),
+)
+def test_a_collapsed_walk_is_the_per_rank_run_with_one_timer(
+    shape_and_latency, bandwidth, buckets, t0
+):
+    """Collapse on and off: the same completion instant for every member
+    and bucket, ``==``, and the same per-class link wait -- while the
+    collapsed decider waits on its registration hop and one walk timer,
+    not on a timer per stage."""
+    (topology, nodes, gpus), latency = shape_and_latency
+    args = (topology, nodes, gpus, latency, bandwidth, buckets, t0)
+    fast_done, fast, fast_env = run_buckets(True, *args)
+    slow_done, slow, _env = run_buckets(False, *args)
+    assert fast_done == slow_done
+    assert fast.link_wait_by_class == slow.link_wait_by_class
+    assert fast.collapsed_collectives == len(buckets)
+    assert fast_env.decider == {
+        "_Initialize": len(buckets), "Timeout": len(buckets), "Event": len(buckets),
+    }
+
+
+def test_a_zero_duration_walk_completes_at_its_entry_instant():
+    """Stages too short to move a clock at 1e6 s: every member completes
+    at its entry instant, collapsed or not, and the walk is still one
+    timer (at ``now``), not one per stage."""
+    args = ("flat", 4, 1, 0.0, 1e10, [1e-3, 1e-3], 1e6)
+    fast_done, fast, fast_env = run_buckets(True, *args)
+    slow_done, _slow, _env = run_buckets(False, *args)
+    assert fast_done == slow_done
+    assert set(fast_done.values()) == {1e6}
+    assert fast.collapsed_collectives == 2
+    assert fast_env.decider == {"_Initialize": 2, "Timeout": 2, "Event": 2}
+
+
+def test_a_member_dying_mid_walk_still_holds_the_collective_to_its_fill_in():
+    """The fill-in loop after the walk is still reached: a member aborted
+    while the walk's one timer is pending stalls the collective until its
+    chunks would have filled in (one detection window), not to the walk's
+    end."""
+    args = ("flat", 4, 1, 1e-3, 1e9, [1e8], 0.1)
+    quiet_done, _fabric, _env = run_buckets(True, *args)
+    walk_end = quiet_done[(0, 0), 0]
+    death = 0.1 + (walk_end - 0.1) / 2
+    done, fabric, env = run_buckets(True, *args, kill=((1, 0), death))
+    assert fabric.collapsed_collectives == 1 and fabric.dead == {(1, 0): death}
+    survivors = {member for member, _k in done}
+    assert survivors == {(0, 0), (2, 0), (3, 0)}
+    (end,) = set(done.values())
+    assert end == pytest.approx(death + 1.0, rel=1e-12) and end > walk_end
+    # the registration hop, the walk's timer, then the fill-in wait
+    assert env.decider == {"_Initialize": 1, "Timeout": 2, "Event": 1}

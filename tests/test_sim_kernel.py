@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.errors import EmptySchedule, SimulationError
 from repro.sim import AllOf, AnyOf, Environment, Interrupt
+from repro.sim.kernel import NORMAL, URGENT, Event, Timeout
 from repro.sim.stores import Store
 
 from .helpers import CheckedEnvironment
@@ -76,6 +77,129 @@ def test_a_nan_delay_cannot_poison_the_clock():
     env.run()
     assert log == [(1.0, 1.0), (2.0, 2.0), (float("inf"), float("inf"))]
     assert not procs[1].ok
+
+
+@pytest.mark.parametrize("delay", [float("nan"), -1.0, -1e-300, float("-inf")])
+def test_a_timeout_refuses_a_bad_delay_before_it_is_scheduled(delay):
+    """``Timeout`` sets its fields itself instead of through
+    ``Event.__init__``; the guard still comes first, so a refused timeout
+    leaves nothing queued and the referee sees no schedule."""
+    env = CheckedEnvironment()
+    with pytest.raises(ValueError, match="negative or NaN delay"):
+        Timeout(env, delay)
+    assert env.peek() == float("inf") and not env._shadow
+    fine = Timeout(env, 0.5, value="v")
+    assert (fine.delay, fine.callbacks, fine.triggered, fine.processed) == (
+        0.5, [], True, False
+    )
+    env.run()
+    assert (env.now, fine.value, fine.processed) == (0.5, "v", True)
+
+
+def sim_event_classes():
+    """Every :class:`Event` subclass defined in a ``repro.sim`` module."""
+    import importlib
+    import pkgutil
+
+    import repro.sim
+
+    found = set()
+    for info in pkgutil.iter_modules(repro.sim.__path__):
+        module = importlib.import_module(f"repro.sim.{info.name}")
+        for value in vars(module).values():
+            if (
+                isinstance(value, type)
+                and issubclass(value, Event)
+                and value.__module__.startswith("repro.sim.")
+            ):
+                found.add(value)
+    return found
+
+
+def test_every_event_class_is_slotted():
+    """A simulation allocates an event per delivery: none of them carries
+    an instance ``__dict__``."""
+    classes = sim_event_classes()
+    assert {cls.__name__ for cls in classes} >= {
+        "Event", "Timeout", "_Initialize", "Process", "_Condition", "AnyOf",
+        "AllOf", "StorePut", "StoreGet", "Request",
+    }
+    for cls in classes:
+        unslotted = [k.__name__ for k in cls.__mro__[:-1] if "__slots__" not in vars(k)]
+        assert not unslotted, f"{cls.__name__}: {unslotted} have no __slots__"
+    env = Environment()
+    store = Store(env)
+
+    def proc():
+        yield env.any_of([env.timeout(1), store.get()])
+        yield store.put("x")
+
+    events = [env.process(proc()), env.timeout(0), env.event(), store.get()]
+    events.append(env.all_of(events[1:2]))
+    for event in events:
+        assert not hasattr(event, "__dict__"), type(event).__name__
+
+
+def test_every_delivery_goes_through_pop_next():
+    """The run loop pops through ``_pop_next`` once per delivered event in
+    every form of ``run`` and in ``step`` -- the hook the referee and the
+    event census override."""
+    popped = []
+
+    class Watched(Environment):
+        def _pop_next(self):
+            event = super()._pop_next()
+            if event is not None:
+                popped.append(event)
+            return event
+
+    env = Watched()
+
+    def proc(n):
+        for k in range(n):
+            yield env.timeout(k % 2)
+        return n
+
+    target = env.process(proc(3))
+    others = [env.process(proc(n)) for n in (1, 4, 6)]
+    assert env.run(until=target) == 3
+    env.step()
+    env.run(until=2.5)
+    env.run()
+    assert all(not p.is_alive for p in others)
+    assert len(popped) == env.events_processed > 0
+
+
+def test_every_delivery_is_one_call_of_step():
+    """Every form of ``run`` delivers through ``Environment.step``, one call
+    per event plus the one that finds a drained schedule: counting calls
+    of ``step`` under a profiler counts the kernel's events."""
+    import cProfile
+
+    env = Environment()
+
+    def proc(n):
+        for k in range(n):
+            yield env.timeout(k % 2)
+        return n
+
+    target = env.process(proc(3))
+    others = [env.process(proc(n)) for n in (1, 4, 6)]
+    profile = cProfile.Profile()
+    profile.enable()
+    env.run(until=target)
+    env.run(until=2.5)
+    env.run()
+    profile.disable()
+    assert all(not p.is_alive for p in others)
+    steps = sum(
+        entry.callcount
+        for entry in profile.getstats()
+        if not isinstance(entry.code, str)
+        and entry.code.co_name == "step"
+        and entry.code.co_filename.endswith("sim/kernel.py")
+    )
+    assert steps == env.events_processed + 1 > 1
 
 
 def test_events_fire_in_time_order():
@@ -669,6 +793,34 @@ class BackdatedAbsolute(Environment):
         return event
 
 
+class LaneBeatsHeapAtNow(Environment):
+    """Mutant: a lane head beats a heap entry at ``now`` whatever its eid
+    (only priority still counts)."""
+
+    def _head(self):
+        source = super()._head()
+        if source is self._queue and source[0][0] == self._now:
+            prio = source[0][1]
+            for lane, lane_prio in ((self._urgent, URGENT), (self._normal, NORMAL)):
+                if lane and lane_prio <= prio:
+                    return lane
+        return source
+
+
+class PriorityBlindHeap(Environment):
+    """Mutant: a heap entry at ``now`` is ordered against a lane head by
+    eid alone, not by priority first."""
+
+    def _head(self):
+        source = super()._head()
+        heap = self._queue
+        if source is not None and source is not heap and heap:
+            when, _prio, eid, _event = heap[0]
+            if when == self._now and eid < source[0]._eid:
+                return heap
+        return source
+
+
 @pytest.mark.parametrize(
     "mutant, programs",
     [
@@ -684,8 +836,20 @@ class BackdatedAbsolute(Environment):
                 [("sleep", 1), ("interrupt", 0)],
             ],
         ),
+        # at t=2, past the horizon stop, so inside run()'s own loop: an
+        # absolute entry at now (heap) ahead of a later zero-delay timeout
+        # (normal lane), both NORMAL
+        (
+            LaneBeatsHeapAtNow,
+            [[("sleep", 2), ("at", 0)], [("sleep", 2), ("sleep", 0)]],
+        ),
+        # ... and behind a later process end (urgent lane)
+        (PriorityBlindHeap, [[("sleep", 2), ("at", 0)], [("sleep", 2)]]),
     ],
-    ids=["swapped-lanes", "unshadowed-absolute", "backdated-absolute", "early-skip"],
+    ids=[
+        "swapped-lanes", "unshadowed-absolute", "backdated-absolute", "early-skip",
+        "lane-beats-heap-at-now", "priority-blind-heap",
+    ],
 )
 def test_the_referee_bites(mutant, programs):
     class Refereed(CheckedEnvironment, mutant):
