@@ -25,7 +25,10 @@ FIFO lanes with O(1) push/pop, while genuinely future events fall back to
 the exact binary heap.  The composite pop order is *identical* to a single
 ``(time, priority, eid)`` heap: that heap is the kernel's specification,
 and ``tests/helpers.CheckedEnvironment`` checks every delivery and every
-skip against it.  Two further optimizations ride on the queue: interrupted
+skip against it.  A heap entry is live only while it carries its event's
+current scheduling id: ``_requeue`` moves a pending timer by queueing it
+again under a fresh id, and the entry it supersedes is skipped when it
+surfaces.  Two further optimizations ride on the queue: interrupted
 processes' stale wait targets are lazily cancelled (skipped at their fire
 time instead of being popped, walked and failure-checked), and the
 throwaway resume ``Event`` that :meth:`Process._resume` allocates when
@@ -93,8 +96,9 @@ class Event:
         #: at its fire time *iff* it is still successful and unobserved --
         #: re-subscribing before then revives it without clearing the mark.
         self._dead = False
-        #: scheduling id, assigned when the event enters a current-instant
-        #: lane (orders lane heads against heap entries at the same time)
+        #: scheduling id of the event's current entry (orders lane heads
+        #: against heap entries at the same time; a heap entry carrying
+        #: another id was superseded by ``Environment._requeue``)
         self._eid = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -427,10 +431,10 @@ class Environment:
         takes the heap, which orders an entry at ``now`` against the lanes
         by its id like any other)."""
         self._eid += 1
+        event._eid = self._eid
         if delay == 0.0:
             # current-instant lane: O(1), no tuple, exact order preserved
             # via the carried eid (lanes only ever hold events at _now)
-            event._eid = self._eid
             if priority == URGENT:
                 self._urgent.append(event)
             else:
@@ -467,16 +471,33 @@ class Environment:
         self._schedule(event, NORMAL, None, when)
         return event
 
+    def _requeue(self, event: Event, delay: float) -> None:
+        """Queue the triggered ``event`` ``delay`` seconds from now under a
+        fresh scheduling id, superseding any entry it already has.
+
+        The entry always takes the heap, even at ``delay == 0``: only a heap
+        entry carries its own id, so only a heap entry can be superseded by
+        a later call (a lane entry would stay live, out of id order once its
+        event took a newer id).  At ``now`` it is delivered exactly where a
+        normal-lane entry with that id would be.  ``SharedLink`` re-times a
+        transfer's completion with it."""
+        self._eid += 1
+        event._eid = self._eid
+        heappush(self._queue, (self._now + delay, NORMAL, self._eid, event))
+
     def _head(self):
         """The queue -- heap or lane -- whose head is the next event in
         ``(time, priority, eid)`` order, or ``None`` if nothing is pending.
 
-        Lazily-cancelled events are discarded on the way.  One is dropped
-        only once it *is* the next event (nothing can run before its fire
-        time any more, so nothing can still re-subscribe to it), and only
-        while successful and unobserved; dropping marks it processed so a
-        late ``yield`` still takes the already-processed fast path with
-        the value it would have had.
+        Two kinds of entry are discarded on the way, each only once it
+        *is* the next entry, and each counted in ``events_skipped``.  A heap
+        entry is live only while it carries its event's current ``_eid``:
+        one superseded by a later :meth:`_requeue` is dropped and its event
+        stays pending at its newer entry.  A lazily-cancelled event is
+        dropped (nothing can run before its fire time any more, so nothing
+        can still re-subscribe to it) only while successful and unobserved;
+        dropping marks it processed so a late ``yield`` still takes the
+        already-processed fast path with the value it would have had.
 
         The arbitration builds no key tuples.  Every lane entry is at
         ``now`` and the heap holds nothing earlier, so in ``(time,
@@ -501,11 +522,20 @@ class Environment:
                     if entry[0] == self._now and (
                         entry[1] < prio or (entry[1] == prio and entry[2] < event._eid)
                     ):
-                        source = heap
                         event = entry[3]
+                        if entry[2] != event._eid:
+                            heappop(heap)
+                            self.events_skipped += 1
+                            continue
+                        source = heap
             elif heap:
+                entry = heap[0]
+                event = entry[3]
+                if entry[2] != event._eid:
+                    heappop(heap)
+                    self.events_skipped += 1
+                    continue
                 source = heap
-                event = heap[0][3]
             else:
                 return None
             if not event._dead or not event._ok or event.callbacks:

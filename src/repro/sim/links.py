@@ -27,11 +27,13 @@ equivalence grid):
   exactly what the homogeneous-rank fast path gets from :func:`project`
   for the link parameters ``Topology.collapse_schedule`` hands it.
 
-The fluid revision trick: a transfer's completion timer is scheduled the
-moment its finish time is projectable, and *re-projected* when the fair
-share changes -- the old timer's callbacks migrate to a new timer and the
-old one is lazily skipped by the kernel (``events_skipped``, never
-``events_processed``), which keeps event counts identical to the legacy
+The fluid revision trick: a transfer is its own completion event, queued
+the moment its finish time is projectable and *re-queued* when the fair
+share changes -- :meth:`Environment._requeue` gives it a fresh scheduling
+id, and the entry that carried the old one is lazily skipped by the
+kernel when it surfaces (``events_skipped``, never ``events_processed``).
+Subscribers stay on the one event, so a caller that yields it late still
+waits for the completion, and event counts are identical to the legacy
 one-timer-per-transfer model whenever no revision happens.  A transfer
 that is past its drain point but still inside its latency tail continues
 to count as an active flow until its timer fires; the resulting slight
@@ -78,8 +80,11 @@ def project(
     return anchor + seconds, anchor + latency + seconds, seconds - nbytes / bandwidth
 
 
-class _Transfer:
-    """One in-flight (or stream-queued) transfer on a shared link."""
+class _Transfer(Event):
+    """One in-flight (or stream-queued) transfer on a shared link, and its
+    own completion event: triggered at creation, as a :class:`Timeout`
+    is, with the bytes moved as its value.  Its first callback is the
+    link's completion hook."""
 
     __slots__ = (
         "stream",
@@ -91,12 +96,20 @@ class _Transfer:
         "streams",
         "drain",
         "finish",
-        "timer",
         "timer_at",
         "done",
     )
 
     def __init__(self, stream: "Stream", nbytes: float, now: float) -> None:
+        link = stream.link
+        # Event.__init__'s fields, set here directly (one per transfer)
+        self.env = link.env
+        self.callbacks = [link._hook]
+        self._value = nbytes
+        self._ok = True
+        self._defused = False
+        self._dead = False
+        self._eid = 0
         self.stream = stream
         self.nbytes = nbytes
         #: bytes left to drain as of ``anchor`` (queued transfers keep the
@@ -111,10 +124,10 @@ class _Transfer:
         self.streams = 1
         self.drain = now
         self.finish = now
-        self.timer: Optional[Timeout] = None
-        #: absolute fire time of ``timer`` (``finish`` may run ahead of it
-        #: while a same-instant settle pass is pending)
-        self.timer_at = now
+        #: instant the event is queued for, ``None`` until first queued
+        #: (``finish`` may run ahead of it while a same-instant settle pass
+        #: is pending)
+        self.timer_at: Optional[float] = None
         self.done = False
 
 
@@ -138,6 +151,7 @@ class Stream:
         "transfer_count",
         "wait_seconds",
         "_chain",
+        "_order",
     )
 
     def __init__(
@@ -150,6 +164,9 @@ class Stream:
         self.link = link
         self.tag = tag
         self.cls = cls
+        #: creation rank on the link: the link walks its busy streams in
+        #: this order
+        self._order = len(link._streams)
         #: optional dict the completion-time excess is accumulated into
         #: (``sink[cls] += excess``): the fabric / job-level per-class
         #: ``link_wait_by_class`` aggregator
@@ -168,7 +185,7 @@ class Stream:
             return 0.0
         return max(0.0, self._chain[-1].drain - self.link.env.now)
 
-    def transfer(self, nbytes) -> Timeout:
+    def transfer(self, nbytes) -> Event:
         """Move ``nbytes`` on this stream; returns the completion event."""
         return self.link._submit(self, nbytes)
 
@@ -185,9 +202,12 @@ class SharedLink:
         self.bandwidth = float(bandwidth)
         self.latency = float(latency)
         self._streams: Dict[Hashable, Stream] = {}
-        #: number of streams with a non-empty chain, maintained
-        #: incrementally (the engine consults it on every submit)
-        self._active = 0
+        #: the streams with a non-empty chain, in stream-creation order (the
+        #: order every sweep visits them in); its length is the fair-share
+        #: divisor
+        self._busy: List[Stream] = []
+        #: every transfer's first callback, bound once
+        self._hook = self._complete
         #: a zero-delay settle event is pending at the current instant
         self._settle_armed = False
         #: instant the last retire-and-settle sweep ran (the sweep is
@@ -206,13 +226,20 @@ class SharedLink:
         cls: str = "collective",
         sink: Optional[Dict[str, float]] = None,
     ) -> Stream:
-        """The flow endpoint keyed ``tag`` (created on first use)."""
+        """The flow endpoint keyed ``tag`` (created on first use).  Asking
+        for an existing tag under another class is refused: its bytes
+        would be booked under the class it was created with."""
         s = self._streams.get(tag)
         if s is None:
             s = Stream(self, tag, cls, sink)
             self._streams[tag] = s
-        elif sink is not None and s.sink is None:
-            s.sink = sink
+        else:
+            if s.cls != cls:
+                raise ValueError(
+                    f"stream {tag!r} carries class {s.cls!r}, not {cls!r}"
+                )
+            if sink is not None and s.sink is None:
+                s.sink = sink
         return s
 
     def streams(self) -> List[Stream]:
@@ -224,23 +251,18 @@ class SharedLink:
         """Streams with work still *draining* (latency tails excluded,
         matching the legacy ``_available_at > now`` probe semantics)."""
         now = self.env.now
-        return [
-            s
-            for s in self._streams.values()
-            if s._chain and s._chain[-1].drain > now
-        ]
+        return [s for s in self._busy if s._chain[-1].drain > now]
 
     # -- engine ------------------------------------------------------------
 
-    def _n_active(self) -> int:
-        return self._active
-
-    def _submit(self, stream: Stream, nbytes) -> Timeout:
+    def _submit(self, stream: Stream, nbytes) -> Event:
         env = self.env
         now = env.now
         if nbytes == 0:
             # free zero-byte fast path (legacy pipe parity: no accounting)
             return Timeout(env, 0.0, 0.0)
+        if not nbytes > 0:
+            raise ValueError(f"cannot transfer {nbytes!r} bytes")
         self.total_bytes += nbytes
         self.transfer_count += 1
         self.bytes_by_class[stream.cls] = (
@@ -248,19 +270,24 @@ class SharedLink:
         )
         stream.total_bytes += nbytes
         stream.transfer_count += 1
-        n_before = self._active
+        n_before = len(self._busy)
         self._advance(now)
         t = _Transfer(stream, float(nbytes), now)
         chain = stream._chain
         chain.append(t)
+        busy = self._busy
         if len(chain) == 1:
-            self._active += 1
-        n_after = self._active
+            # a stream opens work: keep the busy list in creation order
+            i = len(busy)
+            while i and busy[i - 1]._order > stream._order:
+                i -= 1
+            busy.insert(i, stream)
+        n_after = len(busy)
         if n_after != n_before:
             self._reproject(now)
-            if t.timer is None:
+            if t.timer_at is None:
                 # the settle pass is batched per instant, but the caller
-                # needs this transfer's completion event right now
+                # needs this transfer's completion queued right now
                 self._set_timer(t, t.finish, now)
         else:
             # same-stream FIFO append: nobody's fair share changed, so only
@@ -273,7 +300,7 @@ class SharedLink:
                 t.anchor, t.remaining, self.bandwidth, self.latency, n_after
             )
             self._set_timer(t, finish, now)
-        return t.timer
+        return t
 
     def _advance(self, now: float) -> None:
         """Retire transfers whose completion is due and settle the drains
@@ -281,15 +308,14 @@ class SharedLink:
 
         Idempotent within an instant, so repeat sweeps at the same ``now``
         return immediately: no time has elapsed to settle, and anything
-        that came due meanwhile has its own timer firing this instant
+        that came due meanwhile has its own event firing this instant
         (retired by :meth:`_complete` directly)."""
         if now == self._advanced_at:
             return
         self._advanced_at = now
-        for s in self._streams.values():
+        drained = False
+        for s in self._busy:
             chain = s._chain
-            if not chain:
-                continue
             while chain and chain[0].finish <= now:
                 self._finish(chain.popleft())
             if chain:
@@ -301,34 +327,37 @@ class SharedLink:
                     )
                     head.anchor = now
             else:
-                self._active -= 1
+                drained = True
+        if drained:
+            self._busy = [s for s in self._busy if s._chain]
 
     def _reproject(self, now: float) -> None:
-        """Re-derive every projection at the current fair share and migrate
-        completion timers whose finish time moved.
+        """Re-derive every projection at the current fair share and re-queue
+        the completion events whose finish time moved.  Called only while
+        some stream is busy (an idle link has nothing to re-project).
 
-        With more than one active stream the timer migrations are *batched*:
-        the projections (share / drain / finish) are revised synchronously,
-        but the kernel timers are brought up to date by a single zero-delay
+        With more than one active stream the re-queues are *batched*: the
+        projections (share / drain / finish) are revised synchronously, but
+        the kernel entries are brought up to date by a single zero-delay
         settle event at the end of the current instant, so a burst of k
-        same-instant submits costs one migration sweep instead of k.  This
-        is safe because :meth:`_advance` has already retired everything due
-        at ``now`` -- every surviving timer fires strictly in the future,
+        same-instant submits costs one sweep instead of k.  This is safe
+        because :meth:`_advance` has already retired everything due at
+        ``now`` -- every surviving entry fires strictly in the future,
         after the settle.  With one active stream (the legacy-pipe parity
-        regime) timers are still set inline, keeping the event trace
+        regime) events are still re-queued inline, keeping the event trace
         bit-identical to :class:`~repro.sim.resources.BandwidthPipe`."""
-        n = self._active
-        if n == 0:
-            return
+        busy = self._busy
+        n = len(busy)
         defer = n > 1
         dirty = False
-        for s in self._streams.values():
+        for s in busy:
             prev: Optional[_Transfer] = None
             for t in s._chain:
                 if prev is None:
-                    if t.timer is not None and t.finish <= now:
-                        # due this instant (timer fires later in the same
-                        # step): already drained, never revise it backwards
+                    if t.timer_at is not None and t.finish <= now:
+                        # due this instant (its event fires later in the
+                        # same step): already drained, never revise it
+                        # backwards
                         prev = t
                         continue
                 else:
@@ -337,7 +366,7 @@ class SharedLink:
                 t.drain, finish, _ = project(
                     t.anchor, t.remaining, self.bandwidth, self.latency, n
                 )
-                if finish != t.finish or t.timer is None:
+                if finish != t.finish or t.timer_at is None:
                     if defer:
                         t.finish = finish
                         dirty = True
@@ -351,57 +380,41 @@ class SharedLink:
             settle.succeed()
 
     def _settle(self, _event: Event) -> None:
-        """End-of-instant sweep: align every live timer with its (possibly
-        repeatedly revised) projection in one pass."""
+        """End-of-instant sweep: align every queued completion with its
+        (possibly repeatedly revised) projection in one pass."""
         self._settle_armed = False
         now = self.env.now
-        for s in self._streams.values():
+        for s in self._busy:
             for t in s._chain:
-                if t.timer is None or t.timer_at != t.finish:
+                if t.timer_at != t.finish:
                     self._set_timer(t, t.finish, now)
 
     def _set_timer(self, t: _Transfer, finish: float, now: float) -> None:
-        t.finish = finish
-        t.timer_at = finish
+        """Queue ``t`` to complete at ``finish``: one fresh scheduling id,
+        whatever entry it had before is superseded."""
+        t.finish = t.timer_at = finish
         delay = finish - now
         if delay < 0.0:
             delay = 0.0
-        timer = Timeout(self.env, delay, t.nbytes)
-        old = t.timer
-        if old is None:
-            timer.callbacks.append(lambda _event, t=t: self._complete(t))
-        else:
-            # migrate subscribers (the completion hook plus any waiting
-            # process) onto the revised timer; the stale one is lazily
-            # skipped by the kernel without being processed
-            timer.callbacks.extend(old.callbacks or ())
-            old.callbacks = []
-            old._dead = True
-            # keep interrupt bookkeeping coherent: a process waiting on the
-            # old timer must see the revised one as its target, or an
-            # interrupt would leave a stale resume behind on the new timer
-            for cb in timer.callbacks:
-                waiter = getattr(cb, "__self__", None)
-                if waiter is not None and getattr(waiter, "_target", None) is old:
-                    waiter._target = timer
-        t.timer = timer
+        self.env._requeue(t, delay)
 
     def _complete(self, t: _Transfer) -> None:
         if t.done:
             return
         now = self.env.now
-        n_before = self._n_active()
+        n_before = len(self._busy)
         self._advance(now)
         if not t.done:
-            # defensive: the timer fired but the sweep didn't retire it
+            # defensive: the event fired but the sweep didn't retire it
             # (float drift put finish an ulp past now) -- retire directly
             chain = t.stream._chain
             if chain and chain[0] is t:
                 chain.popleft()
                 if not chain:
-                    self._active -= 1
+                    self._busy.remove(t.stream)
             self._finish(t)
-        if self._n_active() != n_before:
+        n = len(self._busy)
+        if n != n_before and n:
             self._reproject(now)
 
     def _finish(self, t: _Transfer) -> None:
@@ -419,3 +432,4 @@ class SharedLink:
         sink = stream.sink
         if sink is not None:
             sink[stream.cls] = sink.get(stream.cls, 0.0) + excess
+

@@ -16,7 +16,8 @@ from repro.errors import ConfigurationError
 from repro.sim.cluster import Cluster, ClusterMembership
 from repro.sim.distributed import JobSpec, run_distributed, run_elastic
 from repro.sim.fabric import RingFabric
-from repro.sim.kernel import AllOf, Environment
+from repro.sim.kernel import NORMAL, AllOf, Environment, Event, Timeout
+from repro.sim.links import SharedLink, project
 from repro.sim.loaders import SimContext, SimMinatoLoader
 from repro.sim.scenarios import JobMix
 from repro.sim.workloads import CONFIG_A, WorkloadSpec, make_workload
@@ -166,47 +167,65 @@ class CheckedEnvironment(Environment):
     one plain ``(time, priority, eid)`` binary heap.
 
     Every ``_schedule`` -- by delay or, for ``succeed_at``, at an absolute
-    instant -- is shadowed into that heap, and the kernel must
-    agree with it transition by transition: it delivers exactly the
-    shadow's next entry; it lazily drops an event exactly when that event
-    *is* the shadow's next entry (its own fire time, never earlier) and
-    is dead-marked, successful and unobserved; virtual time never runs
-    backwards; and no event object is ever pending twice (what the
-    per-process resume recycling must guarantee).
+    instant -- and every ``_requeue`` is shadowed into that heap, and the
+    kernel must agree with it transition by transition: it delivers
+    exactly the shadow's next entry; it drops an entry exactly when that
+    entry *is* the shadow's next one (its own fire time, never earlier) and
+    either was superseded by a later ``_requeue`` of its event or belongs
+    to a dead-marked, successful, unobserved event, which it marks
+    processed; virtual time never runs backwards; and no event object is
+    ever pending twice except through ``_requeue`` (what the per-process
+    resume recycling must guarantee).
     :func:`on_checked_kernel` substitutes it into whole simulated runs.
     """
 
     def __init__(self, initial_time: float = 0.0) -> None:
         super().__init__(initial_time)
         self._shadow: list = []
-        self._queued: set = set()
+        #: pending event -> the id of its live shadow entry; keyed by the
+        #: event itself, so a recycled ``id()`` cannot alias it
+        self._latest: dict = {}
 
-    def _schedule(self, event, priority, delay, at=None) -> None:
-        assert id(event) not in self._queued, f"{event!r} is pending twice"
-        self._queued.add(id(event))
-        super()._schedule(event, priority, delay, at)
-        # the absolute-time entry (delay=None) is shadowed like a delay
-        when = self._now + delay if at is None else at
+    def _shadow_push(self, when, priority, event) -> None:
         assert when >= self._now, f"{event!r} scheduled in the past ({when})"
+        self._latest[event] = self._eid
         heapq.heappush(self._shadow, (when, priority, self._eid, event))
 
+    def _schedule(self, event, priority, delay, at=None) -> None:
+        assert event not in self._latest, f"{event!r} is pending twice"
+        super()._schedule(event, priority, delay, at)
+        # the absolute-time entry (delay=None) is shadowed like a delay
+        self._shadow_push(self._now + delay if at is None else at, priority, event)
+
+    def _requeue(self, event, delay) -> None:
+        super()._requeue(event, delay)
+        self._shadow_push(self._now + delay, NORMAL, event)
+
     def _take(self):
-        when, _priority, _eid, event = heapq.heappop(self._shadow)
-        self._queued.discard(id(event))
+        when, _priority, eid, event = heapq.heappop(self._shadow)
+        if self._latest.get(event) == eid:
+            del self._latest[event]
         return when, event
 
     def _head(self):
-        due = []
+        superseded, due = 0, []
         while self._shadow:
-            event = self._shadow[0][3]
-            if not (event._dead and event._ok and not event.callbacks):
+            _when, _priority, eid, event = self._shadow[0]
+            if self._latest.get(event) != eid:
+                self._take()
+                superseded += 1
+            elif event._dead and event._ok and not event.callbacks:
+                due.append(self._take()[1])
+            else:
                 break
-            due.append(self._take()[1])
         skipped = self.events_skipped
         source = super()._head()
-        assert self.events_skipped - skipped == len(due) and all(
+        assert self.events_skipped - skipped == superseded + len(due) and all(
             event.callbacks is None for event in due
-        ), f"lazy cancellation out of turn (the specification drops {due})"
+        ), (
+            f"skip out of turn (the specification drops {superseded} "
+            f"superseded entries and the dead {due})"
+        )
         return source
 
     def _pop_next(self):
@@ -465,6 +484,183 @@ class GeneratorRingFabric(RingFabric):
                 event.succeed()
 
         self.env.process(stalled())
+
+
+# ---------------------------------------------------------------------------
+# The link engine's specification: a kernel timer per transfer, migrated on revision
+# ---------------------------------------------------------------------------
+
+
+class _TimedTransfer:
+    """A transfer as it was before it became its own completion event:
+    bookkeeping only, completed by the ``Timeout`` in ``timer``."""
+
+    __slots__ = (
+        "stream", "nbytes", "remaining", "anchor", "start", "submitted",
+        "streams", "drain", "finish", "timer", "timer_at", "done",
+    )
+
+    def __init__(self, stream, nbytes, now) -> None:
+        self.stream = stream
+        self.nbytes = nbytes
+        self.remaining = nbytes
+        self.anchor = self.start = self.submitted = now
+        self.streams = 1
+        self.drain = self.finish = now
+        self.timer = None
+        self.timer_at = now
+        self.done = False
+
+
+class TimerPerTransferLink(SharedLink):
+    """``SharedLink`` with the engine it had before a transfer was its own
+    completion event: every transfer allocates a ``Timeout`` (plus a
+    closure), and a re-projection allocates a new one, moves the callbacks
+    onto it, marks the old one dead and re-targets each waiting process;
+    every sweep walks every stream on the link.  Stream bookkeeping,
+    accounting and ``_finish`` are the production link's."""
+
+    def __init__(self, env, bandwidth, latency=0.0) -> None:
+        super().__init__(env, bandwidth, latency)
+        self._active = 0
+
+    def busy_streams(self):
+        now = self.env.now
+        return [
+            s for s in self._streams.values()
+            if s._chain and s._chain[-1].drain > now
+        ]
+
+    def _submit(self, stream, nbytes):
+        env = self.env
+        now = env.now
+        if nbytes == 0:
+            return Timeout(env, 0.0, 0.0)
+        self.total_bytes += nbytes
+        self.transfer_count += 1
+        self.bytes_by_class[stream.cls] = (
+            self.bytes_by_class.get(stream.cls, 0.0) + nbytes
+        )
+        stream.total_bytes += nbytes
+        stream.transfer_count += 1
+        n_before = self._active
+        self._advance(now)
+        t = _TimedTransfer(stream, float(nbytes), now)
+        chain = stream._chain
+        chain.append(t)
+        if len(chain) == 1:
+            self._active += 1
+        n_after = self._active
+        if n_after != n_before:
+            self._reproject(now)
+            if t.timer is None:
+                self._set_timer(t, t.finish, now)
+        else:
+            if len(chain) > 1:
+                t.anchor = t.start = max(now, chain[-2].drain)
+            t.streams = n_after
+            t.drain, finish, _ = project(
+                t.anchor, t.remaining, self.bandwidth, self.latency, n_after
+            )
+            self._set_timer(t, finish, now)
+        return t.timer
+
+    def _advance(self, now):
+        if now == self._advanced_at:
+            return
+        self._advanced_at = now
+        for s in self._streams.values():
+            chain = s._chain
+            if not chain:
+                continue
+            while chain and chain[0].finish <= now:
+                self._finish(chain.popleft())
+            if chain:
+                head = chain[0]
+                if now > head.anchor:
+                    share = self.bandwidth / head.streams
+                    head.remaining = max(
+                        0.0, head.remaining - (now - head.anchor) * share
+                    )
+                    head.anchor = now
+            else:
+                self._active -= 1
+
+    def _reproject(self, now):
+        n = self._active
+        if n == 0:
+            return
+        defer = n > 1
+        dirty = False
+        for s in self._streams.values():
+            prev = None
+            for t in s._chain:
+                if prev is None:
+                    if t.timer is not None and t.finish <= now:
+                        prev = t
+                        continue
+                else:
+                    t.anchor = t.start = max(now, prev.drain)
+                t.streams = n
+                t.drain, finish, _ = project(
+                    t.anchor, t.remaining, self.bandwidth, self.latency, n
+                )
+                if finish != t.finish or t.timer is None:
+                    if defer:
+                        t.finish = finish
+                        dirty = True
+                    else:
+                        self._set_timer(t, finish, now)
+                prev = t
+        if dirty and not self._settle_armed:
+            self._settle_armed = True
+            settle = Event(self.env)
+            settle.callbacks.append(self._settle)
+            settle.succeed()
+
+    def _settle(self, _event):
+        self._settle_armed = False
+        now = self.env.now
+        for s in self._streams.values():
+            for t in s._chain:
+                if t.timer is None or t.timer_at != t.finish:
+                    self._set_timer(t, t.finish, now)
+
+    def _set_timer(self, t, finish, now):
+        t.finish = finish
+        t.timer_at = finish
+        delay = finish - now
+        if delay < 0.0:
+            delay = 0.0
+        timer = Timeout(self.env, delay, t.nbytes)
+        old = t.timer
+        if old is None:
+            timer.callbacks.append(lambda _event, t=t: self._complete(t))
+        else:
+            timer.callbacks.extend(old.callbacks or ())
+            old.callbacks = []
+            old._dead = True
+            for cb in timer.callbacks:
+                waiter = getattr(cb, "__self__", None)
+                if waiter is not None and getattr(waiter, "_target", None) is old:
+                    waiter._target = timer
+        t.timer = timer
+
+    def _complete(self, t):
+        if t.done:
+            return
+        now = self.env.now
+        n_before = self._active
+        self._advance(now)
+        if not t.done:
+            chain = t.stream._chain
+            if chain and chain[0] is t:
+                chain.popleft()
+                if not chain:
+                    self._active -= 1
+            self._finish(t)
+        if self._active != n_before:
+            self._reproject(now)
 
 
 @dataclass

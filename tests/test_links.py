@@ -12,13 +12,20 @@ Three contracts from the per-stream link refactor:
 * bytes are conserved under arbitrary open/close schedules: every
   submitted byte comes out of a completion event exactly once, and the
   link never beats its capacity.
+
+The engine itself -- a transfer is its own completion event, re-queued
+when its projection moves -- is held to the timer-per-transfer engine it
+replaced (``tests/helpers.TimerPerTransferLink``), to the bit.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import EmptySchedule
 from repro.sim import AllOf, BandwidthPipe, Environment, SharedLink
+
+from .helpers import CheckedEnvironment, TimerPerTransferLink
 
 
 def drive(env, device, schedule, completions):
@@ -232,3 +239,171 @@ def test_shared_link_conserves_bytes(schedule, bandwidth, latency):
     assert link.busy_streams() == []
     for stream in streams.values():
         assert stream.backlog == 0.0
+
+
+# ---------------------------------------------------------------------------
+# A transfer is its own completion event
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "wait",
+    [lambda env, event: event, lambda env, event: AllOf(env, [event])],
+    ids=["yield", "all-of"],
+)
+def test_a_late_yield_on_a_re_projected_transfer_waits_for_its_completion(wait):
+    """Stream a sends 100 B at t = 0 on a 1000 B/s link and would finish at
+    0.1; stream b opens at 0.05, so a finishes at 0.15.  A caller that
+    waits on a's event at 0.12 -- past the instant it was first projected
+    for -- must resume at a's completion, not at once."""
+    env = CheckedEnvironment()
+    link = SharedLink(env, bandwidth=1000.0)
+    a, b = link.stream("a"), link.stream("b")
+    seen = {}
+
+    def sender():
+        seen["event"] = a.transfer(100)
+        yield seen["event"]
+        seen["done"] = env.now
+
+    def opener():
+        yield env.timeout(0.05)
+        yield b.transfer(100)
+
+    def late():
+        yield env.timeout(0.12)
+        seen["value"] = yield wait(env, seen["event"])
+        seen["late"] = env.now
+
+    for body in (sender(), opener(), late()):
+        env.process(body)
+    env.run()
+    assert seen["done"] == pytest.approx(0.15)
+    assert seen["late"] == seen["done"]
+    assert seen["value"] in (100.0, {seen["event"]: 100.0})
+
+
+def test_a_stream_tag_is_bound_to_its_class():
+    """Asking for an existing stream under another class would book its
+    bytes under the first class without a word: refused."""
+    link = SharedLink(Environment(), bandwidth=1.0)
+    loader = link.stream(("tenant", 0, "io"), "loader")
+    with pytest.raises(ValueError, match="carries class 'loader', not 'checkpoint'"):
+        link.stream(("tenant", 0, "io"), "checkpoint")
+    with pytest.raises(ValueError, match="not 'collective'"):
+        link.stream(("tenant", 0, "io"))  # the default class
+    sink = {}
+    assert link.stream(("tenant", 0, "io"), "loader", sink) is loader
+    assert loader.sink is sink
+
+
+@pytest.mark.parametrize("nbytes", [float("nan"), -1.0])
+def test_a_transfer_without_a_size_is_refused_with_nothing_booked(nbytes):
+    env = Environment()
+    link = SharedLink(env, bandwidth=1.0)
+    stream = link.stream("s")
+    with pytest.raises(ValueError, match="cannot transfer"):
+        stream.transfer(nbytes)
+    assert (link.total_bytes, link.transfer_count, stream.total_bytes) == (0, 0, 0)
+    assert env.peek() == float("inf")
+
+
+CLASSES = ("collective", "loader", "checkpoint")
+
+
+@st.composite
+def link_programs(draw):
+    """One or two links (latency 0 or > 0), 1-12 streams with classes and
+    optional shared sinks, and processes that each send a few transfers
+    one after another -- gaps on an eighth-second grid, so same-instant
+    bursts, FIFO appends on a busy stream and resubmits at a completion
+    instant all happen; zero-byte sends included."""
+    links = [
+        (draw(st.sampled_from([1.0, 3.0, 10.0, 1e3])), draw(st.sampled_from([0.0, 1e-3, 0.125])))
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    streams = [
+        (
+            draw(st.integers(0, len(links) - 1)),
+            draw(st.sampled_from(CLASSES)),
+            draw(st.sampled_from([None, 0, 1])),
+        )
+        for _ in range(draw(st.integers(1, 12)))
+    ]
+    send = st.tuples(
+        st.integers(0, len(streams) - 1),
+        st.sampled_from([0, 0, 1, 2, 4]).map(lambda k: k / 8.0),
+        st.sampled_from([0, 1, 3, 7, 100, 1000]),
+    )
+    processes = draw(st.lists(st.lists(send, min_size=1, max_size=4), min_size=1, max_size=8))
+    return links, streams, processes
+
+
+def check_link_invariants(link, delivered):
+    """At an instant's end: every submitted byte is delivered or still on
+    a chain, and the busy heads' shares do not exceed the bandwidth."""
+    chains = [s._chain for s in link.streams() if s._chain]
+    assert link.total_bytes == delivered + sum(t.nbytes for c in chains for t in c)
+    shares = sum(link.bandwidth / c[0].streams for c in chains)
+    assert shares <= link.bandwidth * (1.0 + 1e-12)
+
+
+def run_link_program(link_cls, program):
+    params, stream_specs, processes = program
+    env = CheckedEnvironment()
+    links = [link_cls(env, bandwidth, latency) for bandwidth, latency in params]
+    sinks = [{}, {}]
+    streams = [
+        links[at].stream(("s", sid, cls), cls, None if sink is None else sinks[sink])
+        for sid, (at, cls, sink) in enumerate(stream_specs)
+    ]
+    delivered = [0.0] * len(links)
+    completions = []
+
+    def sender(pid, sends):
+        for n, (sid, gap, nbytes) in enumerate(sends):
+            if gap:
+                yield env.timeout(gap)
+            value = yield streams[sid].transfer(nbytes)
+            delivered[stream_specs[sid][0]] += value
+            completions.append((env.now, pid, n, value))
+
+    for pid, sends in enumerate(processes):
+        env.process(sender(pid, sends))
+    while True:
+        try:
+            env.step()
+        except EmptySchedule:
+            break
+        if env.peek() > env.now:
+            for link, done in zip(links, delivered):
+                check_link_invariants(link, done)
+    assert all(link.busy_streams() == [] for link in links)
+    # per-class dicts as item lists: the order classes first retired in is
+    # the order the engine swept its streams in
+    return {
+        "completions": completions,
+        "events": (env.events_processed, env.events_skipped),
+        "links": [
+            (
+                link.total_bytes, link.transfer_count,
+                list(link.bytes_by_class.items()), list(link.wait_by_class.items()),
+            )
+            for link in links
+        ],
+        "stream_waits": [s.wait_seconds for s in streams],
+        "sinks": [list(sink.items()) for sink in sinks],
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(program=link_programs())
+def test_the_link_engine_refines_the_timer_per_transfer_engine(program):
+    """Re-queuing a transfer's own event instead of migrating its
+    subscribers to a new timer, and walking busy streams only, is
+    invisible: every completion instant and the delivery order, every
+    wait (per class, per stream, per sink) and the kernel's delivered and
+    skipped counts agree with ``==``."""
+    assert run_link_program(SharedLink, program) == run_link_program(
+        TimerPerTransferLink, program
+    )

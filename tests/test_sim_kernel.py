@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.errors import EmptySchedule, SimulationError
 from repro.sim import AllOf, AnyOf, Environment, Interrupt
 from repro.sim.kernel import NORMAL, URGENT, Event, Timeout
+from repro.sim.links import SharedLink
 from repro.sim.stores import Store
 
 from .helpers import CheckedEnvironment
@@ -690,6 +691,12 @@ OPS = st.one_of(
     st.tuples(st.just("interrupt"), st.integers(0, 3)),
     st.tuples(st.just("again"), st.none()),
     st.tuples(st.just("old"), st.none()),
+    # (stream, bytes) on a 1 B/s link; 0.5e-16 B at t >= 1 is absorbed
+    # into ``now`` on its own and not when shared: zero-delay re-queues
+    st.tuples(
+        st.just("send"),
+        st.tuples(st.integers(0, 2), st.sampled_from([0, 0.5e-16, 0.5, 1])),
+    ),
 )
 PROGRAMS = st.lists(st.lists(OPS, max_size=8), min_size=2, max_size=4)
 
@@ -699,8 +706,11 @@ def drive(env, programs):
     trace.  ``again`` re-yields the wait the last interrupt cut short (dead
     event revival, or a late yield once it was skipped); ``old`` re-yields
     the last finished sleep (the recycled already-processed passthrough);
-    ``at`` waits on a plain event succeeded at an absolute instant."""
+    ``at`` waits on a plain event succeeded at an absolute instant;
+    ``send`` waits on a transfer over a shared link (re-queued when
+    another stream opens or drains)."""
     store = Store(env, capacity=2)
+    link = SharedLink(env, bandwidth=1.0)
     trace = []
     procs = []
 
@@ -720,6 +730,7 @@ def drive(env, programs):
                 "at": lambda: env.succeed_at(env.event(), env.now + arg, n),
                 "again": lambda: stale,
                 "old": lambda: old,
+                "send": lambda: link.stream(arg[0]).transfer(arg[1]),
             }[op]()
             if event is None:
                 continue
@@ -821,6 +832,31 @@ class PriorityBlindHeap(Environment):
         return source
 
 
+class SupersededDelivered(Environment):
+    """Mutant: ``_head`` takes every heap entry for live, as if each carried
+    its event's current id, so a re-queued transfer is also delivered at
+    the instant it was first queued for."""
+
+    def _head(self):
+        self._queue[:] = [(when, p, e._eid, e) for when, p, _eid, e in self._queue]
+        heapq.heapify(self._queue)
+        return super()._head()
+
+
+class LaneRequeue(Environment):
+    """Mutant: a zero-delay ``_requeue`` goes to the normal lane, where a
+    later re-queue cannot supersede it: the lane keeps an entry whose event
+    has since taken a newer id, out of id order."""
+
+    def _requeue(self, event, delay):
+        if delay:
+            super()._requeue(event, delay)
+        else:
+            self._eid += 1
+            event._eid = self._eid
+            self._normal.append(event)
+
+
 @pytest.mark.parametrize(
     "mutant, programs",
     [
@@ -845,10 +881,25 @@ class PriorityBlindHeap(Environment):
         ),
         # ... and behind a later process end (urgent lane)
         (PriorityBlindHeap, [[("sleep", 2), ("at", 0)], [("sleep", 2)]]),
+        # a's transfer, due at t=1 alone, is re-queued to t=1.5 when b opens
+        (SupersededDelivered, [[("send", (0, 1))], [("sleep", 0.5), ("send", (1, 1))]]),
+        # at t=1: p on stream 0 (due at once), q on stream 1, then t behind
+        # p, due at once at a half share (a zero-delay re-queue), then a
+        # third stream opens and the settle re-queues t one ulp later
+        (
+            LaneRequeue,
+            [
+                [("sleep", 1), ("send", (0, 0.5e-16))],
+                [("sleep", 1), ("send", (1, 1))],
+                [("sleep", 1), ("send", (0, 0.5e-16))],
+                [("sleep", 1), ("send", (2, 1))],
+            ],
+        ),
     ],
     ids=[
         "swapped-lanes", "unshadowed-absolute", "backdated-absolute", "early-skip",
-        "lane-beats-heap-at-now", "priority-blind-heap",
+        "lane-beats-heap-at-now", "priority-blind-heap", "superseded-delivered",
+        "lane-requeue",
     ],
 )
 def test_the_referee_bites(mutant, programs):
