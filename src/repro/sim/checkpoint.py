@@ -18,7 +18,8 @@ cost on the cluster's modelled hardware:
   through the next collective.
 * **Restore path** -- on a node failure the job recovers before its next
   round: ``restore="storage"`` has every survivor re-read its (new)
-  shard of the snapshot through its own storage pipe, in parallel;
+  shard of the snapshot along the write path (storage pipe, then NIC
+  when storage is remote), in parallel;
   ``restore="peer"`` has one survivor stream the full state over its
   NIC-class link on the cluster topology (the link its rank-0 collective
   stream uses), so a peer restore contends with collectives instead of

@@ -33,7 +33,16 @@ Nothing in this module may import :mod:`repro.sim.distributed` or
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..data.storage import PageCache
 from ..errors import ConfigurationError
@@ -47,6 +56,8 @@ __all__ = [
     "ClusterMembership",
     "MembershipEvent",
     "PartitionEvent",
+    "RoundSchedule",
+    "read_schedule",
     "NodeSite",
     "EVENT_KINDS",
     "DEFAULT_LINK_LATENCY",
@@ -264,6 +275,79 @@ class ClusterMembership:
         )
 
 
+class RoundSchedule(NamedTuple):
+    """What a job's round boundary reads from its membership schedule."""
+
+    #: the membership the round runs with
+    active: FrozenSet[int]
+    #: events still to come, in schedule order
+    pending: Tuple[MembershipEvent, ...]
+    #: fails that may fire during the round: epoch-anchored at it, or
+    #: time-anchored, on a node it runs
+    armed: Tuple[MembershipEvent, ...]
+    #: first later round index a pending event anchors at (a budget-mode
+    #: round must not span past it); None when nothing is pending
+    next_anchor: Optional[int]
+
+
+def read_schedule(
+    pending: Sequence[MembershipEvent],
+    active: FrozenSet[int],
+    round_index: int,
+    now: float,
+) -> RoundSchedule:
+    """The one pass a round boundary makes over the events still to come.
+
+    A join or leave whose anchor is due applies; a fail whose anchor has
+    passed (a time that fell between rounds, an epoch already over)
+    degrades to removal after every join and leave, so a node never
+    outlives its scheduled death.  Every other event stays pending, and
+    says where the round must stop: a time anchor at the next round (its
+    pass alignment is unknown), a fail at its epoch and the one after
+    (the re-shard right after it), a join or leave at its epoch.
+    """
+    active = set(active)
+    doomed: List[int] = []
+    still: List[MembershipEvent] = []
+    armable: List[MembershipEvent] = []
+    next_anchor: Optional[int] = None
+    for event in pending:
+        if event.kind == "fail":
+            if (event.time is not None and event.time <= now) or (
+                event.epoch is not None and event.epoch < round_index
+            ):
+                doomed.append(event.node)
+                continue
+        elif (event.epoch is not None and event.epoch <= round_index) or (
+            event.time is not None and event.time <= now
+        ):
+            if event.kind == "join":
+                active.add(event.node)
+            else:
+                active.discard(event.node)
+            continue
+        still.append(event)
+        if event.time is not None:
+            anchor = round_index + 1
+            if event.kind == "fail":
+                armable.append(event)
+        elif event.kind == "fail":
+            anchor = max(event.epoch, round_index + 1)
+            if event.epoch == round_index:
+                armable.append(event)
+        else:
+            anchor = event.epoch
+        if next_anchor is None or anchor < next_anchor:
+            next_anchor = anchor
+    active.difference_update(doomed)
+    return RoundSchedule(
+        frozenset(active),
+        tuple(still),
+        tuple(event for event in armable if event.node in active),
+        next_anchor,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Per-node shared resources
 # ---------------------------------------------------------------------------
@@ -470,26 +554,18 @@ class Cluster:
                 )
         return self._topology
 
-    def loader_nic(self, node: int, tenant=None, sink=None):
-        """The loader-class stream a node's cache misses traverse when
-        storage is remote (``storage_over_nic``); None when loader traffic
-        stays off-NIC.  One stream per (tenant, node): tenants' miss
-        traffic contends max-min fair on the node's shared NIC link with
-        each other and with collective/checkpoint streams, while staying
-        separately attributed."""
+    def storage_nic(self, node: int, cls: str, tenant=None, sink=None):
+        """The ``cls``-class stream a node's storage bytes traverse when
+        storage is remote (``storage_over_nic``): ``"loader"`` for cache
+        misses, ``"checkpoint"`` for snapshot writes and restore reads.
+        None when storage traffic stays off-NIC.  One stream per (tenant,
+        node, class): tenants' storage traffic contends max-min fair on
+        the node's shared NIC link with each other and with collective
+        streams, while staying separately attributed."""
         if not self.storage_over_nic:
             return None
         return self.topology.nic_link(node).stream(
-            (tenant, node, "loader"), "loader", sink
-        )
-
-    def checkpoint_nic(self, node: int, tenant=None, sink=None):
-        """The checkpoint-class stream a node's snapshot writes traverse
-        when storage is remote (``storage_over_nic``); None otherwise."""
-        if not self.storage_over_nic:
-            return None
-        return self.topology.nic_link(node).stream(
-            (tenant, node, "checkpoint"), "checkpoint", sink
+            (tenant, node, cls), cls, sink
         )
 
     def peer_link(self, node: int):

@@ -74,7 +74,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from math import ceil
 from numbers import Real
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..data.samplers import ShardAssignment, ShardedSampler
 from ..data.storage import CacheSnapshot
@@ -88,6 +88,8 @@ from .cluster import (
     ClusterMembership,
     MembershipEvent,
     PartitionEvent,
+    RoundSchedule,
+    read_schedule,
 )
 from .fabric import RingFabric
 from .kernel import AllOf, Event, Interrupt
@@ -725,16 +727,27 @@ def run_elastic(
 
 
 class _RoundState:
-    """Mutable per-round scratch of one job (one epoch / budget span)."""
+    """Mutable per-round scratch of one job (one epoch / budget span).
 
-    def __init__(self, index: int, generation: int) -> None:
+    A round is the job's current one (``job._round is rnd``) from the
+    boundary that begins it until the next boundary or the job's end;
+    what was started for it -- its fail controllers -- asks that before
+    acting, so nothing armed for one round fires into another.
+    """
+
+    def __init__(
+        self, index: int, schedule: RoundSchedule, gpus_per_node: int
+    ) -> None:
         self.index = index
-        self.generation = generation
-        self.nodes: List[int] = []
-        self.world_nodes = 0
-        self.world_ranks = 0
+        #: the boundary's reading of the membership schedule
+        self.schedule = schedule
+        self.nodes: List[int] = sorted(schedule.active)
+        self.world_nodes = len(self.nodes)
+        self.world_ranks = self.world_nodes * gpus_per_node
         self.passes = 1
         self.gpu_steps: List[int] = []
+        self.node_budget = 0
+        self.samples_budget: Optional[int] = None
         self.bucket_bytes = 0.0
         self.bucket_cost = 0.0
         self.loaders: Dict[int, object] = {}
@@ -745,7 +758,6 @@ class _RoundState:
         self.stale: List[float] = []
         self.overlap_frac: List[float] = []
         self.cache_before: Dict[int, CacheSnapshot] = {}
-        self.all_procs: List = []
 
 
 class _ElasticJob:
@@ -845,12 +857,14 @@ class _ElasticJob:
         #: fabric's collective-class sink in :meth:`result`
         self.link_wait_by_class: Dict[str, float] = {}
 
-        self.active: List[int] = list(range(membership.initial_nodes))
+        self.active: FrozenSet[int] = frozenset(range(membership.initial_nodes))
+        #: membership events no round boundary has consumed yet, in
+        #: schedule order; only a boundary's read_schedule replaces it
+        self.pending: Tuple[MembershipEvent, ...] = membership.events
         self.samplers: Dict[int, ShardedSampler] = {}
         self.contexts: Dict[int, SimContext] = {}
         self.activated_at: Dict[int, float] = {}
         self.deactivated_at: Dict[int, float] = {}
-        self.consumed: Set[int] = set()
         self.counters = {
             "steps": 0,
             "samples": 0,
@@ -869,9 +883,7 @@ class _ElasticJob:
         self.prev_shards: Dict[int, frozenset] = {}
 
         self.round_index = 0
-        # monotonically increasing generation: stale fail-killers from
-        # earlier rounds must not fire into a later round's processes
-        self.round_gen = {"value": 0}
+        #: the current round; None before the first and after the job ends
         self._round: Optional[_RoundState] = None
         self.started_at = 0.0
         self.finished_at: Optional[float] = None
@@ -906,69 +918,35 @@ class _ElasticJob:
             if not self.epoch_mode and self.remaining_steps <= 0:
                 break
             rnd = self._begin_round()
-            yield AllOf(self.env, rnd.all_procs)
+            yield AllOf(
+                self.env, [proc for procs in rnd.procs.values() for proc in procs]
+            )
             self._record_round(rnd)
             if self.ckpt is not None and self.ckpt.pending_restore:
                 yield from self._recover()
+        self._round = None
         self.finished_at = self.env.now
 
     # -- round boundary ----------------------------------------------------
 
-    def _apply_boundary_events(self, boundary_now: float) -> None:
-        """Apply due join/leave events and degrade stale fails to removal
-        (a node must not outlive its scheduled death)."""
-        membership = self.membership
-        for idx, event in enumerate(membership.events):
-            if idx in self.consumed or event.kind == "fail":
-                continue
-            due = (
-                event.epoch is not None and event.epoch <= self.round_index
-            ) or (event.time is not None and event.time <= boundary_now)
-            if not due:
-                continue
-            self.consumed.add(idx)
-            if event.kind == "join":
-                if event.node in self.active:
-                    raise ConfigurationError(
-                        f"node {event.node} is already active"
-                    )
-                self.active.append(event.node)
-            else:  # leave
-                if event.node in self.active:
-                    self.active.remove(event.node)
-                    self.deactivated_at[event.node] = boundary_now
-        # a fail whose anchor passed between rounds (a time instant that
-        # fell outside any round, or an `after` longer than its epoch)
-        # degrades to removal at this boundary instead of silently never
-        # firing
-        for idx, event in enumerate(membership.events):
-            if idx in self.consumed or event.kind != "fail":
-                continue
-            stale = (
-                event.time is not None and event.time <= boundary_now
-            ) or (event.epoch is not None and event.epoch < self.round_index)
-            if stale:
-                self.consumed.add(idx)
-                if event.node in self.active:
-                    self.active.remove(event.node)
-                    self.deactivated_at[event.node] = boundary_now
-
     def _begin_round(self) -> _RoundState:
-        """Apply boundary events, re-shard, plan budgets, spawn this
-        round's loaders/processes/fail controllers."""
+        """Read the membership schedule, re-shard, plan budgets, spawn
+        this round's loaders/processes/fail controllers."""
         boundary_now = self.env.now
-        self._apply_boundary_events(boundary_now)
+        schedule = read_schedule(
+            self.pending, self.active, self.round_index, boundary_now
+        )
+        for node in self.active - schedule.active:
+            self.deactivated_at[node] = boundary_now
+        self.active = schedule.active
+        self.pending = schedule.pending
         if not self.active:
             raise ConfigurationError(
                 "membership schedule empties the cluster before the "
                 "workload's budget is exhausted"
             )
-        self.round_gen["value"] += 1
-        rnd = _RoundState(self.round_index, self.round_gen["value"])
+        rnd = _RoundState(self.round_index, schedule, self.gpus_per_node)
         self._round = rnd
-        rnd.nodes = sorted(self.active)
-        rnd.world_nodes = len(rnd.nodes)
-        rnd.world_ranks = rnd.world_nodes * self.gpus_per_node
 
         self._reshard_round(rnd, boundary_now)
         self._plan_budgets(rnd)
@@ -1014,8 +992,8 @@ class _ElasticJob:
                     # (None when storage stays off-NIC): this job's miss
                     # traffic contends fluidly with collectives and other
                     # tenants, attributed into its per-class wait sink
-                    nic=self.cluster.loader_nic(
-                        node, tenant=self.job_id, sink=self.link_wait_by_class
+                    nic=self.cluster.storage_nic(
+                        node, "loader", self.job_id, self.link_wait_by_class
                     ),
                     cache_namespace=self.cache_namespace,
                 )
@@ -1091,22 +1069,7 @@ class _ElasticJob:
             per_pass_per_gpu = (
                 pass_batches + gpus_per_node - 1
             ) // gpus_per_node
-            next_change: Optional[int] = None
-            for pending_index, pending in enumerate(self.membership.events):
-                if pending_index in self.consumed:
-                    continue
-                if pending.time is not None:
-                    # unknown pass alignment: stay pass-by-pass until fired
-                    anchors = [rnd.index + 1]
-                elif pending.kind == "fail":
-                    anchors = [pending.epoch, pending.epoch + 1]
-                else:
-                    anchors = [pending.epoch]
-                for anchor in anchors:
-                    if anchor > rnd.index and (
-                        next_change is None or anchor < next_change
-                    ):
-                        next_change = anchor
+            next_change = rnd.schedule.next_anchor
             cap_per_gpu = ceil(self.remaining_steps / rnd.world_ranks)
             if next_change is not None:
                 per_gpu_steps = min(
@@ -1129,27 +1092,16 @@ class _ElasticJob:
             for node in rnd.nodes
             for gpu in range(self.gpus_per_node)
         ]
-        membership = self.membership
+        armed = rnd.schedule.armed
         self.ring.set_ring(round_ranks)
         # homogeneous-rank collapse only in rounds that cannot see a
-        # mid-step failure: mirror the fail-controller scheduling
-        # condition below, so any fail that could fire this round
-        # forces full per-rank fidelity.  A shared cluster forces it
-        # off entirely -- the quiescence probe cannot see another
-        # job's not-yet-issued link traffic.
-        fail_armed = any(
-            idx not in self.consumed
-            and event.kind == "fail"
-            and event.node in rnd.nodes
-            and (
-                (event.epoch is not None and event.epoch == rnd.index)
-                or event.time is not None
-            )
-            for idx, event in enumerate(membership.events)
-        )
+        # mid-step failure: any fail that could fire this round forces
+        # full per-rank fidelity.  A shared cluster forces it off
+        # entirely -- the quiescence probe cannot see another job's
+        # not-yet-issued link traffic.
         self.ring.collapse = (
             self.collapse_requested
-            and not fail_armed
+            and not armed
             and not self.cluster.shared
         )
         # one collective per gradient bucket: each moves bucket_bytes;
@@ -1167,37 +1119,20 @@ class _ElasticJob:
             rnd.loaders[node] = loader
             rnd.procs[node] = [
                 self.env.process(
-                    self._gpu_proc(node, gpu, loader, rnd.gpu_steps[gpu])
+                    self._gpu_proc(rnd, node, gpu, loader, rnd.gpu_steps[gpu])
                 )
                 for gpu in range(self.gpus_per_node)
             ]
-        # -- schedule this round's fail events ----------------------------
-        for idx, event in enumerate(membership.events):
-            if idx in self.consumed or event.kind != "fail":
-                continue
-            if event.node not in rnd.nodes:
-                continue
-            if event.epoch is not None and event.epoch == rnd.index:
-                self.env.process(
-                    self._fail_controller(
-                        idx, event, event.after, rnd.generation
-                    )
-                )
-            elif event.time is not None:
-                self.env.process(
-                    self._fail_controller(
-                        idx,
-                        event,
-                        max(0.0, event.time - self.env.now),
-                        rnd.generation,
-                    )
-                )
+        for event in armed:
+            delay = (
+                event.after
+                if event.time is None
+                else max(0.0, event.time - self.env.now)
+            )
+            self.env.process(self._fail_controller(rnd, event, delay))
         rnd.cache_before = {
             node: self.contexts[node].cache.snapshot() for node in rnd.nodes
         }
-        rnd.all_procs = [
-            proc for procs in rnd.procs.values() for proc in procs
-        ]
 
     def _record_round(self, rnd: _RoundState) -> None:
         self.epoch_membership.append(rnd.nodes)
@@ -1227,12 +1162,14 @@ class _ElasticJob:
 
     # -- per-rank processes ------------------------------------------------
 
-    def _sync_bucket(self, member, key, collapse_ok: bool = True) -> Event:
+    def _sync_bucket(
+        self, rnd: _RoundState, member, key, collapse_ok: bool = True
+    ) -> Event:
         """Start one bucket's collective as ``member``; returns the event
         of its completion, at which its measured duration, neighbor waits
         included, accrues to the sync counter.  A node failure cancels the
         run (``_kill_node``): it never completes and counts nothing."""
-        nbytes = self._round.bucket_bytes
+        nbytes = rnd.bucket_bytes
         entered = self.env.now
         counters = self.counters
 
@@ -1244,8 +1181,9 @@ class _ElasticJob:
         done.callbacks.append(synced)
         return done
 
-    def _gpu_proc(self, node: int, gpu: int, loader, steps: int):
-        rnd = self._round
+    def _gpu_proc(
+        self, rnd: _RoundState, node: int, gpu: int, loader, steps: int
+    ):
         ctx = self.contexts[node]
         member = (node, gpu)
         hw = self.cluster.hw_for(node)
@@ -1280,6 +1218,7 @@ class _ElasticJob:
                         yield from ctx.train_step(gpu, step / self.buckets)
                         launched.append(
                             self._sync_bucket(
+                                rnd,
                                 member,
                                 (self.job_id, rnd.index, step_index, k),
                                 collapse_ok,
@@ -1302,12 +1241,13 @@ class _ElasticJob:
                         compute_end = self.env.now
                         for k in range(self.buckets):
                             yield self._sync_bucket(
+                                rnd,
                                 member,
                                 (self.job_id, rnd.index, step_index, k),
                             )
                         self.counters["exposed"] += self.env.now - compute_end
                 if self.checkpoint is not None and gpu == 0:
-                    yield from self._maybe_snapshot(node)
+                    yield from self._maybe_snapshot(rnd, node)
             # ranks with a one-shorter budget must not stall the rest
             self.ring.leave(member)
         except Interrupt:
@@ -1315,12 +1255,10 @@ class _ElasticJob:
 
     # -- checkpoint/restore ------------------------------------------------
 
-    def _maybe_snapshot(self, node: int):
+    def _maybe_snapshot(self, rnd: _RoundState, node: int):
         """Advance the node's replica-step clock; when the policy's
         interval comes due, write the node's shard of the replica state
-        through its own storage pipe (and over the NIC when the cluster
-        routes storage there) -- queueing behind, and delaying, the same
-        traffic its loader misses pay.
+        (:meth:`_checkpoint_io`).
 
         A generator that yields nothing when no write is due, so a policy
         that never fires adds zero kernel events.  The write is run by the
@@ -1340,28 +1278,24 @@ class _ElasticJob:
             return
         shard = self.checkpoint.state_bytes(
             self.spec.gradient_bytes
-        ) / max(self._round.world_nodes, 1)
-        ctx = self.contexts[node]
+        ) / max(rnd.world_nodes, 1)
         entered = self.env.now
-        yield ctx.disk.transfer(shard)
-        nic = self.cluster.checkpoint_nic(
-            node, tenant=self.job_id, sink=self.link_wait_by_class
-        )
-        if nic is not None:
-            yield nic.transfer(shard)
+        yield from self._checkpoint_io(node, shard)
         ckpt.write_seconds += self.env.now - entered
         ckpt.bytes_written += shard
         ckpt.snapshots += 1
         ckpt.snapshot_step[node] = clock
         ckpt.snapshot_time[node] = self.env.now
 
-    def _restore_read(self, node: int, nbytes: float):
-        """One survivor re-reading its shard of the snapshot through its
-        own storage pipe (restore-from-storage), checkpoint-class NIC
-        stream included when storage is remote."""
+    def _checkpoint_io(self, node: int, nbytes: float):
+        """The one way checkpoint bytes move between a node and storage,
+        a snapshot write and a restore read alike: through the node's own
+        storage pipe, then its checkpoint-class NIC stream when the
+        cluster routes storage over the NIC -- queueing behind, and
+        delaying, the same traffic its loader misses pay."""
         yield self.contexts[node].disk.transfer(nbytes)
-        nic = self.cluster.checkpoint_nic(
-            node, tenant=self.job_id, sink=self.link_wait_by_class
+        nic = self.cluster.storage_nic(
+            node, "checkpoint", self.job_id, self.link_wait_by_class
         )
         if nic is not None:
             yield nic.transfer(nbytes)
@@ -1372,8 +1306,8 @@ class _ElasticJob:
         snapshot, before the next round re-shards and spawns.
 
         ``restore="storage"`` re-reads the snapshot in parallel, each
-        survivor pulling its (new) shard through its own storage pipe --
-        cheap and scalable, but it queues behind whatever the pipes
+        survivor pulling its (new) shard through :meth:`_checkpoint_io`
+        -- cheap and scalable, but it queues behind whatever the pipes
         already carry.  ``restore="peer"`` streams the *full* state from
         one survivor over its NIC-class topology link -- no storage round
         trip, but a serial transfer on the link collectives use.  Replay
@@ -1392,7 +1326,7 @@ class _ElasticJob:
         if self.checkpoint.restore == "storage":
             shard = state / len(survivors)
             procs = [
-                self.env.process(self._restore_read(node, shard))
+                self.env.process(self._checkpoint_io(node, shard))
                 for node in survivors
             ]
             yield AllOf(self.env, procs)
@@ -1412,12 +1346,11 @@ class _ElasticJob:
             yield self.env.timeout(replay * step)
         ckpt.restore_seconds += self.env.now - entered
 
-    def _kill_node(self, node: int) -> None:
+    def _kill_node(self, rnd: _RoundState, node: int) -> None:
         """Abrupt mid-epoch failure: interrupt, halt, abort."""
-        rnd = self._round
         if node not in self.active:
             return
-        self.active.remove(node)
+        self.active -= {node}
         self.deactivated_at[node] = self.env.now
         if self.ckpt is not None:
             # the dead node's un-snapshotted progress is gone: the replica
@@ -1440,23 +1373,16 @@ class _ElasticJob:
             self.ring.abort((node, gpu))
 
     def _fail_controller(
-        self,
-        event_index: int,
-        event: MembershipEvent,
-        delay: float,
-        generation: int,
+        self, rnd: _RoundState, event: MembershipEvent, delay: float
     ):
-        # generation is bound per call: a controller left pending from
-        # an earlier round (its `after` outlived the epoch) must not
-        # fire into a later round -- the boundary handler degrades it
+        """Fire ``event`` ``delay`` seconds into ``rnd`` -- unless the
+        round is over by then (the job ended, or its ``after`` outlived
+        the epoch).  Either way the event stays pending until the next
+        boundary reads it as stale: a removal, or a no-op when it fired."""
         if delay > 0:
             yield self.env.timeout(delay)
-        if self.round_gen["value"] != generation:
-            return  # stale: the boundary handler will apply it
-        if event_index in self.consumed:
-            return
-        self.consumed.add(event_index)
-        self._kill_node(event.node)
+        if self._round is rnd:
+            self._kill_node(rnd, event.node)
 
     # -- aggregation -------------------------------------------------------
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 import threading
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import Callable, List, Optional, Sequence, Set, TypeVar
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ import pytest
 from repro.data.dataset import Dataset
 from repro.data.sample import Sample, SampleSpec
 from repro.errors import ConfigurationError
-from repro.sim.cluster import Cluster, ClusterMembership
+from repro.sim.cluster import Cluster, ClusterMembership, MembershipEvent
 from repro.sim.distributed import JobSpec, run_distributed, run_elastic
 from repro.sim.fabric import RingFabric
 from repro.sim.kernel import NORMAL, AllOf, Environment, Event, Timeout
@@ -661,6 +661,97 @@ class TimerPerTransferLink(SharedLink):
             self._finish(t)
         if self._active != n_before:
             self._reproject(now)
+
+
+# ---------------------------------------------------------------------------
+# The round boundary's specification: four passes over the whole schedule
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class LegacyBoundary:
+    """What a job's round boundary decided, read the way it was before a
+    boundary made one pass (``repro.sim.cluster.read_schedule``): every
+    pass enumerates the whole schedule and skips consumed indices."""
+
+    active: List[int]
+    removed: List[int]
+    consumed: Set[int]
+    armed: List[MembershipEvent]
+    next_change: Optional[int]
+
+
+def legacy_boundary(
+    events: Sequence[MembershipEvent],
+    consumed: Set[int],
+    active: Sequence[int],
+    round_index: int,
+    now: float,
+) -> LegacyBoundary:
+    active = list(active)
+    consumed = set(consumed)
+    removed: List[int] = []
+    # pass 1: due joins and leaves
+    for idx, event in enumerate(events):
+        if idx in consumed or event.kind == "fail":
+            continue
+        due = (event.epoch is not None and event.epoch <= round_index) or (
+            event.time is not None and event.time <= now
+        )
+        if not due:
+            continue
+        consumed.add(idx)
+        if event.kind == "join":
+            if event.node in active:
+                raise ConfigurationError(
+                    f"node {event.node} is already active"
+                )
+            active.append(event.node)
+        elif event.node in active:
+            active.remove(event.node)
+            removed.append(event.node)
+    # pass 2: fails whose anchor passed degrade to removal
+    for idx, event in enumerate(events):
+        if idx in consumed or event.kind != "fail":
+            continue
+        stale = (event.time is not None and event.time <= now) or (
+            event.epoch is not None and event.epoch < round_index
+        )
+        if stale:
+            consumed.add(idx)
+            if event.node in active:
+                active.remove(event.node)
+                removed.append(event.node)
+    # pass 3: where a budget-mode round must stop
+    next_change: Optional[int] = None
+    for idx, event in enumerate(events):
+        if idx in consumed:
+            continue
+        if event.time is not None:
+            anchors = [round_index + 1]
+        elif event.kind == "fail":
+            anchors = [event.epoch, event.epoch + 1]
+        else:
+            anchors = [event.epoch]
+        for anchor in anchors:
+            if anchor > round_index and (
+                next_change is None or anchor < next_change
+            ):
+                next_change = anchor
+    # pass 4: the fails that may fire this round
+    nodes = sorted(active)
+    armed = [
+        event
+        for idx, event in enumerate(events)
+        if idx not in consumed
+        and event.kind == "fail"
+        and event.node in nodes
+        and (
+            (event.epoch is not None and event.epoch == round_index)
+            or event.time is not None
+        )
+    ]
+    return LegacyBoundary(active, removed, consumed, armed, next_change)
 
 
 @dataclass

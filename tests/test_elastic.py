@@ -9,15 +9,24 @@ the suite.
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.sim.checkpoint import CheckpointPolicy
+from repro.sim.cluster import EVENT_KINDS, Cluster, read_schedule
 from repro.sim.distributed import (
     ClusterMembership,
     MembershipEvent,
     run_elastic,
 )
+from repro.sim.scenarios import JobMix, JobSpec
 from repro.sim.workloads import CONFIG_A, make_workload
-from tests.helpers import assert_every_door_rejects, run_with_watchdog
+from tests.helpers import (
+    assert_every_door_rejects,
+    legacy_boundary,
+    run_with_watchdog,
+)
 
 DEADLOCK_TIMEOUT = 60.0  # wall seconds; generous, the runs take ~1 s
 
@@ -280,3 +289,117 @@ def test_elastic_static_matches_membership_free_reporting():
     assert result.node_ids == [0, 1, 2]
     assert result.per_node_active_seconds == [result.training_time] * 3
     assert result.shard_sizes == [32, 32, 32]
+
+
+def test_a_fail_due_after_its_job_ended_leaves_the_job_alone():
+    """Regression: the last round's fail controller outlived the job, so
+    on a shared cluster a fail coming due after a tenant finished still
+    killed that tenant's node -- its active window ran past its training
+    time, and it lost steps it had already finished."""
+    cluster = Cluster(
+        ClusterMembership(2, [MembershipEvent("fail", 1, time=3.0)]),
+        CONFIG_A,
+        gpus_per_node=2,
+    )
+
+    def spec(job_id, total_steps, **knobs):
+        return JobSpec(
+            job_id=job_id,
+            loader="minato",
+            workload_name="image_segmentation",
+            dataset_size=24,
+            total_steps=total_steps,
+            **knobs,
+        )
+
+    mix = JobMix(
+        [
+            spec("short", 8, checkpoint=CheckpointPolicy(interval_steps=100)),
+            spec("long", 64),
+        ],
+        cluster,
+    ).run()
+    short, long_ = mix.job("short"), mix.job("long")
+    assert short.training_time < 3.0 < long_.training_time
+    assert short.per_node_active_seconds == [short.training_time] * 2
+    assert short.lost_steps == 0
+    assert long_.epoch_membership[-1] == [0]  # the tenant still running died
+
+
+# ---------------------------------------------------------------------------
+# The round boundary: one pass over the schedule, held to the four it was
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def memberships(draw):
+    """Valid schedules with coarse anchors, so that events tie with
+    boundaries, with each other and with round ends."""
+    initial = draw(st.integers(1, 4))
+    removable = list(range(initial))
+    joiners = 0
+    events = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(EVENT_KINDS))
+        if kind == "join":
+            node = initial + joiners
+            joiners += 1
+            removable.append(node)
+        elif removable:
+            node = draw(st.sampled_from(removable))
+            removable.remove(node)
+        else:
+            continue
+        if draw(st.booleans()):
+            after = 0.0
+            if kind == "fail":
+                after = draw(st.sampled_from([0.0, 0.5, 2.0]))
+            epoch = draw(st.integers(0, 4))
+            events.append(MembershipEvent(kind, node, epoch=epoch, after=after))
+        else:
+            time = draw(st.sampled_from([0.0, 1.0, 2.5, 4.0]))
+            events.append(MembershipEvent(kind, node, time=time))
+    return ClusterMembership(initial, events)
+
+
+@settings(max_examples=300, deadline=None)
+@given(membership=memberships(), data=st.data())
+def test_one_schedule_pass_reads_what_four_passes_read(membership, data):
+    """A round boundary reads the pending events once (``read_schedule``)
+    where it used to enumerate the whole schedule four times
+    (``tests/helpers.legacy_boundary``).  Over a run of boundaries -- each
+    round spanning some passes and seconds, with some of its armed fails
+    firing -- both must agree on the membership, the removals, what stays
+    pending, what is armed and where a budget round must stop.  A fired
+    fail stays pending in the one-pass job until the next boundary reads
+    it as stale, which must be a no-op."""
+    events = membership.events
+    consumed = set()
+    active = list(range(membership.initial_nodes))
+    pending, live = events, frozenset(active)
+    index, now = 0, 0.0
+    for _ in range(5):
+        old = legacy_boundary(events, consumed, active, index, now)
+        new = read_schedule(pending, live, index, now)
+        assert new.active == set(old.active)
+        # the job stamps a node's departure from the set difference; a
+        # node that joins and leaves at one boundary is never stamped
+        assert live - new.active == set(old.removed) & live
+        assert list(new.pending) == [
+            event for i, event in enumerate(events) if i not in old.consumed
+        ]
+        assert list(new.armed) == old.armed
+        assert new.next_anchor == old.next_change
+        consumed, active = old.consumed, old.active
+        pending, live = new.pending, new.active
+        next_index = index + data.draw(st.integers(1, 2))
+        next_now = now + data.draw(st.sampled_from([0.0, 0.5, 1.5, 3.0]))
+        for event in old.armed:
+            fires_at = now + event.after if event.time is None else event.time
+            if fires_at <= next_now and data.draw(st.booleans()):
+                # the controller: the old job consumed the event's index
+                consumed.add(events.index(event))
+                if event.node in active:
+                    active.remove(event.node)
+                live -= {event.node}
+        index, now = next_index, next_now
