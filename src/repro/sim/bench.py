@@ -108,8 +108,8 @@ class BenchScenario:
     measure_baseline: bool = True
     #: identical tenant jobs submitted to one shared cluster.  1 = the
     #: classic single-job path; >1 runs a JobMix so the benchmark covers
-    #: the multi-tenant machinery (shared link pipes, namespaced caches,
-    #: collapse forced off by sharing) at grid scale
+    #: the multi-tenant machinery (shared link pipes, namespaced caches, no
+    #: fabric collapsing on a topology another rides) at grid scale
     jobs: int = 1
     #: checkpoint policy (None = no snapshots): the checkpoint scenario
     #: keeps snapshot writes, failure restore, and lost-step replay on the
@@ -193,8 +193,9 @@ SCENARIOS: Tuple[BenchScenario, ...] = (
     BenchScenario("flat-serial-churn-64", "flat", False, nodes=16,
                   steps_per_gpu=6, cache_fraction=0.8, events=_churn(16)),
     # two tenants on one shared cluster: collectives from both jobs queue
-    # on the same link pipes, caches are namespaced, and sharing forces
-    # the collapse off -- the multi-tenant machinery at benchmark scale
+    # on the same link pipes, caches are namespaced, and neither fabric
+    # collapses (two ride the topology) -- the multi-tenant machinery at
+    # benchmark scale
     BenchScenario("mix-two-job-64", "flat", False, nodes=16, jobs=2),
     # checkpointing under a mid-run failure: snapshot writes on every
     # node's storage pipe, a restore pass, and lost-step replay all land

@@ -392,8 +392,10 @@ class Cluster:
 
     One cluster hosts any number of jobs.  Link pipes are keyed by the
     cluster's single :class:`~repro.sim.topology.Topology` instance, so two
-    jobs' collectives queue on the *same* NIC pipes; node sites are created
-    lazily and persist across jobs (a second job arrives at a warm cache).
+    jobs' collectives queue on the *same* NIC pipes (and neither job's
+    fabric collapses: the topology counts the fabrics riding it); node
+    sites are created lazily and persist across jobs (a second job arrives
+    at a warm cache).
 
     Every resource-owned knob is a parameter here, and only here:
 
@@ -471,20 +473,6 @@ class Cluster:
         self.storage_over_nic = bool(storage_over_nic)
         self._topology: Optional[Topology] = None
         self._sites: Dict[int, NodeSite] = {}
-        #: jobs ever attached; >1 means resources are genuinely shared and
-        #: the homogeneous-rank collapse must stay off (its quiescence
-        #: check cannot see another job's future link reservations)
-        self._attached_jobs = 0
-
-    # -- job attachment ----------------------------------------------------
-
-    def attach_job(self) -> None:
-        self._attached_jobs += 1
-
-    @property
-    def shared(self) -> bool:
-        """True once more than one job has attached to this cluster."""
-        return self._attached_jobs > 1
 
     def check_owned(self, **given) -> None:
         """The one rule for a resource-owned knob repeated beside this

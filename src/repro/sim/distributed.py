@@ -15,8 +15,9 @@ mid-step failure stalls the ring only until the failure detector fires.
 The closed forms (:meth:`AllReduceModel.step_cost` /
 :meth:`AllReduceModel.hierarchical_step_cost`) are what the ring converges
 to on a homogeneous cluster -- the reference the tests hold it to, never
-production input: the overlap collapse gate prices the ring's own plan
-(:meth:`~repro.sim.fabric.RingFabric.collapse_seconds`).
+production input: whether a collective may collapse is the fabric's
+decision alone, its own walk priced against the deadline the step loop
+passes with each overlapped bucket.
 
 The dataset is *sharded* across nodes with
 :class:`~repro.data.samplers.ShardedSampler` semantics: each node's loader
@@ -477,15 +478,10 @@ class JobSpec:
     overlap: bool = False
     buckets: int = 1
     #: let the ring fabric serve homogeneous all-entered-together
-    #: collectives with one representative-rank schedule instead of ``W``
-    #: simulated ring processes -- timing-identical by construction, orders
-    #: of magnitude fewer kernel events.  The runner disables it for any
-    #: round with an armed fail event (mid-step failure needs per-rank
-    #: fidelity), whenever the cluster is shared by more than one job or
-    #: has partition windows (the collapsed path assumes idle links) and,
-    #: in overlap mode, for steps whose bucket collective may outlast a
-    #: backprop slice; it deactivates itself on heterogeneous links,
-    #: ragged arrivals, or churn
+    #: collectives with one representative-rank schedule -- timing-identical
+    #: by construction, far fewer kernel events.  Off for rounds with an
+    #: armed fail; the fabric's own vetoes are listed in
+    #: :mod:`repro.sim.fabric`
     collapse: bool = True
     #: periodic replica snapshots written through the nodes' storage pipes,
     #: restore (from storage or a surviving peer) plus lost-step replay
@@ -730,9 +726,10 @@ class _RoundState:
     """Mutable per-round scratch of one job (one epoch / budget span).
 
     A round is the job's current one (``job._round is rnd``) from the
-    boundary that begins it until the next boundary or the job's end;
-    what was started for it -- its fail controllers -- asks that before
-    acting, so nothing armed for one round fires into another.
+    boundary that begins it until its rank processes have all ended; what
+    was started for it -- its fail controllers -- asks that before acting,
+    so nothing armed for one round fires into the recovery after it or
+    into another round.
     """
 
     def __init__(
@@ -749,7 +746,6 @@ class _RoundState:
         self.node_budget = 0
         self.samples_budget: Optional[int] = None
         self.bucket_bytes = 0.0
-        self.bucket_cost = 0.0
         self.loaders: Dict[int, object] = {}
         self.procs: Dict[int, List] = {}
         self.coverage: Set[int] = set()
@@ -789,7 +785,6 @@ class _ElasticJob:
                 "workload with epochs instead of iterations (loader tail "
                 "semantics differ between the two budgets)"
             )
-        cluster.attach_job()
 
         self.cluster = cluster
         self.env = cluster.env
@@ -811,9 +806,6 @@ class _ElasticJob:
         self.ckpt: Optional[CheckpointAccounting] = (
             CheckpointAccounting() if spec.checkpoint is not None else None
         )
-        #: partitions need per-rank fidelity for the rounds they stall, and
-        #: their windows are time-anchored (any round may be hit)
-        self.collapse_requested = spec.collapse and not membership.partitions
 
         self.assignment = ShardAssignment(spec.reshard)
         loader_kwargs = spec.loader_kwargs or {}
@@ -883,7 +875,8 @@ class _ElasticJob:
         self.prev_shards: Dict[int, frozenset] = {}
 
         self.round_index = 0
-        #: the current round; None before the first and after the job ends
+        #: the current round; None before the first, between rounds (in
+        #: recovery too) and after the job ends
         self._round: Optional[_RoundState] = None
         self.started_at = 0.0
         self.finished_at: Optional[float] = None
@@ -921,10 +914,12 @@ class _ElasticJob:
             yield AllOf(
                 self.env, [proc for procs in rnd.procs.values() for proc in procs]
             )
+            # the round is over: a fail coming due from here on (during
+            # recovery, say) stays pending for the next boundary
+            self._round = None
             self._record_round(rnd)
             if self.ckpt is not None and self.ckpt.pending_restore:
                 yield from self._recover()
-        self._round = None
         self.finished_at = self.env.now
 
     # -- round boundary ----------------------------------------------------
@@ -1094,21 +1089,11 @@ class _ElasticJob:
         ]
         armed = rnd.schedule.armed
         self.ring.set_ring(round_ranks)
-        # homogeneous-rank collapse only in rounds that cannot see a
-        # mid-step failure: any fail that could fire this round forces
-        # full per-rank fidelity.  A shared cluster forces it off
-        # entirely -- the quiescence probe cannot see another job's
-        # not-yet-issued link traffic.
-        self.ring.collapse = (
-            self.collapse_requested
-            and not armed
-            and not self.cluster.shared
-        )
-        # one collective per gradient bucket: each moves bucket_bytes;
-        # bucket_cost is what the ring's own plan for that slice costs from
-        # idle links (inf: not collapsible), the overlap path's collapse gate
+        # the one collapse fact only the job knows: a fail that could fire
+        # this round needs per-rank fidelity (the fabric vetoes the rest)
+        self.ring.collapse = self.spec.collapse and not armed
+        # one collective per gradient bucket: each moves bucket_bytes
         rnd.bucket_bytes = self.spec.gradient_bytes / self.buckets
-        rnd.bucket_cost = self.ring.collapse_seconds(rnd.bucket_bytes)
         for node in rnd.nodes:
             loader = self.template.rebind_shard(
                 self.samplers[node],
@@ -1163,12 +1148,14 @@ class _ElasticJob:
     # -- per-rank processes ------------------------------------------------
 
     def _sync_bucket(
-        self, rnd: _RoundState, member, key, collapse_ok: bool = True
+        self, rnd: _RoundState, member, key, deadline: Optional[float] = None
     ) -> Event:
         """Start one bucket's collective as ``member``; returns the event
         of its completion, at which its measured duration, neighbor waits
-        included, accrues to the sync counter.  A node failure cancels the
-        run (``_kill_node``): it never completes and counts nothing."""
+        included, accrues to the sync counter.  ``deadline`` is when the
+        member's next bucket can launch at the earliest (overlap only).  A
+        node failure cancels the run (``_kill_node``): it never completes
+        and counts nothing."""
         nbytes = rnd.bucket_bytes
         entered = self.env.now
         counters = self.counters
@@ -1177,7 +1164,7 @@ class _ElasticJob:
             counters["sync"] += self.env.now - entered
             counters["grad_bytes"] += nbytes
 
-        done = self.ring.start(key, member, nbytes, collapse_ok)
+        done = self.ring.start(key, member, nbytes, deadline)
         done.callbacks.append(synced)
         return done
 
@@ -1203,16 +1190,8 @@ class _ElasticJob:
                     # bucketed backprop: bucket k's gradients are ready
                     # after the (k+1)-th slice of the step's compute
                     # (reverse layer order), and its collective runs
-                    # concurrently with the remaining slices.  Collapse
-                    # is only safe when bucket k's collective finishes
-                    # before bucket k+1 launches (the collapsed path
-                    # assumes idle links): gate it on the plan's
-                    # idle-link cost fitting in one backprop slice, with
-                    # margin for float rounding
-                    collapse_ok = (
-                        rnd.bucket_cost * (1.0 + 1e-9) + 1e-12
-                        <= step / self.buckets
-                    )
+                    # concurrently with the remaining slices, the next
+                    # bucket launching one slice later at the earliest
                     launched = []
                     for k in range(self.buckets):
                         yield from ctx.train_step(gpu, step / self.buckets)
@@ -1221,7 +1200,7 @@ class _ElasticJob:
                                 rnd,
                                 member,
                                 (self.job_id, rnd.index, step_index, k),
-                                collapse_ok,
+                                self.env.now + step / self.buckets,
                             )
                         )
                     self.counters["steps"] += 1
@@ -1369,7 +1348,6 @@ class _ElasticJob:
         # the dead ranks' bucket collectives stop with them (a ghost
         # sender would keep feeding the ring after its node is gone)
         for gpu in range(self.gpus_per_node):
-            self.ring.cancel((node, gpu))
             self.ring.abort((node, gpu))
 
     def _fail_controller(

@@ -65,8 +65,7 @@ tuples (the hierarchical topology requires them).  Collectives are keyed by
 no global barrier in fabric mode) still join the right collective.
 
 **Homogeneous-rank collapse** (``collapse=True``): when every ring member
-enters a collective at the same instant and the fabric is quiescent (no
-churn, no simulated collective in flight, every link idle), a lockstep
+enters a collective at the same instant on idle links, a lockstep
 all-reduce advances all ``W`` ranks through identical per-stage timing --
 so one representative rank's timeline, replicated by the topology's
 :meth:`~repro.sim.topology.Topology.collapse_schedule` with bit-identical
@@ -75,12 +74,27 @@ entrant, decides at the entry instant (a zero-delay decision event fires
 after all same-instant arrivals), and either walks the representative
 schedule once -- priced in a local loop and waited out with one kernel
 timer, instead of ``O(W x stages)`` simulated transfers -- or starts every
-entrant's per-rank run, still at the entry instant.  Fallback triggers on
-ragged arrival, members whose
-ring passes differ (heterogeneous links, ragged groups), a zero-byte
-collective, churn (any dead member), concurrent simulated collectives,
-busy links, or an entrant that was told overlap may bleed into the next
-collective (``collapse_ok=False``).
+entrant's per-rank run, still at the entry instant.  The caller states
+only what it alone knows: :attr:`RingFabric.collapse` (off while a failure
+may strike) and, per entrant, a ``deadline`` by which its next collective
+may enter the same links.  The fabric decides everything else, checking
+in this order:
+
+1. another collective's decider is pending (one at a time);
+2. a member is dead (churn) or a per-rank collective is in flight;
+3. a partition schedule is attached (a window may open mid-walk);
+4. another fabric rides the topology (its future traffic is invisible);
+5. a link is busy -- a non-collective flow counts in
+   :attr:`RingFabric.collapse_cross_vetoes`;
+6. at the decision: an entrant is missing (ragged arrival) or moves other
+   bytes, or one of 2-5 fails again;
+7. members' ring passes differ (heterogeneous links, ragged groups) or
+   there are no bytes to move;
+8. the walk does not end strictly before the earliest entrant deadline.
+
+Checks 1-5 run when the first entrant registers; a collective that fails
+one runs per rank without a decider.  After 6-8 fail, every entrant
+begins per rank at the entry instant.
 """
 
 from __future__ import annotations
@@ -402,16 +416,23 @@ class RingCollective:
 class _CollapseEntry:
     """Registration state of one potentially-collapsed collective."""
 
-    __slots__ = ("t0", "ring", "nbytes", "runs", "allowed", "collapsed")
+    __slots__ = (
+        "key", "t0", "ring", "nbytes", "runs", "allowed", "deadline",
+        "collapsed",
+    )
 
-    def __init__(self, t0: float, ring: Tuple[Hashable, ...], nbytes: float) -> None:
+    def __init__(self, run: _Run, t0: float) -> None:
+        self.key = run.key
         self.t0 = t0
-        self.ring = ring
-        self.nbytes = nbytes
+        self.ring = run.snapshot.ring
+        self.nbytes = run.nbytes
         #: member -> its run, in registration order: finished at the
         #: collective's end (collapsed) or begun at t0 (fallback)
         self.runs: Dict[Hashable, _Run] = {}
+        #: False once an entrant moves other bytes than the first
         self.allowed = True
+        #: the earliest entrant deadline: the walk must end before it
+        self.deadline = float("inf")
         self.collapsed = False
 
 
@@ -468,13 +489,16 @@ class RingFabric:
         #: collectives served by the collapsed fast path (observability:
         #: tests assert the fast path engaged -- or stayed out)
         self.collapsed_collectives = 0
-        #: key -> registration entry of a not-yet-completed fast-path try
-        self._pending_collapse: Dict[Any, _CollapseEntry] = {}
+        #: the one not-yet-completed fast-path try (a second collective
+        #: entering meanwhile runs per rank)
+        self._pending: Optional[_CollapseEntry] = None
         #: (collective bytes, ring length) -> the ring's collapse plan, so
         #: the O(W^2) derivation runs once per ring, not per collective.
-        #: Safe to keep: ``set_ring`` empties it, and the only other way
-        #: the ring changes (``_remove``) makes ``dead`` non-empty, which
-        #: vetoes every collapse until the next ``set_ring``
+        #: Only a decider derives one: a fabric sharing its topology
+        #: starts none, so derives none.  Safe to keep: ``set_ring``
+        #: empties it, and the only other way the ring changes
+        #: (``_remove``) makes ``dead`` non-empty, which vetoes every
+        #: collapse until the next ``set_ring``
         self._plans: Dict[Tuple[float, int], Optional[List[CollapsePhase]]] = {}
         #: partition schedule (an object answering
         #: ``partition_release(now, node_a, node_b)`` -- in practice the
@@ -499,6 +523,7 @@ class RingFabric:
         self.collapse_cross_vetoes = 0
         #: seconds of delivery stall injected by partition windows
         self.partition_stall_seconds = 0.0
+        self.topology.fabrics += 1
 
     # -- membership --------------------------------------------------------
 
@@ -525,12 +550,20 @@ class RingFabric:
     def abort(self, member: Hashable) -> None:
         """Remove ``member`` on failure without deadlocking any ring.
 
-        Collectives created afterwards exclude it; its undelivered chunks in
-        in-flight collectives are filled in once the failure detector fires
-        (``detection_timeout`` after the abort), so ring neighbors stall for
-        the detection window -- not forever.  A rank that died also stops
-        sending: :meth:`cancel` it first.
+        First every run of the dead rank stops: it sends nothing more and
+        its completion events never fire; sends already on a link still
+        drain there.  Then its undelivered chunks in in-flight collectives
+        are filled in once the failure detector fires (``detection_timeout``
+        after the abort), so ring neighbors stall for the detection window
+        -- not forever.  Collectives created afterwards exclude it.
         """
+        for collective in self._collectives.values():
+            run = collective.runs.get(member)
+            if run is not None and run.collective is collective:
+                run.cancel()
+        entry = self._pending
+        if entry is not None and member in entry.runs:
+            entry.runs[member].cancel()
         self._remove(member, self.detection_timeout)
 
     def leave(self, member: Hashable) -> None:
@@ -539,20 +572,6 @@ class RingFabric:
         for work that is actually outstanding.  Collectives it already
         started it keeps running."""
         self._remove(member, 0.0)
-
-    def cancel(self, member: Hashable) -> None:
-        """Stop every run of ``member`` (a dead rank): it sends nothing
-        more and its completion events never fire; sends already on a link
-        still drain there.  Its chunks reach nobody until :meth:`abort`
-        fills them in."""
-        for collective in self._collectives.values():
-            run = collective.runs.get(member)
-            if run is not None and run.collective is collective:
-                run.cancel()
-        for entry in self._pending_collapse.values():
-            run = entry.runs.get(member)
-            if run is not None:
-                run.cancel()
 
     def _remove(self, member: Hashable, fill_delay: float) -> None:
         if member in self.dead:
@@ -626,7 +645,7 @@ class RingFabric:
         key: Any,
         member: Hashable,
         nbytes: Optional[float] = None,
-        collapse_ok: bool = True,
+        deadline: Optional[float] = None,
     ) -> Event:
         """Join the all-reduce ``key`` as ``member``; returns the event that
         fires when this member has completed every stage of every phase.
@@ -642,22 +661,23 @@ class RingFabric:
 
         With :attr:`collapse` on, a homogeneous all-entered-together
         collective is served by one representative-rank schedule instead of
-        ``W`` simulated runs (see the module docstring);
-        ``collapse_ok=False`` vetoes the fast path for this collective (the
-        step loop passes it when a bucket's collective may still be in
-        flight when the next one launches -- the collapsed path assumes
-        idle links, so such overlap must run the exact path).
+        ``W`` simulated runs (see the module docstring).  ``deadline`` is
+        the earliest instant this member's next collective may enter the
+        same links (the step loop passes the next overlapped bucket's
+        launch): the walk assumes idle links, so it must end strictly
+        before then, or the collective runs per rank.
         """
-        return self._start(key, member, nbytes, collapse_ok).done
+        return self._start(key, member, nbytes, deadline).done
 
     def _start(
-        self, key: Any, member: Hashable, nbytes: Optional[float], collapse_ok: bool
+        self, key: Any, member: Hashable, nbytes: Optional[float],
+        deadline: Optional[float],
     ) -> _Run:
         snapshot = self._snapshot(key)
         nbytes = self.gradient_bytes if nbytes is None else float(nbytes)
         run = _Run(self, key, member, snapshot, nbytes)
         if len(snapshot.ring) > 1 and member in snapshot.members:
-            if not (self.collapse and self._register_collapse(run, collapse_ok)):
+            if not (self.collapse and self._register_collapse(run, deadline)):
                 run.begin()
         else:
             run.finish()
@@ -668,11 +688,11 @@ class RingFabric:
         key: Any,
         member: Hashable,
         nbytes: Optional[float] = None,
-        collapse_ok: bool = True,
+        deadline: Optional[float] = None,
     ) -> Generator:
         """:meth:`start` as a generator to ``yield from`` in a process; an
         interrupt of that process cancels this member's run."""
-        yield from self._await(self._start(key, member, nbytes, collapse_ok))
+        yield from self._await(self._start(key, member, nbytes, deadline))
 
     def reduce_scatter(
         self, key: Any, member: Hashable, nbytes: Optional[float] = None
@@ -714,16 +734,18 @@ class RingFabric:
     # -- homogeneous-rank collapse -----------------------------------------
 
     def _collapse_quiescent(self) -> bool:
-        """No churn, no simulated collective in flight, every link idle --
-        the state from which a lockstep collective is provably identical to
+        """No churn, no simulated collective in flight, no partition
+        schedule, no other fabric on the topology, every link idle -- the
+        state from which a lockstep collective is provably identical to
         the per-rank simulation (and after which it leaves every link
         idle-equivalent again: a link's owner only sends once its previous
         collective finished, by which time the link had drained)."""
-        if self.dead or self._collectives:
-            return False
-        if self.partitions is not None:
-            # a partition window can open mid-walk; the representative
-            # schedule cannot model a stalled cross-cut delivery
+        if (
+            self.dead
+            or self._collectives
+            or self.partitions is not None
+            or self.topology.fabrics > 1
+        ):
             return False
         for link in self.topology._links.values():
             for busy in link.busy_streams():
@@ -743,35 +765,24 @@ class RingFabric:
             self._plans[key] = self.topology.collapse_schedule(ring, nbytes)
         return self._plans[key]
 
-    def collapse_seconds(self, nbytes: float) -> float:
-        """Seconds one all-reduce of ``nbytes`` over the installed ring takes
-        when every rank enters together on idle links -- its collapse plan,
-        each pass priced by :func:`~repro.sim.links.project` -- or ``inf``
-        when the ring is not collapsible."""
-        plan = self._collapse_plan(self._ring, nbytes)
-        if plan is None:
-            return float("inf")
-        return sum(
-            stages * project(0.0, chunk, bandwidth, latency, streams)[1]
-            for stages, _scope, chunk, bandwidth, latency, streams, _fanout in plan
-        )
-
-    def _register_collapse(self, run: _Run, collapse_ok: bool) -> bool:
+    def _register_collapse(self, run: _Run, deadline: Optional[float]) -> bool:
         """Hand ``run`` to the fast path's decider; False: not tried."""
-        key = run.key
-        entry = self._pending_collapse.get(key)
+        entry = self._pending
         if entry is None:
-            if self._pending_collapse or not self._collapse_quiescent():
+            if not self._collapse_quiescent():
                 return False
-            entry = _CollapseEntry(self.env.now, run.snapshot.ring, run.nbytes)
-            self._pending_collapse[key] = entry
-            self.env.process(self._collapse_decider(key, entry))
-        if not collapse_ok or run.nbytes != entry.nbytes:
+            entry = self._pending = _CollapseEntry(run, self.env.now)
+            self.env.process(self._collapse_decider(entry))
+        elif entry.key != run.key:
+            return False
+        if run.nbytes != entry.nbytes:
             entry.allowed = False
+        if deadline is not None and deadline < entry.deadline:
+            entry.deadline = deadline
         entry.runs[run.member] = run
         return True
 
-    def _collapse_decider(self, key: Any, entry: _CollapseEntry) -> Generator:
+    def _collapse_decider(self, entry: _CollapseEntry) -> Generator:
         # a zero-delay NORMAL event: every entrant arriving at the same
         # instant was scheduled before it, so by the time this fires the
         # registration window is closed
@@ -783,45 +794,46 @@ class RingFabric:
             and self._collapse_quiescent()
         ):
             schedule = self._collapse_plan(entry.ring, entry.nbytes)
-        if schedule is None:
-            # ragged arrival / heterogeneity / churn: every entrant runs the
-            # exact per-rank path, still at the entry instant
-            self._pending_collapse.pop(key, None)
+        # one representative rank's lockstep timeline, priced in a local
+        # loop.  ``drained`` is its per-scope stream's drain watermark (a
+        # send starts at max(now, watermark), as on a live stream) and the
+        # link layer's closed form prices each stage; ``now`` advances as
+        # ``now + (finish - now)``, the very instant a per-stage timeout of
+        # ``finish - now`` would land on, so the end instant matches the
+        # simulation bit-for-bit.  Each stage also replays the engine's
+        # completion-time per-class wait attribution: ``fanout`` member
+        # transfers, each adding the same fair-sharing ``excess`` the live
+        # path would have accumulated (in the same order, so float sums
+        # agree exactly with the uncollapsed run).
+        now = self.env.now
+        total = self.link_wait_by_class.get("collective", 0.0)
+        drained: Dict[str, float] = {}
+        for stages, scope, chunk, bandwidth, latency, streams, fanout in (
+            schedule or ()
+        ):
+            for _stage in range(stages):
+                drained[scope], finish, excess = project(
+                    max(now, drained.get(scope, now)),
+                    chunk, bandwidth, latency, streams,
+                )
+                if excess:
+                    for _ in range(fanout):
+                        total += excess
+                now = now + (finish - now)
+        if schedule is None or not now < entry.deadline:
+            # ragged arrival / heterogeneity / churn / a walk the next
+            # collective would overlap: every entrant runs the exact
+            # per-rank path, still at the entry instant
+            self._pending = None
             for run in entry.runs.values():
                 if not run.cancelled:
                     run.begin()
             return
         entry.collapsed = True
         self.collapsed_collectives += 1
-        # one representative rank's lockstep timeline, priced in a local
-        # loop and waited out with one timer.  ``drained`` is its per-scope
-        # stream's drain watermark (a send starts at max(now, watermark),
-        # as on a live stream) and the link layer's closed form prices each
-        # stage; ``now`` advances as ``now + (finish - now)``, the very
-        # instant a per-stage timeout of ``finish - now`` would land on, so
-        # the end instant matches the simulation bit-for-bit.  Each stage
-        # also replays the engine's completion-time per-class wait
-        # attribution: ``fanout`` member transfers, each adding the same
-        # fair-sharing ``excess`` the live path would have accumulated (in
-        # the same order, so float sums agree exactly with the uncollapsed
-        # run).
-        drained: Dict[str, float] = {}
-        wait = self.link_wait_by_class
-        now = self.env.now
-        for stages, scope, chunk, bandwidth, latency, streams, fanout in schedule:
-            for _stage in range(stages):
-                drained[scope], finish, excess = project(
-                    max(now, drained.get(scope, now)),
-                    chunk, bandwidth, latency, streams,
-                )
-                # zero excess still creates the key the live engine's
-                # completion hook would have written
-                total = wait.get("collective", 0.0)
-                if excess:
-                    for _ in range(fanout):
-                        total += excess
-                wait["collective"] = total
-                now = now + (finish - now)
+        # zero excess still creates the key the live engine's completion
+        # hook would have written
+        self.link_wait_by_class["collective"] = total
         yield self.env.succeed_at(self.env.event(), now)
         # defense in depth: a member removed mid-flight would have stalled
         # the simulated ring until its chunks filled in; never complete
@@ -838,7 +850,7 @@ class RingFabric:
             if horizon <= self.env.now:
                 break
             yield self.env.timeout(horizon - self.env.now)
-        self._pending_collapse.pop(key, None)
+        self._pending = None
         for run in entry.runs.values():
             if not run.cancelled:
                 run.finish()

@@ -75,10 +75,11 @@ class JobMix:
     per-tenant metrics.
 
     With more than one job, each tenant's page-cache entries are keyed by
-    its ``job_id`` (two jobs' sample index 0 are different bytes) and the
-    ring fabric's homogeneous-rank collapse stays off -- its quiescence
-    probe cannot see another job's future link traffic.  A single-job mix
-    keeps plain keys and collapse eligibility, making it byte-identical to
+    its ``job_id`` (two jobs' sample index 0 are different bytes), and no
+    tenant's ring fabric collapses: each sees another fabric on the
+    cluster's topology, whose future link traffic its quiescence check
+    cannot see.  A single-job mix keeps plain keys and collapse
+    eligibility, making it byte-identical to
     :func:`~repro.sim.distributed.run_elastic` on the same arguments.
     """
 

@@ -85,6 +85,10 @@ class Topology:
     def __init__(self, env: Environment) -> None:
         self.env = env
         self._links: Dict[Tuple[str, Hashable], SharedLink] = {}
+        #: collective fabrics riding these links (each counts itself in);
+        #: a fabric collapses only while it rides alone, since another's
+        #: not-yet-issued traffic is invisible to its quiescence check
+        self.fabrics = 0
 
     # -- links -------------------------------------------------------------
 

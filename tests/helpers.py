@@ -392,17 +392,34 @@ class GeneratorRingFabric(RingFabric):
     caller's process, each ring pass a loop of send / wait-for-predecessor
     with one delivery event per chunk; a dead sender's chunks are filled in
     by a detector process each, and a partition-stalled delivery is a
-    process too.  A process interrupted mid-pass simply stops.  The
-    collapse is not modelled here (it is held to the per-rank path by the
-    kernel equivalence grid)."""
+    process too.  A process interrupted mid-pass simply stops, and
+    ``abort`` interrupts the member's processes inside an all-reduce
+    before arming its fill-ins.  The collapse is not modelled here (it is
+    held to the per-rank path by the kernel equivalence grid)."""
 
-    def allreduce(self, key, member, nbytes=None, collapse_ok=True):
-        snapshot = self._snapshot(key)
-        nbytes = self.gradient_bytes if nbytes is None else float(nbytes)
-        if len(snapshot.ring) > 1 and member in snapshot.members:
-            for phase in self.topology.phases(snapshot.ring, member, nbytes):
-                yield from self._ring_pass(key, phase, member)
-        self._finish(key, snapshot, member)
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        #: member -> the processes inside one of its all-reduces
+        self._inside = {}
+
+    def allreduce(self, key, member, nbytes=None, deadline=None):
+        proc = self.env.active_process
+        inside = self._inside.setdefault(member, set())
+        inside.add(proc)
+        try:
+            snapshot = self._snapshot(key)
+            nbytes = self.gradient_bytes if nbytes is None else float(nbytes)
+            if len(snapshot.ring) > 1 and member in snapshot.members:
+                for phase in self.topology.phases(snapshot.ring, member, nbytes):
+                    yield from self._ring_pass(key, phase, member)
+            self._finish(key, snapshot, member)
+        finally:
+            inside.discard(proc)
+
+    def abort(self, member) -> None:
+        for proc in list(self._inside.get(member, ())):
+            proc.interrupt("abort")
+        self._remove(member, self.detection_timeout)
 
     def _ring_pass(self, key, phase, member):
         ckey = (key, phase.tag)

@@ -326,6 +326,42 @@ def test_a_fail_due_after_its_job_ended_leaves_the_job_alone():
     assert long_.epoch_membership[-1] == [0]  # the tenant still running died
 
 
+def test_a_fail_due_during_recovery_waits_for_the_next_boundary():
+    """Regression: the last round stayed current through recovery, so a
+    fail coming due there killed a node mid-restore and was charged as a
+    second failure (a second restore after a round with no failure, and
+    lost steps).  Recovery runs with the round closed: the fail stays
+    pending, and the next boundary applies it as a removal."""
+
+    def run(*fail_times):
+        return run_elastic(
+            "minato",
+            make_workload("image_segmentation", dataset_size=36),
+            CONFIG_A,
+            ClusterMembership(
+                3,
+                events=[
+                    MembershipEvent("fail", node, time=at)
+                    for node, at in enumerate(fail_times, start=1)
+                ],
+            ),
+            gpus_per_node=2,
+            total_steps=120,
+            checkpoint=CheckpointPolicy(interval_steps=4, state_scale=400),
+        )
+
+    one, two = run(1.0), run(1.0, 4.0)
+    assert (two.restore_seconds, two.lost_steps) == (
+        one.restore_seconds, one.lost_steps,
+    )
+    # node 1 dies at t = 1; the recovery after that round outlasts t = 4
+    assert one.per_node_active_seconds[1] == 1.0
+    assert one.epoch_membership == [[0, 1, 2], [0, 2]]
+    assert two.epoch_membership == [[0, 1, 2], [0]]
+    # node 2 leaves at the boundary after recovery, not at its fail time
+    assert two.per_node_active_seconds[2] > 4.0
+
+
 # ---------------------------------------------------------------------------
 # The round boundary: one pass over the schedule, held to the four it was
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ collapsed fast path, one representative walk waited out with one timer,
 completes every member at the per-rank run's instants.
 """
 
+import math
 from collections import Counter
 
 import pytest
@@ -21,7 +22,7 @@ from repro.sim.bench import _waiter
 from repro.sim.distributed import AllReduceModel
 from repro.sim.fabric import RingFabric
 from repro.sim.kernel import AllOf, Environment, Interrupt
-from repro.sim.topology import Hierarchical
+from repro.sim.topology import FlatRing, Hierarchical
 
 
 def run_collective(model, world, delays=None, detection_timeout=1.0, kill=None):
@@ -331,3 +332,82 @@ def test_a_member_dying_mid_walk_still_holds_the_collective_to_its_fill_in():
     assert end == pytest.approx(death + 1.0, rel=1e-12) and end > walk_end
     # the registration hop, the walk's timer, then the fill-in wait
     assert env.decider == {"_Initialize": 1, "Timeout": 2, "Event": 1}
+
+
+# ---------------------------------------------------------------------------
+# the fabric's own vetoes: tenancy and the overlap deadline
+# ---------------------------------------------------------------------------
+
+
+def tenants(count):
+    """``count`` collapse-enabled fabrics riding one flat topology."""
+    env = Environment()
+    topology = FlatRing(env, 1e-3, 1e10)
+    fabrics = [
+        RingFabric(env, 1e-3, 1e10, 8e7, topology=topology, collapse=True)
+        for _ in range(count)
+    ]
+    for fabric in fabrics:
+        fabric.set_ring(range(4))
+    return env, topology, fabrics
+
+
+def test_a_fabric_collapses_only_while_it_rides_its_topology_alone():
+    """The topology counts the fabrics riding it, and one that is not
+    alone never starts a decider -- a check that runs before the link
+    walk, so foreign bytes on a link count no cross-class veto."""
+    env, topology, (alone,) = tenants(1)
+    assert topology.fabrics == 1
+    done = [alone.start("step", m) for m in range(4)]
+    assert alone._pending is not None
+    env.run()
+    assert all(event.processed for event in done)
+    assert alone.collapsed_collectives == 1
+
+    env, topology, fabrics = tenants(2)
+    assert topology.fabrics == 2
+    topology.link(0).stream(("other", 0, "loader"), "loader").transfer(1e9)
+    done = [fabric.start("step", m) for fabric in fabrics for m in range(4)]
+    assert all(fabric._pending is None for fabric in fabrics)
+    env.run()
+    assert all(event.processed for event in done)
+    assert [f.collapsed_collectives for f in fabrics] == [0, 0]
+    assert [f.collapse_cross_vetoes for f in fabrics] == [0, 0]
+
+
+def deadline_run(collapse, deadline):
+    """Four members enter one all-reduce at t = 0.1 with ``deadline``;
+    returns their completion instants and the fabric."""
+    env = Environment()
+    fabric = RingFabric(env, 1e-3, 1e10, 8e7, collapse=collapse)
+    fabric.set_ring(range(4))
+    done = {}
+
+    def rank(member):
+        yield env.timeout(0.1)
+        yield from fabric.allreduce("step", member, deadline=deadline)
+        done[member] = env.now
+
+    for member in range(4):
+        env.process(rank(member))
+    env.run()
+    return done, fabric
+
+
+def test_a_walk_must_end_strictly_before_the_earliest_deadline():
+    """The overlap gate is the fabric's: a walk ending at or after an
+    entrant's deadline (the instant its next collective may enter the
+    same links) falls back to the per-rank run at the entry instant; one
+    ending a hair before it collapses.  Either way every member completes
+    when the per-rank run does."""
+    exact, _fabric = deadline_run(False, None)
+    (end,) = set(exact.values())
+    for deadline, collapsed in (
+        (None, 1),
+        (math.nextafter(end, math.inf), 1),
+        (end, 0),
+        (0.1, 0),
+    ):
+        done, fabric = deadline_run(True, deadline)
+        assert done == exact
+        assert fabric.collapsed_collectives == collapsed, deadline

@@ -12,7 +12,7 @@ specification here:
   wait and stall the same seconds, and leave every link with the same
   bytes, transfers and per-class bytes and waits;
 * the **failure paths of a process-free launch** -- a member started with
-  :meth:`RingFabric.start` and cancelled when its node dies sends nothing
+  :meth:`RingFabric.start` and aborted when its node dies sends nothing
   after the kill while its in-flight bytes still land, the survivors finish
   one detection window later with nothing left in flight, and a member that
   leaves keeps feeding the collectives it already started;
@@ -105,8 +105,9 @@ def scenarios(draw):
 def observe(fabric_cls, scenario):
     """Run ``scenario`` on ``fabric_cls``: every (member, collective) enters
     in its own process (a member may have several collectives in flight, as
-    overlapped buckets do); an abort interrupts the member's processes and
-    aborts it, a leave only removes it."""
+    overlapped buckets do); an abort interrupts the member's processes that
+    have not entered yet and leaves the entered ones to the fabric's
+    ``abort``, a leave only removes it."""
     env = Environment()
     nodes, gpus = scenario["nodes"], scenario["gpus"]
     if scenario["topology"] == "flat":
@@ -130,13 +131,15 @@ def observe(fabric_cls, scenario):
     members = [(n, g) for n in range(nodes) for g in range(gpus)]
     fabric.set_ring(members)
     completions = {}
-    procs = {member: [] for member in members}
+    #: member -> its processes that have not entered their collective yet
+    sleeping = {member: set() for member in members}
     jitter = iter(scenario["jitter"])
 
     def one(member, index, nbytes, entry):
         try:
             if entry:
                 yield env.timeout(entry)
+            sleeping[member].discard(env.active_process)
             yield from fabric.allreduce(index, member, nbytes)
         except Interrupt:
             return
@@ -145,14 +148,15 @@ def observe(fabric_cls, scenario):
     for index, (nbytes, base) in enumerate(scenario["collectives"]):
         for member in members:
             entry = base + next(jitter)
-            procs[member].append(env.process(one(member, index, nbytes, entry)))
+            sleeping[member].add(env.process(one(member, index, nbytes, entry)))
 
     def remove(kind, member, at):
         yield env.timeout(at)
         if kind == "abort":
-            for proc in procs[member]:
-                if proc.is_alive:
-                    proc.interrupt("fail")
+            # the dead node's processes never enter; what they entered,
+            # the fabric's abort stops
+            for proc in sleeping[member]:
+                proc.interrupt("fail")
             fabric.abort(member)
         else:
             fabric.leave(member)
@@ -267,7 +271,6 @@ def test_a_failed_member_sends_nothing_after_the_kill_but_its_bytes_land():
     stream = link.streams()[0]
     assert stream._chain, "the killed member has a send in flight"
     sent = (link.total_bytes, link.transfer_count)
-    fabric.cancel(1)
     fabric.abort(1)
     env.run()
     # nothing submitted after the kill, and what was in flight drained
@@ -278,16 +281,15 @@ def test_a_failed_member_sends_nothing_after_the_kill_but_its_bytes_land():
     # survivors stall for the detection window past the kill
     assert max(finished.values()) >= kill_at + fabric.detection_timeout
     assert fabric.in_flight == 0
-    assert not fabric._collectives and not fabric._pending_collapse
+    assert not fabric._collectives and fabric._pending is None
 
 
 def test_a_failure_leaves_nothing_pending_across_buckets_and_rounds():
-    """Cancel-then-abort in the middle of two in-flight buckets: survivors
+    """An abort in the middle of two in-flight buckets: survivors
     finish within one detection window of the kill, and a collective
     created afterwards runs on the three survivors alone."""
     env, fabric, finished = launched(buckets=2, detection=0.25)
     env.run(until=0.01)
-    fabric.cancel(2)
     fabric.abort(2)
     env.run()
     assert len(finished) == 6
@@ -372,16 +374,16 @@ def test_an_interrupted_allreduce_cancels_its_own_run_only():
 def test_overlapped_buckets_launch_without_a_process_and_a_failure_leaves_nothing(
     monkeypatch,
 ):
-    fabrics, processes, cancelled = [], [], []
-    plain_init, plain_cancel = RingFabric.__init__, RingFabric.cancel
+    fabrics, processes, aborted = [], [], []
+    plain_init, plain_abort = RingFabric.__init__, RingFabric.abort
 
     def recording_init(self, *args, **kwargs):
         plain_init(self, *args, **kwargs)
         fabrics.append(self)
 
-    def recording_cancel(self, member):
-        cancelled.append(member)
-        plain_cancel(self, member)
+    def recording_abort(self, member):
+        aborted.append(member)
+        plain_abort(self, member)
 
     plain_process = Process.__init__
 
@@ -390,7 +392,7 @@ def test_overlapped_buckets_launch_without_a_process_and_a_failure_leaves_nothin
         plain_process(self, env, generator)
 
     monkeypatch.setattr(fabric_module.RingFabric, "__init__", recording_init)
-    monkeypatch.setattr(fabric_module.RingFabric, "cancel", recording_cancel)
+    monkeypatch.setattr(fabric_module.RingFabric, "abort", recording_abort)
     monkeypatch.setattr(Process, "__init__", recording_process)
     job = JobSpec(
         job_id="job0", loader="minato", workload_name="image_segmentation",
@@ -406,7 +408,7 @@ def test_overlapped_buckets_launch_without_a_process_and_a_failure_leaves_nothin
     (result,) = JobMix([job], cluster).run().jobs
     assert result.steps >= 48
     (fabric,) = fabrics
-    assert cancelled == [(1, gpu) for gpu in range(4)]  # killed mid-round
+    assert aborted == [(1, gpu) for gpu in range(4)]  # killed mid-round
     assert fabric.in_flight == 0
-    assert not fabric._collectives and not fabric._pending_collapse
+    assert not fabric._collectives and fabric._pending is None
     assert not {"_overlapped_bucket", "detector", "stalled"} & set(processes)

@@ -15,6 +15,7 @@ from repro.sim.distributed import (
     run_distributed,
     run_elastic,
 )
+from repro.sim.fabric import RingFabric
 from repro.sim.scenarios import (
     PRESETS,
     JobMix,
@@ -286,10 +287,32 @@ def test_tenant_caches_are_namespaced():
     assert namespaces == {"tenant-a", "tenant-b"}
 
 
-def test_shared_cluster_disables_collapse():
+def test_shared_cluster_disables_collapse(monkeypatch):
+    """Both tenants' fabrics ride the cluster's one topology, so neither
+    starts a collapse decider: the tenancy veto is the fabric's."""
+    fabrics, deciders = [], []
+    plain_init = RingFabric.__init__
+    plain_decider = RingFabric._collapse_decider
+
+    def recording_init(self, *args, **kwargs):
+        plain_init(self, *args, **kwargs)
+        fabrics.append(self)
+
+    def recording_decider(self, entry):
+        deciders.append(entry)
+        return plain_decider(self, entry)
+
+    monkeypatch.setattr(RingFabric, "__init__", recording_init)
+    monkeypatch.setattr(RingFabric, "_collapse_decider", recording_decider)
     mix = preset_steady(0.25)
     result = mix.run()
-    assert mix.cluster.shared
+    assert len(fabrics) == 2
+    assert all(
+        fabric.collapse and fabric.topology is mix.cluster.topology
+        for fabric in fabrics
+    )
+    assert mix.cluster.topology.fabrics == 2
+    assert not deciders
     for res in result.jobs:
         assert res.collapsed_collectives == 0
 
