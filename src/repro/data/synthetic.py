@@ -224,14 +224,18 @@ class ReplicatedDataset(Dataset):
             raise ConfigurationError(f"factor must be >= 1, got {factor!r}")
         self._base = base
         self._factor = factor
+        self._spec_cache: Dict[int, SampleSpec] = {}
 
     def __len__(self) -> int:
         return len(self._base) * self._factor
 
     def spec(self, index: int) -> SampleSpec:
         self._check_index(index)
-        base_spec = self._base.spec(index % len(self._base))
-        return dataclasses.replace(base_spec, index=index)
+        cached = self._spec_cache.get(index)
+        if cached is None:
+            base_spec = self._base.spec(index % len(self._base))
+            cached = self._spec_cache[index] = dataclasses.replace(base_spec, index=index)
+        return cached
 
     def _materialize(self, spec: SampleSpec) -> np.ndarray:
         base_spec = self._base.spec(spec.index % len(self._base))

@@ -165,15 +165,16 @@ class Timeout(Event):
 
 
 class _Initialize(Event):
-    """Immediate event that starts a freshly created process."""
+    """Immediate event that starts a freshly created process -- or any
+    other chain of transitions, given its first one as ``start``."""
 
     __slots__ = ()
 
-    def __init__(self, env: "Environment", process: "Process") -> None:
+    def __init__(self, env: "Environment", start: Callable[[Event], None]) -> None:
         super().__init__(env)
         self._ok = True
         self._value = None
-        self.callbacks.append(process._resume)
+        self.callbacks.append(start)
         env._schedule(self, URGENT, 0.0)
 
 
@@ -195,7 +196,7 @@ class Process(Event):
         #: recycled resume event for the already-processed fast path (one
         #: live resume per process at a time, so a single slot suffices)
         self._resume_cache: Optional[Event] = None
-        _Initialize(env, self)
+        _Initialize(env, self._resume)
 
     @property
     def is_alive(self) -> bool:

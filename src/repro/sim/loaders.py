@@ -34,6 +34,19 @@ routing (preemptive accounting), batch construction order, strict-order
 release, worker-pool scaling -- is delegated to the same substrate-neutral
 components in :mod:`repro.policy` (see DESIGN.md).
 
+Its loading workers, slow-task workers and batch builders are not
+processes: each is a small slotted state object whose transitions the
+completions of its read, core grant, hold timer and store events call
+directly -- drawn, read, core granted, run done, routed, batched
+(:class:`_LoadingWorker`, :class:`_SlowWorker`, :class:`_Builder`).  The
+read and the hold have one definition each (:meth:`SimContext.fetch` and
+:class:`_Hold`), run as processes by the other models and chained by these
+stages.  A sample routed to a ready store with room costs no event; a
+builder still takes it at its get event's delivery.  The generator process
+per stage they replaced is the referee, ``tests/helpers.
+GeneratorMinatoLoader`` (DESIGN.md, "A simulated sample is a chain of
+callbacks").
+
 Every model runs as one data-parallel rank (paper §6): ``start(ctx)`` begins
 with :meth:`BaseSimLoader.bind`, which makes a loader nobody rebound onto a
 shard a world of one over the workload's own budget.  Constructors run the
@@ -44,9 +57,9 @@ an idle stage notices new work -- on its own poll tick -- and the model
 keeps exactly that: a slow-task worker or strict-order builder that finds
 nothing parks (:class:`_IdleSite`) and is woken on the tick its poll loop
 would have found the change at, with no kernel event in between.  Likewise
-a core or GPU that is free is taken without an event
-(:meth:`SimContext._occupy`).  The poll loop itself lives on as the
-specification in ``tests/helpers.PollingMinatoLoader``.
+a core or GPU that is free is taken without an event (:meth:`_Hold.claim`).
+The poll loop itself lives on as the specification in
+``tests/helpers.PollingMinatoLoader``.
 """
 
 from __future__ import annotations
@@ -76,6 +89,8 @@ from ..data.storage import DRAM_BANDWIDTH
 from ..engine.metrics import IntervalRecorder, ThroughputMeter
 from ..errors import ConfigurationError, EmptySchedule, SimulationError
 from ..policy import (
+    FAST_KEY,
+    SLOW_KEY,
     BatchConstructionPolicy,
     LoaderStats,
     RoutingPolicy,
@@ -86,8 +101,8 @@ from ..policy import (
     index_stream,
 )
 from .cluster import NodeSite
-from .kernel import AllOf, Environment, Event
-from .resources import Resource
+from .kernel import AllOf, Environment, Event, _Initialize
+from .resources import Request, Resource
 from .stores import PriorityStore, Store
 from .workloads import HardwareConfig, WorkloadSpec
 
@@ -188,57 +203,134 @@ class SimContext:
             return index
         return (self.cache_namespace, index)
 
+    def fetch(self, spec: SampleSpec) -> Tuple[Event, bool]:
+        """Start reading a sample: a page-cache hit is a DRAM copy, a miss a
+        disk transfer.  Returns that hop's event and whether a NIC hop
+        (:meth:`nic_hop`) follows it -- a miss on remote storage."""
+        nbytes = spec.raw_nbytes
+        if self.cache.access(self.cache_key(spec.index), nbytes):
+            self.cache_hit_bytes += nbytes
+            return self.env.timeout(nbytes / DRAM_BANDWIDTH), False
+        self.cache_miss_bytes += nbytes
+        self.storage_wait_seconds += self.disk.backlog
+        return self.disk.transfer(nbytes), self.nic is not None
+
+    def nic_hop(self, nbytes: int) -> Event:
+        """A cache miss's bytes crossing the remote-storage NIC."""
+        self.storage_wait_seconds += self.nic.backlog
+        return self.nic.transfer(nbytes)
+
     def read_sample(self, spec: SampleSpec) -> Generator:
-        """Fetch a sample: page-cache hit (DRAM copy) or disk transfer
-        (plus a NIC hop when storage is remote)."""
-        hit = self.cache.access(self.cache_key(spec.index), spec.raw_nbytes)
-        if hit:
-            self.cache_hit_bytes += spec.raw_nbytes
-            yield self.env.timeout(spec.raw_nbytes / DRAM_BANDWIDTH)
-        else:
-            self.cache_miss_bytes += spec.raw_nbytes
-            self.storage_wait_seconds += self.disk.backlog
-            yield self.disk.transfer(spec.raw_nbytes)
-            if self.nic is not None:
-                self.storage_wait_seconds += self.nic.backlog
-                yield self.nic.transfer(spec.raw_nbytes)
+        """Fetch a sample, as a process: :meth:`fetch`, then its NIC hop."""
+        landed, remote = self.fetch(spec)
+        yield landed
+        if remote:
+            yield self.nic_hop(spec.raw_nbytes)
 
     # -- CPU accounting -------------------------------------------------------------
 
-    def _occupy(
-        self, resource: Resource, seconds: float, recorder: IntervalRecorder, tag: str
-    ) -> Generator:
-        """Hold one slot of ``resource`` for ``seconds`` and record the
-        interval.  A free slot is taken on the spot; the request is yielded
-        -- a kernel event -- only when it actually queued."""
-        request = resource.try_request()
-        queued = request is None
-        if queued:
-            request = resource.request()
-        with request:
-            if queued:
-                yield request
-            start = self.env.now
-            yield self.env.timeout(seconds)
-            recorder.record(start, self.env.now, tag)
+    def _occupy(self, hold: "_Hold") -> Generator:
+        """Run ``hold`` as a process: yield its request when it queued, then
+        its timer.  A failure on the way gives the slot back."""
+        queued = hold.claim()
+        try:
+            if queued is not None:
+                yield queued
+            yield hold.run()
+        except BaseException:
+            hold.resource.release(hold.request)
+            raise
+        hold.end()
+
+    def cpu_hold(self, seconds: float, tag: str = "preprocess") -> Optional["_Hold"]:
+        """A core held for ``seconds`` of CPU, charged to ``stats`` when it
+        ends; None when there is nothing to charge."""
+        if seconds <= 0:
+            return None
+        return _Hold(self.cores, seconds, self.cpu_recorder, tag, self.stats)
 
     def cpu_busy(self, seconds: float, tag: str = "preprocess") -> Generator:
         """Consume CPU time on one core (queueing if all cores are busy)."""
-        if seconds <= 0:
-            return
-        yield from self._occupy(self.cores, seconds, self.cpu_recorder, tag)
-        self.stats.busy_seconds += seconds
+        hold = self.cpu_hold(seconds, tag)
+        if hold is not None:
+            yield from self._occupy(hold)
 
     # -- training-side hooks ------------------------------------------------------------
 
     def train_step(self, gpu: int, seconds: float) -> Generator:
         """Execute one training step on a GPU (contends with DALI preprocess)."""
-        return self._occupy(self.gpus[gpu], seconds, self.gpu_recorders[gpu], "train")
+        return self._occupy(
+            _Hold(self.gpus[gpu], seconds, self.gpu_recorders[gpu], "train")
+        )
 
     def gpu_preprocess(self, gpu: int, seconds: float) -> Generator:
         return self._occupy(
-            self.gpus[gpu], seconds, self.gpu_recorders[gpu], "preprocess"
+            _Hold(self.gpus[gpu], seconds, self.gpu_recorders[gpu], "preprocess")
         )
+
+
+class _Hold:
+    """One slot of ``resource`` held for ``seconds`` and recorded as ``tag``
+    (CPU seconds also charged to ``stats``) -- the one definition of a hold.
+
+    A free slot is taken on the spot; the request is a kernel event only
+    when it actually queued.  :meth:`SimContext._occupy` runs a hold as a
+    process; :meth:`chain` runs it from completion callbacks.
+    """
+
+    __slots__ = ("resource", "seconds", "recorder", "tag", "stats", "request", "start", "then")
+
+    def __init__(
+        self,
+        resource: Resource,
+        seconds: float,
+        recorder: IntervalRecorder,
+        tag: str,
+        stats: Optional[LoaderStats] = None,
+    ) -> None:
+        self.resource = resource
+        self.seconds = seconds
+        self.recorder = recorder
+        self.tag = tag
+        self.stats = stats
+
+    def claim(self) -> Optional[Request]:
+        """Take a slot: None when one was free, else the queued request,
+        granted when it fires."""
+        request = self.resource.try_request()
+        if request is not None:
+            self.request = request
+            return None
+        self.request = self.resource.request()
+        return self.request
+
+    def run(self) -> Event:
+        """The slot is ours: hold it ``seconds``."""
+        env = self.resource.env
+        self.start = env.now
+        return env.timeout(self.seconds)
+
+    def end(self) -> None:
+        self.recorder.record(self.start, self.resource.env.now, self.tag)
+        self.resource.release(self.request)
+        if self.stats is not None:
+            self.stats.busy_seconds += self.seconds
+
+    def chain(self, then: Callable[[], None]) -> None:
+        """Run the hold from its events' callbacks; ``then()`` once it ended."""
+        self.then = then
+        queued = self.claim()
+        if queued is None:
+            self._granted()
+        else:
+            queued.callbacks.append(self._granted)
+
+    def _granted(self, _event: Optional[Event] = None) -> None:
+        self.run().callbacks.append(self._ended)
+
+    def _ended(self, _event: Event) -> None:
+        self.end()
+        self.then()
 
 
 class BaseSimLoader:
@@ -272,11 +364,9 @@ class BaseSimLoader:
         #: instead of rounding up to whole batches
         self.total_samples: Optional[int] = None
         self._halted = False
-        # cost-model results are deterministic per sample: memoize them
-        # (sims revisit samples every epoch)
-        self._cost_cache: dict = {}
-        self._bytes_cache: dict = {}
-        self._profile_cache: dict = {}
+        # cost-model results are deterministic per sample: memoize one
+        # pipeline walk per index (sims revisit samples every epoch)
+        self._walks: Dict[int, Tuple[List[float], float, int]] = {}
 
     def _check_shared_knobs(self, config_cls) -> None:
         """Refuse what the threaded loader refuses, by its own checks: build
@@ -356,26 +446,22 @@ class BaseSimLoader:
         clone.total_samples = total_samples_override
         return clone
 
+    def _walk(self, spec: SampleSpec) -> Tuple[List[float], float, int]:
+        """``(cost profile, total cost, output bytes)``, one walk per index."""
+        walk = self._walks.get(spec.index)
+        if walk is None:
+            profile, nbytes = self.pipeline.walk(spec)
+            walk = self._walks[spec.index] = (profile, float(sum(profile)), nbytes)
+        return walk
+
     def total_cost(self, spec: SampleSpec) -> float:
-        value = self._cost_cache.get(spec.index)
-        if value is None:
-            value = self.pipeline.total_cost(spec)
-            self._cost_cache[spec.index] = value
-        return value
+        return self._walk(spec)[1]
 
     def output_nbytes(self, spec: SampleSpec) -> int:
-        value = self._bytes_cache.get(spec.index)
-        if value is None:
-            value = self.pipeline.output_nbytes(spec)
-            self._bytes_cache[spec.index] = value
-        return value
+        return self._walk(spec)[2]
 
     def cost_profile(self, spec: SampleSpec) -> List[float]:
-        value = self._profile_cache.get(spec.index)
-        if value is None:
-            value = self.pipeline.cost_profile(spec)
-            self._profile_cache[spec.index] = value
-        return value
+        return self._walk(spec)[0]
 
     def get_batch(self, gpu: int) -> Generator:
         """Process-style fetch; returns a SimBatch or None at end."""
@@ -738,6 +824,184 @@ def run_until(
         ) from None
 
 
+class _LoadingWorker:
+    """A loading worker: Algorithm 1's inline path as transitions fired by
+    completion callbacks -- drawn, read, core granted, run done, routed (to
+    the ready store, or handed off to the temp store) -- and drawn again.
+    It starts the way a process does, on an urgent zero-delay event."""
+
+    __slots__ = ("loader", "seq", "spec", "remote", "profile", "decision")
+
+    def __init__(self, loader: "SimMinatoLoader") -> None:
+        self.loader = loader
+        _Initialize(loader.ctx.env, self._draw)
+
+    def _draw(self, _event: Optional[Event] = None) -> None:
+        loader = self.loader
+        if loader._halted or loader._active_workers > loader._loading_target:
+            return self._exit()
+        item = loader._next_index()
+        if item is None:
+            return self._exit()
+        _epoch, self.seq, index = item
+        ctx = loader.ctx
+        self.spec = ctx.workload.dataset.spec(index)
+        landed, self.remote = ctx.fetch(self.spec)
+        landed.callbacks.append(self._read)
+
+    def _read(self, _event: Event) -> None:
+        loader = self.loader
+        spec = self.spec
+        if self.remote:
+            self.remote = False
+            loader.ctx.nic_hop(spec.raw_nbytes).callbacks.append(self._read)
+            return
+        profile = self.profile = loader.cost_profile(spec)
+        if loader.size_router is not None:
+            # §3.2 heuristic: predict from raw size, no measurement
+            decision = loader.size_router.plan(profile, spec.raw_nbytes)
+        else:
+            decision = loader.routing.plan(profile, loader.profiler.timeout())
+        self.decision = decision
+        # one hold per run: the core is kept across transform boundaries
+        hold = loader.ctx.cpu_hold(decision.inline_seconds)
+        if hold is None:
+            self._ran()
+        else:
+            hold.chain(self._ran)
+
+    def _ran(self) -> None:
+        loader = self.loader
+        decision = self.decision
+        stats = loader.ctx.stats
+        if decision.handoff_index is not None:
+            stats.samples_timed_out += 1
+            loader._temp_store.put(
+                (self.spec, decision.handoff_index, self.profile, self.seq)
+            ).callbacks.append(self._draw)
+            return
+        loader.profiler.record(decision.total_seconds, flagged_slow=decision.flagged_slow)
+        if decision.flagged_slow:
+            stats.samples_timed_out += 1
+        stats.samples_preprocessed += 1
+        loader._emit_ready(self.seq, self.spec, decision.flagged_slow, self._draw)
+
+    def _exit(self) -> None:
+        self.loader._active_workers -= 1
+        self.loader._kick("slow")
+
+
+class _SlowWorker:
+    """A slow-task worker: looks at the temp store -- picks a hand-off up,
+    runs its background remainder on one core hold and routes it as slow --
+    or parks on its idle site until a kick, and looks again."""
+
+    __slots__ = ("loader", "item", "background")
+
+    def __init__(self, loader: "SimMinatoLoader") -> None:
+        self.loader = loader
+        _Initialize(loader.ctx.env, self._look)
+
+    def _look(self, _event: Optional[Event] = None) -> None:
+        loader = self.loader
+        if loader._halted or loader._active_slow > loader._slow_target:
+            return self._exit()
+        item = loader._temp_store.try_get()
+        if item is None:
+            if loader._background_exhausted():
+                return self._exit()
+            loader._idle["slow"].park().callbacks.append(self._look)
+            return
+        self.item = item
+        _spec, resume_at, profile, _seq = item
+        self.background = sum(profile[resume_at:])
+        hold = loader.ctx.cpu_hold(self.background, tag="slow")
+        if hold is None:
+            self._ran()
+        else:
+            hold.chain(self._ran)
+
+    def _ran(self) -> None:
+        loader = self.loader
+        spec, _resume_at, profile, seq = self.item
+        stats = loader.ctx.stats
+        stats.background_busy_seconds += self.background
+        loader.profiler.record(sum(profile), flagged_slow=True)
+        stats.samples_preprocessed += 1
+        loader._emit_ready(seq, spec, True, self._look)
+
+    def _exit(self) -> None:
+        self.loader._active_slow -= 1
+
+
+class _Builder:
+    """One GPU's batch builder: fills each batch of its plan from the ready
+    store -- taking a sample at its get event's delivery -- or, in strict
+    order, from the reorder buffer (parking when the next one is not
+    there), then puts the batch and starts the next."""
+
+    __slots__ = ("loader", "gpu", "sizes", "take", "specs", "slow_flags", "nbytes")
+
+    def __init__(self, loader: "SimMinatoLoader", gpu: int, batch_sizes: List[int]) -> None:
+        self.loader = loader
+        self.gpu = gpu
+        self.sizes = iter(batch_sizes)
+        _Initialize(loader.ctx.env, self._begin)
+
+    def _begin(self, _event: Optional[Event] = None) -> None:
+        loader = self.loader
+        take = next(self.sizes, None)
+        if take is None:
+            loader._builders_done += 1
+            store = loader.batch_stores[self.gpu]
+            if not store.try_put(END):
+                store.put(END)
+            return
+        self.take = take
+        self.specs = []
+        self.slow_flags = []
+        self.nbytes = 0
+        self._fill()
+
+    def _fill(self, _event: Optional[Event] = None) -> None:
+        loader = self.loader
+        construction = loader.construction
+        while len(self.specs) < self.take:
+            if not construction.strict_order:
+                loader._ready_store.get().callbacks.append(self._took)
+                return
+            got = construction.buffer.try_next()
+            if got is None:
+                if not loader._halted:  # else a dead node: its last poll
+                    loader._idle["builder"].park().callbacks.append(self._fill)
+                return
+            # a release: the next sequence number may be buffered
+            loader._kick("builder")
+            self._add(got)
+        loader.ctx.stats.batches_built += 1
+        loader.batch_stores[self.gpu].put(
+            SimBatch(
+                specs=self.specs,
+                nbytes=self.nbytes,
+                built_at=loader.ctx.env.now,
+                slow_count=sum(self.slow_flags),
+                gpu=self.gpu,
+                slow_flags=self.slow_flags,
+            )
+        ).callbacks.append(self._begin)
+
+    def _took(self, event: Event) -> None:
+        _key, item = event.value
+        self._add(item)
+        self._fill()
+
+    def _add(self, item) -> None:
+        spec, was_slow = item
+        self.specs.append(spec)
+        self.slow_flags.append(bool(was_slow))
+        self.nbytes += self.loader.output_nbytes(spec)
+
+
 class SimMinatoLoader(BaseSimLoader):
     """Algorithm 1 + adaptive worker scheduling, with preemptive accounting;
     an idle stage parks on its :class:`_IdleSite` instead of polling."""
@@ -901,7 +1165,7 @@ class SimMinatoLoader(BaseSimLoader):
 
         self._fill_pools()
         for gpu in range(ctx.num_gpus):
-            env.process(self._builder(gpu, plan[gpu]))
+            self._start_builder(gpu, plan[gpu])
         if self.adaptive_workers:
             env.process(self._scheduler_proc())
 
@@ -948,20 +1212,29 @@ class SimMinatoLoader(BaseSimLoader):
             return
         while self._undrawn and self._active_workers < self._loading_target:
             self._active_workers += 1
-            self.ctx.env.process(self._loading_worker())
+            self._start_loading_worker()
         if self._background_exhausted():
             # a slow-task worker would exit at its first look
             return
         while self._active_slow < self._slow_target:
             self._active_slow += 1
-            self.ctx.env.process(self._slow_worker())
+            self._start_slow_worker()
+
+    def _start_loading_worker(self) -> None:
+        _LoadingWorker(self)
+
+    def _start_slow_worker(self) -> None:
+        _SlowWorker(self)
+
+    def _start_builder(self, gpu: int, batch_sizes: List[int]) -> None:
+        _Builder(self, gpu, batch_sizes)
 
     def _background_exhausted(self) -> bool:
         """Nothing in the temp store and nobody left to put anything there:
         the slow-task pool has no work now or later."""
         return not (self._temp_store.items or self._undrawn or self._active_workers)
 
-    # -- processes --------------------------------------------------------------------
+    # -- stage steps ------------------------------------------------------------------
 
     def _next_index(self) -> Optional[Tuple[int, int, int]]:
         """The next ``(epoch, seq, index)``; None once the budget is drawn."""
@@ -970,123 +1243,36 @@ class SimMinatoLoader(BaseSimLoader):
         self._undrawn -= 1
         return next(self._indices)
 
-    def _emit_ready(self, seq: int, spec: SampleSpec, flagged_slow: bool) -> Generator:
-        """Route one preprocessed sample through the construction policy:
-        onto the ready store, or into the strict-order buffer."""
-        item = (spec, flagged_slow)
-        key = self.construction.priority_key
-        event = self.construction.route_ready(
-            seq,
-            item,
-            flagged_slow,
-            put_fast=lambda it: self._ready_store.put((key(False), it)),
-            put_slow=lambda it: self._ready_store.put((key(True), it)),
+    def _emit_ready(
+        self, seq: int, spec: SampleSpec, flagged_slow: bool, then: Callable
+    ) -> None:
+        """Route one preprocessed sample through the construction policy --
+        onto the ready store, or into the strict-order buffer -- and call
+        ``then`` once it is there: at once, unless the ready store is full
+        (then from the put's event)."""
+        blocked = self.construction.route_ready(
+            seq, (spec, flagged_slow), flagged_slow,
+            put_fast=self._put_fast, put_slow=self._put_slow,
         )
-        if event is None:
-            self._kick("builder")
-        else:
-            yield event
-
-    def _loading_worker(self) -> Generator:
-        ctx = self.ctx
-        try:
-            while True:
-                if self._halted or self._active_workers > self._loading_target:
-                    return
-                item = self._next_index()
-                if item is None:
-                    return
-                _epoch, seq, index = item
-                spec = ctx.workload.dataset.spec(index)
-                yield from ctx.read_sample(spec)
-                profile = self.cost_profile(spec)
-                if self.size_router is not None:
-                    # §3.2 heuristic: predict from raw size, no measurement
-                    decision = self.size_router.plan(profile, spec.raw_nbytes)
-                else:
-                    decision = self.routing.plan(profile, self.profiler.timeout())
-                # one hold per run: the core is kept across transform boundaries
-                yield from ctx.cpu_busy(decision.inline_seconds)
-                if decision.handoff_index is not None:
-                    ctx.stats.samples_timed_out += 1
-                    yield self._temp_store.put(
-                        (spec, decision.handoff_index, profile, seq)
-                    )
-                else:
-                    self.profiler.record(
-                        decision.total_seconds, flagged_slow=decision.flagged_slow
-                    )
-                    if decision.flagged_slow:
-                        ctx.stats.samples_timed_out += 1
-                    ctx.stats.samples_preprocessed += 1
-                    yield from self._emit_ready(seq, spec, decision.flagged_slow)
-        finally:
-            self._active_workers -= 1
-            self._kick("slow")
-
-    def _slow_worker(self) -> Generator:
-        ctx = self.ctx
-        try:
-            while True:
-                if self._halted or self._active_slow > self._slow_target:
-                    return
-                item = self._temp_store.try_get()
-                if item is None:
-                    if self._background_exhausted():
-                        return
-                    yield self._idle["slow"].park()
-                    continue
-                spec, resume_at, profile, seq = item
-                background = sum(profile[resume_at:])
-                yield from ctx.cpu_busy(background, tag="slow")
-                ctx.stats.background_busy_seconds += background
-                self.profiler.record(sum(profile), flagged_slow=True)
-                ctx.stats.samples_preprocessed += 1
-                yield from self._emit_ready(seq, spec, True)
-        finally:
-            self._active_slow -= 1
-
-    def _next_ready(self) -> Generator:
-        """Fetch the next ready sample per the construction policy."""
         if self.construction.strict_order:
-            while True:
-                got = self.construction.next_ready(lambda: None, lambda: None)
-                if got is not None:
-                    # a release: the next sequence number may be buffered
-                    self._kick("builder")
-                    return got
-                if self._halted:
-                    # dead node: this was the builder's last poll
-                    yield self.ctx.env.event()
-                yield self._idle["builder"].park()
+            self._kick("builder")
+        if blocked is None:
+            then()
         else:
-            _key, item = yield self._ready_store.get()
-            return item
+            blocked.callbacks.append(then)
 
-    def _builder(self, gpu: int, batch_sizes: List[int]) -> Generator:
-        ctx = self.ctx
-        for take in batch_sizes:
-            specs: List[SampleSpec] = []
-            slow_flags: List[bool] = []
-            nbytes = 0
-            for _ in range(take):
-                spec, was_slow = yield from self._next_ready()
-                specs.append(spec)
-                slow_flags.append(bool(was_slow))
-                nbytes += self.output_nbytes(spec)
-            ctx.stats.batches_built += 1
-            yield self.batch_stores[gpu].put(
-                SimBatch(
-                    specs=specs,
-                    nbytes=nbytes,
-                    built_at=ctx.env.now,
-                    slow_count=sum(slow_flags),
-                    gpu=gpu,
-                    slow_flags=slow_flags,
-                )
-            )
-        self._builders_done += 1
-        yield self.batch_stores[gpu].put(END)
+    def _put_fast(self, item) -> Optional[Event]:
+        return self._put_ready((FAST_KEY, item))
+
+    def _put_slow(self, item) -> Optional[Event]:
+        return self._put_ready((SLOW_KEY, item))
+
+    def _put_ready(self, entry) -> Optional[Event]:
+        """Onto the ready store: None if it took ``entry`` at once, else the
+        put to wait for."""
+        if self._ready_store.try_put(entry):
+            return None
+        return self._ready_store.put(entry)
 
     def _scheduler_proc(self) -> Generator:
         """Formulas 1-2 over the *total* preprocessing pool.

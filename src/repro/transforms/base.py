@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -106,6 +106,9 @@ class PipelineState:
     """
 
     nbytes: float
+    #: a per-sample draw that several transforms' cost models share,
+    #: drawn once per walk (None until the first of them draws it)
+    base_cost: Optional[float] = None
 
     def copy(self) -> "PipelineState":
         return PipelineState(nbytes=self.nbytes)
@@ -163,8 +166,7 @@ class Pipeline:
     """An ordered sequence of transforms with cost introspection.
 
     Loaders drive transforms one at a time (so a load balancer can check its
-    timeout budget between steps); the simulator only reads
-    :meth:`cost_profile`.
+    timeout budget between steps); the simulator only reads :meth:`walk`.
     """
 
     def __init__(self, transforms: Sequence[Transform]) -> None:
@@ -188,24 +190,26 @@ class Pipeline:
     def initial_state(self, spec: SampleSpec) -> PipelineState:
         return PipelineState(nbytes=float(spec.raw_nbytes))
 
-    def cost_profile(self, spec: SampleSpec) -> List[float]:
-        """Per-transform modelled costs (seconds) for one sample."""
+    def walk(self, spec: SampleSpec) -> Tuple[List[float], int]:
+        """One pass over the transforms: the per-transform modelled costs
+        (seconds) and the footprint of the fully preprocessed sample."""
         state = self.initial_state(spec)
         profile = []
         for transform in self.transforms:
             profile.append(transform.cost(spec, state))
             state.nbytes = transform.output_nbytes(spec, state)
-        return profile
+        return profile, int(state.nbytes)
+
+    def cost_profile(self, spec: SampleSpec) -> List[float]:
+        """Per-transform modelled costs (seconds) for one sample."""
+        return self.walk(spec)[0]
 
     def total_cost(self, spec: SampleSpec) -> float:
         return float(sum(self.cost_profile(spec)))
 
     def output_nbytes(self, spec: SampleSpec) -> int:
         """Footprint of the fully preprocessed sample."""
-        state = self.initial_state(spec)
-        for transform in self.transforms:
-            state.nbytes = transform.output_nbytes(spec, state)
-        return int(state.nbytes)
+        return self.walk(spec)[1]
 
     def size_trace(self, spec: SampleSpec) -> List[float]:
         """Footprint after each transform (used by Pecan's classifier)."""

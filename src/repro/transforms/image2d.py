@@ -69,8 +69,10 @@ def detection_base_cost(spec: SampleSpec) -> float:
 
 
 def _transform_cost(name: str, spec: SampleSpec, state: PipelineState) -> float:
-    share = _FRACTIONS[name]
-    cost = share * detection_base_cost(spec)
+    base = state.base_cost
+    if base is None:
+        base = state.base_cost = detection_base_cost(spec)
+    cost = _FRACTIONS[name] * base
     if name in _SIZE_SENSITIVE:
         rel = state.nbytes / _REFERENCE_TENSOR_NBYTES
         cost *= (1.0 - _SIZE_WEIGHT) + _SIZE_WEIGHT * rel

@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 import threading
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Set, TypeVar
+from typing import Callable, List, Optional, Sequence, Set, TypeVar, Union
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from repro.sim.distributed import JobSpec, run_distributed, run_elastic
 from repro.sim.fabric import RingFabric
 from repro.sim.kernel import NORMAL, AllOf, Environment, Event, Timeout
 from repro.sim.links import SharedLink, project
-from repro.sim.loaders import SimContext, SimMinatoLoader
+from repro.sim.loaders import END, SimBatch, SimContext, SimMinatoLoader
 from repro.sim.scenarios import JobMix
 from repro.sim.workloads import CONFIG_A, WorkloadSpec, make_workload
 from repro.transforms.base import Pipeline, PipelineState, SizeEffect, Transform, WorkContext
@@ -60,12 +60,13 @@ class StubTransform(Transform):
 
 
 class StubDataset(Dataset):
-    """Dataset with explicit per-sample preprocessing costs."""
+    """Dataset with explicit per-sample preprocessing costs (and raw sizes:
+    one for all, or one per sample)."""
 
     def __init__(
         self,
         costs: Sequence[float],
-        raw_nbytes: int = 1024,
+        raw_nbytes: Union[int, Sequence[int]] = 1024,
         seed: int = 0,
         payload: Optional[np.ndarray] = None,
     ) -> None:
@@ -73,10 +74,11 @@ class StubDataset(Dataset):
         self._raw_nbytes = raw_nbytes
         self._seed = seed
         self._payload = payload if payload is not None else np.zeros(4, dtype=np.float32)
+        sizes = [raw_nbytes] * len(self._costs) if isinstance(raw_nbytes, int) else raw_nbytes
         self._specs: List[SampleSpec] = [
             SampleSpec(
                 index=i,
-                raw_nbytes=raw_nbytes,
+                raw_nbytes=sizes[i],
                 seed=seed * 1_000_003 + i,
                 modality="stub",
                 attrs={"cost": float(c)},
@@ -250,6 +252,147 @@ def on_checked_kernel(monkeypatch, run, *args, **kwargs):
 
 
 # ---------------------------------------------------------------------------
+# The Minato stages' specification: one generator process per stage
+# ---------------------------------------------------------------------------
+
+
+class GeneratorMinatoLoader(SimMinatoLoader):
+    """``SimMinatoLoader`` with the stages it had before they became chains
+    of callback transitions: a generator process per loading worker,
+    slow-task worker and batch builder, driving the process forms of the
+    read (``SimContext.read_sample``) and the hold (``SimContext.cpu_busy``),
+    and a ready hand-off that always yields its put event.  Everything
+    else -- pools, idle sites, policies, the scheduler -- is the loader's
+    own.  The referee ``tests/test_event_diet.py`` holds the callback
+    stages to."""
+
+    def _start_loading_worker(self) -> None:
+        self.ctx.env.process(self._loading_worker())
+
+    def _start_slow_worker(self) -> None:
+        self.ctx.env.process(self._slow_worker())
+
+    def _start_builder(self, gpu: int, batch_sizes: List[int]) -> None:
+        self.ctx.env.process(self._builder(gpu, batch_sizes))
+
+    def _emit_ready(self, seq, spec, flagged_slow):
+        """Route one preprocessed sample through the construction policy:
+        onto the ready store, or into the strict-order buffer."""
+        item = (spec, flagged_slow)
+        key = self.construction.priority_key
+        event = self.construction.route_ready(
+            seq,
+            item,
+            flagged_slow,
+            put_fast=lambda it: self._ready_store.put((key(False), it)),
+            put_slow=lambda it: self._ready_store.put((key(True), it)),
+        )
+        if event is None:
+            self._kick("builder")
+        else:
+            yield event
+
+    def _loading_worker(self):
+        ctx = self.ctx
+        try:
+            while True:
+                if self._halted or self._active_workers > self._loading_target:
+                    return
+                item = self._next_index()
+                if item is None:
+                    return
+                _epoch, seq, index = item
+                spec = ctx.workload.dataset.spec(index)
+                yield from ctx.read_sample(spec)
+                profile = self.cost_profile(spec)
+                if self.size_router is not None:
+                    decision = self.size_router.plan(profile, spec.raw_nbytes)
+                else:
+                    decision = self.routing.plan(profile, self.profiler.timeout())
+                yield from ctx.cpu_busy(decision.inline_seconds)
+                if decision.handoff_index is not None:
+                    ctx.stats.samples_timed_out += 1
+                    yield self._temp_store.put(
+                        (spec, decision.handoff_index, profile, seq)
+                    )
+                else:
+                    self.profiler.record(
+                        decision.total_seconds, flagged_slow=decision.flagged_slow
+                    )
+                    if decision.flagged_slow:
+                        ctx.stats.samples_timed_out += 1
+                    ctx.stats.samples_preprocessed += 1
+                    yield from self._emit_ready(seq, spec, decision.flagged_slow)
+        finally:
+            self._active_workers -= 1
+            self._kick("slow")
+
+    def _slow_worker(self):
+        ctx = self.ctx
+        try:
+            while True:
+                if self._halted or self._active_slow > self._slow_target:
+                    return
+                item = self._temp_store.try_get()
+                if item is None:
+                    if self._background_exhausted():
+                        return
+                    yield self._idle["slow"].park()
+                    continue
+                spec, resume_at, profile, seq = item
+                background = sum(profile[resume_at:])
+                yield from ctx.cpu_busy(background, tag="slow")
+                ctx.stats.background_busy_seconds += background
+                self.profiler.record(sum(profile), flagged_slow=True)
+                ctx.stats.samples_preprocessed += 1
+                yield from self._emit_ready(seq, spec, True)
+        finally:
+            self._active_slow -= 1
+
+    def _next_ready(self):
+        """Fetch the next ready sample per the construction policy."""
+        if self.construction.strict_order:
+            while True:
+                got = self.construction.next_ready(lambda: None, lambda: None)
+                if got is not None:
+                    # a release: the next sequence number may be buffered
+                    self._kick("builder")
+                    return got
+                if self._halted:
+                    # dead node: this was the builder's last poll
+                    yield self.ctx.env.event()
+                yield self._idle["builder"].park()
+        else:
+            _key, item = yield self._ready_store.get()
+            return item
+
+    def _builder(self, gpu, batch_sizes):
+        ctx = self.ctx
+        for take in batch_sizes:
+            specs: List[SampleSpec] = []
+            slow_flags: List[bool] = []
+            nbytes = 0
+            for _ in range(take):
+                spec, was_slow = yield from self._next_ready()
+                specs.append(spec)
+                slow_flags.append(bool(was_slow))
+                nbytes += self.output_nbytes(spec)
+            ctx.stats.batches_built += 1
+            yield self.batch_stores[gpu].put(
+                SimBatch(
+                    specs=specs,
+                    nbytes=nbytes,
+                    built_at=ctx.env.now,
+                    slow_count=sum(slow_flags),
+                    gpu=gpu,
+                    slow_flags=slow_flags,
+                )
+            )
+        self._builders_done += 1
+        yield self.batch_stores[gpu].put(END)
+
+
+# ---------------------------------------------------------------------------
 # The idle wait's specification: Algorithm 1's poll loop, literally
 # ---------------------------------------------------------------------------
 
@@ -280,9 +423,9 @@ class _PollingSite:
         pass
 
 
-class PollingMinatoLoader(SimMinatoLoader):
-    """``SimMinatoLoader`` with the poll loops it had before its idle stages
-    parked (``_slow_worker`` on the temp store, strict-order
+class PollingMinatoLoader(GeneratorMinatoLoader):
+    """``GeneratorMinatoLoader`` with the poll loops it had before its idle
+    stages parked (``_slow_worker`` on the temp store, strict-order
     ``_next_ready``): the same loop tops, with ``yield
     env.timeout(self.poll_interval)`` as the idle wait.  (Loading workers
     draw from the sampler and have no idle wait on either.)"""
@@ -321,9 +464,9 @@ class _PerChunkContext:
             yield from self._ctx.cpu_busy(chunk, tag)
 
 
-class PerChunkMinatoLoader(SimMinatoLoader):
-    """``SimMinatoLoader`` with the core discipline it had before a run was
-    one hold: the inline run walks ``decision.inline_chunks`` and the
+class PerChunkMinatoLoader(GeneratorMinatoLoader):
+    """``GeneratorMinatoLoader`` with the core discipline it had before a
+    run was one hold: the inline run walks ``decision.inline_chunks`` and the
     background run ``profile[resume_at:]``, one ``cpu_busy`` each.  A plan
     and a temp-store pick-up are each followed by their charge with no
     kernel event in between, so remembering the last one names the run."""

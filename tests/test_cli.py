@@ -233,9 +233,17 @@ def test_cli_bench_census_counts_every_delivered_event(monkeypatch, capsys):
     kinds = {kind for kind, _waiter in counts}
     assert {"Timeout", "StorePut", "_Initialize"} <= kinds
     assert any(waiter.startswith("_occupy:") for _kind, waiter in counts)
+    # the Minato stages are callback chains: a stage transition is named by
+    # its bound method, and no stage is a generator process
+    assert ("Timeout", "_Hold._ended") in counts
+    assert ("StoreGet", "_Builder._took") in counts
+    assert not any(
+        waiter.startswith(("_slow_worker", "_loading_worker", "_builder"))
+        for _kind, waiter in counts
+    )
     # nobody is woken 100 times a second any more
     assert not any(
-        kind == "Timeout" and waiter.startswith(("_slow_worker", "_loading_worker"))
+        kind == "Timeout" and waiter.startswith(("_SlowWorker", "_Builder"))
         for kind, waiter in counts
     )
     assert main(["bench", "--census", "--scenario", name, "--top", "5"]) == 0

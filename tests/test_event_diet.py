@@ -25,7 +25,12 @@ per-transform walk it replaced:
 * **one hold per run** -- ``tests/helpers.PerChunkMinatoLoader`` keeps the
   walk that gave the core back at every transform boundary: where nobody
   queues for a core the fused run is the same run for fewer events, and on
-  an oversubscribed pool it conserves samples and CPU and keeps the makespan.
+  an oversubscribed pool it conserves samples and CPU and keeps the makespan;
+* **callback stages** -- ``tests/helpers.GeneratorMinatoLoader`` keeps a
+  generator process per stage and an event per ready hand-off: the chained
+  stages must make the same run of it, bit for bit, also where instants
+  coincide; a builder that takes at put time must be caught; and a sample
+  costs exactly its read, its run and the builder's get.
 """
 
 import random
@@ -47,6 +52,7 @@ from repro.sim.scenarios import JobMix
 from repro.sim.workloads import CONFIG_A, WorkloadSpec, make_workload
 
 from .helpers import (
+    GeneratorMinatoLoader,
     PerChunkMinatoLoader,
     PollingMinatoLoader,
     StubDataset,
@@ -352,18 +358,21 @@ def contended_mix():
     return JobMix(jobs, cluster).run()
 
 
-#: kernel events each run delivers now that no slow-task worker is spawned
-#: only to exit and a collapsed collective's walk is one timer (before:
-#: 2 816, 5 591 and 15 326); ring collectives are state machines and bucket
-#: all-reduces launch without a process (with a process per bucket and an
-#: event per chunk delivery: 6 991 and 18 638 for the two cluster runs); a
-#: sample's run is one core hold (one hold per transform: 5 295, 7 759 and
-#: 19 934; with the feeder: 5 779, 7 942 and 20 333; before the poll loops
-#: and grant hops left: 10 563, 29 993 and 72 958)
+#: kernel events each run delivers now that the Minato stages are chains of
+#: callback transitions and the ready hand-off is event-free (with a
+#: generator process per stage: 2 436, 4 975 and 13 228); before that no
+#: slow-task worker was spawned only to exit and a collapsed collective's
+#: walk became one timer (before: 2 816, 5 591 and 15 326); ring
+#: collectives are state machines and bucket all-reduces launch without a
+#: process (with a process per bucket and an event per chunk delivery:
+#: 6 991 and 18 638 for the two cluster runs); a sample's run is one core
+#: hold (one hold per transform: 5 295, 7 759 and 19 934; with the feeder:
+#: 5 779, 7 942 and 20 333; before the poll loops and grant hops left:
+#: 10 563, 29 993 and 72 958)
 MEASURED_EVENTS = {
-    single_node: 2_436,
-    quiet_elastic: 4_975,
-    contended_mix: 13_228,
+    single_node: 1_852,
+    quiet_elastic: 4_299,
+    contended_mix: 11_118,
 }
 
 
@@ -397,42 +406,30 @@ def test_event_budget_no_tie_and_nothing_left_parked(monkeypatch, scenario):
             assert loader._active_workers == loader._active_slow == 0
 
 
-class _CountedYields:
-    """Stands in for a process's generator and counts what it yields
-    (``Process`` drives it only through ``send`` and ``throw``)."""
-
-    def __init__(self, generator) -> None:
-        self._generator = generator
-        self.yields = 0
-
-    def send(self, value):
-        event = self._generator.send(value)
-        self.yields += 1
-        return event
-
-    def throw(self, exc):
-        event = self._generator.throw(exc)
-        self.yields += 1
-        return event
-
-
 @pytest.mark.parametrize("scenario", list(MEASURED_EVENTS), ids=lambda f: f.__name__)
 def test_no_slow_task_worker_is_spawned_only_to_exit(monkeypatch, scenario):
     """A slow-task worker spawned with the temp store empty, nothing left
     to draw and no loading worker alive would exit at its first look: it
-    cost a start and an end event and nobody saw it.  ``_fill_pools`` does
-    not spawn one, so every worker that ends has yielded at least once."""
+    cost a start event and nobody saw it.  ``_fill_pools`` does not spawn
+    one, so every worker looks more than once."""
     workers = []
-    slow_worker = SimMinatoLoader._slow_worker
 
-    def counted(self):
-        workers.append(_CountedYields(slow_worker(self)))
-        return workers[-1]
+    class Counted(loaders_module._SlowWorker):
+        __slots__ = ("looks",)
 
-    monkeypatch.setattr(SimMinatoLoader, "_slow_worker", counted)
+        def __init__(self, loader) -> None:
+            self.looks = 0
+            super().__init__(loader)
+            workers.append(self)
+
+        def _look(self, _event=None) -> None:
+            self.looks += 1
+            super()._look(_event)
+
+    monkeypatch.setattr(loaders_module, "_SlowWorker", Counted)
     scenario()
     assert workers
-    assert all(worker.yields for worker in workers)
+    assert all(worker.looks > 1 for worker in workers)
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +536,182 @@ def test_one_hold_per_run_against_the_walk_on_seeded_scenarios():
     assert handoffs > 500
     for trial in range(20):
         conserves_on_an_oversubscribed_pool(seeded_knobs(trial))
+
+
+# ---------------------------------------------------------------------------
+# (vi) callback stages, against the generator processes they replaced
+# ---------------------------------------------------------------------------
+
+#: what the referee adds to the scenario knobs: costs, steps and halts on a
+#: binary grid (``None``: continuous) so that completions coincide, cores
+#: that the pool oversubscribes, raw sizes that vary (and can be zero), and
+#: the size classifier
+REFEREE_KNOBS = {
+    "quantum": (None, 2.0**-6, 2.0**-8),
+    "cores": (2, 4, 12, 128),
+    "oversubscribe": (False, True),
+    "sizes": ("fixed", "varied", "zero"),
+    "classifier": ("timeout", "timeout", "size"),
+}
+
+ANY_REFEREE_KNOBS = st.fixed_dictionaries(
+    {
+        name: st.sampled_from(list(values))
+        for name, values in {**KNOBS, **REFEREE_KNOBS}.items()
+    }
+)
+
+
+def refereed(loader_cls, knobs):
+    rng = random.Random(knobs["cost_seed"])
+    quantum = knobs["quantum"]
+
+    def draw(low: float, high: float) -> float:
+        value = rng.uniform(low, high)
+        return value if quantum is None else max(1, round(value / quantum)) * quantum
+
+    costs = [
+        draw(0.05, 0.4) if rng.random() < knobs["slow_fraction"] else draw(0.001, 0.05)
+        for _ in range(knobs["samples"])
+    ]
+    sizes = {
+        "fixed": 1024,
+        "varied": [rng.choice((256, 1024, 4096)) for _ in costs],
+        "zero": 0,
+    }[knobs["sizes"]]
+    step = draw(0.001, 0.08)
+    stall = (rng.randint(1, 3), draw(0.1, 1.0)) if knobs["stalls"] else None
+    halt_at = draw(0.0, 0.6) if knobs["halts"] else None
+    per_gpu = knobs["workers_per_gpu"]
+    return observe_minato(
+        loader_cls, costs, step=step, stall=stall, halt_at=halt_at, horizon=40.0,
+        raw_nbytes=sizes, warmup_samples=4,
+        # min_workers lifts the loading pool over what the cores can serve
+        min_workers=per_gpu * knobs["gpus"] if knobs["oversubscribe"] else 1,
+        **{
+            name: knobs[name]
+            for name in (
+                "batch_size", "gpus", "cores", "epochs", "workers_per_gpu",
+                "slow_workers", "queue_capacity", "poll_interval",
+                "adaptive_workers", "scheduler_interval", "reorder",
+                "timeout_override", "seed", "classifier",
+            )
+        },
+    )
+
+
+def same_run(ours, theirs) -> bool:
+    return (
+        ours.transitions == theirs.transitions
+        and ours.loader.ctx.stats == theirs.loader.ctx.stats
+        and ours.env.now == theirs.env.now
+    )
+
+
+def callbacks_refine_generators(knobs) -> bool:
+    chained = refereed(SimMinatoLoader, knobs)
+    processes = refereed(GeneratorMinatoLoader, knobs)
+    return same_run(chained, processes) and chained.events < processes.events
+
+
+@settings(max_examples=60, deadline=None)
+@given(knobs=ANY_REFEREE_KNOBS)
+def test_callback_stages_refine_the_generator_stages(knobs):
+    """Same pick-ups, batches, scheduler history, stats and end instant as
+    a generator process per stage -- on coincident instants, oversubscribed
+    cores, halts, strict order and the size classifier too -- and fewer
+    kernel events."""
+    assert callbacks_refine_generators(knobs)
+
+
+def seeded_referee_knobs(trial: int) -> dict:
+    rng = random.Random(10_000 + trial)
+    return {
+        name: rng.choice(list(values))
+        for name, values in {**KNOBS, **REFEREE_KNOBS}.items()
+    }
+
+
+def test_callback_stages_refine_the_generator_stages_on_200_seeded_scenarios():
+    """The property's deterministic twin."""
+    failed = [
+        trial for trial in range(200)
+        if not callbacks_refine_generators(seeded_referee_knobs(trial))
+    ]
+    assert not failed
+
+
+class EagerBuilderMinatoLoader(SimMinatoLoader):
+    """Mutant: a builder waiting on the ready store takes a sample the
+    instant it is put, instead of at its get event's delivery."""
+
+    def _put_ready(self, entry):
+        store = self._ready_store
+        if not store._getters:
+            return super()._put_ready(entry)
+        get = store._getters.popleft()
+        get._ok, get._value = True, entry
+        callbacks, get.callbacks = get.callbacks, None
+        for callback in callbacks:
+            callback(get)
+        return None
+
+
+def test_the_referee_catches_a_builder_that_takes_at_put_time():
+    """Where samples land together -- zero-byte reads, costs on a 1/64 s
+    grid, two builders sharing the ready store -- a builder that takes at
+    put time asks for its next sample ahead of the other builder's pending
+    event and gets a sample that was not its own."""
+
+    def caught(trial: int) -> bool:
+        knobs = dict(
+            seeded_referee_knobs(trial), quantum=2.0**-6, sizes="zero",
+            gpus=2, reorder=True, halts=False, samples=40,
+        )
+        return not same_run(
+            refereed(EagerBuilderMinatoLoader, knobs),
+            refereed(GeneratorMinatoLoader, knobs),
+        )
+
+    assert any(caught(trial) for trial in range(40))
+
+
+class _CountingEnvironment(Environment):
+    """Counts delivered events by type."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.kinds = Counter()
+
+    def _pop_next(self):
+        event = super()._pop_next()
+        if event is not None:
+            self.kinds[type(event).__name__] += 1
+        return event
+
+
+def test_a_sample_costs_its_two_timed_events_and_the_builders_get():
+    """One loading worker, free cores, nothing slow: a second epoch of n
+    cache-hit samples in n / b batches adds, per sample, its DRAM copy and
+    its run (two ``Timeout``s) and the builder's get (a ``StoreGet``), and
+    per batch its put, the consumer's get and the training step -- nothing
+    else.  A per-sample zero-delay hop coming back fails this count."""
+    n, b = 24, 4
+
+    def kinds(epochs: int) -> Counter:
+        run = observe_minato(
+            SimMinatoLoader, [0.01] * n, batch_size=b, epochs=epochs,
+            workers_per_gpu=1, slow_workers=2, adaptive_workers=False,
+            warmup_samples=10_000, seed=0, env_cls=_CountingEnvironment,
+        )
+        assert run.loader.ctx.stats.samples_preprocessed == n * epochs
+        return run.env.kinds
+
+    one, two = kinds(1), kinds(2)
+    assert two - one == Counter(
+        Timeout=2 * n + n // b, StoreGet=n + n // b, StorePut=n // b
+    )
+    assert sum(two.values()) - sum(one.values()) == 3 * n + 3 * n // b
 
 
 # ---------------------------------------------------------------------------
