@@ -3,13 +3,23 @@
 The paper samples ``nvidia-smi`` and ``dstat``; this reproduction records
 busy intervals and aggregates them, which yields the same averages and time
 series without sampling noise.
+
+A simulated run records tens of thousands of holds and reads few or none of
+them back, so :class:`IntervalRecorder` keeps its intervals as three columns
+(starts, ends, tags) rather than one object each: recording is three
+appends, :meth:`IntervalRecorder.utilization` reads the columns in place,
+and :class:`~repro.engine.device.BusyInterval` objects are built only when
+someone asks for :attr:`IntervalRecorder.intervals`.
 """
 
 from __future__ import annotations
 
 import threading
+from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from itertools import compress, repeat
+from operator import attrgetter, eq
+from typing import Iterable, List, Optional, Tuple
 
 from .device import BusyInterval
 
@@ -22,26 +32,72 @@ __all__ = [
 
 
 class IntervalRecorder:
-    """Thread-safe busy-interval collector (CPU workers, devices, disks)."""
+    """Busy-interval columns for one resource (CPU cores, a GPU).
+
+    Not thread-safe, and it takes no lock: its only producer is the
+    single-threaded event kernel (the simulator's core and GPU holds).  The
+    threaded engine's devices keep their own intervals
+    (:class:`~repro.engine.device.SimulatedGPU`).
+    """
+
+    __slots__ = ("name", "_starts", "_ends", "_tags")
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self._lock = threading.Lock()
-        self._intervals: List[BusyInterval] = []
+        self._starts = array("d")
+        self._ends = array("d")
+        self._tags: List[str] = []
 
     def record(self, start: float, end: float, tag: str = "busy") -> None:
         if end < start:
             raise ValueError(f"interval ends before it starts: {start}..{end}")
-        with self._lock:
-            self._intervals.append(BusyInterval(start=start, end=end, tag=tag))
+        self._starts.append(start)
+        self._ends.append(end)
+        self._tags.append(tag)
 
     @property
     def intervals(self) -> List[BusyInterval]:
-        with self._lock:
-            return list(self._intervals)
+        """The recorded intervals in record order, built on demand."""
+        return [
+            BusyInterval(start=s, end=e, tag=t)
+            for s, e, t in zip(self._starts, self._ends, self._tags)
+        ]
 
     def busy_seconds(self) -> float:
-        return sum(i.duration for i in self.intervals)
+        return sum(e - s for s, e in zip(self._starts, self._ends))
+
+    def utilization(
+        self,
+        start: float,
+        end: float,
+        capacity: float = 1.0,
+        tag: Optional[str] = None,
+    ) -> float:
+        """:func:`average_utilization` of the intervals recorded as ``tag``
+        (all of them when None), read off the columns in record order."""
+        spans = zip(self._starts, self._ends)
+        if tag is not None:
+            spans = compress(spans, map(eq, self._tags, repeat(tag)))
+        return _clipped_utilization(spans, start, end, capacity)
+
+
+def _clipped_utilization(
+    spans: Iterable[Tuple[float, float]],
+    start: float,
+    end: float,
+    capacity: float,
+) -> float:
+    """The one copy of the clipping arithmetic: ``(lo, hi)`` spans clipped
+    to [start, end] and summed in order, over ``capacity`` units."""
+    if end <= start or capacity <= 0:
+        return 0.0
+    busy = 0.0
+    for lo, hi in spans:
+        lo = max(start, lo)
+        hi = min(end, hi)
+        if hi > lo:
+            busy += hi - lo
+    return min(1.0, busy / ((end - start) * capacity))
 
 
 def average_utilization(
@@ -52,15 +108,9 @@ def average_utilization(
 ) -> float:
     """Mean busy fraction over [start, end] for a resource of ``capacity``
     parallel units (e.g. CPU cores)."""
-    if end <= start or capacity <= 0:
-        return 0.0
-    busy = 0.0
-    for interval in intervals:
-        lo = max(start, interval.start)
-        hi = min(end, interval.end)
-        if hi > lo:
-            busy += hi - lo
-    return min(1.0, busy / ((end - start) * capacity))
+    return _clipped_utilization(
+        map(attrgetter("start", "end"), intervals), start, end, capacity
+    )
 
 
 def utilization_series(

@@ -79,7 +79,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..data.samplers import ShardAssignment, ShardedSampler
 from ..data.storage import CacheSnapshot
-from ..engine.metrics import average_utilization
 from ..errors import ConfigurationError
 from .checkpoint import CheckpointAccounting, CheckpointPolicy
 from .cluster import (
@@ -1387,26 +1386,14 @@ class _ElasticJob:
         per_node_gpu: List[float] = []
         for node in seen_nodes:
             start, end = windows[node]
-            span = max(end - start, 1e-12)
             ctx = self.contexts[node]
             per_node_cpu.append(
-                average_utilization(
-                    ctx.cpu_recorder.intervals,
-                    start,
-                    end,
-                    capacity=self.cluster.hw_for(node).cpu_cores,
+                ctx.cpu_recorder.utilization(
+                    start, end, capacity=self.cluster.hw_for(node).cpu_cores
                 )
-                if span > 0
-                else 0.0
             )
             for recorder in ctx.gpu_recorders:
-                per_node_gpu.append(
-                    average_utilization(
-                        [i for i in recorder.intervals if i.tag == "train"],
-                        start,
-                        end,
-                    )
-                )
+                per_node_gpu.append(recorder.utilization(start, end, tag="train"))
         return DistributedResult(
             loader=self.spec.loader,
             workload=self.workload.name,

@@ -41,11 +41,11 @@ directly -- drawn, read, core granted, run done, routed, batched
 (:class:`_LoadingWorker`, :class:`_SlowWorker`, :class:`_Builder`).  The
 read and the hold have one definition each (:meth:`SimContext.fetch` and
 :class:`_Hold`), run as processes by the other models and chained by these
-stages.  A sample routed to a ready store with room costs no event; a
-builder still takes it at its get event's delivery.  The generator process
-per stage they replaced is the referee, ``tests/helpers.
-GeneratorMinatoLoader`` (DESIGN.md, "A simulated sample is a chain of
-callbacks").
+stages.  A sample routed to a ready store, or handed off to a temp store,
+that has room costs no event; a builder still takes it at its get event's
+delivery.  The generator process per stage they replaced is the referee,
+``tests/helpers.GeneratorMinatoLoader`` (DESIGN.md, "A simulated sample is
+a chain of callbacks").
 
 Every model runs as one data-parallel rank (paper §6): ``start(ctx)`` begins
 with :meth:`BaseSimLoader.bind`, which makes a loader nobody rebound onto a
@@ -876,9 +876,11 @@ class _LoadingWorker:
         stats = loader.ctx.stats
         if decision.handoff_index is not None:
             stats.samples_timed_out += 1
-            loader._temp_store.put(
-                (self.spec, decision.handoff_index, self.profile, self.seq)
-            ).callbacks.append(self._draw)
+            handoff = (self.spec, decision.handoff_index, self.profile, self.seq)
+            # a temp store with room takes it at once: draw again, no event
+            if loader._temp_store.try_put(handoff):
+                return self._draw()
+            loader._temp_store.put(handoff).callbacks.append(self._draw)
             return
         loader.profiler.record(decision.total_seconds, flagged_slow=decision.flagged_slow)
         if decision.flagged_slow:

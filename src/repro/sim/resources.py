@@ -20,11 +20,11 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from .kernel import Environment, Event, Timeout
 
-__all__ = ["Resource", "Request", "BandwidthPipe"]
+__all__ = ["Resource", "Request", "BandwidthPipe", "throughput_series"]
 
 
 class Request(Event):
@@ -205,60 +205,68 @@ class BandwidthPipe:
         return max(0.0, self._available_at - self.env.now)
 
     def throughput_series(self, bucket: float = 1.0) -> List[Tuple[float, float]]:
-        """Aggregate completed transfers into ``(t, bytes/s)`` buckets.
+        """:func:`throughput_series` of this pipe's transfer log."""
+        return throughput_series(self.transfers, bucket)
 
-        Each transfer's bytes are spread uniformly over its active interval.
-        One linear sweep over the sorted interval endpoints accumulates the
-        piecewise-constant aggregate rate, so the cost is
-        ``O(T log T + buckets)`` rather than transfers x buckets-per-transfer
-        (long distributed runs record hundreds of thousands of reads).
-        """
-        if bucket <= 0:
-            raise ValueError(f"bucket must be positive, got {bucket!r}")
-        if not self.transfers:
-            return []
-        events: List[Tuple[float, float]] = []
-        horizon = 0.0
-        for start, finish, nbytes in self.transfers:
-            horizon = max(horizon, finish)
-            duration = max(finish - start, 1e-12)
-            rate = nbytes / duration
-            events.append((start, rate))
-            events.append((finish, -rate))
-        events.sort()
-        nbuckets = int(horizon / bucket) + 1
-        volume = [0.0] * nbuckets
-        #: difference array over *interior* buckets fully covered by a
-        #: segment: accumulate the segment rate at entry/exit and recover
-        #: per-bucket volume with one prefix-sum sweep, so each segment
-        #: costs O(1) instead of O(buckets spanned)
-        interior = [0.0] * (nbuckets + 1)
-        rate = 0.0
-        prev = 0.0
-        for t, delta in events:
-            if t > prev and rate > 0.0:
-                first = int(prev / bucket)
-                last = min(int(t / bucket), nbuckets - 1)
-                if first == last:
-                    volume[first] += rate * (t - prev)
-                else:
-                    volume[first] += rate * ((first + 1) * bucket - prev)
-                    volume[last] += rate * (min(t, horizon) - last * bucket)
-                    if last > first + 1:
-                        interior[first + 1] += rate
-                        interior[last] -= rate
-            rate += delta
-            prev = max(prev, t)
-        running = 0.0
-        for i in range(nbuckets):
-            running += interior[i]
-            if running != 0.0:
-                volume[i] += running * bucket
-        series: List[Tuple[float, float]] = []
-        for i, v in enumerate(volume):
-            # the final bucket only extends to the horizon, not the full
-            # bucket width: normalize by the width actually covered, or the
-            # tail throughput is systematically underreported
-            width = min(horizon, (i + 1) * bucket) - i * bucket
-            series.append((i * bucket, v / width if width > 0 else 0.0))
-        return series
+
+def throughput_series(
+    transfers: Sequence[Tuple[float, float, float]], bucket: float = 1.0
+) -> List[Tuple[float, float]]:
+    """Aggregate completed ``(start, finish, nbytes)`` transfers into
+    ``(t, bytes/s)`` buckets.
+
+    Each transfer's bytes are spread uniformly over its active interval.
+    One linear sweep over the sorted interval endpoints accumulates the
+    piecewise-constant aggregate rate, so the cost is
+    ``O(T log T + buckets)`` rather than transfers x buckets-per-transfer
+    (long distributed runs record hundreds of thousands of reads).
+    """
+    if bucket <= 0:
+        raise ValueError(f"bucket must be positive, got {bucket!r}")
+    if not transfers:
+        return []
+    events: List[Tuple[float, float]] = []
+    horizon = 0.0
+    for start, finish, nbytes in transfers:
+        horizon = max(horizon, finish)
+        duration = max(finish - start, 1e-12)
+        rate = nbytes / duration
+        events.append((start, rate))
+        events.append((finish, -rate))
+    events.sort()
+    nbuckets = int(horizon / bucket) + 1
+    volume = [0.0] * nbuckets
+    #: difference array over *interior* buckets fully covered by a
+    #: segment: accumulate the segment rate at entry/exit and recover
+    #: per-bucket volume with one prefix-sum sweep, so each segment
+    #: costs O(1) instead of O(buckets spanned)
+    interior = [0.0] * (nbuckets + 1)
+    rate = 0.0
+    prev = 0.0
+    for t, delta in events:
+        if t > prev and rate > 0.0:
+            first = int(prev / bucket)
+            last = min(int(t / bucket), nbuckets - 1)
+            if first == last:
+                volume[first] += rate * (t - prev)
+            else:
+                volume[first] += rate * ((first + 1) * bucket - prev)
+                volume[last] += rate * (min(t, horizon) - last * bucket)
+                if last > first + 1:
+                    interior[first + 1] += rate
+                    interior[last] -= rate
+        rate += delta
+        prev = max(prev, t)
+    running = 0.0
+    for i in range(nbuckets):
+        running += interior[i]
+        if running != 0.0:
+            volume[i] += running * bucket
+    series: List[Tuple[float, float]] = []
+    for i, v in enumerate(volume):
+        # the final bucket only extends to the horizon, not the full
+        # bucket width: normalize by the width actually covered, or the
+        # tail throughput is systematically underreported
+        width = min(horizon, (i + 1) * bucket) - i * bucket
+        series.append((i * bucket, v / width if width > 0 else 0.0))
+    return series

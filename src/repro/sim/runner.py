@@ -1,12 +1,21 @@
 """Experiment runner: execute one (loader, workload, hardware) combination in
-virtual time and collect the metrics the paper reports."""
+virtual time and collect the metrics the paper reports.
+
+A run's record is columns (:class:`~repro.engine.metrics.IntervalRecorder`),
+filled by the single-threaded kernel without a lock or an object per hold.
+:func:`run_simulation` reads the scalars the figures need straight off them;
+the four time series of :class:`SimResult` are computed when first read,
+from a :class:`RunRecord` that keeps the recorders, the throughput meter,
+the disk's transfer log and the bucket -- not the kernel, the context or
+the loader -- so a run nobody plots pays for no series.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..engine.metrics import average_utilization, utilization_series
+from ..engine.metrics import IntervalRecorder, ThroughputMeter, utilization_series
 from ..errors import ConfigurationError
 from .kernel import AllOf, Environment
 from .loaders import (
@@ -18,13 +27,57 @@ from .loaders import (
     SimTorchLoader,
     run_until,
 )
+from .resources import throughput_series
 from .workloads import HardwareConfig, WorkloadSpec
 
-__all__ = ["SimResult", "run_simulation", "make_sim_loader", "LOADER_NAMES"]
+__all__ = ["SimResult", "RunRecord", "run_simulation", "make_sim_loader", "LOADER_NAMES"]
 
 LOADER_NAMES = ("pytorch", "pecan", "dali", "minato")
 
 MB = 1024 * 1024
+
+Series = List[Tuple[float, float]]
+
+
+@dataclass(eq=False)
+class RunRecord:
+    """What a finished run's time series are computed from, and their cache.
+
+    It holds the run's recorders, meter and disk transfer log, never the
+    kernel, the :class:`~repro.sim.loaders.SimContext` or the loader, so a
+    kept result keeps no simulation alive.
+    """
+
+    gpu_recorders: List[IntervalRecorder]
+    cpu_recorder: IntervalRecorder
+    meter: ThroughputMeter
+    #: the disk's completed ``(start, finish, nbytes)`` transfers
+    disk_transfers: List[Tuple[float, float, float]]
+    duration: float
+    bucket: float
+    cpu_cores: int
+    _series: Dict[str, Series] = field(default_factory=dict, repr=False)
+
+    def series(self, kind: str) -> Series:
+        """The ``kind`` series, computed on its first read."""
+        if kind not in self._series:
+            self._series[kind] = self._compute(kind)
+        return self._series[kind]
+
+    def _compute(self, kind: str) -> Series:
+        if kind == "throughput":
+            return self.meter.series(bucket=self.bucket)
+        if kind == "disk":
+            return throughput_series(self.disk_transfers, bucket=self.bucket)
+        if kind == "gpu":
+            # the nvidia-smi view: all GPU activity, training + preprocessing
+            intervals = [i for rec in self.gpu_recorders for i in rec.intervals]
+            capacity = len(self.gpu_recorders)
+        else:
+            intervals, capacity = self.cpu_recorder.intervals, self.cpu_cores
+        return utilization_series(
+            intervals, 0.0, self.duration, bucket=self.bucket, capacity=capacity
+        )
 
 
 @dataclass
@@ -46,18 +99,33 @@ class SimResult:
     gpu_total_utilization: List[float]
     #: average CPU utilization over the machine's cores
     cpu_utilization: float
+    #: the recorders the four time series are computed from on first read
+    record: RunRecord = field(repr=False, compare=False)
     #: per-batch records: (end_of_step_time, gpu, size, nbytes, slow_count)
     batch_log: List[Tuple[float, int, int, int, int]] = field(default_factory=list)
-    #: (t, bytes/s) model-throughput series
-    throughput_series: List[Tuple[float, float]] = field(default_factory=list)
-    #: (t, fraction) series
-    gpu_series: List[Tuple[float, float]] = field(default_factory=list)
-    cpu_series: List[Tuple[float, float]] = field(default_factory=list)
-    #: (t, bytes/s) disk-read series
-    disk_series: List[Tuple[float, float]] = field(default_factory=list)
     bytes_from_disk: float = 0.0
     cache_hit_rate: float = 0.0
     extras: Dict[str, object] = field(default_factory=dict)
+
+    @property
+    def throughput_series(self) -> Series:
+        """(t, bytes/s) model throughput."""
+        return self.record.series("throughput")
+
+    @property
+    def gpu_series(self) -> Series:
+        """(t, fraction) over all GPUs, every tag (what nvidia-smi shows)."""
+        return self.record.series("gpu")
+
+    @property
+    def cpu_series(self) -> Series:
+        """(t, fraction) over the machine's cores."""
+        return self.record.series("cpu")
+
+    @property
+    def disk_series(self) -> Series:
+        """(t, bytes/s) disk reads."""
+        return self.record.series("disk")
 
     @property
     def mean_gpu_utilization(self) -> float:
@@ -171,19 +239,6 @@ def run_simulation(
     bucket = series_bucket
     if bucket is None:
         bucket = max(1.0, duration / 200.0)
-    gpu_intervals = [i for rec in ctx.gpu_recorders for i in rec.intervals]
-    train_intervals = [i for i in gpu_intervals if i.tag == "train"]
-    gpu_utilization = [
-        average_utilization(
-            [i for i in rec.intervals if i.tag == "train"], 0.0, duration
-        )
-        for rec in ctx.gpu_recorders
-    ]
-    gpu_total_utilization = [
-        average_utilization(rec.intervals, 0.0, duration)
-        for rec in ctx.gpu_recorders
-    ]
-    cpu_intervals = ctx.cpu_recorder.intervals
     result = SimResult(
         loader=loader_name,
         workload=workload.name,
@@ -193,21 +248,20 @@ def run_simulation(
         batches=counters["batches"],
         samples=counters["samples"],
         trained_bytes=counters["bytes"],
-        gpu_utilization=gpu_utilization,
-        gpu_total_utilization=gpu_total_utilization,
-        cpu_utilization=average_utilization(
-            cpu_intervals, 0.0, duration, capacity=hardware.cpu_cores
+        gpu_utilization=[
+            rec.utilization(0.0, duration, tag="train") for rec in ctx.gpu_recorders
+        ],
+        gpu_total_utilization=[
+            rec.utilization(0.0, duration) for rec in ctx.gpu_recorders
+        ],
+        cpu_utilization=ctx.cpu_recorder.utilization(
+            0.0, duration, capacity=hardware.cpu_cores
+        ),
+        record=RunRecord(
+            ctx.gpu_recorders, ctx.cpu_recorder, ctx.meter, ctx.disk.transfers,
+            duration, bucket, hardware.cpu_cores,
         ),
         batch_log=batch_log,
-        throughput_series=ctx.meter.series(bucket=bucket),
-        # the nvidia-smi view: all GPU activity, training + preprocessing
-        gpu_series=utilization_series(
-            gpu_intervals, 0.0, duration, bucket=bucket, capacity=num_gpus
-        ),
-        cpu_series=utilization_series(
-            cpu_intervals, 0.0, duration, bucket=bucket, capacity=hardware.cpu_cores
-        ),
-        disk_series=ctx.disk.throughput_series(bucket=bucket),
         # the always-on scalar total: correct even when the per-transfer
         # log is disabled (record_transfers=False)
         bytes_from_disk=ctx.disk.total_bytes,

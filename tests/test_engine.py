@@ -108,6 +108,7 @@ def test_interval_recorder_rejects_inverted_interval():
     rec = IntervalRecorder()
     with pytest.raises(ValueError):
         rec.record(2.0, 1.0)
+    assert rec.intervals == []
 
 
 def test_utilization_series_buckets():

@@ -358,9 +358,11 @@ def contended_mix():
     return JobMix(jobs, cluster).run()
 
 
-#: kernel events each run delivers now that the Minato stages are chains of
-#: callback transitions and the ready hand-off is event-free (with a
-#: generator process per stage: 2 436, 4 975 and 13 228); before that no
+#: kernel events each run delivers now that a hand-off into a temp store
+#: with room is event-free (with a put event per hand-off: 1 852, 4 299 and
+#: 11 118); before that the Minato stages became chains of callback
+#: transitions and the ready hand-off event-free (with a generator process
+#: per stage: 2 436, 4 975 and 13 228); before that no
 #: slow-task worker was spawned only to exit and a collapsed collective's
 #: walk became one timer (before: 2 816, 5 591 and 15 326); ring
 #: collectives are state machines and bucket all-reduces launch without a
@@ -370,7 +372,7 @@ def contended_mix():
 #: 5 779, 7 942 and 20 333; before the poll loops and grant hops left:
 #: 10 563, 29 993 and 72 958)
 MEASURED_EVENTS = {
-    single_node: 1_852,
+    single_node: 1_722,
     quiet_elastic: 4_299,
     contended_mix: 11_118,
 }
@@ -712,6 +714,26 @@ def test_a_sample_costs_its_two_timed_events_and_the_builders_get():
         Timeout=2 * n + n // b, StoreGet=n + n // b, StorePut=n // b
     )
     assert sum(two.values()) - sum(one.values()) == 3 * n + 3 * n // b
+
+
+def test_a_handoff_into_a_temp_store_with_room_delivers_no_put():
+    """Every sample times out and is handed off into a temp store that
+    always has room: the only puts delivered are the builders' batch puts.
+    The referee waits on a put event per hand-off and per ready sample."""
+    n, b = 24, 4
+
+    def run(loader_cls):
+        return observe_minato(
+            loader_cls, [0.2] * n, batch_size=b, workers_per_gpu=2,
+            slow_workers=2, adaptive_workers=False, timeout_override=0.05,
+            queue_capacity=n, seed=0, env_cls=_CountingEnvironment,
+        )
+
+    ours, referee = run(SimMinatoLoader), run(GeneratorMinatoLoader)
+    assert ours.loader.ctx.stats.samples_timed_out == n
+    assert same_run(ours, referee)
+    assert ours.env.kinds["StorePut"] == n // b
+    assert referee.env.kinds["StorePut"] >= n // b + 2 * n
 
 
 # ---------------------------------------------------------------------------
