@@ -17,7 +17,6 @@ devices the loader still works (no contention), which is useful in tests.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -100,7 +99,6 @@ class DALIStyleLoader(BaseConcurrentLoader):
             ShardedSampler(len(dataset), rank=g, world_size=cfg.num_gpus, seed=cfg.seed)
             for g in range(cfg.num_gpus)
         ]
-        self._loaders_done = [threading.Event() for _ in range(cfg.num_gpus)]
 
     # -- orchestration ------------------------------------------------------------
 
@@ -116,38 +114,35 @@ class DALIStyleLoader(BaseConcurrentLoader):
                 yield epoch, index
 
     def _load_stage(self, gpu: int) -> None:
-        """CPU stage: fetch raw samples from storage ahead of the GPU."""
-        try:
-            for epoch, index in self._shard_stream(gpu):
-                if self._stop.is_set():
-                    return
-                sample = self.dataset.load(index)
-                if self.storage is not None:
-                    io_seconds = self.storage.read_seconds(sample.spec)
-                    self.clock.advance(io_seconds)
-                    self._count(io_seconds=io_seconds)
-                if not self._raw_queues[gpu].put((epoch, sample)):
-                    return
-        finally:
-            self._loaders_done[gpu].set()
+        """CPU stage: fetch raw samples from storage ahead of the GPU, and
+        close the raw queue at the end of the shard: that is how the GPU
+        stage learns of it.  (A failure leaves it open: stopping the loader
+        aborts it, so no short last batch goes out.)"""
+        for epoch, index in self._shard_stream(gpu):
+            if self._stop.is_set():
+                return
+            sample = self.dataset.load(index)
+            if self.storage is not None:
+                io_seconds = self.storage.read_seconds(sample.spec)
+                self.clock.advance(io_seconds)
+                self._count(io_seconds=io_seconds)
+            if not self._raw_queues[gpu].put((epoch, sample)):
+                return
+        self._raw_queues[gpu].close()
 
     def _gpu_stage(self, gpu: int) -> None:
         """GPU stage: batch-level preprocessing at the 10x discount."""
         cfg = self.config
+        raw = self._raw_queues[gpu]
         try:
             while not self._stop.is_set():
                 entries = []
                 while len(entries) < cfg.batch_size:
-                    item = self._raw_queues[gpu].try_get()
-                    if item is None:
-                        if self._loaders_done[gpu].is_set() and len(self._raw_queues[gpu]) == 0:
-                            break
-                        if self._stop.is_set():
-                            return
-                        self._idle_wait()
-                        continue
+                    item = raw.get()
+                    if item is None:  # drained and closed, or stopped
+                        break
                     entries.append(item)
-                if not entries:
+                if not entries or self._stop.is_set():
                     return
                 if self.drop_last and len(entries) < cfg.batch_size:
                     return
@@ -159,6 +154,7 @@ class DALIStyleLoader(BaseConcurrentLoader):
                     _, ctx = self._begin_sample(epoch, sample=sample, cost_scale=0.0)
                     gpu_cost += self.pipeline.total_cost(sample.spec) / cfg.gpu_speedup
                     self.pipeline.apply_all(sample, ctx)
+                    ctx.settle()
                     samples.append(sample)
                     self._count(samples_preprocessed=1)
                 if self.devices is not None:

@@ -69,6 +69,7 @@ class SizeHeuristicLoader(MinatoLoader):
     def _process_one(self, epoch: int, seq: int, index: int) -> None:
         sample, ctx = self._begin_sample(epoch, index=index)
         if self.size_router.is_slow(sample.spec.raw_nbytes):
+            ctx.settle()
             # Predicted slow: defer the *entire* pipeline to the background.
             self._count(samples_timed_out=1)
             self._temp_queue.put((sample, 0, epoch, seq))
@@ -77,6 +78,7 @@ class SizeHeuristicLoader(MinatoLoader):
         # Predicted fast: process inline, no timeout -- a misprediction
         # (small-but-slow sample) stalls this worker's fast path.
         outcome = self.balancer.process(sample, ctx, math.inf)
+        ctx.settle()
         self.profiler.record(outcome.elapsed_seconds, flagged_slow=False)
         self._count(
             busy_seconds=ctx.charged_seconds, samples_fast=1, samples_preprocessed=1

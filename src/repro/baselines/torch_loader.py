@@ -97,6 +97,15 @@ class TorchStyleLoader(BaseConcurrentLoader):
         #: strictly in-order delivery (paper §3.3's head-of-line blocking)
         #: through the same reorder buffer the strict-order Minato mode uses
         self._results: ReorderBuffer = ReorderBuffer(lock_factory=threading.Lock)
+        #: the collator parks here; every finished batch rings it
+        self._finished = self._new_doorbell()
+        #: a slot per batch worker w built that is not delivered yet, at
+        #: most ``prefetch_factor``: the worker parks in ``put`` on a full
+        #: queue, and stopping the loader aborts it
+        self._in_flight = [
+            self._new_queue(f"torch-in-flight-{w}", self.config.prefetch_factor)
+            for w in range(self.config.num_workers)
+        ]
 
     # -- orchestration -----------------------------------------------------------
 
@@ -130,16 +139,14 @@ class TorchStyleLoader(BaseConcurrentLoader):
     def _run_round(self, batches: List[List[int]], epoch_hint: int) -> None:
         cfg = self.config
         workers = min(cfg.num_workers, max(1, len(batches)))
-        semaphores = [threading.Semaphore(cfg.prefetch_factor) for _ in range(workers)]
         # fresh buffer per round: batch sequence numbers restart at zero
-        self._results = ReorderBuffer(lock_factory=threading.Lock)
+        self._results = results = ReorderBuffer(lock_factory=threading.Lock)
         threads = [
             self._spawn(
                 self._worker,
                 f"torch-worker-{w}",
                 w,
                 [(seq, batches[seq]) for seq in range(w, len(batches), workers)],
-                semaphores[w],
                 epoch_hint,
             )
             for w in range(workers)
@@ -151,10 +158,10 @@ class TorchStyleLoader(BaseConcurrentLoader):
         # blocking).
         delivered_count = 0
         while delivered_count < len(batches) and not self._stop.is_set():
-            seq = self._results.next_sequence
-            entry = self._results.try_next()
+            seq = results.next_sequence
+            entry = results.try_next()
             if entry is None:
-                self._idle_wait()
+                self._finished.wait(results.ready)
                 continue
             producer, batch = entry
             if cfg.pin_memory_bandwidth is not None:
@@ -167,7 +174,7 @@ class TorchStyleLoader(BaseConcurrentLoader):
             batch.epoch_hint = epoch_hint
             self._count(batches_built=1)
             delivered = self._batch_queues[gpu].put(batch)
-            semaphores[producer].release()
+            self._in_flight[producer].try_get()
             if not delivered:
                 break
             delivered_count += 1
@@ -180,22 +187,20 @@ class TorchStyleLoader(BaseConcurrentLoader):
         self,
         worker_id: int,
         assigned: List[Tuple[int, List[int]]],
-        semaphore: threading.Semaphore,
         epoch_hint: int,
     ) -> None:
         for seq, indices in assigned:
-            while not semaphore.acquire(timeout=0.05):
-                if self._stop.is_set():
-                    return
-            if self._stop.is_set():
+            if not self._in_flight[worker_id].put(seq) or self._stop.is_set():
                 return
             samples = []
             for index in indices:
                 sample, ctx = self._begin_sample(epoch_hint, index=index)
                 self.pipeline.apply_all(sample, ctx)
+                ctx.settle()
                 self._count(
                     samples_preprocessed=1, busy_seconds=ctx.charged_seconds
                 )
                 samples.append(sample)
             batch = Batch(samples=samples, built_at=self.clock.now())
             self._results.put(seq, (worker_id, batch))
+            self._finished.ring()

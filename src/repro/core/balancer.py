@@ -24,6 +24,11 @@ slow is identical under both modes; see DESIGN.md.
 Timing source: ``timing='charged'`` measures a sample's elapsed time as the
 sum of modelled transform costs (deterministic, independent of Python
 overhead); ``timing='wall'`` uses the clock, as the real system would.
+Under charged timing nothing here reads the clock, so a context with an open
+run (:meth:`~repro.transforms.base.WorkContext.open_run`) keeps holding its
+charges and the caller settles the whole run at once; under wall timing the
+balancer settles the run before its first clock read, so every stage's
+charge is on the clock before the read that follows it.
 """
 
 from __future__ import annotations
@@ -73,24 +78,26 @@ class LoadBalancer:
         self.timing = timing
         self.routing = routing if routing is not None else RoutingPolicy()
 
-    def _elapsed(self, ctx: WorkContext, start_wall: float, start_charged: float) -> float:
-        if self.timing == "charged":
-            return ctx.charged_seconds - start_charged
-        return self.clock.now() - start_wall
-
     def process(
         self, sample: Sample, ctx: WorkContext, timeout_seconds: float
     ) -> BalanceOutcome:
         """Apply transforms until done or the timeout budget is exceeded."""
-        start_wall = self.clock.now()
-        start_charged = ctx.charged_seconds
+        wall = self.timing == "wall"
+        if wall:
+            ctx.settle()
+            start = self.clock.now()
+        else:
+            start = ctx.charged_seconds
         pipeline = self.pipeline
         state = pipeline.initial_state(sample.spec)
         n = len(pipeline)
         elapsed = 0.0
         for i in range(n):
             sample = pipeline[i].apply(sample, ctx, state)
-            elapsed = self._elapsed(ctx, start_wall, start_charged)
+            if wall:
+                elapsed = self.clock.now() - start
+            else:
+                elapsed = ctx.charged_seconds - start
             verdict = self.routing.after_stage(elapsed, i, n, timeout_seconds)
             if verdict == HANDOFF:
                 return BalanceOutcome(

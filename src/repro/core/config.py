@@ -17,7 +17,7 @@ class MinatoConfig:
     Defaults follow the paper's evaluation setup (§5.1): 12 CPU loading
     workers per GPU, queue capacities of 100, the timeout at the 75th
     percentile of observed preprocessing times with a fallback to the 90th,
-    and 10 ms polling sleeps in the batch-construction loops (Algorithm 1).
+    and Algorithm 1's 10 ms poll interval for idle stages.
     """
 
     batch_size: int = 4
@@ -52,7 +52,10 @@ class MinatoConfig:
     beta: float = 2.0
     cpu_threshold: float = 0.7
     delta_clip: int = 2
-    #: polling sleep when queues are empty (paper: 10 ms)
+    #: Algorithm 1's polling sleep when queues are empty (paper: 10 ms): an
+    #: idle builder or slow-task worker parks until work arrives, then, on a
+    #: shared-timeline clock, sleeps to the tick of this grid its poll loop
+    #: would have found the work at
     poll_interval: float = 0.010
     drop_last: bool = False
     #: False restores strict sample order (curriculum mode, paper §6)

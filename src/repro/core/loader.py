@@ -4,8 +4,8 @@
 (MinatoLoader here, the PyTorch / DALI / Pecan / size-heuristic models in
 :mod:`repro.baselines`) is built on.  It owns what they all need and none
 should write twice: start/shutdown lifecycle, the guarded thread spawn,
-error surfacing to the consumer, the idle wait, the per-sample prologue
-(load, rng, storage charge) and the consumption API
+error surfacing to the consumer, the doorbells idle stages park on, the
+per-sample prologue (load, rng, storage charge) and the consumption API
 (:class:`~repro.engine.trainer.BatchSource`: ``next_batch`` / ``batches`` /
 ``__iter__``).  A subclass supplies ``_launch`` and its own stages.
 
@@ -20,8 +20,8 @@ error surfacing to the consumer, the idle wait, the per-sample prologue
 * **slow-task workers** finish temp-queue samples off the critical path and
   enqueue them on the *slow* queue;
 * per-GPU **batch builders** assemble batches preferring fast samples but
-  draining slow ones as they appear (Algorithm 1's construction loop with its
-  10 ms polling sleep);
+  draining slow ones as they appear (Algorithm 1's construction loop; see
+  :meth:`MinatoLoader._park` for its 10 ms polling sleep);
 * per-GPU bounded **batch queues** feed the GPUs;
 * a **worker scheduler** thread adjusts the loading-worker count from batch
   queue occupancy and CPU usage (Formulas 1-2);
@@ -58,6 +58,7 @@ from ..policy import (
     LoaderStats,
     ScalingPolicy,
     deal_quota,
+    first_tick,
     index_stream,
 )
 from ..transforms.base import Pipeline, WorkContext
@@ -65,24 +66,21 @@ from .balancer import LoadBalancer
 from .batching import Batch
 from .config import MinatoConfig
 from .profiler import TimeoutProfiler
-from .queues import WorkQueue
+from .queues import Doorbell, WorkQueue
 from .scheduler import WorkerScheduler
 
 __all__ = ["BaseConcurrentLoader", "MinatoLoader", "LoaderStats"]
-
-_IDLE_WALL_SLEEP = 0.0005  # wall-clock poll when the clock has no shared timeline
 
 
 class BaseConcurrentLoader:
     """Lifecycle, guarded threads and consumption API of every threaded loader.
 
     Subclasses implement :meth:`_launch` (start their stages with
-    :meth:`_spawn`), fill ``self._batch_queues`` and create every queue of
-    their own with :meth:`_new_queue`, so that :meth:`_halt` reaches it.
+    :meth:`_spawn`), fill ``self._batch_queues`` and create every queue and
+    doorbell of their own with :meth:`_new_queue` / :meth:`_new_doorbell`,
+    so that :meth:`_halt` reaches it.
     """
 
-    #: clock seconds an idle stage sleeps between polls (Algorithm 1: 10 ms)
-    poll_interval = 0.010
     #: transient ``dataset.load`` failures tolerated per sample
     load_retries = 0
 
@@ -121,8 +119,10 @@ class BaseConcurrentLoader:
         self.total_samples = epochs * len(self.sampler)
 
         self._stop = threading.Event()
-        #: every queue a stage or the consumer can block on (see ``_halt``)
+        #: every queue and doorbell a stage or the consumer can block on
+        #: (see ``_halt``)
         self._queues: List[WorkQueue] = []
+        self._doorbells: List[Doorbell] = []
         self._batch_queues = [
             self._new_queue(f"batch-{g}", queue_capacity) for g in range(num_gpus)
         ]
@@ -154,19 +154,32 @@ class BaseConcurrentLoader:
         raise NotImplementedError
 
     def _new_queue(
-        self, name: str, capacity: int, low_water: Optional[int] = None
+        self,
+        name: str,
+        capacity: int,
+        low_water: Optional[int] = None,
+        doorbell: Optional[Doorbell] = None,
     ) -> WorkQueue:
         """A queue that :meth:`_halt` will abort (call from ``__init__``)."""
-        queue = WorkQueue(capacity, name=name, low_water=low_water)
+        queue = WorkQueue(capacity, name=name, low_water=low_water, doorbell=doorbell)
         self._queues.append(queue)
         return queue
 
+    def _new_doorbell(self) -> Doorbell:
+        """A doorbell that :meth:`_halt` will close (call from ``__init__``)."""
+        doorbell = Doorbell()
+        self._doorbells.append(doorbell)
+        return doorbell
+
     def _halt(self) -> None:
-        """Stop every stage and release every caller blocked on a queue
-        (:meth:`WorkQueue.abort` says why that wake-up cannot be lost)."""
+        """Stop every stage and release every caller blocked on a queue or
+        parked on a doorbell (:meth:`WorkQueue.abort` and :class:`Doorbell`
+        say why those wake-ups cannot be lost)."""
         self._stop.set()
         for queue in self._queues:
             queue.abort()
+        for doorbell in self._doorbells:
+            doorbell.close()
 
     def _spawn(self, target: Callable[..., None], name: str, *args) -> threading.Thread:
         """Start ``target(*args)`` on a daemon thread whose failure stops the
@@ -220,12 +233,6 @@ class BaseConcurrentLoader:
                     f"loader thread failed: {self._errors[0]!r}"
                 ) from self._errors[0]
 
-    def _idle_wait(self) -> None:
-        if self.clock.shared_timeline:
-            self.clock.sleep(self.poll_interval)
-        else:
-            time.sleep(_IDLE_WALL_SLEEP)
-
     def _count(self, **deltas: float) -> None:
         """Add ``deltas`` to the live stats record, under its one lock."""
         with self._stats_lock:
@@ -248,6 +255,11 @@ class BaseConcurrentLoader:
         derives from (sample seed, epoch) alone, so every stage that touches
         the sample -- inline, resumed in the background, on any loader --
         draws the same augmentations, and fresh ones each epoch.
+
+        The context comes with a run open (:meth:`WorkContext.open_run`):
+        the storage read and the transforms after it reach the clock as one
+        ``advance`` when the caller calls ``ctx.settle()``, which it does
+        before the sample moves on or is counted.
         """
         if sample is None:
             for attempt in range(self.load_retries + 1):
@@ -263,6 +275,7 @@ class BaseConcurrentLoader:
             cost_scale=cost_scale,
             seed=(sample.spec.seed + 7_919 * epoch) & 0x7FFFFFFF,
         )
+        ctx.open_run()
         if index is not None and self.storage is not None:
             io_seconds = self.storage.read_seconds(sample.spec)
             ctx.charge(io_seconds)
@@ -412,7 +425,6 @@ class MinatoLoader(BaseConcurrentLoader):
             sampler=sampler,
             seed=cfg.seed,
         )
-        self.poll_interval = cfg.poll_interval
         self.load_retries = cfg.load_retries
 
         self.profiler = TimeoutProfiler(
@@ -445,9 +457,20 @@ class MinatoLoader(BaseConcurrentLoader):
         # wakes to refill half a queue, not one slot.  The batch queues keep
         # the default (release on every get): their fill is Formula 2's input.
         low_water = cfg.queue_capacity // 2
-        self._fast_queue = self._new_queue("fast", cfg.queue_capacity, low_water)
-        self._slow_queue = self._new_queue("slow", cfg.queue_capacity, low_water)
-        self._temp_queue = self._new_queue("temp", cfg.queue_capacity, low_water)
+        #: builders park here; a fast, slow or reorder-buffer put rings it
+        self._builder_bell = self._new_doorbell()
+        #: slow-task workers park here; a temp put rings it, and the sample
+        #: that completes the stream closes it
+        self._slow_bell = self._new_doorbell()
+        self._fast_queue = self._new_queue(
+            "fast", cfg.queue_capacity, low_water, self._builder_bell
+        )
+        self._slow_queue = self._new_queue(
+            "slow", cfg.queue_capacity, low_water, self._builder_bell
+        )
+        self._temp_queue = self._new_queue(
+            "temp", cfg.queue_capacity, low_water, self._slow_bell
+        )
 
         self._remaining_per_gpu = deal_quota(
             self.total_samples, cfg.batch_size, cfg.num_gpus
@@ -471,6 +494,39 @@ class MinatoLoader(BaseConcurrentLoader):
         if cfg.adaptive_workers and self.clock.shared_timeline:
             self._spawn(self._scheduler_loop, "minato-scheduler")
 
+    # -- idle stages -----------------------------------------------------------------
+
+    def _park(self, doorbell: Doorbell, has_work: Callable[[], bool]) -> bool:
+        """Wait, after a poll that found nothing, until ``doorbell`` rings
+        (or ``has_work()`` already holds); False when it closed instead.
+
+        Algorithm 1 sleeps ``poll_interval`` between polls.  Only the poll
+        that finds work is behaviour; the empty ones are not, so the stage
+        parks through them.  On a shared timeline it then sleeps, with one
+        ``clock.sleep``, to the instant its poll loop would have found the
+        work at: its first tick since the empty poll
+        (:func:`~repro.policy.first_tick`, the rule the simulated stages
+        follow).  A logical clock has no such instant: the stage polls at
+        once.
+        """
+        clock = self.clock
+        if not clock.shared_timeline:
+            return doorbell.wait(has_work)
+        last_poll = clock.now()
+        if not doorbell.wait(has_work):
+            return False
+        now = clock.now()
+        clock.sleep(first_tick(last_poll, self.config.poll_interval, now)[0] - now)
+        return True
+
+    def _count(self, **deltas: float) -> None:
+        with self._stats_lock:
+            self._stats.add(**deltas)
+            finished = self._stats.samples_preprocessed == self.total_samples
+        if finished:
+            # nothing can reach the temp queue any more (see _slow_worker_loop)
+            self._slow_bell.close()
+
     # -- loading workers ---------------------------------------------------------
 
     def _next_index(self) -> Optional[Tuple[int, int, int]]:
@@ -491,6 +547,7 @@ class MinatoLoader(BaseConcurrentLoader):
     def _process_one(self, epoch: int, seq: int, index: int) -> None:
         sample, ctx = self._begin_sample(epoch, index=index)
         outcome = self.balancer.process(sample, ctx, self.profiler.timeout())
+        ctx.settle()
         if outcome.timed_out:
             self._count(busy_seconds=ctx.charged_seconds, samples_timed_out=1)
             self._temp_queue.put((outcome.sample, outcome.resume_index, epoch, seq))
@@ -506,22 +563,28 @@ class MinatoLoader(BaseConcurrentLoader):
             seq, sample, flagged_slow=slow,
             put_fast=self._fast_queue.put, put_slow=self._slow_queue.put,
         )
+        if self.construction.strict_order:
+            self._builder_bell.ring()  # the queues ring it themselves
 
     # -- slow-task workers ---------------------------------------------------------
 
     def _slow_worker_loop(self) -> None:
+        temp = self._temp_queue
         while not self._stop.is_set():
-            item = self._temp_queue.try_get()
+            item = temp.try_get()
             if item is None:
                 # a sample is counted only once fully transformed, so at
-                # equality none is left that could still reach the temp queue
+                # equality none is left that could still reach the temp
+                # queue; the count that reaches it closes the bell
                 if self._stats.samples_preprocessed == self.total_samples:
                     return
-                self._idle_wait()
+                if not self._park(self._slow_bell, temp.__len__):
+                    return
                 continue
             sample, resume_index, epoch, seq = item
             sample, ctx = self._begin_sample(epoch, sample=sample)
             sample = self.balancer.resume(sample, resume_index, ctx)
+            ctx.settle()
             self.profiler.record(sample.preprocess_seconds, flagged_slow=True)
             self._count(
                 busy_seconds=ctx.charged_seconds,
@@ -553,7 +616,15 @@ class MinatoLoader(BaseConcurrentLoader):
         with self._claim_lock:
             return all(r <= 0 for r in self._remaining_per_gpu)
 
+    def _has_ready(self) -> bool:
+        """What a parked builder re-checks (reordering mode)."""
+        return len(self._fast_queue) > 0 or len(self._slow_queue) > 0
+
     def _builder_loop(self, gpu: int) -> None:
+        if self.construction.strict_order:
+            has_work = self.construction.buffer.ready
+        else:
+            has_work = self._has_ready
         try:
             while not self._stop.is_set():
                 claim = self._claim(gpu)
@@ -561,16 +632,14 @@ class MinatoLoader(BaseConcurrentLoader):
                     return
                 take, seq = claim
                 samples = []
-                while len(samples) < take and not self._stop.is_set():
+                while len(samples) < take:
                     sample = self.construction.next_ready(
                         self._fast_queue.try_get, self._slow_queue.try_get
                     )
-                    if sample is None:
-                        self._idle_wait()
-                        continue
-                    samples.append(sample)
-                if len(samples) < take:
-                    return  # stopped mid-collection
+                    if sample is not None:
+                        samples.append(sample)
+                    elif not self._park(self._builder_bell, has_work):
+                        return  # stopped mid-collection
                 batch = Batch(
                     samples=samples,
                     gpu_index=gpu,

@@ -19,17 +19,22 @@ contract, stated here and checked in ``tests/test_core_components.py``:
 * **A consumer is notified only when one is waiting**, one per item.
 * ``close()`` and ``abort()`` release every blocked caller, and that
   wake-up cannot be lost (see :meth:`WorkQueue.abort`).
+
+A stage that cannot wait in one ``get`` -- a batch builder drawing from two
+queues or a reorder buffer, a slow-task worker that also watches for the end
+of the stream -- parks on a :class:`Doorbell`; a queue built with one rings
+it after every put.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from ..errors import LoaderStateError
 
-__all__ = ["WorkQueue", "QueueClosed", "DEFAULT_SOFT_CAPACITY"]
+__all__ = ["Doorbell", "WorkQueue", "QueueClosed", "DEFAULT_SOFT_CAPACITY"]
 
 #: reference occupancy denominator for unbounded queues: scheduler feedback
 #: needs a finite "full" point, and this matches the default bounded capacity
@@ -40,13 +45,66 @@ class QueueClosed(LoaderStateError):
     """Raised when putting into (or draining past the end of) a closed queue."""
 
 
+class Doorbell:
+    """Where a stage that found nothing to do parks until work may be there.
+
+    A producer calls :meth:`ring` once its work is visible; :meth:`close`
+    releases every waiter for good.  A ring costs one attribute read while
+    nobody is parked, and no wake-up can be lost: a waiter *registers*
+    (counts itself parked, notes the ring count), then *re-checks* its
+    source, then waits for the ring count to move.  The producer's work is
+    visible before it reads the parked count, so either it sees the waiter
+    (and moves the count under the lock, before the waiter reads it or
+    while it waits) or the waiter registered later and its re-check finds
+    the work.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._rung = threading.Condition(self._lock)
+        #: registered waiters; read without the lock by ``ring``
+        self._parked = 0
+        self._rings = 0
+        self._closed = False
+
+    def ring(self) -> None:
+        """Wake every parked waiter (call once the new work is visible)."""
+        if self._parked:
+            with self._lock:
+                self._rings += 1
+                self._rung.notify_all()
+
+    def close(self) -> None:
+        """Release every waiter, now and from here on."""
+        with self._lock:
+            self._closed = True
+            self._rung.notify_all()
+
+    def wait(self, ready: Callable[[], bool]) -> bool:
+        """Block until a ring, unless ``ready()`` already holds; False once
+        the bell is closed."""
+        with self._lock:
+            if self._closed:
+                return False
+            self._parked += 1
+            rings = self._rings
+        found = ready()
+        with self._lock:
+            if not found:
+                while rings == self._rings and not self._closed:
+                    self._rung.wait()
+            self._parked -= 1
+            return not self._closed
+
+
 class WorkQueue:
     """Bounded MPMC FIFO with close and abort semantics (``capacity=0``:
     unbounded).
 
     ``low_water`` is the occupancy at which producers parked on a full queue
-    are released, ``capacity - 1`` unless given.  Occupancy never exceeds
-    ``capacity``.  Liveness holds for every capacity >= 1 and every mark in
+    are released, ``capacity - 1`` unless given; ``doorbell``, if given, is
+    rung after every put.  Occupancy never exceeds ``capacity``.  Liveness
+    holds for every capacity >= 1 and every mark in
     ``[0, capacity)``: producers park only at occupancy ``capacity``, above
     the mark, and a consumer can find the queue empty only at occupancy
     0 <= ``low_water``, which the ``get`` that released them had to cross --
@@ -59,6 +117,7 @@ class WorkQueue:
         name: str = "queue",
         soft_capacity: int = DEFAULT_SOFT_CAPACITY,
         low_water: Optional[int] = None,
+        doorbell: Optional[Doorbell] = None,
     ) -> None:
         if soft_capacity < 1:
             raise LoaderStateError(
@@ -74,6 +133,7 @@ class WorkQueue:
         self._capacity = capacity
         self._soft_capacity = soft_capacity
         self._low_water = low_water
+        self._doorbell = doorbell
         self._items: deque = deque()
         self._lock = threading.Lock()
         self._not_full = threading.Condition(self._lock)
@@ -158,7 +218,9 @@ class WorkQueue:
             if self._full():
                 return False
             self._append(item)
-            return True
+        if self._doorbell is not None:
+            self._doorbell.ring()
+        return True
 
     def put(self, item: Any) -> bool:
         """Blocking put; returns False if aborted, raises if closed."""
@@ -170,9 +232,12 @@ class WorkQueue:
                     raise QueueClosed(f"{self.name} is closed")
                 if not self._full():
                     self._append(item)
-                    return True
+                    break
                 self._parked_producers += 1
                 self._not_full.wait()
+        if self._doorbell is not None:
+            self._doorbell.ring()
+        return True
 
     def try_get(self) -> Any:
         with self._lock:

@@ -6,8 +6,8 @@ samples in exact sampler order through a reorder buffer.  Both execution
 substrates route every decision through this module:
 
 * the threaded engine pulls with :meth:`BatchConstructionPolicy.next_ready`
-  over its fast/slow :class:`~repro.core.queues.WorkQueue` pair, polling
-  (Algorithm 1's 10 ms sleep) when both are empty;
+  over its fast/slow :class:`~repro.core.queues.WorkQueue` pair, parking
+  when both are empty and polling again on Algorithm 1's 10 ms grid;
 * the discrete-event model encodes the same preference as retrieval keys
   (:meth:`BatchConstructionPolicy.priority_key`) on a priority store, which
   expresses fast-before-slow in virtual time without polling.
@@ -22,7 +22,10 @@ batches regardless of how fast individual builders run).
 Algorithm 1's idle rule -- a stage that finds nothing sleeps one poll
 interval and looks again -- is :func:`first_tick`: the instants at which a
 stage *would* poll are a grid anchored at its last empty poll, and a waiter
-that sleeps through the empty ones must still resume on that grid.
+that sleeps through the empty ones must still resume on that grid.  Both
+substrates park idle Minato stages and resume them by it: the simulator's
+parked stages at their tick's event, the threaded stages with one clock
+sleep to the tick after the ring that woke them.
 """
 
 from __future__ import annotations
@@ -68,6 +71,11 @@ class ReorderBuffer:
     def put(self, seq: int, item: Any) -> None:
         with self._lock:
             self._items[seq] = item
+
+    def ready(self) -> bool:
+        """True when :meth:`try_next` would release an item (no lock: a
+        waiter's re-check, see :class:`repro.core.queues.Doorbell`)."""
+        return self._next in self._items
 
     def try_next(self) -> Optional[Any]:
         """Release the next in-sequence item, or None while it is missing."""
@@ -156,6 +164,10 @@ def first_tick(
     due at the same ``tick``, the one with the earlier ``previous`` polls
     first (grids anchored an exact multiple of ``interval`` apart differ in
     their last bits until a rounding merges them).
+
+    Both substrates use it: the simulator wakes a parked stage at ``tick``
+    (:class:`repro.sim.loaders._IdleSite`), and a threaded Minato stage
+    woken by its doorbell at ``now`` sleeps until ``tick`` before it polls.
     """
     if not interval > 0:
         raise ValueError(f"poll interval must be positive, got {interval!r}")

@@ -58,6 +58,12 @@ class WorkContext:
     content-level randomness (augmentation draws that do not affect cost):
     ``rng`` if one is passed, else ``np.random.default_rng(seed)`` built on
     first use.
+
+    A charge reaches the clock at once, unless the context is in a *run*
+    (:meth:`open_run`): then the charges wait, and :meth:`settle` puts
+    them on the clock as one ``advance``.  A loader runs a sample's storage
+    read and transforms as one run when nothing reads the clock in between,
+    so a thread sleeps once per run where it slept once per charge.
     """
 
     def __init__(
@@ -74,6 +80,8 @@ class WorkContext:
         self._seed = seed
         self.cost_scale = cost_scale
         self.charged_seconds = 0.0
+        #: charges of the open run not yet on the clock; None: no run open
+        self._owed: Optional[float] = None
 
     @property
     def rng(self) -> np.random.Generator:
@@ -82,18 +90,35 @@ class WorkContext:
         return self._rng
 
     def charge(self, seconds: float) -> None:
-        """Consume ``seconds * cost_scale`` of modelled compute on the clock.
+        """Consume ``seconds * cost_scale`` of modelled compute on the clock
+        -- now, or at :meth:`settle` while a run is open.
 
         ``cost_scale`` lets executors re-rate transform costs: the DALI
         baseline runs preprocessing on the GPU at a 10x discount (paper
         §5.1), and cost_scale=0 executes the numpy work without charging
         (the caller accounts the time elsewhere, e.g. on a device).
+        ``charged_seconds`` counts every charge when it is made.
         """
         if seconds < 0:
             raise ValueError(f"negative charge: {seconds!r}")
         scaled = seconds * self.cost_scale
         self.charged_seconds += scaled
-        self.clock.advance(scaled)
+        if self._owed is None:
+            self.clock.advance(scaled)
+        else:
+            self._owed += scaled
+
+    def open_run(self) -> None:
+        """Hold the charges from here back from the clock until :meth:`settle`."""
+        self._owed = 0.0
+
+    def settle(self) -> None:
+        """Close the open run (if any): its charges reach the clock as one
+        ``advance``, and later charges reach it at once again.  Call it
+        before anything reads the clock for the run's work."""
+        owed, self._owed = self._owed, None
+        if owed:
+            self.clock.advance(owed)
 
 
 @dataclass

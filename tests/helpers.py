@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import threading
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Set, TypeVar, Union
 
@@ -157,6 +158,60 @@ def run_with_watchdog(fn: Callable[[], T], seconds: float) -> T:
     if "error" in outcome:
         raise outcome["error"]
     return outcome["result"]
+
+
+# ---------------------------------------------------------------------------
+# Counting clock: what each thread asked of the clock
+# ---------------------------------------------------------------------------
+
+
+def counting(clock_cls):
+    """``clock_cls`` logging, per thread name, every ``("now", reading)``,
+    ``("sleep", seconds)`` and ``("advance", seconds)`` call, in order.
+    Idle sleeps and busy advances are told apart the way perfbench's
+    counting clock tells them apart: a sleep is logged as a sleep, not also
+    as the ``advance`` it is made of."""
+
+    class CountingClock(clock_cls):
+        def __init__(self, *args) -> None:
+            super().__init__(*args)
+            self.log = defaultdict(list)
+            self._sleeping = threading.local()
+
+        def _note(self, kind: str, value: float) -> None:
+            # one list per thread: only its own thread appends to it
+            self.log[threading.current_thread().name].append((kind, value))
+
+        def now(self) -> float:
+            reading = super().now()
+            self._note("now", reading)
+            return reading
+
+        def advance(self, seconds: float) -> None:
+            if not getattr(self._sleeping, "on", False):
+                self._note("advance", seconds)
+            super().advance(seconds)
+
+        def sleep(self, seconds: float) -> None:
+            self._note("sleep", seconds)
+            self._sleeping.on = True
+            try:
+                super().sleep(seconds)
+            finally:
+                self._sleeping.on = False
+
+        def calls(self, kind: str, thread_prefix: str = "") -> List[float]:
+            """The values of every ``kind`` call made on threads whose name
+            starts with ``thread_prefix``."""
+            return [
+                value
+                for name, entries in list(self.log.items())
+                if name.startswith(thread_prefix)
+                for k, value in entries
+                if k == kind
+            ]
+
+    return CountingClock
 
 
 # ---------------------------------------------------------------------------
