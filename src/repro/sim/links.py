@@ -6,10 +6,17 @@ flow endpoint -- a collective ring pass, a tenant's remote-storage loader
 path, a checkpoint writer -- tagged with a traffic class
 (``collective`` / ``loader`` / ``checkpoint``).  Transfers submitted on
 one stream are FIFO among themselves (per-stream FIFO); *across* streams
-the link divides its capacity max-min fair: ``n`` streams with queued
-work each drain at ``bandwidth / n``, and rates are recomputed
-event-driven whenever a stream opens work on an idle queue or drains its
-last transfer.
+the link divides its capacity max-min fair: ``n`` streams with a transfer
+draining each drain at ``bandwidth / n``.
+
+A transfer has two transitions.  It *drains* when its last byte leaves
+the sender: at that instant it leaves the fair share, and its stream's
+next transfer, if any, starts draining.  It *completes* exactly
+``latency`` later (``project``'s ``finish``), and a drained transfer is
+never re-timed: latency is a delay line, not a flow.  A stream is busy
+while a transfer of it drains -- the one definition the engine, the
+collapse probe (:meth:`SharedLink.busy_streams`) and :func:`project`
+share.
 
 Equivalence contracts (pinned by ``tests/test_links.py`` and the kernel
 equivalence grid):
@@ -18,36 +25,35 @@ equivalence grid):
   work the link reproduces :class:`~repro.sim.resources.BandwidthPipe`
   timing bit-for-bit -- same float expressions (``start = max(now,
   prev_drain)``, ``finish = start + latency + nbytes / (bandwidth / 1)``,
-  one kernel timer per transfer), so flat rings and intra-node links are
-  byte-identical to the pre-refactor model, including ``sim_events``;
+  one kernel event per transfer), including ``sim_events``;
 * **G symmetric streams == bw/G closed form**: G streams submitting
   equal chunks at the same instant all finish at ``start + latency +
-  chunk / (bandwidth / G)`` -- exactly the steady-state fair share the
-  hierarchical topology used to bake into per-member pipe bandwidth, and
-  exactly what the homogeneous-rank fast path gets from :func:`project`
-  for the link parameters ``Topology.collapse_schedule`` hands it.
+  chunk / (bandwidth / G)`` -- what the homogeneous-rank fast path gets
+  from :func:`project` for the link parameters
+  ``Topology.collapse_schedule`` hands it.
 
-The fluid revision trick: a transfer is its own completion event, queued
-the moment its finish time is projectable and *re-queued* when the fair
-share changes -- :meth:`Environment._requeue` gives it a fresh scheduling
-id, and the entry that carried the old one is lazily skipped by the
-kernel when it surfaces (``events_skipped``, never ``events_processed``).
-Subscribers stay on the one event, so a caller that yields it late still
-waits for the completion, and event counts are identical to the legacy
-one-timer-per-transfer model whenever no revision happens.  A transfer
-that is past its drain point but still inside its latency tail continues
-to count as an active flow until its timer fires; the resulting slight
-under-estimate of the other flows' rates is the documented approximation
-of this fluid model (exact whenever drains are synchronized, i.e. in
-both pinned regimes above).
+A transfer is its own completion event, queued the moment its finish is
+projectable and *re-queued* when its projection moves --
+:meth:`Environment._requeue` gives it a fresh scheduling id, and the
+entry that carried the old one is skipped by the kernel when it surfaces
+(``events_skipped``, never ``events_processed``).  A drain is no event
+at all.  Every completion on a link lands one ``latency`` after its
+drain, so completions arrive in drain order; between two link events (a
+completion or a submit) shares change only at drains, and only upwards.
+The first drain after a link event is therefore projected exactly, and
+every later one completes no earlier than it.  So :meth:`_advance`, run
+at each link event, replays the drains since the last one in time order
+and re-queues the completions that moved, each to an instant at or after
+now: the catch-up is exact without an event per drain.
 
 Per-class accounting: the link counts ``total_bytes`` / ``transfer_count``
 / ``bytes_by_class`` at submit time (like the legacy pipe), and at each
-transfer's completion attributes ``excess = queue_wait + (nbytes / share
-- nbytes / bandwidth)`` -- time lost to own-stream queueing plus
-fair-sharing slowdown relative to an idle link -- to the stream's class,
-both on the stream and into the stream's optional ``sink`` dict (the
-fabric / job-level ``link_wait_by_class`` aggregator).
+transfer's completion attributes its queue wait plus its slowdown versus
+an idle link, ``(drain - start) - nbytes / bandwidth``, to the stream's
+class, both on the stream and into the stream's optional ``sink`` dict
+(the fabric / job-level ``link_wait_by_class`` aggregator).  A transfer
+that drained at one share throughout books :func:`project`'s ``excess``
+for that share, the same float the collapsed collective adds.
 """
 
 from __future__ import annotations
@@ -58,6 +64,8 @@ from typing import Deque, Dict, Hashable, List, Optional, Tuple
 from .kernel import Environment, Event, Timeout
 
 __all__ = ["SharedLink", "Stream", "project"]
+
+_NEVER = float("inf")
 
 
 def project(
@@ -81,7 +89,7 @@ def project(
 
 
 class _Transfer(Event):
-    """One in-flight (or stream-queued) transfer on a shared link, and its
+    """One draining (or stream-queued) transfer on a shared link, and its
     own completion event: triggered at creation, as a :class:`Timeout`
     is, with the bytes moved as its value.  Its first callback is the
     link's completion hook."""
@@ -97,7 +105,6 @@ class _Transfer(Event):
         "drain",
         "finish",
         "timer_at",
-        "done",
     )
 
     def __init__(self, stream: "Stream", nbytes: float, now: float) -> None:
@@ -115,8 +122,8 @@ class _Transfer(Event):
         #: bytes left to drain as of ``anchor`` (queued transfers keep the
         #: full size; only a chain head actually drains)
         self.remaining = nbytes
-        #: time ``remaining`` refers to; for a queued transfer this is its
-        #: *projected* start (the predecessor's projected drain)
+        #: time ``remaining`` refers to: the instant the share last moved
+        #: while this transfer drained, else its (projected) start
         self.anchor = now
         self.start = now
         self.submitted = now
@@ -125,10 +132,8 @@ class _Transfer(Event):
         self.drain = now
         self.finish = now
         #: instant the event is queued for, ``None`` until first queued
-        #: (``finish`` may run ahead of it while a same-instant settle pass
-        #: is pending)
+        #: (``finish`` runs ahead of it while a settle pass is pending)
         self.timer_at: Optional[float] = None
-        self.done = False
 
 
 class Stream:
@@ -176,14 +181,17 @@ class Stream:
         #: completion-attributed wait: own-queue time plus fair-sharing
         #: slowdown versus an idle link, in seconds
         self.wait_seconds = 0.0
+        #: the transfers not yet drained: the head drains, the rest queue
         self._chain: Deque[_Transfer] = deque()
 
     @property
     def backlog(self) -> float:
         """Seconds until this stream's queued work drains (projected)."""
-        if not self._chain:
-            return 0.0
-        return max(0.0, self._chain[-1].drain - self.link.env.now)
+        link = self.link
+        now = link.env.now
+        if link._next_drain <= now:
+            link._advance(now)
+        return self._chain[-1].drain - now if self._chain else 0.0
 
     def transfer(self, nbytes) -> Event:
         """Move ``nbytes`` on this stream; returns the completion event."""
@@ -191,7 +199,7 @@ class Stream:
 
 
 class SharedLink:
-    """A link whose capacity is divided max-min fair among active streams."""
+    """A link whose capacity is divided max-min fair among busy streams."""
 
     def __init__(self, env: Environment, bandwidth: float, latency: float = 0.0) -> None:
         if bandwidth <= 0:
@@ -202,17 +210,16 @@ class SharedLink:
         self.bandwidth = float(bandwidth)
         self.latency = float(latency)
         self._streams: Dict[Hashable, Stream] = {}
-        #: the streams with a non-empty chain, in stream-creation order (the
-        #: order every sweep visits them in); its length is the fair-share
-        #: divisor
+        #: the streams with a transfer draining, in stream-creation order
+        #: (the order every sweep visits them in); its length is the
+        #: fair-share divisor
         self._busy: List[Stream] = []
+        #: the earliest projected drain among the busy streams' heads
+        self._next_drain = _NEVER
         #: every transfer's first callback, bound once
         self._hook = self._complete
         #: a zero-delay settle event is pending at the current instant
         self._settle_armed = False
-        #: instant the last retire-and-settle sweep ran (the sweep is
-        #: idempotent within an instant, so repeats are skipped)
-        self._advanced_at = -1.0
         self.total_bytes = 0
         self.transfer_count = 0
         self.bytes_by_class: Dict[str, float] = {}
@@ -245,13 +252,13 @@ class SharedLink:
     def streams(self) -> List[Stream]:
         return list(self._streams.values())
 
-    # -- quiescence probe --------------------------------------------------
-
     def busy_streams(self) -> List[Stream]:
-        """Streams with work still *draining* (latency tails excluded,
-        matching the legacy ``_available_at > now`` probe semantics)."""
+        """The streams with a transfer draining now: the engine's own busy
+        set, caught up to the current instant."""
         now = self.env.now
-        return [s for s in self._busy if s._chain[-1].drain > now]
+        if self._next_drain <= now:
+            self._advance(now)
+        return list(self._busy)
 
     # -- engine ------------------------------------------------------------
 
@@ -270,161 +277,144 @@ class SharedLink:
         )
         stream.total_bytes += nbytes
         stream.transfer_count += 1
-        n_before = len(self._busy)
-        self._advance(now)
+        if self._next_drain <= now:
+            self._advance(now)
         t = _Transfer(stream, float(nbytes), now)
         chain = stream._chain
         chain.append(t)
         busy = self._busy
-        if len(chain) == 1:
+        if len(chain) > 1:
+            # same-stream FIFO append: nobody's fair share moves, so only
+            # the new tail is projected, chained at its predecessor's drain
+            # (still ahead: ``_advance`` took every drain up to now)
+            t.anchor = t.start = chain[-2].drain
+            t.streams = len(busy)
+            t.drain, t.finish, _ = project(
+                t.anchor, t.remaining, self.bandwidth, self.latency, t.streams
+            )
+        else:
             # a stream opens work: keep the busy list in creation order
             i = len(busy)
             while i and busy[i - 1]._order > stream._order:
                 i -= 1
             busy.insert(i, stream)
-        n_after = len(busy)
-        if n_after != n_before:
             self._reproject(now)
-            if t.timer_at is None:
-                # the settle pass is batched per instant, but the caller
-                # needs this transfer's completion queued right now
-                self._set_timer(t, t.finish, now)
-        else:
-            # same-stream FIFO append: nobody's fair share changed, so only
-            # the new tail needs projecting -- chained at the predecessor's
-            # projected drain with the legacy watermark arithmetic
-            if len(chain) > 1:
-                t.anchor = t.start = max(now, chain[-2].drain)
-            t.streams = n_after
-            t.drain, finish, _ = project(
-                t.anchor, t.remaining, self.bandwidth, self.latency, n_after
-            )
-            self._set_timer(t, finish, now)
+            if len(busy) > 1 and not self._settle_armed:
+                # every other share moved: their completions are re-queued
+                # once per instant, by a zero-delay settle event, so a burst
+                # of k same-instant submits costs one sweep, not k.  Safe:
+                # every projection left fires after now
+                self._settle_armed = True
+                settle = Event(env)
+                settle.callbacks.append(self._settle)
+                settle.succeed()
+        self._set_timer(t, now)
         return t
 
-    def _advance(self, now: float) -> None:
-        """Retire transfers whose completion is due and settle the drains
-        of the surviving chain heads up to ``now``.
-
-        Idempotent within an instant, so repeat sweeps at the same ``now``
-        return immediately: no time has elapsed to settle, and anything
-        that came due meanwhile has its own event firing this instant
-        (retired by :meth:`_complete` directly)."""
-        if now == self._advanced_at:
-            return
-        self._advanced_at = now
-        drained = False
-        for s in self._busy:
-            chain = s._chain
-            while chain and chain[0].finish <= now:
-                self._finish(chain.popleft())
-            if chain:
-                head = chain[0]
-                if now > head.anchor:
-                    share = self.bandwidth / head.streams
-                    head.remaining = max(
-                        0.0, head.remaining - (now - head.anchor) * share
-                    )
-                    head.anchor = now
-            else:
-                drained = True
-        if drained:
-            self._busy = [s for s in self._busy if s._chain]
-
-    def _reproject(self, now: float) -> None:
-        """Re-derive every projection at the current fair share and re-queue
-        the completion events whose finish time moved.  Called only while
-        some stream is busy (an idle link has nothing to re-project).
-
-        With more than one active stream the re-queues are *batched*: the
-        projections (share / drain / finish) are revised synchronously, but
-        the kernel entries are brought up to date by a single zero-delay
-        settle event at the end of the current instant, so a burst of k
-        same-instant submits costs one sweep instead of k.  This is safe
-        because :meth:`_advance` has already retired everything due at
-        ``now`` -- every surviving entry fires strictly in the future,
-        after the settle.  With one active stream (the legacy-pipe parity
-        regime) events are still re-queued inline, keeping the event trace
-        bit-identical to :class:`~repro.sim.resources.BandwidthPipe`."""
+    def _advance(self, until: float) -> None:
+        """Replay, in time order, the drains due by ``until`` (callers skip
+        the call while ``_next_drain`` lies ahead): each drained head
+        leaves its chain (its completion stays as projected; it is
+        re-queued only if a replayed drain before it moved it), and each
+        drain that empties a stream re-projects the others from that
+        instant.  Every completion that moved is re-queued before this
+        returns."""
+        now = self.env.now
         busy = self._busy
-        n = len(busy)
-        defer = n > 1
-        dirty = False
-        for s in busy:
+        moved = False
+        while self._next_drain <= until:
+            at = self._next_drain
+            emptied = False
+            for s in busy:
+                chain = s._chain
+                t = chain[0]
+                if t.drain == at:
+                    # the stream's next transfer, projected from this very
+                    # drain, starts draining at ``at``.  A completion being
+                    # delivered (an ulp of rounding may have moved it) stays
+                    chain.popleft()
+                    if t.timer_at != t.finish and not t.processed:
+                        self._set_timer(t, now)
+                    emptied = emptied or not chain
+            if emptied:
+                busy[:] = [s for s in busy if s._chain]
+                self._reproject(at, rising=True)
+                moved = True
+            else:
+                self._next_drain = min(s._chain[0].drain for s in busy)
+        if moved:
+            self._retime(now)
+
+    def _reproject(self, at: float, rising: bool = False) -> None:
+        """Re-derive every busy chain's projection at the current fair share,
+        the heads settled up to ``at`` (the instant the share moved).  In a
+        catch-up (``rising``) shares only rose, so no projection moves
+        later: a revision that rounds later keeps the old one, and a
+        completion that fired finds its transfer drained."""
+        bandwidth, latency = self.bandwidth, self.latency
+        n = len(self._busy)
+        next_drain = _NEVER
+        for s in self._busy:
             prev: Optional[_Transfer] = None
             for t in s._chain:
-                if prev is None:
-                    if t.timer_at is not None and t.finish <= now:
-                        # due this instant (its event fires later in the
-                        # same step): already drained, never revise it
-                        # backwards
-                        prev = t
-                        continue
-                else:
-                    t.anchor = t.start = max(now, prev.drain)
+                if prev is not None:
+                    t.anchor = t.start = prev.drain
+                elif at > t.anchor:
+                    t.remaining = max(
+                        0.0, t.remaining - (at - t.anchor) * (bandwidth / t.streams)
+                    )
+                    t.anchor = at
                 t.streams = n
-                t.drain, finish, _ = project(
-                    t.anchor, t.remaining, self.bandwidth, self.latency, n
+                drain, finish, _ = project(
+                    t.anchor, t.remaining, bandwidth, latency, n
                 )
-                if finish != t.finish or t.timer_at is None:
-                    if defer:
-                        t.finish = finish
-                        dirty = True
-                    else:
-                        self._set_timer(t, finish, now)
+                if not rising or drain <= t.drain:
+                    t.drain, t.finish = drain, finish
                 prev = t
-        if dirty and not self._settle_armed:
-            self._settle_armed = True
-            settle = Event(self.env)
-            settle.callbacks.append(self._settle)
-            settle.succeed()
+            if s._chain[0].drain < next_drain:
+                next_drain = s._chain[0].drain
+        self._next_drain = next_drain
 
     def _settle(self, _event: Event) -> None:
-        """End-of-instant sweep: align every queued completion with its
-        (possibly repeatedly revised) projection in one pass."""
+        """End-of-instant sweep after a burst of submits."""
         self._settle_armed = False
-        now = self.env.now
+        self._retime(self.env.now)
+
+    def _retime(self, now: float) -> None:
+        """Align every queued completion with its projection in one pass."""
         for s in self._busy:
             for t in s._chain:
                 if t.timer_at != t.finish:
-                    self._set_timer(t, t.finish, now)
+                    self._set_timer(t, now)
 
-    def _set_timer(self, t: _Transfer, finish: float, now: float) -> None:
-        """Queue ``t`` to complete at ``finish``: one fresh scheduling id,
-        whatever entry it had before is superseded."""
-        t.finish = t.timer_at = finish
-        delay = finish - now
+    def _set_timer(self, t: _Transfer, now: float) -> None:
+        """Queue ``t`` to complete at its projected finish (never before
+        ``now``): one fresh scheduling id, any entry it had is superseded."""
+        t.timer_at = t.finish
+        delay = t.finish - now
         if delay < 0.0:
             delay = 0.0
         self.env._requeue(t, delay)
 
     def _complete(self, t: _Transfer) -> None:
-        if t.done:
-            return
-        now = self.env.now
-        n_before = len(self._busy)
-        self._advance(now)
-        if not t.done:
-            # defensive: the event fired but the sweep didn't retire it
-            # (float drift put finish an ulp past now) -- retire directly
-            chain = t.stream._chain
-            if chain and chain[0] is t:
-                chain.popleft()
-                if not chain:
-                    self._busy.remove(t.stream)
-            self._finish(t)
-        n = len(self._busy)
-        if n != n_before and n:
-            self._reproject(now)
-
-    def _finish(self, t: _Transfer) -> None:
-        if t.done:
-            return
-        t.done = True
+        # ``t`` has drained: the catch-up takes it off its chain.  Its
+        # delay was ``finish - now``, and ``now + (finish - now)`` may land
+        # an ulp short of ``finish``, which is ``drain`` at zero latency
+        until = self.env.now
+        if t.drain > until:
+            until = t.drain
+        if self._next_drain <= until:
+            self._advance(until)
         stream = t.stream
-        excess = (t.start - t.submitted) + project(
-            t.start, t.nbytes, self.bandwidth, self.latency, t.streams
-        )[2]
+        if t.anchor == t.start:
+            excess = (t.start - t.submitted) + project(
+                t.start, t.nbytes, self.bandwidth, self.latency, t.streams
+            )[2]
+        else:
+            # the share moved while it drained
+            excess = (t.start - t.submitted) + (
+                (t.drain - t.start) - t.nbytes / self.bandwidth
+            )
         stream.wait_seconds += excess
         self.wait_by_class[stream.cls] = (
             self.wait_by_class.get(stream.cls, 0.0) + excess
@@ -432,4 +422,3 @@ class SharedLink:
         sink = stream.sink
         if sink is not None:
             sink[stream.cls] = sink.get(stream.cls, 0.0) + excess
-

@@ -161,10 +161,6 @@ class Transform(ABC):
     def output_nbytes(self, spec: SampleSpec, state: PipelineState) -> float:
         """Footprint in bytes after this transform runs."""
 
-    def _cost_rng(self, spec: SampleSpec) -> np.random.Generator:
-        """Deterministic RNG for cost jitter (stable across substrates)."""
-        return spec.rng(salt=hash(self.name) & 0xFFFF)
-
     # -- real execution ------------------------------------------------------
 
     @abstractmethod

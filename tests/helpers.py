@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import heapq
 import threading
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Set, TypeVar, Union
 
 import numpy as np
@@ -17,8 +18,7 @@ from repro.errors import ConfigurationError
 from repro.sim.cluster import Cluster, ClusterMembership, MembershipEvent
 from repro.sim.distributed import JobSpec, run_distributed, run_elastic
 from repro.sim.fabric import RingFabric
-from repro.sim.kernel import NORMAL, AllOf, Environment, Event, Timeout
-from repro.sim.links import SharedLink, project
+from repro.sim.kernel import NORMAL, AllOf, Environment
 from repro.sim.loaders import END, SimBatch, SimContext, SimMinatoLoader
 from repro.sim.scenarios import JobMix
 from repro.sim.workloads import CONFIG_A, WorkloadSpec, make_workload
@@ -702,180 +702,39 @@ class GeneratorRingFabric(RingFabric):
 
 
 # ---------------------------------------------------------------------------
-# The link engine's specification: a kernel timer per transfer, migrated on revision
+# The link engine's specification: the fluid model in exact arithmetic
 # ---------------------------------------------------------------------------
 
 
-class _TimedTransfer:
-    """A transfer as it was before it became its own completion event:
-    bookkeeping only, completed by the ``Timeout`` in ``timer``."""
-
-    __slots__ = (
-        "stream", "nbytes", "remaining", "anchor", "start", "submitted",
-        "streams", "drain", "finish", "timer", "timer_at", "done",
-    )
-
-    def __init__(self, stream, nbytes, now) -> None:
-        self.stream = stream
-        self.nbytes = nbytes
-        self.remaining = nbytes
-        self.anchor = self.start = self.submitted = now
-        self.streams = 1
-        self.drain = self.finish = now
-        self.timer = None
-        self.timer_at = now
-        self.done = False
-
-
-class TimerPerTransferLink(SharedLink):
-    """``SharedLink`` with the engine it had before a transfer was its own
-    completion event: every transfer allocates a ``Timeout`` (plus a
-    closure), and a re-projection allocates a new one, moves the callbacks
-    onto it, marks the old one dead and re-targets each waiting process;
-    every sweep walks every stream on the link.  Stream bookkeeping,
-    accounting and ``_finish`` are the production link's."""
-
-    def __init__(self, env, bandwidth, latency=0.0) -> None:
-        super().__init__(env, bandwidth, latency)
-        self._active = 0
-
-    def busy_streams(self):
-        now = self.env.now
-        return [
-            s for s in self._streams.values()
-            if s._chain and s._chain[-1].drain > now
-        ]
-
-    def _submit(self, stream, nbytes):
-        env = self.env
-        now = env.now
-        if nbytes == 0:
-            return Timeout(env, 0.0, 0.0)
-        self.total_bytes += nbytes
-        self.transfer_count += 1
-        self.bytes_by_class[stream.cls] = (
-            self.bytes_by_class.get(stream.cls, 0.0) + nbytes
-        )
-        stream.total_bytes += nbytes
-        stream.transfer_count += 1
-        n_before = self._active
-        self._advance(now)
-        t = _TimedTransfer(stream, float(nbytes), now)
-        chain = stream._chain
-        chain.append(t)
-        if len(chain) == 1:
-            self._active += 1
-        n_after = self._active
-        if n_after != n_before:
-            self._reproject(now)
-            if t.timer is None:
-                self._set_timer(t, t.finish, now)
-        else:
-            if len(chain) > 1:
-                t.anchor = t.start = max(now, chain[-2].drain)
-            t.streams = n_after
-            t.drain, finish, _ = project(
-                t.anchor, t.remaining, self.bandwidth, self.latency, n_after
-            )
-            self._set_timer(t, finish, now)
-        return t.timer
-
-    def _advance(self, now):
-        if now == self._advanced_at:
-            return
-        self._advanced_at = now
-        for s in self._streams.values():
-            chain = s._chain
-            if not chain:
-                continue
-            while chain and chain[0].finish <= now:
-                self._finish(chain.popleft())
-            if chain:
-                head = chain[0]
-                if now > head.anchor:
-                    share = self.bandwidth / head.streams
-                    head.remaining = max(
-                        0.0, head.remaining - (now - head.anchor) * share
-                    )
-                    head.anchor = now
-            else:
-                self._active -= 1
-
-    def _reproject(self, now):
-        n = self._active
-        if n == 0:
-            return
-        defer = n > 1
-        dirty = False
-        for s in self._streams.values():
-            prev = None
-            for t in s._chain:
-                if prev is None:
-                    if t.timer is not None and t.finish <= now:
-                        prev = t
-                        continue
-                else:
-                    t.anchor = t.start = max(now, prev.drain)
-                t.streams = n
-                t.drain, finish, _ = project(
-                    t.anchor, t.remaining, self.bandwidth, self.latency, n
-                )
-                if finish != t.finish or t.timer is None:
-                    if defer:
-                        t.finish = finish
-                        dirty = True
-                    else:
-                        self._set_timer(t, finish, now)
-                prev = t
-        if dirty and not self._settle_armed:
-            self._settle_armed = True
-            settle = Event(self.env)
-            settle.callbacks.append(self._settle)
-            settle.succeed()
-
-    def _settle(self, _event):
-        self._settle_armed = False
-        now = self.env.now
-        for s in self._streams.values():
-            for t in s._chain:
-                if t.timer is None or t.timer_at != t.finish:
-                    self._set_timer(t, t.finish, now)
-
-    def _set_timer(self, t, finish, now):
-        t.finish = finish
-        t.timer_at = finish
-        delay = finish - now
-        if delay < 0.0:
-            delay = 0.0
-        timer = Timeout(self.env, delay, t.nbytes)
-        old = t.timer
-        if old is None:
-            timer.callbacks.append(lambda _event, t=t: self._complete(t))
-        else:
-            timer.callbacks.extend(old.callbacks or ())
-            old.callbacks = []
-            old._dead = True
-            for cb in timer.callbacks:
-                waiter = getattr(cb, "__self__", None)
-                if waiter is not None and getattr(waiter, "_target", None) is old:
-                    waiter._target = timer
-        t.timer = timer
-
-    def _complete(self, t):
-        if t.done:
-            return
-        now = self.env.now
-        n_before = self._active
-        self._advance(now)
-        if not t.done:
-            chain = t.stream._chain
-            if chain and chain[0] is t:
-                chain.popleft()
-                if not chain:
-                    self._active -= 1
-            self._finish(t)
-        if self._active != n_before:
-            self._reproject(now)
+def fluid_drains(bandwidth, submits):
+    """Drain instants, as exact fractions, of ``submits`` -- ``(at, stream,
+    nbytes)`` in submission order -- on one link of ``bandwidth``: FIFO
+    per stream, and the streams with a transfer draining share the
+    bandwidth equally.  A drained transfer holds no share; it completes
+    the link's latency later.  Advances from one drain or submit instant
+    to the next, so nothing is projected and nothing rounded."""
+    bandwidth = Fraction(bandwidth)
+    arrivals = [Fraction(at) for at, _stream, _nbytes in submits]
+    left = [Fraction(nbytes) for _at, _stream, nbytes in submits]
+    drains = [None] * len(submits)
+    queues = defaultdict(deque)
+    now, k = Fraction(0), 0
+    while k < len(submits) or any(queues.values()):
+        heads = [queue[0] for queue in queues.values() if queue]
+        share = bandwidth / len(heads) if heads else None
+        then = min((now + left[i] / share for i in heads), default=None)
+        if k < len(submits) and (then is None or arrivals[k] < then):
+            then = arrivals[k]
+        for i in heads:
+            left[i] -= (then - now) * share
+        now = then
+        for queue in queues.values():
+            if queue and left[queue[0]] == 0:
+                drains[queue.popleft()] = now
+        while k < len(submits) and arrivals[k] == now:
+            queues[submits[k][1]].append(k)
+            k += 1
+    return drains
 
 
 # ---------------------------------------------------------------------------

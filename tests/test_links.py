@@ -13,10 +13,15 @@ Three contracts from the per-stream link refactor:
   submitted byte comes out of a completion event exactly once, and the
   link never beats its capacity.
 
-The engine itself -- a transfer is its own completion event, re-queued
-when its projection moves -- is held to the timer-per-transfer engine it
-replaced (``tests/helpers.TimerPerTransferLink``), to the bit.
+The engine itself -- a transfer leaves the fair share when it drains and
+completes ``latency`` later, and the drains between two link events are
+replayed at the next one, with no event of their own -- is held to the
+fluid model computed in exact arithmetic (``tests/helpers.fluid_drains``).
 """
+
+import math
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +30,7 @@ from hypothesis import strategies as st
 from repro.errors import EmptySchedule
 from repro.sim import AllOf, BandwidthPipe, Environment, SharedLink
 
-from .helpers import CheckedEnvironment, TimerPerTransferLink
+from .helpers import CheckedEnvironment, fluid_drains
 
 
 def drive(env, device, schedule, completions):
@@ -165,10 +170,71 @@ def test_two_streams_converge_and_finish_together():
     env.process(reader("b", b, 5.0, 50.0))
     env.run()
     assert done == {"a": 15.0, "b": 15.0}
-    # completion-time attribution uses the final share (the documented
-    # fluid approximation): a is charged 100/5 - 100/10
-    assert a.wait_seconds == 100.0 / 5.0 - 100.0 / 10.0
+    # a's share moved while it drained: it books (drain - start) - 100/10;
+    # b drained at one share throughout and books project's excess
+    assert a.wait_seconds == (15.0 - 0.0) - 100.0 / 10.0
     assert b.wait_seconds == 50.0 / 5.0 - 50.0 / 10.0
+
+
+def test_a_drained_transfer_leaves_the_fair_share():
+    """1 B at t = 0 and 1 B at t = 5 ms on a 1 000 B/s, 10 ms link: the
+    first drains at 1 ms and holds no share in its latency tail, so the
+    second drains alone and neither is re-timed -- they complete at 11 ms
+    and 16 ms, and neither waited."""
+    env = CheckedEnvironment()
+    link = SharedLink(env, bandwidth=1000.0, latency=0.01)
+    a, b = link.stream("a"), link.stream("b")
+    done = {}
+
+    def sender(tag, stream, at):
+        yield env.timeout(at)
+        yield stream.transfer(1)
+        done[tag] = env.now
+        if tag == "b":
+            # inside b's latency tail the link is already idle
+            assert link.busy_streams() == []
+
+    def probe():
+        yield env.timeout(0.003)
+        # a drained at 1 ms: nothing is busy in its latency tail
+        seen["tail"] = link.busy_streams()
+
+    seen = {}
+    env.process(sender("a", a, 0.0))
+    env.process(sender("b", b, 0.005))
+    env.process(probe())
+    env.run()
+    assert done == {"a": 0.011, "b": 0.016}
+    assert seen["tail"] == []
+    assert (a.wait_seconds, b.wait_seconds) == (0.0, 0.0)
+    assert env.events_skipped == 0
+
+
+def test_a_transfer_whose_share_moved_books_its_actual_slowdown():
+    """A zero-latency 1 000 B/s link: a sends 10 B at t = 0, b sends 10 B at
+    t = 5 ms.  a drains 5 B alone, then both drain at 500 B/s until a
+    finishes at 15 ms, then b drains its last 5 B alone by 20 ms.  Each was
+    slowed by exactly 5 ms, and books it, per stream and per class."""
+    env = Environment()
+    link = SharedLink(env, bandwidth=1000.0)
+    sink = {}
+    a = link.stream("a", "loader", sink)
+    b = link.stream("b", "checkpoint", sink)
+    done = {}
+
+    def sender(tag, stream, at):
+        yield env.timeout(at)
+        yield stream.transfer(10)
+        done[tag] = env.now
+
+    env.process(sender("a", a, 0.0))
+    env.process(sender("b", b, 0.005))
+    env.run()
+    assert done == pytest.approx({"a": 0.015, "b": 0.020}, rel=1e-12)
+    assert a.wait_seconds == pytest.approx(0.005, rel=1e-9)
+    assert b.wait_seconds == pytest.approx(0.005, rel=1e-9)
+    assert link.wait_by_class == sink
+    assert sink == pytest.approx({"loader": 0.005, "checkpoint": 0.005}, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -339,71 +405,126 @@ def link_programs(draw):
     return links, streams, processes
 
 
-def check_link_invariants(link, delivered):
-    """At an instant's end: every submitted byte is delivered or still on
-    a chain, and the busy heads' shares do not exceed the bandwidth."""
-    chains = [s._chain for s in link.streams() if s._chain]
-    assert link.total_bytes == delivered + sum(t.nbytes for c in chains for t in c)
-    shares = sum(link.bandwidth / c[0].streams for c in chains)
+def check_link_invariants(link, delivered, pending):
+    """At an instant's end: every submitted byte is delivered or pending
+    (draining, queued or in its latency tail), only pending transfers are
+    on a chain, the streams with a chain are the busy ones, and the busy
+    heads' shares do not exceed the bandwidth."""
+    assert link.total_bytes == delivered + sum(t.nbytes for t in pending)
+    assert all(t in pending for s in link.streams() for t in s._chain)
+    assert [s for s in link.streams() if s._chain] == link._busy
+    shares = sum(link.bandwidth / s._chain[0].streams for s in link._busy)
     assert shares <= link.bandwidth * (1.0 + 1e-12)
 
 
-def run_link_program(link_cls, program):
+class CountingEnvironment(CheckedEnvironment):
+    """Counts delivered events by type."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.delivered = Counter()
+
+    def _pop_next(self):
+        event = super()._pop_next()
+        if event is not None:
+            self.delivered[type(event).__name__] += 1
+        return event
+
+
+def run_link_program(program):
+    """Run ``program`` on ``SharedLink`` and return the environment, the
+    links, the streams, the sinks and every transfer as ``[link, stream,
+    submitted, nbytes, completed]`` in submission order."""
     params, stream_specs, processes = program
-    env = CheckedEnvironment()
-    links = [link_cls(env, bandwidth, latency) for bandwidth, latency in params]
+    env = CountingEnvironment()
+    links = [SharedLink(env, bandwidth, latency) for bandwidth, latency in params]
     sinks = [{}, {}]
     streams = [
         links[at].stream(("s", sid, cls), cls, None if sink is None else sinks[sink])
         for sid, (at, cls, sink) in enumerate(stream_specs)
     ]
     delivered = [0.0] * len(links)
-    completions = []
+    pending = [set() for _ in links]
+    transfers = []
 
-    def sender(pid, sends):
-        for n, (sid, gap, nbytes) in enumerate(sends):
+    def sender(sends):
+        for sid, gap, nbytes in sends:
             if gap:
                 yield env.timeout(gap)
-            value = yield streams[sid].transfer(nbytes)
-            delivered[stream_specs[sid][0]] += value
-            completions.append((env.now, pid, n, value))
+            at = stream_specs[sid][0]
+            event = streams[sid].transfer(nbytes)
+            record = [at, sid, env.now, nbytes, None]
+            if nbytes:
+                pending[at].add(event)
+                transfers.append(record)
+            value = yield event
+            pending[at].discard(event)
+            delivered[at] += value
+            record[4] = env.now
 
-    for pid, sends in enumerate(processes):
-        env.process(sender(pid, sends))
+    for sends in processes:
+        env.process(sender(sends))
     while True:
         try:
             env.step()
         except EmptySchedule:
             break
         if env.peek() > env.now:
-            for link, done in zip(links, delivered):
-                check_link_invariants(link, done)
+            for link, done, live in zip(links, delivered, pending):
+                check_link_invariants(link, done, live)
     assert all(link.busy_streams() == [] for link in links)
-    # per-class dicts as item lists: the order classes first retired in is
-    # the order the engine swept its streams in
-    return {
-        "completions": completions,
-        "events": (env.events_processed, env.events_skipped),
-        "links": [
-            (
-                link.total_bytes, link.transfer_count,
-                list(link.bytes_by_class.items()), list(link.wait_by_class.items()),
-            )
-            for link in links
-        ],
-        "stream_waits": [s.wait_seconds for s in streams],
-        "sinks": [list(sink.items()) for sink in sinks],
-    }
+    return env, links, streams, sinks, transfers
 
 
 @settings(max_examples=200, deadline=None)
 @given(program=link_programs())
-def test_the_link_engine_refines_the_timer_per_transfer_engine(program):
-    """Re-queuing a transfer's own event instead of migrating its
-    subscribers to a new timer, and walking busy streams only, is
-    invisible: every completion instant and the delivery order, every
-    wait (per class, per stream, per sink) and the kernel's delivered and
-    skipped counts agree with ``==``."""
-    assert run_link_program(SharedLink, program) == run_link_program(
-        TimerPerTransferLink, program
-    )
+def test_the_link_engine_is_the_exact_fluid_model(program):
+    """Given the submits the engine saw, in its order, the fluid model in
+    exact arithmetic completes each transfer where the engine did, and
+    books the same waits -- completion instants to a relative 1e-9, waits
+    (per stream, per class, per sink) to 1e-9 of the run's makespan.  The
+    two pinned regimes above are exact.  Every transfer is delivered as
+    one event, and the only other link event is at most one settle per
+    submit: a drain costs no event."""
+    env, links, streams, sinks, transfers = run_link_program(program)
+    exact = [None] * len(transfers)
+    for at, link in enumerate(links):
+        mine = [i for i, record in enumerate(transfers) if record[0] == at]
+        drains = fluid_drains(
+            link.bandwidth,
+            [(transfers[i][2], transfers[i][1], transfers[i][3]) for i in mine],
+        )
+        for i, drain in zip(mine, drains):
+            exact[i] = (drain, drain + Fraction(link.latency))
+    span = max([1.0] + [record[4] for record in transfers])
+
+    def close(value, reference):
+        return math.isclose(value, reference, rel_tol=0.0, abs_tol=1e-9 * span)
+
+    waits = [Fraction(0)] * len(streams)
+    classes, sunk = [{} for _ in links], [{}, {}]
+    for (at, sid, submitted, nbytes, completed), (drain, finish) in zip(
+        transfers, exact
+    ):
+        assert math.isclose(completed, finish, rel_tol=1e-9)
+        wait = drain - Fraction(submitted) - Fraction(nbytes) / Fraction(links[at].bandwidth)
+        waits[sid] += wait
+        cls = streams[sid].cls
+        classes[at][cls] = classes[at].get(cls, 0) + wait
+        sink = program[1][sid][2]
+        if sink is not None:
+            sunk[sink][cls] = sunk[sink].get(cls, 0) + wait
+    for stream, wait in zip(streams, waits):
+        assert close(stream.wait_seconds, wait)
+    for booked, expected in zip(
+        [link.wait_by_class for link in links] + sinks, classes + sunk
+    ):
+        assert booked.keys() == expected.keys()
+        assert all(close(booked[c], expected[c]) for c in expected)
+    # bytes: every transfer delivered exactly once, counted where submitted
+    for at, link in enumerate(links):
+        mine = [record for record in transfers if record[0] == at]
+        assert link.transfer_count == len(mine)
+        assert link.total_bytes == sum(record[3] for record in mine)
+    assert env.delivered["_Transfer"] == len(transfers)
+    assert env.delivered["Event"] <= len(transfers)

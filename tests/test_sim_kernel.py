@@ -708,11 +708,20 @@ def drive(env, programs):
     the last finished sleep (the recycled already-processed passthrough);
     ``at`` waits on a plain event succeeded at an absolute instant;
     ``send`` waits on a transfer over a shared link (re-queued when
-    another stream opens or drains)."""
+    another stream opens or drains); ``requeue`` waits on a triggered
+    event queued at each of its delays in turn, the way the link re-times
+    a transfer."""
     store = Store(env, capacity=2)
     link = SharedLink(env, bandwidth=1.0)
     trace = []
     procs = []
+
+    def requeued(delays, value):
+        event = env.event()
+        event._ok, event._value = True, value
+        for delay in delays:
+            env._requeue(event, delay)
+        return event
 
     def body(pid, ops):
         stale = old = None
@@ -731,6 +740,7 @@ def drive(env, programs):
                 "again": lambda: stale,
                 "old": lambda: old,
                 "send": lambda: link.stream(arg[0]).transfer(arg[1]),
+                "requeue": lambda: requeued(arg, n),
             }[op]()
             if event is None:
                 continue
@@ -883,17 +893,11 @@ class LaneRequeue(Environment):
         (PriorityBlindHeap, [[("sleep", 2), ("at", 0)], [("sleep", 2)]]),
         # a's transfer, due at t=1 alone, is re-queued to t=1.5 when b opens
         (SupersededDelivered, [[("send", (0, 1))], [("sleep", 0.5), ("send", (1, 1))]]),
-        # at t=1: p on stream 0 (due at once), q on stream 1, then t behind
-        # p, due at once at a half share (a zero-delay re-queue), then a
-        # third stream opens and the settle re-queues t one ulp later
+        # at t=1 an event is queued at once, then re-queued a quarter
+        # second later, while another process wakes in between
         (
             LaneRequeue,
-            [
-                [("sleep", 1), ("send", (0, 0.5e-16))],
-                [("sleep", 1), ("send", (1, 1))],
-                [("sleep", 1), ("send", (0, 0.5e-16))],
-                [("sleep", 1), ("send", (2, 1))],
-            ],
+            [[("sleep", 1), ("requeue", (0.0, 0.25))], [("sleep", 1.125)]],
         ),
     ],
     ids=[
