@@ -5,7 +5,7 @@
     python -m repro run all --output results/ # run everything, save reports
     python -m repro distributed [--elastic [--checkpoint]]  # scaling / churn
     python -m repro bench [--profile]         # sim-kernel perf scenarios
-    python -m repro report [--scale 0.2]      # (re)generate EXPERIMENTS.md
+    python -m repro report [--scale 0.2] [--only fig7 fig8]  # EXPERIMENTS.md
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ import os
 import sys
 from typing import List, Optional
 
-from .experiments import REGISTRY
+from .errors import ConfigurationError
+from .experiments import REGISTRY, run_experiments
 from .experiments import report as report_module
 
 
@@ -30,18 +31,8 @@ def _cmd_list(_args) -> int:
 
 def _cmd_run(args) -> int:
     ids = list(REGISTRY) if args.experiment == "all" else [args.experiment]
-    unknown = [i for i in ids if i not in REGISTRY]
-    if unknown:
-        print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
-        print(f"available: {', '.join(REGISTRY)}", file=sys.stderr)
-        return 2
     failures = 0
-    for experiment_id in ids:
-        runner = REGISTRY[experiment_id]
-        if args.scale is not None and experiment_id not in ("table2", "fig2"):
-            result = runner(scale=args.scale)  # type: ignore[call-arg]
-        else:
-            result = runner()
+    for result in run_experiments(ids, args.scale):
         print(result.render())
         print()
         if args.output:
@@ -245,10 +236,10 @@ def _cmd_scenarios(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    report_module.main(
-        (["--scale", str(args.scale)] if args.scale is not None else [])
-        + ["--output", args.output]
-    )
+    content = report_module.generate(scale=args.scale, experiment_ids=args.only)
+    with open(args.output, "w") as fh:
+        fh.write(content)
+    print(f"wrote {args.output}", file=sys.stderr)
     return 0
 
 
@@ -394,6 +385,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     report_parser = sub.add_parser("report", help="generate EXPERIMENTS.md")
     report_parser.add_argument("--scale", type=float, default=None)
     report_parser.add_argument("--output", default="EXPERIMENTS.md")
+    report_parser.add_argument(
+        "--only", nargs="*", default=None, help="subset of experiment ids"
+    )
 
     args = parser.parse_args(argv)
     commands = {
@@ -407,6 +401,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         status = commands[args.command](args)
         sys.stdout.flush()
+    except ConfigurationError as exc:
+        # a configuration the program refuses (a scale outside (0, 1], an
+        # unknown experiment id): one line on stderr, not a traceback
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # the reader went away (``repro bench --census | head``): point
         # stdout at devnull so the interpreter's exit flush cannot fail

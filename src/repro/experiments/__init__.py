@@ -1,21 +1,19 @@
-"""One experiment runner per paper table/figure.
+"""One experiment per paper table/figure, on one runner.
 
-Each module exposes ``run(...) -> ExperimentReport`` and ``main()``.  The
-registry maps experiment ids to their runners so benchmarks and the report
-generator can enumerate everything:
+Each module holds one experiment's paper claims; :mod:`.common` is the
+runner they share.  Its :data:`REGISTRY` maps experiment ids to their
+runners so benchmarks and the report generator can enumerate everything:
 
     from repro.experiments import REGISTRY
     report = REGISTRY["fig7"]()
     print(report.render())
 """
 
-from typing import Callable, Dict
-
+# Importing a module registers its experiments, so this order is the
+# registry's.  The first block regenerates the paper's tables/figures; the
+# second holds extensions beyond the paper.
 from . import (
-    ablations,
-    artifact_e1,
-    checkpoint,
-    distributed,
+    table2,
     fig1b,
     fig2,
     fig3,
@@ -27,52 +25,19 @@ from . import (
     fig11a,
     fig11bc,
     fig12,
-    scenarios,
-    table2,
-)
-from .common import Check, ExperimentReport, default_scale
-
-#: experiment id -> zero-config runner.  The first block regenerates the
-#: paper's tables/figures; the second holds extensions beyond the paper.
-REGISTRY: Dict[str, Callable[[], ExperimentReport]] = {
-    "table2": table2.run,
-    "fig1b": fig1b.run,
-    "fig2": fig2.run,
-    "fig3": fig3.run,
-    "fig4": fig4.run,
-    "fig7": fig7.run,
-    "fig8": fig8.run,
-    "fig9": fig9.run,
-    "fig10": fig10.run,
-    "fig11a": fig11a.run,
-    "fig11bc": fig11bc.run,
-    "fig12": fig12.run,
-    "artifact_e1": artifact_e1.run,
+    artifact_e1,
     # extensions beyond the paper (§6 discussion, DESIGN.md ablations)
-    "ablations": ablations.run,
-    "distributed": distributed.run,
-    "distributed_elastic": distributed.run_elastic_experiment,
-    "distributed_overlap": distributed.run_overlap_experiment,
-    "distributed_checkpoint": checkpoint.run,
-    "scenarios": scenarios.run,
-}
+    ablations,
+    distributed,
+    checkpoint,
+    scenarios,
+)
+from .common import REGISTRY, Check, ExperimentReport, default_scale, run_experiments
 
 __all__ = [
     "REGISTRY",
     "ExperimentReport",
     "Check",
     "default_scale",
-    "table2",
-    "fig1b",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11a",
-    "fig11bc",
-    "fig12",
-    "artifact_e1",
+    "run_experiments",
 ]

@@ -14,21 +14,31 @@ Speech-3s workload (the most classification-sensitive):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
-from ..analysis import render_table
-from ..sim.runner import run_simulation
+from ..sim.runner import SimResult, run_simulation
 from ..sim.workloads import CONFIG_A, make_workload
-from .common import ExperimentReport, default_scale
+from .common import (
+    USAGE_COLUMNS,
+    ExperimentReport,
+    experiment,
+    gpu_percent,
+    resolve_scale,
+    results_table,
+    seconds,
+)
 
-__all__ = [
-    "run_timeout_percentile",
-    "run_adaptive_workers",
-    "run_slow_pool",
-    "run_preemption_grace",
-    "run",
-    "main",
-]
+
+def _ablation(
+    experiment_id: str, title: str, scale: Optional[float], num_gpus: int
+) -> Tuple[ExperimentReport, Callable[..., SimResult]]:
+    """One part's report, and a function that simulates MinatoLoader with
+    the knobs it is given on Speech-3s at the report's scale."""
+    report = ExperimentReport(experiment_id, title, scale=resolve_scale(scale))
+    workload = make_workload("speech_3s").scaled(report.scale)
+    return report, lambda **knobs: run_simulation(
+        "minato", workload, CONFIG_A, num_gpus, loader_kwargs=knobs
+    )
 
 
 def run_timeout_percentile(
@@ -37,48 +47,38 @@ def run_timeout_percentile(
     num_gpus: int = 4,
 ) -> ExperimentReport:
     """§4.2 choice: which percentile should the slow-sample timeout use?"""
-    scale = scale if scale is not None else default_scale()
-    report = ExperimentReport(
-        experiment_id="ablation_timeout_percentile",
-        title="Ablation: timeout percentile (paper uses P75, fallback P90)",
-        scale=scale,
+    report, minato = _ablation(
+        "ablation_timeout_percentile",
+        "Ablation: timeout percentile (paper uses P75, fallback P90)",
+        scale,
+        num_gpus,
     )
-    workload = make_workload("speech_3s").scaled(scale)
-    rows = []
-    times: Dict[float, float] = {}
-    slow_fractions: Dict[float, float] = {}
-    for percentile in percentiles:
-        for adaptive in (True, False):
-            result = run_simulation(
-                "minato",
-                workload,
-                CONFIG_A,
-                num_gpus,
-                loader_kwargs={
-                    "timeout_percentile": percentile,
-                    # isolate the threshold choice from the skew fallback
-                    "fallback_percentile": max(percentile, 90.0),
-                    "adaptive_workers": adaptive,
-                    "slow_workers": None if adaptive else 24,
-                },
-            )
-            snap = result.extras["profiler"]
-            if adaptive:
-                times[percentile] = result.training_time
-                slow_fractions[percentile] = snap.recent_slow_fraction
-            rows.append(
-                (
-                    f"P{percentile:.0f}",
-                    "adaptive" if adaptive else "fixed",
-                    f"{result.training_time:.1f}",
-                    f"{result.mean_gpu_utilization * 100:.1f}",
-                    f"{snap.recent_slow_fraction * 100:.1f}",
-                )
-            )
-    report.body = render_table(
-        ["percentile", "pools", "time (s)", "GPU %", "recent slow %"],
-        rows,
-        title="Speech-3s, 4x A100:",
+    results = {
+        (f"P{percentile:.0f}", "adaptive" if adaptive else "fixed"): minato(
+            timeout_percentile=percentile,
+            # isolate the threshold choice from the skew fallback
+            fallback_percentile=max(percentile, 90.0),
+            adaptive_workers=adaptive,
+            slow_workers=None if adaptive else 24,
+        )
+        for percentile in percentiles
+        for adaptive in (True, False)
+    }
+    adaptive_runs = {p: results[(f"P{p:.0f}", "adaptive")] for p in percentiles}
+    times = {p: r.training_time for p, r in adaptive_runs.items()}
+    slow_fractions = {
+        p: r.extras["profiler"].recent_slow_fraction
+        for p, r in adaptive_runs.items()
+    }
+    columns = {
+        "time (s)": seconds,
+        "GPU %": gpu_percent,
+        "recent slow %": lambda r: (
+            f"{r.extras['profiler'].recent_slow_fraction * 100:.1f}"
+        ),
+    }
+    report.body = results_table(
+        results, columns, "Speech-3s, 4x A100:", "percentile", "pools"
     )
     report.data["times"] = times
     report.data["slow_fractions"] = slow_fractions
@@ -110,31 +110,19 @@ def run_adaptive_workers(
     scale: Optional[float] = None, num_gpus: int = 4
 ) -> ExperimentReport:
     """§4.3 choice: adaptive pool vs the fixed 12-per-GPU default."""
-    scale = scale if scale is not None else default_scale()
-    report = ExperimentReport(
-        experiment_id="ablation_adaptive_workers",
-        title="Ablation: adaptive worker scheduling (Formulas 1-2) on vs off",
-        scale=scale,
-    )
-    workload = make_workload("speech_3s").scaled(scale)
-    adaptive = run_simulation("minato", workload, CONFIG_A, num_gpus)
-    fixed = run_simulation(
-        "minato",
-        workload,
-        CONFIG_A,
+    report, minato = _ablation(
+        "ablation_adaptive_workers",
+        "Ablation: adaptive worker scheduling (Formulas 1-2) on vs off",
+        scale,
         num_gpus,
-        loader_kwargs={"adaptive_workers": False},
     )
-    rows = [
-        ("adaptive", f"{adaptive.training_time:.1f}",
-         f"{adaptive.mean_gpu_utilization * 100:.1f}",
-         f"{adaptive.cpu_utilization * 100:.1f}"),
-        ("fixed 12/GPU", f"{fixed.training_time:.1f}",
-         f"{fixed.mean_gpu_utilization * 100:.1f}",
-         f"{fixed.cpu_utilization * 100:.1f}"),
-    ]
-    report.body = render_table(
-        ["scheduler", "time (s)", "GPU %", "CPU %"], rows, title="Speech-3s:"
+    adaptive = minato()
+    fixed = minato(adaptive_workers=False)
+    report.body = results_table(
+        {"adaptive": adaptive, "fixed 12/GPU": fixed},
+        USAGE_COLUMNS,
+        "Speech-3s:",
+        "scheduler",
     )
     report.data["adaptive"] = adaptive
     report.data["fixed"] = fixed
@@ -158,30 +146,21 @@ def run_slow_pool(
     num_gpus: int = 4,
 ) -> ExperimentReport:
     """How much background capacity do timed-out samples need?"""
-    scale = scale if scale is not None else default_scale()
-    report = ExperimentReport(
-        experiment_id="ablation_slow_pool",
-        title="Ablation: slow-task worker pool size (fixed pools)",
-        scale=scale,
+    report, minato = _ablation(
+        "ablation_slow_pool",
+        "Ablation: slow-task worker pool size (fixed pools)",
+        scale,
+        num_gpus,
     )
-    workload = make_workload("speech_3s").scaled(scale)
-    times: Dict[int, float] = {}
-    rows = []
-    for pool in pools:
-        result = run_simulation(
-            "minato",
-            workload,
-            CONFIG_A,
-            num_gpus,
-            loader_kwargs={"adaptive_workers": False, "slow_workers": pool},
-        )
-        times[pool] = result.training_time
-        rows.append(
-            (pool, f"{result.training_time:.1f}",
-             f"{result.mean_gpu_utilization * 100:.1f}")
-        )
-    report.body = render_table(
-        ["slow workers", "time (s)", "GPU %"], rows, title="Speech-3s, fixed pools:"
+    results = {
+        pool: minato(adaptive_workers=False, slow_workers=pool) for pool in pools
+    }
+    times = {pool: r.training_time for pool, r in results.items()}
+    report.body = results_table(
+        results,
+        {"time (s)": seconds, "GPU %": gpu_percent},
+        "Speech-3s, fixed pools:",
+        "slow workers",
     )
     report.data["times"] = times
     report.check(
@@ -203,36 +182,20 @@ def run_preemption_grace(
     scale: Optional[float] = None, num_gpus: int = 4
 ) -> ExperimentReport:
     """Preemptive re-execution (paper) vs cooperative boundary handoff."""
-    scale = scale if scale is not None else default_scale()
-    report = ExperimentReport(
-        experiment_id="ablation_preemption",
-        title="Ablation: mid-transform preemption vs cooperative handoff",
-        scale=scale,
-    )
-    workload = make_workload("speech_3s").scaled(scale)
-    preemptive = run_simulation(
-        "minato",
-        workload,
-        CONFIG_A,
+    report, minato = _ablation(
+        "ablation_preemption",
+        "Ablation: mid-transform preemption vs cooperative handoff",
+        scale,
         num_gpus,
-        loader_kwargs={"preempt_grace_abs": 0.1, "preempt_grace_rel": 0.2},
     )
+    preemptive = minato(preempt_grace_abs=0.1, preempt_grace_rel=0.2)
     # enormous grace = always finish the in-flight transform (cooperative)
-    cooperative = run_simulation(
-        "minato",
-        workload,
-        CONFIG_A,
-        num_gpus,
-        loader_kwargs={"preempt_grace_abs": 1e9, "preempt_grace_rel": 1e9},
-    )
-    rows = [
-        ("preemptive (paper)", f"{preemptive.training_time:.1f}",
-         f"{preemptive.mean_gpu_utilization * 100:.1f}"),
-        ("cooperative", f"{cooperative.training_time:.1f}",
-         f"{cooperative.mean_gpu_utilization * 100:.1f}"),
-    ]
-    report.body = render_table(
-        ["mode", "time (s)", "GPU %"], rows, title="Speech-3s:"
+    cooperative = minato(preempt_grace_abs=1e9, preempt_grace_rel=1e9)
+    report.body = results_table(
+        {"preemptive (paper)": preemptive, "cooperative": cooperative},
+        {"time (s)": seconds, "GPU %": gpu_percent},
+        "Speech-3s:",
+        "mode",
     )
     report.data["preemptive"] = preemptive
     report.data["cooperative"] = cooperative
@@ -247,30 +210,16 @@ def run_preemption_grace(
     return report
 
 
-def run(scale: Optional[float] = None) -> ExperimentReport:
+@experiment("ablations", "Design-choice ablations (beyond the paper)")
+def run(report: ExperimentReport) -> None:
     """Run all ablations; the combined report nests the individual bodies."""
-    scale = scale if scale is not None else default_scale()
     parts = [
-        run_timeout_percentile(scale),
-        run_adaptive_workers(scale),
-        run_slow_pool(scale),
-        run_preemption_grace(scale),
+        run_timeout_percentile(report.scale),
+        run_adaptive_workers(report.scale),
+        run_slow_pool(report.scale),
+        run_preemption_grace(report.scale),
     ]
-    combined = ExperimentReport(
-        experiment_id="ablations",
-        title="Design-choice ablations (beyond the paper)",
-        scale=scale,
-    )
-    combined.body = "\n\n".join(f"{p.title}\n{p.body}" for p in parts)
+    report.body = "\n\n".join(f"{p.title}\n{p.body}" for p in parts)
     for part in parts:
-        combined.checks.extend(part.checks)
-        combined.data[part.experiment_id] = part.data
-    return combined
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()
+        report.checks.extend(part.checks)
+        report.data[part.experiment_id] = part.data

@@ -10,57 +10,42 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-from ..analysis import render_table, series_table
-from ..sim.runner import SimResult, run_simulation
+from ..analysis import series_table
 from ..sim.workloads import CONFIG_B, make_workload
-from .common import ExperimentReport, default_scale
-
-__all__ = ["run", "main", "PAPER_E1_SECONDS"]
+from .common import (
+    ExperimentReport,
+    cpu_percent,
+    experiment,
+    gpu_percent,
+    results_table,
+    seconds,
+    sweep,
+)
 
 PAPER_E1_SECONDS = {"pytorch": 210.0, "dali": 151.0, "minato": 81.0}
 
 
-def run(
-    scale: Optional[float] = None, num_gpus: int = 8, epochs: int = 10
-) -> ExperimentReport:
-    scale = scale if scale is not None else default_scale()
-    report = ExperimentReport(
-        experiment_id="artifact_e1",
-        title="Artifact E1/E2: 3D-UNet on 8x V100, 10 epochs",
-        scale=scale,
-    )
+@experiment("artifact_e1", "Artifact E1/E2: 3D-UNet on 8x V100, 10 epochs")
+def run(report: ExperimentReport, num_gpus: int = 8, epochs: int = 10) -> None:
     workload = make_workload("image_segmentation")
-    effective_epochs = max(1, round(epochs * scale * 10))
+    effective_epochs = max(1, round(epochs * report.scale * 10))
     workload = workload.scaled(effective_epochs / workload.epochs)
 
-    results: Dict[str, SimResult] = {}
-    for loader in ("pytorch", "dali", "minato"):
-        results[loader] = run_simulation(loader, workload, CONFIG_B, num_gpus)
-    rows = [
-        (
-            loader,
-            f"{r.training_time:.1f}",
-            f"{PAPER_E1_SECONDS[loader] * effective_epochs / epochs:.0f}",
-            f"{r.mean_gpu_utilization * 100:.1f}",
-            f"{sum(r.gpu_total_utilization) / num_gpus * 100:.1f}",
-            f"{r.cpu_utilization * 100:.1f}",
-        )
-        for loader, r in results.items()
-    ]
+    results = sweep(workload, ("pytorch", "dali", "minato"), CONFIG_B, num_gpus)
+    columns = {
+        "time (s)": seconds,
+        "paper (scaled)": lambda r: (
+            f"{PAPER_E1_SECONDS[r.loader] * effective_epochs / epochs:.0f}"
+        ),
+        "GPU train %": gpu_percent,
+        "GPU total %": lambda r: f"{sum(r.gpu_total_utilization) / num_gpus * 100:.1f}",
+        "CPU %": cpu_percent,
+    }
     report.body = (
-        render_table(
-            [
-                "loader",
-                "time (s)",
-                "paper (scaled)",
-                "GPU train %",
-                "GPU total %",
-                "CPU %",
-            ],
-            rows,
-            title=f"{effective_epochs} epochs, {num_gpus}x V100 (paper runs 10):",
+        results_table(
+            results,
+            columns,
+            f"{effective_epochs} epochs, {num_gpus}x V100 (paper runs 10):",
         )
         + "\n"
         + series_table(results["pytorch"].gpu_series, "pytorch GPU", "")
@@ -104,12 +89,3 @@ def run(
         sum(results["dali"].gpu_total_utilization) / num_gpus >= 0.85,
         f"{sum(results['dali'].gpu_total_utilization) / num_gpus * 100:.1f}%",
     )
-    return report
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

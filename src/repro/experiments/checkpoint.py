@@ -34,15 +34,12 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, Optional
 
-from ..analysis import render_table
 from ..sim.checkpoint import CheckpointPolicy
 from ..sim.cluster import Cluster, ClusterMembership, MembershipEvent
 from ..sim.distributed import DistributedResult, run_elastic
-from ..sim.scenarios import PRESETS, JobSpec, JobMix
+from ..sim.scenarios import PRESETS, JobMix
 from ..sim.workloads import CONFIG_A, make_workload
-from .common import ExperimentReport, default_scale
-
-__all__ = ["run", "main"]
+from .common import ExperimentReport, experiment, results_table
 
 _NODES = 4
 _GPUS = 2
@@ -51,6 +48,19 @@ _DATASET = 24
 _STATE_SCALE = 8.0
 _FAIL_TIME = 12.0
 _INTERVALS = (1, 4, 16)
+
+
+def _policy(interval: Optional[int]) -> Optional[CheckpointPolicy]:
+    """Snapshot every ``interval`` steps; None checkpoints nothing."""
+    if interval is None:
+        return None
+    return CheckpointPolicy(interval_steps=interval, state_scale=_STATE_SCALE)
+
+
+def _membership(fail: bool = True) -> ClusterMembership:
+    """The sweep's nodes; with ``fail``, the last dies at ``_FAIL_TIME``."""
+    events = [MembershipEvent("fail", node=_NODES - 1, time=_FAIL_TIME)]
+    return ClusterMembership(_NODES, events if fail else [])
 
 
 def _run_one(
@@ -62,16 +72,11 @@ def _run_one(
     workload = make_workload(
         "image_segmentation", seed=0, dataset_size=_DATASET
     )
-    events = (
-        [MembershipEvent("fail", node=_NODES - 1, time=_FAIL_TIME)]
-        if fail
-        else []
-    )
     return run_elastic(
         "minato",
         workload,
         CONFIG_A,
-        ClusterMembership(_NODES, events) if cluster is None else None,
+        _membership(fail) if cluster is None else None,
         gpus_per_node=_GPUS,
         total_steps=steps_per_rank * _NODES * _GPUS,
         checkpoint=policy,
@@ -79,15 +84,18 @@ def _run_one(
     )
 
 
+@experiment(
+    "distributed_checkpoint",
+    "Extension: checkpoint-interval economics under failure",
+)
 def run(
-    scale: Optional[float] = None,
+    report: ExperimentReport,
     interval: Optional[int] = None,
     restore: Optional[str] = None,
-) -> ExperimentReport:
+) -> None:
     """Run the experiment; ``interval``/``restore`` (from the CLI's
     ``--checkpoint-interval``/``--restore``) feature one extra arm with
     that exact policy alongside the fixed sweep."""
-    scale = scale if scale is not None else default_scale()
     featured = (
         None
         if interval is None and restore is None
@@ -97,36 +105,12 @@ def run(
             state_scale=_STATE_SCALE,
         )
     )
-    report = ExperimentReport(
-        experiment_id="distributed_checkpoint",
-        title="Extension: checkpoint-interval economics under failure",
-        scale=scale,
-    )
-    steps_per_rank = max(32, round(32 * scale))
+    steps_per_rank = max(32, round(32 * report.scale))
 
     # -- interval sweep under the failure schedule -------------------------
-    sweep: Dict[Optional[int], DistributedResult] = {}
-    rows = []
-    for interval in (None,) + _INTERVALS:
-        policy = (
-            None
-            if interval is None
-            else CheckpointPolicy(
-                interval_steps=interval, state_scale=_STATE_SCALE
-            )
-        )
-        res = _run_one(policy, steps_per_rank)
-        sweep[interval] = res
-        rows.append(
-            (
-                "none" if interval is None else str(interval),
-                f"{res.training_time:.2f}",
-                f"{res.checkpoint_write_seconds:.2f}",
-                f"{res.restore_seconds:.2f}",
-                res.lost_steps,
-                f"{res.checkpoint_bytes / 1e9:.1f}",
-            )
-        )
+    sweep: Dict[Optional[int], DistributedResult] = {
+        k: _run_one(_policy(k), steps_per_rank) for k in (None,) + _INTERVALS
+    }
     small, mid, large = _INTERVALS
     report.check(
         "write overhead falls monotonically with the interval",
@@ -168,17 +152,11 @@ def run(
     )
 
     # -- steady state: no failure, checkpointing is pure overhead ----------
-    quiet_none = _run_one(None, steps_per_rank, fail=False)
-    quiet_small = _run_one(
-        CheckpointPolicy(interval_steps=small, state_scale=_STATE_SCALE),
-        steps_per_rank,
-        fail=False,
-    )
-    quiet_large = _run_one(
-        CheckpointPolicy(interval_steps=large, state_scale=_STATE_SCALE),
-        steps_per_rank,
-        fail=False,
-    )
+    steady = {
+        k: _run_one(_policy(k), steps_per_rank, fail=False)
+        for k in (None, small, large)
+    }
+    quiet_none, quiet_small, quiet_large = steady.values()
     report.check(
         "steady state (no failure): overhead is monotone in snapshot "
         "frequency",
@@ -194,13 +172,7 @@ def run(
 
     # -- storage vs peer restore ------------------------------------------
     peer_cluster = Cluster(
-        ClusterMembership(
-            _NODES,
-            [MembershipEvent("fail", node=_NODES - 1, time=_FAIL_TIME)],
-        ),
-        CONFIG_A,
-        gpus_per_node=_GPUS,
-        topology="flat",
+        _membership(), CONFIG_A, gpus_per_node=_GPUS, topology="flat"
     )
     peer_policy = CheckpointPolicy(
         interval_steps=mid, restore="peer", state_scale=_STATE_SCALE
@@ -225,12 +197,7 @@ def run(
     heavy = PRESETS["checkpoint_heavy"](1.0).run()
     control_mix = PRESETS["checkpoint_heavy"](1.0)
     control = JobMix(
-        [
-            replace(spec, checkpoint=None)
-            if isinstance(spec, JobSpec)
-            else spec
-            for spec in control_mix.jobs
-        ],
+        [replace(spec, checkpoint=None) for spec in control_mix.jobs],
         control_mix.cluster,
     ).run()
     b_with = heavy.job("tenant-b")
@@ -249,21 +216,22 @@ def run(
         ),
     )
 
-    report.body = render_table(
-        [
-            "interval",
-            "makespan (s)",
-            "write (s)",
-            "restore (s)",
-            "lost steps",
-            "ckpt GB",
-        ],
-        rows,
-        title=(
+    columns = {
+        "makespan (s)": lambda r: f"{r.training_time:.2f}",
+        "write (s)": lambda r: f"{r.checkpoint_write_seconds:.2f}",
+        "restore (s)": lambda r: f"{r.restore_seconds:.2f}",
+        "lost steps": lambda r: r.lost_steps,
+        "ckpt GB": lambda r: f"{r.checkpoint_bytes / 1e9:.1f}",
+    }
+    report.body = results_table(
+        {("none" if k is None else str(k)): r for k, r in sweep.items()},
+        columns,
+        (
             f"minato/image_segmentation, {_NODES}x{_GPUS} ranks, "
             f"{steps_per_rank} steps/rank, node {_NODES - 1} fails at "
             f"t={_FAIL_TIME:g}s, state = {_STATE_SCALE:g} x gradient:"
         ),
+        "interval",
     )
     if featured is not None:
         feat = _run_one(featured, steps_per_rank)
@@ -277,19 +245,6 @@ def run(
         report.data["featured"] = feat
 
     report.data["sweep"] = sweep
-    report.data["steady"] = {
-        None: quiet_none,
-        small: quiet_small,
-        large: quiet_large,
-    }
+    report.data["steady"] = steady
     report.data["peer"] = peer_res
     report.data["co_tenant"] = {"with": heavy, "without": control}
-    return report
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -24,9 +24,8 @@ Checks:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from ..analysis import render_table
 from ..data.storage import StorageSpec
 from ..sim.distributed import (
     AllReduceModel,
@@ -36,16 +35,8 @@ from ..sim.distributed import (
     run_distributed,
     run_elastic,
 )
-from ..sim.workloads import CONFIG_A, HardwareConfig, WorkloadSpec, make_workload
-from .common import ExperimentReport, default_scale
-
-__all__ = [
-    "run",
-    "run_elastic_experiment",
-    "run_overlap_experiment",
-    "main",
-    "straggler_config",
-]
+from ..sim.workloads import CONFIG_A, HardwareConfig, make_workload
+from .common import ExperimentReport, experiment, results_table, seconds
 
 
 def straggler_config(base: HardwareConfig) -> HardwareConfig:
@@ -62,34 +53,35 @@ def straggler_config(base: HardwareConfig) -> HardwareConfig:
     )
 
 
+def _straggling(nodes: int) -> List[HardwareConfig]:
+    """Per-node hardware for ``nodes`` nodes, the last one a straggler."""
+    return [CONFIG_A] * (nodes - 1) + [straggler_config(CONFIG_A)]
+
+
+def _gpu_percent(result: DistributedResult) -> str:
+    return f"{result.gpu_utilization * 100:.1f}"
+
+
+@experiment(
+    "distributed",
+    "Extension: multi-node sharded data-parallel training (paper §6)",
+)
 def run(
-    scale: Optional[float] = None,
+    report: ExperimentReport,
     node_counts: Sequence[int] = (1, 2, 4),
     gpus_per_node: int = 2,
-) -> ExperimentReport:
-    scale = scale if scale is not None else default_scale()
-    report = ExperimentReport(
-        experiment_id="distributed",
-        title="Extension: multi-node sharded data-parallel training (paper §6)",
-        scale=scale,
-    )
-    workload = make_workload("speech_3s").scaled(scale)
+) -> None:
+    workload = make_workload("speech_3s").scaled(report.scale)
     steps_per_gpu = max(4, workload.iterations // (max(node_counts) * gpus_per_node))
     allreduce = AllReduceModel()
     straggler_nodes = [n for n in node_counts if n >= 2]
 
     results: Dict[Tuple[str, int, str], DistributedResult] = {}
-    rows = []
     for loader in ("pytorch", "minato"):
         for nodes in node_counts:
             arms = ["uniform"] + (["straggler"] if nodes in straggler_nodes else [])
             for arm in arms:
-                node_hardware = None
-                if arm == "straggler":
-                    node_hardware = [CONFIG_A] * (nodes - 1) + [
-                        straggler_config(CONFIG_A)
-                    ]
-                result = run_distributed(
+                results[(loader, nodes, arm)] = run_distributed(
                     loader,
                     workload,
                     CONFIG_A,
@@ -97,34 +89,24 @@ def run(
                     gpus_per_node=gpus_per_node,
                     allreduce=allreduce,
                     steps_per_gpu=steps_per_gpu,
-                    node_hardware=node_hardware,
+                    node_hardware=_straggling(nodes) if arm == "straggler" else None,
                 )
-                results[(loader, nodes, arm)] = result
-                rows.append(
-                    (
-                        loader,
-                        nodes,
-                        arm,
-                        result.world_size,
-                        f"{result.training_time:.1f}",
-                        f"{result.gpu_utilization * 100:.1f}",
-                        f"{result.sync_seconds_total / max(result.steps, 1) * 1000:.1f}",
-                        f"{allreduce.step_cost(result.world_size) * 1000:.1f}",
-                    )
-                )
-    report.body = render_table(
-        [
-            "loader",
-            "nodes",
-            "arm",
-            "world",
-            "time (s)",
-            "GPU %",
-            "sync + neighbor wait ms/step",
-            "closed form ms/step",
-        ],
-        rows,
-        title=f"Speech-3s, {gpus_per_node} GPUs/node, {steps_per_gpu} steps/GPU:",
+    columns = {
+        "world": lambda r: r.world_size,
+        "time (s)": seconds,
+        "GPU %": _gpu_percent,
+        "sync + neighbor wait ms/step": lambda r: (
+            f"{r.sync_seconds_total / max(r.steps, 1) * 1000:.1f}"
+        ),
+        "closed form ms/step": lambda r: (
+            f"{allreduce.step_cost(r.world_size) * 1000:.1f}"
+        ),
+    }
+    report.body = results_table(
+        results,
+        columns,
+        f"Speech-3s, {gpus_per_node} GPUs/node, {steps_per_gpu} steps/GPU:",
+        "loader", "nodes", "arm",
     )
     report.data["results"] = results
 
@@ -206,7 +188,6 @@ def run(
             speedup > 1.0,
             f"pytorch/minato = {speedup:.2f}x",
         )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -214,19 +195,16 @@ def run(
 # ---------------------------------------------------------------------------
 
 
-def _elastic_workload(scale: float) -> WorkloadSpec:
-    """An epoch-based Speech-3s variant: elastic re-sharding is an
-    epoch-boundary mechanism, so coverage claims need epoch semantics."""
-    base = make_workload("speech_3s", dataset_size=max(96, round(2400 * scale)))
-    return replace(base, iterations=None, epochs=3)
-
-
+@experiment(
+    "distributed_elastic",
+    "Extension: elastic cluster membership on a modelled ring fabric (paper §6)",
+)
 def run_elastic_experiment(
-    scale: Optional[float] = None,
+    report: ExperimentReport,
     nodes: int = 4,
     gpus_per_node: int = 2,
     reshard: str = "stride",
-) -> ExperimentReport:
+) -> None:
     """Elastic distributed training: churn/failure x {minato, pytorch} on
     the modelled ring fabric, ring-vs-closed-form cross-checks, and a
     re-shard-policy arm comparing ``stride`` vs ``locality`` cache warmup.
@@ -234,16 +212,11 @@ def run_elastic_experiment(
     ``reshard`` selects the policy for the scenario matrix (the
     stride-vs-locality comparison arm always runs both).
     """
-    scale = scale if scale is not None else default_scale()
-    report = ExperimentReport(
-        experiment_id="distributed_elastic",
-        title=(
-            "Extension: elastic cluster membership on a modelled ring "
-            "fabric (paper §6)"
-        ),
-        scale=scale,
-    )
-    workload = _elastic_workload(scale)
+    scale = report.scale
+    # an epoch-based Speech-3s variant: elastic re-sharding is an
+    # epoch-boundary mechanism, so coverage claims need epoch semantics
+    base = make_workload("speech_3s", dataset_size=max(96, round(2400 * scale)))
+    workload = replace(base, iterations=None, epochs=3)
     n_samples = len(workload.dataset)
     allreduce = AllReduceModel()
     joiner = nodes  # first free node id
@@ -264,44 +237,35 @@ def run_elastic_experiment(
         ),
     }
 
-    results: Dict[Tuple[str, str], DistributedResult] = {}
-    rows = []
-    for loader in ("pytorch", "minato"):
-        for arm, membership in scenarios.items():
-            result = run_elastic(
-                loader,
-                workload,
-                CONFIG_A,
-                membership,
-                gpus_per_node=gpus_per_node,
-                allreduce=allreduce,
-                reshard=reshard,
-            )
-            results[(loader, arm)] = result
-            rows.append(
-                (
-                    loader,
-                    arm,
-                    "->".join(str(len(m)) for m in result.epoch_membership),
-                    f"{result.training_time:.1f}",
-                    f"{result.gpu_utilization * 100:.1f}",
-                    "/".join(str(c) for c in result.epoch_coverage),
-                )
-            )
-    report.body = render_table(
-        [
-            "loader",
-            "arm",
-            "nodes/epoch",
-            "time (s)",
-            "GPU %",
-            f"coverage (of {n_samples})",
-        ],
-        rows,
-        title=(
+    results: Dict[Tuple[str, str], DistributedResult] = {
+        (loader, arm): run_elastic(
+            loader,
+            workload,
+            CONFIG_A,
+            membership,
+            gpus_per_node=gpus_per_node,
+            allreduce=allreduce,
+            reshard=reshard,
+        )
+        for loader in ("pytorch", "minato")
+        for arm, membership in scenarios.items()
+    }
+    columns = {
+        "nodes/epoch": lambda r: "->".join(str(len(m)) for m in r.epoch_membership),
+        "time (s)": seconds,
+        "GPU %": _gpu_percent,
+        f"coverage (of {n_samples})": lambda r: "/".join(
+            str(c) for c in r.epoch_coverage
+        ),
+    }
+    report.body = results_table(
+        results,
+        columns,
+        (
             f"Speech-3s (epochs={workload.epochs}, {n_samples} samples), "
             f"{nodes} nodes x {gpus_per_node} GPUs, ring fabric:"
         ),
+        "loader", "arm",
     )
     report.data["results"] = results
 
@@ -391,24 +355,22 @@ def run_elastic_experiment(
         for policy in ("stride", "locality")
     }
     report.data["reshard_runs"] = reshard_runs
-    reshard_rows = []
-    for policy, run_result in reshard_runs.items():
-        reshard_rows.append(
-            (
-                policy,
-                "/".join(f"{o:.2f}" for o in run_result.epoch_mean_overlap),
-                "/".join(
-                    f"{mb / 1e6:.1f}" for mb in run_result.epoch_miss_bytes
-                ),
-            )
-        )
-    report.body += "\n\n" + render_table(
-        ["reshard", "mean shard overlap/epoch", "miss MB/epoch"],
-        reshard_rows,
-        title=(
+    columns = {
+        "mean shard overlap/epoch": lambda r: "/".join(
+            f"{o:.2f}" for o in r.epoch_mean_overlap
+        ),
+        "miss MB/epoch": lambda r: "/".join(
+            f"{mb / 1e6:.1f}" for mb in r.epoch_miss_bytes
+        ),
+    }
+    report.body += "\n\n" + results_table(
+        reshard_runs,
+        columns,
+        (
             f"Re-shard policy under churn (minato, {nodes}->{nodes - 1} "
             f"nodes at epoch 1, cache ~1.5x shard):"
         ),
+        "reshard",
     )
     stride_run = reshard_runs["stride"]
     locality_run = reshard_runs["locality"]
@@ -443,10 +405,7 @@ def run_elastic_experiment(
     steps_per_gpu = max(
         4, iter_workload.iterations // (nodes * gpus_per_node)
     )
-    arms = {
-        "uniform": None,
-        "straggler": [CONFIG_A] * (nodes - 1) + [straggler_config(CONFIG_A)],
-    }
+    arms = {"uniform": None, "straggler": _straggling(nodes)}
     fabric_runs = {
         arm: run_distributed(
             "minato",
@@ -486,7 +445,6 @@ def run_elastic_experiment(
         f"{uniform_sync * 1000:.1f} and closed form "
         f"{closed_form * 1000:.1f} ms/step",
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -494,14 +452,19 @@ def run_elastic_experiment(
 # ---------------------------------------------------------------------------
 
 
+@experiment(
+    "distributed_overlap",
+    "Extension: topology-aware collectives with bucketed "
+    "compute/communication overlap (paper §6)",
+)
 def run_overlap_experiment(
-    scale: Optional[float] = None,
+    report: ExperimentReport,
     nodes: int = 2,
     gpus_per_node: int = 2,
     buckets: int = 4,
     topology: str = "hierarchical",
     overlap: bool = True,
-) -> ExperimentReport:
+) -> None:
     """{flat, hierarchical} x {serial, overlap} on the modelled fabric.
 
     The two mechanisms real DDP stacks use to keep gradient synchronization
@@ -520,39 +483,25 @@ def run_overlap_experiment(
     bucketing re-slices but never changes the gradient bytes; exposed <=
     total sync everywhere.
     """
-    scale = scale if scale is not None else default_scale()
-    report = ExperimentReport(
-        experiment_id="distributed_overlap",
-        title=(
-            "Extension: topology-aware collectives with bucketed "
-            "compute/communication overlap (paper §6)"
-        ),
-        scale=scale,
-    )
-    workload = make_workload("speech_3s").scaled(scale)
+    workload = make_workload("speech_3s").scaled(report.scale)
     world = nodes * gpus_per_node
     steps_per_gpu = max(4, workload.iterations // world)
     allreduce = AllReduceModel()
     arms = {
-        ("flat", "serial"): dict(topology="flat", overlap=False, buckets=1),
-        ("flat", "overlap"): dict(
-            topology="flat", overlap=True, buckets=buckets
-        ),
-        ("hierarchical", "serial"): dict(
-            topology="hierarchical", overlap=False, buckets=1
-        ),
-        ("hierarchical", "overlap"): dict(
-            topology="hierarchical", overlap=True, buckets=buckets
-        ),
+        (topo, mode): dict(
+            topology=topo,
+            overlap=mode == "overlap",
+            buckets=buckets if mode == "overlap" else 1,
+        )
+        for topo in ("flat", "hierarchical")
+        for mode in ("serial", "overlap")
     }
     featured = (topology, "overlap" if overlap else "serial")
     if featured not in arms:
         raise ValueError(f"unknown featured arm {featured!r}")
 
-    results: Dict[Tuple[str, str], DistributedResult] = {}
-    rows = []
-    for (topo, mode), kwargs in arms.items():
-        result = run_distributed(
+    results: Dict[Tuple[str, str], DistributedResult] = {
+        arm: run_distributed(
             "minato",
             workload,
             CONFIG_A,
@@ -562,33 +511,25 @@ def run_overlap_experiment(
             steps_per_gpu=steps_per_gpu,
             **kwargs,
         )
-        results[(topo, mode)] = result
-        rows.append(
-            (
-                topo,
-                mode,
-                kwargs["buckets"],
-                f"{result.training_time:.1f}",
-                f"{result.sync_seconds_total / result.steps * 1000:.1f}",
-                f"{result.exposed_sync_seconds / result.steps * 1000:.1f}",
-                f"{result.overlap_efficiency * 100:.0f}",
-            )
-        )
-    report.body = render_table(
-        [
-            "topology",
-            "mode",
-            "buckets",
-            "time (s)",
-            "sync ms/step",
-            "exposed ms/step",
-            "hidden %",
-        ],
-        rows,
-        title=(
+        for arm, kwargs in arms.items()
+    }
+    columns = {
+        "buckets": lambda r: r.buckets,
+        "time (s)": seconds,
+        "sync ms/step": lambda r: f"{r.sync_seconds_total / r.steps * 1000:.1f}",
+        "exposed ms/step": lambda r: (
+            f"{r.exposed_sync_seconds / r.steps * 1000:.1f}"
+        ),
+        "hidden %": lambda r: f"{r.overlap_efficiency * 100:.0f}",
+    }
+    report.body = results_table(
+        results,
+        columns,
+        (
             f"Speech-3s, {nodes} nodes x {gpus_per_node} GPUs, ring fabric, "
             f"{steps_per_gpu} steps/GPU (featured: {featured[0]}+{featured[1]}):"
         ),
+        "topology", "mode",
     )
     report.data["results"] = results
     report.data["featured"] = featured
@@ -710,26 +651,23 @@ def run_overlap_experiment(
         "isolated": isolated,
         "contended": contended,
     }
-    rows = [
+    columns = {
+        "exposed sync (s)": lambda r: f"{r.exposed_sync_seconds:.3f}",
+        "collective wait (s)": lambda r: (
+            f"{r.link_wait_by_class.get('collective', 0.0):.3f}"
+        ),
+        "loader wait (s)": lambda r: (
+            f"{r.link_wait_by_class.get('loader', 0.0):.3f}"
+        ),
+    }
+    report.body += "\n\n" + results_table(
+        report.data["contention_runs"],
+        columns,
         (
-            label,
-            f"{run_result.exposed_sync_seconds:.3f}",
-            f"{run_result.link_wait_by_class.get('collective', 0.0):.3f}",
-            f"{run_result.link_wait_by_class.get('loader', 0.0):.3f}",
-        )
-        for label, run_result in (
-            ("isolated", isolated),
-            ("contended", contended),
-        )
-    ]
-    report.body += "\n\n" + render_table(
-        ["storage path", "exposed sync (s)", "collective wait (s)",
-         "loader wait (s)"],
-        rows,
-        title=(
             "Loader cache misses routed over the NIC "
             "(hierarchical+overlap, cache_fraction=0.5):"
         ),
+        "storage path",
     )
     report.check(
         "loader cross-traffic on the NIC strictly raises exposed sync "
@@ -754,14 +692,3 @@ def run_overlap_experiment(
         f"vs {isolated.link_wait_by_class.get('collective', 0.0):.3f}s; "
         f"classes {sorted(contended.link_wait_by_class)}",
     )
-    return report
-
-
-def main() -> None:
-    print(run().render())
-    print(run_elastic_experiment().render())
-    print(run_overlap_experiment().render())
-
-
-if __name__ == "__main__":
-    main()

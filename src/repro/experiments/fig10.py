@@ -9,39 +9,29 @@ near-peak disk reads.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-from ..analysis import render_table, series_table
+from ..analysis import series_table
 from ..data.synthetic import ReplicatedDataset, SyntheticKiTS19
 from ..engine.models import MODELS
-from ..sim.runner import SimResult, run_simulation
 from ..sim.workloads import CONFIG_B, WorkloadSpec
 from ..transforms import segmentation_pipeline
-from .common import ExperimentReport, default_scale
-
-__all__ = ["run", "main"]
+from .common import USAGE_COLUMNS, ExperimentReport, experiment, results_table, sweep
 
 GB = 1024**3
 
-#: paper-reported training times for the constrained run (seconds)
-PAPER_TIMES = {"pytorch": 650.0, "dali": 500.0, "minato": 330.0}
 
-
+@experiment(
+    "fig10",
+    "Memory-constrained training: 230 GB dataset, 80 GB cache (Fig. 10)",
+)
 def run(
-    scale: Optional[float] = None,
+    report: ExperimentReport,
     replication_factor: int = 8,
     memory_limit_bytes: float = 80 * GB,
     num_gpus: int = 8,
-) -> ExperimentReport:
-    scale = scale if scale is not None else default_scale()
-    report = ExperimentReport(
-        experiment_id="fig10",
-        title="Memory-constrained training: 230 GB dataset, 80 GB cache (Fig. 10)",
-        scale=scale,
-    )
+) -> None:
     base = SyntheticKiTS19()
     dataset = ReplicatedDataset(base, factor=replication_factor)
-    epochs = max(1, round(10 * scale))
+    epochs = max(1, round(10 * report.scale))
     workload = WorkloadSpec(
         name="image_segmentation_230gb",
         dataset=dataset,
@@ -52,26 +42,18 @@ def run(
     )
     hardware = CONFIG_B.with_memory_limit(memory_limit_bytes)
 
-    results: Dict[str, SimResult] = {}
-    for loader in ("pytorch", "dali", "minato"):
-        results[loader] = run_simulation(
-            loader,
-            workload,
-            hardware,
-            num_gpus,
-            cache_fraction=1.0,  # the limit itself is the cap
-        )
-    rows = [
-        (
-            loader,
-            f"{r.training_time:.1f}",
-            f"{r.mean_gpu_utilization * 100:.1f}",
-            f"{r.cpu_utilization * 100:.1f}",
-            f"{r.bytes_from_disk / GB:.0f}",
-            f"{r.cache_hit_rate * 100:.1f}",
-        )
-        for loader, r in results.items()
-    ]
+    results = sweep(
+        workload,
+        ("pytorch", "dali", "minato"),
+        hardware,
+        num_gpus,
+        cache_fraction=1.0,  # the limit itself is the cap
+    )
+    columns = {
+        **USAGE_COLUMNS,
+        "disk read (GB)": lambda r: f"{r.bytes_from_disk / GB:.0f}",
+        "cache hit %": lambda r: f"{r.cache_hit_rate * 100:.1f}",
+    }
     disk_lines = "\n".join(
         series_table(
             [(t, v / GB) for t, v in results[loader].disk_series],
@@ -81,10 +63,10 @@ def run(
         for loader in results
     )
     report.body = (
-        render_table(
-            ["loader", "time (s)", "GPU %", "CPU %", "disk read (GB)", "cache hit %"],
-            rows,
-            title=f"{epochs} epochs over {dataset.total_raw_nbytes() / GB:.0f} GB "
+        results_table(
+            results,
+            columns,
+            f"{epochs} epochs over {dataset.total_raw_nbytes() / GB:.0f} GB "
             f"dataset, {memory_limit_bytes / GB:.0f} GB cache, {num_gpus}x V100:",
         )
         + "\n\n"
@@ -133,12 +115,3 @@ def run(
             cv < 0.8 and mean > 0.3 * hardware.storage.bandwidth,
             f"mean {mean / GB:.2f} GB/s, CV {cv:.2f}",
         )
-    return report
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -12,15 +12,20 @@ matching synthetic workloads:
 Wall-clock per iteration comes from the paper-scale simulations, so the
 curves can be reported both per-iteration (parity) and per-wall-second
 (Minato converges faster).
+
+This is the one experiment whose numbers vary from run to run.  The batch
+orderings come from real threaded loader runs, and which worker thread
+finishes a sample first is the operating system's choice, not the logical
+clock's.  Two runs of ``repro run all`` can differ here and nowhere else:
+at scale 0.02 one run read Minato's segmentation Dice as 0.960, the next
+as 0.961.  Both passed every check; the parity checks allow 0.05 (final
+metric) and 0.12 (any evaluation point) between the loaders.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Tuple
 
-import numpy as np
-
-from ..analysis import render_table
 from ..baselines import TorchLoaderConfig, TorchStyleLoader
 from ..clock import ThreadLocalClock
 from ..core import MinatoConfig, MinatoLoader
@@ -33,12 +38,9 @@ from ..engine.accuracy import (
     make_cluster_data,
     train_with_ordering,
 )
-from ..sim.runner import run_simulation
-from ..sim.workloads import CONFIG_A, make_workload
+from ..sim.workloads import make_workload
 from ..transforms import detection_pipeline, segmentation_pipeline
-from .common import ExperimentReport, default_scale
-
-__all__ = ["run", "main", "collect_orderings"]
+from .common import ExperimentReport, experiment, results_table, sweep
 
 
 def collect_orderings(
@@ -73,132 +75,89 @@ def collect_orderings(
         )
     else:
         raise ValueError(f"unknown loader kind {loader_kind!r}")
-    orderings: List[List[int]] = []
     with loader:
-        for _epoch in range(epochs):
-            for batch in loader:
-                orderings.append(batch.indices)
-    return orderings
+        return [batch.indices for _epoch in range(epochs) for batch in loader]
 
 
-def _train_detection(
-    orderings: List[List[int]],
-    loader_name: str,
-    seconds_per_iteration: float,
-    n_samples: int,
-    eval_every: int,
-) -> AccuracyCurve:
+def _classifier(n_samples: int) -> Tuple[Callable, Callable]:
+    """Detection analog: an MLP on cluster data; (train a batch, score)."""
     x, y = make_cluster_data(n_samples, seed=11)
     x_test, y_test = make_cluster_data(512, seed=12)
     model = MLPClassifier(n_features=x.shape[1], n_classes=int(y.max()) + 1, seed=5)
-
-    def step(indices: Sequence[int]) -> None:
-        idx = [i % n_samples for i in indices]
-        model.train_batch(x[idx], y[idx])
-
-    return train_with_ordering(
-        loader_name,
-        orderings,
-        step,
+    return (
+        lambda idx: model.train_batch(x[idx], y[idx]),
         lambda: model.accuracy(x_test, y_test),
-        eval_every=eval_every,
-        seconds_per_iteration=seconds_per_iteration,
     )
 
 
-def _train_segmentation(
-    orderings: List[List[int]],
-    loader_name: str,
-    seconds_per_iteration: float,
-    n_samples: int,
-    eval_every: int,
-) -> AccuracyCurve:
+def _segmenter(n_samples: int) -> Tuple[Callable, Callable]:
+    """Segmentation analog: a per-pixel segmenter on blob images."""
     images, masks = make_blob_images(n_samples, seed=21)
     test_images, test_masks = make_blob_images(64, seed=22)
     model = PixelSegmenter(seed=5)
-
-    def step(indices: Sequence[int]) -> None:
-        idx = [i % n_samples for i in indices]
-        model.train_batch([images[i] for i in idx], [masks[i] for i in idx])
-
-    return train_with_ordering(
-        loader_name,
-        orderings,
-        step,
+    return (
+        lambda idx: model.train_batch(
+            [images[i] for i in idx], [masks[i] for i in idx]
+        ),
         lambda: model.mean_dice(test_images, test_masks),
-        eval_every=eval_every,
-        seconds_per_iteration=seconds_per_iteration,
     )
 
 
-def run(scale: Optional[float] = None) -> ExperimentReport:
-    scale = scale if scale is not None else default_scale()
-    report = ExperimentReport(
-        experiment_id="fig11a",
-        title="Accuracy preservation with faster convergence (Fig. 11a)",
-        scale=scale,
-    )
-    # wall-clock per iteration from paper-scale sims (per-loader speed)
-    seconds: Dict[str, Dict[str, float]] = {}
-    for workload_name in ("object_detection", "image_segmentation"):
-        workload = make_workload(workload_name).scaled(max(scale, 0.02))
-        per = {}
-        for loader in ("pytorch", "minato"):
-            result = run_simulation(loader, workload, CONFIG_A, 4)
-            per[loader] = result.training_time / max(result.batches, 1)
-        seconds[workload_name] = per
-
-    curves: Dict[str, Dict[str, AccuracyCurve]] = {"detection": {}, "segmentation": {}}
-    n_det = 1200
-    det_dataset = SyntheticCOCO(n_samples=n_det, payload_side=8)
-    det_epochs = max(2, round(8 * scale * 10))
-    n_seg = 210
-    seg_dataset = SyntheticKiTS19(n_samples=n_seg, payload_voxels=64)
-    seg_epochs = max(3, round(12 * scale * 10))
-
-    for loader_kind in ("pytorch", "minato"):
-        det_orderings = collect_orderings(
-            loader_kind, det_dataset, detection_pipeline(), batch_size=16,
-            epochs=det_epochs,
-        )
-        curves["detection"][loader_kind] = _train_detection(
-            det_orderings,
-            loader_kind,
-            seconds["object_detection"][loader_kind],
-            n_det,
-            eval_every=25,
-        )
-        seg_orderings = collect_orderings(
-            loader_kind, seg_dataset, segmentation_pipeline(), batch_size=3,
-            epochs=seg_epochs,
-        )
-        curves["segmentation"][loader_kind] = _train_segmentation(
-            seg_orderings,
-            loader_kind,
-            seconds["image_segmentation"][loader_kind],
-            n_seg,
-            eval_every=25,
-        )
-
+@experiment("fig11a", "Accuracy preservation with faster convergence (Fig. 11a)")
+def run(report: ExperimentReport) -> None:
+    scale = report.scale
+    # task -> (the workload whose simulation times an iteration, the
+    # dataset the threaded loaders order, its pipeline, batch size, epochs,
+    # model, metric)
+    tasks = {
+        "detection": (
+            "object_detection",
+            SyntheticCOCO(n_samples=1200, payload_side=8),
+            detection_pipeline,
+            16,
+            max(2, round(8 * scale * 10)),
+            _classifier,
+            "accuracy ~ bbox mAP",
+        ),
+        "segmentation": (
+            "image_segmentation",
+            SyntheticKiTS19(n_samples=210, payload_voxels=64),
+            segmentation_pipeline,
+            3,
+            max(3, round(12 * scale * 10)),
+            _segmenter,
+            "mean Dice",
+        ),
+    }
+    curves: Dict[str, Dict[str, AccuracyCurve]] = {}
+    columns = {
+        "final metric": lambda c: f"{c.final_metric:.3f}",
+        "iterations": lambda c: len(c.iterations) and c.iterations[-1],
+        "wall time (s)": lambda c: f"{c.total_wall_seconds:.1f}",
+    }
     sections = []
-    for task, per_loader in curves.items():
-        rows = []
-        for loader_kind, curve in per_loader.items():
-            rows.append(
-                (
-                    loader_kind,
-                    f"{curve.final_metric:.3f}",
-                    len(curve.iterations) and curve.iterations[-1],
-                    f"{curve.total_wall_seconds:.1f}",
-                )
+    for task, (name, dataset, pipeline, batch_size, epochs, model, metric) in (
+        tasks.items()
+    ):
+        # wall-clock per iteration from paper-scale sims (per-loader speed)
+        workload = make_workload(name).scaled(max(scale, 0.02))
+        sims = sweep(workload, ("pytorch", "minato"))
+        curves[task] = {}
+        for loader_kind, sim in sims.items():
+            orderings = collect_orderings(
+                loader_kind, dataset, pipeline(), batch_size, epochs
+            )
+            train, evaluate = model(len(dataset))
+            curves[task][loader_kind] = train_with_ordering(
+                loader_kind,
+                orderings,
+                lambda indices: train([i % len(dataset) for i in indices]),
+                evaluate,
+                eval_every=25,
+                seconds_per_iteration=sim.training_time / max(sim.batches, 1),
             )
         sections.append(
-            render_table(
-                ["loader", "final metric", "iterations", "wall time (s)"],
-                rows,
-                title=f"{task} (metric: "
-                f"{'accuracy ~ bbox mAP' if task == 'detection' else 'mean Dice'}):",
-            )
+            results_table(curves[task], columns, f"{task} (metric: {metric}):")
         )
     report.body = "\n\n".join(sections)
     report.data["curves"] = curves
@@ -231,12 +190,3 @@ def run(scale: Optional[float] = None) -> ExperimentReport:
             f"{minato_curve.total_wall_seconds:.1f}s vs "
             f"{torch_curve.total_wall_seconds:.1f}s",
         )
-    return report
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

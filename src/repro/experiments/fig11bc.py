@@ -19,7 +19,7 @@ not modelled cost, would decide composition.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List
 
 import numpy as np
 
@@ -29,9 +29,7 @@ from ..engine.models import MODELS
 from ..sim.runner import run_simulation
 from ..sim.workloads import CONFIG_A, WorkloadSpec
 from ..transforms import detection_pipeline, segmentation_pipeline
-from .common import ExperimentReport, default_scale
-
-__all__ = ["run", "main"]
+from .common import ExperimentReport, experiment
 
 BATCH_SIZE = 4  # paper §5.6
 
@@ -44,10 +42,11 @@ def _ground_truth_slow(dataset, pipeline) -> np.ndarray:
 
 def _torch_batches(dataset, epochs: int, seed: int) -> List[List[int]]:
     sampler = RandomSampler(len(dataset), seed=seed)
-    batches: List[List[int]] = []
-    for epoch in range(epochs):
-        batches.extend(BatchSampler(sampler, BATCH_SIZE).epoch(epoch))
-    return batches
+    return [
+        batch
+        for epoch in range(epochs)
+        for batch in BatchSampler(sampler, BATCH_SIZE).epoch(epoch)
+    ]
 
 
 def _minato_slow_counts(dataset, pipeline, model, epochs: int, seed: int) -> List[int]:
@@ -81,29 +80,23 @@ def _distribution(slow_counts: List[int]) -> np.ndarray:
     return hist / max(hist.sum(), 1)
 
 
-def run(scale: Optional[float] = None, seed: int = 5) -> ExperimentReport:
-    scale = scale if scale is not None else default_scale()
-    report = ExperimentReport(
-        experiment_id="fig11bc",
-        title="Batch composition: slow samples per batch (Fig. 11b/c)",
-        scale=scale,
-    )
+@experiment("fig11bc", "Batch composition: slow samples per batch (Fig. 11b/c)")
+def run(report: ExperimentReport, seed: int = 5) -> None:
     tasks = {
         "object_detection": (
             SyntheticCOCO(n_samples=1500, payload_side=8),
             detection_pipeline(),
             MODELS["maskrcnn"],
-            max(1, round(2 * scale * 10)),
+            max(1, round(2 * report.scale * 10)),
         ),
         "image_segmentation": (
             SyntheticKiTS19(n_samples=210, payload_voxels=64),
             segmentation_pipeline(),
             MODELS["unet3d"],
-            max(2, round(4 * scale * 10)),
+            max(2, round(4 * report.scale * 10)),
         ),
     }
     sections = []
-    data: Dict[str, Dict[str, object]] = {}
     for task, (dataset, pipeline, model, epochs) in tasks.items():
         slow_flags = _ground_truth_slow(dataset, pipeline)
         torch_batches = _torch_batches(dataset, epochs, seed)
@@ -113,15 +106,14 @@ def run(scale: Optional[float] = None, seed: int = 5) -> ExperimentReport:
         minato_dist = _distribution(minato_counts)
         torch_prop = np.array(torch_counts) / BATCH_SIZE
         minato_prop = np.array(minato_counts) / BATCH_SIZE
-        data[task] = {
+        report.data[task] = {
             "torch_dist": torch_dist,
             "minato_dist": minato_dist,
             "torch_prop": torch_prop,
             "minato_prop": minato_prop,
         }
         rows = [
-            [f"{k} slow"]
-            + [f"{torch_dist[k]:.3f}", f"{minato_dist[k]:.3f}"]
+            [f"{k} slow", f"{torch_dist[k]:.3f}", f"{minato_dist[k]:.3f}"]
             for k in range(BATCH_SIZE + 1)
         ]
         rows.append(
@@ -163,13 +155,3 @@ def run(scale: Optional[float] = None, seed: int = 5) -> ExperimentReport:
             f"tail proportion {tail.mean():.3f} vs overall {minato_prop.mean():.3f}",
         )
     report.body = "\n\n".join(sections)
-    report.data.update(data)
-    return report
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -17,14 +17,12 @@ workers as the PyTorch DataLoader, plus its background slow-task pool
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence
 
 from ..analysis import render_table
 from ..sim.runner import LOADER_NAMES, SimResult, run_simulation
 from ..sim.workloads import CONFIG_A, make_workload
-from .common import ExperimentReport, default_scale
-
-__all__ = ["run", "main", "DEFAULT_PROPORTIONS"]
+from .common import ExperimentReport, experiment, sweep
 
 DEFAULT_PROPORTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -35,33 +33,23 @@ _MINATO_KWARGS = {
 }
 
 
+@experiment("fig12", "Training time vs proportion of slow samples (Fig. 12)")
 def run(
-    scale: Optional[float] = None,
+    report: ExperimentReport,
     proportions: Sequence[float] = DEFAULT_PROPORTIONS,
     num_gpus: int = 1,
-) -> ExperimentReport:
-    scale = scale if scale is not None else default_scale()
-    report = ExperimentReport(
-        experiment_id="fig12",
-        title="Training time vs proportion of slow samples (Fig. 12)",
-        scale=scale,
-    )
+) -> None:
     results: Dict[float, Dict[str, SimResult]] = {}
     for p in proportions:
-        workload = make_workload("speech_3s", heavy_fraction=p).scaled(scale)
-        per_loader = {}
-        for loader in LOADER_NAMES:
-            kwargs = dict(_MINATO_KWARGS) if loader == "minato" else {}
-            per_loader[loader] = run_simulation(
-                loader, workload, CONFIG_A, num_gpus, loader_kwargs=kwargs
-            )
-        results[p] = per_loader
-    rows = []
-    for loader in LOADER_NAMES:
-        rows.append(
-            [loader]
-            + [f"{results[p][loader].training_time:.1f}" for p in proportions]
+        workload = make_workload("speech_3s", heavy_fraction=p).scaled(report.scale)
+        results[p] = sweep(workload, ("pytorch", "pecan", "dali"), num_gpus=num_gpus)
+        results[p]["minato"] = run_simulation(
+            "minato", workload, CONFIG_A, num_gpus, loader_kwargs=_MINATO_KWARGS
         )
+    rows = [
+        [loader] + [f"{results[p][loader].training_time:.1f}" for p in proportions]
+        for loader in LOADER_NAMES
+    ]
     report.body = render_table(
         ["loader"] + [f"{p:.0%}" for p in proportions],
         rows,
@@ -112,12 +100,3 @@ def run(
                 f"{k}={v.training_time:.0f}s" for k, v in per_loader.items()
             ),
         )
-    return report
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

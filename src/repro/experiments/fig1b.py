@@ -6,26 +6,19 @@ bursts while the GPU idles), with average GPU usage far below saturation.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..analysis import series_table
 from ..sim.runner import run_simulation
 from ..sim.workloads import CONFIG_A, make_workload
-from .common import ExperimentReport, default_scale
-
-__all__ = ["run", "main"]
+from .common import ExperimentReport, experiment
 
 
-def run(scale: Optional[float] = None, num_gpus: int = 4) -> ExperimentReport:
-    scale = scale if scale is not None else default_scale()
-    report = ExperimentReport(
-        experiment_id="fig1b",
-        title="PyTorch DataLoader CPU/GPU trace during 3D-UNet training (Fig. 1b)",
-        scale=scale,
-    )
-    workload = make_workload("image_segmentation").scaled(scale)
+@experiment(
+    "fig1b", "PyTorch DataLoader CPU/GPU trace during 3D-UNet training (Fig. 1b)"
+)
+def run(report: ExperimentReport, num_gpus: int = 4) -> None:
+    workload = make_workload("image_segmentation").scaled(report.scale)
     result = run_simulation("pytorch", workload, CONFIG_A, num_gpus=num_gpus)
 
     gpu_avg = result.mean_gpu_utilization * 100
@@ -59,12 +52,3 @@ def run(scale: Optional[float] = None, num_gpus: int = 4) -> ExperimentReport:
         gpu_vals.size > 0 and gpu_vals.std() > 0.15,
         f"per-second std {gpu_vals.std():.2f}",
     )
-    return report
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -11,19 +11,14 @@ import numpy as np
 
 from ..analysis import per_sample_costs, render_table
 from ..sim.workloads import make_workload
-from .common import ExperimentReport
-
-__all__ = ["run", "main"]
+from .common import ExperimentReport, experiment
 
 
-def run(n_samples: int = 25, seed: int = 7) -> ExperimentReport:
-    report = ExperimentReport(
-        experiment_id="fig2",
-        title="Per-sample preprocessing time variability (Fig. 2)",
-        scale=1.0,
-    )
+@experiment(
+    "fig2", "Per-sample preprocessing time variability (Fig. 2)", scaled=False
+)
+def run(report: ExperimentReport, n_samples: int = 25, seed: int = 7) -> None:
     sections = []
-    data = {}
     for name, unit, factor in (
         ("image_segmentation", "s", 1.0),
         ("object_detection", "ms", 1000.0),
@@ -34,9 +29,7 @@ def run(n_samples: int = 25, seed: int = 7) -> ExperimentReport:
         picks = rng.choice(len(costs), size=n_samples, replace=False)
         sampled = costs[picks] * factor
         average = costs.mean() * factor
-        rows = [
-            (int(i), f"{value:.2f}") for i, value in zip(range(n_samples), sampled)
-        ]
+        rows = [(i, f"{value:.2f}") for i, value in enumerate(sampled)]
         sections.append(
             render_table(
                 ["Sample index", f"Total time ({unit})"],
@@ -44,7 +37,7 @@ def run(n_samples: int = 25, seed: int = 7) -> ExperimentReport:
                 title=f"{name}: 25 random samples (dataset avg {average:.2f} {unit})",
             )
         )
-        data[name] = {
+        report.data[name] = {
             "sampled": sampled.tolist(),
             "average": float(average),
             "all_costs": (costs * factor).tolist(),
@@ -56,10 +49,9 @@ def run(n_samples: int = 25, seed: int = 7) -> ExperimentReport:
             f"max/min = {spread:.1f}x over 25 samples",
         )
     report.body = "\n\n".join(sections)
-    report.data.update(data)
 
-    seg = np.array(data["image_segmentation"]["all_costs"])
-    det = np.array(data["object_detection"]["all_costs"])
+    seg = np.array(report.data["image_segmentation"]["all_costs"])
+    det = np.array(report.data["object_detection"]["all_costs"])
     report.check(
         "image segmentation spans ~0.01-2.5 s (paper: 10 ms to 2.5 s)",
         seg.min() < 0.05 and seg.max() > 1.2,
@@ -70,12 +62,3 @@ def run(n_samples: int = 25, seed: int = 7) -> ExperimentReport:
         det.min() < 25 and det.max() > 120,
         f"range {det.min():.0f}-{det.max():.0f} ms",
     )
-    return report
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -10,16 +10,12 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from ..analysis import render_table, series_table
+from ..analysis import series_table
 from ..sim.runner import run_simulation
 from ..sim.workloads import CONFIG_A, make_workload
-from .common import ExperimentReport, default_scale
-
-__all__ = ["run", "main"]
+from .common import USAGE_COLUMNS, ExperimentReport, experiment, results_table
 
 
 def _gpu_stability(result) -> float:
@@ -27,15 +23,13 @@ def _gpu_stability(result) -> float:
     return float(values.std()) if values.size else 0.0
 
 
-def run(scale: Optional[float] = None, num_gpus: int = 4) -> ExperimentReport:
-    scale = scale if scale is not None else default_scale()
-    report = ExperimentReport(
-        experiment_id="fig3",
-        title="Prediction heuristics: image size & transformation reordering (Fig. 3)",
-        scale=scale,
-    )
-    det = make_workload("object_detection").scaled(scale)
-    seg = make_workload("image_segmentation").scaled(scale)
+@experiment(
+    "fig3",
+    "Prediction heuristics: image size & transformation reordering (Fig. 3)",
+)
+def run(report: ExperimentReport, num_gpus: int = 4) -> None:
+    det = make_workload("object_detection").scaled(report.scale)
+    seg = make_workload("image_segmentation").scaled(report.scale)
 
     runs = {
         "pytorch(det)": run_simulation("pytorch", det, CONFIG_A, num_gpus),
@@ -49,22 +43,14 @@ def run(scale: Optional[float] = None, num_gpus: int = 4) -> ExperimentReport:
         ),
         "timeout(seg)": run_simulation("minato", seg, CONFIG_A, num_gpus),
     }
-    rows = [
-        (
-            label,
-            f"{r.training_time:.1f}",
-            f"{r.mean_gpu_utilization * 100:.1f}",
-            f"{r.cpu_utilization * 100:.1f}",
-            f"{_gpu_stability(r):.3f}",
-        )
-        for label, r in runs.items()
-    ]
+    columns = {**USAGE_COLUMNS, "GPU stddev": lambda r: f"{_gpu_stability(r):.3f}"}
     report.body = "\n\n".join(
         [
-            render_table(
-                ["setup", "time (s)", "GPU %", "CPU %", "GPU stddev"],
-                rows,
-                title="Heuristic classification vs measured-timeout classification:",
+            results_table(
+                runs,
+                columns,
+                "Heuristic classification vs measured-timeout classification:",
+                "setup",
             ),
             series_table(
                 runs["size-heuristic(det)"].gpu_series, "GPU size-heur (det)", ""
@@ -107,12 +93,3 @@ def run(scale: Optional[float] = None, num_gpus: int = 4) -> ExperimentReport:
         f"pecan {runs['pecan(det)'].training_time:.1f}s vs "
         f"pytorch {runs['pytorch(det)'].training_time:.1f}s",
     )
-    return report
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

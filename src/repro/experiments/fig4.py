@@ -7,14 +7,12 @@ the per-sample transformation cost, so increasing them yields little.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from ..analysis import render_table
 from ..sim.runner import run_simulation
 from ..sim.workloads import CONFIG_A, make_workload
-from .common import ExperimentReport, default_scale
-
-__all__ = ["run", "main", "PYTORCH_SWEEPS", "DALI_SWEEPS"]
+from .common import ExperimentReport, experiment
 
 #: paper Fig. 4a x-axes per workload
 PYTORCH_SWEEPS: Dict[str, List[int]] = {
@@ -29,86 +27,52 @@ DALI_SWEEPS: Dict[str, List[int]] = {
     "object_detection": [2, 8, 16, 24],
 }
 
+#: loader -> (its prefetch knob, the x-axes, the names the table and the
+#: checks give the loader, the sweep and the knob)
+_SWEEPS = {
+    "pytorch": (
+        "prefetch_factor", PYTORCH_SWEEPS, "PyTorch", "prefetch", "prefetch_factor"
+    ),
+    "dali": ("prefetch_queue_depth", DALI_SWEEPS, "DALI", "queue-depth", "depth"),
+}
 
-def run(scale: Optional[float] = None, num_gpus: int = 4) -> ExperimentReport:
-    scale = scale if scale is not None else default_scale()
-    report = ExperimentReport(
-        experiment_id="fig4",
-        title="Impact of prefetch parameters on training time (Fig. 4)",
-        scale=scale,
-    )
+
+@experiment("fig4", "Impact of prefetch parameters on training time (Fig. 4)")
+def run(report: ExperimentReport, num_gpus: int = 4) -> None:
     sections = []
-    torch_times: Dict[str, List[Tuple[int, float]]] = {}
-    for workload_name, factors in PYTORCH_SWEEPS.items():
-        workload = make_workload(workload_name).scaled(scale)
-        times = []
-        for factor in factors:
-            result = run_simulation(
-                "pytorch",
-                workload,
-                CONFIG_A,
-                num_gpus,
-                loader_kwargs={"prefetch_factor": factor},
+    for loader, (knob, sweeps, name, sweep_name, knob_name) in _SWEEPS.items():
+        report.data[loader] = {}
+        for workload_name, values in sweeps.items():
+            workload = make_workload(workload_name).scaled(report.scale)
+            times = [
+                (
+                    value,
+                    run_simulation(
+                        loader,
+                        workload,
+                        CONFIG_A,
+                        num_gpus,
+                        loader_kwargs={knob: value},
+                    ).training_time,
+                )
+                for value in values
+            ]
+            report.data[loader][workload_name] = times
+            sections.append(
+                render_table(
+                    [knob, "training time (s)"],
+                    [(v, f"{t:.1f}") for v, t in times],
+                    title=f"{name} {knob} sweep - {workload_name}:",
+                )
             )
-            times.append((factor, result.training_time))
-        torch_times[workload_name] = times
-        sections.append(
-            render_table(
-                ["prefetch_factor", "training time (s)"],
-                [(f, f"{t:.1f}") for f, t in times],
-                title=f"PyTorch prefetch_factor sweep - {workload_name}:",
+            base = times[0][1]
+            best = min(t for _v, t in times)
+            improvement = (base - best) / base
+            report.check(
+                f"{name} {sweep_name} sweep yields <10% improvement "
+                f"({workload_name})",
+                improvement < 0.10,
+                f"best improvement {improvement:.1%} over "
+                f"{knob_name}={times[0][0]}",
             )
-        )
-
-    dali_times: Dict[str, List[Tuple[int, float]]] = {}
-    for workload_name, depths in DALI_SWEEPS.items():
-        workload = make_workload(workload_name).scaled(scale)
-        times = []
-        for depth in depths:
-            result = run_simulation(
-                "dali",
-                workload,
-                CONFIG_A,
-                num_gpus,
-                loader_kwargs={"prefetch_queue_depth": depth},
-            )
-            times.append((depth, result.training_time))
-        dali_times[workload_name] = times
-        sections.append(
-            render_table(
-                ["prefetch_queue_depth", "training time (s)"],
-                [(d, f"{t:.1f}") for d, t in times],
-                title=f"DALI prefetch_queue_depth sweep - {workload_name}:",
-            )
-        )
     report.body = "\n\n".join(sections)
-    report.data["pytorch"] = torch_times
-    report.data["dali"] = dali_times
-
-    for workload_name, times in torch_times.items():
-        base = times[0][1]
-        best = min(t for _f, t in times)
-        improvement = (base - best) / base
-        report.check(
-            f"PyTorch prefetch sweep yields <10% improvement ({workload_name})",
-            improvement < 0.10,
-            f"best improvement {improvement:.1%} over prefetch_factor=2",
-        )
-    for workload_name, times in dali_times.items():
-        base = times[0][1]
-        best = min(t for _d, t in times)
-        improvement = (base - best) / base
-        report.check(
-            f"DALI queue-depth sweep yields <10% improvement ({workload_name})",
-            improvement < 0.10,
-            f"best improvement {improvement:.1%} over depth=2",
-        )
-    return report
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -10,14 +10,10 @@ throughput claims (§5.2):
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-from ..analysis import render_table, series_table
-from ..sim.runner import LOADER_NAMES, SimResult, run_simulation
-from ..sim.workloads import CONFIG_A, WORKLOAD_NAMES, make_workload
-from .common import ExperimentReport, default_scale
-
-__all__ = ["run", "main", "THROUGHPUT_RATIO_BANDS"]
+from ..analysis import series_table
+from ..sim.runner import LOADER_NAMES, MB
+from ..sim.workloads import WORKLOAD_NAMES, make_workload
+from .common import ExperimentReport, experiment, results_table, seconds, sweep
 
 #: (vs_pytorch_band, vs_dali_band) acceptance ranges per workload.  Bands are
 #: generous around the paper's reported factors: the simulator's CPU pool
@@ -31,44 +27,28 @@ THROUGHPUT_RATIO_BANDS = {
 }
 
 
-def run(scale: Optional[float] = None, num_gpus: int = 4) -> ExperimentReport:
-    scale = scale if scale is not None else default_scale()
-    report = ExperimentReport(
-        experiment_id="fig7",
-        title="Throughput (MB/s) of all data loaders, 4x A100 (Fig. 7)",
-        scale=scale,
-    )
+@experiment("fig7", "Throughput (MB/s) of all data loaders, 4x A100 (Fig. 7)")
+def run(report: ExperimentReport, num_gpus: int = 4) -> None:
+    results = {
+        name: sweep(make_workload(name).scaled(report.scale), num_gpus=num_gpus)
+        for name in WORKLOAD_NAMES
+    }
+    columns = {
+        "avg throughput (MB/s)": lambda r: f"{r.throughput_mb_per_s:.1f}",
+        "training time (s)": seconds,
+    }
     sections = []
-    results: Dict[str, Dict[str, SimResult]] = {}
-    for workload_name in WORKLOAD_NAMES:
-        workload = make_workload(workload_name).scaled(scale)
-        per_loader: Dict[str, SimResult] = {}
-        for loader in LOADER_NAMES:
-            per_loader[loader] = run_simulation(loader, workload, CONFIG_A, num_gpus)
-        results[workload_name] = per_loader
-        rows = [
-            (
-                loader,
-                f"{r.throughput_mb_per_s:.1f}",
-                f"{r.training_time:.1f}",
-            )
-            for loader, r in per_loader.items()
-        ]
-        mb = 1024 * 1024
+    for workload_name, per_loader in results.items():
         series_lines = "\n".join(
             series_table(
-                [(t, v / mb) for t, v in per_loader[loader].throughput_series],
+                [(t, v / MB) for t, v in per_loader[loader].throughput_series],
                 f"{loader} MB/s",
                 "",
             )
             for loader in LOADER_NAMES
         )
         sections.append(
-            render_table(
-                ["loader", "avg throughput (MB/s)", "training time (s)"],
-                rows,
-                title=f"{workload_name}:",
-            )
+            results_table(per_loader, columns, f"{workload_name}:")
             + "\n"
             + series_lines
         )
@@ -108,12 +88,3 @@ def run(scale: Optional[float] = None, num_gpus: int = 4) -> ExperimentReport:
             abs(pecan - torch) <= 0.2 * torch,
             f"pecan {pecan:.1f} vs pytorch {torch:.1f} MB/s",
         )
-    return report
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

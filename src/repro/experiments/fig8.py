@@ -11,47 +11,33 @@ Paper §5.3 claims:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from ..analysis import series_table
+from ..sim.workloads import WORKLOAD_NAMES, make_workload
+from .common import (
+    ExperimentReport,
+    cpu_percent,
+    experiment,
+    gpu_percent,
+    results_table,
+    sweep,
+)
 
-from ..analysis import render_table, series_table
-from ..sim.runner import LOADER_NAMES, SimResult, run_simulation
-from ..sim.workloads import CONFIG_A, WORKLOAD_NAMES, make_workload
-from .common import ExperimentReport, default_scale
 
-__all__ = ["run", "main"]
-
-
-def run(scale: Optional[float] = None, num_gpus: int = 4) -> ExperimentReport:
-    scale = scale if scale is not None else default_scale()
-    report = ExperimentReport(
-        experiment_id="fig8",
-        title="CPU and GPU usage for all systems, 4x A100 (Fig. 8)",
-        scale=scale,
-    )
-    results: Dict[str, Dict[str, SimResult]] = {}
+@experiment("fig8", "CPU and GPU usage for all systems, 4x A100 (Fig. 8)")
+def run(report: ExperimentReport, num_gpus: int = 4) -> None:
+    results = {
+        name: sweep(make_workload(name).scaled(report.scale), num_gpus=num_gpus)
+        for name in WORKLOAD_NAMES
+    }
+    columns = {
+        "GPU train %": gpu_percent,
+        "GPU total %": lambda r: f"{sum(r.gpu_total_utilization) / num_gpus * 100:.1f}",
+        "CPU %": cpu_percent,
+    }
     sections = []
-    for workload_name in WORKLOAD_NAMES:
-        workload = make_workload(workload_name).scaled(scale)
-        per_loader = {
-            loader: run_simulation(loader, workload, CONFIG_A, num_gpus)
-            for loader in LOADER_NAMES
-        }
-        results[workload_name] = per_loader
-        rows = [
-            (
-                loader,
-                f"{r.mean_gpu_utilization * 100:.1f}",
-                f"{sum(r.gpu_total_utilization) / len(r.gpu_total_utilization) * 100:.1f}",
-                f"{r.cpu_utilization * 100:.1f}",
-            )
-            for loader, r in per_loader.items()
-        ]
+    for workload_name, per_loader in results.items():
         sections.append(
-            render_table(
-                ["loader", "GPU train %", "GPU total %", "CPU %"],
-                rows,
-                title=f"{workload_name}:",
-            )
+            results_table(per_loader, columns, f"{workload_name}:")
             + "\n"
             + series_table(per_loader["pytorch"].gpu_series, "pytorch GPU", "")
             + "\n"
@@ -60,12 +46,11 @@ def run(scale: Optional[float] = None, num_gpus: int = 4) -> ExperimentReport:
     report.body = "\n\n".join(sections)
     report.data["results"] = results
 
-    def mean_over_workloads(loader: str, attribute) -> float:
-        values = [attribute(results[w][loader]) for w in WORKLOAD_NAMES]
-        return sum(values) / len(values)
-
-    torch_avg = mean_over_workloads("pytorch", lambda r: r.mean_gpu_utilization)
-    minato_avg = mean_over_workloads("minato", lambda r: r.mean_gpu_utilization)
+    torch_avg, minato_avg = (
+        sum(results[w][loader].mean_gpu_utilization for w in WORKLOAD_NAMES)
+        / len(WORKLOAD_NAMES)
+        for loader in ("pytorch", "minato")
+    )
     report.check(
         "PyTorch averages poor GPU utilization (paper: 46.4%)",
         0.25 <= torch_avg <= 0.65,
@@ -107,12 +92,3 @@ def run(scale: Optional[float] = None, num_gpus: int = 4) -> ExperimentReport:
         minato_vision_cpu <= 0.30,
         f"max {minato_vision_cpu * 100:.1f}%",
     )
-    return report
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -10,53 +10,41 @@ Paper claims:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..analysis import render_table
-from ..sim.runner import LOADER_NAMES, SimResult, run_simulation
+from ..sim.runner import LOADER_NAMES, SimResult
 from ..sim.workloads import CONFIG_A, CONFIG_B, WORKLOAD_NAMES, make_workload
-from .common import ExperimentReport, default_scale
-
-__all__ = ["run", "main"]
+from .common import ExperimentReport, experiment, sweep
 
 #: default GPU sweeps (paper: A100 1-4, V100 2-8)
 A100_COUNTS = (1, 2, 3, 4)
 V100_COUNTS = (2, 4, 6, 8)
 
 
+@experiment("fig9", "Training time vs number of GPUs, A100 & V100 (Fig. 9)")
 def run(
-    scale: Optional[float] = None,
+    report: ExperimentReport,
     a100_counts: Sequence[int] = A100_COUNTS,
     v100_counts: Sequence[int] = V100_COUNTS,
     workloads: Sequence[str] = WORKLOAD_NAMES,
-) -> ExperimentReport:
-    scale = scale if scale is not None else default_scale()
-    report = ExperimentReport(
-        experiment_id="fig9",
-        title="Training time vs number of GPUs, A100 & V100 (Fig. 9)",
-        scale=scale,
-    )
+) -> None:
     sections = []
     results: Dict[Tuple[str, str], Dict[str, List[Tuple[int, SimResult]]]] = {}
     testbeds = (("config_a", CONFIG_A, a100_counts), ("config_b", CONFIG_B, v100_counts))
     for hw_name, hardware, counts in testbeds:
         for workload_name in workloads:
-            workload = make_workload(workload_name).scaled(scale)
-            per_loader: Dict[str, List[Tuple[int, SimResult]]] = {}
-            for loader in LOADER_NAMES:
-                sweeps = []
-                for n in counts:
-                    sweeps.append(
-                        (n, run_simulation(loader, workload, hardware, n))
-                    )
-                per_loader[loader] = sweeps
+            workload = make_workload(workload_name).scaled(report.scale)
+            runs = {n: sweep(workload, hardware=hardware, num_gpus=n) for n in counts}
+            per_loader = {
+                loader: [(n, runs[n][loader]) for n in counts]
+                for loader in LOADER_NAMES
+            }
             results[(hw_name, workload_name)] = per_loader
-            rows = []
-            for loader in LOADER_NAMES:
-                rows.append(
-                    [loader]
-                    + [f"{r.training_time:.1f}" for _n, r in per_loader[loader]]
-                )
+            rows = [
+                [loader] + [f"{r.training_time:.1f}" for _n, r in per]
+                for loader, per in per_loader.items()
+            ]
             sections.append(
                 render_table(
                     ["loader"] + [f"{n} GPU" for n in counts],
@@ -131,12 +119,3 @@ def run(
                 f"minato@{counts[0]} GPU util "
                 f"{minato_single_result.mean_gpu_utilization * 100:.0f}%",
             )
-    return report
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

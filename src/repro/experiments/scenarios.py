@@ -20,51 +20,32 @@ story:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict
 
 from ..analysis import render_table
 from ..sim.distributed import DistributedResult
 from ..sim.scenarios import PRESETS, JobMix, MixResult
-from .common import ExperimentReport, default_scale
-
-__all__ = ["run", "main"]
+from .common import ExperimentReport, experiment
 
 
-def _solo(mix: JobMix, index: int) -> DistributedResult:
-    """The mix's ``index``-th job alone on an identical private cluster."""
-    spec = mix.jobs[index]
+def _solo(
+    build: Callable[[float], JobMix], scale: float, job_id: str
+) -> DistributedResult:
+    """A preset mix's job ``job_id`` alone on an identical private cluster:
+    a fresh build of the preset's own."""
+    mix = build(scale)
+    spec = next(spec for spec in mix.jobs if spec.job_id == job_id)
     solo_spec = type(spec)(**{**spec.__dict__, "arrival": 0.0})
-    membership = mix.cluster.membership
-    rebuilt = type(mix.cluster)(
-        type(membership)(
-            membership.initial_nodes,
-            events=membership.events,
-            partitions=membership.partitions,
-        ),
-        mix.cluster.hardware,
-        gpus_per_node=mix.cluster.gpus_per_node,
-        cache_fraction=mix.cluster.cache_fraction,
-        topology=mix.cluster.topology_name,
-        link_latency=mix.cluster.link_latency,
-        link_bandwidth=mix.cluster.link_bandwidth,
-    )
-    return JobMix([solo_spec], rebuilt).run().jobs[0]
+    return JobMix([solo_spec], mix.cluster).run().jobs[0]
 
 
-def run(scale: Optional[float] = None) -> ExperimentReport:
-    scale = scale if scale is not None else default_scale()
-    report = ExperimentReport(
-        experiment_id="scenarios",
-        title="Extension: multi-tenant job mixes on a shared cluster",
-        scale=scale,
-    )
+@experiment("scenarios", "Extension: multi-tenant job mixes on a shared cluster")
+def run(report: ExperimentReport) -> None:
     # presets scale their cluster-wide step budgets; the (0,1] experiment
     # scale maps onto that directly
-    results: Dict[str, MixResult] = {}
-    mixes: Dict[str, JobMix] = {}
-    for name, build in PRESETS.items():
-        mixes[name] = build(scale)
-        results[name] = mixes[name].run()
+    results: Dict[str, MixResult] = {
+        name: build(report.scale).run() for name, build in PRESETS.items()
+    }
 
     rows = []
     for name, mix_result in results.items():
@@ -99,12 +80,8 @@ def run(scale: Optional[float] = None) -> ExperimentReport:
     )
 
     steady = results["steady"]
-    solos = {
-        spec.job_id: _solo(mixes["steady"], i)
-        for i, spec in enumerate(mixes["steady"].jobs)
-    }
     for res in steady.jobs:
-        alone = solos[res.job_id].training_time
+        alone = _solo(PRESETS["steady"], report.scale, res.job_id).training_time
         shared = steady.per_job_makespan[res.job_id]
         report.check(
             f"steady: {res.job_id} is strictly slower sharing the cluster",
@@ -157,27 +134,4 @@ def run(scale: Optional[float] = None) -> ExperimentReport:
         f"{heavy.checkpoint_write_seconds:.2f}s of checkpoint writes",
     )
 
-    report.data = {
-        name: {
-            res.job_id: {
-                "steps": res.steps,
-                "makespan": results[name].per_job_makespan[res.job_id],
-                "storage_wait_seconds": res.storage_wait_seconds,
-                "link_wait_seconds": res.link_wait_seconds,
-                "partition_stall_seconds": res.partition_stall_seconds,
-                "cache_hit_bytes": res.cache_hit_bytes,
-                "cache_miss_bytes": res.cache_miss_bytes,
-            }
-            for res in results[name].jobs
-        }
-        for name in results
-    }
-    return report
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    report.data["results"] = results

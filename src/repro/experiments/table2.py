@@ -10,9 +10,7 @@ from typing import Dict, Optional, Tuple
 
 from ..analysis import per_sample_costs, preprocessing_stats, render_table
 from ..sim.workloads import WORKLOAD_NAMES, make_workload
-from .common import ExperimentReport
-
-__all__ = ["run", "main", "PAPER_TABLE2"]
+from .common import ExperimentReport, experiment
 
 #: paper Table 2 rows: (avg, med, p75, p90, min, max, std) in milliseconds
 PAPER_TABLE2: Dict[str, Tuple[float, ...]] = {
@@ -26,12 +24,10 @@ PAPER_TABLE2: Dict[str, Tuple[float, ...]] = {
 _TOLERANCES = {"avg": 0.15, "med": 0.15, "p75": 0.15, "p90": 0.15}
 
 
-def run(dataset_size: Optional[int] = None) -> ExperimentReport:
-    report = ExperimentReport(
-        experiment_id="table2",
-        title="Preprocessing time statistics per workload (Table 2)",
-        scale=1.0,
-    )
+@experiment(
+    "table2", "Preprocessing time statistics per workload (Table 2)", scaled=False
+)
+def run(report: ExperimentReport, dataset_size: Optional[int] = None) -> None:
     rows = []
     measured = {}
     for name in WORKLOAD_NAMES:
@@ -69,10 +65,9 @@ def run(dataset_size: Optional[int] = None) -> ExperimentReport:
         }
         for key, (got, want) in values.items():
             tol = _TOLERANCES[key]
-            ok = abs(got - want) <= tol * want
             report.check(
                 f"{name} {key} within {tol:.0%} of paper",
-                ok,
+                abs(got - want) <= tol * want,
                 f"measured {got:.0f} ms vs paper {want:.0f} ms",
             )
         # long tail present (max far above median)
@@ -81,12 +76,3 @@ def run(dataset_size: Optional[int] = None) -> ExperimentReport:
             stats.maximum > 3 * stats.median,
             f"max {stats.maximum:.0f} ms vs median {stats.median:.0f} ms",
         )
-    return report
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

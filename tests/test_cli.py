@@ -299,10 +299,49 @@ def test_report_generator_subset(tmp_path):
     )
     assert "## fig2:" in content
     assert "Shape checks" in content
-    report_module.main(
-        ["--scale", "0.02", "--only", "fig2", "--output", str(tmp_path / "E.md")]
-    )
-    assert os.path.exists(tmp_path / "E.md")
+    out = tmp_path / "E.md"
+    argv = ["report", "--scale", "0.02", "--only", "fig2", "--output", str(out)]
+    assert main(argv) == 0
+    assert "## fig2:" in out.read_text()
+    assert "## fig1b:" not in out.read_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "fig1b", "--scale", "5"],
+        ["run", "scenarios", "--scale", "5"],
+        ["run", "scenarios", "--scale", "-1"],
+        ["run", "table2", "--scale", "0"],
+        ["run", "all", "--scale", "5"],
+        ["report", "--scale", "5"],
+    ],
+)
+def test_cli_refuses_a_scale_outside_the_unit_interval(argv, tmp_path, capsys):
+    """One scale rule: an explicit scale outside (0, 1] is refused before
+    any experiment runs, for every experiment and for the report (which
+    then writes no file)."""
+    out = tmp_path / "E.md"
+    if argv[0] == "report":
+        argv = argv + ["--output", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "(0, 1]" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("module", ["fig1b", "scenarios"])
+@pytest.mark.parametrize("scale", [5, -1, 0])
+def test_runner_refuses_a_scale_outside_the_unit_interval(module, scale):
+    import importlib
+
+    from repro.errors import ConfigurationError
+
+    run = importlib.import_module(f"repro.experiments.{module}").run
+    with pytest.raises(ConfigurationError, match=r"\(0, 1\]"):
+        run(scale=scale)
 
 
 def test_cli_requires_command():

@@ -68,6 +68,29 @@ def test_default_scale_env(monkeypatch):
     assert default_scale() == pytest.approx(0.1)
 
 
+def test_runners_keep_their_signatures():
+    """The runner builds the report; the public entry points keep the
+    parameters callers pass (scale first, where the experiment scales)."""
+    import inspect
+
+    from repro.experiments import distributed, fig7, fig11a
+
+    def params(run):
+        return list(inspect.signature(run).parameters)
+
+    assert params(fig7.run) == ["scale", "num_gpus"]
+    assert params(fig12.run) == ["scale", "proportions", "num_gpus"]
+    assert params(distributed.run_elastic_experiment) == [
+        "scale", "nodes", "gpus_per_node", "reshard"
+    ]
+    assert params(table2.run) == ["dataset_size"]
+    assert params(fig2.run) == ["n_samples", "seed"]
+    assert fig12.run(SMALL, (0.0,)).data["results"].keys() == {0.0}
+    assert params(fig11a.collect_orderings)[:5] == [
+        "loader_kind", "dataset", "pipeline", "batch_size", "epochs"
+    ]
+
+
 def test_table2_full_fidelity():
     """Table 2 is cheap enough to check fully in the unit suite."""
     report = table2.run()
