@@ -63,6 +63,10 @@ class TorchLoaderConfig:
             raise ConfigurationError(
                 f"prefetch_factor must be >= 1, got {self.prefetch_factor}"
             )
+        if self.queue_capacity < 1:
+            raise ConfigurationError(
+                f"queue_capacity must be >= 1, got {self.queue_capacity}"
+            )
         if self.pin_memory_bandwidth is not None and self.pin_memory_bandwidth <= 0:
             raise ConfigurationError("pin_memory_bandwidth must be positive")
 

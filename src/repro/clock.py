@@ -28,7 +28,6 @@ __all__ = [
     "RealClock",
     "ScaledClock",
     "ThreadLocalClock",
-    "MonotonicStamp",
 ]
 
 
@@ -139,23 +138,3 @@ class ThreadLocalClock(Clock):
     def reset(self) -> None:
         """Reset the calling thread's timeline to zero."""
         self._local.t = 0.0
-
-
-class MonotonicStamp:
-    """Tiny helper that measures elapsed virtual time against a clock."""
-
-    __slots__ = ("_clock", "_start")
-
-    def __init__(self, clock: Clock) -> None:
-        self._clock = clock
-        self._start = clock.now()
-
-    @property
-    def start(self) -> float:
-        return self._start
-
-    def elapsed(self) -> float:
-        return self._clock.now() - self._start
-
-    def restart(self) -> None:
-        self._start = self._clock.now()

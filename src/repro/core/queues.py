@@ -34,11 +34,7 @@ from typing import Any, Callable, Optional
 
 from ..errors import LoaderStateError
 
-__all__ = ["Doorbell", "WorkQueue", "QueueClosed", "DEFAULT_SOFT_CAPACITY"]
-
-#: reference occupancy denominator for unbounded queues: scheduler feedback
-#: needs a finite "full" point, and this matches the default bounded capacity
-DEFAULT_SOFT_CAPACITY = 100
+__all__ = ["Doorbell", "WorkQueue", "QueueClosed"]
 
 
 class QueueClosed(LoaderStateError):
@@ -98,9 +94,9 @@ class Doorbell:
 
 
 class WorkQueue:
-    """Bounded MPMC FIFO with close and abort semantics (``capacity=0``:
-    unbounded).
+    """Bounded MPMC FIFO with close and abort semantics.
 
+    ``capacity`` is at least 1: no loader builds an unbounded queue.
     ``low_water`` is the occupancy at which producers parked on a full queue
     are released, ``capacity - 1`` unless given; ``doorbell``, if given, is
     rung after every put.  Occupancy never exceeds ``capacity``.  Liveness
@@ -113,25 +109,21 @@ class WorkQueue:
 
     def __init__(
         self,
-        capacity: int = 0,
+        capacity: int,
         name: str = "queue",
-        soft_capacity: int = DEFAULT_SOFT_CAPACITY,
         low_water: Optional[int] = None,
         doorbell: Optional[Doorbell] = None,
     ) -> None:
-        if soft_capacity < 1:
-            raise LoaderStateError(
-                f"soft_capacity must be >= 1, got {soft_capacity!r}"
-            )
+        if capacity < 1:
+            raise LoaderStateError(f"capacity must be >= 1, got {capacity!r}")
         if low_water is None:
-            low_water = max(capacity - 1, 0)
-        elif capacity > 0 and not 0 <= low_water < capacity:
+            low_water = capacity - 1
+        elif not 0 <= low_water < capacity:
             raise LoaderStateError(
                 f"low_water must be in [0, {capacity}), got {low_water!r}"
             )
         self.name = name
         self._capacity = capacity
-        self._soft_capacity = soft_capacity
         self._low_water = low_water
         self._doorbell = doorbell
         self._items: deque = deque()
@@ -158,14 +150,8 @@ class WorkQueue:
         return len(self._items)
 
     def fill_fraction(self) -> float:
-        """Occupancy in [0, 1] for scheduler feedback.
-
-        Unbounded queues report against ``soft_capacity``: a constant 0.0
-        would make the worker scheduler read a backlogged queue as
-        permanently empty and scale up without bound.
-        """
-        reference = self._capacity if self._capacity > 0 else self._soft_capacity
-        return min(1.0, len(self._items) / reference)
+        """Occupancy in [0, 1] for scheduler feedback."""
+        return len(self._items) / self._capacity
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -209,7 +195,7 @@ class WorkQueue:
         return item
 
     def _full(self) -> bool:
-        return 0 < self._capacity <= len(self._items)
+        return self._capacity <= len(self._items)
 
     def try_put(self, item: Any) -> bool:
         with self._lock:

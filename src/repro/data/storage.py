@@ -7,9 +7,10 @@ cgroups while streaming a 230 GB dataset, so reads constantly miss and the
 loaders hammer the disk.
 
 :class:`PageCache` is a bytes-weighted LRU keyed by sample index;
-:class:`StorageModel` turns a read into seconds for the concurrent engine
-(the simulator combines the same cache with a contended
-:class:`repro.sim.BandwidthPipe` instead).
+:class:`StorageModel` turns a read into seconds for the concurrent engine.
+The simulator combines the same cache with a contended disk instead: one
+FIFO stream on a private :class:`repro.sim.SharedLink`, the byte mover
+every simulated link is made of (:func:`repro.sim.BandwidthPipe`).
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Training engine: simulated devices, trainer, metrics, step-time models."""
 
-from .device import BusyInterval, SimulatedGPU
+from .device import SimulatedGPU
 from .metrics import (
+    BusyInterval,
     IntervalRecorder,
     ThroughputMeter,
     average_utilization,

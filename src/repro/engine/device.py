@@ -6,30 +6,21 @@ what a CUDA device is.  Both training steps and (for the DALI baseline)
 GPU-offloaded preprocessing execute through the same device, which reproduces
 the contention the paper describes in §3.5.
 
-Every execution is recorded as a tagged busy interval, from which exact
-utilization numbers and time series are derived (no sampling noise).
+Every execution is recorded as a tagged busy interval into an
+:class:`~repro.engine.metrics.IntervalRecorder`, the columns the simulator's
+holds fill too, from which exact utilization numbers and time series are
+derived (no sampling noise).
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..clock import Clock, RealClock
+from .metrics import BusyInterval, IntervalRecorder
 
-__all__ = ["SimulatedGPU", "BusyInterval"]
-
-
-@dataclass(frozen=True)
-class BusyInterval:
-    start: float
-    end: float
-    tag: str
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
+__all__ = ["SimulatedGPU"]
 
 
 class SimulatedGPU:
@@ -40,8 +31,9 @@ class SimulatedGPU:
         self.clock = clock if clock is not None else RealClock()
         self.name = name or f"gpu{index}"
         self._lock = threading.Lock()
+        #: the recorder takes no lock of its own; this one guards it
         self._intervals_lock = threading.Lock()
-        self._intervals: List[BusyInterval] = []
+        self._recorder = IntervalRecorder(self.name)
 
     def execute(self, seconds: float, tag: str = "train") -> Tuple[float, float]:
         """Run ``seconds`` of work on the device (exclusive).
@@ -57,29 +49,19 @@ class SimulatedGPU:
             self.clock.advance(seconds)
             end = self.clock.now()
         with self._intervals_lock:
-            self._intervals.append(BusyInterval(start=start, end=end, tag=tag))
+            self._recorder.record(start, end, tag)
         return start, end
 
     @property
     def intervals(self) -> List[BusyInterval]:
         with self._intervals_lock:
-            return list(self._intervals)
+            return self._recorder.intervals
 
     def busy_seconds(self, tag: Optional[str] = None) -> float:
-        return sum(
-            i.duration for i in self.intervals if tag is None or i.tag == tag
-        )
+        with self._intervals_lock:
+            return self._recorder.busy_seconds(tag)
 
     def utilization(self, start: float, end: float, tag: Optional[str] = None) -> float:
         """Fraction of [start, end] the device spent busy."""
-        if end <= start:
-            return 0.0
-        busy = 0.0
-        for interval in self.intervals:
-            if tag is not None and interval.tag != tag:
-                continue
-            lo = max(start, interval.start)
-            hi = min(end, interval.end)
-            if hi > lo:
-                busy += hi - lo
-        return min(1.0, busy / (end - start))
+        with self._intervals_lock:
+            return self._recorder.utilization(start, end, tag=tag)

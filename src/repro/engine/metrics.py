@@ -8,8 +8,8 @@ A simulated run records tens of thousands of holds and reads few or none of
 them back, so :class:`IntervalRecorder` keeps its intervals as three columns
 (starts, ends, tags) rather than one object each: recording is three
 appends, :meth:`IntervalRecorder.utilization` reads the columns in place,
-and :class:`~repro.engine.device.BusyInterval` objects are built only when
-someone asks for :attr:`IntervalRecorder.intervals`.
+and :class:`BusyInterval` objects are built only when someone asks for
+:attr:`IntervalRecorder.intervals`.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ from itertools import compress, repeat
 from operator import attrgetter, eq
 from typing import Iterable, List, Optional, Tuple
 
-from .device import BusyInterval
-
 __all__ = [
+    "BusyInterval",
     "IntervalRecorder",
     "utilization_series",
     "average_utilization",
@@ -31,13 +30,24 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
+class BusyInterval:
+    start: float
+    end: float
+    tag: str
+
+    @property
+    def duration(self) -> float:
+        return self.end - self.start
+
+
 class IntervalRecorder:
     """Busy-interval columns for one resource (CPU cores, a GPU).
 
-    Not thread-safe, and it takes no lock: its only producer is the
-    single-threaded event kernel (the simulator's core and GPU holds).  The
-    threaded engine's devices keep their own intervals
-    (:class:`~repro.engine.device.SimulatedGPU`).
+    Not thread-safe, and it takes no lock: the single-threaded event kernel
+    records the simulator's core and GPU holds into it, and the threaded
+    engine's :class:`~repro.engine.device.SimulatedGPU` records under a lock
+    of its own.
     """
 
     __slots__ = ("name", "_starts", "_ends", "_tags")
@@ -63,8 +73,10 @@ class IntervalRecorder:
             for s, e, t in zip(self._starts, self._ends, self._tags)
         ]
 
-    def busy_seconds(self) -> float:
-        return sum(e - s for s, e in zip(self._starts, self._ends))
+    def busy_seconds(self, tag: Optional[str] = None) -> float:
+        """Summed length of the intervals recorded as ``tag`` (all of them
+        when None)."""
+        return sum(e - s for s, e in self._spans(tag))
 
     def utilization(
         self,
@@ -75,10 +87,15 @@ class IntervalRecorder:
     ) -> float:
         """:func:`average_utilization` of the intervals recorded as ``tag``
         (all of them when None), read off the columns in record order."""
+        return _clipped_utilization(self._spans(tag), start, end, capacity)
+
+    def _spans(self, tag: Optional[str]) -> Iterable[Tuple[float, float]]:
+        """``(start, end)`` of the intervals recorded as ``tag`` (all of them
+        when None), in record order."""
         spans = zip(self._starts, self._ends)
         if tag is not None:
             spans = compress(spans, map(eq, self._tags, repeat(tag)))
-        return _clipped_utilization(spans, start, end, capacity)
+        return spans
 
 
 def _clipped_utilization(

@@ -27,10 +27,6 @@ class SimulationError(ReproError):
     """Base class for discrete-event simulation errors."""
 
 
-class StopSimulation(SimulationError):
-    """Internal control-flow signal used to halt :meth:`Environment.run`."""
-
-
 class EmptySchedule(SimulationError):
     """Raised when the simulation runs out of events before ``until``."""
 

@@ -2,11 +2,10 @@
 
 Historically :func:`repro.sim.distributed.run_elastic` privately constructed
 every resource it touched -- the :class:`~repro.sim.kernel.Environment`, the
-collective :class:`~repro.sim.topology.Topology` and its per-(member, scope)
-:class:`~repro.sim.resources.BandwidthPipe` links, each node's storage pipe /
-page cache / CPU cores -- so exactly one training job could ever exist per
-simulated world.  Production clusters run many concurrent jobs contending
-for those same resources.
+collective :class:`~repro.sim.topology.Topology` and its links, each node's
+storage device / page cache / CPU cores -- so exactly one training job could
+ever exist per simulated world.  Production clusters run many concurrent
+jobs contending for those same resources.
 
 This module inverts the ownership:
 
@@ -14,7 +13,7 @@ This module inverts the ownership:
   :class:`ClusterMembership` (join/leave/fail schedule plus network
   :class:`PartitionEvent` windows), the shared interconnect topology (links
   are keyed by the *cluster*, not by a run), and per-node
-  :class:`NodeSite` bundles (storage pipe, page cache, CPU cores);
+  :class:`NodeSite` bundles (storage device, page cache, CPU cores);
 * jobs (:func:`~repro.sim.distributed.run_elastic`,
   :class:`~repro.sim.scenarios.JobMix`) are *submitted to* a cluster; a
   front door called without one builds a fresh private cluster from its
@@ -47,7 +46,8 @@ from typing import (
 from ..data.storage import PageCache
 from ..errors import ConfigurationError
 from .kernel import Environment
-from .resources import BandwidthPipe, Resource
+from .links import BandwidthPipe
+from .resources import Resource
 from .topology import TOPOLOGIES, FlatRing, Hierarchical, Topology
 from .workloads import HardwareConfig
 
@@ -356,12 +356,18 @@ def read_schedule(
 class NodeSite:
     """One node's shareable data-path resources.
 
-    Every job running on the node contends here: the storage pipe (one
-    device, FIFO bandwidth server), the page cache (one physical DRAM pool;
-    tenants key their entries by a per-job namespace so two jobs' sample
-    index 0 never collide), and the CPU cores.  GPUs stay per-job -- the
-    scheduler hands each job a disjoint GPU allocation, so compute does not
-    contend; the paper's contention story is the data path.
+    Every job running on the node contends here: the storage device, the
+    page cache (one physical DRAM pool; tenants key their entries by a
+    per-job namespace so two jobs' sample index 0 never collide), and the
+    CPU cores.  GPUs stay per-job -- the scheduler hands each job a
+    disjoint GPU allocation, so compute does not contend; the paper's
+    contention story is the data path.
+
+    The disk is one FIFO stream on a private
+    :class:`~repro.sim.links.SharedLink` (:func:`~repro.sim.links.BandwidthPipe`).
+    Every tenant queues on that one stream, so the disk serves reads in
+    submission order where a shared NIC divides itself max-min fair among
+    tenants -- an open model decision (DESIGN "Multi-tenant scenarios").
     """
 
     def __init__(

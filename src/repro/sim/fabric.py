@@ -20,9 +20,7 @@ The stack has three layers:
 * **collectives** (this module): :meth:`RingFabric.start` drives one
   member through the topology's phase plan and returns the event that
   fires when it is done; each ring pass is a :class:`RingCollective`
-  (``W - 1`` stages of ``nbytes / W`` chunks), and
-  :meth:`RingFabric.reduce_scatter` / :meth:`RingFabric.all_gather` run
-  one such pass on their own;
+  (``W - 1`` stages of ``nbytes / W`` chunks);
 * **step loop** (:mod:`repro.sim.distributed`): starts one collective per
   gradient bucket, optionally overlapping them with backprop.
 
@@ -115,7 +113,7 @@ from typing import (
 from ..errors import ConfigurationError
 from .kernel import Environment, Event, Interrupt, Timeout
 from .links import project
-from .topology import CollapsePhase, FlatRing, RingPhase, Topology
+from .topology import CollapsePhase, FlatRing, Topology
 
 __all__ = ["RingFabric", "RingCollective"]
 
@@ -693,35 +691,6 @@ class RingFabric:
         """:meth:`start` as a generator to ``yield from`` in a process; an
         interrupt of that process cancels this member's run."""
         yield from self._await(self._start(key, member, nbytes, deadline))
-
-    def reduce_scatter(
-        self, key: Any, member: Hashable, nbytes: Optional[float] = None
-    ) -> Generator:
-        """One ring reduce-scatter over the current membership (a generator
-        like :meth:`allreduce`): ``W - 1`` stages, after which each rank
-        holds one reduced ``nbytes / W`` shard.  Composable: a flat
-        all-reduce is reduce-scatter then all-gather over one snapshot."""
-        run = self._one_pass(key, member, nbytes, "rs", "reduce_scatter")
-        yield from self._await(run)
-
-    def all_gather(
-        self, key: Any, member: Hashable, nbytes: Optional[float] = None
-    ) -> Generator:
-        """One ring all-gather over the current membership (a generator):
-        ``W - 1`` stages re-replicating ``nbytes / W`` shards to every
-        rank."""
-        run = self._one_pass(key, member, nbytes, "ag", "all_gather")
-        yield from self._await(run)
-
-    def _one_pass(
-        self, key: Any, member: Hashable, nbytes: Optional[float], tag: str, op: str
-    ) -> _Run:
-        snapshot = self._snapshot(key)
-        nbytes = self.gradient_bytes if nbytes is None else float(nbytes)
-        run = _Run(self, key, member, snapshot, nbytes)
-        run.plan = [RingPhase(tag, snapshot.ring, op, nbytes, "inter")]
-        run.next_phase()
-        return run
 
     @staticmethod
     def _await(run: _Run) -> Generator:

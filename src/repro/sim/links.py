@@ -1,7 +1,8 @@
 """Stream-aware shared links: fluid max-min fair bandwidth sharing.
 
-A :class:`SharedLink` models one physical link (a NIC, an NVLink lane)
-carrying any number of concurrent *flows*.  Each :class:`Stream` is one
+The one byte mover of the simulator.  A :class:`SharedLink` models one
+physical link (a NIC, an NVLink lane, a node's storage device) carrying
+any number of concurrent *flows*.  Each :class:`Stream` is one
 flow endpoint -- a collective ring pass, a tenant's remote-storage loader
 path, a checkpoint writer -- tagged with a traffic class
 (``collective`` / ``loader`` / ``checkpoint``).  Transfers submitted on
@@ -18,14 +19,23 @@ while a transfer of it drains -- the one definition the engine, the
 collapse probe (:meth:`SharedLink.busy_streams`) and :func:`project`
 share.
 
+A node's disk is one FIFO stream on a private link
+(:func:`BandwidthPipe`): every tenant of the node queues on that stream,
+so the disk serves reads in submission order, while tenants sharing a
+NIC share it max-min fair.  Which of the two a disk should do is an open
+model decision (DESIGN "Multi-tenant scenarios").  A stream built that
+way logs each completed transfer as ``(start, finish, nbytes)`` in
+:attr:`Stream.transfers`, the data behind the disk-throughput series
+(:func:`throughput_series`, paper Fig. 10).
+
 Equivalence contracts (pinned by ``tests/test_links.py`` and the kernel
 equivalence grid):
 
-* **single stream == legacy pipe**: while only one stream has in-flight
-  work the link reproduces :class:`~repro.sim.resources.BandwidthPipe`
-  timing bit-for-bit -- same float expressions (``start = max(now,
-  prev_drain)``, ``finish = start + latency + nbytes / (bandwidth / 1)``,
-  one kernel event per transfer), including ``sim_events``;
+* **single stream == FIFO watermark**: while only one stream has
+  in-flight work the link is the analytic FIFO server bit-for-bit --
+  ``start = max(now, prev_drain)``, ``finish = start + latency + nbytes /
+  (bandwidth / 1)``, one kernel event per transfer -- against the
+  watermark referee kept in ``tests/helpers``, ``sim_events`` included;
 * **G symmetric streams == bw/G closed form**: G streams submitting
   equal chunks at the same instant all finish at ``start + latency +
   chunk / (bandwidth / G)`` -- what the homogeneous-rank fast path gets
@@ -47,7 +57,7 @@ and re-queues the completions that moved, each to an instant at or after
 now: the catch-up is exact without an event per drain.
 
 Per-class accounting: the link counts ``total_bytes`` / ``transfer_count``
-/ ``bytes_by_class`` at submit time (like the legacy pipe), and at each
+/ ``bytes_by_class`` at submit time, and at each
 transfer's completion attributes its queue wait plus its slowdown versus
 an idle link, ``(drain - start) - nbytes / bandwidth``, to the stream's
 class, both on the stream and into the stream's optional ``sink`` dict
@@ -59,11 +69,11 @@ for that share, the same float the collapsed collective adds.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Hashable, List, Optional, Tuple
+from typing import Deque, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .kernel import Environment, Event, Timeout
 
-__all__ = ["SharedLink", "Stream", "project"]
+__all__ = ["SharedLink", "Stream", "BandwidthPipe", "project", "throughput_series"]
 
 _NEVER = float("inf")
 
@@ -81,7 +91,7 @@ def project(
     The engine below and the collapsed collective fast path
     (:meth:`~repro.sim.fabric.RingFabric._collapse_decider`) both call it,
     so their floats agree by construction; the operand order is pinned by
-    the single-stream == ``BandwidthPipe`` equivalence.
+    the single-stream == FIFO watermark equivalence.
     """
     share = bandwidth / streams
     seconds = nbytes / share
@@ -139,7 +149,6 @@ class _Transfer(Event):
 class Stream:
     """One flow endpoint on a :class:`SharedLink`.
 
-    Duck-types the legacy pipe surface the layers above consume:
     :meth:`transfer` returns a kernel event that fires at completion
     (value = bytes moved) and :attr:`backlog` is the seconds of queued
     work ahead on *this stream* -- other streams' traffic shows up as a
@@ -155,6 +164,7 @@ class Stream:
         "total_bytes",
         "transfer_count",
         "wait_seconds",
+        "transfers",
         "_chain",
         "_order",
     )
@@ -181,6 +191,10 @@ class Stream:
         #: completion-attributed wait: own-queue time plus fair-sharing
         #: slowdown versus an idle link, in seconds
         self.wait_seconds = 0.0
+        #: completed transfers as ``(start, finish, nbytes)``, in completion
+        #: order; ``None`` (no log) unless :func:`BandwidthPipe` asked for
+        #: one -- a benchmark-scale run completes millions
+        self.transfers: Optional[List[Tuple[float, float, float]]] = None
         #: the transfers not yet drained: the head drains, the rest queue
         self._chain: Deque[_Transfer] = deque()
 
@@ -266,7 +280,7 @@ class SharedLink:
         env = self.env
         now = env.now
         if nbytes == 0:
-            # free zero-byte fast path (legacy pipe parity: no accounting)
+            # free zero-byte fast path: no bytes, no accounting, no log
             return Timeout(env, 0.0, 0.0)
         if not nbytes > 0:
             raise ValueError(f"cannot transfer {nbytes!r} bytes")
@@ -406,6 +420,8 @@ class SharedLink:
         if self._next_drain <= until:
             self._advance(until)
         stream = t.stream
+        if stream.transfers is not None:
+            stream.transfers.append((t.start, t.finish, t.nbytes))
         if t.anchor == t.start:
             excess = (t.start - t.submitted) + project(
                 t.start, t.nbytes, self.bandwidth, self.latency, t.streams
@@ -422,3 +438,85 @@ class SharedLink:
         sink = stream.sink
         if sink is not None:
             sink[stream.cls] = sink.get(stream.cls, 0.0) + excess
+
+
+def BandwidthPipe(
+    env: Environment, bandwidth: float, latency: float = 0.0, record: bool = True
+) -> Stream:
+    """A FIFO bandwidth server (a node's disk): the one stream of a private
+    :class:`SharedLink`.
+
+    A transfer of ``n`` bytes starts once everything queued before it has
+    drained, drains for ``n / bandwidth`` seconds and completes one
+    ``latency`` later (propagation delay: queued transfers overlap their
+    latencies, they never serialize).  ``record`` keeps the stream's
+    per-transfer log (:attr:`Stream.transfers`); the scalar totals
+    ``total_bytes`` / ``transfer_count`` are kept either way.
+    """
+    stream = SharedLink(env, bandwidth, latency).stream("fifo")
+    if record:
+        stream.transfers = []
+    return stream
+
+
+def throughput_series(
+    transfers: Sequence[Tuple[float, float, float]], bucket: float = 1.0
+) -> List[Tuple[float, float]]:
+    """Aggregate completed ``(start, finish, nbytes)`` transfers into
+    ``(t, bytes/s)`` buckets.
+
+    Each transfer's bytes are spread uniformly over its active interval.
+    One linear sweep over the sorted interval endpoints accumulates the
+    piecewise-constant aggregate rate, so the cost is
+    ``O(T log T + buckets)`` rather than transfers x buckets-per-transfer
+    (long distributed runs record hundreds of thousands of reads).
+    """
+    if bucket <= 0:
+        raise ValueError(f"bucket must be positive, got {bucket!r}")
+    if not transfers:
+        return []
+    events: List[Tuple[float, float]] = []
+    horizon = 0.0
+    for start, finish, nbytes in transfers:
+        horizon = max(horizon, finish)
+        duration = max(finish - start, 1e-12)
+        rate = nbytes / duration
+        events.append((start, rate))
+        events.append((finish, -rate))
+    events.sort()
+    nbuckets = int(horizon / bucket) + 1
+    volume = [0.0] * nbuckets
+    #: difference array over *interior* buckets fully covered by a
+    #: segment: accumulate the segment rate at entry/exit and recover
+    #: per-bucket volume with one prefix-sum sweep, so each segment
+    #: costs O(1) instead of O(buckets spanned)
+    interior = [0.0] * (nbuckets + 1)
+    rate = 0.0
+    prev = 0.0
+    for t, delta in events:
+        if t > prev and rate > 0.0:
+            first = int(prev / bucket)
+            last = min(int(t / bucket), nbuckets - 1)
+            if first == last:
+                volume[first] += rate * (t - prev)
+            else:
+                volume[first] += rate * ((first + 1) * bucket - prev)
+                volume[last] += rate * (min(t, horizon) - last * bucket)
+                if last > first + 1:
+                    interior[first + 1] += rate
+                    interior[last] -= rate
+        rate += delta
+        prev = max(prev, t)
+    running = 0.0
+    for i in range(nbuckets):
+        running += interior[i]
+        if running != 0.0:
+            volume[i] += running * bucket
+    series: List[Tuple[float, float]] = []
+    for i, v in enumerate(volume):
+        # the final bucket only extends to the horizon, not the full
+        # bucket width: normalize by the width actually covered, or the
+        # tail throughput is systematically underreported
+        width = min(horizon, (i + 1) * bucket) - i * bucket
+        series.append((i * bucket, v / width if width > 0 else 0.0))
+    return series

@@ -165,7 +165,7 @@ class SimContext:
         self.num_gpus = num_gpus
         if site is None:
             # a private single-node site.  record_transfers=False keeps the
-            # disk pipe's per-transfer log off (the multi-node runner only
+            # disk stream's per-transfer log off (the multi-node runner only
             # consumes aggregate totals; at benchmark scale the log is
             # millions of tuples)
             site = NodeSite(env, hardware, cache_fraction, record_transfers)

@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Tuple
 from ..engine.metrics import IntervalRecorder, ThroughputMeter, utilization_series
 from ..errors import ConfigurationError
 from .kernel import AllOf, Environment
+from .links import throughput_series
 from .loaders import (
     SimBatch,
     SimContext,
@@ -27,7 +28,6 @@ from .loaders import (
     SimTorchLoader,
     run_until,
 )
-from .resources import throughput_series
 from .workloads import HardwareConfig, WorkloadSpec
 
 __all__ = ["SimResult", "RunRecord", "run_simulation", "make_sim_loader", "LOADER_NAMES"]
@@ -262,9 +262,9 @@ def run_simulation(
             duration, bucket, hardware.cpu_cores,
         ),
         batch_log=batch_log,
-        # the always-on scalar total: correct even when the per-transfer
-        # log is disabled (record_transfers=False)
-        bytes_from_disk=ctx.disk.total_bytes,
+        # the always-on scalar total (a stream counts from int 0; the
+        # result reports a float, as the digests hash its repr)
+        bytes_from_disk=float(ctx.disk.total_bytes),
         cache_hit_rate=ctx.cache.hit_rate,
     )
     if hasattr(loader, "worker_history"):

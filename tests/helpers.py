@@ -702,7 +702,8 @@ class GeneratorRingFabric(RingFabric):
 
 
 # ---------------------------------------------------------------------------
-# The link engine's specification: the fluid model in exact arithmetic
+# The link engine's specifications: the fluid model in exact arithmetic, and
+# the FIFO watermark one stream reduces to
 # ---------------------------------------------------------------------------
 
 
@@ -735,6 +736,38 @@ def fluid_drains(bandwidth, submits):
             queues[submits[k][1]].append(k)
             k += 1
     return drains
+
+
+class WatermarkPipe:
+    """The analytic FIFO bandwidth server a one-stream ``SharedLink`` must
+    equal bit for bit: a single ``available_at`` watermark.  A transfer
+    arriving at ``t`` starts at ``max(t, available_at)``, its bytes occupy
+    the pipe for ``nbytes / bandwidth`` seconds and it completes one
+    ``latency`` after they drain (queued transfers overlap their
+    latencies).  One ``Timeout`` per transfer; ``transfers`` logs
+    ``(start, finish, nbytes)`` at submit."""
+
+    def __init__(self, env, bandwidth, latency=0.0):
+        self.env = env
+        self.bandwidth = float(bandwidth)
+        self.latency = float(latency)
+        self._available_at = 0.0
+        self.transfers = []
+        self.total_bytes = 0.0
+        self.transfer_count = 0
+
+    def transfer(self, nbytes):
+        if nbytes == 0:
+            return self.env.timeout(0.0, value=0.0)
+        start = max(self.env.now, self._available_at)
+        # only the bytes occupy the pipe; latency is propagation delay on
+        # top, so queued transfers overlap their latencies
+        self._available_at = start + nbytes / self.bandwidth
+        finish = start + self.latency + nbytes / self.bandwidth
+        self.total_bytes += nbytes
+        self.transfer_count += 1
+        self.transfers.append((start, finish, float(nbytes)))
+        return self.env.timeout(finish - self.env.now, value=nbytes)
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,15 @@ def test_torch_config_validation():
         TorchLoaderConfig(pin_memory_bandwidth=-1)
 
 
+@pytest.mark.parametrize("capacity", [0, -1])
+def test_torch_config_refuses_an_unbounded_batch_queue(capacity):
+    """Regression: a capacity below 1 built unbounded batch queues (a
+    capacity-0 queue was unbounded, a negative one never full).  The
+    config refuses it, as MinatoConfig does."""
+    with pytest.raises(ConfigurationError, match="queue_capacity"):
+        TorchLoaderConfig(queue_capacity=capacity)
+
+
 def test_torch_len():
     ds = mixed_cost_dataset(10)
     loader = make_torch_loader(ds, epochs=2, batch_size=4)

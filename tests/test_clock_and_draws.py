@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.clock import MonotonicStamp, RealClock, ScaledClock, ThreadLocalClock
+from repro.clock import RealClock, ScaledClock, ThreadLocalClock
 from repro.data.sample import Sample, SampleSpec
 
 
@@ -71,15 +71,6 @@ def test_thread_local_clock_reset_and_negative():
     assert clock.now() == 0.0
     with pytest.raises(ValueError):
         clock.advance(-1.0)
-
-
-def test_monotonic_stamp():
-    clock = ThreadLocalClock()
-    stamp = MonotonicStamp(clock)
-    clock.advance(4.0)
-    assert stamp.elapsed() == 4.0
-    stamp.restart()
-    assert stamp.elapsed() == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -242,31 +242,12 @@ def test_workqueue_capacity_and_fill_fraction():
     assert not q.try_put(3)
 
 
-def test_workqueue_unbounded_fill_fraction_uses_soft_capacity():
-    """Regression: unbounded (capacity=0) queues reported 0.0 forever, so
-    a scheduler fed by them read a backlogged queue as permanently empty
-    and scaled up without bound."""
-    q = WorkQueue(capacity=0, soft_capacity=4)
-    assert q.fill_fraction() == 0.0
-    q.try_put(1)
-    assert q.fill_fraction() == pytest.approx(0.25)
-    for item in range(2, 5):
-        q.try_put(item)
-    assert q.fill_fraction() == pytest.approx(1.0)
-    # occupancy beyond the soft reference still reads as "full", not >1
-    q.try_put(5)
-    assert q.fill_fraction() == pytest.approx(1.0)
-
-
-def test_workqueue_bounded_fill_fraction_ignores_soft_capacity():
-    q = WorkQueue(capacity=2, soft_capacity=50)
-    q.try_put(1)
-    assert q.fill_fraction() == pytest.approx(0.5)
-
-
-def test_workqueue_rejects_bad_soft_capacity():
-    with pytest.raises(LoaderStateError):
-        WorkQueue(capacity=0, soft_capacity=0)
+def test_workqueue_rejects_capacity_below_one():
+    """Every queue is bounded: an unbounded one would let a loader run
+    ahead of its consumer without limit."""
+    for capacity in (0, -1):
+        with pytest.raises(LoaderStateError, match="capacity"):
+            WorkQueue(capacity=capacity)
 
 
 def test_workqueue_try_get_empty():

@@ -13,7 +13,6 @@ from repro.errors import (
     LoaderStateError,
     ReproError,
     SimulationError,
-    StopSimulation,
     StorageError,
 )
 from repro.sim import Environment
@@ -34,7 +33,6 @@ def test_all_errors_derive_from_repro_error():
         ConfigurationError,
         LoaderStateError,
         SimulationError,
-        StopSimulation,
         EmptySchedule,
         DatasetError,
         StorageError,
@@ -44,7 +42,6 @@ def test_all_errors_derive_from_repro_error():
 
 def test_sim_errors_derive_from_simulation_error():
     assert issubclass(EmptySchedule, SimulationError)
-    assert issubclass(StopSimulation, SimulationError)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 Three contracts from the per-stream link refactor:
 
-* a single-stream :class:`SharedLink` is *bit-identical* to the legacy
-  :class:`BandwidthPipe` watermark model -- completion times, counters,
-  and kernel event counts, under arbitrary submit schedules;
+* a single-stream :class:`SharedLink` is *bit-identical* to the FIFO
+  watermark model (``tests/helpers.WatermarkPipe``, the disk's model
+  before the disk became a one-stream link) -- completion times,
+  counters, the transfer log and kernel event counts, under arbitrary
+  submit schedules;
 * G symmetric streams reproduce the ``bandwidth / G`` fair-share closed
   form exactly (the constant the hierarchical topology used to bake into
   per-member pipe bandwidth, and the one ``collapse_schedule`` still
@@ -30,7 +32,7 @@ from hypothesis import strategies as st
 from repro.errors import EmptySchedule
 from repro.sim import AllOf, BandwidthPipe, Environment, SharedLink
 
-from .helpers import CheckedEnvironment, fluid_drains
+from .helpers import CheckedEnvironment, WatermarkPipe, fluid_drains
 
 
 def drive(env, device, schedule, completions):
@@ -50,7 +52,7 @@ def drive(env, device, schedule, completions):
 
 
 # ---------------------------------------------------------------------------
-# Pin 1: single stream == legacy BandwidthPipe, bit for bit
+# Pin 1: single stream == FIFO watermark, bit for bit
 # ---------------------------------------------------------------------------
 
 schedules = st.lists(
@@ -75,13 +77,13 @@ def test_single_stream_matches_bandwidth_pipe_bit_for_bit(
     schedule, bandwidth, latency
 ):
     legacy_env = Environment()
-    legacy = BandwidthPipe(legacy_env, bandwidth=bandwidth, latency=latency)
+    legacy = WatermarkPipe(legacy_env, bandwidth=bandwidth, latency=latency)
     legacy_done = []
     drive(legacy_env, legacy, schedule, legacy_done)
 
     link_env = Environment()
-    link = SharedLink(link_env, bandwidth=bandwidth, latency=latency)
-    stream = link.stream("only")
+    stream = BandwidthPipe(link_env, bandwidth=bandwidth, latency=latency)
+    link = stream.link
     link_done = []
     drive(link_env, stream, schedule, link_done)
 
@@ -93,6 +95,9 @@ def test_single_stream_matches_bandwidth_pipe_bit_for_bit(
     assert link.total_bytes == legacy.total_bytes
     assert link.transfer_count == legacy.transfer_count
     assert stream.total_bytes == legacy.total_bytes
+    # the stream logs at completion, the watermark at submit: one FIFO
+    # stream completes in submit order, so the logs are the same list
+    assert stream.transfers == legacy.transfers
     # an uncontended stream pays no sharing penalty: its wait is exactly
     # the legacy watermark queue wait (start - submit), accumulated in
     # the same FIFO completion order

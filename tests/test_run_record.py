@@ -29,10 +29,9 @@ from repro.engine.metrics import (
     average_utilization,
     utilization_series,
 )
-from repro.sim import resources, runner
+from repro.sim import links, runner
 from repro.sim.kernel import Environment
 from repro.sim.loaders import SimContext
-from repro.sim.resources import BandwidthPipe
 from repro.sim.runner import LOADER_NAMES, run_simulation
 from repro.sim.workloads import CONFIG_A, make_workload
 
@@ -138,7 +137,7 @@ def eager_series(ctx, duration, bucket):
             ctx.cpu_recorder.intervals, 0.0, duration, bucket=bucket,
             capacity=ctx.hardware.cpu_cores,
         ),
-        "disk": ctx.disk.throughput_series(bucket=bucket),
+        "disk": links.throughput_series(ctx.disk.transfers, bucket=bucket),
     }
 
 
@@ -236,9 +235,8 @@ def test_a_run_nobody_plots_computes_no_series(monkeypatch):
         for owner, name in (
             (metrics, "utilization_series"),
             (runner, "utilization_series"),
-            (resources, "throughput_series"),
+            (links, "throughput_series"),
             (runner, "throughput_series"),
-            (BandwidthPipe, "throughput_series"),
             (ThroughputMeter, "series"),
         ):
             patched.setattr(owner, name, refused)

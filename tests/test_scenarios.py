@@ -8,6 +8,7 @@ from repro.sim.cluster import (
     Cluster,
     ClusterMembership,
     MembershipEvent,
+    NodeSite,
     PartitionEvent,
 )
 from repro.sim.distributed import (
@@ -16,6 +17,8 @@ from repro.sim.distributed import (
     run_elastic,
 )
 from repro.sim.fabric import RingFabric
+from repro.sim.kernel import Environment
+from repro.sim.loaders import SimContext
 from repro.sim.scenarios import (
     PRESETS,
     JobMix,
@@ -275,6 +278,36 @@ def test_two_tenants_strictly_slower_than_solo():
             f"({both.training_time} vs {alone.training_time})"
         )
     assert shared.link_contention_seconds > 0
+
+
+def test_a_shared_disk_serves_tenants_in_submission_order():
+    """The model decision a fair-share disk would change: a node's disk is
+    one FIFO stream that every tenant queues on.  Two tenants start a cold
+    read at the same instant; the first read is served alone, the second
+    waits out the first one's transfer time in full."""
+    env = Environment()
+    site = NodeSite(env, CONFIG_A, cache_fraction=0.8)
+    workload = make_workload("image_segmentation", dataset_size=4)
+    tenants = [
+        SimContext(env, workload, CONFIG_A, 1, site=site, cache_namespace=name)
+        for name in ("tenant-a", "tenant-b")
+    ]
+    sample = workload.dataset.spec(0)
+    done = []
+
+    def cold_read(ctx):
+        yield from ctx.read_sample(sample)
+        done.append((ctx.cache_namespace, env.now))
+
+    for ctx in tenants:
+        env.process(cold_read(ctx))
+    env.run()
+    first_read = sample.raw_nbytes / CONFIG_A.storage.bandwidth
+    assert [name for name, _at in done] == ["tenant-a", "tenant-b"]
+    assert done[1][1] > done[0][1]
+    assert tenants[0].storage_wait_seconds == 0.0
+    assert tenants[1].storage_wait_seconds == first_read
+    assert tenants[0].cache_miss_bytes == tenants[1].cache_miss_bytes > 0
 
 
 def test_tenant_caches_are_namespaced():

@@ -160,6 +160,9 @@ def test_run_simulation_result_series_populated():
     assert result.cpu_series
     assert 0 <= result.mean_gpu_utilization <= 1
     assert 0 <= result.cpu_utilization <= 1
+    # the disk stream counts from int 0; the result's total stays a float
+    # (the benchmark digests hash its repr)
+    assert type(result.bytes_from_disk) is float and result.bytes_from_disk > 0
 
 
 def test_run_simulation_batch_log():
@@ -612,6 +615,8 @@ def test_sim_minato_rejects_degenerate_knobs_at_construction(name, value):
         ("pytorch", "prefetch_factor", 0),
         # silently disabled collation
         ("pytorch", "pin_memory_bandwidth", -1.0),
+        # a ValueError from Store, at start()
+        ("pytorch", "queue_capacity", 0),
     ],
 )
 def test_sim_loaders_refuse_what_the_threaded_configs_refuse(

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro.sim import BandwidthPipe, Environment, PriorityStore, Resource, Store
+from repro.sim.links import throughput_series
 from repro.sim.loaders import SimContext
 from repro.sim.workloads import CONFIG_A, make_workload
 
@@ -387,7 +388,7 @@ def test_occupying_a_free_gpu_takes_no_event_beyond_the_hold():
 
 
 # ---------------------------------------------------------------------------
-# BandwidthPipe
+# BandwidthPipe: a node's disk, one FIFO stream on a private SharedLink
 # ---------------------------------------------------------------------------
 
 
@@ -457,7 +458,7 @@ def test_bandwidth_pipe_throughput_series_conserves_volume():
 
     env.process(reader())
     env.run()
-    series = disk.throughput_series(bucket=1.0)
+    series = throughput_series(disk.transfers, bucket=1.0)
     total = sum(rate for _t, rate in series)  # bucket=1 s, so rate sums bytes
     assert total == pytest.approx(30.0)
 
@@ -470,7 +471,7 @@ def test_bandwidth_pipe_rejects_bad_args():
     with pytest.raises(ValueError):
         disk.transfer(-1)
     with pytest.raises(ValueError):
-        disk.throughput_series(bucket=0)
+        throughput_series(disk.transfers, bucket=0)
 
 
 def test_bandwidth_pipe_backlog():
@@ -533,22 +534,25 @@ def test_bandwidth_pipe_zero_byte_transfer_is_free_and_unaccounted():
     """Regression: ``transfer(0)`` used to pay full latency, bump
     ``transfer_count``, and append to the transfer log.  A no-delta
     incremental snapshot must complete immediately and leave the pipe's
-    watermark and all accounting untouched."""
+    backlog and all accounting untouched."""
     env = Environment()
     pipe = BandwidthPipe(env, bandwidth=10.0, latency=0.25)
     done = []
 
     def reader():
-        yield pipe.transfer(50)  # occupy the pipe: watermark moves to 5.0
+        read = pipe.transfer(50)  # occupy the pipe: its bytes drain at 5.0
+        pipe.transfer(0)  # queues nothing behind them
+        assert pipe.backlog == 5.0
+        yield read
         yield pipe.transfer(0)
         done.append(env.now)
 
     env.process(reader())
     env.run()
-    # the watermark reflects only the 50-byte read; the zero-byte transfer
+    # only the 50-byte read occupied the pipe; the zero-byte transfer
     # completed the instant it was issued (right after the read finished
     # at 5.25), paying no latency and touching no accounting
-    assert pipe._available_at == pytest.approx(5.0)
+    assert pipe.transfers == [(0.0, 5.25, 50.0)]
     assert done == [pytest.approx(5.25)]
     assert pipe.total_bytes == 50.0
     assert pipe.transfer_count == 1
@@ -587,7 +591,7 @@ def test_bandwidth_pipe_throughput_series_matches_quadratic_reference():
         return series
 
     for bucket in (0.25, 1.0, 3.0):
-        series = pipe.throughput_series(bucket=bucket)
+        series = throughput_series(pipe.transfers, bucket=bucket)
         expected = reference(pipe.transfers, bucket)
         assert len(series) == len(expected)
         for (t_got, rate_got), (t_want, rate_want) in zip(series, expected):
@@ -599,7 +603,7 @@ def test_bandwidth_pipe_throughput_series_matches_quadratic_reference():
     horizon = max(finish for _s, finish, _n in pipe.transfers)
     total = sum(
         rate * (min(horizon, t + bucket) - t)
-        for t, rate in pipe.throughput_series(bucket=bucket)
+        for t, rate in throughput_series(pipe.transfers, bucket=bucket)
     )
     assert total == pytest.approx(20 + 4 + 9 + 31)
 
@@ -618,6 +622,6 @@ def test_bandwidth_pipe_throughput_series_partial_tail_bucket():
 
     env.process(reader())
     env.run()
-    series = disk.throughput_series(bucket=1.0)
+    series = throughput_series(disk.transfers, bucket=1.0)
     assert [t for t, _rate in series] == [0.0, 1.0, 2.0]
     assert [rate for _t, rate in series] == pytest.approx([10.0, 10.0, 10.0])

@@ -1,11 +1,11 @@
 """Topology layer + hierarchical collectives (repro.sim.topology/fabric).
 
-The refactored stack: a Topology owns the links and plans ring phases, the
-fabric executes them with composable reduce_scatter / all_gather
-primitives.  The contract mirrors PR 3's flat-ring one, one level up: on a
-homogeneous cluster where every rank enters together the modelled
-hierarchical fabric converges to ``AllReduceModel.hierarchical_step_cost``
-(it is in fact exact); a straggler couples through its rings' neighbors;
+The refactored stack: a Topology owns the links and plans ring phases
+(reduce-scatter / all-gather passes), the fabric executes them.  The
+contract mirrors the flat ring's, one level up: on a homogeneous cluster
+where every rank enters together the modelled hierarchical fabric
+converges to ``AllReduceModel.hierarchical_step_cost`` (it is in fact
+exact); a straggler couples through its rings' neighbors;
 and an aborted member stalls each sub-ring only until the failure detector
 fires, never forever.
 """
@@ -252,42 +252,8 @@ def test_collapse_is_read_off_the_ring_plan(
 
 
 # ---------------------------------------------------------------------------
-# Composable primitives
+# Bucket-sized collectives
 # ---------------------------------------------------------------------------
-
-
-def test_reduce_scatter_and_all_gather_compose_into_allreduce():
-    """Each primitive is W-1 ring stages of nbytes/W chunks; composing
-    them reproduces the all-reduce closed form exactly."""
-    model = AllReduceModel()
-    world = 4
-    half = (world - 1) * (
-        model.latency + model.gradient_bytes / (world * model.bandwidth)
-    )
-
-    def run_primitives(ops):
-        env = Environment()
-        fabric = RingFabric(
-            env,
-            latency=model.latency,
-            bandwidth=model.bandwidth,
-            gradient_bytes=model.gradient_bytes,
-        )
-        fabric.set_ring(list(range(world)))
-
-        def participant(member):
-            for op_index, op in enumerate(ops):
-                yield from getattr(fabric, op)(f"k{op_index}", member)
-
-        procs = [env.process(participant(m)) for m in range(world)]
-        env.run(until=AllOf(env, procs))
-        return env.now
-
-    assert run_primitives(["reduce_scatter"]) == pytest.approx(half)
-    assert run_primitives(["all_gather"]) == pytest.approx(half)
-    assert run_primitives(["reduce_scatter", "all_gather"]) == pytest.approx(
-        model.step_cost(world)
-    )
 
 
 def test_allreduce_nbytes_override_scales_the_chunks():

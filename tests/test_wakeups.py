@@ -128,7 +128,7 @@ def test_no_ring_is_lost_under_thread_switch_stress():
     must still wake it, or the watchdog fires with items left in the queue."""
     n, producers, consumers = 4000, 4, 4
     doorbell = Doorbell()
-    queue = WorkQueue(0, doorbell=doorbell)
+    queue = WorkQueue(n, doorbell=doorbell)
     got, got_lock = [], threading.Lock()
 
     def produce(first):
@@ -172,7 +172,7 @@ def test_the_waiter_re_checks_after_registering():
     its re-check; a ring that lands after the re-check moves the ring count
     the waiter then waits on."""
     doorbell = Doorbell()
-    queue = WorkQueue(0, doorbell=doorbell)
+    queue = WorkQueue(2, doorbell=doorbell)
     queue.put("early")  # rings with nobody parked: a no-op
     assert run_with_watchdog(lambda: doorbell.wait(lambda: len(queue) > 0), CELL_SECONDS)
 
