@@ -11,7 +11,7 @@ workload specifications matching the paper's Table 1/Table 2
 from .checkpoint import CheckpointPolicy
 from .cluster import Cluster, ClusterMembership, MembershipEvent, PartitionEvent
 from .fabric import RingFabric
-from .kernel import AllOf, AnyOf, Environment, Event, Interrupt, Process, Timeout
+from .kernel import AllOf, Environment, Event, Interrupt, Process, Timeout
 from .links import BandwidthPipe, SharedLink, Stream
 from .resources import Request, Resource
 from .scenarios import PRESETS, JobMix, JobSpec, MixResult, run_preset
@@ -38,7 +38,6 @@ __all__ = [
     "Timeout",
     "Process",
     "Interrupt",
-    "AnyOf",
     "AllOf",
     "Store",
     "PriorityStore",

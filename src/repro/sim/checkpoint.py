@@ -84,7 +84,8 @@ class CheckpointPolicy:
             raise ConfigurationError(
                 f"interval_steps must be >= 1, got {self.interval_steps!r}"
             )
-        if self.interval_seconds is not None and self.interval_seconds <= 0:
+        # written ``not x > 0`` so that NaN is refused too
+        if self.interval_seconds is not None and not self.interval_seconds > 0:
             raise ConfigurationError(
                 f"interval_seconds must be positive, got "
                 f"{self.interval_seconds!r}"
@@ -93,7 +94,7 @@ class CheckpointPolicy:
             raise ConfigurationError(
                 f"restore must be one of {RESTORE_MODES}, got {self.restore!r}"
             )
-        if self.state_scale <= 0:
+        if not self.state_scale > 0:
             raise ConfigurationError(
                 f"state_scale must be positive, got {self.state_scale!r}"
             )

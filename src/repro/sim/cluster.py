@@ -116,9 +116,10 @@ class MembershipEvent:
             )
         if self.epoch is not None and self.epoch < 0:
             raise ConfigurationError(f"epoch must be >= 0, got {self.epoch!r}")
-        if self.time is not None and self.time < 0:
+        # written ``not x >= 0`` so that NaN is refused too
+        if self.time is not None and not self.time >= 0:
             raise ConfigurationError(f"time must be >= 0, got {self.time!r}")
-        if self.after < 0:
+        if not self.after >= 0:
             raise ConfigurationError(f"after must be >= 0, got {self.after!r}")
         if self.after > 0 and self.kind != "fail":
             raise ConfigurationError(
@@ -165,11 +166,12 @@ class PartitionEvent:
             raise ConfigurationError(
                 f"partition nodes must be >= 0, got {list(nodes)!r}"
             )
-        if self.time < 0:
+        if not self.time >= 0:
             raise ConfigurationError(f"time must be >= 0, got {time!r}")
-        if self.duration <= 0:
+        if not 0 < self.duration < float("inf"):
             raise ConfigurationError(
-                f"duration must be positive (partitions heal), got {duration!r}"
+                f"duration must be positive and finite (partitions heal), "
+                f"got {duration!r}"
             )
 
     @property

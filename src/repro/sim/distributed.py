@@ -499,7 +499,8 @@ class JobSpec:
                 f"job {self.job_id!r}: priority must be >= 0, "
                 f"got {self.priority!r}"
             )
-        if self.arrival < 0:
+        # written ``not x >= 0`` so that NaN is refused too
+        if not self.arrival >= 0:
             raise ConfigurationError(
                 f"job {self.job_id!r}: arrival must be >= 0, "
                 f"got {self.arrival!r}"

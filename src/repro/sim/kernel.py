@@ -12,7 +12,7 @@ Only the features needed by the loader models are implemented:
 * :class:`Event` / :class:`Timeout` -- basic triggerable events.
 * :class:`Process` -- generator-driven coroutine with ``interrupt`` support
   (used to model the paper's mid-transformation preemption of slow samples).
-* :class:`AnyOf` / :class:`AllOf` -- composite conditions.
+* :class:`AllOf` -- waits for a set of events.
 
 Queues and resources live in :mod:`repro.sim.stores` and
 :mod:`repro.sim.resources`.
@@ -28,11 +28,9 @@ and ``tests/helpers.CheckedEnvironment`` checks every delivery and every
 skip against it.  A heap entry is live only while it carries its event's
 current scheduling id: ``_requeue`` moves a pending timer by queueing it
 again under a fresh id, and the entry it supersedes is skipped when it
-surfaces.  Two further optimizations ride on the queue: interrupted
-processes' stale wait targets are lazily cancelled (skipped at their fire
-time instead of being popped, walked and failure-checked), and the
-throwaway resume ``Event`` that :meth:`Process._resume` allocates when
-yielding an already-processed event is recycled per process.
+surfaces.  That is the queue's one skip rule: every other entry is
+delivered, an interrupted process's stale wait target too (to nobody, at
+its own time).
 
 Per delivered event ``run`` makes one :meth:`Environment.step` call, which
 pops through ``_pop_next`` -> ``_head``; the arbitration builds no key
@@ -53,7 +51,6 @@ __all__ = [
     "Timeout",
     "Process",
     "Interrupt",
-    "AnyOf",
     "AllOf",
 ]
 
@@ -81,7 +78,7 @@ class Event:
     ``__dict__``): a simulation allocates one per delivery.
     """
 
-    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused", "_dead", "_eid")
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused", "_eid")
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
@@ -91,11 +88,6 @@ class Event:
         #: set True once a failure's exception was consumed by somebody;
         #: unhandled failures surface in Environment.step().
         self._defused = False
-        #: lazy-cancellation mark: a scheduled event whose last subscriber
-        #: detached (an interrupted process's stale wait target).  Skipped
-        #: at its fire time *iff* it is still successful and unobserved --
-        #: re-subscribing before then revives it without clearing the mark.
-        self._dead = False
         #: scheduling id of the event's current entry (orders lane heads
         #: against heap entries at the same time; a heap entry carrying
         #: another id was superseded by ``Environment._requeue``)
@@ -158,7 +150,6 @@ class Timeout(Event):
         self._value = value
         self._ok = True
         self._defused = False
-        self._dead = False
         self._eid = 0
         self.delay = delay
         env._schedule(self, NORMAL, delay)
@@ -185,7 +176,7 @@ class Process(Event):
     (value = the generator's return value) or raises (failure).
     """
 
-    __slots__ = ("_generator", "_target", "_resume_cache")
+    __slots__ = ("_generator", "_target")
 
     def __init__(self, env: "Environment", generator: Generator) -> None:
         if not hasattr(generator, "throw"):
@@ -193,19 +184,11 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self._target: Optional[Event] = None
-        #: recycled resume event for the already-processed fast path (one
-        #: live resume per process at a time, so a single slot suffices)
-        self._resume_cache: Optional[Event] = None
         _Initialize(env, self._resume)
 
     @property
     def is_alive(self) -> bool:
         return self._ok is None
-
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting for (if any)."""
-        return self._target
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current instant."""
@@ -236,12 +219,6 @@ class Process(Event):
                     target.callbacks.remove(self._resume)
                 except ValueError:
                     pass
-                else:
-                    if not target.callbacks:
-                        # last subscriber gone: let the queue skip the
-                        # stale event at its fire time instead of walking
-                        # its (empty) callbacks and failure-checking it
-                        target._dead = True
         self._target = None
         env = self.env
         env._active = self
@@ -275,37 +252,22 @@ class Process(Event):
             )
         if next_event.callbacks is None:
             # Already processed: resume immediately at the current instant.
-            # Successful passthroughs recycle a per-process resume event
-            # (safe: only one resume per process is ever in flight, and a
-            # recycled event is always re-armed successful, so the queue's
-            # unhandled-failure check after its callbacks stays valid).
-            resume = self._resume_cache
-            if next_event._ok and resume is not None and resume.callbacks is None:
-                resume._ok = True
-                resume._value = next_event._value
-                resume._defused = False
-                resume._dead = False
-                resume.callbacks = [self._resume]
-                self.env._schedule(resume, URGENT, 0.0)
-            else:
-                resume = Event(self.env)
-                resume._ok = next_event._ok
-                resume._value = next_event._value
-                if not next_event._ok:
-                    next_event._defused = True
-                    resume._defused = True
-                resume.callbacks.append(self._resume)
-                self.env._schedule(resume, URGENT, 0.0)
-                if next_event._ok:
-                    self._resume_cache = resume
+            resume = Event(self.env)
+            resume._ok = next_event._ok
+            resume._value = next_event._value
+            if not next_event._ok:
+                next_event._defused = True
+                resume._defused = True
+            resume.callbacks.append(self._resume)
+            self.env._schedule(resume, URGENT, 0.0)
             self._target = resume
         else:
             next_event.callbacks.append(self._resume)
             self._target = next_event
 
 
-class _Condition(Event):
-    """Base for :class:`AnyOf` / :class:`AllOf`."""
+class AllOf(Event):
+    """Triggers once all events have triggered."""
 
     __slots__ = ("_events", "_done")
 
@@ -325,9 +287,6 @@ class _Condition(Event):
             else:
                 event.callbacks.append(self._check)
 
-    def _satisfied(self) -> bool:
-        raise NotImplementedError
-
     def _check(self, event: Event) -> None:
         if self._ok is not None:
             return
@@ -336,31 +295,9 @@ class _Condition(Event):
             self.fail(event._value)
             return
         self._done += 1
-        if self._satisfied():
-            # Only events that have actually been *processed* contribute a
-            # value (a Timeout is "triggered" from creation, but its value is
-            # not observable until its scheduled instant).
-            self.succeed(
-                {e: e._value for e in self._events if e.callbacks is None and e._ok}
-            )
-
-
-class AnyOf(_Condition):
-    """Triggers as soon as one of the events triggers."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._done >= 1
-
-
-class AllOf(_Condition):
-    """Triggers once all events have triggered."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._done >= len(self._events)
+        if self._done >= len(self._events):
+            # every event has been delivered, and none failed
+            self.succeed({e: e._value for e in self._events})
 
 
 class Environment:
@@ -376,8 +313,8 @@ class Environment:
     clock advances), the heap holds nothing earlier, and each step takes
     the least of the heads (see :meth:`_head`).
 
-    ``events_processed`` / ``events_skipped`` count delivered and
-    lazily-cancelled events; the benchmark layer reports events/sec from
+    ``events_processed`` / ``events_skipped`` count delivered events and
+    superseded heap entries; the benchmark layer reports events/sec from
     them.
     """
 
@@ -390,7 +327,7 @@ class Environment:
         self._active: Optional[Process] = None
         #: events actually delivered (callbacks walked)
         self.events_processed = 0
-        #: dead events discarded at their fire time without delivery
+        #: heap entries superseded by ``_requeue``, dropped undelivered
         self.events_skipped = 0
 
     @property
@@ -411,12 +348,6 @@ class Environment:
 
     def process(self, generator: Generator) -> Process:
         return Process(self, generator)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
 
     # -- scheduling --------------------------------------------------------
 
@@ -490,15 +421,11 @@ class Environment:
         """The queue -- heap or lane -- whose head is the next event in
         ``(time, priority, eid)`` order, or ``None`` if nothing is pending.
 
-        Two kinds of entry are discarded on the way, each only once it
-        *is* the next entry, and each counted in ``events_skipped``.  A heap
-        entry is live only while it carries its event's current ``_eid``:
-        one superseded by a later :meth:`_requeue` is dropped and its event
-        stays pending at its newer entry.  A lazily-cancelled event is
-        dropped (nothing can run before its fire time any more, so nothing
-        can still re-subscribe to it) only while successful and unobserved;
-        dropping marks it processed so a late ``yield`` still takes the
-        already-processed fast path with the value it would have had.
+        One kind of entry is discarded on the way, only once it *is* the
+        next entry, and counted in ``events_skipped``: a heap entry is live
+        only while it carries its event's current ``_eid``, so one
+        superseded by a later :meth:`_requeue` is dropped and its event
+        stays pending at its newer entry.  Nothing else is ever skipped.
 
         The arbitration builds no key tuples.  Every lane entry is at
         ``now`` and the heap holds nothing earlier, so in ``(time,
@@ -517,35 +444,20 @@ class Environment:
                 else:
                     source = normal
                     prio = NORMAL
-                event = source[0]
-                if heap:
-                    entry = heap[0]
-                    if entry[0] == self._now and (
-                        entry[1] < prio or (entry[1] == prio and entry[2] < event._eid)
-                    ):
-                        event = entry[3]
-                        if entry[2] != event._eid:
-                            heappop(heap)
-                            self.events_skipped += 1
-                            continue
-                        source = heap
+                if not heap:
+                    return source
+                entry = heap[0]
+                if entry[0] != self._now or entry[1] > prio or (
+                    entry[1] == prio and entry[2] > source[0]._eid
+                ):
+                    return source
             elif heap:
                 entry = heap[0]
-                event = entry[3]
-                if entry[2] != event._eid:
-                    heappop(heap)
-                    self.events_skipped += 1
-                    continue
-                source = heap
             else:
                 return None
-            if not event._dead or not event._ok or event.callbacks:
-                return source
-            if source is heap:
-                heappop(heap)
-            else:
-                source.popleft()
-            event.callbacks = None
+            if entry[2] == entry[3]._eid:
+                return heap
+            heappop(heap)
             self.events_skipped += 1
 
     def _pop_next(self) -> Optional[Event]:

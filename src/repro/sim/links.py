@@ -125,7 +125,6 @@ class _Transfer(Event):
         self._value = nbytes
         self._ok = True
         self._defused = False
-        self._dead = False
         self._eid = 0
         self.stream = stream
         self.nbytes = nbytes

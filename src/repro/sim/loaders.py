@@ -502,6 +502,11 @@ class SimTorchLoader(BaseSimLoader):
         self.pipeline_override = pipeline_override
         self.seed = seed
         self._check_shared_knobs(TorchLoaderConfig)
+        if not worker_startup_seconds >= 0:
+            raise ConfigurationError(
+                f"worker_startup_seconds must be >= 0, got "
+                f"{worker_startup_seconds!r}"
+            )
 
     def start(self, ctx: SimContext) -> None:
         self.bind(ctx)
@@ -633,6 +638,17 @@ class SimDALILoader(BaseSimLoader):
         self.cpu_decode_bandwidth = cpu_decode_bandwidth
         self.seed = seed
         self._check_shared_knobs(DALIConfig)
+        # the threaded config calls the first knob num_threads, so the
+        # shared check cannot see it, and it has no decode bandwidth
+        if not num_threads_per_gpu >= 1:
+            raise ConfigurationError(
+                f"num_threads_per_gpu must be >= 1, got {num_threads_per_gpu!r}"
+            )
+        if not cpu_decode_bandwidth > 0:
+            raise ConfigurationError(
+                f"cpu_decode_bandwidth must be positive, got "
+                f"{cpu_decode_bandwidth!r}"
+            )
 
     def start(self, ctx: SimContext) -> None:
         self.bind(ctx)

@@ -39,9 +39,8 @@ class StoreGet(Event):
 class Store:
     """Process-safe FIFO queue living in virtual time.
 
-    Note: a pending ``get()`` event that its creator stops waiting for (e.g.
-    after an ``AnyOf`` race) will still consume a future item.  Models that
-    race multiple queues should poll with :meth:`try_get` instead.
+    A pending ``get()`` whose process is interrupted still consumes the
+    next item put.
     """
 
     def __init__(self, env: Environment, capacity: float = float("inf")) -> None:

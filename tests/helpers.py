@@ -228,11 +228,9 @@ class CheckedEnvironment(Environment):
     kernel must agree with it transition by transition: it delivers
     exactly the shadow's next entry; it drops an entry exactly when that
     entry *is* the shadow's next one (its own fire time, never earlier) and
-    either was superseded by a later ``_requeue`` of its event or belongs
-    to a dead-marked, successful, unobserved event, which it marks
-    processed; virtual time never runs backwards; and no event object is
-    ever pending twice except through ``_requeue`` (what the per-process
-    resume recycling must guarantee).
+    was superseded by a later ``_requeue`` of its event -- the queue's one
+    skip rule; virtual time never runs backwards; and no event object is
+    ever pending twice except through ``_requeue``.
     :func:`on_checked_kernel` substitutes it into whole simulated runs.
     """
 
@@ -265,23 +263,18 @@ class CheckedEnvironment(Environment):
         return when, event
 
     def _head(self):
-        superseded, due = 0, []
+        superseded = 0
         while self._shadow:
             _when, _priority, eid, event = self._shadow[0]
-            if self._latest.get(event) != eid:
-                self._take()
-                superseded += 1
-            elif event._dead and event._ok and not event.callbacks:
-                due.append(self._take()[1])
-            else:
+            if self._latest.get(event) == eid:
                 break
+            self._take()
+            superseded += 1
         skipped = self.events_skipped
         source = super()._head()
-        assert self.events_skipped - skipped == superseded + len(due) and all(
-            event.callbacks is None for event in due
-        ), (
+        assert self.events_skipped - skipped == superseded, (
             f"skip out of turn (the specification drops {superseded} "
-            f"superseded entries and the dead {due})"
+            f"superseded entries)"
         )
         return source
 

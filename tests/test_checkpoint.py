@@ -67,6 +67,11 @@ def test_policy_rejects_bad_values():
         CheckpointPolicy(interval_steps=4, restore="tape")
     with pytest.raises(ConfigurationError):
         CheckpointPolicy(interval_steps=4, state_scale=0.0)
+    # NaN never comes due, or fails only once the run is under way
+    with pytest.raises(ConfigurationError, match="interval_seconds"):
+        CheckpointPolicy(interval_seconds=float("nan"))
+    with pytest.raises(ConfigurationError, match="state_scale"):
+        CheckpointPolicy(interval_steps=4, state_scale=float("nan"))
 
 
 def test_policy_state_bytes_and_due():

@@ -59,6 +59,11 @@ def test_membership_event_validation():
         # after offsets an epoch anchor only; an absolute time anchor must
         # fold the offset in (it would otherwise be silently ignored)
         MembershipEvent("fail", 0, time=1.0, after=0.5)
+    # a NaN anchor would kill the node the moment its round starts
+    with pytest.raises(ConfigurationError, match="time"):
+        MembershipEvent("fail", 1, time=float("nan"))
+    with pytest.raises(ConfigurationError, match="after"):
+        MembershipEvent("fail", 1, epoch=0, after=float("nan"))
     MembershipEvent("fail", 0, epoch=1, after=0.5)  # fine
 
 

@@ -79,6 +79,8 @@ def test_negative_priority_rejected():
 def test_negative_arrival_rejected():
     with pytest.raises(ConfigurationError, match="arrival"):
         JobMix([_spec(arrival=-0.5)], _cluster())
+    with pytest.raises(ConfigurationError, match="arrival"):
+        _spec(arrival=float("nan"))
 
 
 def test_blank_job_id_rejected():
@@ -197,6 +199,12 @@ def test_partition_event_validation():
         PartitionEvent(nodes=(0,), time=0.0, duration=0.0)
     with pytest.raises(ConfigurationError, match="time"):
         PartitionEvent(nodes=(0,), time=-1.0, duration=1.0)
+    # a NaN bound gives a window that never applies; partitions heal
+    with pytest.raises(ConfigurationError, match="time"):
+        PartitionEvent(nodes=(0,), time=float("nan"), duration=1.0)
+    for duration in (float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError, match="duration"):
+            PartitionEvent(nodes=(0,), time=0.0, duration=duration)
     with pytest.raises(ConfigurationError, match="unknown"):
         ClusterMembership(
             2, partitions=(PartitionEvent(nodes=(7,), time=0.0, duration=1.0),)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import EmptySchedule, SimulationError
-from repro.sim import AllOf, AnyOf, Environment, Interrupt
+from repro.sim import AllOf, Environment, Interrupt
 from repro.sim.kernel import NORMAL, URGENT, Event, Timeout
 from repro.sim.links import SharedLink
 from repro.sim.stores import Store
@@ -122,8 +122,8 @@ def test_every_event_class_is_slotted():
     an instance ``__dict__``."""
     classes = sim_event_classes()
     assert {cls.__name__ for cls in classes} >= {
-        "Event", "Timeout", "_Initialize", "Process", "_Condition", "AnyOf",
-        "AllOf", "StorePut", "StoreGet", "Request",
+        "Event", "Timeout", "_Initialize", "Process", "AllOf", "StorePut",
+        "StoreGet", "Request", "_Transfer",
     }
     for cls in classes:
         unslotted = [k.__name__ for k in cls.__mro__[:-1] if "__slots__" not in vars(k)]
@@ -132,11 +132,11 @@ def test_every_event_class_is_slotted():
     store = Store(env)
 
     def proc():
-        yield env.any_of([env.timeout(1), store.get()])
+        yield env.timeout(1)
         yield store.put("x")
 
     events = [env.process(proc()), env.timeout(0), env.event(), store.get()]
-    events.append(env.all_of(events[1:2]))
+    events.append(AllOf(env, events[1:2]))
     for event in events:
         assert not hasattr(event, "__dict__"), type(event).__name__
 
@@ -510,21 +510,6 @@ def test_interrupted_process_can_continue():
     assert log == [6.0]
 
 
-def test_any_of_triggers_on_first():
-    env = Environment()
-    log = []
-
-    def proc():
-        first = env.timeout(1, value="fast")
-        second = env.timeout(5, value="slow")
-        result = yield AnyOf(env, [first, second])
-        log.append((env.now, list(result.values())))
-
-    env.process(proc())
-    env.run()
-    assert log == [(1.0, ["fast"])]
-
-
 def test_all_of_waits_for_all():
     env = Environment()
     log = []
@@ -579,7 +564,7 @@ def test_many_processes_scale():
 
 
 # ---------------------------------------------------------------------------
-# Lazy cancellation and resume recycling
+# Stale wait targets and already-processed yields
 # ---------------------------------------------------------------------------
 
 
@@ -603,19 +588,23 @@ def interrupted_sleeper(env, log, after_interrupt):
     env.process(interrupter(env.process(sleeper())))
 
 
-def test_stale_timeout_of_interrupted_waiter_is_skipped_not_processed():
+def test_stale_timeout_of_interrupted_waiter_is_delivered_to_nobody():
+    """The queue has no cancellation: the stale timeout is delivered at its
+    own time, with no callback left to walk."""
     env = CheckedEnvironment()
     log = []
     interrupted_sleeper(env, log, lambda stale: iter(()))
     env.run()
     assert log == [1.0]
-    assert env.events_skipped == 1
-    # 2 process starts, the 1 s timeout, the interrupt, 2 process ends
-    assert env.events_processed == 6
+    assert env.now == 5.0
+    assert env.events_skipped == 0
+    # 2 process starts, the 1 s timeout, the interrupt, 2 process ends and
+    # the stale timeout
+    assert env.events_processed == 7
 
 
 @pytest.mark.parametrize("pause", [0, 2], ids=["same-instant", "later"])
-def test_resubscribing_before_fire_time_revives_a_dead_event(pause):
+def test_a_waiter_back_before_fire_time_resumes_on_its_stale_event(pause):
     """The waiter comes back to its stale timeout before t=5 -- after a
     zero-delay hop (the stale event is then the only entry left in the
     heap) or after a real delay: it is delivered at its own time."""
@@ -630,9 +619,11 @@ def test_resubscribing_before_fire_time_revives_a_dead_event(pause):
     env.run()
     assert log == ["late", 5.0]
     assert env.events_skipped == 0
+    # the 7 deliveries of the waiter that never comes back, and its pause
+    assert env.events_processed == 8
 
 
-def test_late_yield_on_skipped_event_resumes_at_once_with_its_value():
+def test_late_yield_on_a_stale_event_delivered_to_nobody_resumes_at_once():
     env = CheckedEnvironment()
     log = []
 
@@ -644,7 +635,10 @@ def test_late_yield_on_skipped_event_resumes_at_once_with_its_value():
     interrupted_sleeper(env, log, long_after)
     env.run()
     assert log == ["late", 11.0]
-    assert env.events_skipped == 1
+    assert env.events_skipped == 0
+    # the 7 deliveries of the waiter that never comes back, its 10 s
+    # timeout and the resume event of the already-processed yield
+    assert env.events_processed == 9
 
 
 def test_resume_recycling_never_leaks_a_stale_value_or_a_failure():
@@ -670,7 +664,7 @@ def test_resume_recycling_never_leaks_a_stale_value_or_a_failure():
             yield bad
         except ValueError:
             seen.append("raised")
-        seen.append((yield b))  # the failure did not poison the recycled slot
+        seen.append((yield b))  # the failure did not poison a later yield
         seen.append(env.now)
 
     bad = env.process(failing())
@@ -686,7 +680,6 @@ OPS = st.one_of(
     st.tuples(st.just("sleep"), st.sampled_from([0, 0, 0.5, 1, 2])),
     st.tuples(st.just("put"), st.integers(0, 3)),
     st.tuples(st.just("get"), st.none()),
-    st.tuples(st.just("race"), st.sampled_from([0, 1, 3])),
     st.tuples(st.just("at"), st.sampled_from([0, 0.5, 1])),
     st.tuples(st.just("interrupt"), st.integers(0, 3)),
     st.tuples(st.just("again"), st.none()),
@@ -703,9 +696,10 @@ PROGRAMS = st.lists(st.lists(OPS, max_size=8), min_size=2, max_size=4)
 
 def drive(env, programs):
     """Run one list of ops per process; returns the (time, pid, op, value)
-    trace.  ``again`` re-yields the wait the last interrupt cut short (dead
-    event revival, or a late yield once it was skipped); ``old`` re-yields
-    the last finished sleep (the recycled already-processed passthrough);
+    trace.  ``again`` re-yields the wait the last interrupt cut short (back
+    before its fire time, or a late yield once it was delivered to
+    nobody); ``old`` re-yields the last finished sleep (the
+    already-processed passthrough);
     ``at`` waits on a plain event succeeded at an absolute instant;
     ``send`` waits on a transfer over a shared link (re-queued when
     another stream opens or drains); ``requeue`` waits on a triggered
@@ -735,7 +729,6 @@ def drive(env, programs):
                 "sleep": lambda: env.timeout(arg, value=n),
                 "put": lambda: store.put(arg),
                 "get": store.get,
-                "race": lambda: env.any_of([store.get(), env.timeout(arg)]),
                 "at": lambda: env.succeed_at(env.event(), env.now + arg, n),
                 "again": lambda: stale,
                 "old": lambda: old,
@@ -750,8 +743,6 @@ def drive(env, programs):
                     old = event
             except Interrupt as interrupt:
                 stale, value = event, ("interrupted", interrupt.cause)
-            if isinstance(value, dict):
-                value = len(value)
             trace.append((env.now, pid, n, value))
 
     for pid, ops in enumerate(programs):
@@ -778,18 +769,6 @@ class SwappedLanes(Environment):
         super()._schedule(
             event, 1 - priority if delay == 0.0 else priority, delay, at
         )
-
-
-class EarlySkip(Environment):
-    """Mutant: a dead event at the head of the heap is dropped at once,
-    whether or not current-instant events are still due before it."""
-
-    def _head(self):
-        heap = self._queue
-        while heap and heap[0][3]._dead and not heap[0][3].callbacks:
-            heapq.heappop(heap)[3].callbacks = None
-            self.events_skipped += 1
-        return super()._head()
 
 
 class UnshadowedAbsolute(Environment):
@@ -874,14 +853,6 @@ class LaneRequeue(Environment):
         (SwappedLanes, [[("sleep", 0)], [("sleep", 0)]]),
         (UnshadowedAbsolute, [[("at", 0.5)], [("sleep", 1)]]),
         (BackdatedAbsolute, [[("sleep", 2), ("at", 0.5)], [("sleep", 1)]]),
-        # interrupted at t=1, one zero-delay hop, then back to the stale wait
-        (
-            EarlySkip,
-            [
-                [("sleep", 5), ("sleep", 0), ("again", None)],
-                [("sleep", 1), ("interrupt", 0)],
-            ],
-        ),
         # at t=2, past the horizon stop, so inside run()'s own loop: an
         # absolute entry at now (heap) ahead of a later zero-delay timeout
         # (normal lane), both NORMAL
@@ -901,7 +872,7 @@ class LaneRequeue(Environment):
         ),
     ],
     ids=[
-        "swapped-lanes", "unshadowed-absolute", "backdated-absolute", "early-skip",
+        "swapped-lanes", "unshadowed-absolute", "backdated-absolute",
         "lane-beats-heap-at-now", "priority-blind-heap", "superseded-delivered",
         "lane-requeue",
     ],

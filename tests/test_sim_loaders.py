@@ -617,6 +617,14 @@ def test_sim_minato_rejects_degenerate_knobs_at_construction(name, value):
         ("pytorch", "pin_memory_bandwidth", -1.0),
         # a ValueError from Store, at start()
         ("pytorch", "queue_capacity", 0),
+        # silently run as 0
+        ("pytorch", "worker_startup_seconds", -5.0),
+        # ZeroDivisionError; with -1 the schedule drained, read as a deadlock
+        ("dali", "num_threads_per_gpu", 0),
+        ("dali", "num_threads_per_gpu", -1),
+        # ZeroDivisionError; a negative bandwidth made decode free
+        ("dali", "cpu_decode_bandwidth", 0.0),
+        ("dali", "cpu_decode_bandwidth", -1.0),
     ],
 )
 def test_sim_loaders_refuse_what_the_threaded_configs_refuse(
