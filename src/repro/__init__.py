@@ -5,8 +5,9 @@ Public API highlights:
 * :class:`repro.core.MinatoLoader` -- the paper's contribution: a sample-aware
   data loader with fast/slow/temp/batch queues, warm-up profiling, and an
   adaptive worker scheduler.
-* :mod:`repro.baselines` -- PyTorch-DataLoader-, DALI- and Pecan-style
-  baselines re-implemented over the same substrate.
+* :mod:`repro.baselines` -- the PyTorch-DataLoader baseline on the same
+  threaded chassis (DALI, Pecan and the size heuristic are simulator
+  models, :mod:`repro.sim.loaders`).
 * :mod:`repro.data` -- synthetic KiTS19 / COCO / LibriSpeech datasets and the
   storage model (page cache + bandwidth-limited disk).
 * :mod:`repro.transforms` -- the preprocessing pipelines of paper Table 1.

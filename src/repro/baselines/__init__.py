@@ -1,17 +1,15 @@
-"""Baseline loaders: PyTorch DataLoader, DALI and Pecan semantics."""
+"""The threaded PyTorch-DataLoader baseline, on the one loader chassis.
+
+DALI, Pecan and the §3.2 size heuristic are baselines only in the
+simulator (:mod:`repro.sim.loaders`: ``SimDALILoader``, ``SimPecanLoader``
+and ``SimMinatoLoader(classifier="size")``), where every figure runs them.
+"""
 
 from ..core.loader import BaseConcurrentLoader
-from .dali_loader import DALIConfig, DALIStyleLoader
-from .heuristics import SizeHeuristicLoader
-from .pecan import PecanLoader
 from .torch_loader import TorchLoaderConfig, TorchStyleLoader
 
 __all__ = [
     "BaseConcurrentLoader",
     "TorchStyleLoader",
     "TorchLoaderConfig",
-    "DALIStyleLoader",
-    "DALIConfig",
-    "PecanLoader",
-    "SizeHeuristicLoader",
 ]

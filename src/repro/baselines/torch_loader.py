@@ -67,7 +67,8 @@ class TorchLoaderConfig:
             raise ConfigurationError(
                 f"queue_capacity must be >= 1, got {self.queue_capacity}"
             )
-        if self.pin_memory_bandwidth is not None and self.pin_memory_bandwidth <= 0:
+        # written ``not x > 0`` so that NaN is refused too
+        if self.pin_memory_bandwidth is not None and not self.pin_memory_bandwidth > 0:
             raise ConfigurationError("pin_memory_bandwidth must be positive")
 
 

@@ -1,9 +1,9 @@
 """The threaded chassis and MinatoLoader, the paper's sample-aware loader (§4).
 
 :class:`BaseConcurrentLoader` is the one chassis every threaded loader
-(MinatoLoader here, the PyTorch / DALI / Pecan / size-heuristic models in
-:mod:`repro.baselines`) is built on.  It owns what they all need and none
-should write twice: start/shutdown lifecycle, the guarded thread spawn,
+(MinatoLoader here, the PyTorch model in :mod:`repro.baselines`) is built
+on.  It owns what they both need and neither should write twice:
+start/shutdown lifecycle, the guarded thread spawn,
 error surfacing to the consumer, the doorbells idle stages park on, the
 per-sample prologue (load, rng, storage charge) and the consumption API
 (:class:`~repro.engine.trainer.BatchSource`: ``next_batch`` / ``batches`` /
@@ -245,7 +245,6 @@ class BaseConcurrentLoader:
         epoch: int,
         index: Optional[int] = None,
         sample: Optional[Sample] = None,
-        cost_scale: float = 1.0,
     ) -> Tuple[Sample, WorkContext]:
         """A sample and the context its transforms run in.
 
@@ -272,7 +271,6 @@ class BaseConcurrentLoader:
                         raise
         ctx = WorkContext(
             clock=self.clock,
-            cost_scale=cost_scale,
             seed=(sample.spec.seed + 7_919 * epoch) & 0x7FFFFFFF,
         )
         ctx.open_run()

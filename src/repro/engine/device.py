@@ -2,9 +2,8 @@
 
 A :class:`SimulatedGPU` serializes work through a lock and charges execution
 time on the engine clock -- from the loader's perspective that is exactly
-what a CUDA device is.  Both training steps and (for the DALI baseline)
-GPU-offloaded preprocessing execute through the same device, which reproduces
-the contention the paper describes in §3.5.
+what a CUDA device is.  (The contention of GPU-offloaded preprocessing
+with training, paper §3.5, is modelled by the simulator's DALI loader.)
 
 Every execution is recorded as a tagged busy interval into an
 :class:`~repro.engine.metrics.IntervalRecorder`, the columns the simulator's

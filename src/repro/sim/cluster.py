@@ -49,7 +49,7 @@ from .kernel import Environment
 from .links import BandwidthPipe
 from .resources import Resource
 from .topology import TOPOLOGIES, FlatRing, Hierarchical, Topology
-from .workloads import HardwareConfig
+from .workloads import HardwareConfig, check_cache_fraction
 
 __all__ = [
     "Cluster",
@@ -449,14 +449,16 @@ class Cluster:
             raise ConfigurationError(
                 f"topology must be one of {TOPOLOGIES}, got {topology!r}"
             )
-        if link_bandwidth <= 0:
+        # written ``not x > 0`` / ``not x >= 0`` so that NaN is refused too
+        if not link_bandwidth > 0:
             raise ConfigurationError(
                 f"link_bandwidth must be positive, got {link_bandwidth!r}"
             )
-        if link_latency < 0:
+        if not link_latency >= 0:
             raise ConfigurationError(
                 f"link_latency must be >= 0, got {link_latency!r}"
             )
+        check_cache_fraction(cache_fraction)
         if gpus_per_node is None:
             gpus_per_node = (
                 hardware.gpus_per_node

@@ -73,7 +73,7 @@ change (measured per epoch per node via
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from math import ceil
+from math import ceil, inf
 from numbers import Real
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -504,6 +504,11 @@ class JobSpec:
             raise ConfigurationError(
                 f"job {self.job_id!r}: arrival must be >= 0, "
                 f"got {self.arrival!r}"
+            )
+        if not 0 <= self.gradient_bytes < inf:
+            raise ConfigurationError(
+                f"job {self.job_id!r}: gradient_bytes must be finite and "
+                f">= 0, got {self.gradient_bytes!r}"
             )
         if self.fabric not in FABRICS:
             raise ConfigurationError(

@@ -49,8 +49,10 @@ a chain of callbacks").
 
 Every model runs as one data-parallel rank (paper §6): ``start(ctx)`` begins
 with :meth:`BaseSimLoader.bind`, which makes a loader nobody rebound onto a
-shard a world of one over the workload's own budget.  Constructors run the
-threaded configs' checks over the knobs the two substrates share.
+shard a world of one over the workload's own budget.  The Torch and Minato
+constructors run the threaded configs' checks over the knobs the two
+substrates share; the Pecan model inherits Torch's, and the DALI model,
+which has no threaded twin, checks its own knobs.
 
 No stage polls, and idle is free.  Algorithm 1's 10 ms sleep decides *when*
 an idle stage notices new work -- on its own poll tick -- and the model
@@ -79,7 +81,7 @@ from typing import (
     Tuple,
 )
 
-from ..baselines import DALIConfig, TorchLoaderConfig
+from ..baselines import TorchLoaderConfig
 from ..core.config import MinatoConfig
 from ..core.profiler import TimeoutProfiler
 from ..core.scheduler import SchedulerDecision, WorkerScheduler
@@ -104,7 +106,7 @@ from .cluster import NodeSite
 from .kernel import AllOf, Environment, Event, _Initialize
 from .resources import Request, Resource
 from .stores import PriorityStore, Store
-from .workloads import HardwareConfig, WorkloadSpec
+from .workloads import HardwareConfig, WorkloadSpec, check_cache_fraction
 
 __all__ = [
     "SimContext",
@@ -159,6 +161,7 @@ class SimContext:
                 f"{hardware.name} has at most {hardware.max_gpus} GPUs, "
                 f"got {num_gpus}"
             )
+        check_cache_fraction(cache_fraction)
         self.env = env
         self.workload = workload
         self.hardware = hardware
@@ -637,12 +640,18 @@ class SimDALILoader(BaseSimLoader):
         self.gpu_speedup = gpu_speedup
         self.cpu_decode_bandwidth = cpu_decode_bandwidth
         self.seed = seed
-        self._check_shared_knobs(DALIConfig)
-        # the threaded config calls the first knob num_threads, so the
-        # shared check cannot see it, and it has no decode bandwidth
+        # written ``not x >= 1`` / ``not x > 0`` so that NaN is refused too
         if not num_threads_per_gpu >= 1:
             raise ConfigurationError(
                 f"num_threads_per_gpu must be >= 1, got {num_threads_per_gpu!r}"
+            )
+        if not prefetch_queue_depth >= 1:
+            raise ConfigurationError(
+                f"prefetch_queue_depth must be >= 1, got {prefetch_queue_depth!r}"
+            )
+        if not gpu_speedup > 0:
+            raise ConfigurationError(
+                f"gpu_speedup must be positive, got {gpu_speedup!r}"
             )
         if not cpu_decode_bandwidth > 0:
             raise ConfigurationError(

@@ -198,6 +198,11 @@ def run_simulation(
     A hardware config with its own ``cache_fraction`` (heterogeneous-node
     setups) overrides the ``cache_fraction`` argument, matching the
     distributed runner's per-node semantics."""
+    # written ``not x > 0`` so that NaN is refused too
+    if series_bucket is not None and not series_bucket > 0:
+        raise ConfigurationError(
+            f"series_bucket must be positive, got {series_bucket!r}"
+        )
     env = Environment()
     if hardware.cache_fraction is not None:
         cache_fraction = hardware.cache_fraction

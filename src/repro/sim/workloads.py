@@ -64,17 +64,25 @@ class HardwareConfig:
     #: ``cache_fraction`` argument applies) -- heterogeneous-memory nodes
     cache_fraction: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        if self.cache_fraction is not None:
+            check_cache_fraction(self.cache_fraction)
+
     def with_memory_limit(self, limit_bytes: float) -> "HardwareConfig":
         """cgroup-style memory cap (paper §5.5)."""
         return replace(self, memory_bytes=limit_bytes)
 
     def with_cache_fraction(self, fraction: float) -> "HardwareConfig":
         """Pin this node's page-cache size to ``fraction`` of its memory."""
-        if fraction < 0:
-            raise ConfigurationError(
-                f"cache_fraction must be >= 0, got {fraction!r}"
-            )
         return replace(self, cache_fraction=fraction)
+
+
+def check_cache_fraction(fraction: float) -> None:
+    """Refuse a page-cache share of memory outside [0, 1], NaN included."""
+    if not 0 <= fraction <= 1:
+        raise ConfigurationError(
+            f"cache_fraction must lie in [0, 1], got {fraction!r}"
+        )
 
 
 CONFIG_A = HardwareConfig(

@@ -70,15 +70,11 @@ class WorkContext:
         self,
         clock: Optional[Clock] = None,
         rng: Optional[np.random.Generator] = None,
-        cost_scale: float = 1.0,
         seed: int = 0,
     ) -> None:
-        if cost_scale < 0:
-            raise ValueError(f"cost_scale must be >= 0, got {cost_scale!r}")
         self.clock = clock if clock is not None else ThreadLocalClock()
         self._rng = rng
         self._seed = seed
-        self.cost_scale = cost_scale
         self.charged_seconds = 0.0
         #: charges of the open run not yet on the clock; None: no run open
         self._owed: Optional[float] = None
@@ -90,23 +86,16 @@ class WorkContext:
         return self._rng
 
     def charge(self, seconds: float) -> None:
-        """Consume ``seconds * cost_scale`` of modelled compute on the clock
-        -- now, or at :meth:`settle` while a run is open.
-
-        ``cost_scale`` lets executors re-rate transform costs: the DALI
-        baseline runs preprocessing on the GPU at a 10x discount (paper
-        §5.1), and cost_scale=0 executes the numpy work without charging
-        (the caller accounts the time elsewhere, e.g. on a device).
-        ``charged_seconds`` counts every charge when it is made.
-        """
+        """Consume ``seconds`` of modelled compute on the clock -- now, or
+        at :meth:`settle` while a run is open.  ``charged_seconds`` counts
+        every charge when it is made."""
         if seconds < 0:
             raise ValueError(f"negative charge: {seconds!r}")
-        scaled = seconds * self.cost_scale
-        self.charged_seconds += scaled
+        self.charged_seconds += seconds
         if self._owed is None:
-            self.clock.advance(scaled)
+            self.clock.advance(seconds)
         else:
-            self._owed += scaled
+            self._owed += seconds
 
     def open_run(self) -> None:
         """Hold the charges from here back from the clock until :meth:`settle`."""

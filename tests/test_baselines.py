@@ -1,23 +1,18 @@
-"""Tests for the baseline loaders: PyTorch-style, DALI-style, Pecan, and the
-image-size heuristic."""
+"""Tests for the baselines: the threaded PyTorch-style loader, and the
+policies the simulated Pecan and size-heuristic models run by (DALI's
+model is tested with the other simulated loaders)."""
 
 import numpy as np
 import pytest
 
 from repro.clock import ScaledClock, ThreadLocalClock
-from repro.baselines import (
-    DALIConfig,
-    DALIStyleLoader,
-    PecanLoader,
-    SizeHeuristicLoader,
-    TorchLoaderConfig,
-    TorchStyleLoader,
-)
-from repro.core import MinatoConfig
-from repro.data import SyntheticCOCO, SyntheticKiTS19
-from repro.engine import SimulatedGPU
+from repro.baselines import TorchLoaderConfig, TorchStyleLoader
+from repro.engine import MODELS
 from repro.errors import ConfigurationError, LoaderStateError
-from repro.transforms import detection_pipeline, segmentation_pipeline
+from repro.policy import SizeRouter
+from repro.sim.kernel import Environment
+from repro.sim.loaders import SimContext, SimMinatoLoader, SimPecanLoader
+from repro.sim.workloads import CONFIG_A, WorkloadSpec, make_workload
 
 from .helpers import StubDataset, mixed_cost_dataset, stub_pipeline
 
@@ -143,8 +138,9 @@ def test_torch_config_validation():
         TorchLoaderConfig(num_workers=0)
     with pytest.raises(ConfigurationError):
         TorchLoaderConfig(prefetch_factor=0)
-    with pytest.raises(ConfigurationError):
-        TorchLoaderConfig(pin_memory_bandwidth=-1)
+    for bad in (-1, float("nan")):
+        with pytest.raises(ConfigurationError, match="pin_memory_bandwidth"):
+            TorchLoaderConfig(pin_memory_bandwidth=bad)
 
 
 @pytest.mark.parametrize("capacity", [0, -1])
@@ -178,167 +174,74 @@ def test_torch_worker_error_surfaces():
 
 
 # ---------------------------------------------------------------------------
-# PecanLoader
+# Pecan: AutoOrder over the PyTorch semantics (SimPecanLoader)
 # ---------------------------------------------------------------------------
 
 
+def started_pecan(name, n):
+    """A SimPecanLoader started on ``name``'s workload: its AutoOrder
+    ran, over the first 64 samples."""
+    workload = make_workload(name, dataset_size=n)
+    loader = SimPecanLoader()
+    loader.start(SimContext(Environment(), workload, CONFIG_A, num_gpus=1))
+    return workload, loader
+
+
 def test_pecan_moves_resize_to_end_for_detection():
-    ds = SyntheticCOCO(n_samples=16)
-    loader = PecanLoader(ds, detection_pipeline(), TorchLoaderConfig(batch_size=4))
-    assert loader.reordered_names[-1] == "Resize2D"
-    assert loader.original_pipeline.names[0] == "Resize2D"
-    loader.shutdown()
+    workload, loader = started_pecan("object_detection", 16)
+    assert loader.pipeline.names[-1] == "Resize2D"
+    assert workload.pipeline.names[0] == "Resize2D"
 
 
 def test_pecan_keeps_segmentation_order():
     """Paper §5.1: segmentation transforms are already optimally ordered."""
-    ds = SyntheticKiTS19(n_samples=8)
-    loader = PecanLoader(ds, segmentation_pipeline(), TorchLoaderConfig(batch_size=2))
-    assert loader.reordered_names == segmentation_pipeline().names
+    workload, loader = started_pecan("image_segmentation", 8)
+    assert loader.pipeline.names == workload.pipeline.names
     assert loader.auto_order_permutation == list(range(5))
-    loader.shutdown()
-
-
-def test_pecan_delivers_all_samples():
-    ds = mixed_cost_dataset(20)
-    cfg = TorchLoaderConfig(batch_size=4, num_workers=2, pin_memory_bandwidth=None)
-    loader = PecanLoader(ds, stub_pipeline(3), cfg, clock=ThreadLocalClock())
-    with loader:
-        delivered = [i for b in loader for i in b.indices]
-    assert sorted(delivered) == list(range(20))
 
 
 def test_pecan_reordering_reduces_detection_cost():
     """Moving Resize to the end shrinks the bytes seen by tensor-level steps,
     so the total modelled cost drops slightly (paper Fig. 3b: small effect)."""
-    ds = SyntheticCOCO(n_samples=200)
-    pipe = detection_pipeline()
-    loader = PecanLoader(ds, pipe, TorchLoaderConfig(batch_size=4))
-    original = sum(pipe.total_cost(s) for s in ds.specs())
-    reordered = sum(loader.pipeline.total_cost(s) for s in ds.specs())
-    loader.shutdown()
+    workload, loader = started_pecan("object_detection", 200)
+    specs = list(workload.dataset.specs())
+    original = sum(workload.pipeline.total_cost(s) for s in specs)
+    reordered = sum(loader.pipeline.total_cost(s) for s in specs)
     assert reordered < original
     saving = 1 - reordered / original
     assert 0.005 < saving < 0.15  # a small, Pecan-like effect
 
 
 # ---------------------------------------------------------------------------
-# DALIStyleLoader
-# ---------------------------------------------------------------------------
-
-
-def test_dali_delivers_all_samples_across_shards():
-    ds = mixed_cost_dataset(36)
-    cfg = DALIConfig(batch_size=4, num_gpus=2, prefetch_queue_depth=2)
-    loader = DALIStyleLoader(ds, stub_pipeline(3), cfg, clock=ThreadLocalClock())
-    import threading
-
-    got = {0: [], 1: []}
-
-    def consume(g):
-        for b in loader.batches(g):
-            got[g].extend(b.indices)
-
-    threads = [threading.Thread(target=consume, args=(g,)) for g in (0, 1)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=30)
-    loader.shutdown()
-    assert sorted(got[0] + got[1]) == list(range(36))
-    assert got[0] and got[1]
-
-
-def test_dali_preprocessing_contends_on_device():
-    clock = ScaledClock(scale=0.05)
-    ds = mixed_cost_dataset(8, fast_cost=0.1, slow_cost=0.1)
-    device = SimulatedGPU(0, clock)
-    cfg = DALIConfig(batch_size=4, gpu_speedup=10.0)
-    loader = DALIStyleLoader(
-        ds, stub_pipeline(2), cfg, clock=clock, devices=[device]
-    )
-    with loader:
-        batches = list(loader.batches(0))
-    assert len(batches) == 2
-    pre = device.busy_seconds("preprocess")
-    # 8 samples x 0.1 s / 10x speedup = 0.08 s of GPU preprocessing; the
-    # lower bound is tight (sleeps never undershoot), the upper generous.
-    assert 0.07 <= pre <= 0.5
-    assert len([i for i in device.intervals if i.tag == "preprocess"]) == 2
-
-
-def test_dali_gpu_discount_applied():
-    ds = mixed_cost_dataset(8, fast_cost=0.1, slow_cost=0.1)
-    cfg = DALIConfig(batch_size=4, gpu_speedup=10.0)
-    loader = DALIStyleLoader(ds, stub_pipeline(2), cfg, clock=ThreadLocalClock())
-    with loader:
-        list(loader.batches(0))
-        stats = loader.stats()
-    assert stats.busy_seconds == pytest.approx(8 * 0.1 / 10.0)
-
-
-def test_dali_device_count_must_match():
-    ds = mixed_cost_dataset(4)
-    cfg = DALIConfig(batch_size=2, num_gpus=2)
-    with pytest.raises(ConfigurationError):
-        DALIStyleLoader(
-            ds, stub_pipeline(2), cfg, devices=[SimulatedGPU(0, ThreadLocalClock())]
-        )
-
-
-def test_dali_config_validation():
-    with pytest.raises(ConfigurationError):
-        DALIConfig(num_threads=0)
-    with pytest.raises(ConfigurationError):
-        DALIConfig(prefetch_queue_depth=0)
-    with pytest.raises(ConfigurationError):
-        DALIConfig(gpu_speedup=0)
-
-
-def test_dali_drop_last():
-    ds = mixed_cost_dataset(10)
-    cfg = DALIConfig(batch_size=4, drop_last=True)
-    loader = DALIStyleLoader(ds, stub_pipeline(2), cfg, clock=ThreadLocalClock())
-    with loader:
-        batches = list(loader.batches(0))
-    assert all(b.size == 4 for b in batches)
-
-
-# ---------------------------------------------------------------------------
-# SizeHeuristicLoader
+# The image-size heuristic of §3.2 (SimMinatoLoader(classifier="size"))
 # ---------------------------------------------------------------------------
 
 
 def test_size_heuristic_classifies_by_raw_size():
-    # sizes alternate small/large; costs uniform -> classification by size only
-    costs = [0.01] * 20
-    ds = StubDataset(costs)
-    # give half the samples a big raw size
-    big = {i for i in range(0, 20, 2)}
-    specs = [ds.spec(i) for i in range(20)]
-    import dataclasses
+    """Uniform costs, every other sample ten times the median size: exactly
+    the big ones go to the background, predicted slow by size alone."""
+    sizes = [10_000 if i % 2 == 0 else 100 for i in range(20)]
+    workload = WorkloadSpec(
+        name="sizes", dataset=StubDataset([0.01] * 20, raw_nbytes=sizes),
+        pipeline=stub_pipeline(2), model=MODELS["unet3d"], batch_size=4, epochs=1,
+    )
+    env = Environment()
+    ctx = SimContext(env, workload, CONFIG_A, num_gpus=1)
+    loader = SimMinatoLoader(classifier="size", size_percentile=50.0)
+    loader.start(ctx)
+    assert loader.size_router.threshold_bytes == 5_050.0
 
-    ds._specs = [
-        dataclasses.replace(s, raw_nbytes=(10_000 if s.index in big else 100))
-        for s in specs
-    ]
-    cfg = MinatoConfig(
-        batch_size=4, num_workers=2, warmup_samples=4, adaptive_workers=False
-    )
-    loader = SizeHeuristicLoader(
-        ds, stub_pipeline(2), cfg, clock=ThreadLocalClock(), size_threshold_bytes=1_000
-    )
-    with loader:
-        batches = list(loader)
-        stats = loader.stats()
-    assert sorted(i for b in batches for i in b.indices) == list(range(20))
-    assert stats.samples_timed_out == 10  # the big ones
+    def consumer():
+        while (yield from loader.get_batch(0)) is not None:
+            pass
+
+    env.run(until=env.process(consumer()))
+    assert ctx.stats.samples_preprocessed == 20
+    assert ctx.stats.samples_timed_out == 10  # the big ones
 
 
 def test_size_heuristic_default_threshold_is_p75():
-    ds = SyntheticKiTS19(n_samples=40)
-    cfg = MinatoConfig(batch_size=4, num_workers=2, adaptive_workers=False)
-    loader = SizeHeuristicLoader(ds, segmentation_pipeline(), cfg)
-    sizes = [ds.spec(i).raw_nbytes for i in range(40)]
-    assert loader.size_threshold_bytes == pytest.approx(np.percentile(sizes, 75))
-    loader.shutdown()
+    dataset = make_workload("image_segmentation", dataset_size=40).dataset
+    sizes = [dataset.spec(i).raw_nbytes for i in range(40)]
+    router = SizeRouter.from_dataset(dataset)
+    assert router.threshold_bytes == pytest.approx(np.percentile(sizes, 75))

@@ -1,7 +1,7 @@
 """The threaded chassis (`repro.core.loader.BaseConcurrentLoader`).
 
-One chassis carries all five threaded loaders, so its promises are tested
-once, for all of them: a fault in any loader thread reaches the consumer as
+One chassis carries both threaded loaders, so its promises are tested
+once, for both: a fault in any loader thread reaches the consumer as
 a `LoaderStateError` chaining the cause, `shutdown()` wakes a blocked
 consumer and honours one deadline, a slow consumer behind the tightest
 queues still gets the whole stream, and no loader thread outlives
@@ -27,14 +27,7 @@ import pytest
 import repro.baselines
 import repro.core.loader
 import repro.policy
-from repro.baselines import (
-    DALIConfig,
-    DALIStyleLoader,
-    PecanLoader,
-    SizeHeuristicLoader,
-    TorchLoaderConfig,
-    TorchStyleLoader,
-)
+from repro.baselines import TorchLoaderConfig, TorchStyleLoader
 from repro.clock import RealClock, ThreadLocalClock
 from repro.core import MinatoConfig, MinatoLoader
 from repro.errors import LoaderStateError
@@ -49,13 +42,13 @@ from .helpers import (
 )
 
 CELL_SECONDS = 2.0  # bound on every cell's consumption, wall seconds
+LOADERS = ("minato", "torch")
 
 
 def test_one_chassis_for_every_threaded_loader():
     chassis = repro.core.loader.BaseConcurrentLoader
     assert repro.baselines.BaseConcurrentLoader is chassis
-    for loader in (MinatoLoader, SizeHeuristicLoader, TorchStyleLoader,
-                   PecanLoader, DALIStyleLoader):
+    for loader in (MinatoLoader, TorchStyleLoader):
         assert issubclass(loader, chassis)
 
 
@@ -308,7 +301,7 @@ def test_lazy_rng_draws_what_the_eager_one_drew(path, generator_seeds):
     assert sorted(seed for seed in generator_seeds if seed in wanted) == sorted(2 * wanted)
 
 
-@pytest.mark.parametrize("kind", ["minato", "size-heuristic", "torch", "pecan", "dali"])
+@pytest.mark.parametrize("kind", LOADERS)
 def test_pipeline_that_never_draws_builds_no_generator(kind, generator_seeds):
     dataset = StubDataset([0.01] * N_SAMPLES, seed=5)
     loader = build(kind, dataset, stub_pipeline(2))
@@ -332,10 +325,9 @@ def test_explicit_rng_still_wins_over_the_seed():
 
 
 # ---------------------------------------------------------------------------
-# Fault-injection matrix: 5 loaders x 8 situations
+# Fault-injection matrix: 2 loaders x 8 situations
 # ---------------------------------------------------------------------------
 
-LOADERS = ("minato", "size-heuristic", "torch", "pecan", "dali")
 N_SAMPLES = 16
 
 
@@ -372,33 +364,22 @@ class _GatedDataset(StubDataset):
 
 
 def build(kind, dataset, pipeline, background=False, tight=False):
-    """One of the five loaders.  ``background`` sends every sample down the
-    resume path (timeout / size threshold below every sample); ``tight``
-    shrinks every queue and prefetch depth to one."""
+    """One of the two loaders.  ``background`` sends every sample down the
+    resume path (timeout below every sample); ``tight`` shrinks every queue
+    and prefetch depth to one."""
     clock = ThreadLocalClock()
     capacity = 1 if tight else 100
-    if kind in ("minato", "size-heuristic"):
+    if kind == "minato":
         config = MinatoConfig(
             batch_size=4, num_workers=2, slow_workers=1, adaptive_workers=False,
             timeout_override=0.001 if background else 100.0, queue_capacity=capacity,
         )
-        if kind == "minato":
-            return MinatoLoader(dataset, pipeline, config, clock=clock)
-        return SizeHeuristicLoader(
-            dataset, pipeline, config, clock=clock,
-            size_threshold_bytes=0 if background else 1e12,
-        )
-    if kind in ("torch", "pecan"):
-        config = TorchLoaderConfig(
-            batch_size=4, num_workers=2, pin_memory_bandwidth=None,
-            queue_capacity=capacity, prefetch_factor=1 if tight else 2,
-        )
-        cls = TorchStyleLoader if kind == "torch" else PecanLoader
-        return cls(dataset, pipeline, config, clock=clock)
-    config = DALIConfig(
-        batch_size=4, num_threads=2, prefetch_queue_depth=1 if tight else 2
+        return MinatoLoader(dataset, pipeline, config, clock=clock)
+    config = TorchLoaderConfig(
+        batch_size=4, num_workers=2, pin_memory_bandwidth=None,
+        queue_capacity=capacity, prefetch_factor=1 if tight else 2,
     )
-    return DALIStyleLoader(dataset, pipeline, config, clock=clock)
+    return TorchStyleLoader(dataset, pipeline, config, clock=clock)
 
 
 def expect_fault(loader, message, cause=RuntimeError):
@@ -424,10 +405,7 @@ def cell_load_raises(kind):
 
 
 #: the thread that runs a sample's transforms when nothing defers them
-INLINE_THREAD = {
-    "minato": "minato-worker", "size-heuristic": "minato-worker",
-    "torch": "torch-worker", "pecan": "torch-worker", "dali": "dali-gpu",
-}
+INLINE_THREAD = {"minato": "minato-worker", "torch": "torch-worker"}
 
 
 def cell_transform_raises(kind, background=False, error=RuntimeError):
@@ -481,7 +459,7 @@ def cell_shutdown_releases_parked_producers(kind):
     loader = build(kind, StubDataset([0.01] * N_SAMPLES), stub_pipeline(2), tight=True)
     loader.start()
     backed_up = [loader._batch_queues[0]]
-    if kind in ("minato", "size-heuristic"):
+    if kind == "minato":
         backed_up.append(loader._fast_queue)
     deadline = time.monotonic() + CELL_SECONDS
     while any(len(q) < q.capacity for q in backed_up) and time.monotonic() < deadline:
@@ -511,13 +489,13 @@ CELLS = {
 }
 
 
-#: only MinatoLoader's stages (and its size-heuristic variant) resume samples
-#: in the background; the other three have no such path to break
+#: only MinatoLoader's stages resume samples in the background; the Torch
+#: loader has no such path to break
 MATRIX = [
     (situation, kind)
     for situation in CELLS
     for kind in LOADERS
-    if not situation.startswith("background-") or kind in ("minato", "size-heuristic")
+    if not situation.startswith("background-") or kind == "minato"
 ]
 
 

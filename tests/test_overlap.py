@@ -276,8 +276,9 @@ def test_run_simulation_honors_hardware_cache_fraction():
 
 
 def test_with_cache_fraction_validates():
-    with pytest.raises(ConfigurationError):
-        CONFIG_A.with_cache_fraction(-0.1)
+    for bad in (-0.1, float("nan"), 1.5):
+        with pytest.raises(ConfigurationError, match="cache_fraction"):
+            CONFIG_A.with_cache_fraction(bad)
 
 
 # ---------------------------------------------------------------------------

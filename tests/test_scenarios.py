@@ -83,6 +83,15 @@ def test_negative_arrival_rejected():
         _spec(arrival=float("nan"))
 
 
+@pytest.mark.parametrize("value", [float("nan"), -1.0, float("inf")])
+def test_bad_gradient_bytes_rejected(value):
+    """Refused when the job is built: the run used to fail half-way, at the
+    first collective ("cannot transfer nan bytes"; with inf, a bare
+    "min() arg is an empty sequence")."""
+    with pytest.raises(ConfigurationError, match="gradient_bytes"):
+        _spec(gradient_bytes=value)
+
+
 def test_blank_job_id_rejected():
     with pytest.raises(ConfigurationError, match="job_id"):
         JobMix([_spec(job_id="")], _cluster())
@@ -173,6 +182,35 @@ def test_run_elastic_rejects_foreign_link_params_on_shared_cluster():
         run_elastic(
             "minato", _workload(), CONFIG_A, cluster=_cluster(),
             allreduce=AllReduceModel(latency=0.5),
+            total_steps=NODES * GPUS,
+        )
+
+
+@pytest.mark.parametrize(
+    "knob,value",
+    [
+        ("link_bandwidth", float("nan")),
+        ("link_latency", float("nan")),
+        ("cache_fraction", float("nan")),
+        ("cache_fraction", -0.5),
+        ("cache_fraction", 3.0),
+    ],
+)
+def test_cluster_refuses_a_bad_link_or_cache_knob(knob, value):
+    with pytest.raises(ConfigurationError, match=knob):
+        _cluster(**{knob: value})
+
+
+@pytest.mark.parametrize(
+    "field,knob", [("bandwidth", "link_bandwidth"), ("latency", "link_latency")]
+)
+def test_run_elastic_refuses_a_nan_link_parameter(field, knob):
+    """``allreduce=`` builds the cluster's links: a NaN there used to run to
+    ``training_time == nan``."""
+    with pytest.raises(ConfigurationError, match=knob):
+        run_elastic(
+            "minato", _workload(), CONFIG_A, ClusterMembership(NODES),
+            allreduce=AllReduceModel(**{field: float("nan")}),
             total_steps=NODES * GPUS,
         )
 

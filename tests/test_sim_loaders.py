@@ -613,8 +613,9 @@ def test_sim_minato_rejects_degenerate_knobs_at_construction(name, value):
         # EmptySchedule: read as a deadlock
         ("pytorch", "num_workers", 0),
         ("pytorch", "prefetch_factor", 0),
-        # silently disabled collation
+        # silently disabled collation; NaN made every collation NaN seconds
         ("pytorch", "pin_memory_bandwidth", -1.0),
+        ("pytorch", "pin_memory_bandwidth", float("nan")),
         # a ValueError from Store, at start()
         ("pytorch", "queue_capacity", 0),
         # silently run as 0
@@ -625,15 +626,21 @@ def test_sim_minato_rejects_degenerate_knobs_at_construction(name, value):
         # ZeroDivisionError; a negative bandwidth made decode free
         ("dali", "cpu_decode_bandwidth", 0.0),
         ("dali", "cpu_decode_bandwidth", -1.0),
+        # unchecked: a ValueError from Store, a ZeroDivisionError and a
+        # "NaN delay" from the kernel, all once the run had started
+        ("dali", "prefetch_queue_depth", 0),
+        ("dali", "gpu_speedup", 0.0),
+        ("dali", "gpu_speedup", float("nan")),
     ],
 )
 def test_sim_loaders_refuse_what_the_threaded_configs_refuse(
     loader, knob, value, monkeypatch
 ):
-    """The simulated loaders validate through ``MinatoConfig`` /
-    ``TorchLoaderConfig`` / ``DALIConfig`` themselves, so a knob value the
-    threaded loader refuses is refused here too -- at construction, before
-    any kernel event."""
+    """The Torch and Minato models validate through ``TorchLoaderConfig`` /
+    ``MinatoConfig`` themselves, so a knob value the threaded loader
+    refuses is refused here too; the DALI model, which has no threaded
+    twin, checks its own.  Either way at construction, before any kernel
+    event."""
 
     def started(self, generator):
         raise AssertionError("the run started")
@@ -643,6 +650,29 @@ def test_sim_loaders_refuse_what_the_threaded_configs_refuse(
         run_simulation(
             loader, tiny_workload(n=24), CONFIG_A, 1, loader_kwargs={knob: value}
         )
+
+
+@pytest.mark.parametrize(
+    "knob,value",
+    [
+        # ran with a NaN-sized page cache
+        ("cache_fraction", float("nan")),
+        # a StorageError once the run had started
+        ("cache_fraction", -0.5),
+        # the whole run simulated, then "bucket must be positive" or
+        # "cannot convert float NaN to integer" when a series was read
+        ("series_bucket", 0),
+        ("series_bucket", -1),
+        ("series_bucket", float("nan")),
+    ],
+)
+def test_run_simulation_refuses_a_bad_knob_before_the_run(knob, value, monkeypatch):
+    def started(self, generator):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(Environment, "process", started)
+    with pytest.raises(ConfigurationError, match=knob):
+        run_simulation("minato", tiny_workload(n=24), CONFIG_A, 1, **{knob: value})
 
 
 def test_rebound_loader_refuses_a_sampler_over_another_dataset():

@@ -7,7 +7,7 @@ Two rules, and what they promise:
   work rings it, `_halt()` closes it.  Woken at `t` on a shared timeline, a
   stage sleeps once, to `first_tick(last_poll, poll_interval, t)` -- the
   instant its 10 ms poll loop would have found the work -- and polls.  The
-  Torch collator and DALI's GPU stage wait the same way, with no grid.
+  Torch collator waits the same way, with no grid.
 * **A run of transforms is one clock sleep.**  Under charged timing nothing
   reads the clock between stages, so a sample's storage read and
   transforms reach the clock as one `advance`.
@@ -23,13 +23,7 @@ import time
 
 import pytest
 
-from repro.baselines import (
-    DALIConfig,
-    DALIStyleLoader,
-    SizeHeuristicLoader,
-    TorchLoaderConfig,
-    TorchStyleLoader,
-)
+from repro.baselines import TorchLoaderConfig, TorchStyleLoader
 from repro.clock import RealClock, ScaledClock, ThreadLocalClock
 from repro.core import MinatoConfig, MinatoLoader
 from repro.core.balancer import LoadBalancer
@@ -53,8 +47,6 @@ N = 24
 #: every third sample is slow: 0.2 s against a 0.05 s budget (a 0.002 s
 #: wall sleep on the scaled clock), the others 0.01 s
 COSTS = [0.2 if i % 3 == 0 else 0.01 for i in range(N)]
-#: raw sizes that tell the size heuristic the same story
-SIZES = [4096 if i % 3 == 0 else 1024 for i in range(N)]
 
 CLOCKS = {"logical": ThreadLocalClock, "scaled": lambda: ScaledClock(0.01)}
 
@@ -79,21 +71,16 @@ def _drain(loader):
 @pytest.mark.parametrize("slow_workers", [1, 4])
 @pytest.mark.parametrize("clock", sorted(CLOCKS))
 @pytest.mark.parametrize("order", ["reorder", "strict"])
-@pytest.mark.parametrize("kind", ["minato", "size-heuristic"])
+@pytest.mark.parametrize("kind", ["minato"])
 def test_minato_stages_finish_the_stream(kind, order, clock, slow_workers, capacity):
     config = MinatoConfig(
         batch_size=4, num_workers=2, slow_workers=slow_workers, batch_builders=2,
         queue_capacity=capacity, reorder=order == "reorder", timeout_override=0.05,
         adaptive_workers=False,
     )
-    dataset = StubDataset(COSTS, raw_nbytes=SIZES)
-    if kind == "minato":
-        loader = MinatoLoader(dataset, stub_pipeline(3), config, clock=CLOCKS[clock]())
-    else:
-        loader = SizeHeuristicLoader(
-            dataset, stub_pipeline(3), config, clock=CLOCKS[clock](),
-            size_threshold_bytes=2048,
-        )
+    loader = MinatoLoader(
+        StubDataset(COSTS), stub_pipeline(3), config, clock=CLOCKS[clock]()
+    )
     batches = _drain(loader)
     assert _indices(batches) == list(range(N))
     stats = loader.stats()
@@ -103,21 +90,15 @@ def test_minato_stages_finish_the_stream(kind, order, clock, slow_workers, capac
 
 @pytest.mark.parametrize("capacity", [1, 4])
 @pytest.mark.parametrize("clock", sorted(CLOCKS))
-@pytest.mark.parametrize("kind", ["torch", "dali"])
+@pytest.mark.parametrize("kind", ["torch"])
 def test_baseline_stages_finish_the_stream(kind, clock, capacity):
-    if kind == "torch":
-        config = TorchLoaderConfig(
-            batch_size=4, num_workers=3, prefetch_factor=capacity,
-            queue_capacity=capacity, pin_memory_bandwidth=None,
-        )
-        loader = TorchStyleLoader(
-            StubDataset(COSTS), stub_pipeline(3), config, epochs=2, clock=CLOCKS[clock]()
-        )
-    else:
-        config = DALIConfig(batch_size=4, num_threads=2, prefetch_queue_depth=capacity)
-        loader = DALIStyleLoader(
-            StubDataset(COSTS), stub_pipeline(3), config, epochs=2, clock=CLOCKS[clock]()
-        )
+    config = TorchLoaderConfig(
+        batch_size=4, num_workers=3, prefetch_factor=capacity,
+        queue_capacity=capacity, pin_memory_bandwidth=None,
+    )
+    loader = TorchStyleLoader(
+        StubDataset(COSTS), stub_pipeline(3), config, epochs=2, clock=CLOCKS[clock]()
+    )
     batches = _drain(loader)
     assert _indices(batches) == sorted(2 * list(range(N)))
 
