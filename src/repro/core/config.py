@@ -104,7 +104,7 @@ class MinatoConfig:
             raise ConfigurationError(
                 f"warmup_samples must be >= 1, got {self.warmup_samples}"
             )
-        if self.timeout_override is not None and self.timeout_override <= 0:
+        if self.timeout_override is not None and not self.timeout_override > 0:
             raise ConfigurationError(
                 f"timeout_override must be positive, got {self.timeout_override}"
             )
@@ -115,11 +115,11 @@ class MinatoConfig:
             )
         if self.delta_clip < 1:
             raise ConfigurationError(f"delta_clip must be >= 1, got {self.delta_clip}")
-        if self.poll_interval <= 0:
+        if not self.poll_interval > 0:
             raise ConfigurationError(
                 f"poll_interval must be positive, got {self.poll_interval}"
             )
-        if self.scheduler_interval <= 0:
+        if not self.scheduler_interval > 0:
             raise ConfigurationError(
                 f"scheduler_interval must be positive, got {self.scheduler_interval}"
             )

@@ -26,9 +26,9 @@ the exact binary heap.  The composite pop order is *identical* to a single
 ``(time, priority, eid)`` heap: that heap is the kernel's specification,
 and ``tests/helpers.CheckedEnvironment`` checks every delivery and every
 skip against it.  A heap entry is live only while it carries its event's
-current scheduling id: ``_requeue`` moves a pending timer by queueing it
-again under a fresh id, and the entry it supersedes is skipped when it
-surfaces.  That is the queue's one skip rule: every other entry is
+current scheduling id: ``_requeue`` moves a pending event by queueing
+it again (or withdraws it), and the entry it supersedes is skipped when
+it surfaces.  That is the queue's one skip rule: every other entry is
 delivered, an interrupted process's stale wait target too (to nobody, at
 its own time).
 
@@ -403,19 +403,20 @@ class Environment:
         self._schedule(event, NORMAL, None, when)
         return event
 
-    def _requeue(self, event: Event, delay: float) -> None:
-        """Queue the triggered ``event`` ``delay`` seconds from now under a
-        fresh scheduling id, superseding any entry it already has.
-
-        The entry always takes the heap, even at ``delay == 0``: only a heap
-        entry carries its own id, so only a heap entry can be superseded by
-        a later call (a lane entry would stay live, out of id order once its
-        event took a newer id).  At ``now`` it is delivered exactly where a
-        normal-lane entry with that id would be.  ``SharedLink`` re-times a
-        transfer's completion with it."""
-        self._eid += 1
-        event._eid = self._eid
-        heappush(self._queue, (self._now + delay, NORMAL, self._eid, event))
+    def _requeue(self, event: Event, at: Optional[float], eid: Optional[int] = None) -> None:
+        """Queue the triggered ``event`` at the instant ``at`` (not before
+        now) under ``eid``, by default a fresh scheduling id, superseding
+        any entry it has; ``at=None`` only supersedes.  A ``SharedLink``
+        keeps its one entry, its next completion, with it.  The entry
+        takes the heap even at ``now``, where it is delivered as a
+        normal-lane entry with its id would be: only a heap entry carries
+        its own id, so only a heap entry can be superseded."""
+        if eid is None:
+            self._eid += 1
+            eid = self._eid
+        event._eid = eid
+        if at is not None:
+            heappush(self._queue, (at, NORMAL, eid, event))
 
     def _head(self):
         """The queue -- heap or lane -- whose head is the next event in

@@ -1,74 +1,64 @@
 """Stream-aware shared links: fluid max-min fair bandwidth sharing.
 
 The one byte mover of the simulator.  A :class:`SharedLink` models one
-physical link (a NIC, an NVLink lane, a node's storage device) carrying
-any number of concurrent *flows*.  Each :class:`Stream` is one
-flow endpoint -- a collective ring pass, a tenant's remote-storage loader
-path, a checkpoint writer -- tagged with a traffic class
-(``collective`` / ``loader`` / ``checkpoint``).  Transfers submitted on
-one stream are FIFO among themselves (per-stream FIFO); *across* streams
-the link divides its capacity max-min fair: ``n`` streams with a transfer
-draining each drain at ``bandwidth / n``.
+physical link (a NIC, an NVLink lane, a node's storage device); each
+:class:`Stream` on it is one flow endpoint -- a collective ring pass, a
+tenant's remote-storage loader path, a checkpoint writer -- tagged with a
+traffic class (``collective`` / ``loader`` / ``checkpoint``).  Transfers
+on one stream are FIFO; across streams the link is max-min fair: ``n``
+streams with a transfer draining each drain at ``bandwidth / n``.  A
+node's disk is one FIFO stream on a private link (:func:`BandwidthPipe`),
+which logs each transfer as ``(start, finish, nbytes)`` for the disk
+throughput series (:func:`throughput_series`, paper Fig. 10).
 
-A transfer has two transitions.  It *drains* when its last byte leaves
-the sender: at that instant it leaves the fair share, and its stream's
-next transfer, if any, starts draining.  It *completes* exactly
-``latency`` later (``project``'s ``finish``), and a drained transfer is
-never re-timed: latency is a delay line, not a flow.  A stream is busy
-while a transfer of it drains -- the one definition the engine, the
-collapse probe (:meth:`SharedLink.busy_streams`) and :func:`project`
-share.
+A transfer *drains* when its last byte leaves: it leaves the fair share
+and its stream's next transfer starts.  It *completes* exactly
+``latency`` later and is never re-timed.  A stream is busy while a
+transfer of it drains -- the one definition the engine, the collapse
+probe (:meth:`SharedLink.busy_streams`) and :func:`project` share.
+Pinned by ``tests/test_links.py``: one stream is the FIFO watermark
+server bit for bit (``finish = max(now, prev_drain) + latency + nbytes /
+(bandwidth / 1)``, one event per transfer), and G streams sending equal
+chunks at one instant finish at ``start + latency + chunk / (bandwidth /
+G)``, what the collapsed collective gets from :func:`project`.
 
-A node's disk is one FIFO stream on a private link
-(:func:`BandwidthPipe`): every tenant of the node queues on that stream,
-so the disk serves reads in submission order, while tenants sharing a
-NIC share it max-min fair.  Which of the two a disk should do is an open
-model decision (DESIGN "Multi-tenant scenarios").  A stream built that
-way logs each completed transfer as ``(start, finish, nbytes)`` in
-:attr:`Stream.transfers`, the data behind the disk-throughput series
-(:func:`throughput_series`, paper Fig. 10).
+The engine is one virtual clock per link, the generalized processor
+sharing of fair queueing (Parekh & Gallager 1993; Demers, Keshav &
+Shenker 1989): ``V``, the service each busy stream has had, grows at
+``bandwidth / n``, so a head drains when ``V`` reaches its *virtual
+drain* (``V`` at its start plus its bytes; a chained transfer's is its
+predecessor's plus its bytes).  The heads sit in a heap on that key, so
+a stream opening or emptying moves only the rate, never the order.  A
+head whose share has not moved since it started is projected with
+:func:`project`'s floats, and heads with one virtual drain leave at one
+instant, before ``n`` moves: that keeps the pinned regimes exact.  A
+drain is no event: :meth:`SharedLink._advance` replays the drains due at
+the next link event.
 
-Equivalence contracts (pinned by ``tests/test_links.py`` and the kernel
-equivalence grid):
+A transfer is its own completion event, and a link holds one live kernel
+entry, its next completion: the oldest drained transfer (they complete
+in drain order), else the earliest head.  The entry lies at
+``submitted + (finish - submitted)``, where a timer set at submit would,
+and moves (:meth:`Environment._requeue`; the entry it leaves is skipped,
+``events_skipped``) only when a stream opens.  A completion hands it on.
+Same-instant completions keep the order of the re-queueing engine this
+one replaced: a transfer whose share never moved keeps the scheduling id
+it took at submit, and heads that drain together complete with the one
+whose opening set the share first, then in stream creation order.
 
-* **single stream == FIFO watermark**: while only one stream has
-  in-flight work the link is the analytic FIFO server bit-for-bit --
-  ``start = max(now, prev_drain)``, ``finish = start + latency + nbytes /
-  (bandwidth / 1)``, one kernel event per transfer -- against the
-  watermark referee kept in ``tests/helpers``, ``sim_events`` included;
-* **G symmetric streams == bw/G closed form**: G streams submitting
-  equal chunks at the same instant all finish at ``start + latency +
-  chunk / (bandwidth / G)`` -- what the homogeneous-rank fast path gets
-  from :func:`project` for the link parameters
-  ``Topology.collapse_schedule`` hands it.
-
-A transfer is its own completion event, queued the moment its finish is
-projectable and *re-queued* when its projection moves --
-:meth:`Environment._requeue` gives it a fresh scheduling id, and the
-entry that carried the old one is skipped by the kernel when it surfaces
-(``events_skipped``, never ``events_processed``).  A drain is no event
-at all.  Every completion on a link lands one ``latency`` after its
-drain, so completions arrive in drain order; between two link events (a
-completion or a submit) shares change only at drains, and only upwards.
-The first drain after a link event is therefore projected exactly, and
-every later one completes no earlier than it.  So :meth:`_advance`, run
-at each link event, replays the drains since the last one in time order
-and re-queues the completions that moved, each to an instant at or after
-now: the catch-up is exact without an event per drain.
-
-Per-class accounting: the link counts ``total_bytes`` / ``transfer_count``
-/ ``bytes_by_class`` at submit time, and at each
-transfer's completion attributes its queue wait plus its slowdown versus
-an idle link, ``(drain - start) - nbytes / bandwidth``, to the stream's
-class, both on the stream and into the stream's optional ``sink`` dict
-(the fabric / job-level ``link_wait_by_class`` aggregator).  A transfer
-that drained at one share throughout books :func:`project`'s ``excess``
-for that share, the same float the collapsed collective adds.
+At completion a transfer books its queue wait plus its slowdown versus
+an idle link, ``(drain - start) - nbytes / bandwidth`` -- :func:`project`'s
+``excess`` if it drained at one share -- to its stream, its class
+(``wait_by_class``) and the stream's optional ``sink`` (the fabric's
+``link_wait_by_class``).
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop, heappush
+from itertools import islice
+from operator import attrgetter
 from typing import Deque, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .kernel import Environment, Event, Timeout
@@ -76,6 +66,7 @@ from .kernel import Environment, Event, Timeout
 __all__ = ["SharedLink", "Stream", "BandwidthPipe", "project", "throughput_series"]
 
 _NEVER = float("inf")
+_CREATION = attrgetter("_order")
 
 
 def project(
@@ -88,9 +79,10 @@ def project(
     ``drain`` frees the stream for its next transfer, ``finish`` adds the
     latency tail, ``excess`` is the fair-sharing slowdown versus an idle
     link (exactly ``0.0`` for one stream: ``bandwidth / 1 == bandwidth``).
-    The engine below and the collapsed collective fast path
-    (:meth:`~repro.sim.fabric.RingFabric._collapse_decider`) both call it,
-    so their floats agree by construction; the operand order is pinned by
+    The engine below (which writes the same expressions inline) and the
+    collapsed collective fast path
+    (:meth:`~repro.sim.fabric.RingFabric._collapse_decider`) share it, so
+    their floats agree by construction; the operand order is pinned by
     the single-stream == FIFO watermark equivalence.
     """
     share = bandwidth / streams
@@ -104,45 +96,26 @@ class _Transfer(Event):
     is, with the bytes moved as its value.  Its first callback is the
     link's completion hook."""
 
-    __slots__ = (
-        "stream",
-        "nbytes",
-        "remaining",
-        "anchor",
-        "start",
-        "submitted",
-        "streams",
-        "drain",
-        "finish",
-        "timer_at",
-    )
+    __slots__ = ("stream", "nbytes", "start", "submitted", "drain", "finish", "wait", "kept")
 
     def __init__(self, stream: "Stream", nbytes: float, now: float) -> None:
         link = stream.link
-        # Event.__init__'s fields, set here directly (one per transfer)
-        self.env = link.env
+        # Event.__init__'s fields, set here directly (one per transfer);
+        # the scheduling id is taken at submit, as a timer would take it
+        env = self.env = link.env
         self.callbacks = [link._hook]
         self._value = nbytes
         self._ok = True
         self._defused = False
-        self._eid = 0
+        env._eid += 1
+        self._eid = env._eid
         self.stream = stream
         self.nbytes = nbytes
-        #: bytes left to drain as of ``anchor`` (queued transfers keep the
-        #: full size; only a chain head actually drains)
-        self.remaining = nbytes
-        #: time ``remaining`` refers to: the instant the share last moved
-        #: while this transfer drained, else its (projected) start
-        self.anchor = now
-        self.start = now
-        self.submitted = now
-        #: busy streams sharing the link as of the last projection
-        self.streams = 1
-        self.drain = now
-        self.finish = now
-        #: instant the event is queued for, ``None`` until first queued
-        #: (``finish`` runs ahead of it while a settle pass is pending)
-        self.timer_at: Optional[float] = None
+        #: when it starts draining; its drain and completion instants,
+        #: projected at the current share until it drains, then fixed; and
+        #: the wait it books, fixed at its drain
+        self.start = self.submitted = self.drain = self.finish = now
+        self.wait = 0.0
 
 
 class Stream:
@@ -156,55 +129,51 @@ class Stream:
     """
 
     __slots__ = (
-        "link",
-        "tag",
-        "cls",
-        "sink",
-        "total_bytes",
-        "transfer_count",
-        "wait_seconds",
-        "transfers",
-        "_chain",
-        "_order",
+        "link", "tag", "cls", "sink", "total_bytes", "transfer_count",
+        "wait_seconds", "transfers", "_chain", "_order", "_vdrain", "_epoch",
     )
 
     def __init__(
-        self,
-        link: "SharedLink",
-        tag: Hashable,
-        cls: str,
-        sink: Optional[Dict[str, float]] = None,
+        self, link: "SharedLink", tag: Hashable, cls: str, sink: Optional[dict] = None
     ) -> None:
         self.link = link
         self.tag = tag
         self.cls = cls
-        #: creation rank on the link: the link walks its busy streams in
-        #: this order
+        #: creation rank on the link: breaks ties between equal virtual
+        #: drains, and orders :meth:`SharedLink.busy_streams`
         self._order = len(link._streams)
-        #: optional dict the completion-time excess is accumulated into
-        #: (``sink[cls] += excess``): the fabric / job-level per-class
-        #: ``link_wait_by_class`` aggregator
+        #: optional dict the completion-time wait is added into
+        #: (``sink[cls] += wait``): the fabric's ``link_wait_by_class``
         self.sink = sink
         self.total_bytes = 0
         self.transfer_count = 0
-        #: completion-attributed wait: own-queue time plus fair-sharing
-        #: slowdown versus an idle link, in seconds
+        #: own-queue time plus fair-sharing slowdown, booked at completion
         self.wait_seconds = 0.0
-        #: completed transfers as ``(start, finish, nbytes)``, in completion
-        #: order; ``None`` (no log) unless :func:`BandwidthPipe` asked for
-        #: one -- a benchmark-scale run completes millions
+        #: completed ``(start, finish, nbytes)`` in completion order, kept
+        #: only if :func:`BandwidthPipe` asked (a run completes millions)
         self.transfers: Optional[List[Tuple[float, float, float]]] = None
         #: the transfers not yet drained: the head drains, the rest queue
         self._chain: Deque[_Transfer] = deque()
+        #: the head's virtual drain (its key in the link's heap)
+        self._vdrain = 0.0
+        #: the link ``_epoch`` its chain's ``drain`` fields were projected at
+        self._epoch = -1
 
     @property
     def backlog(self) -> float:
-        """Seconds until this stream's queued work drains (projected)."""
+        """Seconds until this stream's queued work drains, at the current share."""
+        chain = self._chain
+        if not chain:
+            return 0.0
         link = self.link
-        now = link.env.now
+        now = link.env._now
         if link._next_drain <= now:
             link._advance(now)
-        return self._chain[-1].drain - now if self._chain else 0.0
+            if not chain:
+                return 0.0
+        if self._epoch != link._epoch:
+            link._project_chain(self)
+        return chain[-1].drain - now
 
     def transfer(self, nbytes) -> Event:
         """Move ``nbytes`` on this stream; returns the completion event."""
@@ -215,24 +184,34 @@ class SharedLink:
     """A link whose capacity is divided max-min fair among busy streams."""
 
     def __init__(self, env: Environment, bandwidth: float, latency: float = 0.0) -> None:
-        if bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive, got {bandwidth!r}")
-        if latency < 0:
-            raise ValueError(f"latency must be >= 0, got {latency!r}")
+        # written so that NaN fails them too
+        if not 0.0 < bandwidth < _NEVER:
+            raise ValueError(f"bandwidth must be positive and finite, got {bandwidth!r}")
+        if not 0.0 <= latency < _NEVER:
+            raise ValueError(f"latency must be >= 0 and finite, got {latency!r}")
         self.env = env
         self.bandwidth = float(bandwidth)
         self.latency = float(latency)
         self._streams: Dict[Hashable, Stream] = {}
-        #: the streams with a transfer draining, in stream-creation order
-        #: (the order every sweep visits them in); its length is the
-        #: fair-share divisor
-        self._busy: List[Stream] = []
-        #: the earliest projected drain among the busy streams' heads
+        #: ``(virtual drain, creation rank, stream)`` per busy stream
+        self._heads: List[Tuple[float, int, Stream]] = []
+        #: the virtual clock: ``_v`` bytes of service per busy stream at ``_vt``
+        self._v = 0.0
+        self._vt = 0.0
+        #: when and how often the busy count moved (a head that started no
+        #: earlier drains at one share), and the head whose opening moved it
+        self._changed = 0.0
+        self._epoch = 0
+        self._opener: Optional[_Transfer] = None
+        #: the head that drains first, and its projected drain
+        self._earliest: Optional[_Transfer] = None
         self._next_drain = _NEVER
+        #: drained transfers in their latency tails, in drain order
+        self._drained: Deque[_Transfer] = deque()
+        #: the transfer that holds the link's one kernel entry
+        self._armed: Optional[_Transfer] = None
         #: every transfer's first callback, bound once
         self._hook = self._complete
-        #: a zero-delay settle event is pending at the current instant
-        self._settle_armed = False
         self.total_bytes = 0
         self.transfer_count = 0
         self.bytes_by_class: Dict[str, float] = {}
@@ -241,43 +220,38 @@ class SharedLink:
     # -- streams -----------------------------------------------------------
 
     def stream(
-        self,
-        tag: Hashable,
-        cls: str = "collective",
-        sink: Optional[Dict[str, float]] = None,
+        self, tag: Hashable, cls: str = "collective", sink: Optional[dict] = None
     ) -> Stream:
         """The flow endpoint keyed ``tag`` (created on first use).  Asking
         for an existing tag under another class is refused: its bytes
         would be booked under the class it was created with."""
         s = self._streams.get(tag)
         if s is None:
-            s = Stream(self, tag, cls, sink)
-            self._streams[tag] = s
-        else:
-            if s.cls != cls:
-                raise ValueError(
-                    f"stream {tag!r} carries class {s.cls!r}, not {cls!r}"
-                )
-            if sink is not None and s.sink is None:
-                s.sink = sink
+            s = self._streams[tag] = Stream(self, tag, cls, sink)
+        elif s.cls != cls:
+            raise ValueError(f"stream {tag!r} carries class {s.cls!r}, not {cls!r}")
+        elif sink is not None and s.sink is None:
+            s.sink = sink
         return s
 
     def streams(self) -> List[Stream]:
         return list(self._streams.values())
 
     def busy_streams(self) -> List[Stream]:
-        """The streams with a transfer draining now: the engine's own busy
-        set, caught up to the current instant."""
-        now = self.env.now
+        """The streams with a transfer draining now, in creation order: the
+        engine's own busy set, caught up to the current instant."""
+        now = self.env._now
         if self._next_drain <= now:
             self._advance(now)
-        return list(self._busy)
+        if not self._heads:
+            return []
+        return sorted([s for _v, _o, s in self._heads], key=_CREATION)
 
     # -- engine ------------------------------------------------------------
 
     def _submit(self, stream: Stream, nbytes) -> Event:
         env = self.env
-        now = env.now
+        now = env._now
         if nbytes == 0:
             # free zero-byte fast path: no bytes, no accounting, no log
             return Timeout(env, 0.0, 0.0)
@@ -285,9 +259,7 @@ class SharedLink:
             raise ValueError(f"cannot transfer {nbytes!r} bytes")
         self.total_bytes += nbytes
         self.transfer_count += 1
-        self.bytes_by_class[stream.cls] = (
-            self.bytes_by_class.get(stream.cls, 0.0) + nbytes
-        )
+        self.bytes_by_class[stream.cls] = self.bytes_by_class.get(stream.cls, 0.0) + nbytes
         stream.total_bytes += nbytes
         stream.transfer_count += 1
         if self._next_drain <= now:
@@ -295,148 +267,167 @@ class SharedLink:
         t = _Transfer(stream, float(nbytes), now)
         chain = stream._chain
         chain.append(t)
-        busy = self._busy
+        heads = self._heads
         if len(chain) > 1:
-            # same-stream FIFO append: nobody's fair share moves, so only
-            # the new tail is projected, chained at its predecessor's drain
-            # (still ahead: ``_advance`` took every drain up to now)
-            t.anchor = t.start = chain[-2].drain
-            t.streams = len(busy)
-            t.drain, t.finish, _ = project(
-                t.anchor, t.remaining, self.bandwidth, self.latency, t.streams
-            )
-        else:
-            # a stream opens work: keep the busy list in creation order
-            i = len(busy)
-            while i and busy[i - 1]._order > stream._order:
-                i -= 1
-            busy.insert(i, stream)
-            self._reproject(now)
-            if len(busy) > 1 and not self._settle_armed:
-                # every other share moved: their completions are re-queued
-                # once per instant, by a zero-delay settle event, so a burst
-                # of k same-instant submits costs one sweep, not k.  Safe:
-                # every projection left fires after now
-                self._settle_armed = True
-                settle = Event(env)
-                settle.callbacks.append(self._settle)
-                settle.succeed()
-        self._set_timer(t, now)
+            # a FIFO append moves no share and no entry; the tail is
+            # projected behind its predecessor if the chain's is current
+            if stream._epoch == self._epoch:
+                t.drain = chain[-2].drain + t.nbytes / (self.bandwidth / len(heads))
+            return t
+        # a stream opens: V catches up at the old rate, the head enters at V + bytes
+        n = len(heads)
+        if not n:
+            self._v = 0.0
+            self._vt = now
+        elif now > self._vt:  # never past the earliest head, not drained yet
+            self._v = min(self._v + (now - self._vt) * (self.bandwidth / n), heads[0][0])
+            self._vt = now
+        stream._vdrain = self._v + t.nbytes
+        heappush(heads, (stream._vdrain, stream._order, stream))
+        self._changed = now
+        self._epoch += 1
+        self._opener = t
+        stream._epoch = self._epoch
+        seconds = t.nbytes / (self.bandwidth / (n + 1))
+        t.drain = now + seconds
+        if n:
+            self._advance(now)
+        else:  # alone: the earliest head, at project's floats
+            t.finish = now + self.latency + seconds
+            self._earliest = t
+            self._next_drain = t.drain
+        self._arm()
         return t
 
     def _advance(self, until: float) -> None:
-        """Replay, in time order, the drains due by ``until`` (callers skip
-        the call while ``_next_drain`` lies ahead): each drained head
-        leaves its chain (its completion stays as projected; it is
-        re-queued only if a replayed drain before it moved it), and each
-        drain that empties a stream re-projects the others from that
-        instant.  Every completion that moved is re-queued before this
-        returns."""
-        now = self.env.now
-        busy = self._busy
-        moved = False
-        while self._next_drain <= until:
-            at = self._next_drain
-            emptied = False
-            for s in busy:
-                chain = s._chain
-                t = chain[0]
-                if t.drain == at:
-                    # the stream's next transfer, projected from this very
-                    # drain, starts draining at ``at``.  A completion being
-                    # delivered (an ulp of rounding may have moved it) stays
-                    chain.popleft()
-                    if t.timer_at != t.finish and not t.processed:
-                        self._set_timer(t, now)
-                    emptied = emptied or not chain
-            if emptied:
-                busy[:] = [s for s in busy if s._chain]
-                self._reproject(at, rising=True)
-                moved = True
-            else:
-                self._next_drain = min(s._chain[0].drain for s in busy)
-        if moved:
-            self._retime(now)
-
-    def _reproject(self, at: float, rising: bool = False) -> None:
-        """Re-derive every busy chain's projection at the current fair share,
-        the heads settled up to ``at`` (the instant the share moved).  In a
-        catch-up (``rising``) shares only rose, so no projection moves
-        later: a revision that rounds later keeps the old one, and a
-        completion that fired finds its transfer drained."""
+        """Drain every head due by ``until``, in virtual-drain order, and
+        project the earliest head left (``_earliest``, ``_next_drain``).
+        Heads that share a virtual drain leave together, before the busy
+        count moves: the one whose opening set the share first, then the
+        others in stream creation order."""
+        heads = self._heads
+        drained = self._drained
         bandwidth, latency = self.bandwidth, self.latency
-        n = len(self._busy)
-        next_drain = _NEVER
-        for s in self._busy:
-            prev: Optional[_Transfer] = None
-            for t in s._chain:
-                if prev is not None:
-                    t.anchor = t.start = prev.drain
-                elif at > t.anchor:
-                    t.remaining = max(
-                        0.0, t.remaining - (at - t.anchor) * (bandwidth / t.streams)
-                    )
-                    t.anchor = at
-                t.streams = n
-                drain, finish, _ = project(
-                    t.anchor, t.remaining, bandwidth, latency, n
-                )
-                if not rising or drain <= t.drain:
-                    t.drain, t.finish = drain, finish
-                prev = t
-            if s._chain[0].drain < next_drain:
-                next_drain = s._chain[0].drain
-        self._next_drain = next_drain
+        while heads:
+            vdrain, _o, s = heads[0]
+            head = s._chain[0]
+            opener = self._opener
+            if opener is not None and opener.stream._vdrain == vdrain:
+                head = opener
+            share = bandwidth / len(heads)
+            changed = self._changed
+            if head.start >= changed:
+                # its share has not moved since it started: project's floats
+                seconds = head.nbytes / share
+                at = head.start + seconds
+                finish = head.start + latency + seconds
+            else:
+                at = self._vt + (vdrain - self._v) / share
+                finish = at + latency
+            if at > until:
+                self._next_drain = head.drain = at
+                head.finish = finish
+                self._earliest = head
+                return
+            emptied = False
+            first = len(drained)
+            while heads and heads[0][0] == vdrain:
+                _v, order, s = heappop(heads)
+                chain = s._chain
+                t = chain.popleft()
+                t.drain = at
+                if t.start >= changed:
+                    seconds = t.nbytes / share
+                    t.finish = t.start + latency + seconds
+                    t.wait = (t.start - t.submitted) + (seconds - t.nbytes / bandwidth)
+                    t.kept = t.submitted >= changed
+                else:  # the share moved while it drained
+                    t.kept = False
+                    t.finish = at + latency
+                    t.wait = (t.start - t.submitted) + ((at - t.start) - t.nbytes / bandwidth)
+                if t is opener:
+                    drained.insert(first, t)
+                    self._opener = None
+                else:
+                    drained.append(t)
+                if chain:
+                    # the stream's next transfer starts draining now
+                    chain[0].start = at
+                    s._vdrain = vdrain + chain[0].nbytes
+                    heappush(heads, (s._vdrain, order, s))
+                else:
+                    emptied = True
+            self._v = vdrain
+            self._vt = at
+            if emptied:
+                self._changed = at
+                self._epoch += 1
+                self._opener = None
+        self._next_drain = _NEVER
 
-    def _settle(self, _event: Event) -> None:
-        """End-of-instant sweep after a burst of submits."""
-        self._settle_armed = False
-        self._retime(self.env.now)
+    def _arm(self) -> None:
+        """Give the link's one kernel entry to its next completion, the
+        oldest drained transfer, else the earliest head: under the id it
+        took at submit if its share never moved since, else a fresh one."""
+        drained = self._drained
+        if drained:
+            nxt = drained[0]
+            kept = nxt.kept
+        elif self._heads:
+            nxt = self._earliest
+            kept = nxt.submitted >= self._changed
+        else:
+            return
+        env = self.env
+        now = env._now
+        at = nxt.submitted + (nxt.finish - nxt.submitted)
+        if at < now:
+            at = now
+        armed = self._armed
+        if nxt is armed:
+            if not drained:  # the earliest head's projection moved
+                env._requeue(nxt, at)
+            return
+        if armed is not None:  # overtaken: withdrawn
+            env._requeue(armed, None)
+        self._armed = nxt
+        env._requeue(nxt, at, nxt._eid if kept else None)
 
-    def _retime(self, now: float) -> None:
-        """Align every queued completion with its projection in one pass."""
-        for s in self._busy:
-            for t in s._chain:
-                if t.timer_at != t.finish:
-                    self._set_timer(t, now)
-
-    def _set_timer(self, t: _Transfer, now: float) -> None:
-        """Queue ``t`` to complete at its projected finish (never before
-        ``now``): one fresh scheduling id, any entry it had is superseded."""
-        t.timer_at = t.finish
-        delay = t.finish - now
-        if delay < 0.0:
-            delay = 0.0
-        self.env._requeue(t, delay)
+    def _project_chain(self, stream: Stream) -> None:
+        """Re-project a busy stream's chain at the current share."""
+        share = self.bandwidth / len(self._heads)
+        chain = stream._chain
+        head = chain[0]
+        if head.start >= self._changed:
+            drain = head.start + head.nbytes / share
+        else:
+            drain = self._vt + (stream._vdrain - self._v) / share
+        head.drain = drain
+        for t in islice(chain, 1, None):
+            t.drain = drain = drain + t.nbytes / share
+        stream._epoch = self._epoch
 
     def _complete(self, t: _Transfer) -> None:
-        # ``t`` has drained: the catch-up takes it off its chain.  Its
-        # delay was ``finish - now``, and ``now + (finish - now)`` may land
-        # an ulp short of ``finish``, which is ``drain`` at zero latency
-        until = self.env.now
+        # ``t`` held the entry: it has drained, or is the earliest head and
+        # its entry may lie an ulp short of its drain: catch up to that
+        until = self.env._now
         if t.drain > until:
             until = t.drain
         if self._next_drain <= until:
             self._advance(until)
+        # completions leave in drain order, and ``t`` is the oldest
+        self._drained.popleft()
+        self._armed = None
+        self._arm()
         stream = t.stream
         if stream.transfers is not None:
             stream.transfers.append((t.start, t.finish, t.nbytes))
-        if t.anchor == t.start:
-            excess = (t.start - t.submitted) + project(
-                t.start, t.nbytes, self.bandwidth, self.latency, t.streams
-            )[2]
-        else:
-            # the share moved while it drained
-            excess = (t.start - t.submitted) + (
-                (t.drain - t.start) - t.nbytes / self.bandwidth
-            )
-        stream.wait_seconds += excess
-        self.wait_by_class[stream.cls] = (
-            self.wait_by_class.get(stream.cls, 0.0) + excess
-        )
+        wait = t.wait
+        stream.wait_seconds += wait
+        self.wait_by_class[stream.cls] = self.wait_by_class.get(stream.cls, 0.0) + wait
         sink = stream.sink
         if sink is not None:
-            sink[stream.cls] = sink.get(stream.cls, 0.0) + excess
+            sink[stream.cls] = sink.get(stream.cls, 0.0) + wait
 
 
 def BandwidthPipe(
@@ -485,10 +476,8 @@ def throughput_series(
     events.sort()
     nbuckets = int(horizon / bucket) + 1
     volume = [0.0] * nbuckets
-    #: difference array over *interior* buckets fully covered by a
-    #: segment: accumulate the segment rate at entry/exit and recover
-    #: per-bucket volume with one prefix-sum sweep, so each segment
-    #: costs O(1) instead of O(buckets spanned)
+    #: difference array over *interior* buckets a segment fully covers:
+    #: one prefix-sum sweep recovers their volume, O(1) per segment
     interior = [0.0] * (nbuckets + 1)
     rate = 0.0
     prev = 0.0
@@ -513,9 +502,8 @@ def throughput_series(
             volume[i] += running * bucket
     series: List[Tuple[float, float]] = []
     for i, v in enumerate(volume):
-        # the final bucket only extends to the horizon, not the full
-        # bucket width: normalize by the width actually covered, or the
-        # tail throughput is systematically underreported
+        # the final bucket ends at the horizon: normalize by the width
+        # covered, or the tail throughput is underreported
         width = min(horizon, (i + 1) * bucket) - i * bucket
         series.append((i * bucket, v / width if width > 0 else 0.0))
     return series

@@ -1069,6 +1069,14 @@ class SimMinatoLoader(BaseSimLoader):
             raise ConfigurationError(
                 f"workers_per_gpu must be >= 1, got {workers_per_gpu!r}"
             )
+        # written so that NaN fails them too
+        for knob, value, low, high in (
+            ("preempt_grace_abs", preempt_grace_abs, 0, float("inf")),
+            ("preempt_grace_rel", preempt_grace_rel, 0, float("inf")),
+            ("size_percentile", size_percentile, 0, 100),
+        ):
+            if not low <= value <= high:
+                raise ConfigurationError(f"{knob} must be in [{low}, {high}], got {value!r}")
         self.workers_per_gpu = workers_per_gpu
         #: None -> scale with the loading pool (a third), min 2
         self.slow_workers = slow_workers

@@ -241,10 +241,11 @@ class CheckedEnvironment(Environment):
         #: event itself, so a recycled ``id()`` cannot alias it
         self._latest: dict = {}
 
-    def _shadow_push(self, when, priority, event) -> None:
+    def _shadow_push(self, when, priority, event, eid=None) -> None:
         assert when >= self._now, f"{event!r} scheduled in the past ({when})"
-        self._latest[event] = self._eid
-        heapq.heappush(self._shadow, (when, priority, self._eid, event))
+        eid = self._eid if eid is None else eid
+        self._latest[event] = eid
+        heapq.heappush(self._shadow, (when, priority, eid, event))
 
     def _schedule(self, event, priority, delay, at=None) -> None:
         assert event not in self._latest, f"{event!r} is pending twice"
@@ -252,9 +253,13 @@ class CheckedEnvironment(Environment):
         # the absolute-time entry (delay=None) is shadowed like a delay
         self._shadow_push(self._now + delay if at is None else at, priority, event)
 
-    def _requeue(self, event, delay) -> None:
-        super()._requeue(event, delay)
-        self._shadow_push(self._now + delay, NORMAL, event)
+    def _requeue(self, event, at, eid=None) -> None:
+        super()._requeue(event, at, eid)
+        if at is None:
+            # withdrawn: its entries are superseded and it has no live one
+            self._latest[event] = self._eid
+        else:
+            self._shadow_push(at, NORMAL, event, eid)
 
     def _take(self):
         when, _priority, eid, event = heapq.heappop(self._shadow)

@@ -54,9 +54,12 @@ def test_config_defaults_match_paper():
         {"max_slow_fraction": 0},
         {"warmup_samples": 0},
         {"timeout_override": -1.0},
+        {"timeout_override": float("nan")},
         {"min_workers": 5, "max_workers": 2},
         {"delta_clip": 0},
         {"poll_interval": 0},
+        {"poll_interval": float("nan")},
+        {"scheduler_interval": float("nan")},
         {"timing": "psychic"},
     ],
 )

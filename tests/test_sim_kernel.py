@@ -701,10 +701,10 @@ def drive(env, programs):
     nobody); ``old`` re-yields the last finished sleep (the
     already-processed passthrough);
     ``at`` waits on a plain event succeeded at an absolute instant;
-    ``send`` waits on a transfer over a shared link (re-queued when
-    another stream opens or drains); ``requeue`` waits on a triggered
-    event queued at each of its delays in turn, the way the link re-times
-    a transfer."""
+    ``send`` waits on a transfer over a shared link (its entry moved or
+    withdrawn when another stream opens); ``requeue`` waits on a triggered
+    event queued at each of its delays in turn, the way the link moves
+    its entry."""
     store = Store(env, capacity=2)
     link = SharedLink(env, bandwidth=1.0)
     trace = []
@@ -714,7 +714,7 @@ def drive(env, programs):
         event = env.event()
         event._ok, event._value = True, value
         for delay in delays:
-            env._requeue(event, delay)
+            env._requeue(event, env.now + delay)
         return event
 
     def body(pid, ops):
@@ -833,13 +833,13 @@ class SupersededDelivered(Environment):
 
 
 class LaneRequeue(Environment):
-    """Mutant: a zero-delay ``_requeue`` goes to the normal lane, where a
+    """Mutant: a ``_requeue`` at ``now`` goes to the normal lane, where a
     later re-queue cannot supersede it: the lane keeps an entry whose event
     has since taken a newer id, out of id order."""
 
-    def _requeue(self, event, delay):
-        if delay:
-            super()._requeue(event, delay)
+    def _requeue(self, event, at, eid=None):
+        if at != self._now:
+            super()._requeue(event, at, eid)
         else:
             self._eid += 1
             event._eid = self._eid

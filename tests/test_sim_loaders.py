@@ -27,6 +27,8 @@ from repro.sim.workloads import (
 
 from .helpers import StubDataset, on_checked_kernel, run_with_watchdog, stub_pipeline
 
+NAN = float("nan")
+
 
 def tiny_workload(name="speech_3s", n=60, **kwargs):
     wl = make_workload(name, dataset_size=n, **kwargs)
@@ -586,11 +588,22 @@ def test_sim_memory_pressure_forces_disk_reads():
     [
         ("scheduler_interval", 0),  # live-locked on env.timeout(0)
         ("scheduler_interval", -1.0),
+        ("scheduler_interval", NAN),  # a NaN delay from the kernel, mid-run
         ("poll_interval", 0),  # ValueError from inside a generator's finally
         ("poll_interval", -0.01),
+        ("poll_interval", NAN),  # a bare ValueError at start()
+        ("timeout_override", NAN),  # accepted and run
         ("queue_capacity", 0),  # ValueError from Store, at start()
         ("workers_per_gpu", 0),
         ("min_workers", 0),
+        ("preempt_grace_abs", -0.1),
+        ("preempt_grace_abs", NAN),  # accepted and run
+        ("preempt_grace_rel", -5.0),  # a bare ValueError at start()
+        ("preempt_grace_rel", NAN),
+        # numpy's ValueError at start(), with classifier="size"
+        ("size_percentile", 150.0),
+        ("size_percentile", -1.0),
+        ("size_percentile", NAN),
     ],
 )
 def test_sim_minato_rejects_degenerate_knobs_at_construction(name, value):
