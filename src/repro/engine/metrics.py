@@ -16,18 +16,75 @@ from __future__ import annotations
 
 import threading
 from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import attrgetter, eq
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 __all__ = [
     "BusyInterval",
+    "ExactSum",
+    "ExactSums",
     "IntervalRecorder",
     "utilization_series",
     "average_utilization",
     "ThroughputMeter",
 ]
+
+
+#: one unit of :class:`ExactSum`: 2**-1074, the spacing of the subnormals,
+#: of which every finite double is a whole number
+_UNITS_PER_ONE = 1 << 1074
+
+
+class ExactSum:
+    """A sum of floats that does not depend on the order of its addends,
+    as one summed in callback order does on how same-instant ties broke.
+
+    It is an int counted in units of 2**-1074, so every add is exact, and
+    ``float()`` reads it with one correctly rounded division: the value
+    ``math.fsum`` gives for the same addends (Shewchuk 1997), in any
+    order.  A non-finite addend is refused (``as_integer_ratio`` raises).
+    """
+
+    __slots__ = ("_units",)
+
+    def __init__(self) -> None:
+        self._units = 0
+
+    def add(self, x: float, times: int = 1) -> None:
+        """Add ``x`` ``times`` times: exactly ``times`` calls of ``add(x)``."""
+        numerator, denominator = x.as_integer_ratio()
+        self._units += numerator * times << (1075 - denominator.bit_length())
+
+    def __float__(self) -> float:
+        return self._units / _UNITS_PER_ONE
+
+
+class ExactSums(Mapping):
+    """One :class:`ExactSum` per key, read as a mapping of floats: a
+    ``{traffic class: seconds}`` wait sink, say."""
+
+    __slots__ = ("_sums",)
+
+    def __init__(self) -> None:
+        self._sums: Dict[Hashable, ExactSum] = {}
+
+    def add(self, key: Hashable, x: float, times: int = 1) -> None:
+        total = self._sums.get(key)
+        if total is None:
+            total = self._sums[key] = ExactSum()
+        total.add(x, times)
+
+    def __getitem__(self, key: Hashable) -> float:
+        return float(self._sums[key])
+
+    def __iter__(self) -> Iterator[Hashable]:
+        return iter(self._sums)
+
+    def __len__(self) -> int:
+        return len(self._sums)
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from ..engine.metrics import ExactSum
 from ..errors import ConfigurationError
 
 __all__ = ["CheckpointPolicy", "CheckpointAccounting", "RESTORE_MODES"]
@@ -127,11 +128,12 @@ class CheckpointAccounting:
 
     def __init__(self) -> None:
         #: wall seconds ranks spent writing snapshots (pipe queueing
-        #: included -- that queueing is the contention being modelled)
-        self.write_seconds = 0.0
+        #: included -- that queueing is the contention being modelled),
+        #: an exact sum: same-instant writes may end in either order
+        self.write_seconds = ExactSum()
         #: wall seconds of post-failure recovery: restore transfer plus
         #: lost-step replay
-        self.restore_seconds = 0.0
+        self.restore_seconds = ExactSum()
         #: optimizer steps lost to failures (work since the last
         #: completed snapshot, re-executed during recovery)
         self.lost_steps = 0

@@ -79,6 +79,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..data.samplers import ShardAssignment, ShardedSampler
 from ..data.storage import CacheSnapshot
+from ..engine.metrics import ExactSum, ExactSums
 from ..errors import ConfigurationError
 from .checkpoint import CheckpointAccounting, CheckpointPolicy
 from .cluster import (
@@ -172,11 +173,11 @@ class AllReduceModel:
                 f"nodes and gpus_per_node must be >= 1, got "
                 f"{nodes!r} x {gpus_per_node!r}"
             )
-        if intra_bandwidth <= 0:
+        if not intra_bandwidth > 0:
             raise ConfigurationError(
                 f"intra_bandwidth must be positive, got {intra_bandwidth!r}"
             )
-        if intra_latency < 0:
+        if not intra_latency >= 0:
             raise ConfigurationError(
                 f"intra_latency must be >= 0, got {intra_latency!r}"
             )
@@ -852,7 +853,7 @@ class _ElasticJob:
         #: this job's completion-attributed per-class link wait: the sink
         #: shared by its loader / checkpoint streams; merged with the ring
         #: fabric's collective-class sink in :meth:`result`
-        self.link_wait_by_class: Dict[str, float] = {}
+        self.link_wait_by_class = ExactSums()
 
         self.active: FrozenSet[int] = frozenset(range(membership.initial_nodes))
         #: membership events no round boundary has consumed yet, in
@@ -865,8 +866,8 @@ class _ElasticJob:
         self.counters = {
             "steps": 0,
             "samples": 0,
-            "sync": 0.0,
-            "exposed": 0.0,
+            "sync": ExactSum(),
+            "exposed": ExactSum(),
             "grad_bytes": 0.0,
         }
         self.epoch_membership: List[List[int]] = []
@@ -1166,7 +1167,7 @@ class _ElasticJob:
         counters = self.counters
 
         def synced(_event) -> None:
-            counters["sync"] += self.env.now - entered
+            counters["sync"].add(self.env.now - entered)
             counters["grad_bytes"] += nbytes
 
         done = self.ring.start(key, member, nbytes, deadline)
@@ -1215,7 +1216,7 @@ class _ElasticJob:
                     yield AllOf(self.env, launched)
                     # only the wait past the end of backprop extends
                     # the step: the exposed (non-overlapped) sync
-                    self.counters["exposed"] += self.env.now - compute_end
+                    self.counters["exposed"].add(self.env.now - compute_end)
                 else:
                     yield from ctx.train_step(gpu, step)
                     self.counters["steps"] += 1
@@ -1229,7 +1230,7 @@ class _ElasticJob:
                                 member,
                                 (self.job_id, rnd.index, step_index, k),
                             )
-                        self.counters["exposed"] += self.env.now - compute_end
+                        self.counters["exposed"].add(self.env.now - compute_end)
                 if self.checkpoint is not None and gpu == 0:
                     yield from self._maybe_snapshot(rnd, node)
             # ranks with a one-shorter budget must not stall the rest
@@ -1265,7 +1266,7 @@ class _ElasticJob:
         ) / max(rnd.world_nodes, 1)
         entered = self.env.now
         yield from self._checkpoint_io(node, shard)
-        ckpt.write_seconds += self.env.now - entered
+        ckpt.write_seconds.add(self.env.now - entered)
         ckpt.bytes_written += shard
         ckpt.snapshots += 1
         ckpt.snapshot_step[node] = clock
@@ -1328,7 +1329,7 @@ class _ElasticJob:
                 self.batch_size, self.hardware.gpu_type, world_size=1
             )
             yield self.env.timeout(replay * step)
-        ckpt.restore_seconds += self.env.now - entered
+        ckpt.restore_seconds.add(self.env.now - entered)
 
     def _kill_node(self, rnd: _RoundState, node: int) -> None:
         """Abrupt mid-epoch failure: interrupt, halt, abort."""
@@ -1414,8 +1415,8 @@ class _ElasticJob:
             cpu_utilization=(
                 sum(per_node_cpu) / len(per_node_cpu) if per_node_cpu else 0.0
             ),
-            sync_seconds_total=self.counters["sync"],
-            exposed_sync_seconds=self.counters["exposed"],
+            sync_seconds_total=float(self.counters["sync"]),
+            exposed_sync_seconds=float(self.counters["exposed"]),
             gradient_bytes_synced=self.counters["grad_bytes"],
             topology=self.topology,
             overlap=self.overlap,
@@ -1461,10 +1462,10 @@ class _ElasticJob:
             collapse_cross_vetoes=self.ring.collapse_cross_vetoes,
             partition_stall_seconds=self.ring.partition_stall_seconds,
             checkpoint_write_seconds=(
-                self.ckpt.write_seconds if self.ckpt is not None else 0.0
+                float(self.ckpt.write_seconds) if self.ckpt is not None else 0.0
             ),
             restore_seconds=(
-                self.ckpt.restore_seconds if self.ckpt is not None else 0.0
+                float(self.ckpt.restore_seconds) if self.ckpt is not None else 0.0
             ),
             lost_steps=self.ckpt.lost_steps if self.ckpt is not None else 0,
             checkpoint_bytes=(

@@ -110,6 +110,7 @@ from typing import (
     Tuple,
 )
 
+from ..engine.metrics import ExactSums
 from ..errors import ConfigurationError
 from .kernel import Environment, Event, Interrupt, Timeout
 from .links import project
@@ -453,9 +454,10 @@ class RingFabric:
         collapse: bool = False,
         partitions: Optional[Any] = None,
     ) -> None:
-        if bandwidth <= 0:
+        # written ``not x > 0`` / ``not x >= 0`` so that NaN is refused too
+        if not bandwidth > 0:
             raise ConfigurationError(f"bandwidth must be positive, got {bandwidth!r}")
-        if latency < 0 or gradient_bytes < 0 or detection_timeout < 0:
+        if not (latency >= 0 and gradient_bytes >= 0 and detection_timeout >= 0):
             raise ConfigurationError(
                 "latency, gradient_bytes and detection_timeout must be >= 0"
             )
@@ -512,8 +514,8 @@ class RingFabric:
         #: completion-attributed per-class link wait (the collective-class
         #: sink of this fabric's streams: own-stream queueing plus
         #: fair-sharing slowdown versus an idle link; the collapsed fast
-        #: path replays its stages into the same dict bit-for-bit)
-        self.link_wait_by_class: Dict[str, float] = {}
+        #: path adds its stages' excess into the same exact sums)
+        self.link_wait_by_class = ExactSums()
         #: collapse attempts vetoed because loader/checkpoint (or another
         #: tenant's non-collective) traffic was in flight on a link the
         #: collective would use -- the fast path assumes idle links, so
@@ -769,25 +771,17 @@ class RingFabric:
         # link layer's closed form prices each stage; ``now`` advances as
         # ``now + (finish - now)``, the very instant a per-stage timeout of
         # ``finish - now`` would land on, so the end instant matches the
-        # simulation bit-for-bit.  Each stage also replays the engine's
-        # completion-time per-class wait attribution: ``fanout`` member
-        # transfers, each adding the same fair-sharing ``excess`` the live
-        # path would have accumulated (in the same order, so float sums
-        # agree exactly with the uncollapsed run).
+        # simulation bit-for-bit.
         now = self.env.now
-        total = self.link_wait_by_class.get("collective", 0.0)
         drained: Dict[str, float] = {}
-        for stages, scope, chunk, bandwidth, latency, streams, fanout in (
+        for stages, scope, chunk, bandwidth, latency, streams, _fanout in (
             schedule or ()
         ):
             for _stage in range(stages):
-                drained[scope], finish, excess = project(
+                drained[scope], finish, _excess = project(
                     max(now, drained.get(scope, now)),
                     chunk, bandwidth, latency, streams,
                 )
-                if excess:
-                    for _ in range(fanout):
-                        total += excess
                 now = now + (finish - now)
         if schedule is None or not now < entry.deadline:
             # ragged arrival / heterogeneity / churn / a walk the next
@@ -800,9 +794,12 @@ class RingFabric:
             return
         entry.collapsed = True
         self.collapsed_collectives += 1
-        # zero excess still creates the key the live engine's completion
-        # hook would have written
-        self.link_wait_by_class["collective"] = total
+        # every stage's ``fanout`` member transfers book the fair-sharing
+        # excess, as the live completion hook would (zero too: that creates
+        # the key); the sums are exact, so this is the per-rank path's value
+        for stages, _scope, chunk, bandwidth, _latency, streams, fanout in schedule:
+            excess = project(0.0, chunk, bandwidth, 0.0, streams)[2]
+            self.link_wait_by_class.add("collective", excess, stages * fanout)
         yield self.env.succeed_at(self.env.event(), now)
         # defense in depth: a member removed mid-flight would have stalled
         # the simulated ring until its chunks filled in; never complete

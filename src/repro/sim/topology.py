@@ -212,11 +212,12 @@ class FlatRing(Topology):
     kind = "flat"
 
     def __init__(self, env: Environment, latency: float, bandwidth: float) -> None:
-        if bandwidth <= 0:
+        # written ``not x > 0`` / ``not x >= 0`` so that NaN is refused too
+        if not bandwidth > 0:
             raise ConfigurationError(
                 f"bandwidth must be positive, got {bandwidth!r}"
             )
-        if latency < 0:
+        if not latency >= 0:
             raise ConfigurationError(f"latency must be >= 0, got {latency!r}")
         super().__init__(env)
         self.latency = float(latency)
@@ -272,12 +273,12 @@ class Hierarchical(Topology):
             Dict[Hashable, Tuple[float, float]]
         ] = None,
     ) -> None:
-        if bandwidth <= 0 or intra_bandwidth <= 0:
+        if not (bandwidth > 0 and intra_bandwidth > 0):
             raise ConfigurationError(
                 f"bandwidths must be positive, got inter={bandwidth!r} "
                 f"intra={intra_bandwidth!r}"
             )
-        if latency < 0 or intra_latency < 0:
+        if not (latency >= 0 and intra_latency >= 0):
             raise ConfigurationError(
                 f"latencies must be >= 0, got inter={latency!r} "
                 f"intra={intra_latency!r}"

@@ -65,6 +65,13 @@ class HardwareConfig:
     cache_fraction: Optional[float] = None
 
     def __post_init__(self) -> None:
+        # written so that NaN fails it too
+        bandwidth, latency = self.intra_node_bandwidth, self.intra_node_latency
+        if not (0 < bandwidth < float("inf") and 0 <= latency < float("inf")):
+            raise ConfigurationError(
+                "intra_node_bandwidth must be positive and intra_node_latency "
+                f">= 0, both finite; got {bandwidth!r} and {latency!r}"
+            )
         if self.cache_fraction is not None:
             check_cache_fraction(self.cache_fraction)
 

@@ -171,6 +171,10 @@ def test_fabric_validates_parameters():
             bandwidth=1.0,
             gradient_bytes=1.0,
         )
+    ok = dict(latency=0.001, bandwidth=1.0, gradient_bytes=1.0, detection_timeout=1.0)
+    for knob in ok:
+        with pytest.raises(ConfigurationError):
+            RingFabric(env, **{**ok, knob: float("nan")})
 
 
 def test_allreduce_closed_form_is_the_true_ring_cost():

@@ -29,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.metrics import ExactSums
 from repro.errors import EmptySchedule
 from repro.sim import AllOf, BandwidthPipe, Environment, SharedLink
 from repro.sim.links import project
@@ -185,6 +186,28 @@ def test_two_streams_converge_and_finish_together():
     assert b.wait_seconds == 50.0 / 5.0 - 50.0 / 10.0
 
 
+@pytest.mark.parametrize("latency", [0.0, 0.25])
+def test_heads_draining_at_one_instant_complete_in_creation_order(latency):
+    """The one order a link fixes among heads that drain together: stream
+    creation order.  a, created first, sends 2 B alone from t = 0 on a
+    1 B/s link; b opens at t = 1 with 1 B, and both drain at t = 3.  a
+    completes first, although b's opening set the share they drained at."""
+    env = Environment()
+    link = SharedLink(env, bandwidth=1.0, latency=latency)
+    a, b = link.stream("a"), link.stream("b")
+    done = []
+
+    def sender(tag, stream, at, nbytes):
+        yield env.timeout(at)
+        yield stream.transfer(nbytes)
+        done.append((tag, env.now))
+
+    env.process(sender("b", b, 1.0, 1))
+    env.process(sender("a", a, 0.0, 2))
+    env.run()
+    assert done == [("a", 3.0 + latency), ("b", 3.0 + latency)]
+
+
 def test_a_drained_transfer_leaves_the_fair_share():
     """1 B at t = 0 and 1 B at t = 5 ms on a 1 000 B/s, 10 ms link: the
     first drains at 1 ms and holds no share in its latency tail, so the
@@ -226,7 +249,7 @@ def test_a_transfer_whose_share_moved_books_its_actual_slowdown():
     slowed by exactly 5 ms, and books it, per stream and per class."""
     env = Environment()
     link = SharedLink(env, bandwidth=1000.0)
-    sink = {}
+    sink = ExactSums()
     a = link.stream("a", "loader", sink)
     b = link.stream("b", "checkpoint", sink)
     done = {}
@@ -479,7 +502,7 @@ def run_link_program(program):
     params, stream_specs, processes = program
     env = CountingEnvironment()
     links = [SharedLink(env, bandwidth, latency) for bandwidth, latency in params]
-    sinks = [{}, {}]
+    sinks = [ExactSums(), ExactSums()]
     streams = [
         links[at].stream(("s", sid, cls), cls, None if sink is None else sinks[sink])
         for sid, (at, cls, sink) in enumerate(stream_specs)

@@ -15,6 +15,7 @@ Covers the PR's step-loop layer and its satellites:
   (invalidation pressure) accounting.
 """
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -27,6 +28,7 @@ from hypothesis import strategies as st  # noqa: E402
 from repro.errors import ConfigurationError  # noqa: E402
 from repro.sim.distributed import (  # noqa: E402
     AllReduceModel,
+    _ElasticJob,
     ClusterMembership,
     MembershipEvent,
     run_distributed,
@@ -139,6 +141,45 @@ def test_hierarchical_overlap_composes_with_topology():
     baseline = overlap_run()
     best = overlap_run(topology="hierarchical", overlap=True, buckets=4)
     assert best.exposed_sync_seconds < baseline.exposed_sync_seconds
+
+
+def test_sync_totals_are_the_exact_sums_of_what_a_probe_records(monkeypatch):
+    """Every collective's duration, and every step's wait past the end of
+    backprop, recorded as it happens: the job's totals are their
+    correctly rounded sums (``math.fsum``), which no order of same-instant
+    completions can move -- not a float sum in completion order."""
+    durations, exposed = [], {}
+    sync_bucket = _ElasticJob._sync_bucket
+
+    def probed(job, rnd, member, key, deadline=None):
+        entered = job.env.now
+        done = sync_bucket(job, rnd, member, key, deadline)
+        step, bucket = (member, key[:-1]), key[-1]
+
+        def record(_event):
+            durations.append(job.env.now - entered)
+            # the step's backprop ends as its last bucket launches, and
+            # its wait ends as its last collective completes
+            end, launched = exposed.get(step, (job.env.now, entered))
+            exposed[step] = (
+                max(end, job.env.now),
+                entered if bucket == job.buckets - 1 else launched,
+            )
+
+        done.callbacks.append(record)
+        return done
+
+    monkeypatch.setattr(_ElasticJob, "_sync_bucket", probed)
+    result = run_distributed(
+        "minato", tiny_speech(), CONFIG_A, nodes=4, gpus_per_node=4,
+        steps_per_gpu=8, fabric="ring", topology="hierarchical",
+        overlap=True, buckets=4,
+    )
+    assert len(durations) == result.steps * 4
+    assert result.sync_seconds_total == math.fsum(durations)
+    assert result.exposed_sync_seconds == math.fsum(
+        end - launched for end, launched in exposed.values()
+    )
 
 
 def test_single_rank_world_has_no_sync_to_overlap():
@@ -279,6 +320,23 @@ def test_with_cache_fraction_validates():
     for bad in (-0.1, float("nan"), 1.5):
         with pytest.raises(ConfigurationError, match="cache_fraction"):
             CONFIG_A.with_cache_fraction(bad)
+
+
+@pytest.mark.parametrize(
+    "link",
+    [
+        {"intra_node_bandwidth": float("nan")},
+        {"intra_node_bandwidth": float("inf")},
+        {"intra_node_bandwidth": 0.0},
+        {"intra_node_latency": float("nan")},
+        {"intra_node_latency": float("inf")},
+        {"intra_node_latency": -1e-6},
+    ],
+)
+def test_hardware_config_refuses_a_degenerate_intra_node_link(link):
+    """Refused where it is written, not mid-run by the link it builds."""
+    with pytest.raises(ConfigurationError, match="intra_node"):
+        replace(CONFIG_A, **link)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from repro.core import TimeoutProfiler, WorkerScheduler
 from repro.data import PageCache, RandomSampler, BatchSampler
 from repro.data.sample import SampleSpec
 from repro.engine.accuracy import dice_score
-from repro.engine.metrics import IntervalRecorder, utilization_series
+from repro.engine.metrics import ExactSum, IntervalRecorder, utilization_series
 from repro.policy import deal_batch_plan
 from repro.sim import Environment, Store
 from tests.helpers import StubDataset, stub_pipeline
@@ -185,6 +185,48 @@ def test_size_independent_pipeline_cost_is_permutation_invariant(
     assert math.isclose(
         reordered.total_cost(spec), pipeline.total_cost(spec), rel_tol=1e-9
     )
+
+
+# ---------------------------------------------------------------------------
+# Exact sums
+# ---------------------------------------------------------------------------
+
+addends = st.lists(
+    st.one_of(
+        st.floats(min_value=-1e100, max_value=1e100),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 0.1, -0.1]),
+    ),
+    max_size=40,
+)
+
+
+def exact_sum(values):
+    total = ExactSum()
+    for value in values:
+        total.add(value)
+    return float(total)
+
+
+@given(values=addends, data=st.data())
+def test_an_exact_sum_is_fsum_in_any_order(values, data):
+    """The one correctly rounded sum of the addends (``math.fsum``),
+    whatever order they come in: negative and zero addends included."""
+    shuffled = data.draw(st.permutations(values))
+    assert exact_sum(values) == exact_sum(shuffled) == math.fsum(values)
+
+
+@given(
+    value=st.floats(min_value=-1e100, max_value=1e100),
+    times=st.integers(min_value=0, max_value=300),
+    before=addends,
+)
+def test_adding_a_value_k_times_is_k_adds(value, times, before):
+    once = ExactSum()
+    for other in before:
+        once.add(other)
+    once.add(value, times)
+    assert float(once) == exact_sum(before + [value] * times)
+    assert float(once) == math.fsum(before + [value] * times)
 
 
 # ---------------------------------------------------------------------------

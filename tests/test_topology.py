@@ -403,6 +403,18 @@ def test_topology_validates_parameters():
         FlatRing(env, latency=0.001, bandwidth=0.0)
     with pytest.raises(ConfigurationError):
         FlatRing(env, latency=-1.0, bandwidth=1.0)
+    for knobs in ({"latency": float("nan")}, {"bandwidth": float("nan")}):
+        with pytest.raises(ConfigurationError):
+            FlatRing(env, **{"latency": 0.001, "bandwidth": 1.0, **knobs})
+    with pytest.raises(ConfigurationError):
+        Hierarchical(
+            env,
+            latency=0.001,
+            bandwidth=1.0,
+            intra_latency=float("nan"),
+            intra_bandwidth=1.0,
+            gpus_per_node=2,
+        )
     with pytest.raises(ConfigurationError):
         Hierarchical(
             env,
@@ -447,6 +459,8 @@ def test_hierarchical_step_cost_validates_arguments():
         model.hierarchical_step_cost(2, 2, 1e-6, 0.0)
     with pytest.raises(ConfigurationError):
         model.hierarchical_step_cost(2, 2, -1e-6, 1e9)
+    with pytest.raises(ConfigurationError):
+        model.hierarchical_step_cost(2, 2, float("nan"), 1e9)
 
 
 def test_hierarchical_step_cost_closed_form():
