@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -113,8 +114,16 @@ class MinatoConfig:
                 f"need 1 <= min_workers <= max_workers, got "
                 f"{self.min_workers}..{self.max_workers}"
             )
-        if self.delta_clip < 1:
+        if not self.delta_clip >= 1:
             raise ConfigurationError(f"delta_clip must be >= 1, got {self.delta_clip}")
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
+        if not 0 < self.cpu_threshold < 1:
+            raise ConfigurationError(
+                f"cpu_threshold must be in (0, 1), got {self.cpu_threshold}"
+            )
         if not self.poll_interval > 0:
             raise ConfigurationError(
                 f"poll_interval must be positive, got {self.poll_interval}"

@@ -95,9 +95,9 @@ class CheckpointPolicy:
             raise ConfigurationError(
                 f"restore must be one of {RESTORE_MODES}, got {self.restore!r}"
             )
-        if not self.state_scale > 0:
+        if not 0 < self.state_scale < float("inf"):
             raise ConfigurationError(
-                f"state_scale must be positive, got {self.state_scale!r}"
+                f"state_scale must be positive and finite, got {self.state_scale!r}"
             )
 
     def state_bytes(self, gradient_bytes: float) -> float:

@@ -116,11 +116,16 @@ class MembershipEvent:
             )
         if self.epoch is not None and self.epoch < 0:
             raise ConfigurationError(f"epoch must be >= 0, got {self.epoch!r}")
-        # written ``not x >= 0`` so that NaN is refused too
-        if self.time is not None and not self.time >= 0:
-            raise ConfigurationError(f"time must be >= 0, got {self.time!r}")
-        if not self.after >= 0:
-            raise ConfigurationError(f"after must be >= 0, got {self.after!r}")
+        # written ``not 0 <= x < inf`` so that NaN is refused too; an
+        # anchor that never comes would still arm every round
+        if self.time is not None and not 0 <= self.time < float("inf"):
+            raise ConfigurationError(
+                f"time must be >= 0 and finite, got {self.time!r}"
+            )
+        if not 0 <= self.after < float("inf"):
+            raise ConfigurationError(
+                f"after must be >= 0 and finite, got {self.after!r}"
+            )
         if self.after > 0 and self.kind != "fail":
             raise ConfigurationError(
                 "after is only meaningful for fail events (join/leave apply "
@@ -166,8 +171,8 @@ class PartitionEvent:
             raise ConfigurationError(
                 f"partition nodes must be >= 0, got {list(nodes)!r}"
             )
-        if not self.time >= 0:
-            raise ConfigurationError(f"time must be >= 0, got {time!r}")
+        if not 0 <= self.time < float("inf"):
+            raise ConfigurationError(f"time must be >= 0 and finite, got {time!r}")
         if not 0 < self.duration < float("inf"):
             raise ConfigurationError(
                 f"duration must be positive and finite (partitions heal), "

@@ -304,11 +304,13 @@ class DistributedResult:
     cache_miss_bytes: float = 0.0
     #: seconds this job's cache-miss reads queued behind earlier traffic on
     #: the storage pipe (and the NIC, when the cluster routes storage over
-    #: it) before their own transfer started -- storage contention
+    #: it) before their own transfer started -- storage contention,
+    #: measured as each hop completes
     storage_wait_seconds: float = 0.0
-    #: seconds this job's collective sends queued behind earlier traffic on
-    #: their links before starting (ring fabric; cross-job link contention
-    #: on a shared cluster)
+    #: seconds this job's collective sends queued on their own streams
+    #: before starting (ring fabric), measured as each completes: bucket
+    #: overlap, not cross-job contention -- other tenants ride other
+    #: streams, so their traffic shows up in ``link_wait_by_class``
     link_wait_seconds: float = 0.0
     #: completion-attributed link wait per traffic class
     #: (``collective`` / ``loader`` / ``checkpoint``): own-stream queueing

@@ -233,21 +233,19 @@ class _Run:
 
     def send(self) -> None:
         """Enter the current stage: submit this member's chunk."""
-        fabric = self.fabric
-        stream = self.stream
-        backlog = stream.backlog
-        if backlog > 0:
-            fabric.link_wait_seconds += backlog
-        sent = stream.transfer(self.chunk)
-        if fabric.dead:
+        sent = self.stream.transfer(self.chunk)
+        if self.fabric.dead:
             self.collective.ask_dead(self)
         sent.callbacks.append(self._sent)
 
-    def _sent(self, _event: Event) -> None:
-        """Link completion of this stage's send: land the chunk, then move
-        on if the predecessor's chunk is in, else wait for it."""
+    def _sent(self, sent: Event) -> None:
+        """Link completion of this stage's send: book the time it queued
+        before starting, land the chunk, then move on if the predecessor's
+        chunk is in, else wait for it."""
         if self.cancelled:
             return
+        if self.chunk > 0:  # a zero-byte send is a free timer, with no queue
+            self.fabric.link_wait_seconds += sent.start - sent.submitted
         collective = self.collective
         stage = self.stage
         self.fabric._deliver(collective, stage, self.member)
@@ -507,9 +505,10 @@ class RingFabric:
         #: instead of the ring aborting.  None: deliveries land inline,
         #: byte-identical to the pre-partition fabric.
         self.partitions = partitions
-        #: seconds this fabric's sends queued behind other traffic on
-        #: their links before starting (cross-job link contention plus any
-        #: same-job overlap backlog)
+        #: seconds this fabric's sends queued on their own streams before
+        #: starting, booked as each completes: bucket overlap, not cross-job
+        #: contention -- other tenants ride other streams, and slow these
+        #: sends down rather than queue them (``link_wait_by_class``)
         self.link_wait_seconds = 0.0
         #: completion-attributed per-class link wait (the collective-class
         #: sink of this fabric's streams: own-stream queueing plus

@@ -60,7 +60,6 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from itertools import islice
 from operator import attrgetter
 from typing import Deque, Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -116,8 +115,8 @@ class _Transfer(Event):
         self.stream = stream
         self.nbytes = nbytes
         #: when it starts draining; its drain and completion instants,
-        #: projected at the current share until it drains, then fixed; and
-        #: the wait it books, fixed at its drain
+        #: projected while it is the link's earliest head, fixed once it
+        #: drains; and the wait it books, fixed at its drain
         self.start = self.submitted = self.drain = self.finish = now
         self.wait = 0.0
 
@@ -125,16 +124,18 @@ class _Transfer(Event):
 class Stream:
     """One flow endpoint on a :class:`SharedLink`.
 
-    :meth:`transfer` returns a kernel event that fires at completion
-    (value = bytes moved) and :attr:`backlog` is the seconds of queued
-    work ahead on *this stream* -- other streams' traffic shows up as a
-    lower drain rate, not as backlog, which is exactly the
-    decomposition the per-class wait accounting reports.
+    :meth:`transfer` returns the transfer, a kernel event that fires at
+    completion (value = bytes moved).  Its ``start - submitted`` is the
+    time it queued behind *this stream's* earlier transfers, read once it
+    has completed: under fair sharing that start is fixed only once the
+    shares stop moving, so no wait is projected at submit.  Other
+    streams' traffic shows up as a lower drain rate, not as queueing --
+    the slowdown term of the wait the link books per class.
     """
 
     __slots__ = (
         "link", "tag", "cls", "sink", "total_bytes", "transfer_count",
-        "wait_seconds", "transfers", "_chain", "_order", "_vdrain", "_epoch",
+        "wait_seconds", "transfers", "_chain", "_order", "_vdrain",
     )
 
     def __init__(
@@ -160,24 +161,6 @@ class Stream:
         self._chain: Deque[_Transfer] = deque()
         #: the head's virtual drain (its key in the link's heap)
         self._vdrain = 0.0
-        #: the link ``_epoch`` its chain's ``drain`` fields were projected at
-        self._epoch = -1
-
-    @property
-    def backlog(self) -> float:
-        """Seconds until this stream's queued work drains, at the current share."""
-        chain = self._chain
-        if not chain:
-            return 0.0
-        link = self.link
-        now = link.env._now
-        if link._next_drain <= now:
-            link._advance(now)
-            if not chain:
-                return 0.0
-        if self._epoch != link._epoch:
-            link._project_chain(self)
-        return chain[-1].drain - now
 
     def transfer(self, nbytes) -> Event:
         """Move ``nbytes`` on this stream; returns the completion event."""
@@ -202,10 +185,9 @@ class SharedLink:
         #: the virtual clock: ``_v`` bytes of service per busy stream at ``_vt``
         self._v = 0.0
         self._vt = 0.0
-        #: when and how often the busy count moved (a head that started no
-        #: earlier drains at one share)
+        #: when the busy count last moved (a head that started no earlier
+        #: drains at one share)
         self._changed = 0.0
-        self._epoch = 0
         #: the head that drains first, and its projected drain
         self._earliest: Optional[_Transfer] = None
         self._next_drain = _NEVER
@@ -270,13 +252,9 @@ class SharedLink:
         t = _Transfer(stream, float(nbytes), now)
         chain = stream._chain
         chain.append(t)
-        heads = self._heads
-        if len(chain) > 1:
-            # a FIFO append moves no share and no entry; the tail is
-            # projected behind its predecessor if the chain's is current
-            if stream._epoch == self._epoch:
-                t.drain = chain[-2].drain + t.nbytes / (self.bandwidth / len(heads))
+        if len(chain) > 1:  # a FIFO append moves no share and no entry
             return t
+        heads = self._heads
         # a stream opens: V catches up at the old rate, the head enters at V + bytes
         n = len(heads)
         if not n:
@@ -288,13 +266,11 @@ class SharedLink:
         stream._vdrain = self._v + t.nbytes
         heappush(heads, (stream._vdrain, stream._order, stream))
         self._changed = now
-        self._epoch += 1
-        stream._epoch = self._epoch
-        seconds = t.nbytes / (self.bandwidth / (n + 1))
-        t.drain = now + seconds
         if n:
             self._advance(now)
         else:  # alone: the earliest head, at project's floats
+            seconds = t.nbytes / self.bandwidth
+            t.drain = now + seconds
             t.finish = now + self.latency + seconds
             self._earliest = t
             self._next_drain = t.drain
@@ -354,7 +330,6 @@ class SharedLink:
             self._vt = at
             if emptied:
                 self._changed = at
-                self._epoch += 1
         self._next_drain = _NEVER
 
     def _arm(self) -> None:
@@ -384,20 +359,6 @@ class SharedLink:
             env._requeue(armed, None)
         self._armed = nxt
         env._requeue(nxt, at, nxt._eid if kept else None)
-
-    def _project_chain(self, stream: Stream) -> None:
-        """Re-project a busy stream's chain at the current share."""
-        share = self.bandwidth / len(self._heads)
-        chain = stream._chain
-        head = chain[0]
-        if head.start >= self._changed:
-            drain = head.start + head.nbytes / share
-        else:
-            drain = self._vt + (stream._vdrain - self._v) / share
-        head.drain = drain
-        for t in islice(chain, 1, None):
-            t.drain = drain = drain + t.nbytes / share
-        stream._epoch = self._epoch
 
     def _complete(self, t: _Transfer) -> None:
         # ``t`` held the entry: it has drained, or is the earliest head and

@@ -104,6 +104,7 @@ from ..policy import (
 )
 from .cluster import NodeSite
 from .kernel import AllOf, Environment, Event, _Initialize
+from .links import Stream
 from .resources import Request, Resource
 from .stores import PriorityStore, Store
 from .workloads import HardwareConfig, WorkloadSpec, check_cache_fraction
@@ -215,13 +216,23 @@ class SimContext:
             self.cache_hit_bytes += nbytes
             return self.env.timeout(nbytes / DRAM_BANDWIDTH), False
         self.cache_miss_bytes += nbytes
-        self.storage_wait_seconds += self.disk.backlog
-        return self.disk.transfer(nbytes), self.nic is not None
+        return self._miss_hop(self.disk, nbytes), self.nic is not None
 
     def nic_hop(self, nbytes: int) -> Event:
         """A cache miss's bytes crossing the remote-storage NIC."""
-        self.storage_wait_seconds += self.nic.backlog
-        return self.nic.transfer(nbytes)
+        return self._miss_hop(self.nic, nbytes)
+
+    def _miss_hop(self, stream: Stream, nbytes: int) -> Event:
+        """A cache miss's transfer on ``stream``; once it completes, the
+        time it queued before starting is added to ``storage_wait_seconds``
+        (a zero-byte hop is a free timer, with no queue)."""
+        hop = stream.transfer(nbytes)
+        if nbytes > 0:
+            hop.callbacks.append(self._waited)
+        return hop
+
+    def _waited(self, hop) -> None:
+        self.storage_wait_seconds += hop.start - hop.submitted
 
     def read_sample(self, spec: SampleSpec) -> Generator:
         """Fetch a sample, as a process: :meth:`fetch`, then its NIC hop."""

@@ -65,7 +65,15 @@ class HardwareConfig:
     cache_fraction: Optional[float] = None
 
     def __post_init__(self) -> None:
-        # written so that NaN fails it too
+        for name in ("cpu_cores", "max_gpus"):
+            value = getattr(self, name)
+            if not value >= 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {value!r}")
+        # written so that NaN fails them too
+        if not 0 <= self.memory_bytes < float("inf"):
+            raise ConfigurationError(
+                f"memory_bytes must be >= 0 and finite, got {self.memory_bytes!r}"
+            )
         bandwidth, latency = self.intra_node_bandwidth, self.intra_node_latency
         if not (0 < bandwidth < float("inf") and 0 <= latency < float("inf")):
             raise ConfigurationError(

@@ -636,13 +636,12 @@ class GeneratorRingFabric(RingFabric):
             sink=self.link_wait_by_class,
         )
         for stage in range(world - 1):
-            backlog = stream.backlog
-            if backlog > 0:
-                self.link_wait_seconds += backlog
             send_done = stream.transfer(chunk)
             mine = collective.delivery(stage, member)
             recv = collective.delivery(stage, predecessor)
             yield send_done
+            if chunk > 0:
+                self.link_wait_seconds += send_done.start - send_done.submitted
             if not mine.triggered:
                 self._deliver_event(mine, member, successor)
             if not recv.triggered:

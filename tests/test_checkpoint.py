@@ -72,6 +72,9 @@ def test_policy_rejects_bad_values():
         CheckpointPolicy(interval_seconds=float("nan"))
     with pytest.raises(ConfigurationError, match="state_scale"):
         CheckpointPolicy(interval_steps=4, state_scale=float("nan"))
+    # an OverflowError in the exact write-time sum, mid-run
+    with pytest.raises(ConfigurationError, match="state_scale"):
+        CheckpointPolicy(interval_steps=4, state_scale=float("inf"))
 
 
 def test_policy_state_bytes_and_due():

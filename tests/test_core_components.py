@@ -61,6 +61,13 @@ def test_config_defaults_match_paper():
         {"poll_interval": float("nan")},
         {"scheduler_interval": float("nan")},
         {"timing": "psychic"},
+        {"delta_clip": float("nan")},
+        {"alpha": float("nan")},
+        {"beta": float("inf")},
+        {"beta": float("-inf")},
+        {"cpu_threshold": 0.0},
+        {"cpu_threshold": 1.0},
+        {"cpu_threshold": float("nan")},
     ],
 )
 def test_config_validation(kwargs):

@@ -64,6 +64,12 @@ def test_membership_event_validation():
         MembershipEvent("fail", 1, time=float("nan"))
     with pytest.raises(ConfigurationError, match="after"):
         MembershipEvent("fail", 1, epoch=0, after=float("nan"))
+    # a fail that never fires still arms every round: no collapse, and
+    # every round ends after one shard pass
+    with pytest.raises(ConfigurationError, match="time"):
+        MembershipEvent("fail", 1, time=float("inf"))
+    with pytest.raises(ConfigurationError, match="after"):
+        MembershipEvent("fail", 1, epoch=0, after=float("inf"))
     MembershipEvent("fail", 0, epoch=1, after=0.5)  # fine
 
 

@@ -32,7 +32,10 @@ from hypothesis import strategies as st
 from repro.engine.metrics import ExactSums
 from repro.errors import EmptySchedule
 from repro.sim import AllOf, BandwidthPipe, Environment, SharedLink
-from repro.sim.links import project
+from repro.sim.fabric import RingFabric
+from repro.sim.links import Stream, project
+from repro.sim.loaders import SimContext
+from repro.sim.workloads import CONFIG_A, make_workload
 
 from .helpers import CheckedEnvironment, WatermarkPipe, fluid_drains
 
@@ -114,6 +117,44 @@ def test_single_stream_matches_bandwidth_pipe_bit_for_bit(
         k += 1
         expected_wait += (start - at) + 0.0
     assert stream.wait_seconds == expected_wait
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    schedule=schedules,
+    bandwidth=st.sampled_from([1.0, 2.5, 1e4]),
+    latency=st.sampled_from([0.0, 1e-3, 0.25]),
+)
+def test_a_one_stream_wait_is_the_fifo_watermark_wait_bit_for_bit(
+    schedule, bandwidth, latency
+):
+    """A one-stream link's share never moves, so the wait read off each
+    completed transfer, ``start - submitted``, is the FIFO watermark's
+    ``max(0, previous drain - submit)`` bit for bit: the float a wait
+    projected at submit would give.  The disk is such a link, which is
+    why its storage waits do not move when they are booked at completion."""
+    env = Environment()
+    stream = BandwidthPipe(env, bandwidth=bandwidth, latency=latency)
+    sent = {}
+
+    def submitter(at, nbytes, idx):
+        yield env.timeout(at)
+        sent[idx] = stream.transfer(nbytes)
+        yield sent[idx]
+
+    env.run(until=AllOf(env, [
+        env.process(submitter(at, nbytes, idx))
+        for idx, (at, nbytes) in enumerate(schedule)
+    ]))
+    watermark = 0.0
+    for i in sorted(range(len(schedule)), key=lambda i: (schedule[i][0], i)):
+        at, nbytes = schedule[i]
+        if nbytes == 0:
+            continue
+        t = sent[i]
+        assert t.submitted == at
+        assert t.start - t.submitted == max(0.0, watermark - at)
+        watermark = max(at, watermark) + nbytes / bandwidth
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +374,10 @@ def test_shared_link_conserves_bytes(schedule, bandwidth, latency):
         assert stream.wait_seconds >= -1e-9
     for secs in link.wait_by_class.values():
         assert secs >= -1e-9
-    # the link is quiescent again: no stream reports residual backlog
+    # the link is quiescent again: no stream holds a queued transfer
     assert link.busy_streams() == []
     for stream in streams.values():
-        assert stream.backlog == 0.0
+        assert not stream._chain
 
 
 # ---------------------------------------------------------------------------
@@ -663,3 +704,99 @@ def test_heads_draining_at_one_instant_leave_together(ranks, latency):
         else:
             assert wait == 0.0 + first[2]
     assert env.events_processed == ranks + ranks // 2
+
+
+# ---------------------------------------------------------------------------
+# A wait is read off the transfer that waited
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def probed_transfers(monkeypatch):
+    """Every transfer with bytes to move on a stream ``probed(stream)``
+    picks, in the order they complete (the probe's callback runs before
+    the submitter's)."""
+    completed = []
+    transfer = Stream.transfer
+
+    def probe(probed):
+        def recorded(stream, nbytes):
+            sent = transfer(stream, nbytes)
+            if nbytes > 0 and probed(stream):
+                sent.callbacks.append(completed.append)
+            return sent
+
+        monkeypatch.setattr(Stream, "transfer", recorded)
+        return completed
+
+    return probe
+
+
+def test_storage_wait_is_what_the_reads_waited_on_a_shared_nic(probed_transfers):
+    """Two streams on one NIC: a tenant's remote-storage reads and a
+    collective.  The collective opens while the tenant's second read is
+    queued behind its first on the NIC, so that read starts later than
+    its submit-time share promised.  ``storage_wait_seconds`` is what the
+    disk and NIC hops measured, ``start - submitted``, summed."""
+    env = Environment()
+    workload = make_workload("image_segmentation", dataset_size=4)
+    specs = [workload.dataset.spec(i) for i in range(2)]
+    disk_seconds = specs[0].raw_nbytes / CONFIG_A.storage.bandwidth
+    # a read crosses the NIC 100 times slower than it leaves the disk
+    nic = SharedLink(env, bandwidth=CONFIG_A.storage.bandwidth / 100)
+    ctx = SimContext(
+        env, workload, CONFIG_A, 1, nic=nic.stream("reads", cls="loader")
+    )
+    collective = nic.stream("ring")
+    reads = probed_transfers(lambda stream: stream in (ctx.disk, ctx.nic))
+
+    def contend():
+        yield env.timeout(20 * disk_seconds)
+        yield collective.transfer(specs[0].raw_nbytes)
+
+    for spec in specs:
+        env.process(ctx.read_sample(spec))
+    env.process(contend())
+    env.run()
+    assert len(reads) == 4  # two disk hops, two NIC hops
+    first, second = [t for t in reads if t.stream.link is nic]
+    # the share moved between the second read's submit and its start
+    assert second.submitted < 20 * disk_seconds < second.start
+    assert second.start > first.start + first.nbytes / nic.bandwidth
+    measured = 0.0
+    for t in reads:
+        measured += t.start - t.submitted
+    assert ctx.storage_wait_seconds == measured
+
+
+def test_link_wait_is_what_the_overlapped_sends_waited(probed_transfers):
+    """Two buckets overlap on each rank's stream, so a rank's second send
+    queues behind its first; a loader stream opens on rank 0's NIC while
+    it waits, so it starts later than its submit-time share promised.
+    ``link_wait_seconds`` is what the sends measured, summed."""
+    sends = probed_transfers(lambda stream: stream.cls == "collective")
+    env = Environment()
+    bandwidth, nbytes = 100.0, 200.0
+    fabric = RingFabric(env, latency=0.0, bandwidth=bandwidth, gradient_bytes=nbytes)
+    fabric.set_ring([0, 1])
+    for k in range(2):
+        for member in (0, 1):
+            fabric.start(("step", k), member)
+    loader = fabric.topology.stream(0, cls="loader", tenant="reads")
+    chunk = nbytes / 2
+
+    def contend():
+        yield env.timeout(0.5 * chunk / bandwidth)
+        yield loader.transfer(0.4 * chunk)
+
+    env.process(contend())
+    env.run()
+    assert fabric.in_flight == 0
+    queued = [t for t in sends if t.stream.tag[1] == 0 and t.submitted == 0.0][1]
+    # the share moved between the queued send's submit and its start
+    assert queued.start > chunk / bandwidth
+    measured = 0.0
+    for t in sends:
+        measured += t.start - t.submitted
+    assert measured > 0
+    assert fabric.link_wait_seconds == measured

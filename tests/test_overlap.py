@@ -339,6 +339,21 @@ def test_hardware_config_refuses_a_degenerate_intra_node_link(link):
         replace(CONFIG_A, **link)
 
 
+@pytest.mark.parametrize(
+    "machine",
+    [
+        {"cpu_cores": 0},  # a bare ValueError from the cores, at run start
+        {"max_gpus": 0},
+        {"memory_bytes": float("nan")},  # ran, with a cache that never evicts
+        {"memory_bytes": float("inf")},
+        {"memory_bytes": -1.0},
+    ],
+)
+def test_hardware_config_refuses_degenerate_machine_values(machine):
+    with pytest.raises(ConfigurationError, match=next(iter(machine))):
+        replace(CONFIG_A, **machine)
+
+
 # ---------------------------------------------------------------------------
 # Satellite: invalidation pressure (stale bytes after a re-shard)
 # ---------------------------------------------------------------------------

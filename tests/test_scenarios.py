@@ -240,6 +240,8 @@ def test_partition_event_validation():
     # a NaN bound gives a window that never applies; partitions heal
     with pytest.raises(ConfigurationError, match="time"):
         PartitionEvent(nodes=(0,), time=float("nan"), duration=1.0)
+    with pytest.raises(ConfigurationError, match="time"):
+        PartitionEvent(nodes=(0,), time=float("inf"), duration=1.0)
     for duration in (float("nan"), float("inf")):
         with pytest.raises(ConfigurationError, match="duration"):
             PartitionEvent(nodes=(0,), time=0.0, duration=duration)

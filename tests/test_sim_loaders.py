@@ -604,6 +604,12 @@ def test_sim_memory_pressure_forces_disk_reads():
         ("size_percentile", 150.0),
         ("size_percentile", -1.0),
         ("size_percentile", NAN),
+        # the first scheduler tick's ValueError (NaN) or OverflowError (inf)
+        ("alpha", NAN),
+        ("beta", float("inf")),
+        ("cpu_threshold", NAN),  # a bare ValueError at start()
+        ("cpu_threshold", 1.0),
+        ("delta_clip", NAN),  # accepted and run
     ],
 )
 def test_sim_minato_rejects_degenerate_knobs_at_construction(name, value):

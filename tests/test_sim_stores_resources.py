@@ -475,10 +475,13 @@ def test_bandwidth_pipe_rejects_bad_args():
 
 
 def test_bandwidth_pipe_backlog():
+    """A transfer queued behind 10 s of work waits those 10 s to start."""
     env = Environment()
     disk = BandwidthPipe(env, bandwidth=1.0)
     disk.transfer(10)
-    assert disk.backlog == pytest.approx(10.0)
+    queued = disk.transfer(1)
+    env.run()
+    assert queued.start - queued.submitted == pytest.approx(10.0)
 
 
 def test_bandwidth_pipe_latency_only_backlog_stays_zero():
@@ -490,7 +493,9 @@ def test_bandwidth_pipe_latency_only_backlog_stays_zero():
     pipe = BandwidthPipe(env, bandwidth=1e9, latency=0.25)
     for _ in range(8):
         pipe.transfer(0)
-    assert pipe.backlog == 0.0
+    queued = pipe.transfer(1)
+    env.run()
+    assert queued.start - queued.submitted == 0.0
 
 
 def test_bandwidth_pipe_queued_readers_overlap_latency():
@@ -534,7 +539,7 @@ def test_bandwidth_pipe_zero_byte_transfer_is_free_and_unaccounted():
     """Regression: ``transfer(0)`` used to pay full latency, bump
     ``transfer_count``, and append to the transfer log.  A no-delta
     incremental snapshot must complete immediately and leave the pipe's
-    backlog and all accounting untouched."""
+    queue and all accounting untouched."""
     env = Environment()
     pipe = BandwidthPipe(env, bandwidth=10.0, latency=0.25)
     done = []
@@ -542,7 +547,7 @@ def test_bandwidth_pipe_zero_byte_transfer_is_free_and_unaccounted():
     def reader():
         read = pipe.transfer(50)  # occupy the pipe: its bytes drain at 5.0
         pipe.transfer(0)  # queues nothing behind them
-        assert pipe.backlog == 5.0
+        assert [t.drain for t in pipe._chain] == [5.0]
         yield read
         yield pipe.transfer(0)
         done.append(env.now)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.data import LUSTRE, NVME, PageCache, StorageModel, StorageSpec
 from repro.data.sample import SampleSpec
-from repro.errors import StorageError
+from repro.errors import ConfigurationError, StorageError
 
 MB = 1024 * 1024
 
@@ -137,6 +137,23 @@ def test_cache_snapshot_delta_windows_counters():
 def test_storage_spec_read_seconds():
     spec = StorageSpec(name="x", bandwidth=100.0, latency=0.5)
     assert spec.read_seconds(200) == pytest.approx(2.5)
+
+
+@pytest.mark.parametrize(
+    "device",
+    [
+        # a bare ValueError from the node's disk link, at run start
+        {"bandwidth": float("nan")},
+        {"bandwidth": float("inf")},
+        {"bandwidth": 0.0},
+        {"latency": -1e-3},
+        {"latency": float("nan")},
+        {"latency": float("inf")},
+    ],
+)
+def test_storage_spec_refuses_a_degenerate_device(device):
+    with pytest.raises(ConfigurationError, match=next(iter(device))):
+        StorageSpec(**{"name": "x", "bandwidth": 100.0, "latency": 0.5, **device})
 
 
 def test_presets_sane():
