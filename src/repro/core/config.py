@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 from ..errors import ConfigurationError
+from .scheduler import check_scheduler_knobs
 
 __all__ = ["MinatoConfig"]
 
@@ -109,21 +109,14 @@ class MinatoConfig:
             raise ConfigurationError(
                 f"timeout_override must be positive, got {self.timeout_override}"
             )
-        if not 1 <= self.min_workers <= self.max_workers:
-            raise ConfigurationError(
-                f"need 1 <= min_workers <= max_workers, got "
-                f"{self.min_workers}..{self.max_workers}"
-            )
-        if not self.delta_clip >= 1:
-            raise ConfigurationError(f"delta_clip must be >= 1, got {self.delta_clip}")
-        for name in ("alpha", "beta"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigurationError(f"{name} must be finite, got {value}")
-        if not 0 < self.cpu_threshold < 1:
-            raise ConfigurationError(
-                f"cpu_threshold must be in (0, 1), got {self.cpu_threshold}"
-            )
+        check_scheduler_knobs(
+            self.alpha,
+            self.beta,
+            self.cpu_threshold,
+            self.delta_clip,
+            self.min_workers,
+            self.max_workers,
+        )
         if not self.poll_interval > 0:
             raise ConfigurationError(
                 f"poll_interval must be positive, got {self.poll_interval}"

@@ -62,6 +62,17 @@ class RandomSampler:
         return iter(self.epoch(0))
 
 
+def _pad_or_drop(order: List[int], total: int, drop_last: bool) -> List[int]:
+    """The shard tail rule: the first ``total`` entries of ``order`` under
+    ``drop_last``, else ``order`` extended in place with wrap-around
+    repeats up to ``total``."""
+    if drop_last:
+        return order[:total]
+    while len(order) < total:
+        order.extend(order[: total - len(order)])
+    return order
+
+
 class ShardedSampler:
     """Random sampler restricted to one data-parallel rank's shard.
 
@@ -213,20 +224,14 @@ class ShardedSampler:
             layout=self._layout,
         )
 
-    def _pad_or_drop(self, order: List[int]) -> List[int]:
-        total = self.total_size
-        if self._drop_last:
-            return order[:total]
-        while len(order) < total:
-            order.extend(order[: total - len(order)])
-        return order
-
     def _block(self) -> List[int]:
         """This rank's contiguous slice of the fixed base permutation
         (block layout; independent of epoch and epoch_offset, so computed
         once per sampler instance)."""
         if self._block_cache is None:
-            order = self._pad_or_drop(self._inner.epoch(0))
+            order = _pad_or_drop(
+                self._inner.epoch(0), self.total_size, self._drop_last
+            )
             self._block_cache = order[
                 self._rank * self._num_samples : (self._rank + 1) * self._num_samples
             ]
@@ -245,8 +250,10 @@ class ShardedSampler:
             )
             rng.shuffle(block)
             return block.tolist()
-        order = self._pad_or_drop(
-            self._inner.epoch(epoch_index + self._epoch_offset)
+        order = _pad_or_drop(
+            self._inner.epoch(epoch_index + self._epoch_offset),
+            self.total_size,
+            self._drop_last,
         )
         return order[self._rank :: self._world_size]
 
@@ -327,9 +334,7 @@ class ShardAssignment:
         base = RandomSampler(n, seed=seed).epoch(0)
         per_slot = n // world if drop_last else (n + world - 1) // world
         total = per_slot * world
-        order = base[:total] if drop_last else list(base)
-        while len(order) < total:
-            order.extend(order[: total - len(order)])
+        order = _pad_or_drop(list(base), total, drop_last)
         slot_sets = [
             frozenset(order[slot * per_slot : (slot + 1) * per_slot])
             for slot in range(world)

@@ -24,7 +24,7 @@ Checks:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ..data.storage import StorageSpec
 from ..sim.distributed import (
@@ -32,7 +32,6 @@ from ..sim.distributed import (
     ClusterMembership,
     DistributedResult,
     MembershipEvent,
-    run_distributed,
     run_elastic,
 )
 from ..sim.workloads import CONFIG_A, HardwareConfig, make_workload
@@ -53,9 +52,10 @@ def straggler_config(base: HardwareConfig) -> HardwareConfig:
     )
 
 
-def _straggling(nodes: int) -> List[HardwareConfig]:
-    """Per-node hardware for ``nodes`` nodes, the last one a straggler."""
-    return [CONFIG_A] * (nodes - 1) + [straggler_config(CONFIG_A)]
+def _straggling(nodes: int) -> Dict[int, HardwareConfig]:
+    """Per-node hardware overrides for ``nodes`` Config A nodes: the last
+    one is a straggler."""
+    return {nodes - 1: straggler_config(CONFIG_A)}
 
 
 def _gpu_percent(result: DistributedResult) -> str:
@@ -81,14 +81,14 @@ def run(
         for nodes in node_counts:
             arms = ["uniform"] + (["straggler"] if nodes in straggler_nodes else [])
             for arm in arms:
-                results[(loader, nodes, arm)] = run_distributed(
+                results[(loader, nodes, arm)] = run_elastic(
                     loader,
                     workload,
                     CONFIG_A,
-                    nodes=nodes,
+                    ClusterMembership(nodes),
                     gpus_per_node=gpus_per_node,
                     allreduce=allreduce,
-                    steps_per_gpu=steps_per_gpu,
+                    total_steps=steps_per_gpu * nodes * gpus_per_node,
                     node_hardware=_straggling(nodes) if arm == "straggler" else None,
                 )
     columns = {
@@ -407,14 +407,14 @@ def run_elastic_experiment(
     )
     arms = {"uniform": None, "straggler": _straggling(nodes)}
     fabric_runs = {
-        arm: run_distributed(
+        arm: run_elastic(
             "minato",
             iter_workload,
             CONFIG_A,
-            nodes=nodes,
+            ClusterMembership(nodes),
             gpus_per_node=gpus_per_node,
             allreduce=allreduce,
-            steps_per_gpu=steps_per_gpu,
+            total_steps=steps_per_gpu * nodes * gpus_per_node,
             node_hardware=node_hardware,
         )
         for arm, node_hardware in arms.items()
@@ -501,14 +501,14 @@ def run_overlap_experiment(
         raise ValueError(f"unknown featured arm {featured!r}")
 
     results: Dict[Tuple[str, str], DistributedResult] = {
-        arm: run_distributed(
+        arm: run_elastic(
             "minato",
             workload,
             CONFIG_A,
-            nodes=nodes,
+            ClusterMembership(nodes),
             gpus_per_node=gpus_per_node,
             allreduce=allreduce,
-            steps_per_gpu=steps_per_gpu,
+            total_steps=steps_per_gpu * world,
             **kwargs,
         )
         for arm, kwargs in arms.items()

@@ -45,10 +45,10 @@ link topology and the per-node storage/cache/CPU sites.  A *job*
 to a cluster -- those two records are the only configuration: every
 job-owned knob is a ``JobSpec`` field, every resource-owned one a
 ``Cluster`` parameter, each declared, defaulted, documented and validated
-there and nowhere else.  :func:`run_elastic` / :func:`run_distributed` are
-conveniences that sort their keywords into the two (building a private
-cluster when none is passed -- byte-identical to the pre-refactor
-single-tenant behaviour, pinned by the kernel-equivalence tests).  Several
+there and nowhere else.  :func:`run_elastic` is the one keyword door: it
+sorts its keywords into the two (building a private cluster when none is
+passed -- byte-identical to the pre-refactor single-tenant behaviour,
+pinned by the kernel-equivalence tests).  Several
 jobs submitted to one shared cluster
 (:class:`~repro.sim.scenarios.JobMix`) contend for the same links, caches,
 storage pipes and cores.
@@ -57,9 +57,9 @@ storage pipes and cores.
 schedule of join/leave/fail events with epoch-boundary re-sharding (every
 surviving node's sampler is re-derived via ``ShardedSampler.reshard``) and,
 for iteration-budgeted workloads, re-splits the remaining cluster-wide step
-budget across the surviving membership.  :func:`run_distributed` is a thin
-wrapper over it -- a static cluster is elastic with an empty event schedule
--- so the DDP step loop and the fabric wiring exist exactly once.
+budget across the surviving membership.  A static cluster is elastic with
+an empty event schedule, so the DDP step loop and the fabric wiring exist
+exactly once.
 
 Re-sharding is *locality-aware* when ``reshard="locality"``: shards use
 :class:`~repro.data.samplers.ShardedSampler`'s contiguous-block layout and a
@@ -75,7 +75,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from math import ceil, inf
 from numbers import Real
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..data.samplers import ShardAssignment, ShardedSampler
 from ..data.storage import CacheSnapshot
@@ -107,7 +107,6 @@ __all__ = [
     "JobSpec",
     "MembershipEvent",
     "PartitionEvent",
-    "run_distributed",
     "run_elastic",
 ]
 
@@ -424,7 +423,7 @@ class DistributedResult:
 
 
 # ---------------------------------------------------------------------------
-# The job record and the two convenience front doors
+# The job record and the keyword front door
 # ---------------------------------------------------------------------------
 
 
@@ -552,8 +551,8 @@ class JobSpec:
             )
 
 
-#: keywords the front doors hand to ``JobSpec(...)``: every field except
-#: the identity ones they fill from their positional arguments, the
+#: keywords :func:`run_elastic` hands to ``JobSpec(...)``: every field
+#: except the identity ones it fills from its positional arguments, the
 #: mix-only ``arrival`` / ``priority``, and ``gradient_bytes`` (which
 #: arrives inside ``allreduce=``)
 _JOB_KNOBS = frozenset(f.name for f in fields(JobSpec)) - {
@@ -565,7 +564,7 @@ _JOB_KNOBS = frozenset(f.name for f in fields(JobSpec)) - {
     "priority",
     "gradient_bytes",
 }
-#: keywords they hand to ``Cluster(...)`` (besides ``membership`` /
+#: keywords it hands to ``Cluster(...)`` (besides ``membership`` /
 #: ``hardware``, and the link parameters inside ``allreduce=``)
 _CLUSTER_KNOBS = (
     "node_hardware",
@@ -573,111 +572,6 @@ _CLUSTER_KNOBS = (
     "cache_fraction",
     "topology",
 )
-
-
-def _front_door(door, hardware, membership, cluster, allreduce, knobs):
-    """Sort a front door's keywords by owner.
-
-    Returns the cluster the job runs on -- built from the resource-shaped
-    keywords when none was passed, otherwise checked against them (a knob
-    repeated beside a cluster must equal the cluster's value) -- and the
-    ``JobSpec`` keywords.  ``allreduce`` maps to the cluster's link
-    parameters plus ``JobSpec.gradient_bytes``.
-    """
-    for name in knobs:
-        if name not in _JOB_KNOBS and name not in _CLUSTER_KNOBS:
-            raise TypeError(
-                f"{door}() got an unexpected keyword argument {name!r}"
-            )
-    resources = {k: knobs.pop(k) for k in _CLUSTER_KNOBS if k in knobs}
-    if allreduce is not None:
-        resources["link_latency"] = allreduce.latency
-        resources["link_bandwidth"] = allreduce.bandwidth
-        knobs["gradient_bytes"] = allreduce.gradient_bytes
-    if cluster is not None:
-        cluster.check_owned(
-            membership=membership, hardware=hardware, **resources
-        )
-    elif membership is None:
-        raise ConfigurationError(
-            "a job needs a ClusterMembership or an explicit cluster"
-        )
-    else:
-        cluster = Cluster(membership, hardware, **resources)
-    return cluster, knobs
-
-
-def run_distributed(
-    loader_name: str,
-    workload: WorkloadSpec,
-    hardware: HardwareConfig,
-    nodes: int,
-    *,
-    steps_per_gpu: Optional[int] = None,
-    node_hardware: Optional[Sequence[HardwareConfig]] = None,
-    allreduce: Optional[AllReduceModel] = None,
-    cluster: Optional[Cluster] = None,
-    **knobs,
-) -> DistributedResult:
-    """Simulate data-parallel training across ``nodes`` machines.
-
-    Every node runs an independent loader instance (its own SimContext:
-    storage, page cache, CPU cores, GPUs) over *its rank's shard* of the
-    dataset -- disjoint, equal-length slices of each epoch's global
-    shuffle.  Training is synchronous: all GPUs in the cluster execute
-    step ``k``, then synchronize gradients before step ``k+1`` -- DDP
-    semantics.
-
-    A static cluster is exactly an elastic one with an empty event
-    schedule, so this is :func:`run_elastic` with three translations:
-    ``nodes`` becomes ``ClusterMembership(nodes)`` (or must match
-    ``cluster``'s initial membership), list-style ``node_hardware`` (one
-    config per node) becomes the cluster's node-id map, and
-    ``steps_per_gpu`` (defaulting to the cluster-wide iteration budget
-    split across ranks for iteration workloads) becomes a cluster-wide
-    ``total_steps``.  Remaining keywords are :class:`JobSpec` fields or
-    :class:`~repro.sim.cluster.Cluster` parameters, exactly as in
-    :func:`run_elastic`, defaults included.
-    """
-    if "total_steps" in knobs:
-        # this door spells the budget per GPU; never overwrite silently
-        raise TypeError(
-            "run_distributed() got an unexpected keyword argument "
-            "'total_steps' (pass steps_per_gpu)"
-        )
-    membership = None
-    if cluster is None:
-        membership = ClusterMembership(nodes)
-    elif nodes != cluster.membership.initial_nodes:
-        raise ConfigurationError(
-            f"nodes={nodes!r} conflicts with the cluster's "
-            f"{cluster.membership.initial_nodes} initial nodes"
-        )
-    if node_hardware is not None:
-        if len(node_hardware) != nodes:
-            raise ConfigurationError(
-                f"node_hardware must list one config per node: "
-                f"got {len(node_hardware)} for {nodes} nodes"
-            )
-        node_hardware = dict(enumerate(node_hardware))
-    cluster, job_knobs = _front_door(
-        "run_distributed",
-        hardware,
-        membership,
-        cluster,
-        allreduce,
-        dict(knobs, node_hardware=node_hardware),
-    )
-    world = nodes * cluster.gpus_per_node
-    if steps_per_gpu is not None:
-        job_knobs["total_steps"] = steps_per_gpu * world
-    elif workload.epochs is None:
-        # iteration budget is cluster-wide: split it across all ranks
-        job_knobs["total_steps"] = (
-            max(1, (workload.iterations + world - 1) // world) * world
-        )
-    spec = JobSpec("job0", loader_name, workload.name, **job_knobs)
-    return _ElasticJob(cluster, spec, workload).execute()
 
 
 def run_elastic(
@@ -704,6 +598,12 @@ def run_elastic(
     and the resource-shaped keywords; with one, the cluster owns them, and
     any repeated beside it must equal the cluster's value.
 
+    A static cluster is ``ClusterMembership(nodes)``: an empty schedule.
+    ``total_steps`` is cluster-wide (a per-GPU budget is ``steps_per_gpu *
+    nodes * gpus_per_node``); left out on an iteration workload, it is
+    ``workload.iterations``, which a static cluster runs as
+    ``ceil(iterations / world)`` steps on every GPU.
+
     Execution is epoch-wise.  At each epoch boundary the pending join/leave
     events are applied, a :class:`~repro.data.samplers.ShardAssignment`
     maps the surviving membership to rank slots, and every member's
@@ -723,10 +623,27 @@ def run_elastic(
     miss bytes of the round after a membership change are the re-shard's
     cache-warmup cost, the quantity ``reshard="locality"`` minimizes.
     """
-    cluster, job_knobs = _front_door(
-        "run_elastic", hardware, membership, cluster, allreduce, knobs
-    )
-    spec = JobSpec("job0", loader_name, workload.name, **job_knobs)
+    for name in knobs:
+        if name not in _JOB_KNOBS and name not in _CLUSTER_KNOBS:
+            raise TypeError(
+                f"run_elastic() got an unexpected keyword argument {name!r}"
+            )
+    resources = {k: knobs.pop(k) for k in _CLUSTER_KNOBS if k in knobs}
+    if allreduce is not None:
+        resources["link_latency"] = allreduce.latency
+        resources["link_bandwidth"] = allreduce.bandwidth
+        knobs["gradient_bytes"] = allreduce.gradient_bytes
+    if cluster is not None:
+        cluster.check_owned(
+            membership=membership, hardware=hardware, **resources
+        )
+    elif membership is None:
+        raise ConfigurationError(
+            "a job needs a ClusterMembership or an explicit cluster"
+        )
+    else:
+        cluster = Cluster(membership, hardware, **resources)
+    spec = JobSpec("job0", loader_name, workload.name, **knobs)
     return _ElasticJob(cluster, spec, workload).execute()
 
 

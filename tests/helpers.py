@@ -16,7 +16,7 @@ from repro.data.dataset import Dataset
 from repro.data.sample import Sample, SampleSpec
 from repro.errors import ConfigurationError
 from repro.sim.cluster import Cluster, ClusterMembership, MembershipEvent
-from repro.sim.distributed import JobSpec, run_distributed, run_elastic
+from repro.sim.distributed import JobSpec, run_elastic
 from repro.sim.fabric import RingFabric
 from repro.sim.kernel import NORMAL, AllOf, Environment
 from repro.sim.loaders import END, SimBatch, SimContext, SimMinatoLoader
@@ -978,15 +978,6 @@ def _door_workload():
     return make_workload("speech_3s", dataset_size=120).scaled(0.02)
 
 
-def _via_run_distributed(total_steps=None, **knobs):
-    # this door spells the step budget per GPU
-    if total_steps is not None:
-        knobs["steps_per_gpu"] = total_steps // _DOOR_NODES
-    return run_distributed(
-        "minato", _door_workload(), CONFIG_A, nodes=_DOOR_NODES, **knobs
-    )
-
-
 def _via_run_elastic(**knobs):
     return run_elastic(
         "minato", _door_workload(), CONFIG_A, ClusterMembership(_DOOR_NODES),
@@ -1011,7 +1002,6 @@ def _via_job_mix(**knobs):
 #: name -> callable(**knobs) submitting one small speech job on two nodes;
 #: a knob rule holds at every door or it is not a rule
 FRONT_DOORS = {
-    "run_distributed": _via_run_distributed,
     "run_elastic": _via_run_elastic,
     "JobMix": _via_job_mix,
 }

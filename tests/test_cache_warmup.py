@@ -8,8 +8,8 @@ The invariants this file pins:
   per-node overlap at least the ``stride`` baseline when shards shrink
   (join), strictly less post-reshard cache-warmup (miss bytes) on a
   cache-sized workload when the cluster shrinks (leave);
-* ``run_distributed`` is a thin wrapper over ``run_elastic``'s round
-  executor: counters, sync totals and training time match the pre-fold
+* a static cluster runs on ``run_elastic``'s round executor (an empty
+  schedule): counters, sync totals and training time match the pre-fold
   static runner's recorded outputs on a fixed seed.
 """
 
@@ -21,7 +21,6 @@ from repro.sim.distributed import (
     AllReduceModel,
     ClusterMembership,
     MembershipEvent,
-    run_distributed,
     run_elastic,
 )
 from repro.sim.workloads import CONFIG_A, make_workload
@@ -162,19 +161,20 @@ def test_reshard_metrics_align_with_membership():
 
 
 # ---------------------------------------------------------------------------
-# run_distributed == run_elastic with an empty schedule
+# a static cluster == run_elastic with an empty schedule
 # ---------------------------------------------------------------------------
 
 
 def test_run_distributed_matches_pre_fold_runner_on_fixed_seed():
-    """Equivalence pin: the folded wrapper reproduces the counters and
+    """Equivalence pin: a static run_elastic reproduces the counters and
     training time the pre-fold static runner produced on this exact
     configuration (recorded before the fold), and its sync total sits on
     the closed form's floor (steps x step_cost) plus the few percent of
     neighbor wait the ring measures."""
     wl = make_workload("speech_3s", dataset_size=120).scaled(0.02)
-    result = run_distributed(
-        "minato", wl, CONFIG_A, nodes=2, gpus_per_node=2, steps_per_gpu=5
+    result = run_elastic(
+        "minato", wl, CONFIG_A, ClusterMembership(2), gpus_per_node=2,
+        total_steps=4 * 5,
     )
     assert result.steps == 20
     assert result.samples == 480
@@ -192,8 +192,9 @@ def test_run_distributed_static_runs_one_spanned_round():
     rounds (each would pay a loader cold start the pre-fold runner never
     paid): with no membership events the whole budget is one round."""
     wl = make_workload("speech_3s", dataset_size=120).scaled(0.02)
-    result = run_distributed(
-        "minato", wl, CONFIG_A, nodes=2, gpus_per_node=2, steps_per_gpu=5
+    result = run_elastic(
+        "minato", wl, CONFIG_A, ClusterMembership(2), gpus_per_node=2,
+        total_steps=4 * 5,
     )
     assert len(result.epoch_membership) == 1
     assert result.epoch_membership[0] == [0, 1]
@@ -201,33 +202,11 @@ def test_run_distributed_static_runs_one_spanned_round():
 
 def test_run_distributed_equivalence_holds_for_pytorch_loader():
     wl = make_workload("speech_3s", dataset_size=120).scaled(0.02)
-    result = run_distributed(
-        "pytorch", wl, CONFIG_A, nodes=2, gpus_per_node=2, steps_per_gpu=5
+    result = run_elastic(
+        "pytorch", wl, CONFIG_A, ClusterMembership(2), gpus_per_node=2,
+        total_steps=4 * 5,
     )
     assert result.steps == 20
     assert result.samples == 480
     # recorded pre-fold training_time: 155.32 s
     assert result.training_time == pytest.approx(155.32, rel=0.02)
-
-
-def test_run_distributed_budget_respects_membership_events_via_elastic():
-    """The wrapper is elastic underneath: the same call path honors a
-    schedule when one exists (sanity that no second step loop remains)."""
-    wl = make_workload("speech_3s", dataset_size=120).scaled(0.02)
-    static = run_distributed(
-        "minato", wl, CONFIG_A, nodes=2, gpus_per_node=2, steps_per_gpu=5
-    )
-    elastic = run_elastic(
-        "minato",
-        wl,
-        CONFIG_A,
-        ClusterMembership(2),
-        gpus_per_node=2,
-        total_steps=20,
-    )
-    assert static.steps == elastic.steps
-    assert static.samples == elastic.samples
-    assert static.training_time == pytest.approx(elastic.training_time)
-    assert static.sync_seconds_total == pytest.approx(
-        elastic.sync_seconds_total
-    )

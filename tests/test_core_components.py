@@ -222,12 +222,19 @@ def test_scheduler_clips_inputs():
 
 
 def test_scheduler_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         WorkerScheduler(delta_clip=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         WorkerScheduler(cpu_threshold=1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         WorkerScheduler(min_workers=10, max_workers=2)
+    # NaN and infinite knobs are refused here, not at the first decide()
+    with pytest.raises(ConfigurationError, match="delta_clip"):
+        WorkerScheduler(delta_clip=float("nan"))
+    with pytest.raises(ConfigurationError, match="alpha"):
+        WorkerScheduler(alpha=float("nan"))
+    with pytest.raises(ConfigurationError, match="beta"):
+        WorkerScheduler(beta=float("inf"))
 
 
 # ---------------------------------------------------------------------------

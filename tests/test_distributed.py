@@ -5,7 +5,7 @@ import os
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sim.distributed import AllReduceModel, run_distributed
+from repro.sim.distributed import AllReduceModel, ClusterMembership, run_elastic
 from repro.sim.runner import run_simulation
 from repro.sim.workloads import CONFIG_A, make_workload
 from tests.helpers import assert_every_door_rejects
@@ -58,9 +58,9 @@ def test_detection_timeout_is_validated_with_the_job(bad):
 
 
 def ring_sync_per_step(**kwargs):
-    ring = run_distributed(
-        "minato", tiny_speech(), CONFIG_A, nodes=2, gpus_per_node=2,
-        steps_per_gpu=5, **kwargs,
+    ring = run_elastic(
+        "minato", tiny_speech(), CONFIG_A, ClusterMembership(2),
+        gpus_per_node=2, total_steps=4 * 5, **kwargs,
     )
     assert ring.steps == 4 * 5
     return ring.sync_seconds_total / ring.steps
@@ -97,31 +97,31 @@ def test_ring_fabric_exposes_straggler_neighbor_delay():
     from repro.experiments.distributed import straggler_config
 
     measured = ring_sync_per_step(
-        node_hardware=[CONFIG_A, straggler_config(CONFIG_A)]
+        node_hardware={0: CONFIG_A, 1: straggler_config(CONFIG_A)}
     )
     assert measured > 1.5 * AllReduceModel().step_cost(4)
 
 
 # ---------------------------------------------------------------------------
-# run_distributed
+# Static clusters: run_elastic with an empty schedule
 # ---------------------------------------------------------------------------
 
 
 def test_distributed_validates_nodes():
     with pytest.raises(ConfigurationError):
-        run_distributed("minato", tiny_speech(), CONFIG_A, nodes=0)
+        run_elastic("minato", tiny_speech(), CONFIG_A, ClusterMembership(0))
 
 
 def test_single_node_matches_local_simulation_shape():
     wl = tiny_speech()
     local = run_simulation("minato", wl, CONFIG_A, 2)
-    dist = run_distributed(
+    dist = run_elastic(
         "minato",
         wl,
         CONFIG_A,
-        nodes=1,
+        ClusterMembership(1),
         gpus_per_node=2,
-        steps_per_gpu=wl.batches_per_gpu(2),
+        total_steps=wl.batches_per_gpu(2) * 2,
     )
     # same workload through the same loader model: times should be close
     # (the distributed runner adds only the 2-GPU sync barrier)
@@ -131,8 +131,9 @@ def test_single_node_matches_local_simulation_shape():
 
 def test_distributed_step_and_sample_accounting():
     wl = tiny_speech()
-    result = run_distributed(
-        "minato", wl, CONFIG_A, nodes=2, gpus_per_node=2, steps_per_gpu=5
+    result = run_elastic(
+        "minato", wl, CONFIG_A, ClusterMembership(2), gpus_per_node=2,
+        total_steps=4 * 5,
     )
     assert result.world_size == 4
     assert result.steps == 4 * 5
@@ -149,8 +150,9 @@ def test_distributed_sync_cost_accumulates():
     free = AllReduceModel(latency=0.0, gradient_bytes=1.0)
     priced = AllReduceModel(latency=0.1, gradient_bytes=1.0)
     cheap, expensive = (
-        run_distributed(
-            "minato", wl, CONFIG_A, nodes=2, steps_per_gpu=5, allreduce=model
+        run_elastic(
+            "minato", wl, CONFIG_A, ClusterMembership(2), total_steps=2 * 5,
+            allreduce=model,
         )
         for model in (free, priced)
     )
@@ -163,20 +165,15 @@ def test_distributed_sync_cost_accumulates():
 def test_distributed_minato_beats_pytorch_across_nodes():
     wl = tiny_speech(scale=0.03)
     for nodes in (1, 2):
-        torch_result = run_distributed(
-            "pytorch", wl, CONFIG_A, nodes=nodes, steps_per_gpu=6
+        torch_result = run_elastic(
+            "pytorch", wl, CONFIG_A, ClusterMembership(nodes),
+            total_steps=nodes * 6,
         )
-        minato_result = run_distributed(
-            "minato", wl, CONFIG_A, nodes=nodes, steps_per_gpu=6
+        minato_result = run_elastic(
+            "minato", wl, CONFIG_A, ClusterMembership(nodes),
+            total_steps=nodes * 6,
         )
         assert minato_result.training_time < torch_result.training_time
-
-
-def test_distributed_validates_node_hardware_length():
-    with pytest.raises(ConfigurationError):
-        run_distributed(
-            "minato", tiny_speech(), CONFIG_A, nodes=2, node_hardware=[CONFIG_A]
-        )
 
 
 def test_distributed_straggler_node_couples_the_cluster():
@@ -185,17 +182,18 @@ def test_distributed_straggler_node_couples_the_cluster():
     from repro.experiments.distributed import straggler_config
 
     wl = tiny_speech()
-    uniform = run_distributed(
-        "minato", wl, CONFIG_A, nodes=2, gpus_per_node=2, steps_per_gpu=5
+    uniform = run_elastic(
+        "minato", wl, CONFIG_A, ClusterMembership(2), gpus_per_node=2,
+        total_steps=4 * 5,
     )
-    straggler = run_distributed(
+    straggler = run_elastic(
         "minato",
         wl,
         CONFIG_A,
-        nodes=2,
+        ClusterMembership(2),
         gpus_per_node=2,
-        steps_per_gpu=5,
-        node_hardware=[CONFIG_A, straggler_config(CONFIG_A)],
+        total_steps=4 * 5,
+        node_hardware={0: CONFIG_A, 1: straggler_config(CONFIG_A)},
     )
     assert straggler.training_time > uniform.training_time
     assert straggler.node_hardware_names == ["config_a", "config_a_straggler"]
@@ -207,8 +205,9 @@ def test_distributed_straggler_node_couples_the_cluster():
 def test_distributed_barrier_synchronizes_steps():
     """With a barrier, no GPU can run far ahead: both nodes end together."""
     wl = tiny_speech()
-    result = run_distributed(
-        "minato", wl, CONFIG_A, nodes=2, gpus_per_node=1, steps_per_gpu=8
+    result = run_elastic(
+        "minato", wl, CONFIG_A, ClusterMembership(2), gpus_per_node=1,
+        total_steps=2 * 8,
     )
     assert result.steps == 16
 

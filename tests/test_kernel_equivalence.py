@@ -408,18 +408,16 @@ def test_zero_byte_collectives_cost_the_same_collapsed_or_not(topology):
     zero-byte all-reduce is free per rank; the collapse must decline it
     rather than walk ``2(W-1)`` latency-only stages (it used to: sync
     2.51 s collapsed against 1.31 s per rank on the flat cell)."""
-    from repro.sim.distributed import run_distributed
-
     workload = make_workload("speech_3s", dataset_size=96)
 
     def go(collapse):
-        return run_distributed(
+        return run_elastic(
             "minato",
             workload,
             CONFIG_A,
-            2,
+            ClusterMembership(2),
             gpus_per_node=2,
-            steps_per_gpu=5,
+            total_steps=4 * 5,
             allreduce=AllReduceModel(latency=0.05, gradient_bytes=0.0),
             cache_fraction=1.0,
             topology=topology,

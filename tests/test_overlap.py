@@ -31,7 +31,6 @@ from repro.sim.distributed import (  # noqa: E402
     _ElasticJob,
     ClusterMembership,
     MembershipEvent,
-    run_distributed,
     run_elastic,
 )
 from repro.sim.runner import run_simulation  # noqa: E402
@@ -75,9 +74,9 @@ def test_flat_serial_defaults_match_pre_refactor_runner(
     fabric, pinned_time, pinned_sync
 ):
     wl = tiny_speech()
-    result = run_distributed(
-        "minato", wl, CONFIG_A, nodes=2, gpus_per_node=2, steps_per_gpu=5,
-        fabric=fabric,
+    result = run_elastic(
+        "minato", wl, CONFIG_A, ClusterMembership(2), gpus_per_node=2,
+        total_steps=4 * 5, fabric=fabric,
     )
     assert (result.topology, result.overlap, result.buckets) == (
         "flat", False, 1,
@@ -94,13 +93,14 @@ def test_flat_serial_defaults_match_pre_refactor_runner(
 
 def test_explicit_flat_serial_arguments_equal_the_defaults():
     wl = tiny_speech()
-    default = run_distributed(
-        "minato", wl, CONFIG_A, nodes=2, gpus_per_node=2, steps_per_gpu=5,
-        fabric="ring",
+    default = run_elastic(
+        "minato", wl, CONFIG_A, ClusterMembership(2), gpus_per_node=2,
+        total_steps=4 * 5, fabric="ring",
     )
-    explicit = run_distributed(
-        "minato", wl, CONFIG_A, nodes=2, gpus_per_node=2, steps_per_gpu=5,
-        fabric="ring", topology="flat", overlap=False, buckets=1,
+    explicit = run_elastic(
+        "minato", wl, CONFIG_A, ClusterMembership(2), gpus_per_node=2,
+        total_steps=4 * 5, fabric="ring", topology="flat", overlap=False,
+        buckets=1,
     )
     assert explicit.training_time == default.training_time
     assert explicit.sync_seconds_total == default.sync_seconds_total
@@ -113,13 +113,13 @@ def test_explicit_flat_serial_arguments_equal_the_defaults():
 
 
 def overlap_run(topology="flat", overlap=False, buckets=1, fabric="ring"):
-    return run_distributed(
+    return run_elastic(
         "minato",
         tiny_speech(),
         CONFIG_A,
-        nodes=2,
+        ClusterMembership(2),
         gpus_per_node=2,
-        steps_per_gpu=4,
+        total_steps=4 * 4,
         fabric=fabric,
         topology=topology,
         overlap=overlap,
@@ -170,10 +170,10 @@ def test_sync_totals_are_the_exact_sums_of_what_a_probe_records(monkeypatch):
         return done
 
     monkeypatch.setattr(_ElasticJob, "_sync_bucket", probed)
-    result = run_distributed(
-        "minato", tiny_speech(), CONFIG_A, nodes=4, gpus_per_node=4,
-        steps_per_gpu=8, fabric="ring", topology="hierarchical",
-        overlap=True, buckets=4,
+    result = run_elastic(
+        "minato", tiny_speech(), CONFIG_A, ClusterMembership(4),
+        gpus_per_node=4, total_steps=16 * 8, fabric="ring",
+        topology="hierarchical", overlap=True, buckets=4,
     )
     assert len(durations) == result.steps * 4
     assert result.sync_seconds_total == math.fsum(durations)
@@ -183,9 +183,10 @@ def test_sync_totals_are_the_exact_sums_of_what_a_probe_records(monkeypatch):
 
 
 def test_single_rank_world_has_no_sync_to_overlap():
-    result = run_distributed(
-        "minato", tiny_speech(), CONFIG_A, nodes=1, gpus_per_node=1,
-        steps_per_gpu=4, fabric="ring", overlap=True, buckets=4,
+    result = run_elastic(
+        "minato", tiny_speech(), CONFIG_A, ClusterMembership(1),
+        gpus_per_node=1, total_steps=4, fabric="ring", overlap=True,
+        buckets=4,
     )
     assert result.sync_seconds_total == 0.0
     assert result.exposed_sync_seconds == 0.0
@@ -270,13 +271,14 @@ def test_hardware_default_gpus_per_node_is_honored():
     argument still wins."""
     wl = tiny_speech()
     hw = replace(CONFIG_A, gpus_per_node=2)
-    from_hw = run_distributed(
-        "minato", wl, hw, nodes=2, steps_per_gpu=3
+    from_hw = run_elastic(
+        "minato", wl, hw, ClusterMembership(2), total_steps=4 * 3
     )
     assert from_hw.gpus_per_node == 2
     assert from_hw.world_size == 4
-    explicit = run_distributed(
-        "minato", wl, hw, nodes=2, gpus_per_node=1, steps_per_gpu=3
+    explicit = run_elastic(
+        "minato", wl, hw, ClusterMembership(2), gpus_per_node=1,
+        total_steps=2 * 3,
     )
     assert explicit.gpus_per_node == 1
 

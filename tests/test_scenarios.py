@@ -13,7 +13,6 @@ from repro.sim.cluster import (
 )
 from repro.sim.distributed import (
     AllReduceModel,
-    run_distributed,
     run_elastic,
 )
 from repro.sim.fabric import RingFabric
@@ -123,17 +122,12 @@ def _workload():
 
 @pytest.mark.parametrize("keyword", ["queue", "storage_over_nic", "bucket"])
 def test_front_doors_reject_unknown_keyword(keyword):
-    """Neither a JobSpec field nor a resource keyword the doors forward:
+    """Neither a JobSpec field nor a resource keyword run_elastic forwards:
     a TypeError naming it (there is one kernel; nothing selects it)."""
     with pytest.raises(TypeError, match=f"run_elastic.*{keyword!r}"):
         run_elastic(
             "minato", _workload(), CONFIG_A, ClusterMembership(NODES),
             total_steps=NODES * GPUS, **{keyword: 1},
-        )
-    with pytest.raises(TypeError, match=f"run_distributed.*{keyword!r}"):
-        run_distributed(
-            "minato", _workload(), CONFIG_A, nodes=NODES, steps_per_gpu=1,
-            **{keyword: 1},
         )
 
 
@@ -218,14 +212,6 @@ def test_run_elastic_refuses_a_nan_link_parameter(field, knob):
 def test_run_elastic_requires_membership_or_cluster():
     with pytest.raises(ConfigurationError, match="ClusterMembership"):
         run_elastic("minato", _workload(), CONFIG_A, total_steps=NODES * GPUS)
-
-
-def test_run_distributed_rejects_mismatched_nodes_with_cluster():
-    with pytest.raises(ConfigurationError, match="initial nodes"):
-        run_distributed(
-            "minato", _workload(), CONFIG_A, nodes=NODES + 1,
-            cluster=_cluster(), steps_per_gpu=1,
-        )
 
 
 def test_partition_event_validation():

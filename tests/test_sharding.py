@@ -8,6 +8,7 @@ while the feeder only fed the shard), and multi-rank agreement between the
 threaded engine and the discrete-event simulator.
 """
 
+from dataclasses import replace
 
 import pytest
 
@@ -15,7 +16,7 @@ from repro.clock import ThreadLocalClock
 from repro.core import MinatoConfig, MinatoLoader
 from repro.data.samplers import ShardedSampler
 from repro.sim.cluster import ClusterMembership
-from repro.sim.distributed import run_distributed, run_elastic
+from repro.sim.distributed import run_elastic
 from repro.sim.kernel import Environment
 from repro.sim.loaders import SimContext, SimMinatoLoader
 from repro.sim.workloads import CONFIG_A, WorkloadSpec, make_workload
@@ -364,13 +365,15 @@ def test_multi_rank_cross_substrate_agreement():
 
 
 # ---------------------------------------------------------------------------
-# run_distributed sharding invariants
+# Static-cluster sharding invariants
 # ---------------------------------------------------------------------------
 
 
 def test_run_distributed_ranks_get_disjoint_equal_shards():
     wl = make_workload("speech_3s", dataset_size=120).scaled(0.02)
-    result = run_distributed("minato", wl, CONFIG_A, nodes=3, gpus_per_node=1)
+    result = run_elastic(
+        "minato", wl, CONFIG_A, ClusterMembership(3), gpus_per_node=1
+    )
     assert len(result.shard_sizes) == 3
     assert len(set(result.shard_sizes)) == 1  # equal-length
     assert sum(result.shard_sizes) == 120  # disjoint cover (120 % 3 == 0)
@@ -400,13 +403,33 @@ def test_torch_sim_rejects_shard_smaller_than_one_batch():
     wl = make_workload("speech_3s", dataset_size=120).scaled(0.02)
     # 8 nodes -> 15-sample shards < batch_size 24 -> no full batch, ever
     with pytest.raises(ConfigurationError):
-        run_distributed("pytorch", wl, CONFIG_A, nodes=8, gpus_per_node=1)
+        run_elastic(
+            "pytorch", wl, CONFIG_A, ClusterMembership(8), gpus_per_node=1
+        )
 
 
 def test_run_distributed_shares_cluster_step_budget():
     """Iteration-budgeted workloads split the cluster-wide step budget
     across ranks instead of every node redundantly running all of it."""
     wl = make_workload("speech_3s", dataset_size=120).scaled(0.02)  # 20 iterations
-    result = run_distributed("minato", wl, CONFIG_A, nodes=2, gpus_per_node=2)
+    result = run_elastic(
+        "minato", wl, CONFIG_A, ClusterMembership(2), gpus_per_node=2
+    )
     assert result.steps == 20  # ceil(20 / 4) per GPU x 4 GPUs
     assert result.samples == 20 * wl.batch_size
+
+
+@pytest.mark.parametrize("nodes, steps", [(2, 52), (3, 54)])
+def test_static_budget_rounds_up_to_whole_steps_per_gpu(nodes, steps):
+    """A cluster-wide iteration budget that the world does not divide runs
+    ``ceil(iterations / world)`` steps on every GPU: 50 iterations on
+    2 x 2 GPUs is 13 per GPU (52 steps), on 3 x 2 it is 9 (54)."""
+    wl = replace(
+        make_workload("speech_3s", dataset_size=120).scaled(0.02),
+        iterations=50,
+    )
+    result = run_elastic(
+        "minato", wl, CONFIG_A, ClusterMembership(nodes), gpus_per_node=2
+    )
+    assert result.steps == steps
+    assert result.samples == steps * wl.batch_size
