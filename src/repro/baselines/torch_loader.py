@@ -32,7 +32,7 @@ from ..core.loader import BaseConcurrentLoader
 from ..data.dataset import Dataset
 from ..data.samplers import BatchSampler, RandomSampler
 from ..data.storage import StorageModel
-from ..errors import ConfigurationError
+from ..contracts import count, positive
 from ..policy import ReorderBuffer
 from ..transforms.base import Pipeline
 
@@ -57,19 +57,14 @@ class TorchLoaderConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.num_workers < 1:
-            raise ConfigurationError(f"num_workers must be >= 1, got {self.num_workers}")
-        if self.prefetch_factor < 1:
-            raise ConfigurationError(
-                f"prefetch_factor must be >= 1, got {self.prefetch_factor}"
-            )
-        if self.queue_capacity < 1:
-            raise ConfigurationError(
-                f"queue_capacity must be >= 1, got {self.queue_capacity}"
-            )
-        # written ``not x > 0`` so that NaN is refused too
-        if self.pin_memory_bandwidth is not None and not self.pin_memory_bandwidth > 0:
-            raise ConfigurationError("pin_memory_bandwidth must be positive")
+        for name in (
+            "batch_size", "num_workers", "prefetch_factor", "num_gpus",
+            "queue_capacity",
+        ):
+            count(name, getattr(self, name))
+        count("seed", self.seed, lo=0)
+        if self.pin_memory_bandwidth is not None:
+            positive("pin_memory_bandwidth", self.pin_memory_bandwidth)
 
 
 class TorchStyleLoader(BaseConcurrentLoader):

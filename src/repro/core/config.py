@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Optional
 
+from ..contracts import count, interval, positive
 from ..errors import ConfigurationError
-from .scheduler import check_scheduler_knobs
+from .scheduler import WorkerScheduler
 
 __all__ = ["MinatoConfig"]
 
@@ -70,46 +72,25 @@ class MinatoConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.num_workers < 1:
-            raise ConfigurationError(f"num_workers must be >= 1, got {self.num_workers}")
-        if self.num_gpus < 1:
-            raise ConfigurationError(f"num_gpus must be >= 1, got {self.num_gpus}")
-        if self.slow_workers < 1:
-            raise ConfigurationError(
-                f"slow_workers must be >= 1, got {self.slow_workers}"
-            )
-        if self.batch_builders < 1:
-            raise ConfigurationError(
-                f"batch_builders must be >= 1, got {self.batch_builders}"
-            )
-        if self.queue_capacity < 1:
-            raise ConfigurationError(
-                f"queue_capacity must be >= 1, got {self.queue_capacity}"
-            )
-        if not 0 < self.timeout_percentile <= 100:
-            raise ConfigurationError(
-                f"timeout_percentile must be in (0, 100], got {self.timeout_percentile}"
-            )
+        for name in (
+            "batch_size", "num_workers", "num_gpus", "slow_workers",
+            "batch_builders", "queue_capacity", "warmup_samples",
+        ):
+            count(name, getattr(self, name))
+        count("load_retries", self.load_retries, lo=0)
+        count("seed", self.seed, lo=0)
+        interval("timeout_percentile", self.timeout_percentile, 0, 100, "right")
         if not self.timeout_percentile <= self.fallback_percentile <= 100:
             raise ConfigurationError(
                 "fallback_percentile must be in [timeout_percentile, 100], "
                 f"got {self.fallback_percentile}"
             )
-        if not 0 < self.max_slow_fraction <= 1:
-            raise ConfigurationError(
-                f"max_slow_fraction must be in (0, 1], got {self.max_slow_fraction}"
-            )
-        if self.warmup_samples < 1:
-            raise ConfigurationError(
-                f"warmup_samples must be >= 1, got {self.warmup_samples}"
-            )
-        if self.timeout_override is not None and not self.timeout_override > 0:
-            raise ConfigurationError(
-                f"timeout_override must be positive, got {self.timeout_override}"
-            )
-        check_scheduler_knobs(
+        interval("max_slow_fraction", self.max_slow_fraction, 0, 1, "right")
+        if self.timeout_override is not None:
+            # inf: no sample ever times out
+            interval("timeout_override", self.timeout_override, 0, math.inf, "right")
+        # the scheduler's constructor holds the contract of its six knobs
+        WorkerScheduler(
             self.alpha,
             self.beta,
             self.cpu_threshold,
@@ -117,21 +98,11 @@ class MinatoConfig:
             self.min_workers,
             self.max_workers,
         )
-        if not self.poll_interval > 0:
-            raise ConfigurationError(
-                f"poll_interval must be positive, got {self.poll_interval}"
-            )
-        if not self.scheduler_interval > 0:
-            raise ConfigurationError(
-                f"scheduler_interval must be positive, got {self.scheduler_interval}"
-            )
+        positive("poll_interval", self.poll_interval)
+        positive("scheduler_interval", self.scheduler_interval)
         if self.timing not in ("charged", "wall"):
             raise ConfigurationError(
                 f"timing must be 'charged' or 'wall', got {self.timing!r}"
-            )
-        if self.load_retries < 0:
-            raise ConfigurationError(
-                f"load_retries must be >= 0, got {self.load_retries}"
             )
 
     @property

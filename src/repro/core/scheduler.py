@@ -16,37 +16,12 @@ isolation); the loader owns the monitoring thread that feeds it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+from ..contracts import count, finite, interval
 from ..errors import ConfigurationError
 
-__all__ = ["WorkerScheduler", "SchedulerDecision", "check_scheduler_knobs"]
-
-
-def check_scheduler_knobs(
-    alpha: float,
-    beta: float,
-    cpu_threshold: float,
-    delta_clip: int,
-    min_workers: int,
-    max_workers: int,
-) -> None:
-    """Refuse knobs Formulas 1-2 cannot run on (the guards are written
-    ``not x >= 1`` / ``not 0 < x < 1`` so that NaN is refused too)."""
-    if not delta_clip >= 1:
-        raise ConfigurationError(f"delta_clip must be >= 1, got {delta_clip!r}")
-    for name, value in (("alpha", alpha), ("beta", beta)):
-        if not math.isfinite(value):
-            raise ConfigurationError(f"{name} must be finite, got {value!r}")
-    if not 0 < cpu_threshold < 1:
-        raise ConfigurationError(
-            f"cpu_threshold must be in (0, 1), got {cpu_threshold!r}"
-        )
-    if not 1 <= min_workers <= max_workers:
-        raise ConfigurationError(
-            f"need 1 <= min_workers <= max_workers, got {min_workers}..{max_workers}"
-        )
+__all__ = ["WorkerScheduler", "SchedulerDecision"]
 
 
 @dataclass(frozen=True)
@@ -73,9 +48,16 @@ class WorkerScheduler:
         min_workers: int = 1,
         max_workers: int = 128,
     ) -> None:
-        check_scheduler_knobs(
-            alpha, beta, cpu_threshold, delta_clip, min_workers, max_workers
-        )
+        count("delta_clip", delta_clip)
+        finite("alpha", alpha)
+        finite("beta", beta)
+        interval("cpu_threshold", cpu_threshold, 0, 1, "neither")
+        count("min_workers", min_workers)
+        count("max_workers", max_workers)
+        if not min_workers <= max_workers:
+            raise ConfigurationError(
+                f"need 1 <= min_workers <= max_workers, got {min_workers}..{max_workers}"
+            )
         self.alpha = alpha
         self.beta = beta
         self.cpu_threshold = cpu_threshold

@@ -11,6 +11,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from ..contracts import count
 from ..errors import ConfigurationError
 
 __all__ = [
@@ -26,9 +27,7 @@ class SequentialSampler:
     """Yields ``0..n-1`` in order, every epoch."""
 
     def __init__(self, n: int) -> None:
-        if n < 0:
-            raise ConfigurationError(f"dataset size must be >= 0, got {n!r}")
-        self._n = n
+        self._n = count("dataset size", n, lo=0)
 
     def __len__(self) -> int:
         return self._n
@@ -44,10 +43,8 @@ class RandomSampler:
     """Yields a fresh seeded shuffle each epoch (deterministic per epoch)."""
 
     def __init__(self, n: int, seed: int = 0) -> None:
-        if n < 0:
-            raise ConfigurationError(f"dataset size must be >= 0, got {n!r}")
-        self._n = n
-        self._seed = seed
+        self._n = count("dataset size", n, lo=0)
+        self._seed = count("seed", seed, lo=0)
 
     def __len__(self) -> int:
         return self._n
@@ -60,6 +57,12 @@ class RandomSampler:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.epoch(0))
+
+
+def _shard_length(n: int, world_size: int, drop_last: bool) -> int:
+    """The per-rank shard length rule: ``n // world_size`` under
+    ``drop_last``, else the ceiling (the tail padded by :func:`_pad_or_drop`)."""
+    return n // world_size if drop_last else (n + world_size - 1) // world_size
 
 
 def _pad_or_drop(order: List[int], total: int, drop_last: bool) -> List[int]:
@@ -129,12 +132,11 @@ class ShardedSampler:
         epoch_offset: int = 0,
         layout: str = "stride",
     ) -> None:
-        if world_size < 1:
-            raise ConfigurationError(f"world_size must be >= 1, got {world_size!r}")
+        count("world_size", world_size)
+        count("rank", rank, lo=0)
         if not 0 <= rank < world_size:
             raise ConfigurationError(f"rank {rank} out of range for {world_size}")
-        if epoch_offset < 0:
-            raise ConfigurationError(f"epoch_offset must be >= 0, got {epoch_offset!r}")
+        count("epoch_offset", epoch_offset, lo=0)
         if layout not in self.LAYOUTS:
             raise ConfigurationError(
                 f"layout must be one of {self.LAYOUTS}, got {layout!r}"
@@ -148,10 +150,7 @@ class ShardedSampler:
         self._epoch_offset = epoch_offset
         self._layout = layout
         self._block_cache: Optional[List[int]] = None
-        if drop_last:
-            self._num_samples = n // world_size
-        else:
-            self._num_samples = (n + world_size - 1) // world_size
+        self._num_samples = _shard_length(n, world_size, drop_last)
 
     @property
     def rank(self) -> int:
@@ -332,7 +331,7 @@ class ShardAssignment:
         # permutation: compute that order once and slice it, instead of
         # building a ShardedSampler (and paying its RNG work) per slot
         base = RandomSampler(n, seed=seed).epoch(0)
-        per_slot = n // world if drop_last else (n + world - 1) // world
+        per_slot = _shard_length(n, world, drop_last)
         total = per_slot * world
         order = _pad_or_drop(list(base), total, drop_last)
         slot_sets = [
@@ -393,10 +392,8 @@ class BatchSampler:
     """Groups a sampler's indices into fixed-size batches."""
 
     def __init__(self, sampler, batch_size: int, drop_last: bool = False) -> None:
-        if batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {batch_size!r}")
         self.sampler = sampler
-        self.batch_size = batch_size
+        self.batch_size = count("batch_size", batch_size)
         self.drop_last = drop_last
 
     def epoch(self, epoch_index: int) -> List[List[int]]:

@@ -20,7 +20,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
-from ..errors import ConfigurationError, StorageError
+from ..contracts import nonnegative, positive
+from ..errors import StorageError
 from .sample import SampleSpec
 
 __all__ = [
@@ -48,15 +49,8 @@ class StorageSpec:
     latency: float  # seconds per read
 
     def __post_init__(self) -> None:
-        # written so that NaN fails them too
-        if not 0 < self.bandwidth < float("inf"):
-            raise ConfigurationError(
-                f"storage bandwidth must be positive and finite, got {self.bandwidth!r}"
-            )
-        if not 0 <= self.latency < float("inf"):
-            raise ConfigurationError(
-                f"storage latency must be >= 0 and finite, got {self.latency!r}"
-            )
+        positive("storage bandwidth", self.bandwidth)
+        nonnegative("storage latency", self.latency)
 
     def read_seconds(self, nbytes: float) -> float:
         return self.latency + nbytes / self.bandwidth

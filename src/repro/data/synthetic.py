@@ -25,7 +25,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..contracts import count, fraction, interval
 from .dataset import Dataset
 from .sample import SampleSpec
 
@@ -52,12 +52,10 @@ class SyntheticKiTS19(Dataset):
         tiny_fraction: float = 0.02,
         payload_voxels: int = 4096,
     ) -> None:
-        if n_samples < 1:
-            raise ConfigurationError(f"n_samples must be >= 1, got {n_samples!r}")
-        if not 0 <= tiny_fraction < 1:
-            raise ConfigurationError(
-                f"tiny_fraction must be in [0, 1), got {tiny_fraction!r}"
-            )
+        count("n_samples", n_samples)
+        count("seed", seed, lo=0)
+        interval("tiny_fraction", tiny_fraction, 0, 1, "left")
+        count("payload_voxels", payload_voxels)
         self._n = n_samples
         self._seed = seed
         self._payload_voxels = payload_voxels
@@ -109,8 +107,9 @@ class SyntheticCOCO(Dataset):
         seed: int = 0,
         payload_side: int = 48,
     ) -> None:
-        if n_samples < 1:
-            raise ConfigurationError(f"n_samples must be >= 1, got {n_samples!r}")
+        count("n_samples", n_samples)
+        count("seed", seed, lo=0)
+        count("payload_side", payload_side)
         self._n = n_samples
         self._seed = seed
         self._payload_side = payload_side
@@ -155,14 +154,12 @@ class SyntheticLibriSpeech(Dataset):
         heavy_fraction: Optional[float] = None,
         payload_len: int = 2048,
     ) -> None:
-        if n_samples < 1:
-            raise ConfigurationError(f"n_samples must be >= 1, got {n_samples!r}")
-        if heavy_period < 1:
-            raise ConfigurationError(f"heavy_period must be >= 1, got {heavy_period!r}")
-        if heavy_fraction is not None and not 0 <= heavy_fraction <= 1:
-            raise ConfigurationError(
-                f"heavy_fraction must be in [0, 1], got {heavy_fraction!r}"
-            )
+        count("n_samples", n_samples)
+        count("seed", seed, lo=0)
+        count("heavy_period", heavy_period)
+        if heavy_fraction is not None:
+            fraction("heavy_fraction", heavy_fraction)
+        count("payload_len", payload_len)
         self._n = n_samples
         self._seed = seed
         self._payload_len = payload_len
@@ -175,10 +172,10 @@ class SyntheticLibriSpeech(Dataset):
         else:
             # Exact proportion, spread uniformly and deterministically: used
             # by the Fig. 12 "cluster of slow samples" sweep.
-            count = int(round(n_samples * heavy_fraction))
+            n_heavy = int(round(n_samples * heavy_fraction))
             heavy = np.zeros(n_samples, dtype=bool)
-            if count > 0:
-                picks = rng.choice(n_samples, size=count, replace=False)
+            if n_heavy > 0:
+                picks = rng.choice(n_samples, size=n_heavy, replace=False)
                 heavy[picks] = True
             self._heavy = heavy
         self._spec_cache: Dict[int, SampleSpec] = {}
@@ -220,8 +217,7 @@ class ReplicatedDataset(Dataset):
     """
 
     def __init__(self, base: Dataset, factor: int) -> None:
-        if factor < 1:
-            raise ConfigurationError(f"factor must be >= 1, got {factor!r}")
+        count("factor", factor)
         self._base = base
         self._factor = factor
         self._spec_cache: Dict[int, SampleSpec] = {}

@@ -11,8 +11,13 @@ class ReproError(Exception):
     """Base class for all errors raised by this library."""
 
 
-class ConfigurationError(ReproError):
-    """Raised when a loader / experiment is configured inconsistently."""
+class ConfigurationError(ReproError, ValueError):
+    """Raised when a loader / experiment is configured inconsistently.
+
+    Also a :class:`ValueError`: a refused knob is a bad value, so the
+    simulation kernel's objects (stores, resources, links) state their
+    contracts with :mod:`repro.contracts` and still raise what they always
+    raised."""
 
 
 class LoaderStateError(ReproError):

@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import functools
 import inspect
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence
 
 from ..analysis import render_table
+from ..contracts import interval
 from ..errors import ConfigurationError
 from ..sim.runner import LOADER_NAMES, SimResult, run_simulation
 from ..sim.workloads import CONFIG_A, HardwareConfig, WorkloadSpec
@@ -41,6 +43,8 @@ def default_scale() -> float:
         value = float(raw)
     except ValueError:
         return _DEFAULT_SCALE
+    if math.isnan(value):  # unreadable as a scale, like junk
+        return _DEFAULT_SCALE
     return min(max(value, 0.001), 1.0)
 
 
@@ -49,9 +53,7 @@ def resolve_scale(scale: Optional[float]) -> float:
     (0, 1] is a :class:`ConfigurationError`: 1.0 is the paper's full run."""
     if scale is None:
         return default_scale()
-    if not 0 < scale <= 1:
-        raise ConfigurationError(f"scale must be in (0, 1], got {scale:g}")
-    return scale
+    return interval("scale", scale, 0, 1, "right")
 
 
 @dataclass

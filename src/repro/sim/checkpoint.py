@@ -42,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from ..contracts import count, positive
 from ..engine.metrics import ExactSum
 from ..errors import ConfigurationError
 
@@ -81,24 +82,15 @@ class CheckpointPolicy:
                 f"interval_seconds, got {self.interval_steps!r} / "
                 f"{self.interval_seconds!r}"
             )
-        if self.interval_steps is not None and self.interval_steps < 1:
-            raise ConfigurationError(
-                f"interval_steps must be >= 1, got {self.interval_steps!r}"
-            )
-        # written ``not x > 0`` so that NaN is refused too
-        if self.interval_seconds is not None and not self.interval_seconds > 0:
-            raise ConfigurationError(
-                f"interval_seconds must be positive, got "
-                f"{self.interval_seconds!r}"
-            )
+        if self.interval_steps is not None:
+            count("interval_steps", self.interval_steps)
+        if self.interval_seconds is not None:
+            positive("interval_seconds", self.interval_seconds)
         if self.restore not in RESTORE_MODES:
             raise ConfigurationError(
                 f"restore must be one of {RESTORE_MODES}, got {self.restore!r}"
             )
-        if not 0 < self.state_scale < float("inf"):
-            raise ConfigurationError(
-                f"state_scale must be positive and finite, got {self.state_scale!r}"
-            )
+        positive("state_scale", self.state_scale)
 
     def state_bytes(self, gradient_bytes: float) -> float:
         """Full replica state size for a job syncing ``gradient_bytes``

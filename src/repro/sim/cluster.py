@@ -43,13 +43,14 @@ from typing import (
     Tuple,
 )
 
+from ..contracts import count, fraction, nonnegative, positive
 from ..data.storage import PageCache
 from ..errors import ConfigurationError
 from .kernel import Environment
 from .links import BandwidthPipe
 from .resources import Resource
 from .topology import TOPOLOGIES, FlatRing, Hierarchical, Topology
-from .workloads import HardwareConfig, check_cache_fraction
+from .workloads import HardwareConfig
 
 __all__ = [
     "Cluster",
@@ -108,24 +109,17 @@ class MembershipEvent:
             raise ConfigurationError(
                 f"kind must be one of {EVENT_KINDS}, got {self.kind!r}"
             )
-        if self.node < 0:
-            raise ConfigurationError(f"node must be >= 0, got {self.node!r}")
+        count("node", self.node, lo=0)
         if (self.epoch is None) == (self.time is None):
             raise ConfigurationError(
                 "exactly one of epoch / time must anchor a membership event"
             )
-        if self.epoch is not None and self.epoch < 0:
-            raise ConfigurationError(f"epoch must be >= 0, got {self.epoch!r}")
-        # written ``not 0 <= x < inf`` so that NaN is refused too; an
-        # anchor that never comes would still arm every round
-        if self.time is not None and not 0 <= self.time < float("inf"):
-            raise ConfigurationError(
-                f"time must be >= 0 and finite, got {self.time!r}"
-            )
-        if not 0 <= self.after < float("inf"):
-            raise ConfigurationError(
-                f"after must be >= 0 and finite, got {self.after!r}"
-            )
+        if self.epoch is not None:
+            count("epoch", self.epoch, lo=0)
+        if self.time is not None:
+            # an anchor that never comes would still arm every round
+            nonnegative("time", self.time)
+        nonnegative("after", self.after)
         if self.after > 0 and self.kind != "fail":
             raise ConfigurationError(
                 "after is only meaningful for fail events (join/leave apply "
@@ -171,13 +165,8 @@ class PartitionEvent:
             raise ConfigurationError(
                 f"partition nodes must be >= 0, got {list(nodes)!r}"
             )
-        if not 0 <= self.time < float("inf"):
-            raise ConfigurationError(f"time must be >= 0 and finite, got {time!r}")
-        if not 0 < self.duration < float("inf"):
-            raise ConfigurationError(
-                f"duration must be positive and finite (partitions heal), "
-                f"got {duration!r}"
-            )
+        nonnegative("time", self.time)
+        positive("duration", self.duration)  # partitions heal
 
     @property
     def end(self) -> float:
@@ -208,10 +197,7 @@ class ClusterMembership:
         events: Sequence[MembershipEvent] = (),
         partitions: Sequence[PartitionEvent] = (),
     ) -> None:
-        if initial_nodes < 1:
-            raise ConfigurationError(
-                f"initial_nodes must be >= 1, got {initial_nodes!r}"
-            )
+        count("initial_nodes", initial_nodes)
         self.initial_nodes = initial_nodes
         self.events: Tuple[MembershipEvent, ...] = tuple(events)
         self.partitions: Tuple[PartitionEvent, ...] = tuple(partitions)
@@ -454,28 +440,16 @@ class Cluster:
             raise ConfigurationError(
                 f"topology must be one of {TOPOLOGIES}, got {topology!r}"
             )
-        # written ``not x > 0`` / ``not x >= 0`` so that NaN is refused too
-        if not link_bandwidth > 0:
-            raise ConfigurationError(
-                f"link_bandwidth must be positive, got {link_bandwidth!r}"
-            )
-        if not link_latency >= 0:
-            raise ConfigurationError(
-                f"link_latency must be >= 0, got {link_latency!r}"
-            )
-        check_cache_fraction(cache_fraction)
+        positive("link_bandwidth", link_bandwidth)
+        nonnegative("link_latency", link_latency)
+        fraction("cache_fraction", cache_fraction)
         if gpus_per_node is None:
             gpus_per_node = (
                 hardware.gpus_per_node
                 if hardware.gpus_per_node is not None
                 else 1
             )
-        # a zero/negative count would otherwise surface as a divide-by-zero
-        # (or a silently empty round) deep inside the round executor
-        if not isinstance(gpus_per_node, int) or gpus_per_node < 1:
-            raise ConfigurationError(
-                f"gpus_per_node must be a positive integer, got {gpus_per_node!r}"
-            )
+        count("gpus_per_node", gpus_per_node)
         self.env = Environment()
         self.membership = membership
         self.hardware = hardware

@@ -73,10 +73,10 @@ change (measured per epoch per node via
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from math import ceil, inf
-from numbers import Real
+from math import ceil
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from ..contracts import count, nonnegative
 from ..data.samplers import ShardAssignment, ShardedSampler
 from ..data.storage import CacheSnapshot
 from ..engine.metrics import ExactSum, ExactSums
@@ -496,51 +496,25 @@ class JobSpec:
             raise ConfigurationError(
                 f"job_id must be a non-empty string, got {self.job_id!r}"
             )
-        if self.priority < 0:
-            raise ConfigurationError(
-                f"job {self.job_id!r}: priority must be >= 0, "
-                f"got {self.priority!r}"
-            )
-        # written ``not x >= 0`` so that NaN is refused too
-        if not self.arrival >= 0:
-            raise ConfigurationError(
-                f"job {self.job_id!r}: arrival must be >= 0, "
-                f"got {self.arrival!r}"
-            )
-        if not 0 <= self.gradient_bytes < inf:
-            raise ConfigurationError(
-                f"job {self.job_id!r}: gradient_bytes must be finite and "
-                f">= 0, got {self.gradient_bytes!r}"
-            )
+        job = f"job {self.job_id!r}: "
+        count(job + "priority", self.priority, lo=0)
+        nonnegative(job + "arrival", self.arrival)
+        nonnegative(job + "gradient_bytes", self.gradient_bytes)
+        nonnegative(job + "detection_timeout", self.detection_timeout)
+        count(job + "buckets", self.buckets)
+        for name in ("dataset_size", "epochs", "total_steps"):
+            if getattr(self, name) is not None:
+                count(job + name, getattr(self, name))
         if self.fabric not in FABRICS:
             raise ConfigurationError(
                 f"fabric must be one of {FABRICS}, got {self.fabric!r} (the "
                 f"analytic mode was removed: AllReduceModel.step_cost is the "
                 f"closed form to compare a ring run's sync per step against)"
             )
-        if not (
-            isinstance(self.detection_timeout, Real)
-            and self.detection_timeout >= 0
-        ):
-            raise ConfigurationError(
-                f"job {self.job_id!r}: detection_timeout must be a real "
-                f"number >= 0, got {self.detection_timeout!r}"
-            )
-        # a zero/negative count would otherwise surface as a
-        # divide-by-zero deep inside the round executor
-        if not isinstance(self.buckets, int) or self.buckets < 1:
-            raise ConfigurationError(
-                f"buckets must be a positive integer (gradient bucket count "
-                f"per step), got {self.buckets!r}"
-            )
         if self.total_steps is not None and self.epochs is not None:
             raise ConfigurationError(
                 "total_steps fixes a cluster-wide step budget; it cannot be "
                 "combined with an epochs override"
-            )
-        if self.total_steps is not None and self.total_steps < 1:
-            raise ConfigurationError(
-                f"total_steps must be >= 1, got {self.total_steps!r}"
             )
         if self.checkpoint is not None and not isinstance(
             self.checkpoint, CheckpointPolicy

@@ -110,8 +110,8 @@ from typing import (
     Tuple,
 )
 
+from ..contracts import nonnegative
 from ..engine.metrics import ExactSums
-from ..errors import ConfigurationError
 from .kernel import Environment, Event, Interrupt, Timeout
 from .links import project
 from .topology import CollapsePhase, FlatRing, Topology
@@ -438,7 +438,9 @@ class RingFabric:
 
     ``topology`` defaults to a :class:`~repro.sim.topology.FlatRing` built
     from ``latency`` / ``bandwidth`` -- the pre-refactor behaviour, byte-
-    and stage-identical to the old monolithic ring all-reduce.
+    and stage-identical to the old monolithic ring all-reduce.  That
+    constructor is where the two are checked: beside a given topology they
+    are not used.
     """
 
     def __init__(
@@ -452,13 +454,8 @@ class RingFabric:
         collapse: bool = False,
         partitions: Optional[Any] = None,
     ) -> None:
-        # written ``not x > 0`` / ``not x >= 0`` so that NaN is refused too
-        if not bandwidth > 0:
-            raise ConfigurationError(f"bandwidth must be positive, got {bandwidth!r}")
-        if not (latency >= 0 and gradient_bytes >= 0 and detection_timeout >= 0):
-            raise ConfigurationError(
-                "latency, gradient_bytes and detection_timeout must be >= 0"
-            )
+        nonnegative("gradient_bytes", gradient_bytes)
+        nonnegative("detection_timeout", detection_timeout)
         self.env = env
         self.latency = float(latency)
         self.bandwidth = float(bandwidth)

@@ -472,6 +472,19 @@ class Environment:
             return event
         return source.popleft()
 
+    def settled(self) -> bool:
+        """Nothing else is queued for the current instant: an event
+        succeeded now would be the next one delivered, unless the rest of
+        the current delivery schedules an urgent one.  A transition in tail
+        position whose continuation would wait on such an event may take
+        the continuation at once and deliver the same run.  (A superseded
+        heap entry at ``now`` answers ``False``: a missed shortcut, never a
+        wrong one.)"""
+        if self._urgent or self._normal:
+            return False
+        heap = self._queue
+        return not heap or heap[0][0] != self._now
+
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         source = self._head()

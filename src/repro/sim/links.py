@@ -63,6 +63,7 @@ from heapq import heappop, heappush
 from operator import attrgetter
 from typing import Deque, Dict, Hashable, List, Optional, Sequence, Tuple
 
+from ..contracts import nonnegative, positive
 from ..engine.metrics import ExactSums
 from .kernel import Environment, Event, Timeout
 
@@ -171,11 +172,8 @@ class SharedLink:
     """A link whose capacity is divided max-min fair among busy streams."""
 
     def __init__(self, env: Environment, bandwidth: float, latency: float = 0.0) -> None:
-        # written so that NaN fails them too
-        if not 0.0 < bandwidth < _NEVER:
-            raise ValueError(f"bandwidth must be positive and finite, got {bandwidth!r}")
-        if not 0.0 <= latency < _NEVER:
-            raise ValueError(f"latency must be >= 0 and finite, got {latency!r}")
+        positive("bandwidth", bandwidth)
+        nonnegative("latency", latency)
         self.env = env
         self.bandwidth = float(bandwidth)
         self.latency = float(latency)

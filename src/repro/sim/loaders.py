@@ -82,6 +82,7 @@ from typing import (
 )
 
 from ..baselines import TorchLoaderConfig
+from ..contracts import count, fraction, interval, nonnegative, positive
 from ..core.config import MinatoConfig
 from ..core.profiler import TimeoutProfiler
 from ..core.scheduler import SchedulerDecision, WorkerScheduler
@@ -107,7 +108,7 @@ from .kernel import AllOf, Environment, Event, _Initialize
 from .links import Stream
 from .resources import Request, Resource
 from .stores import PriorityStore, Store
-from .workloads import HardwareConfig, WorkloadSpec, check_cache_fraction
+from .workloads import HardwareConfig, WorkloadSpec
 
 __all__ = [
     "SimContext",
@@ -157,12 +158,13 @@ class SimContext:
         nic=None,
         cache_namespace=None,
     ) -> None:
-        if not 1 <= num_gpus <= hardware.max_gpus:
+        count("num_gpus", num_gpus)
+        if not num_gpus <= hardware.max_gpus:
             raise ConfigurationError(
                 f"{hardware.name} has at most {hardware.max_gpus} GPUs, "
                 f"got {num_gpus}"
             )
-        check_cache_fraction(cache_fraction)
+        fraction("cache_fraction", cache_fraction)
         self.env = env
         self.workload = workload
         self.hardware = hardware
@@ -516,11 +518,8 @@ class SimTorchLoader(BaseSimLoader):
         self.pipeline_override = pipeline_override
         self.seed = seed
         self._check_shared_knobs(TorchLoaderConfig)
-        if not worker_startup_seconds >= 0:
-            raise ConfigurationError(
-                f"worker_startup_seconds must be >= 0, got "
-                f"{worker_startup_seconds!r}"
-            )
+        # inf is refused: a restarted worker that never starts stalls the run
+        nonnegative("worker_startup_seconds", worker_startup_seconds)
 
     def start(self, ctx: SimContext) -> None:
         self.bind(ctx)
@@ -651,24 +650,12 @@ class SimDALILoader(BaseSimLoader):
         self.gpu_speedup = gpu_speedup
         self.cpu_decode_bandwidth = cpu_decode_bandwidth
         self.seed = seed
-        # written ``not x >= 1`` / ``not x > 0`` so that NaN is refused too
-        if not num_threads_per_gpu >= 1:
-            raise ConfigurationError(
-                f"num_threads_per_gpu must be >= 1, got {num_threads_per_gpu!r}"
-            )
-        if not prefetch_queue_depth >= 1:
-            raise ConfigurationError(
-                f"prefetch_queue_depth must be >= 1, got {prefetch_queue_depth!r}"
-            )
-        if not gpu_speedup > 0:
-            raise ConfigurationError(
-                f"gpu_speedup must be positive, got {gpu_speedup!r}"
-            )
-        if not cpu_decode_bandwidth > 0:
-            raise ConfigurationError(
-                f"cpu_decode_bandwidth must be positive, got "
-                f"{cpu_decode_bandwidth!r}"
-            )
+        count("num_threads_per_gpu", num_threads_per_gpu)
+        count("prefetch_queue_depth", prefetch_queue_depth)
+        count("seed", seed, lo=0)
+        positive("gpu_speedup", gpu_speedup)
+        # inf is refused, as for every other bandwidth in the model
+        positive("cpu_decode_bandwidth", cpu_decode_bandwidth)
 
     def start(self, ctx: SimContext) -> None:
         self.bind(ctx)
@@ -913,8 +900,9 @@ class _LoadingWorker:
         if decision.handoff_index is not None:
             stats.samples_timed_out += 1
             handoff = (self.spec, decision.handoff_index, self.profile, self.seq)
-            # a temp store with room takes it at once: draw again, no event
-            if loader._temp_store.try_put(handoff):
+            # a temp store with room takes it at once on a settled instant:
+            # draw again, no event (see SimMinatoLoader._put_ready)
+            if loader.ctx.env.settled() and loader._temp_store.try_put(handoff):
                 return self._draw()
             loader._temp_store.put(handoff).callbacks.append(self._draw)
             return
@@ -1076,18 +1064,12 @@ class SimMinatoLoader(BaseSimLoader):
             raise ConfigurationError(
                 f"classifier must be 'timeout' or 'size', got {classifier!r}"
             )
-        if workers_per_gpu < 1:
-            raise ConfigurationError(
-                f"workers_per_gpu must be >= 1, got {workers_per_gpu!r}"
-            )
-        # written so that NaN fails them too
-        for knob, value, low, high in (
-            ("preempt_grace_abs", preempt_grace_abs, 0, float("inf")),
-            ("preempt_grace_rel", preempt_grace_rel, 0, float("inf")),
-            ("size_percentile", size_percentile, 0, 100),
-        ):
-            if not low <= value <= high:
-                raise ConfigurationError(f"{knob} must be in [{low}, {high}], got {value!r}")
+        count("workers_per_gpu", workers_per_gpu)
+        # inf is refused: an infinite grace times a zero stage cost is NaN
+        # (a large finite grace is the cooperative spelling)
+        nonnegative("preempt_grace_abs", preempt_grace_abs)
+        nonnegative("preempt_grace_rel", preempt_grace_rel)
+        interval("size_percentile", size_percentile, 0, 100)
         self.workers_per_gpu = workers_per_gpu
         #: None -> scale with the loading pool (a third), min 2
         self.slow_workers = slow_workers
@@ -1315,10 +1297,15 @@ class SimMinatoLoader(BaseSimLoader):
 
     def _put_ready(self, entry) -> Optional[Event]:
         """Onto the ready store: None if it took ``entry`` at once, else the
-        put to wait for."""
-        if self._ready_store.try_put(entry):
+        put to wait for.  The put is event-free only where its event would
+        be delivered next anyway (:meth:`Environment.settled`): a
+        continuation taken at once ahead of what the instant already queued
+        -- a core grant, another stage's completion -- would claim a core
+        or draw an index out of turn."""
+        store = self._ready_store
+        if self.ctx.env.settled() and store.try_put(entry):
             return None
-        return self._ready_store.put(entry)
+        return store.put(entry)
 
     def _scheduler_proc(self) -> Generator:
         """Formulas 1-2 over the *total* preprocessing pool.

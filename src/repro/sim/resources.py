@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, List, Optional
 
+from ..contracts import count
 from .kernel import Environment, Event
 
 __all__ = ["Resource", "Request"]
@@ -54,8 +55,7 @@ class Resource:
     """A resource with finite capacity and a FIFO wait queue."""
 
     def __init__(self, env: Environment, capacity: int = 1) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity!r}")
+        count("capacity", capacity)
         self.env = env
         self.capacity = capacity
         self.users: List[Request] = []

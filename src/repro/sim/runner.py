@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..contracts import positive
 from ..engine.metrics import IntervalRecorder, ThroughputMeter, utilization_series
 from ..errors import ConfigurationError
 from .kernel import AllOf, Environment
@@ -198,11 +199,8 @@ def run_simulation(
     A hardware config with its own ``cache_fraction`` (heterogeneous-node
     setups) overrides the ``cache_fraction`` argument, matching the
     distributed runner's per-node semantics."""
-    # written ``not x > 0`` so that NaN is refused too
-    if series_bucket is not None and not series_bucket > 0:
-        raise ConfigurationError(
-            f"series_bucket must be positive, got {series_bucket!r}"
-        )
+    if series_bucket is not None:
+        positive("series_bucket", series_bucket)
     env = Environment()
     if hardware.cache_fraction is not None:
         cache_fraction = hardware.cache_fraction

@@ -16,9 +16,11 @@ deadline- or size-ordered queues (e.g. the ablation benchmarks).
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from typing import Any, Callable, Optional
 
+from ..contracts import interval
 from .kernel import Environment, Event
 
 __all__ = ["Store", "PriorityStore"]
@@ -44,8 +46,7 @@ class Store:
     """
 
     def __init__(self, env: Environment, capacity: float = float("inf")) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity!r}")
+        interval("capacity", capacity, 0, math.inf, "right")  # inf: unbounded
         self.env = env
         self.capacity = capacity
         self.items: deque = deque()

@@ -45,6 +45,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
+from ..contracts import count, nonnegative, positive
 from ..errors import ConfigurationError
 from .kernel import Environment
 from .links import SharedLink, Stream
@@ -212,13 +213,8 @@ class FlatRing(Topology):
     kind = "flat"
 
     def __init__(self, env: Environment, latency: float, bandwidth: float) -> None:
-        # written ``not x > 0`` / ``not x >= 0`` so that NaN is refused too
-        if not bandwidth > 0:
-            raise ConfigurationError(
-                f"bandwidth must be positive, got {bandwidth!r}"
-            )
-        if not latency >= 0:
-            raise ConfigurationError(f"latency must be >= 0, got {latency!r}")
+        positive("bandwidth", bandwidth)
+        nonnegative("latency", latency)
         super().__init__(env)
         self.latency = float(latency)
         self.bandwidth = float(bandwidth)
@@ -273,20 +269,11 @@ class Hierarchical(Topology):
             Dict[Hashable, Tuple[float, float]]
         ] = None,
     ) -> None:
-        if not (bandwidth > 0 and intra_bandwidth > 0):
-            raise ConfigurationError(
-                f"bandwidths must be positive, got inter={bandwidth!r} "
-                f"intra={intra_bandwidth!r}"
-            )
-        if not (latency >= 0 and intra_latency >= 0):
-            raise ConfigurationError(
-                f"latencies must be >= 0, got inter={latency!r} "
-                f"intra={intra_latency!r}"
-            )
-        if gpus_per_node < 1:
-            raise ConfigurationError(
-                f"gpus_per_node must be >= 1, got {gpus_per_node!r}"
-            )
+        positive("bandwidth", bandwidth)
+        positive("intra_bandwidth", intra_bandwidth)
+        nonnegative("latency", latency)
+        nonnegative("intra_latency", intra_latency)
+        count("gpus_per_node", gpus_per_node)
         super().__init__(env)
         self.latency = float(latency)
         self.bandwidth = float(bandwidth)

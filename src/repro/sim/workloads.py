@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from ..contracts import count, fraction, interval, nonnegative, positive
 from ..data.dataset import Dataset
 from ..data.storage import LUSTRE, NVME, StorageSpec
 from ..data.synthetic import (
@@ -65,23 +66,15 @@ class HardwareConfig:
     cache_fraction: Optional[float] = None
 
     def __post_init__(self) -> None:
-        for name in ("cpu_cores", "max_gpus"):
-            value = getattr(self, name)
-            if not value >= 1:
-                raise ConfigurationError(f"{name} must be >= 1, got {value!r}")
-        # written so that NaN fails them too
-        if not 0 <= self.memory_bytes < float("inf"):
-            raise ConfigurationError(
-                f"memory_bytes must be >= 0 and finite, got {self.memory_bytes!r}"
-            )
-        bandwidth, latency = self.intra_node_bandwidth, self.intra_node_latency
-        if not (0 < bandwidth < float("inf") and 0 <= latency < float("inf")):
-            raise ConfigurationError(
-                "intra_node_bandwidth must be positive and intra_node_latency "
-                f">= 0, both finite; got {bandwidth!r} and {latency!r}"
-            )
+        count("cpu_cores", self.cpu_cores)
+        count("max_gpus", self.max_gpus)
+        nonnegative("memory_bytes", self.memory_bytes)
+        positive("intra_node_bandwidth", self.intra_node_bandwidth)
+        nonnegative("intra_node_latency", self.intra_node_latency)
+        if self.gpus_per_node is not None:
+            count("gpus_per_node", self.gpus_per_node)
         if self.cache_fraction is not None:
-            check_cache_fraction(self.cache_fraction)
+            fraction("cache_fraction", self.cache_fraction)
 
     def with_memory_limit(self, limit_bytes: float) -> "HardwareConfig":
         """cgroup-style memory cap (paper §5.5)."""
@@ -90,14 +83,6 @@ class HardwareConfig:
     def with_cache_fraction(self, fraction: float) -> "HardwareConfig":
         """Pin this node's page-cache size to ``fraction`` of its memory."""
         return replace(self, cache_fraction=fraction)
-
-
-def check_cache_fraction(fraction: float) -> None:
-    """Refuse a page-cache share of memory outside [0, 1], NaN included."""
-    if not 0 <= fraction <= 1:
-        raise ConfigurationError(
-            f"cache_fraction must lie in [0, 1], got {fraction!r}"
-        )
 
 
 CONFIG_A = HardwareConfig(
@@ -138,6 +123,9 @@ class WorkloadSpec:
             raise ConfigurationError(
                 "exactly one of epochs / iterations must be set"
             )
+        for name in ("batch_size", "epochs", "iterations"):
+            if getattr(self, name) is not None:
+                count(name, getattr(self, name))
 
     def total_batches(self, num_gpus: int) -> int:
         """Per-run batch total given the GPU count."""
@@ -152,8 +140,7 @@ class WorkloadSpec:
 
     def scaled(self, fraction: float) -> "WorkloadSpec":
         """Shrink the run length (epochs/iterations) for fast benchmarks."""
-        if not 0 < fraction <= 1:
-            raise ConfigurationError(f"fraction must be in (0, 1], got {fraction!r}")
+        interval("fraction", fraction, 0, 1, "right")
         if self.epochs is not None:
             return replace(self, epochs=max(1, round(self.epochs * fraction)))
         return replace(self, iterations=max(1, round(self.iterations * fraction)))

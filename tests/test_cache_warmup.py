@@ -165,7 +165,7 @@ def test_reshard_metrics_align_with_membership():
 # ---------------------------------------------------------------------------
 
 
-def test_run_distributed_matches_pre_fold_runner_on_fixed_seed():
+def test_static_run_elastic_matches_pre_fold_runner_on_fixed_seed():
     """Equivalence pin: a static run_elastic reproduces the counters and
     training time the pre-fold static runner produced on this exact
     configuration (recorded before the fold), and its sync total sits on
@@ -187,7 +187,7 @@ def test_run_distributed_matches_pre_fold_runner_on_fixed_seed():
     assert result.per_node_active_seconds == [result.training_time] * 2
 
 
-def test_run_distributed_static_runs_one_spanned_round():
+def test_static_run_elastic_runs_one_spanned_round():
     """The budget executor must not slice a static run into per-pass
     rounds (each would pay a loader cold start the pre-fold runner never
     paid): with no membership events the whole budget is one round."""
@@ -200,7 +200,7 @@ def test_run_distributed_static_runs_one_spanned_round():
     assert result.epoch_membership[0] == [0, 1]
 
 
-def test_run_distributed_equivalence_holds_for_pytorch_loader():
+def test_static_run_elastic_equivalence_holds_for_pytorch_loader():
     wl = make_workload("speech_3s", dataset_size=120).scaled(0.02)
     result = run_elastic(
         "pytorch", wl, CONFIG_A, ClusterMembership(2), gpus_per_node=2,

@@ -144,11 +144,6 @@ def test_replicated_dataset_scales_footprint():
     np.testing.assert_array_equal(replicated.load(0).data, replicated.load(10).data)
 
 
-def test_replicated_dataset_rejects_bad_factor():
-    with pytest.raises(ConfigurationError):
-        ReplicatedDataset(SyntheticCOCO(n_samples=2), factor=0)
-
-
 # ---------------------------------------------------------------------------
 # Samplers
 # ---------------------------------------------------------------------------
@@ -197,8 +192,3 @@ def test_batch_sampler_groups_and_drop_last():
     bs_drop = BatchSampler(base, batch_size=3, drop_last=True)
     assert bs_drop.epoch(0) == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
     assert len(bs_drop) == 3
-
-
-def test_batch_sampler_validates_batch_size():
-    with pytest.raises(ConfigurationError):
-        BatchSampler(SequentialSampler(4), batch_size=0)

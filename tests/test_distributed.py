@@ -37,7 +37,7 @@ def test_allreduce_bandwidth_term_bounded():
     assert model.step_cost(1000) < 2.0 * 1e9 / 1e10 + 1e-9
 
 
-def test_run_distributed_validates_fabric():
+def test_every_door_validates_fabric():
     assert_every_door_rejects("fabric must be one of", fabric="torus")
     # the removed run mode says where its closed form went
     assert_every_door_rejects(

@@ -37,7 +37,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import EmptySchedule, SimulationError
@@ -616,8 +616,38 @@ def callbacks_refine_generators(knobs) -> bool:
     return same_run(chained, processes) and chained.events < processes.events
 
 
+#: two scenarios where an event-free hand-off once ran its continuation
+#: ahead of what the instant had already queued: on a growing pool with
+#: free cores a slow-task worker then picked the last hand-off up at
+#: another instant; on an oversubscribed pool a slow-task worker's next
+#: core claim went ahead of a queued core grant, so two holds ended
+#: swapped and two samples reached the ready store swapped
+HANDOFF_AHEAD_OF_THE_INSTANT = (
+    {
+        "samples": 26, "slow_fraction": 0.3, "batch_size": 3, "gpus": 1,
+        "cores": 128, "epochs": 2, "workers_per_gpu": 1, "slow_workers": None,
+        "queue_capacity": 2, "poll_interval": 0.003, "adaptive_workers": True,
+        "scheduler_interval": 0.0473, "reorder": True, "timeout_override": None,
+        "stalls": False, "halts": False, "seed": 5, "cost_seed": 26074,
+        "quantum": 2.0**-6, "oversubscribe": False, "sizes": "zero",
+        "classifier": "timeout",
+    },
+    {
+        "samples": 6, "slow_fraction": 0.3, "batch_size": 1, "gpus": 1,
+        "cores": 2, "epochs": 2, "workers_per_gpu": 2, "slow_workers": None,
+        "queue_capacity": 1, "poll_interval": 0.01, "adaptive_workers": False,
+        "scheduler_interval": 0.0473, "reorder": True, "timeout_override": 0.03,
+        "stalls": False, "halts": False, "seed": 1, "cost_seed": 1425,
+        "quantum": 2.0**-6, "oversubscribe": True, "sizes": "zero",
+        "classifier": "timeout",
+    },
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(knobs=ANY_REFEREE_KNOBS)
+@example(knobs=HANDOFF_AHEAD_OF_THE_INSTANT[0])
+@example(knobs=HANDOFF_AHEAD_OF_THE_INSTANT[1])
 def test_callback_stages_refine_the_generator_stages(knobs):
     """Same pick-ups, batches, scheduler history, stats and end instant as
     a generator process per stage -- on coincident instants, oversubscribed
@@ -716,24 +746,43 @@ def test_a_sample_costs_its_two_timed_events_and_the_builders_get():
     assert sum(two.values()) - sum(one.values()) == 3 * n + 3 * n // b
 
 
+def _handed_off(loader_cls, workers_per_gpu: int, n: int = 24, b: int = 4):
+    """Every sample times out after 50 ms and is handed off into a temp
+    store that always has room."""
+    return observe_minato(
+        loader_cls, [0.2] * n, batch_size=b, workers_per_gpu=workers_per_gpu,
+        slow_workers=2, adaptive_workers=False, timeout_override=0.05,
+        queue_capacity=n, seed=0, env_cls=_CountingEnvironment,
+    )
+
+
 def test_a_handoff_into_a_temp_store_with_room_delivers_no_put():
-    """Every sample times out and is handed off into a temp store that
-    always has room: the only puts delivered are the builders' batch puts.
-    The referee waits on a put event per hand-off and per ready sample."""
+    """One loading worker, so no other stage's completion is queued at a
+    hand-off's instant: the only puts delivered are the builders' batch
+    puts.  The referee waits on a put event per hand-off and per ready
+    sample."""
     n, b = 24, 4
-
-    def run(loader_cls):
-        return observe_minato(
-            loader_cls, [0.2] * n, batch_size=b, workers_per_gpu=2,
-            slow_workers=2, adaptive_workers=False, timeout_override=0.05,
-            queue_capacity=n, seed=0, env_cls=_CountingEnvironment,
-        )
-
-    ours, referee = run(SimMinatoLoader), run(GeneratorMinatoLoader)
+    ours = _handed_off(SimMinatoLoader, 1, n, b)
+    referee = _handed_off(GeneratorMinatoLoader, 1, n, b)
     assert ours.loader.ctx.stats.samples_timed_out == n
     assert same_run(ours, referee)
     assert ours.env.kinds["StorePut"] == n // b
     assert referee.env.kinds["StorePut"] >= n // b + 2 * n
+
+
+def test_a_handoff_on_an_instant_with_work_queued_waits_for_its_put():
+    """Two loading workers in lock step: each hand-off finds the other
+    worker's completion (or its put) queued at the same instant, so it
+    waits for its put event as the referee does -- one put per hand-off
+    on top of the batch puts -- and the run is still the referee's, for
+    fewer events."""
+    n, b = 24, 4
+    ours = _handed_off(SimMinatoLoader, 2, n, b)
+    referee = _handed_off(GeneratorMinatoLoader, 2, n, b)
+    assert ours.loader.ctx.stats.samples_timed_out == n
+    assert same_run(ours, referee)
+    assert ours.env.kinds["StorePut"] == n // b + n
+    assert ours.events < referee.events
 
 
 # ---------------------------------------------------------------------------

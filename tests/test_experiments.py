@@ -10,6 +10,7 @@ import os
 import pytest
 
 from repro.experiments import REGISTRY, Check, ExperimentReport, default_scale
+from repro.experiments.common import resolve_scale
 from repro.experiments import fig1b, fig2, fig10, fig12, table2, artifact_e1, fig11bc
 
 SMALL = 0.03
@@ -66,6 +67,9 @@ def test_default_scale_env(monkeypatch):
     assert default_scale() == 1.0
     monkeypatch.setenv("REPRO_SCALE", "junk")
     assert default_scale() == pytest.approx(0.1)
+    monkeypatch.setenv("REPRO_SCALE", "nan")  # no more a scale than junk
+    assert default_scale() == pytest.approx(0.1)
+    assert resolve_scale(None) == pytest.approx(0.1)
 
 
 def test_runners_keep_their_signatures():

@@ -369,7 +369,7 @@ def test_multi_rank_cross_substrate_agreement():
 # ---------------------------------------------------------------------------
 
 
-def test_run_distributed_ranks_get_disjoint_equal_shards():
+def test_static_run_elastic_ranks_get_disjoint_equal_shards():
     wl = make_workload("speech_3s", dataset_size=120).scaled(0.02)
     result = run_elastic(
         "minato", wl, CONFIG_A, ClusterMembership(3), gpus_per_node=1
@@ -408,7 +408,7 @@ def test_torch_sim_rejects_shard_smaller_than_one_batch():
         )
 
 
-def test_run_distributed_shares_cluster_step_budget():
+def test_static_run_elastic_shares_cluster_step_budget():
     """Iteration-budgeted workloads split the cluster-wide step budget
     across ranks instead of every node redundantly running all of it."""
     wl = make_workload("speech_3s", dataset_size=120).scaled(0.02)  # 20 iterations
