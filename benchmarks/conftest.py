@@ -17,19 +17,16 @@ import pytest
 def run_experiment(benchmark):
     """Run an experiment once under pytest-benchmark and check its shape."""
 
-    def _run(runner, require_all_checks=True, **kwargs):
-        report = benchmark.pedantic(
-            lambda: runner(**kwargs), rounds=1, iterations=1, warmup_rounds=0
-        )
+    def _run(runner):
+        report = benchmark.pedantic(runner, rounds=1, iterations=1, warmup_rounds=0)
         benchmark.extra_info["experiment"] = report.experiment_id
         benchmark.extra_info["checks_passed"] = report.passed_count
         benchmark.extra_info["checks_total"] = len(report.checks)
         benchmark.extra_info["scale"] = report.scale
         failed = [c for c in report.checks if not c.passed]
-        if require_all_checks:
-            assert not failed, "failed shape checks:\n" + "\n".join(
-                f"  {c.claim} ({c.detail})" for c in failed
-            )
+        assert not failed, "failed shape checks:\n" + "\n".join(
+            f"  {c.claim} ({c.detail})" for c in failed
+        )
         return report
 
     return _run

@@ -5,4 +5,4 @@ from repro.experiments import fig12
 
 def test_fig12(run_experiment):
     report = run_experiment(fig12.run)
-    assert set(report.data["results"]) == set(fig12.DEFAULT_PROPORTIONS)
+    assert set(report.data["results"]) == set(fig12.PROPORTIONS)

@@ -3,9 +3,14 @@
     python -m repro list                      # show available experiments
     python -m repro run fig7 [--scale 0.2]    # run one experiment
     python -m repro run all --output results/ # run everything, save reports
-    python -m repro distributed [--elastic [--checkpoint]]  # scaling / churn
+    python -m repro scenarios --preset steady [--scale 0.5]  # one job mix
     python -m repro bench [--profile]         # sim-kernel perf scenarios
     python -m repro report [--scale 0.2] [--only fig7 fig8]  # EXPERIMENTS.md
+
+An experiment is an id and a scale: ``repro run`` is its one door.  The
+paper's §6 extension is four ids -- ``distributed`` (static scaling),
+``distributed_elastic`` (churn and failure), ``distributed_overlap``
+(topology x overlap) and ``distributed_checkpoint`` (checkpoint economics).
 """
 
 from __future__ import annotations
@@ -41,93 +46,6 @@ def _cmd_run(args) -> int:
         if not result.all_passed:
             failures += 1
     return 1 if failures else 0
-
-
-def _cmd_distributed(args) -> int:
-    """Shortcut for the distributed experiments: ``--elastic`` runs the
-    churn/failure membership scenarios on the modelled ring fabric,
-    ``--reshard`` picks the elastic re-shard policy (``locality`` keeps
-    survivors on overlapping shard blocks so their page caches stay warm),
-    ``--fabric`` / ``--overlap`` / ``--buckets`` run the
-    topology-overlap matrix ({flat, hierarchical} x {serial, overlap})
-    featuring the requested arm, and ``--elastic --checkpoint`` runs the
-    checkpoint-interval economics experiment (``--checkpoint-interval`` /
-    ``--restore`` feature one arm with that exact policy)."""
-    wants_overlap_matrix = (
-        args.fabric is not None or args.overlap or args.buckets is not None
-    )
-    if args.reshard != "stride" and not args.elastic:
-        print("--reshard applies to elastic runs; pass --elastic", file=sys.stderr)
-        return 2
-    if args.checkpoint and not args.elastic:
-        print(
-            "--checkpoint runs the elastic checkpoint experiment; "
-            "pass --elastic",
-            file=sys.stderr,
-        )
-        return 2
-    if (
-        args.checkpoint_interval is not None or args.restore is not None
-    ) and not args.checkpoint:
-        print(
-            "--checkpoint-interval/--restore require --checkpoint",
-            file=sys.stderr,
-        )
-        return 2
-    if args.checkpoint_interval is not None and args.checkpoint_interval < 1:
-        print(
-            f"--checkpoint-interval must be >= 1, got "
-            f"{args.checkpoint_interval}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.checkpoint and args.reshard != "stride":
-        print(
-            "--reshard applies to the elastic churn experiment; it cannot "
-            "be combined with --checkpoint",
-            file=sys.stderr,
-        )
-        return 2
-    if wants_overlap_matrix and args.elastic:
-        print(
-            "--fabric/--overlap/--buckets run the static topology-overlap "
-            "matrix; they cannot be combined with --elastic",
-            file=sys.stderr,
-        )
-        return 2
-    if args.buckets is not None and args.buckets < 1:
-        print(f"--buckets must be >= 1, got {args.buckets}", file=sys.stderr)
-        return 2
-    if args.elastic and args.checkpoint:
-        experiment_id = "distributed_checkpoint"
-    elif args.elastic:
-        experiment_id = "distributed_elastic"
-    elif wants_overlap_matrix:
-        experiment_id = "distributed_overlap"
-    else:
-        experiment_id = "distributed"
-    runner = REGISTRY[experiment_id]
-    kwargs = {}
-    if args.scale is not None:
-        kwargs["scale"] = args.scale
-    if experiment_id == "distributed_elastic":
-        kwargs["reshard"] = args.reshard
-    if experiment_id == "distributed_checkpoint":
-        if args.checkpoint_interval is not None:
-            kwargs["interval"] = args.checkpoint_interval
-        if args.restore is not None:
-            kwargs["restore"] = args.restore
-    if experiment_id == "distributed_overlap":
-        kwargs["topology"] = args.fabric if args.fabric is not None else "flat"
-        kwargs["overlap"] = args.overlap
-        if args.buckets is not None:
-            kwargs["buckets"] = args.buckets
-    result = runner(**kwargs)
-    print(result.render())
-    if args.output:
-        path = result.save(args.output)
-        print(f"saved {path}", file=sys.stderr)
-    return 0 if result.all_passed else 1
 
 
 def _cmd_bench(args) -> int:
@@ -203,9 +121,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_scenarios(args) -> int:
-    """Run a multi-tenant scenario: one preset job mix on a shared cluster
-    (``--preset``), or the full preset sweep with shape checks when no
-    preset is named."""
+    """Run one preset job mix on a shared cluster (``--preset``) and print
+    its per-tenant summary, or list the presets (``--list``).  The sweep
+    over every preset, with its shape checks, is ``repro run scenarios``."""
     from .sim.scenarios import PRESETS, run_preset
 
     if args.list:
@@ -214,25 +132,14 @@ def _cmd_scenarios(args) -> int:
             doc = (build.__doc__ or "").strip().splitlines()[0]
             print(f"{name:{width}s}  {doc}")
         return 0
-    if args.preset is not None:
-        if args.preset not in PRESETS:
-            print(
-                f"unknown preset {args.preset!r}; expected one of "
-                f"{sorted(PRESETS)}",
-                file=sys.stderr,
-            )
-            return 2
-        mix_result = run_preset(args.preset, scale=args.scale or 1.0)
-        print(mix_result.summary())
-        return 0
-    runner = REGISTRY["scenarios"]
-    kwargs = {"scale": args.scale} if args.scale is not None else {}
-    result = runner(**kwargs)
-    print(result.render())
-    if args.output:
-        path = result.save(args.output)
-        print(f"saved {path}", file=sys.stderr)
-    return 0 if result.all_passed else 1
+    if args.preset is None:
+        raise ConfigurationError(
+            "name a --preset or pass --list; the sweep over every preset "
+            "is `repro run scenarios`"
+        )
+    scale = 1.0 if args.scale is None else args.scale
+    print(run_preset(args.preset, scale=scale).summary())
+    return 0
 
 
 def _cmd_report(args) -> int:
@@ -253,76 +160,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     run_parser.add_argument("experiment")
     run_parser.add_argument("--scale", type=float, default=None)
     run_parser.add_argument("--output", default=None, help="directory for reports")
-
-    dist_parser = sub.add_parser(
-        "distributed", help="multi-node scaling / elastic-membership runs"
-    )
-    dist_parser.add_argument(
-        "--checkpoint",
-        action="store_true",
-        help=(
-            "with --elastic: run the checkpoint-interval economics "
-            "experiment (snapshot writes on the storage pipes, restore "
-            "after a node failure)"
-        ),
-    )
-    dist_parser.add_argument(
-        "--checkpoint-interval",
-        type=int,
-        default=None,
-        metavar="K",
-        help="feature an arm snapshotting every K steps (requires --checkpoint)",
-    )
-    dist_parser.add_argument(
-        "--restore",
-        choices=["storage", "peer"],
-        default=None,
-        help=(
-            "feature an arm restoring from storage shards or a surviving "
-            "peer's stream (requires --checkpoint)"
-        ),
-    )
-    dist_parser.add_argument(
-        "--elastic",
-        action="store_true",
-        help="run the elastic churn/failure scenarios on the ring fabric",
-    )
-    dist_parser.add_argument(
-        "--reshard",
-        choices=["stride", "locality"],
-        default="stride",
-        help=(
-            "elastic re-shard policy: stride (fresh random shards) or "
-            "locality (contiguous blocks, survivors keep overlapping "
-            "shards so their page caches stay warm)"
-        ),
-    )
-    dist_parser.add_argument(
-        "--fabric",
-        choices=["flat", "hierarchical"],
-        default=None,
-        help=(
-            "collective topology for the overlap matrix: flat (one "
-            "world-wide NIC ring) or hierarchical (intra-node NVLink "
-            "rings + one inter-node NIC ring)"
-        ),
-    )
-    dist_parser.add_argument(
-        "--overlap",
-        action="store_true",
-        help=(
-            "bucket gradients and launch each bucket's collective as its "
-            "slice of backward completes (reports exposed vs total sync)"
-        ),
-    )
-    dist_parser.add_argument(
-        "--buckets",
-        type=int,
-        default=None,
-        help="gradient buckets per step for the overlap arms (default 4)",
-    )
-    dist_parser.add_argument("--scale", type=float, default=None)
-    dist_parser.add_argument("--output", default=None, help="directory for reports")
 
     bench_parser = sub.add_parser(
         "bench", help="sim-kernel perf scenarios (BENCH_kernel.json)"
@@ -373,13 +210,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         "network_partition) and print its per-tenant summary",
     )
     scenarios_parser.add_argument(
-        "--scale", type=float, default=None, help="step-budget scale factor"
+        "--scale",
+        type=float,
+        default=None,
+        help="step-budget scale factor (default 1.0)",
     )
     scenarios_parser.add_argument(
         "--list", action="store_true", help="list available presets"
-    )
-    scenarios_parser.add_argument(
-        "--output", default=None, help="save the sweep report here"
     )
 
     report_parser = sub.add_parser("report", help="generate EXPERIMENTS.md")
@@ -393,7 +230,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     commands = {
         "list": _cmd_list,
         "run": _cmd_run,
-        "distributed": _cmd_distributed,
         "bench": _cmd_bench,
         "scenarios": _cmd_scenarios,
         "report": _cmd_report,

@@ -23,6 +23,8 @@ import threading
 import time
 from abc import ABC, abstractmethod
 
+from .contracts import positive
+
 __all__ = [
     "Clock",
     "RealClock",
@@ -90,9 +92,7 @@ class ScaledClock(Clock):
     """
 
     def __init__(self, scale: float = 0.01) -> None:
-        if scale <= 0:
-            raise ValueError(f"scale must be positive, got {scale!r}")
-        self._scale = float(scale)
+        self._scale = float(positive("scale", scale))
         self._origin = time.monotonic()
 
     @property

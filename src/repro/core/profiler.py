@@ -31,6 +31,8 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..contracts import count, interval
+
 __all__ = ["TimeoutProfiler", "ProfilerSnapshot"]
 
 
@@ -73,8 +75,13 @@ class TimeoutProfiler:
         max_slow_fraction: float = 0.40,
         override: Optional[float] = None,
     ) -> None:
-        if window < 8:
-            raise ValueError(f"window must be >= 8, got {window!r}")
+        interval("percentile", percentile, 0, 100, "right")
+        interval("fallback_percentile", fallback_percentile, percentile, 100)
+        count("warmup_samples", warmup_samples)
+        count("window", window, lo=8)
+        interval("max_slow_fraction", max_slow_fraction, 0, 1, "right")
+        if override is not None:  # inf: no sample ever times out
+            interval("override", override, 0, math.inf, "right")
         self._percentile = percentile
         self._fallback = fallback_percentile
         self._warmup_samples = warmup_samples

@@ -30,29 +30,25 @@ from .common import (
 
 
 def _ablation(
-    experiment_id: str, title: str, scale: Optional[float], num_gpus: int
+    experiment_id: str, title: str, scale: Optional[float]
 ) -> Tuple[ExperimentReport, Callable[..., SimResult]]:
     """One part's report, and a function that simulates MinatoLoader with
-    the knobs it is given on Speech-3s at the report's scale."""
+    the knobs it is given on Speech-3s, 4x A100, at the report's scale."""
     report = ExperimentReport(experiment_id, title, scale=resolve_scale(scale))
     workload = make_workload("speech_3s").scaled(report.scale)
     return report, lambda **knobs: run_simulation(
-        "minato", workload, CONFIG_A, num_gpus, loader_kwargs=knobs
+        "minato", workload, CONFIG_A, 4, loader_kwargs=knobs
     )
 
 
-def run_timeout_percentile(
-    scale: Optional[float] = None,
-    percentiles: Tuple[float, ...] = (50.0, 75.0, 90.0, 99.0),
-    num_gpus: int = 4,
-) -> ExperimentReport:
+def run_timeout_percentile(scale: Optional[float] = None) -> ExperimentReport:
     """§4.2 choice: which percentile should the slow-sample timeout use?"""
     report, minato = _ablation(
         "ablation_timeout_percentile",
         "Ablation: timeout percentile (paper uses P75, fallback P90)",
         scale,
-        num_gpus,
     )
+    percentiles = (50.0, 75.0, 90.0, 99.0)
     results = {
         (f"P{percentile:.0f}", "adaptive" if adaptive else "fixed"): minato(
             timeout_percentile=percentile,
@@ -106,15 +102,12 @@ def run_timeout_percentile(
     return report
 
 
-def run_adaptive_workers(
-    scale: Optional[float] = None, num_gpus: int = 4
-) -> ExperimentReport:
+def run_adaptive_workers(scale: Optional[float] = None) -> ExperimentReport:
     """§4.3 choice: adaptive pool vs the fixed 12-per-GPU default."""
     report, minato = _ablation(
         "ablation_adaptive_workers",
         "Ablation: adaptive worker scheduling (Formulas 1-2) on vs off",
         scale,
-        num_gpus,
     )
     adaptive = minato()
     fixed = minato(adaptive_workers=False)
@@ -140,18 +133,14 @@ def run_adaptive_workers(
     return report
 
 
-def run_slow_pool(
-    scale: Optional[float] = None,
-    pools: Tuple[int, ...] = (2, 8, 24, 48),
-    num_gpus: int = 4,
-) -> ExperimentReport:
+def run_slow_pool(scale: Optional[float] = None) -> ExperimentReport:
     """How much background capacity do timed-out samples need?"""
     report, minato = _ablation(
         "ablation_slow_pool",
         "Ablation: slow-task worker pool size (fixed pools)",
         scale,
-        num_gpus,
     )
+    pools = (2, 8, 24, 48)
     results = {
         pool: minato(adaptive_workers=False, slow_workers=pool) for pool in pools
     }
@@ -178,15 +167,12 @@ def run_slow_pool(
     return report
 
 
-def run_preemption_grace(
-    scale: Optional[float] = None, num_gpus: int = 4
-) -> ExperimentReport:
+def run_preemption_grace(scale: Optional[float] = None) -> ExperimentReport:
     """Preemptive re-execution (paper) vs cooperative boundary handoff."""
     report, minato = _ablation(
         "ablation_preemption",
         "Ablation: mid-transform preemption vs cooperative handoff",
         scale,
-        num_gpus,
     )
     preemptive = minato(preempt_grace_abs=0.1, preempt_grace_rel=0.2)
     # enormous grace = always finish the in-flight transform (cooperative)

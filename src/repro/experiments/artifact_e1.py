@@ -10,6 +10,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..analysis import series_table
 from ..sim.workloads import CONFIG_B, make_workload
 from .common import (
@@ -23,29 +25,30 @@ from .common import (
 )
 
 PAPER_E1_SECONDS = {"pytorch": 210.0, "dali": 151.0, "minato": 81.0}
+PAPER_EPOCHS = 10
+NUM_GPUS = 8
 
 
 @experiment("artifact_e1", "Artifact E1/E2: 3D-UNet on 8x V100, 10 epochs")
-def run(report: ExperimentReport, num_gpus: int = 8, epochs: int = 10) -> None:
-    workload = make_workload("image_segmentation")
-    effective_epochs = max(1, round(epochs * report.scale * 10))
-    workload = workload.scaled(effective_epochs / workload.epochs)
+def run(report: ExperimentReport) -> None:
+    effective_epochs = max(1, round(PAPER_EPOCHS * report.scale * 10))
+    workload = replace(make_workload("image_segmentation"), epochs=effective_epochs)
 
-    results = sweep(workload, ("pytorch", "dali", "minato"), CONFIG_B, num_gpus)
+    results = sweep(workload, ("pytorch", "dali", "minato"), CONFIG_B, NUM_GPUS)
     columns = {
         "time (s)": seconds,
         "paper (scaled)": lambda r: (
-            f"{PAPER_E1_SECONDS[r.loader] * effective_epochs / epochs:.0f}"
+            f"{PAPER_E1_SECONDS[r.loader] * effective_epochs / PAPER_EPOCHS:.0f}"
         ),
         "GPU train %": gpu_percent,
-        "GPU total %": lambda r: f"{sum(r.gpu_total_utilization) / num_gpus * 100:.1f}",
+        "GPU total %": lambda r: f"{sum(r.gpu_total_utilization) / NUM_GPUS * 100:.1f}",
         "CPU %": cpu_percent,
     }
     report.body = (
         results_table(
             results,
             columns,
-            f"{effective_epochs} epochs, {num_gpus}x V100 (paper runs 10):",
+            f"{effective_epochs} epochs, {NUM_GPUS}x V100 (paper runs 10):",
         )
         + "\n"
         + series_table(results["pytorch"].gpu_series, "pytorch GPU", "")
@@ -86,6 +89,6 @@ def run(report: ExperimentReport, num_gpus: int = 8, epochs: int = 10) -> None:
     )
     report.check(
         "E2: DALI raw GPU usage high (preprocessing on GPU)",
-        sum(results["dali"].gpu_total_utilization) / num_gpus >= 0.85,
-        f"{sum(results['dali'].gpu_total_utilization) / num_gpus * 100:.1f}%",
+        sum(results["dali"].gpu_total_utilization) / NUM_GPUS >= 0.85,
+        f"{sum(results['dali'].gpu_total_utilization) / NUM_GPUS * 100:.1f}%",
     )

@@ -88,23 +88,7 @@ def _run_one(
     "distributed_checkpoint",
     "Extension: checkpoint-interval economics under failure",
 )
-def run(
-    report: ExperimentReport,
-    interval: Optional[int] = None,
-    restore: Optional[str] = None,
-) -> None:
-    """Run the experiment; ``interval``/``restore`` (from the CLI's
-    ``--checkpoint-interval``/``--restore``) feature one extra arm with
-    that exact policy alongside the fixed sweep."""
-    featured = (
-        None
-        if interval is None and restore is None
-        else CheckpointPolicy(
-            interval_steps=interval if interval is not None else _INTERVALS[1],
-            restore=restore if restore is not None else "storage",
-            state_scale=_STATE_SCALE,
-        )
-    )
+def run(report: ExperimentReport) -> None:
     steps_per_rank = max(32, round(32 * report.scale))
 
     # -- interval sweep under the failure schedule -------------------------
@@ -233,16 +217,6 @@ def run(
         ),
         "interval",
     )
-    if featured is not None:
-        feat = _run_one(featured, steps_per_rank)
-        report.body += (
-            f"\n\nfeatured arm (--checkpoint-interval "
-            f"{featured.interval_steps} --restore {featured.restore}): "
-            f"makespan {feat.training_time:.2f}s, write "
-            f"{feat.checkpoint_write_seconds:.2f}s, restore "
-            f"{feat.restore_seconds:.2f}s, lost {feat.lost_steps} steps"
-        )
-        report.data["featured"] = feat
 
     report.data["sweep"] = sweep
     report.data["steady"] = steady

@@ -1,10 +1,11 @@
 """The runner every paper experiment shares.
 
-An experiment module keeps its paper docstring, its parameters and its
-*shape checks*: the paper's claims evaluated against the measured numbers
-(who wins, by roughly what factor, where crossovers sit).  The runner owns
-the rest: :func:`experiment` registers a module's body and builds its
-report at a validated scale, :func:`run_experiments` runs a list of ids for
+An experiment module keeps its paper docstring, its fixed configuration
+and its *shape checks*: the paper's claims evaluated against the measured
+numbers (who wins, by roughly what factor, where crossovers sit).  The
+runner owns the rest: :func:`experiment` registers a module's body and
+builds its report at a validated scale -- an experiment is an id and a
+scale, nothing more -- :func:`run_experiments` runs a list of ids for
 ``repro run`` and ``repro report``, and :func:`sweep` / :func:`results_table`
 are the grid of simulations and the results table most figures are made of.
 
@@ -15,8 +16,6 @@ benchmark machines can dial fidelity against wall-clock budget.
 
 from __future__ import annotations
 
-import functools
-import inspect
 import math
 import os
 from dataclasses import dataclass, field
@@ -113,36 +112,33 @@ class ExperimentReport:
 
 
 def experiment(experiment_id: str, title: str, scaled: bool = True):
-    """Register ``body(report, **params)`` as experiment ``experiment_id``
-    and return its public runner, ``run(scale=None, **params)``, which
-    builds the report at the resolved scale, lets the body fill it and
-    returns it.  An unscaled experiment reads fixed inputs: its runner is
-    ``run(**params)`` and its report says scale 1."""
+    """Register ``body(report)`` as experiment ``experiment_id`` and return
+    its public runner, ``run(scale=None)``, which builds the report at the
+    resolved scale, lets the body fill it and returns it.  An unscaled
+    experiment reads fixed inputs: its runner is ``run()`` and its report
+    says scale 1.  An experiment is its id and its scale: nothing else is
+    a parameter."""
 
-    def register(body: Callable[..., None]) -> Callable[..., ExperimentReport]:
-        params = list(inspect.signature(body).parameters.values())[1:]
-        if scaled:
-            scale = inspect.Parameter(
-                "scale",
-                inspect.Parameter.POSITIONAL_OR_KEYWORD,
-                default=None,
-                annotation=Optional[float],
-            )
-            params.insert(0, scale)
-        signature = inspect.Signature(params, return_annotation=ExperimentReport)
-
-        @functools.wraps(body)
-        def run(*args, **kwargs) -> ExperimentReport:
-            arguments = signature.bind(*args, **kwargs).arguments
-            report = ExperimentReport(
-                experiment_id=experiment_id,
-                title=title,
-                scale=resolve_scale(arguments.pop("scale", None)) if scaled else 1.0,
-            )
-            body(report, **arguments)
+    def register(
+        body: Callable[[ExperimentReport], None]
+    ) -> Callable[..., ExperimentReport]:
+        def build(scale: float) -> ExperimentReport:
+            report = ExperimentReport(experiment_id, title, scale=scale)
+            body(report)
             return report
 
-        run.__signature__ = signature  # type: ignore[attr-defined]
+        if scaled:
+
+            def run(scale: Optional[float] = None) -> ExperimentReport:
+                return build(resolve_scale(scale))
+
+        else:
+
+            def run() -> ExperimentReport:
+                return build(1.0)
+
+        for attr in ("__module__", "__name__", "__qualname__", "__doc__"):
+            setattr(run, attr, getattr(body, attr))
         run.scaled = scaled  # type: ignore[attr-defined]
         REGISTRY[experiment_id] = run
         return run

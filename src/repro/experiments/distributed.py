@@ -24,7 +24,7 @@ Checks:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
 from ..data.storage import StorageSpec
 from ..sim.distributed import (
@@ -66,11 +66,8 @@ def _gpu_percent(result: DistributedResult) -> str:
     "distributed",
     "Extension: multi-node sharded data-parallel training (paper §6)",
 )
-def run(
-    report: ExperimentReport,
-    node_counts: Sequence[int] = (1, 2, 4),
-    gpus_per_node: int = 2,
-) -> None:
+def run(report: ExperimentReport) -> None:
+    node_counts, gpus_per_node = (1, 2, 4), 2
     workload = make_workload("speech_3s").scaled(report.scale)
     steps_per_gpu = max(4, workload.iterations // (max(node_counts) * gpus_per_node))
     allreduce = AllReduceModel()
@@ -147,15 +144,14 @@ def run(
         min(minato_utils) >= max(minato_utils) - 0.15,
         " -> ".join(f"{u * 100:.0f}%" for u in minato_utils),
     )
-    if len(node_counts) > 1:
-        first, last = node_counts[0], node_counts[-1]
-        sync_first = results[("minato", first, "uniform")].sync_seconds_total
-        sync_last = results[("minato", last, "uniform")].sync_seconds_total
-        report.check(
-            "all-reduce cost grows with the world size (both loaders pay it)",
-            sync_last > sync_first,
-            f"{sync_first:.1f}s at {first} node(s) vs {sync_last:.1f}s at {last}",
-        )
+    first, last = node_counts[0], node_counts[-1]
+    sync_first = results[("minato", first, "uniform")].sync_seconds_total
+    sync_last = results[("minato", last, "uniform")].sync_seconds_total
+    report.check(
+        "all-reduce cost grows with the world size (both loaders pay it)",
+        sync_last > sync_first,
+        f"{sync_first:.1f}s at {first} node(s) vs {sync_last:.1f}s at {last}",
+    )
 
     # -- straggler coupling ------------------------------------------------------
     for nodes in straggler_nodes:
@@ -199,20 +195,14 @@ def run(
     "distributed_elastic",
     "Extension: elastic cluster membership on a modelled ring fabric (paper §6)",
 )
-def run_elastic_experiment(
-    report: ExperimentReport,
-    nodes: int = 4,
-    gpus_per_node: int = 2,
-    reshard: str = "stride",
-) -> None:
+def run_elastic_experiment(report: ExperimentReport) -> None:
     """Elastic distributed training: churn/failure x {minato, pytorch} on
-    the modelled ring fabric, ring-vs-closed-form cross-checks, and a
-    re-shard-policy arm comparing ``stride`` vs ``locality`` cache warmup.
-
-    ``reshard`` selects the policy for the scenario matrix (the
-    stride-vs-locality comparison arm always runs both).
+    the modelled ring fabric (``stride`` re-sharding), ring-vs-closed-form
+    cross-checks, and a re-shard-policy arm comparing ``stride`` vs
+    ``locality`` cache warmup.
     """
     scale = report.scale
+    nodes, gpus_per_node = 4, 2
     # an epoch-based Speech-3s variant: elastic re-sharding is an
     # epoch-boundary mechanism, so coverage claims need epoch semantics
     base = make_workload("speech_3s", dataset_size=max(96, round(2400 * scale)))
@@ -245,7 +235,6 @@ def run_elastic_experiment(
             membership,
             gpus_per_node=gpus_per_node,
             allreduce=allreduce,
-            reshard=reshard,
         )
         for loader in ("pytorch", "minato")
         for arm, membership in scenarios.items()
@@ -457,24 +446,15 @@ def run_elastic_experiment(
     "Extension: topology-aware collectives with bucketed "
     "compute/communication overlap (paper §6)",
 )
-def run_overlap_experiment(
-    report: ExperimentReport,
-    nodes: int = 2,
-    gpus_per_node: int = 2,
-    buckets: int = 4,
-    topology: str = "hierarchical",
-    overlap: bool = True,
-) -> None:
+def run_overlap_experiment(report: ExperimentReport) -> None:
     """{flat, hierarchical} x {serial, overlap} on the modelled fabric.
 
     The two mechanisms real DDP stacks use to keep gradient synchronization
     off the step's critical path: a hierarchical topology moves ``(G-1)/G``
     of the traffic onto intra-node NVLink-class links, and bucketed overlap
     launches each gradient slice's collective as soon as its share of
-    backward completes so only the tail is *exposed*.  The matrix always
-    runs all four arms; ``topology`` / ``overlap`` pick the featured arm
-    the CLI asked for (``repro distributed --fabric hierarchical
-    --overlap``).
+    backward completes so only the tail is *exposed*.  The matrix runs all
+    four arms, 2 nodes x 2 GPUs, 4 buckets per overlapped step.
 
     Checks: the hierarchical closed form is the floor of the modelled
     hierarchical fabric's per-step sync on a homogeneous cluster (the PR-3
@@ -483,6 +463,7 @@ def run_overlap_experiment(
     bucketing re-slices but never changes the gradient bytes; exposed <=
     total sync everywhere.
     """
+    nodes, gpus_per_node, buckets = 2, 2, 4
     workload = make_workload("speech_3s").scaled(report.scale)
     world = nodes * gpus_per_node
     steps_per_gpu = max(4, workload.iterations // world)
@@ -496,9 +477,6 @@ def run_overlap_experiment(
         for topo in ("flat", "hierarchical")
         for mode in ("serial", "overlap")
     }
-    featured = (topology, "overlap" if overlap else "serial")
-    if featured not in arms:
-        raise ValueError(f"unknown featured arm {featured!r}")
 
     results: Dict[Tuple[str, str], DistributedResult] = {
         arm: run_elastic(
@@ -527,12 +505,11 @@ def run_overlap_experiment(
         columns,
         (
             f"Speech-3s, {nodes} nodes x {gpus_per_node} GPUs, ring fabric, "
-            f"{steps_per_gpu} steps/GPU (featured: {featured[0]}+{featured[1]}):"
+            f"{steps_per_gpu} steps/GPU:"
         ),
         "topology", "mode",
     )
     report.data["results"] = results
-    report.data["featured"] = featured
 
     # -- hierarchical fabric vs its closed form (PR-3 cross-check) --------
     flat_cf = allreduce.step_cost(world)
@@ -556,7 +533,7 @@ def run_overlap_experiment(
         "hierarchical closed form beats the flat ring when nodes have "
         ">= 2 GPUs (NVLink absorbs (G-1)/G of the traffic and 2(N-1) "
         "inter-node hops replace 2(NG-1))",
-        gpus_per_node >= 2 and hier_cf < flat_cf,
+        hier_cf < flat_cf,
         f"hierarchical {hier_cf * 1000:.1f} ms vs flat {flat_cf * 1000:.1f} ms",
     )
 

@@ -17,20 +17,19 @@ from ..transforms import segmentation_pipeline
 from .common import USAGE_COLUMNS, ExperimentReport, experiment, results_table, sweep
 
 GB = 1024**3
+#: KiTS19 replicated 8x (~230 GB), a cgroup-style 80 GB page cache, 8x V100
+REPLICATION_FACTOR = 8
+MEMORY_LIMIT_BYTES = 80 * GB
+NUM_GPUS = 8
 
 
 @experiment(
     "fig10",
     "Memory-constrained training: 230 GB dataset, 80 GB cache (Fig. 10)",
 )
-def run(
-    report: ExperimentReport,
-    replication_factor: int = 8,
-    memory_limit_bytes: float = 80 * GB,
-    num_gpus: int = 8,
-) -> None:
+def run(report: ExperimentReport) -> None:
     base = SyntheticKiTS19()
-    dataset = ReplicatedDataset(base, factor=replication_factor)
+    dataset = ReplicatedDataset(base, factor=REPLICATION_FACTOR)
     epochs = max(1, round(10 * report.scale))
     workload = WorkloadSpec(
         name="image_segmentation_230gb",
@@ -40,13 +39,13 @@ def run(
         batch_size=3,
         epochs=epochs,
     )
-    hardware = CONFIG_B.with_memory_limit(memory_limit_bytes)
+    hardware = CONFIG_B.with_memory_limit(MEMORY_LIMIT_BYTES)
 
     results = sweep(
         workload,
         ("pytorch", "dali", "minato"),
         hardware,
-        num_gpus,
+        NUM_GPUS,
         cache_fraction=1.0,  # the limit itself is the cap
     )
     columns = {
@@ -67,7 +66,7 @@ def run(
             results,
             columns,
             f"{epochs} epochs over {dataset.total_raw_nbytes() / GB:.0f} GB "
-            f"dataset, {memory_limit_bytes / GB:.0f} GB cache, {num_gpus}x V100:",
+            f"dataset, {MEMORY_LIMIT_BYTES / GB:.0f} GB cache, {NUM_GPUS}x V100:",
         )
         + "\n\n"
         + disk_lines
@@ -77,8 +76,8 @@ def run(
 
     report.check(
         "dataset ~3x the memory limit (paper: 230 GB vs 80 GB)",
-        2.0 <= dataset.total_raw_nbytes() / memory_limit_bytes <= 4.0,
-        f"{dataset.total_raw_nbytes() / GB:.0f} GB vs {memory_limit_bytes / GB:.0f} GB",
+        2.0 <= dataset.total_raw_nbytes() / MEMORY_LIMIT_BYTES <= 4.0,
+        f"{dataset.total_raw_nbytes() / GB:.0f} GB vs {MEMORY_LIMIT_BYTES / GB:.0f} GB",
     )
     report.check(
         "memory pressure defeats the page cache (constant disk streaming)",

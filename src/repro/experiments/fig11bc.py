@@ -32,6 +32,7 @@ from ..transforms import detection_pipeline, segmentation_pipeline
 from .common import ExperimentReport, experiment
 
 BATCH_SIZE = 4  # paper §5.6
+SEED = 5
 
 
 def _ground_truth_slow(dataset, pipeline) -> np.ndarray:
@@ -40,8 +41,8 @@ def _ground_truth_slow(dataset, pipeline) -> np.ndarray:
     return costs > np.percentile(costs, 75)
 
 
-def _torch_batches(dataset, epochs: int, seed: int) -> List[List[int]]:
-    sampler = RandomSampler(len(dataset), seed=seed)
+def _torch_batches(dataset, epochs: int) -> List[List[int]]:
+    sampler = RandomSampler(len(dataset), seed=SEED)
     return [
         batch
         for epoch in range(epochs)
@@ -49,7 +50,7 @@ def _torch_batches(dataset, epochs: int, seed: int) -> List[List[int]]:
     ]
 
 
-def _minato_slow_counts(dataset, pipeline, model, epochs: int, seed: int) -> List[int]:
+def _minato_slow_counts(dataset, pipeline, model, epochs: int) -> List[int]:
     """Per-batch slow counts from a virtual-time MinatoLoader run."""
     workload = WorkloadSpec(
         name="fig11bc",
@@ -69,7 +70,7 @@ def _minato_slow_counts(dataset, pipeline, model, epochs: int, seed: int) -> Lis
             "warmup_samples": 24,
             "slow_workers": 6,
             "adaptive_workers": False,
-            "seed": seed,
+            "seed": SEED,
         },
     )
     return [slow for _t, _gpu, _size, _nbytes, slow in result.batch_log]
@@ -81,7 +82,7 @@ def _distribution(slow_counts: List[int]) -> np.ndarray:
 
 
 @experiment("fig11bc", "Batch composition: slow samples per batch (Fig. 11b/c)")
-def run(report: ExperimentReport, seed: int = 5) -> None:
+def run(report: ExperimentReport) -> None:
     tasks = {
         "object_detection": (
             SyntheticCOCO(n_samples=1500, payload_side=8),
@@ -99,9 +100,9 @@ def run(report: ExperimentReport, seed: int = 5) -> None:
     sections = []
     for task, (dataset, pipeline, model, epochs) in tasks.items():
         slow_flags = _ground_truth_slow(dataset, pipeline)
-        torch_batches = _torch_batches(dataset, epochs, seed)
+        torch_batches = _torch_batches(dataset, epochs)
         torch_counts = [int(slow_flags[idx].sum()) for idx in torch_batches]
-        minato_counts = _minato_slow_counts(dataset, pipeline, model, epochs, seed)
+        minato_counts = _minato_slow_counts(dataset, pipeline, model, epochs)
         torch_dist = _distribution(torch_counts)
         minato_dist = _distribution(minato_counts)
         torch_prop = np.array(torch_counts) / BATCH_SIZE

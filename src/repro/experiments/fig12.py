@@ -17,14 +17,14 @@ workers as the PyTorch DataLoader, plus its background slow-task pool
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict
 
 from ..analysis import render_table
 from ..sim.runner import LOADER_NAMES, SimResult, run_simulation
 from ..sim.workloads import CONFIG_A, make_workload
 from .common import ExperimentReport, experiment, sweep
 
-DEFAULT_PROPORTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
+PROPORTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 _MINATO_KWARGS = {
     "workers_per_gpu": 12,
@@ -34,24 +34,21 @@ _MINATO_KWARGS = {
 
 
 @experiment("fig12", "Training time vs proportion of slow samples (Fig. 12)")
-def run(
-    report: ExperimentReport,
-    proportions: Sequence[float] = DEFAULT_PROPORTIONS,
-    num_gpus: int = 1,
-) -> None:
+def run(report: ExperimentReport) -> None:
+    num_gpus = 1
     results: Dict[float, Dict[str, SimResult]] = {}
-    for p in proportions:
+    for p in PROPORTIONS:
         workload = make_workload("speech_3s", heavy_fraction=p).scaled(report.scale)
         results[p] = sweep(workload, ("pytorch", "pecan", "dali"), num_gpus=num_gpus)
         results[p]["minato"] = run_simulation(
             "minato", workload, CONFIG_A, num_gpus, loader_kwargs=_MINATO_KWARGS
         )
     rows = [
-        [loader] + [f"{results[p][loader].training_time:.1f}" for p in proportions]
+        [loader] + [f"{results[p][loader].training_time:.1f}" for p in PROPORTIONS]
         for loader in LOADER_NAMES
     ]
     report.body = render_table(
-        ["loader"] + [f"{p:.0%}" for p in proportions],
+        ["loader"] + [f"{p:.0%}" for p in PROPORTIONS],
         rows,
         title=f"Training time (s) vs slow-sample proportion ({num_gpus}x A100):",
     )
@@ -63,31 +60,27 @@ def run(
             / results[p]["minato"].training_time
         )
 
-    for p in (0.0, 1.0):
-        if p in results:
-            report.check(
-                f"at {p:.0%} slow samples Minato ~ PyTorch (uniform costs)",
-                ratio(p) <= 1.35,
-                f"pytorch/minato = {ratio(p):.2f}x",
-            )
-    mid = [p for p in proportions if 0.2 <= p <= 0.8]
-    edges = [p for p in (0.0, 1.0) if p in results]
-    if mid:
-        best_mid = max(ratio(p) for p in mid)
+    edges = (0.0, 1.0)
+    for p in edges:
         report.check(
-            "Minato wins in the intermediate range (paper: up to 2.4x)",
-            best_mid >= 1.4,
-            f"best pytorch/minato in 25-75% = {best_mid:.2f}x",
+            f"at {p:.0%} slow samples Minato ~ PyTorch (uniform costs)",
+            ratio(p) <= 1.35,
+            f"pytorch/minato = {ratio(p):.2f}x",
         )
-        if edges:
-            edge_best = max(ratio(p) for p in edges)
-            report.check(
-                "the mid-range advantage exceeds the edge advantage "
-                "(variability is what Minato exploits)",
-                best_mid > edge_best + 0.2,
-                f"mid {best_mid:.2f}x vs edges {edge_best:.2f}x",
-            )
-    for p in proportions:
+    best_mid = max(ratio(p) for p in PROPORTIONS if 0.2 <= p <= 0.8)
+    report.check(
+        "Minato wins in the intermediate range (paper: up to 2.4x)",
+        best_mid >= 1.4,
+        f"best pytorch/minato in 25-75% = {best_mid:.2f}x",
+    )
+    edge_best = max(ratio(p) for p in edges)
+    report.check(
+        "the mid-range advantage exceeds the edge advantage "
+        "(variability is what Minato exploits)",
+        best_mid > edge_best + 0.2,
+        f"mid {best_mid:.2f}x vs edges {edge_best:.2f}x",
+    )
+    for p in PROPORTIONS:
         per_loader = results[p]
         report.check(
             f"at {p:.0%}: Minato is never slower than the baselines",

@@ -17,7 +17,8 @@ from .common import ExperimentReport, experiment
 @experiment(
     "fig1b", "PyTorch DataLoader CPU/GPU trace during 3D-UNet training (Fig. 1b)"
 )
-def run(report: ExperimentReport, num_gpus: int = 4) -> None:
+def run(report: ExperimentReport) -> None:
+    num_gpus = 4
     workload = make_workload("image_segmentation").scaled(report.scale)
     result = run_simulation("pytorch", workload, CONFIG_A, num_gpus=num_gpus)
 

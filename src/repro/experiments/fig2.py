@@ -17,7 +17,8 @@ from .common import ExperimentReport, experiment
 @experiment(
     "fig2", "Per-sample preprocessing time variability (Fig. 2)", scaled=False
 )
-def run(report: ExperimentReport, n_samples: int = 25, seed: int = 7) -> None:
+def run(report: ExperimentReport) -> None:
+    n_samples, seed = 25, 7
     sections = []
     for name, unit, factor in (
         ("image_segmentation", "s", 1.0),

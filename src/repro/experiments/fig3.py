@@ -27,7 +27,8 @@ def _gpu_stability(result) -> float:
     "fig3",
     "Prediction heuristics: image size & transformation reordering (Fig. 3)",
 )
-def run(report: ExperimentReport, num_gpus: int = 4) -> None:
+def run(report: ExperimentReport) -> None:
+    num_gpus = 4
     det = make_workload("object_detection").scaled(report.scale)
     seg = make_workload("image_segmentation").scaled(report.scale)
 

@@ -38,7 +38,7 @@ _SWEEPS = {
 
 
 @experiment("fig4", "Impact of prefetch parameters on training time (Fig. 4)")
-def run(report: ExperimentReport, num_gpus: int = 4) -> None:
+def run(report: ExperimentReport) -> None:
     sections = []
     for loader, (knob, sweeps, name, sweep_name, knob_name) in _SWEEPS.items():
         report.data[loader] = {}
@@ -51,7 +51,7 @@ def run(report: ExperimentReport, num_gpus: int = 4) -> None:
                         loader,
                         workload,
                         CONFIG_A,
-                        num_gpus,
+                        num_gpus=4,
                         loader_kwargs={knob: value},
                     ).training_time,
                 )

@@ -28,9 +28,9 @@ THROUGHPUT_RATIO_BANDS = {
 
 
 @experiment("fig7", "Throughput (MB/s) of all data loaders, 4x A100 (Fig. 7)")
-def run(report: ExperimentReport, num_gpus: int = 4) -> None:
+def run(report: ExperimentReport) -> None:
     results = {
-        name: sweep(make_workload(name).scaled(report.scale), num_gpus=num_gpus)
+        name: sweep(make_workload(name).scaled(report.scale))
         for name in WORKLOAD_NAMES
     }
     columns = {

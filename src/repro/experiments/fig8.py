@@ -24,7 +24,8 @@ from .common import (
 
 
 @experiment("fig8", "CPU and GPU usage for all systems, 4x A100 (Fig. 8)")
-def run(report: ExperimentReport, num_gpus: int = 4) -> None:
+def run(report: ExperimentReport) -> None:
+    num_gpus = 4
     results = {
         name: sweep(make_workload(name).scaled(report.scale), num_gpus=num_gpus)
         for name in WORKLOAD_NAMES

@@ -10,30 +10,28 @@ Paper claims:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..analysis import render_table
 from ..sim.runner import LOADER_NAMES, SimResult
 from ..sim.workloads import CONFIG_A, CONFIG_B, WORKLOAD_NAMES, make_workload
 from .common import ExperimentReport, experiment, sweep
 
-#: default GPU sweeps (paper: A100 1-4, V100 2-8)
+#: GPU sweeps (paper: A100 1-4, V100 2-8)
 A100_COUNTS = (1, 2, 3, 4)
 V100_COUNTS = (2, 4, 6, 8)
 
 
 @experiment("fig9", "Training time vs number of GPUs, A100 & V100 (Fig. 9)")
-def run(
-    report: ExperimentReport,
-    a100_counts: Sequence[int] = A100_COUNTS,
-    v100_counts: Sequence[int] = V100_COUNTS,
-    workloads: Sequence[str] = WORKLOAD_NAMES,
-) -> None:
+def run(report: ExperimentReport) -> None:
     sections = []
     results: Dict[Tuple[str, str], Dict[str, List[Tuple[int, SimResult]]]] = {}
-    testbeds = (("config_a", CONFIG_A, a100_counts), ("config_b", CONFIG_B, v100_counts))
+    testbeds = (
+        ("config_a", CONFIG_A, A100_COUNTS),
+        ("config_b", CONFIG_B, V100_COUNTS),
+    )
     for hw_name, hardware, counts in testbeds:
-        for workload_name in workloads:
+        for workload_name in WORKLOAD_NAMES:
             workload = make_workload(workload_name).scaled(report.scale)
             runs = {n: sweep(workload, hardware=hardware, num_gpus=n) for n in counts}
             per_loader = {
@@ -58,8 +56,6 @@ def run(
 
     for (hw_name, workload_name), per_loader in results.items():
         counts = [n for n, _r in per_loader["minato"]]
-        if not counts:
-            continue
         # Minato fastest (or tied within 10%) at every GPU count.  On the
         # CPU-saturated tail (speech-10s over 80 cores) DALI's GPU-offloaded
         # preprocessing legitimately converges with Minato -- the paper

@@ -6,7 +6,7 @@ cost models and compares each statistic against the published values.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..analysis import per_sample_costs, preprocessing_stats, render_table
 from ..sim.workloads import WORKLOAD_NAMES, make_workload
@@ -27,11 +27,11 @@ _TOLERANCES = {"avg": 0.15, "med": 0.15, "p75": 0.15, "p90": 0.15}
 @experiment(
     "table2", "Preprocessing time statistics per workload (Table 2)", scaled=False
 )
-def run(report: ExperimentReport, dataset_size: Optional[int] = None) -> None:
+def run(report: ExperimentReport) -> None:
     rows = []
     measured = {}
     for name in WORKLOAD_NAMES:
-        workload = make_workload(name, dataset_size=dataset_size)
+        workload = make_workload(name)
         costs = per_sample_costs(workload.dataset, workload.pipeline)
         stats = preprocessing_stats(name, costs)
         measured[name] = stats

@@ -32,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
+from ..contracts import nonnegative
+
 __all__ = [
     "RoutingPolicy",
     "RoutingDecision",
@@ -93,11 +95,9 @@ class RoutingPolicy:
         grace_abs: float = 0.0,
         grace_rel: float = 0.0,
     ) -> None:
-        if grace_abs < 0 or grace_rel < 0:
-            raise ValueError("grace parameters must be non-negative")
         self.preemptive = preemptive
-        self.grace_abs = grace_abs
-        self.grace_rel = grace_rel
+        self.grace_abs = nonnegative("grace_abs", grace_abs)
+        self.grace_rel = nonnegative("grace_rel", grace_rel)
 
     # -- incremental interface (threaded substrate) ---------------------------
 

@@ -76,7 +76,7 @@ from dataclasses import dataclass, field, fields
 from math import ceil
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..contracts import count, nonnegative
+from ..contracts import count, nonnegative, positive
 from ..data.samplers import ShardAssignment, ShardedSampler
 from ..data.storage import CacheSnapshot
 from ..engine.metrics import ExactSum, ExactSums
@@ -127,6 +127,11 @@ class AllReduceModel:
     gradient_bytes: float = 400e6
     #: interconnect bandwidth per node (bytes/s)
     bandwidth: float = DEFAULT_LINK_BANDWIDTH  # 200 Gb/s
+
+    def __post_init__(self) -> None:
+        nonnegative("latency", self.latency)
+        nonnegative("gradient_bytes", self.gradient_bytes)
+        positive("bandwidth", self.bandwidth)
 
     def step_cost(
         self, world_size: int, nbytes: Optional[float] = None

@@ -42,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..contracts import positive
 from ..errors import ConfigurationError
 from .checkpoint import CheckpointPolicy
 from .cluster import (
@@ -385,6 +386,5 @@ def run_preset(name: str, scale: float = 1.0) -> MixResult:
         raise ConfigurationError(
             f"unknown preset {name!r}; expected one of {sorted(PRESETS)}"
         )
-    if scale <= 0:
-        raise ConfigurationError(f"scale must be positive, got {scale!r}")
+    positive("scale", scale)
     return PRESETS[name](scale).run()

@@ -500,7 +500,14 @@ class _PerChunkContext:
     """Stands in for the loader's ``SimContext``: ``cpu_busy`` charges the
     run it was told about transform by transform -- release the core at each
     boundary, queue for it again -- where ``SimMinatoLoader`` now holds it
-    for the whole run.  Everything else is the real context's."""
+    for the whole run.  Everything else is the real context's.
+
+    Both sides compute a run's end instant once, the same way: its last
+    transform ends at the instant the run's core was granted plus the run's
+    total, which is where the fused hold ends.  Summing the transforms'
+    instants (``(now + a) + b``) can land one bit off ``now + (a + b)``,
+    and two runs that end that close then reach the ready store swapped.
+    A transform that had to queue for its core starts a new run."""
 
     def __init__(self, ctx) -> None:
         self._ctx = ctx
@@ -513,8 +520,26 @@ class _PerChunkContext:
     def cpu_busy(self, seconds: float, tag: str = "preprocess"):
         chunks, self.run = self.run, ()
         assert sum(chunks) == seconds, "charged a run nobody announced"
-        for chunk in chunks:
-            yield from self._ctx.cpu_busy(chunk, tag)
+        env = self._ctx.env
+        charged = [i for i, chunk in enumerate(chunks) if chunk > 0]
+        began = None
+        for i in charged:
+            hold = self._ctx.cpu_hold(chunks[i], tag)
+            queued = hold.claim()
+            try:
+                if queued is not None:
+                    yield queued
+                if began is None or queued is not None:
+                    began, rest = env.now, sum(chunks[i:])
+                hold.start = env.now
+                if i == charged[-1]:
+                    yield env.succeed_at(env.event(), began + rest)
+                else:
+                    yield env.timeout(chunks[i])
+            except BaseException:
+                hold.resource.release(hold.request)
+                raise
+            hold.end()
 
 
 class PerChunkMinatoLoader(GeneratorMinatoLoader):

@@ -24,6 +24,7 @@ from repro.sim.distributed import (
     run_elastic,
 )
 from repro.sim.workloads import CONFIG_A, make_workload
+from tests.helpers import assert_every_door_rejects
 
 
 def epoch_workload(n_samples=96, epochs=2):
@@ -37,6 +38,12 @@ def cache_sized_fraction(workload, post_leave_nodes):
     n = len(workload.dataset)
     dataset_bytes = sum(workload.dataset.spec(i).raw_nbytes for i in range(n))
     return 1.5 * (dataset_bytes / post_leave_nodes) / CONFIG_A.memory_bytes
+
+
+def test_an_unknown_reshard_policy_is_refused_at_every_door():
+    """The two policies are the only ones: anything else is refused before
+    a job runs."""
+    assert_every_door_rejects("policy must be one of", reshard="zigzag")
 
 
 # ---------------------------------------------------------------------------

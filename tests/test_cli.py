@@ -24,124 +24,69 @@ def test_cli_run_single_experiment(capsys):
     assert "PASS" in out
 
 
-def test_cli_distributed_elastic(capsys):
-    """`python -m repro distributed --elastic` runs the churn/failure
+@pytest.fixture(scope="module")
+def elastic_cli(tmp_path_factory):
+    """``repro run distributed_elastic --scale 0.05 --output DIR``, run
+    once for the tests that read it: (exit status, stdout, DIR)."""
+    import contextlib
+    import io
+
+    out_dir = tmp_path_factory.mktemp("elastic")
+    stdout = io.StringIO()
+    argv = ["run", "distributed_elastic", "--scale", "0.05", "--output", str(out_dir)]
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(
+        io.StringIO()
+    ):
+        status = main(argv)
+    return status, stdout.getvalue(), out_dir
+
+
+def test_cli_distributed_elastic(elastic_cli):
+    """`python -m repro run distributed_elastic` runs the churn/failure
     membership scenarios end-to-end and its measured checks pass."""
-    assert main(["distributed", "--elastic", "--scale", "0.05"]) == 0
-    out = capsys.readouterr().out
+    status, out, _out_dir = elastic_cli
+    assert status == 0
     assert "distributed_elastic" in out
     assert "churn" in out
     assert "failure" in out
     assert "MISS" not in out
 
 
-def test_cli_distributed_elastic_reshard_locality(capsys):
-    """`--reshard locality` runs the elastic scenarios on block-layout
-    shards with the locality slot assignment, and the stride-vs-locality
-    comparison arm's checks pass."""
-    assert (
-        main(["distributed", "--elastic", "--reshard", "locality", "--scale", "0.05"])
-        == 0
-    )
-    out = capsys.readouterr().out
-    assert "locality" in out
+def test_cli_distributed_elastic_reshard_locality(elastic_cli):
+    """The stride-vs-locality arm always runs both re-shard policies, and
+    its checks (locality keeps more of the survivors' shards and pays less
+    cache warmup) pass."""
+    status, out, _out_dir = elastic_cli
+    assert status == 0
+    table = out[out.index("Re-shard policy under churn") :].splitlines()
+    assert any(row.split()[:1] == ["stride"] for row in table)
+    assert any(row.split()[:1] == ["locality"] for row in table)
     assert "MISS" not in out
 
 
+def test_cli_distributed_elastic_saves_report(elastic_cli):
+    _status, _out, out_dir = elastic_cli
+    assert os.path.exists(out_dir / "distributed_elastic.txt")
+
+
 def test_cli_distributed_elastic_checkpoint(capsys):
-    """`python -m repro distributed --elastic --checkpoint` runs the
+    """`python -m repro run distributed_checkpoint` runs the
     checkpoint-interval economics experiment and its tradeoff checks
     (middle interval strictly beats both extremes under the failure)
     pass."""
-    assert main(["distributed", "--elastic", "--checkpoint"]) == 0
+    assert main(["run", "distributed_checkpoint"]) == 0
     out = capsys.readouterr().out
     assert "distributed_checkpoint" in out
     assert "tradeoff cuts both ways" in out
     assert "MISS" not in out
 
 
-def test_cli_distributed_checkpoint_featured_arm(capsys):
-    assert (
-        main(
-            [
-                "distributed",
-                "--elastic",
-                "--checkpoint",
-                "--checkpoint-interval",
-                "8",
-                "--restore",
-                "peer",
-            ]
-        )
-        == 0
-    )
-    out = capsys.readouterr().out
-    assert "featured arm (--checkpoint-interval 8 --restore peer)" in out
-    assert "MISS" not in out
-
-
-def test_cli_checkpoint_requires_elastic(capsys):
-    assert main(["distributed", "--checkpoint"]) == 2
-    err = capsys.readouterr().err
-    assert "--elastic" in err
-
-
-def test_cli_checkpoint_flags_require_checkpoint(capsys):
-    assert main(["distributed", "--elastic", "--checkpoint-interval", "4"]) == 2
-    assert "--checkpoint" in capsys.readouterr().err
-    assert main(["distributed", "--elastic", "--restore", "peer"]) == 2
-    assert "--checkpoint" in capsys.readouterr().err
-
-
-def test_cli_checkpoint_rejects_non_positive_interval(capsys):
-    assert (
-        main(
-            [
-                "distributed",
-                "--elastic",
-                "--checkpoint",
-                "--checkpoint-interval",
-                "0",
-            ]
-        )
-        == 2
-    )
-    assert ">= 1" in capsys.readouterr().err
-
-
-def test_cli_checkpoint_rejects_reshard(capsys):
-    assert (
-        main(
-            ["distributed", "--elastic", "--checkpoint", "--reshard", "locality"]
-        )
-        == 2
-    )
-    assert "--checkpoint" in capsys.readouterr().err
-
-
-def test_cli_checkpoint_rejects_unknown_restore():
-    with pytest.raises(SystemExit):
-        main(["distributed", "--elastic", "--checkpoint", "--restore", "dvd"])
-
-
 def test_cli_distributed_overlap_matrix(capsys):
-    """`python -m repro distributed --fabric hierarchical --overlap` (the
-    acceptance command) runs the {flat, hierarchical} x {serial, overlap}
-    matrix on the ring fabric and its checks pass -- including the strict
-    exposed-sync win of hierarchical+overlap over flat+serial."""
-    assert (
-        main(
-            [
-                "distributed",
-                "--fabric",
-                "hierarchical",
-                "--overlap",
-                "--scale",
-                "0.02",
-            ]
-        )
-        == 0
-    )
+    """`python -m repro run distributed_overlap` runs the
+    {flat, hierarchical} x {serial, overlap} matrix on the ring fabric and
+    its checks pass -- including the strict exposed-sync win of
+    hierarchical+overlap over flat+serial."""
+    assert main(["run", "distributed_overlap", "--scale", "0.02"]) == 0
     out = capsys.readouterr().out
     assert "distributed_overlap" in out
     assert "hierarchical" in out
@@ -149,55 +94,64 @@ def test_cli_distributed_overlap_matrix(capsys):
     assert "MISS" not in out
 
 
-def test_cli_distributed_overlap_buckets_flag(capsys):
-    assert main(["distributed", "--overlap", "--buckets", "2", "--scale", "0.02"]) == 0
-    out = capsys.readouterr().out
-    assert "distributed_overlap" in out
+#: the invocations of the old ``repro distributed`` door, by the name of
+#: the test that ran each; every one is now an unknown command
+_DISTRIBUTED_DOOR = {
+    "bare": [],
+    "checkpoint_featured_arm": [
+        "--elastic", "--checkpoint", "--checkpoint-interval", "8", "--restore", "peer"
+    ],
+    "checkpoint_requires_elastic": ["--checkpoint"],
+    "checkpoint_flags_require_checkpoint": ["--elastic", "--checkpoint-interval", "4"],
+    "checkpoint_rejects_non_positive_interval": [
+        "--elastic", "--checkpoint", "--checkpoint-interval", "0"
+    ],
+    "checkpoint_rejects_reshard": [
+        "--elastic", "--checkpoint", "--reshard", "locality"
+    ],
+    "checkpoint_rejects_unknown_restore": [
+        "--elastic", "--checkpoint", "--restore", "dvd"
+    ],
+    "overlap_buckets_flag": ["--overlap", "--buckets", "2", "--scale", "0.02"],
+    "overlap_flags_reject_elastic": ["--elastic", "--overlap"],
+    "rejects_non_positive_buckets": ["--overlap", "--buckets", "0"],
+    "rejects_unknown_fabric_topology": ["--fabric", "torus"],
+    "reshard_requires_elastic": ["--reshard", "locality"],
+    "reshard_rejects_unknown_policy": ["--elastic", "--reshard", "zigzag"],
+}
 
 
-def test_cli_overlap_flags_reject_elastic(capsys):
-    assert main(["distributed", "--elastic", "--overlap"]) == 2
-    err = capsys.readouterr().err
-    assert "--elastic" in err
+@pytest.mark.parametrize("flags", _DISTRIBUTED_DOOR.values(), ids=_DISTRIBUTED_DOOR)
+def test_cli_distributed_is_an_unknown_command(flags, capsys):
+    """`repro distributed` and its flags are gone: each §6 experiment is
+    `repro run <id>`, so the old door is refused by the parser (exit 2)
+    before anything runs, whatever flags follow it."""
+    with pytest.raises(SystemExit) as exited:
+        main(["distributed", *flags])
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert "invalid choice: 'distributed'" in captured.err
+    assert captured.out == ""
 
 
-def test_cli_rejects_non_positive_buckets(capsys):
-    assert main(["distributed", "--overlap", "--buckets", "0"]) == 2
-    err = capsys.readouterr().err
-    assert "--buckets" in err
+@pytest.mark.parametrize("scale", ["0", "nan", "-1", "inf"])
+def test_cli_scenarios_refuses_a_degenerate_scale(scale, capsys):
+    """`repro scenarios --preset steady --scale 0` is refused, not run at
+    scale 1.0; NaN is refused with one line, not a traceback."""
+    assert main(["scenarios", "--preset", "steady", "--scale", scale]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "scale must be a real number > 0" in captured.err
 
 
-def test_cli_rejects_unknown_fabric_topology():
-    with pytest.raises(SystemExit):
-        main(["distributed", "--fabric", "torus"])
-
-
-def test_cli_reshard_requires_elastic(capsys):
-    assert main(["distributed", "--reshard", "locality"]) == 2
-    err = capsys.readouterr().err
-    assert "--elastic" in err
-
-
-def test_cli_reshard_rejects_unknown_policy():
-    with pytest.raises(SystemExit):
-        main(["distributed", "--elastic", "--reshard", "zigzag"])
-
-
-def test_cli_distributed_elastic_saves_report(tmp_path, capsys):
-    assert (
-        main(
-            [
-                "distributed",
-                "--elastic",
-                "--scale",
-                "0.05",
-                "--output",
-                str(tmp_path),
-            ]
-        )
-        == 0
-    )
-    assert os.path.exists(tmp_path / "distributed_elastic.txt")
+def test_cli_scenarios_without_a_preset_names_repro_run(capsys):
+    """The sweep over every preset is an experiment: `repro scenarios`
+    with neither --preset nor --list points at `repro run scenarios`."""
+    assert main(["scenarios"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "repro run scenarios" in captured.err
 
 
 def test_cli_bench_profile_handles_a_job_mix(monkeypatch, capsys):

@@ -22,7 +22,9 @@ from typing import Callable, Dict, NamedTuple, Optional
 import pytest
 
 from repro.baselines import TorchLoaderConfig
+from repro.clock import ScaledClock
 from repro.core.config import MinatoConfig
+from repro.core.profiler import TimeoutProfiler
 from repro.core.scheduler import WorkerScheduler
 from repro.data.samplers import (
     BatchSampler,
@@ -39,6 +41,7 @@ from repro.data.synthetic import (
 )
 from repro.errors import ConfigurationError
 from repro.experiments.common import resolve_scale
+from repro.policy.routing import RoutingPolicy
 from repro.sim.checkpoint import CheckpointPolicy
 from repro.sim.cluster import (
     Cluster,
@@ -46,13 +49,14 @@ from repro.sim.cluster import (
     MembershipEvent,
     PartitionEvent,
 )
-from repro.sim.distributed import JobSpec
+from repro.sim.distributed import AllReduceModel, JobSpec
 from repro.sim.fabric import RingFabric
 from repro.sim.kernel import Environment
 from repro.sim.links import SharedLink
 from repro.sim.loaders import SimDALILoader, SimMinatoLoader, SimTorchLoader
 from repro.sim.resources import Resource
 from repro.sim.runner import run_simulation
+from repro.sim.scenarios import run_preset
 from repro.sim.stores import Store
 from repro.sim.topology import FlatRing, Hierarchical
 from repro.sim.workloads import (
@@ -142,6 +146,16 @@ ROWS = [
         "seed": SEED,
     }),
     Row(WorkerScheduler, SCHEDULER),
+    Row(TimeoutProfiler, {
+        "percentile": NONE,
+        "fallback_percentile": NONE,
+        "warmup_samples": COUNT,
+        "window": COUNT,
+        "max_slow_fraction": NONE,
+        "override": {INF: "never: no sample is ever timed out", **RATE},
+    }),
+    Row(RoutingPolicy, {"grace_abs": AMOUNT, "grace_rel": AMOUNT}),
+    Row(ScaledClock, {"scale": RATE}),
     Row(
         WorkloadSpec,
         {"batch_size": COUNT, "epochs": COUNT, "iterations": COUNT},
@@ -206,6 +220,8 @@ ROWS = [
         },
         {"job_id": "job0", "loader": "minato", "workload_name": "speech_3s"},
     ),
+    Row(AllReduceModel, {**LINK, "gradient_bytes": AMOUNT}),
+    Row(run_preset, {"scale": RATE}, {"name": "steady", "scale": 0.02}),
     Row(FlatRing, LINK, {"latency": 1e-5, "bandwidth": 1e9}, build=in_env(FlatRing)),
     Row(
         Hierarchical,

@@ -73,24 +73,34 @@ def test_default_scale_env(monkeypatch):
 
 
 def test_runners_keep_their_signatures():
-    """The runner builds the report; the public entry points keep the
-    parameters callers pass (scale first, where the experiment scales)."""
+    """An experiment is an id and a scale: every registered runner takes
+    ``scale`` alone (or nothing, where it reads fixed inputs), and so does
+    each ablation part."""
     import inspect
 
-    from repro.experiments import distributed, fig7, fig11a
+    from repro.experiments import ablations, fig11a
 
-    def params(run):
-        return list(inspect.signature(run).parameters)
-
-    assert params(fig7.run) == ["scale", "num_gpus"]
-    assert params(fig12.run) == ["scale", "proportions", "num_gpus"]
-    assert params(distributed.run_elastic_experiment) == [
-        "scale", "nodes", "gpus_per_node", "reshard"
-    ]
-    assert params(table2.run) == ["dataset_size"]
-    assert params(fig2.run) == ["n_samples", "seed"]
-    assert fig12.run(SMALL, (0.0,)).data["results"].keys() == {0.0}
-    assert params(fig11a.collect_orderings)[:5] == [
+    unscaled = {"table2", "fig2"}
+    for experiment_id, run in REGISTRY.items():
+        signature = inspect.signature(run)
+        if experiment_id in unscaled:
+            assert not signature.parameters, experiment_id
+        else:
+            assert list(signature.parameters) == ["scale"], experiment_id
+            assert signature.parameters["scale"].default is None
+    for part in (
+        ablations.run_timeout_percentile,
+        ablations.run_adaptive_workers,
+        ablations.run_slow_pool,
+        ablations.run_preemption_grace,
+    ):
+        signature = inspect.signature(part)
+        assert list(signature.parameters) == ["scale"], part.__name__
+        assert signature.parameters["scale"].default is None
+    assert {run.__name__ for run in REGISTRY.values()} == {
+        "run", "run_elastic_experiment", "run_overlap_experiment"
+    }
+    assert list(inspect.signature(fig11a.collect_orderings).parameters)[:5] == [
         "loader_kind", "dataset", "pipeline", "batch_size", "epochs"
     ]
 
@@ -122,9 +132,9 @@ def test_fig10_small_scale_mechanics():
 
 
 def test_fig12_two_point_sweep():
-    report = fig12.run(scale=SMALL, proportions=(0.0, 0.5))
+    report = fig12.run(scale=SMALL)
     results = report.data["results"]
-    assert set(results) == {0.0, 0.5}
+    assert set(results) == set(fig12.PROPORTIONS) >= {0.0, 0.5}
     mid_ratio = (
         results[0.5]["pytorch"].training_time
         / results[0.5]["minato"].training_time
@@ -134,6 +144,24 @@ def test_fig12_two_point_sweep():
         / results[0.0]["minato"].training_time
     )
     assert mid_ratio > edge_ratio  # variability is where Minato wins
+
+
+def test_artifact_e1_runs_the_scaled_epoch_count_at_full_scale(monkeypatch):
+    """Scale 1.0 is a valid scale: artifact_e1 sets its epoch count on the
+    workload directly (``round(10 * scale * 10)`` epochs, 100 at 1.0), not
+    as a fraction of the workload's own 50 epochs, which cannot exceed 1."""
+
+    class Captured(Exception):
+        """The workload ``sweep`` received; nothing is simulated."""
+
+    def sweep(workload, *args, **kwargs):
+        raise Captured(workload)
+
+    monkeypatch.setattr(artifact_e1, "sweep", sweep)
+    for scale, epochs in ((1.0, 100), (0.1, 10), (SMALL, 3)):
+        with pytest.raises(Captured) as captured:
+            artifact_e1.run(scale=scale)
+        assert captured.value.args[0].epochs == epochs
 
 
 def test_artifact_e1_small_scale_ordering():

@@ -199,9 +199,11 @@ def test_cluster_refuses_a_bad_link_or_cache_knob(knob, value):
     "field,knob", [("bandwidth", "link_bandwidth"), ("latency", "link_latency")]
 )
 def test_run_elastic_refuses_a_nan_link_parameter(field, knob):
-    """``allreduce=`` builds the cluster's links: a NaN there used to run to
-    ``training_time == nan``."""
-    with pytest.raises(ConfigurationError, match=knob):
+    """``allreduce=`` builds the cluster's links (its ``field`` becomes the
+    cluster's ``knob``): a NaN there used to run to ``training_time ==
+    nan``.  ``AllReduceModel`` holds the contract, so the model itself is
+    refused, before ``run_elastic`` sees it."""
+    with pytest.raises(ConfigurationError, match=rf"^{field} must be"):
         run_elastic(
             "minato", _workload(), CONFIG_A, ClusterMembership(NODES),
             allreduce=AllReduceModel(**{field: float("nan")}),
