@@ -16,7 +16,6 @@ benchmark machines can dial fidelity against wall-clock budget.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence
@@ -34,17 +33,17 @@ REGISTRY: Dict[str, Callable[..., "ExperimentReport"]] = {}
 
 
 def default_scale() -> float:
-    """Run-length scale factor (``REPRO_SCALE`` env var, default 0.1)."""
+    """Run-length scale factor: the ``REPRO_SCALE`` env var, 0.1 when it is
+    unset or empty.  It has ``--scale``'s rule: anything but a number in
+    (0, 1] is a :class:`ConfigurationError` that names the variable."""
     raw = os.environ.get("REPRO_SCALE", "")
     if not raw:
         return _DEFAULT_SCALE
     try:
         value = float(raw)
     except ValueError:
-        return _DEFAULT_SCALE
-    if math.isnan(value):  # unreadable as a scale, like junk
-        return _DEFAULT_SCALE
-    return min(max(value, 0.001), 1.0)
+        value = raw  # not a number: refused below
+    return interval("REPRO_SCALE", value, 0, 1, "right")
 
 
 def resolve_scale(scale: Optional[float]) -> float:

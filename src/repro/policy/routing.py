@@ -30,6 +30,8 @@ slow samples from raw size instead of measuring elapsed time (Fig. 3a).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Optional, Sequence, Tuple
 
 from ..contracts import nonnegative
@@ -119,10 +121,25 @@ class RoutingPolicy:
     # -- plan interface (simulation substrate) --------------------------------
 
     def plan(self, profile: Sequence[float], budget: float) -> RoutingDecision:
-        """Route one sample given its per-transform cost profile."""
+        """Route one sample given its per-transform cost profile.
+
+        Costs are ``>= 0`` (:meth:`~repro.transforms.base.Pipeline.walk`
+        refuses any other), so no prefix of the profile exceeds its total:
+        a sample whose total is within budget finishes fast at every stage,
+        and is routed without the stage loop.  The total compared is the
+        loop's own left-to-right sum (``sum`` of floats is compensated from
+        Python 3.12 and may differ in the last bit)."""
         total = float(sum(profile))
         if total != total:  # every `<= budget` below is false for a NaN cost
             raise ValueError(f"NaN cost in profile {list(profile)!r}")
+        if reduce(add, profile, 0.0) <= budget:
+            return RoutingDecision(
+                status=FINISH_FAST,
+                flagged_slow=False,
+                handoff_index=None,
+                inline_chunks=tuple(profile),
+                total_seconds=total,
+            )
         if self.preemptive:
             return self._plan_preemptive(profile, budget, total)
         return self._plan_cooperative(profile, budget, total)

@@ -590,11 +590,12 @@ def run_elastic(
     membership via ``reshard(world_size, rank)`` -- so each epoch the
     surviving cluster again covers the dataset with disjoint, equal-length
     shards -- and each node's loader is re-created on its new shard with
-    :meth:`~repro.sim.loaders.BaseSimLoader.rebind_shard` (cost memos are
-    shared, DistributedSampler re-creation semantics).  Fail events fire
-    *mid-epoch*: the node's GPU processes are interrupted, its loader is
-    halted, and the synchronization fabric is told to abort its ranks so
-    the survivors stall at most ``detection_timeout``, never forever.
+    :meth:`~repro.sim.loaders.BaseSimLoader.rebind_shard`
+    (DistributedSampler re-creation semantics; every clone reads the
+    workload's one cost table).  Fail events fire *mid-epoch*: the node's
+    GPU processes are interrupted, its loader is halted, and the
+    synchronization fabric is told to abort its ranks so the survivors
+    stall at most ``detection_timeout``, never forever.
 
     Every round records, per node, the shard-overlap fraction with the
     node's previous round and the page-cache counter deltas
@@ -744,8 +745,7 @@ class _ElasticJob:
             partitions=membership if membership.partitions else None,
         )
 
-        # one template loader: every per-(node, epoch) clone shares its
-        # per-sample cost memos
+        # one template loader, cloned per (node, epoch)
         self.template = make_sim_loader(spec.loader, **loader_kwargs)
 
         #: this job's completion-attributed per-class link wait: the sink

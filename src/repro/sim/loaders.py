@@ -103,6 +103,7 @@ from ..policy import (
     first_tick,
     index_stream,
 )
+from ..transforms.base import CostRecord, Pipeline
 from .cluster import NodeSite
 from .kernel import AllOf, Environment, Event, _Initialize
 from .links import Stream
@@ -366,6 +367,8 @@ class BaseSimLoader:
     #: dealt equally per GPU (rounded up, wrap-around spill) because a
     #: round-robin batch deal would starve the tail of some GPU's stream
     per_gpu_sharding = False
+    #: the transforms to run instead of the workload's (Pecan's AutoOrder)
+    pipeline_override: Optional[Pipeline] = None
 
     def __init__(self) -> None:
         self.batch_stores: List[Store] = []
@@ -380,9 +383,6 @@ class BaseSimLoader:
         #: instead of rounding up to whole batches
         self.total_samples: Optional[int] = None
         self._halted = False
-        # cost-model results are deterministic per sample: memoize one
-        # pipeline walk per index (sims revisit samples every epoch)
-        self._walks: Dict[int, Tuple[List[float], float, int]] = {}
 
     def _check_shared_knobs(self, config_cls) -> None:
         """Refuse what the threaded loader refuses, by its own checks: build
@@ -397,9 +397,17 @@ class BaseSimLoader:
     def bind(self, ctx: SimContext) -> None:
         """Attach to ``ctx`` as one rank: the shard and budgets this loader
         was not rebound with are the workload's own, a world of one --
-        ``ShardedSampler(n, 0, 1, seed)`` is the full seeded shuffle."""
+        ``ShardedSampler(n, 0, 1, seed)`` is the full seeded shuffle.  The
+        pipeline's cost table for the workload's dataset prices every
+        sample (:meth:`~repro.transforms.base.Pipeline.cost_table`)."""
         self.ctx = ctx
         workload = ctx.workload
+        self.pipeline = (
+            workload.pipeline
+            if self.pipeline_override is None
+            else self.pipeline_override
+        )
+        self._costs = self.pipeline.cost_table(workload.dataset)
         n = len(workload.dataset)
         if self.sampler is None:
             self.sampler = ShardedSampler(n, rank=0, world_size=1, seed=self.seed)
@@ -449,9 +457,7 @@ class BaseSimLoader:
         surviving node's :class:`~repro.data.samplers.ShardedSampler`
         (``sampler.reshard(...)``) and re-creating the node's loader on the
         new shard -- DistributedSampler semantics: a sampler's rank/world are
-        fixed at construction.  The clone shares this loader's per-sample
-        cost memos, so re-sharding never re-pays cost-model evaluation, and
-        all run state is rebuilt by ``start()``.
+        fixed at construction.  All run state is rebuilt by ``start()``.
         """
         clone = copy.copy(self)
         clone.ctx = None
@@ -462,22 +468,24 @@ class BaseSimLoader:
         clone.total_samples = total_samples_override
         return clone
 
-    def _walk(self, spec: SampleSpec) -> Tuple[List[float], float, int]:
-        """``(cost profile, total cost, output bytes)``, one walk per index."""
-        walk = self._walks.get(spec.index)
-        if walk is None:
+    def _record(self, spec: SampleSpec) -> CostRecord:
+        """``(cost profile, total cost, output bytes)``: the first visit to
+        a sample, by any loader over this workload, walks it."""
+        record = self._costs.get(spec.index)
+        if record is None:
             profile, nbytes = self.pipeline.walk(spec)
-            walk = self._walks[spec.index] = (profile, float(sum(profile)), nbytes)
-        return walk
+            record = (tuple(profile), float(sum(profile)), nbytes)
+            self._costs[spec.index] = record
+        return record
 
     def total_cost(self, spec: SampleSpec) -> float:
-        return self._walk(spec)[1]
+        return self._record(spec)[1]
 
     def output_nbytes(self, spec: SampleSpec) -> int:
-        return self._walk(spec)[2]
+        return self._record(spec)[2]
 
-    def cost_profile(self, spec: SampleSpec) -> List[float]:
-        return self._walk(spec)[0]
+    def cost_profile(self, spec: SampleSpec) -> Tuple[float, ...]:
+        return self._record(spec)[0]
 
     def get_batch(self, gpu: int) -> Generator:
         """Process-style fetch; returns a SimBatch or None at end."""
@@ -524,11 +532,6 @@ class SimTorchLoader(BaseSimLoader):
     def start(self, ctx: SimContext) -> None:
         self.bind(ctx)
         env = ctx.env
-        self.pipeline = (
-            self.pipeline_override
-            if self.pipeline_override is not None
-            else ctx.workload.pipeline
-        )
         self.batch_stores = [
             Store(env, capacity=self.queue_capacity) for _ in range(ctx.num_gpus)
         ]
@@ -660,7 +663,6 @@ class SimDALILoader(BaseSimLoader):
     def start(self, ctx: SimContext) -> None:
         self.bind(ctx)
         env = ctx.env
-        self.pipeline = ctx.workload.pipeline
         depth = self.prefetch_queue_depth
         batch = ctx.workload.batch_size
         self.batch_stores = [Store(env, capacity=depth) for _ in range(ctx.num_gpus)]
@@ -1104,7 +1106,6 @@ class SimMinatoLoader(BaseSimLoader):
         self.bind(ctx)
         env = ctx.env
         workload = ctx.workload
-        self.pipeline = workload.pipeline
         cap = self.queue_capacity
         self.batch_stores = [Store(env, capacity=cap) for _ in range(ctx.num_gpus)]
         self._temp_store = Store(env, capacity=cap)

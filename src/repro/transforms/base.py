@@ -23,13 +23,17 @@ reorder barriers.
 
 from __future__ import annotations
 
+import math
+import weakref
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..clock import Clock, ThreadLocalClock
+from ..contracts import nonnegative
+from ..data.dataset import Dataset
 from ..data.sample import Sample, SampleSpec
 from ..errors import ConfigurationError
 
@@ -39,7 +43,15 @@ __all__ = [
     "Transform",
     "Pipeline",
     "PipelineState",
+    "CostRecord",
 ]
+
+#: one sample's walk: ``(cost profile, total cost, output bytes)``
+CostRecord = Tuple[Tuple[float, ...], float, int]
+
+#: dataset -> transform sequence (a tuple) -> sample index -> its walk.
+#: Weak in the dataset: a workload's table lives exactly as long as it.
+_COST_TABLES = weakref.WeakKeyDictionary()
 
 
 class SizeEffect:
@@ -202,13 +214,39 @@ class Pipeline:
 
     def walk(self, spec: SampleSpec) -> Tuple[List[float], int]:
         """One pass over the transforms: the per-transform modelled costs
-        (seconds) and the footprint of the fully preprocessed sample."""
+        (seconds) and the footprint of the fully preprocessed sample.
+
+        A cost or an output size that is not a real number ``>= 0`` (NaN,
+        negative, infinite) is a :class:`ConfigurationError` naming the
+        transform and the sample: every model prices a sample from this
+        walk, and routing relies on no prefix of a profile exceeding its
+        total."""
         state = self.initial_state(spec)
         profile = []
         for transform in self.transforms:
-            profile.append(transform.cost(spec, state))
-            state.nbytes = transform.output_nbytes(spec, state)
+            cost = transform.cost(spec, state)
+            nbytes = transform.output_nbytes(spec, state)
+            if not (0.0 <= cost < math.inf and 0.0 <= nbytes < math.inf):
+                where = f"{transform.name} on sample {spec.index}"
+                nonnegative(f"the cost of {where}", cost)
+                nonnegative(f"the output size of {where}", nbytes)
+            profile.append(cost)
+            state.nbytes = nbytes
         return profile, int(state.nbytes)
+
+    def cost_table(self, dataset: Dataset) -> Dict[int, CostRecord]:
+        """``dataset``'s walks under this transform sequence, by sample
+        index: a :data:`CostRecord` the caller stores on a first visit.
+
+        There is one table per (dataset, transform sequence): every loader,
+        run and rank over the workload reads the record the first visit
+        wrote, a reordering that comes back unchanged included, and the
+        table is collected with its dataset.  A transform's cost model is
+        its own for life: a changed model is a new transform."""
+        tables = _COST_TABLES.get(dataset)
+        if tables is None:
+            tables = _COST_TABLES[dataset] = {}
+        return tables.setdefault(tuple(self.transforms), {})
 
     def cost_profile(self, spec: SampleSpec) -> List[float]:
         """Per-transform modelled costs (seconds) for one sample."""

@@ -298,6 +298,37 @@ def test_runner_refuses_a_scale_outside_the_unit_interval(module, scale):
         run(scale=scale)
 
 
+def test_cli_help_keeps_each_usage_line_on_its_own_line(capsys):
+    """``repro --help`` prints the docstring's usage lines as written, one
+    command a line, not reflowed into one paragraph."""
+    import repro.__main__
+
+    usage = [
+        line.strip()
+        for line in repro.__main__.__doc__.splitlines()
+        if line.strip().startswith("python -m repro ")
+    ]
+    assert len(usage) >= 5
+    with pytest.raises(SystemExit) as exited:
+        main(["--help"])
+    assert exited.value.code == 0
+    printed = [line.strip() for line in capsys.readouterr().out.splitlines()]
+    for line in usage:
+        assert line in printed
+
+
+def test_cli_run_refuses_a_bad_repro_scale(monkeypatch, capsys):
+    """``REPRO_SCALE`` keeps ``--scale``'s rule: out of (0, 1] or not a
+    number, ``repro run`` exits 2 with one line naming the variable."""
+    for raw in ("7", "0", "junk", "nan"):
+        monkeypatch.setenv("REPRO_SCALE", raw)
+        assert main(["run", "table2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("repro run: REPRO_SCALE must be in (0, 1]")
+
+
 def test_cli_requires_command():
     with pytest.raises(SystemExit):
         main([])

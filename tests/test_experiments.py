@@ -10,6 +10,7 @@ import os
 import pytest
 
 from repro.experiments import REGISTRY, Check, ExperimentReport, default_scale
+from repro.errors import ConfigurationError
 from repro.experiments.common import resolve_scale
 from repro.experiments import fig1b, fig2, fig10, fig12, table2, artifact_e1, fig11bc
 
@@ -59,17 +60,23 @@ def test_check_render():
 
 
 def test_default_scale_env(monkeypatch):
+    """``REPRO_SCALE`` keeps ``--scale``'s rule: a number in (0, 1], or a
+    refusal that names the variable -- never a clamp or a silent default."""
     monkeypatch.delenv("REPRO_SCALE", raising=False)
     assert default_scale() == pytest.approx(0.1)
+    monkeypatch.setenv("REPRO_SCALE", "")
+    assert default_scale() == pytest.approx(0.1)
     monkeypatch.setenv("REPRO_SCALE", "0.5")
-    assert default_scale() == pytest.approx(0.5)
-    monkeypatch.setenv("REPRO_SCALE", "7")  # clamped
+    assert default_scale() == 0.5
+    monkeypatch.setenv("REPRO_SCALE", "1")
     assert default_scale() == 1.0
-    monkeypatch.setenv("REPRO_SCALE", "junk")
-    assert default_scale() == pytest.approx(0.1)
-    monkeypatch.setenv("REPRO_SCALE", "nan")  # no more a scale than junk
-    assert default_scale() == pytest.approx(0.1)
-    assert resolve_scale(None) == pytest.approx(0.1)
+    for raw in ("7", "0", "-0.5", "inf", "nan", "junk"):
+        monkeypatch.setenv("REPRO_SCALE", raw)
+        with pytest.raises(ConfigurationError, match=r"^REPRO_SCALE must be in \(0, 1\]"):
+            default_scale()
+        with pytest.raises(ConfigurationError, match="^REPRO_SCALE"):
+            resolve_scale(None)
+    assert resolve_scale(0.5) == 0.5  # an explicit scale does not read it
 
 
 def test_runners_keep_their_signatures():

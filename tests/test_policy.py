@@ -1,8 +1,11 @@
 """Unit tests for the substrate-neutral policy layer (repro.policy)."""
 
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.scheduler import WorkerScheduler
 from repro.policy import (
@@ -147,6 +150,38 @@ def test_modes_agree_on_which_samples_get_flagged():
         a = cooperative.plan(profile, budget)
         b = preemptive.plan(profile, budget)
         assert a.flagged_slow == b.flagged_slow == (sum(profile) > budget)
+
+
+#: stage costs as the walk admits them (real, >= 0), zeros drawn often
+_COSTS = st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.sampled_from([0.1, 0.2, 0.3]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    profile=st.lists(_COSTS, max_size=7),
+    data=st.data(),
+    preemptive=st.booleans(),
+    grace_abs=st.sampled_from([0.0, 0.01, 0.5]),
+    grace_rel=st.sampled_from([0.0, 0.2]),
+)
+def test_plan_is_the_stage_loop(profile, data, preemptive, grace_abs, grace_rel):
+    """A profile within budget is routed ``FINISH_FAST`` without the stage
+    loop; every plan is the loop's own, field for field and bit for bit.
+    Budgets are drawn at the edges: the total, each prefix sum (as the loop
+    adds it up, left to right), zero and infinity."""
+    prefixes = list(itertools.accumulate(profile))
+    budget = data.draw(
+        st.one_of(
+            st.sampled_from([0.0, math.inf, *prefixes]),
+            st.floats(0.0, 80.0),
+        )
+    )
+    policy = RoutingPolicy(preemptive=preemptive, grace_abs=grace_abs, grace_rel=grace_rel)
+    loop = policy._plan_preemptive if preemptive else policy._plan_cooperative
+    planned = policy.plan(profile, budget)
+    unshortened = loop(profile, budget, float(sum(profile)))
+    assert planned == unshortened
+    assert repr(planned) == repr(unshortened)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Tests for the discrete-event loader models and the experiment runner."""
 
+import gc
+import re
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -24,8 +27,15 @@ from repro.sim.workloads import (
     WorkloadSpec,
     make_workload,
 )
+from repro.transforms.base import Pipeline
 
-from .helpers import StubDataset, on_checked_kernel, run_with_watchdog, stub_pipeline
+from .helpers import (
+    StubDataset,
+    StubTransform,
+    on_checked_kernel,
+    run_with_watchdog,
+    stub_pipeline,
+)
 
 NAN = float("nan")
 
@@ -557,10 +567,105 @@ def test_a_transform_whose_cost_is_nan_fails_the_run():
         pipeline=stub_pipeline(2), model=MODELS["unet3d"], batch_size=2, epochs=1,
     )
     for loader in ("pytorch", "minato"):
-        with pytest.raises(ValueError, match="NaN"):
+        with pytest.raises(ConfigurationError, match="^the cost of Stage0 on sample 1 "):
             run_with_watchdog(
                 lambda: run_simulation(loader, workload, CONFIG_A, 1), 10.0
             )
+
+
+class _Priced(StubTransform):
+    """Costs ``seconds`` on every sample, whatever its spec."""
+
+    def __init__(self, seconds: float) -> None:
+        super().__init__(label="Priced")
+        self.seconds = seconds
+
+    def cost(self, spec, state) -> float:
+        return self.seconds
+
+
+@pytest.mark.parametrize("seconds", [float("inf"), -1.0, float("nan")])
+@pytest.mark.parametrize("loader", LOADER_NAMES)
+def test_every_model_refuses_a_cost_that_is_not_a_real_number_ge_0(loader, seconds):
+    """A cost model has one contract, the walk's: each model used to fail
+    its own way -- Minato ran on past 20 s on ``inf``, PyTorch and Pecan
+    popped an empty deque on it and ran ``-1`` as free, DALI reported
+    ``training_time=inf``, and ``nan`` raised four different bare
+    value errors."""
+    workload = make_workload("speech_3s", dataset_size=48).scaled(0.01)
+    workload = replace(
+        workload, pipeline=Pipeline([*workload.pipeline, _Priced(seconds)])
+    )
+    with pytest.raises(
+        ConfigurationError,
+        match=rf"^the cost of Priced on sample \d+ must be a real number >= 0, "
+        rf"got {re.escape(repr(seconds))}$",
+    ):
+        run_with_watchdog(lambda: run_simulation(loader, workload, CONFIG_A, 2), 20.0)
+
+
+# ---------------------------------------------------------------------------
+# One cost table per (dataset, transform sequence)
+# ---------------------------------------------------------------------------
+
+
+def test_every_model_and_run_reads_one_walk_per_sample(monkeypatch):
+    """Two runs of each of the four models on one workload walk each sample
+    once in total: the first visit writes the record every later model,
+    run and rank reads.  Pecan's AutoOrder leaves this pipeline's order
+    unchanged, so its pipeline shares the table too."""
+    workload = make_workload("image_segmentation", dataset_size=12).scaled(0.04)
+    walked = []
+    walk = Pipeline.walk
+
+    def counting(pipeline, spec):
+        walked.append(spec.index)
+        return walk(pipeline, spec)
+
+    monkeypatch.setattr(Pipeline, "walk", counting)
+    for loader in LOADER_NAMES:
+        for _ in range(2):
+            run_simulation(loader, workload, CONFIG_A, 2)
+    assert sorted(walked) == list(range(len(workload.dataset)))
+
+
+def test_two_datasets_under_one_pipeline_keep_their_own_records():
+    """The table is per dataset as well as per transform sequence: one
+    pipeline object over a cheap and a dear dataset prices each by its own
+    specs, whichever ran first."""
+    pipeline = stub_pipeline(2)
+    runs = {}
+    for cost in (0.01, 0.4):
+        dataset = StubDataset([cost] * 8)
+        workload = WorkloadSpec(
+            name=f"stub-{cost}", dataset=dataset, pipeline=pipeline,
+            model=MODELS["unet3d"], batch_size=2, epochs=2,
+        )
+        runs[cost] = (dataset, run_simulation("pytorch", workload, CONFIG_A, 1))
+    for dataset, _result in runs.values():
+        walks = [pipeline.walk(dataset.spec(i)) for i in range(8)]
+        assert pipeline.cost_table(dataset) == {
+            i: (tuple(profile), sum(profile), nbytes)
+            for i, (profile, nbytes) in enumerate(walks)
+        }
+    assert runs[0.01][1].training_time < runs[0.4][1].training_time
+
+
+def test_a_cost_table_is_collected_with_its_dataset():
+    """The table is weak in its dataset: once the workload is gone, so is
+    its table, and a sweep over many workloads does not accumulate them."""
+    from repro.transforms import base
+
+    gc.collect()  # earlier tests' workloads
+    before = len(base._COST_TABLES)
+    workload = make_workload("image_segmentation", dataset_size=6).scaled(0.02)
+    run_simulation("minato", workload, CONFIG_A, 1)
+    assert len(base._COST_TABLES) == before + 1
+    dataset = weakref.ref(workload.dataset)
+    del workload
+    gc.collect()
+    assert dataset() is None
+    assert len(base._COST_TABLES) == before
 
 
 # ---------------------------------------------------------------------------
